@@ -23,14 +23,17 @@
 //!
 //! The outlet temperatures themselves are found by the paper's
 //! discretized coarse-to-fine search
-//! ([`thermaware_datacenter::optimize_crac_outlets`]).
+//! ([`thermaware_datacenter::optimize_crac_outlets`]). Its ~190
+//! candidates are one parametric LP: the sensitivities do not depend on
+//! the outlets, so the model is built once per search and each candidate
+//! patches the right-hand sides and the power row (`OutletSweep`).
 
 use crate::arr::ArrCurve;
 use crate::error::SolveError;
 use crate::objective::ObjectiveWeights;
 use serde::{Deserialize, Serialize};
 use thermaware_datacenter::{optimize_crac_outlets, CracSearchOptions, DataCenter};
-use thermaware_lp::{Basis, Problem, RowOp, Sense, VarId};
+use thermaware_lp::{Basis, ConstraintId, Prepared, Problem, RowOp, Sense, VarId};
 use thermaware_thermal::{cop, RHO_CP};
 
 /// Options for Stage 1.
@@ -115,23 +118,16 @@ pub fn solve_stage1(
         })
         .collect();
 
-    let mut warm: Option<Basis> = None;
+    let mut sweep = OutletSweep::new(dc, &node_curves, options);
     let best = optimize_crac_outlets(&dc.cracs, options.search, |outlets| {
-        if !options.warm_start {
-            warm = None;
-        }
-        solve_fixed_outlets(dc, &node_curves, outlets, &options.objective, &mut warm)
-            .map(|(_, obj)| obj)
+        sweep.evaluate(outlets).map(|(_, obj)| obj)
     })
     .ok_or(SolveError::NoFeasibleOutlets { stage: "stage1" })?;
     let (crac_out_c, _) = best;
 
-    if !options.warm_start {
-        warm = None;
-    }
-    let (node_core_power_kw, objective) =
-        solve_fixed_outlets(dc, &node_curves, &crac_out_c, &options.objective, &mut warm)
-            .ok_or(SolveError::OutletRecheckFailed { stage: "stage1" })?;
+    let (node_core_power_kw, objective) = sweep
+        .evaluate(&crac_out_c)
+        .ok_or(SolveError::OutletRecheckFailed { stage: "stage1" })?;
     thermaware_obs::gauge_set("core.stage1_objective", objective);
 
     // Distribute each node's power to its cores along the per-core hull.
@@ -157,146 +153,231 @@ pub fn solve_stage1(
     })
 }
 
-/// Solve the fixed-outlet LP. Returns per-node core power and the
-/// objective, or `None` when infeasible (including when the exact clamped
-/// power model rejects the linearized solution).
+/// The fixed-outlet LP of one Stage-1 outlet search, built once.
 ///
-/// With reward-only `objective` weights this is the historical LP,
-/// unchanged coefficient for coefficient. With cost weights each
-/// segment's objective coefficient becomes
-/// `reward_weight·slope − cost_rate·node_coeff[j]` — `node_coeff[j]`
-/// is the *total* power sensitivity to node `j`'s core power (IT plus
-/// induced CRAC cooling), so the LP trades reward against the true
-/// marginal electricity/carbon cost — and the returned objective has
-/// the fixed-power cost subtracted so the outlet search ranks
-/// candidates by the blended net objective.
-///
-/// `warm` carries the optimal basis between calls: the solve starts from
-/// it when present and structurally compatible, and on success it is
-/// replaced with this solve's basis. Infeasible outlets leave the last
-/// good basis in place for the next grid point.
-fn solve_fixed_outlets(
-    dc: &DataCenter,
-    node_curves: &[crate::pwl::PiecewiseLinear],
-    outlets: &[f64],
-    objective: &ObjectiveWeights,
-    warm: &mut Option<Basis>,
-) -> Option<(Vec<f64>, f64)> {
-    let nn = dc.n_nodes();
-    let coeff = dc.thermal.coefficients(outlets);
+/// Across candidates the LP keeps its variables (one per node × hull
+/// segment) and its thermal rows' coefficients: the sensitivities
+/// `g_node`/`g_crac` do not depend on the outlets. What a candidate
+/// changes is every right-hand side (through the `base` vectors), the
+/// `power_budget` row's coefficients (through `CoP(out_c)`) and, with
+/// cost weights, the objective coefficients. [`OutletSweep::evaluate`]
+/// computes exactly those — with the expressions, in the order, a
+/// per-candidate model build would use — and patches them into the
+/// prepared problem, so a sweep is bit for bit the sequence of LPs built
+/// one by one, at the cost of what differs between them.
+struct OutletSweep<'a> {
+    dc: &'a DataCenter,
+    options: &'a Stage1Options,
+    lp: Prepared,
+    /// Segment slopes of every node type's aggregate ARR curve.
+    slopes: Vec<Vec<f64>>,
+    /// Segment variables of every node.
+    node_vars: Vec<Vec<VarId>>,
+    node_rows: Vec<ConstraintId>,
+    crac_rows: Vec<ConstraintId>,
+    power_row: ConstraintId,
+    /// Base (idle) power of every node: constant, shifts every row's rhs.
+    base_power: Vec<f64>,
+    /// `Σ_j g_node[(i, j)] · base_power[j]` per node row, and the same
+    /// over `g_crac` per CRAC row.
+    fixed_node: Vec<f64>,
+    fixed_crac: Vec<f64>,
+    /// The last feasible candidate's optimal basis.
+    warm: Option<Basis>,
+    /// `power_budget` coefficients, one per segment variable.
+    power_coeffs: Vec<f64>,
+}
 
-    // Total-power sensitivities, needed up front when the cost term is
-    // active (and later by the power row in every case):
-    // w_c = ρ·Cp·F_c / CoP(out_c), node_coeff_j = 1 + Σ_c w_c·g_crac.
-    let w: Vec<f64> = (0..dc.n_crac())
-        .map(|c| RHO_CP * dc.cracs[c].flow_m3s / cop::cop(outlets[c]))
-        .collect();
-    let node_coeff: Vec<f64> = (0..nn)
-        .map(|j| 1.0 + (0..dc.n_crac()).map(|c| w[c] * coeff.g_crac[(c, j)]).sum::<f64>())
-        .collect();
-    let reward_only = objective.is_reward_only();
-    let cost_rate = objective.cost_rate_per_kws();
+impl<'a> OutletSweep<'a> {
+    fn new(
+        dc: &'a DataCenter,
+        node_curves: &[crate::pwl::PiecewiseLinear],
+        options: &'a Stage1Options,
+    ) -> Self {
+        let nn = dc.n_nodes();
+        let (g_node, g_crac) = (dc.thermal.g_node(), dc.thermal.g_crac());
+        let slopes: Vec<Vec<f64>> = node_curves.iter().map(|c| c.slopes()).collect();
 
-    let mut p = Problem::new(Sense::Maximize);
-    // Segment variables per node; remember each node's var ids.
-    let mut node_vars: Vec<Vec<VarId>> = Vec::with_capacity(nn);
-    for node in 0..nn {
-        let curve = &node_curves[dc.node_type_of[node]];
-        let pts = curve.points();
-        let slopes = curve.slopes();
-        let vars = (0..slopes.len())
-            .map(|s| {
-                let len = pts[s + 1].0 - pts[s].0;
-                // Reward-only keeps the raw slope (bit-identical path).
-                let obj = if reward_only {
-                    slopes[s]
-                } else {
-                    objective.reward_weight * slopes[s] - cost_rate * node_coeff[node]
-                };
-                p.add_var(&format!("seg_n{node}_s{s}"), 0.0, len, obj)
-            })
-            .collect();
-        node_vars.push(vars);
+        let mut p = Problem::new(Sense::Maximize);
+        // Segment variables per node; remember each node's var ids. The
+        // objective is the raw slope, which is what reward-only weights
+        // keep (bit-identical path); cost weights overwrite it per
+        // candidate.
+        let mut node_vars: Vec<Vec<VarId>> = Vec::with_capacity(nn);
+        for node in 0..nn {
+            let t = dc.node_type_of[node];
+            let pts = node_curves[t].points();
+            let slopes = &slopes[t];
+            let vars = (0..slopes.len())
+                .map(|s| {
+                    let len = pts[s + 1].0 - pts[s].0;
+                    p.add_var(&format!("seg_n{node}_s{s}"), 0.0, len, slopes[s])
+                })
+                .collect();
+            node_vars.push(vars);
+        }
+
+        // Per-node-power coefficient helper: a row Σ_j c_j · P_core_j (op) rhs
+        // expands over each node's segment variables.
+        let row_terms = |coeffs: &dyn Fn(usize) -> f64| -> Vec<(VarId, f64)> {
+            let mut terms = Vec::with_capacity(nn * 4);
+            for (node, vars) in node_vars.iter().enumerate() {
+                let c = coeffs(node);
+                if c.abs() < 1e-14 {
+                    continue;
+                }
+                for &v in vars {
+                    terms.push((v, c));
+                }
+            }
+            terms
+        };
+
+        let base_power: Vec<f64> = (0..nn).map(|j| dc.node_type(j).base_power_kw).collect();
+
+        // Thermal rows: node inlets <= node redline, CRAC inlets <= CRAC
+        // redline. Right-hand sides are placeholders until `evaluate`.
+        let mut node_rows = Vec::with_capacity(nn);
+        let mut fixed_node = Vec::with_capacity(nn);
+        for i in 0..nn {
+            fixed_node.push((0..nn).map(|j| g_node[(i, j)] * base_power[j]).sum());
+            let terms = row_terms(&|j| g_node[(i, j)]);
+            node_rows.push(p.add_row_nodup(&format!("redline_node{i}"), &terms, RowOp::Le, 0.0));
+        }
+        let mut crac_rows = Vec::with_capacity(dc.n_crac());
+        let mut fixed_crac = Vec::with_capacity(dc.n_crac());
+        for c in 0..dc.n_crac() {
+            fixed_crac.push((0..nn).map(|j| g_crac[(c, j)] * base_power[j]).sum());
+            let terms = row_terms(&|j| g_crac[(c, j)]);
+            crac_rows.push(p.add_row_nodup(&format!("redline_crac{c}"), &terms, RowOp::Le, 0.0));
+        }
+
+        // Power row: Σ_j P_j + Σ_c w_c (Tin_c - out_c) <= Pconst. Its
+        // coefficients `node_coeff_j = 1 + Σ_c w_c·g_crac` are at least 1,
+        // so every node is in the row at every candidate.
+        let terms = row_terms(&|_| 1.0);
+        let power_coeffs = Vec::with_capacity(terms.len());
+        let power_row = p.add_row_nodup("power_budget", &terms, RowOp::Le, 0.0);
+
+        OutletSweep {
+            dc,
+            options,
+            lp: p.prepare(),
+            slopes,
+            node_vars,
+            node_rows,
+            crac_rows,
+            power_row,
+            base_power,
+            fixed_node,
+            fixed_crac,
+            warm: None,
+            power_coeffs,
+        }
     }
 
-    // Per-node-power coefficient helper: a row Σ_j c_j · P_core_j (op) rhs
-    // expands over each node's segment variables.
-    let row_terms = |coeffs: &dyn Fn(usize) -> f64| -> Vec<(VarId, f64)> {
-        let mut terms = Vec::with_capacity(nn * 4);
-        for (node, vars) in node_vars.iter().enumerate() {
-            let c = coeffs(node);
-            if c.abs() < 1e-14 {
-                continue;
-            }
-            for &v in vars {
-                terms.push((v, c));
+    /// Solve the LP at `outlets`. Returns per-node core power and the
+    /// objective, or `None` when infeasible (including when the exact
+    /// clamped power model rejects the linearized solution).
+    ///
+    /// With reward-only `objective` weights this is the historical LP,
+    /// unchanged coefficient for coefficient. With cost weights each
+    /// segment's objective coefficient becomes
+    /// `reward_weight·slope − cost_rate·node_coeff[j]` — `node_coeff[j]`
+    /// is the *total* power sensitivity to node `j`'s core power (IT plus
+    /// induced CRAC cooling), so the LP trades reward against the true
+    /// marginal electricity/carbon cost — and the returned objective has
+    /// the fixed-power cost subtracted so the outlet search ranks
+    /// candidates by the blended net objective.
+    ///
+    /// With `warm_start` the solve starts from the last feasible
+    /// candidate's optimal basis and, on success, replaces it with its
+    /// own. Infeasible outlets leave the last good basis in place for the
+    /// next grid point.
+    fn evaluate(&mut self, outlets: &[f64]) -> Option<(Vec<f64>, f64)> {
+        let dc = self.dc;
+        let nn = dc.n_nodes();
+        let coeff = dc.thermal.coefficients(outlets);
+
+        // Total-power sensitivities:
+        // w_c = ρ·Cp·F_c / CoP(out_c), node_coeff_j = 1 + Σ_c w_c·g_crac.
+        let w: Vec<f64> = (0..dc.n_crac())
+            .map(|c| RHO_CP * dc.cracs[c].flow_m3s / cop::cop(outlets[c]))
+            .collect();
+        let node_coeff: Vec<f64> = (0..nn)
+            .map(|j| 1.0 + (0..dc.n_crac()).map(|c| w[c] * coeff.g_crac[(c, j)]).sum::<f64>())
+            .collect();
+        let objective = &self.options.objective;
+        let reward_only = objective.is_reward_only();
+        let cost_rate = objective.cost_rate_per_kws();
+
+        if !reward_only {
+            for (node, vars) in self.node_vars.iter().enumerate() {
+                let slopes = &self.slopes[dc.node_type_of[node]];
+                for (&v, &slope) in vars.iter().zip(slopes) {
+                    let obj = objective.reward_weight * slope - cost_rate * node_coeff[node];
+                    self.lp.set_var_objective(v, obj);
+                }
             }
         }
-        terms
-    };
 
-    // Base node powers are constant; they shift every row's rhs.
-    let base_power: Vec<f64> = (0..nn).map(|j| dc.node_type(j).base_power_kw).collect();
+        // Base node powers are constant; they shift every row's rhs.
+        for (i, &row) in self.node_rows.iter().enumerate() {
+            let rhs = dc.thermal.node_redline_c - coeff.base_node[i] - self.fixed_node[i];
+            self.lp.set_rhs(row, rhs);
+        }
+        for (c, &row) in self.crac_rows.iter().enumerate() {
+            let rhs = dc.thermal.crac_redline_c - coeff.base_crac[c] - self.fixed_crac[c];
+            self.lp.set_rhs(row, rhs);
+        }
 
-    // Thermal rows: node inlets <= node redline.
-    for i in 0..nn {
-        let fixed: f64 = (0..nn).map(|j| coeff.g_node[(i, j)] * base_power[j]).sum();
-        let rhs = dc.thermal.node_redline_c - coeff.base_node[i] - fixed;
-        let terms = row_terms(&|j| coeff.g_node[(i, j)]);
-        p.add_row_nodup(&format!("redline_node{i}"), &terms, RowOp::Le, rhs);
+        // Power row, with Tin_c affine in node powers.
+        let fixed_power: f64 = (0..nn).map(|j| node_coeff[j] * self.base_power[j]).sum::<f64>()
+            + (0..dc.n_crac())
+                .map(|c| w[c] * (coeff.base_crac[c] - outlets[c]))
+                .sum::<f64>();
+        self.power_coeffs.clear();
+        for (vars, &c) in self.node_vars.iter().zip(&node_coeff) {
+            self.power_coeffs.extend(std::iter::repeat_n(c, vars.len()));
+        }
+        self.lp.set_row_coeffs(self.power_row, &self.power_coeffs);
+        self.lp.set_rhs(self.power_row, dc.budget.p_const_kw - fixed_power);
+
+        if !self.options.warm_start {
+            self.warm = None;
+        }
+        let mut sol = self.lp.solve_warm(self.warm.as_ref()).ok()?;
+        self.warm = sol.take_basis();
+
+        // Recover per-node core power.
+        let node_core_power: Vec<f64> = self
+            .node_vars
+            .iter()
+            .map(|vars| vars.iter().map(|&v| sol.value(v).max(0.0)).sum())
+            .collect();
+
+        // Exact re-check: the LP's CRAC power is unclamped; the true (Eq. 3)
+        // power can only be larger, so reject if the budget breaks for real.
+        let node_powers: Vec<f64> = (0..nn)
+            .map(|j| self.base_power[j] + node_core_power[j])
+            .collect();
+        let (it, cooling, state) = dc.total_power_kw(outlets, &node_powers);
+        if it + cooling > dc.budget.p_const_kw * (1.0 + 1e-7) + 1e-7 {
+            return None;
+        }
+        if !dc.redlines_ok(&state) {
+            return None;
+        }
+        // The variables only carry the *marginal* cost; fold in the cost of
+        // the fixed draw (node bases + outlet-dependent CRAC floor) so the
+        // outlet search compares candidates by the full net objective.
+        let objective_value = if reward_only {
+            sol.objective
+        } else {
+            sol.objective - cost_rate * fixed_power
+        };
+        Some((node_core_power, objective_value))
     }
-    // Thermal rows: CRAC inlets <= CRAC redline.
-    for c in 0..dc.n_crac() {
-        let fixed: f64 = (0..nn).map(|j| coeff.g_crac[(c, j)] * base_power[j]).sum();
-        let rhs = dc.thermal.crac_redline_c - coeff.base_crac[c] - fixed;
-        let terms = row_terms(&|j| coeff.g_crac[(c, j)]);
-        p.add_row_nodup(&format!("redline_crac{c}"), &terms, RowOp::Le, rhs);
-    }
-
-    // Power row: Σ_j P_j + Σ_c w_c (Tin_c - out_c) <= Pconst, with
-    // w_c and node_coeff_j computed above and Tin_c affine in node powers.
-    let fixed_power: f64 = (0..nn).map(|j| node_coeff[j] * base_power[j]).sum::<f64>()
-        + (0..dc.n_crac())
-            .map(|c| w[c] * (coeff.base_crac[c] - outlets[c]))
-            .sum::<f64>();
-    let terms = row_terms(&|j| node_coeff[j]);
-    p.add_row_nodup(
-        "power_budget",
-        &terms,
-        RowOp::Le,
-        dc.budget.p_const_kw - fixed_power,
-    );
-
-    let mut sol = p.solve_warm(warm.as_ref()).ok()?;
-    *warm = sol.take_basis();
-
-    // Recover per-node core power.
-    let node_core_power: Vec<f64> = node_vars
-        .iter()
-        .map(|vars| vars.iter().map(|&v| sol.value(v).max(0.0)).sum())
-        .collect();
-
-    // Exact re-check: the LP's CRAC power is unclamped; the true (Eq. 3)
-    // power can only be larger, so reject if the budget breaks for real.
-    let node_powers: Vec<f64> = (0..nn)
-        .map(|j| base_power[j] + node_core_power[j])
-        .collect();
-    let (it, cooling, state) = dc.total_power_kw(outlets, &node_powers);
-    if it + cooling > dc.budget.p_const_kw * (1.0 + 1e-7) + 1e-7 {
-        return None;
-    }
-    if !dc.redlines_ok(&state) {
-        return None;
-    }
-    // The variables only carry the *marginal* cost; fold in the cost of
-    // the fixed draw (node bases + outlet-dependent CRAC floor) so the
-    // outlet search compares candidates by the full net objective.
-    let objective_value = if reward_only {
-        sol.objective
-    } else {
-        sol.objective - cost_rate * fixed_power
-    };
-    Some((node_core_power, objective_value))
 }
 
 /// Split a node's total core power across its cores using adjacent hull
@@ -434,6 +515,75 @@ mod tests {
         // must be positive and generally different.
         assert!(a.objective > 0.0 && b.objective > 0.0);
         assert!((a.objective - b.objective).abs() > 1e-9);
+    }
+
+    /// One sweep object carried over a candidate list — feasible and
+    /// infeasible outlets interleaved, so right-hand sides cross zero and
+    /// come back — answers every candidate exactly as a sweep object
+    /// built for that candidate alone (handed the same warm basis).
+    #[test]
+    fn one_sweep_equals_a_fresh_sweep_per_candidate() {
+        let dc = ScenarioParams {
+            n_nodes: 12,
+            n_crac: 2,
+            ..ScenarioParams::paper(0.3, 0.1)
+        }
+        .build(5)
+        .unwrap();
+        let node_curves: Vec<crate::pwl::PiecewiseLinear> = (0..dc.node_types.len())
+            .map(|j| {
+                ArrCurve::build(&dc.workload, &dc.node_types[j].core.pstates, j, 50.0)
+                    .curve
+                    .aggregate_copies(dc.node_types[j].cores_per_node)
+            })
+            .collect();
+        let candidates: Vec<[f64; 2]> = [
+            [12.0, 12.0],
+            [18.0, 15.0],
+            [40.0, 40.0],
+            [16.0, 19.0],
+            [15.0, 45.0],
+            [45.0, 15.0],
+            [20.0, 20.0],
+            [13.0, 22.0],
+        ]
+        .to_vec();
+        let priced = ObjectiveWeights {
+            price_per_kwh: 40.0,
+            ..ObjectiveWeights::reward_only()
+        };
+        assert!(!priced.is_reward_only());
+        for objective in [ObjectiveWeights::reward_only(), priced] {
+            for warm_start in [true, false] {
+                let options = Stage1Options {
+                    warm_start,
+                    objective,
+                    ..Stage1Options::default()
+                };
+                let mut shared = OutletSweep::new(&dc, &node_curves, &options);
+                let mut chain: Option<Basis> = None;
+                let (mut feasible, mut infeasible) = (0, 0);
+                for outlets in &candidates {
+                    let mut fresh = OutletSweep::new(&dc, &node_curves, &options);
+                    fresh.warm = chain.take();
+                    let alone = fresh.evaluate(outlets);
+                    chain = fresh.warm.take();
+                    let carried = shared.evaluate(outlets);
+                    assert_eq!(shared.warm, chain, "same basis handed on at {outlets:?}");
+                    match (&carried, &alone) {
+                        (Some((pa, oa)), Some((pb, ob))) => {
+                            feasible += 1;
+                            assert_eq!(oa.to_bits(), ob.to_bits(), "objective at {outlets:?}");
+                            let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                            assert_eq!(bits(pa), bits(pb), "node powers at {outlets:?}");
+                        }
+                        (None, None) => infeasible += 1,
+                        _ => panic!("feasibility differs at {outlets:?}"),
+                    }
+                }
+                assert!(feasible >= 3 && infeasible >= 2, "{feasible} feasible, {infeasible} not");
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!
 //! // Solve a 2x2 system A x = b.
 //! let a = Matrix::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]]);
-//! let lu = Lu::factor(&a).expect("non-singular");
+//! let lu = Lu::factor(a.clone()).expect("non-singular");
 //! let x = lu.solve(&[1.0, 2.0]).expect("solve");
 //! let r = a.mat_vec(&x);
 //! assert!((r[0] - 1.0).abs() < 1e-12 && (r[1] - 2.0).abs() < 1e-12);

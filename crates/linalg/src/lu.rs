@@ -4,7 +4,7 @@ use crate::{LinalgError, Matrix};
 ///
 /// The factors are stored packed in a single matrix (`U` on and above the
 /// diagonal, the unit-lower `L` strictly below it) together with the row
-/// permutation. This is the classic LAPACK `getrf` layout.
+/// interchanges. This is the classic LAPACK `getrf` layout.
 ///
 /// The thermal steady-state solver factors `(I - A_nn)` once per scenario
 /// and then back-substitutes for every candidate power vector, so the
@@ -13,8 +13,10 @@ use crate::{LinalgError, Matrix};
 pub struct Lu {
     /// Packed L (strictly lower, unit diagonal implied) and U (upper).
     lu: Matrix,
-    /// `perm[i]` is the row of the original matrix that ended up at row `i`.
-    perm: Vec<usize>,
+    /// `swaps[k]` is the row exchanged with row `k` at elimination step
+    /// `k` (`getrf`'s `ipiv`). Replaying the exchanges applies `P` to a
+    /// vector in place; replaying them backwards applies `P^T`.
+    swaps: Vec<usize>,
     /// Sign of the permutation, for determinants.
     perm_sign: f64,
 }
@@ -24,21 +26,23 @@ pub struct Lu {
 const PIVOT_EPS: f64 = 1e-12;
 
 impl Lu {
-    /// Factor a square matrix. Returns [`LinalgError::Singular`] when a
-    /// pivot column has no usable entry and [`LinalgError::NotSquare`] for
-    /// non-square input.
-    pub fn factor(a: &Matrix) -> Result<Self, LinalgError> {
+    /// Factor a square matrix, consuming it: the factors are computed in
+    /// the matrix's own storage (clone at the call site to keep the
+    /// original). Returns [`LinalgError::Singular`] when a pivot column
+    /// has no usable entry and [`LinalgError::NotSquare`] for non-square
+    /// input.
+    pub fn factor(a: Matrix) -> Result<Self, LinalgError> {
         if !a.is_square() {
             return Err(LinalgError::NotSquare { shape: a.shape() });
         }
         let n = a.rows();
-        let mut lu = a.clone();
-        let mut perm: Vec<usize> = (0..n).collect();
-        let mut perm_sign = 1.0;
         // Scale-aware singularity threshold: a pivot is "zero" relative to
         // the largest entry of the original matrix.
         let scale = a.max_abs().max(1.0);
         let tol = PIVOT_EPS * scale;
+        let mut lu = a;
+        let mut swaps: Vec<usize> = Vec::with_capacity(n);
+        let mut perm_sign = 1.0;
 
         for k in 0..n {
             // Partial pivoting: pick the largest entry in column k at or
@@ -55,9 +59,9 @@ impl Lu {
             if piv_val <= tol {
                 return Err(LinalgError::Singular { column: k });
             }
+            swaps.push(piv_row);
             if piv_row != k {
                 lu.swap_rows(piv_row, k);
-                perm.swap(piv_row, k);
                 perm_sign = -perm_sign;
             }
             let pivot = lu[(k, k)];
@@ -74,7 +78,7 @@ impl Lu {
                 }
             }
         }
-        Ok(Lu { lu, perm, perm_sign })
+        Ok(Lu { lu, swaps, perm_sign })
     }
 
     /// Dimension of the factored matrix.
@@ -82,18 +86,36 @@ impl Lu {
         self.lu.rows()
     }
 
+    fn check_len(&self, op: &'static str, len: usize) -> Result<(), LinalgError> {
+        let n = self.dim();
+        if len == n {
+            Ok(())
+        } else {
+            Err(LinalgError::ShapeMismatch {
+                op,
+                left: (n, n),
+                right: (len, 1),
+            })
+        }
+    }
+
     /// Solve `A x = b` for a single right-hand side.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+        let mut x = b.to_vec();
+        self.solve_in_place(&mut x)?;
+        Ok(x)
+    }
+
+    /// Solve `A x = b` in place: `x` holds `b` on entry and the solution
+    /// on return. No allocation — the revised simplex calls this for every
+    /// FTRAN.
+    pub fn solve_in_place(&self, x: &mut [f64]) -> Result<(), LinalgError> {
+        self.check_len("lu_solve", x.len())?;
         let n = self.dim();
-        if b.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "lu_solve",
-                left: (n, n),
-                right: (b.len(), 1),
-            });
-        }
         // Apply the permutation, then forward- and back-substitute.
-        let mut x: Vec<f64> = self.perm.iter().map(|&p| b[p]).collect();
+        for (k, &p) in self.swaps.iter().enumerate() {
+            x.swap(k, p);
+        }
         // L y = P b (unit lower triangular).
         for i in 1..n {
             let row = self.lu.row(i);
@@ -112,26 +134,26 @@ impl Lu {
             }
             x[i] = s / row[i];
         }
-        Ok(x)
+        Ok(())
     }
 
     /// Solve `A^T x = b` for a single right-hand side.
     ///
     /// With `P A = L U` the transpose factors as `A^T = U^T L^T P`, so the
     /// solve runs `U^T z = b` (forward), `L^T w = z` (backward), then
-    /// un-permutes `x[perm[i]] = w[i]`. The revised simplex uses this for
+    /// un-permutes `x = P^T w`. The revised simplex uses this for
     /// BTRAN (pricing) against the same factorization FTRAN uses, so both
     /// directions share one `factor` call per basis.
     pub fn solve_transposed(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+        let mut x = b.to_vec();
+        self.solve_transposed_in_place(&mut x)?;
+        Ok(x)
+    }
+
+    /// [`Lu::solve_transposed`] in place, without allocating.
+    pub fn solve_transposed_in_place(&self, w: &mut [f64]) -> Result<(), LinalgError> {
+        self.check_len("lu_solve_transposed", w.len())?;
         let n = self.dim();
-        if b.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "lu_solve_transposed",
-                left: (n, n),
-                right: (b.len(), 1),
-            });
-        }
-        let mut w: Vec<f64> = b.to_vec();
         // U^T z = b: U^T is lower triangular with U's diagonal.
         for i in 0..n {
             let mut s = w[i];
@@ -148,12 +170,11 @@ impl Lu {
             }
             w[i] = s;
         }
-        // P x = w.
-        let mut x = vec![0.0; n];
-        for i in 0..n {
-            x[self.perm[i]] = w[i];
+        // x = P^T w: undo the row exchanges, last first.
+        for (k, &p) in self.swaps.iter().enumerate().rev() {
+            w.swap(k, p);
         }
-        Ok(x)
+        Ok(())
     }
 
     /// Solve `A X = B` column by column.
@@ -212,7 +233,7 @@ mod tests {
     #[test]
     fn solves_known_system() {
         let a = Matrix::from_rows(&[&[2.0, 1.0, -1.0], &[-3.0, -1.0, 2.0], &[-2.0, 1.0, 2.0]]);
-        let lu = Lu::factor(&a).unwrap();
+        let lu = Lu::factor(a).unwrap();
         // Known solution of this textbook system: x = (2, 3, -1).
         let x = lu.solve(&[8.0, -11.0, -3.0]).unwrap();
         assert_close(&x, &[2.0, 3.0, -1.0], 1e-12);
@@ -221,7 +242,7 @@ mod tests {
     #[test]
     fn pivoting_handles_zero_leading_entry() {
         let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-        let lu = Lu::factor(&a).unwrap();
+        let lu = Lu::factor(a).unwrap();
         let x = lu.solve(&[3.0, 7.0]).unwrap();
         assert_close(&x, &[7.0, 3.0], 1e-14);
     }
@@ -229,28 +250,28 @@ mod tests {
     #[test]
     fn singular_matrix_is_detected() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
-        assert!(matches!(Lu::factor(&a), Err(LinalgError::Singular { .. })));
+        assert!(matches!(Lu::factor(a), Err(LinalgError::Singular { .. })));
     }
 
     #[test]
     fn not_square_is_rejected() {
         let a = Matrix::zeros(2, 3);
-        assert!(matches!(Lu::factor(&a), Err(LinalgError::NotSquare { .. })));
+        assert!(matches!(Lu::factor(a), Err(LinalgError::NotSquare { .. })));
     }
 
     #[test]
     fn determinant_matches_known_values() {
         let a = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, 4.0]]);
-        assert!((Lu::factor(&a).unwrap().determinant() - 12.0).abs() < 1e-12);
+        assert!((Lu::factor(a).unwrap().determinant() - 12.0).abs() < 1e-12);
         // A permutation flips the sign.
         let p = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-        assert!((Lu::factor(&p).unwrap().determinant() + 1.0).abs() < 1e-12);
+        assert!((Lu::factor(p).unwrap().determinant() + 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn inverse_times_matrix_is_identity() {
         let a = Matrix::from_rows(&[&[4.0, 2.0, 0.5], &[2.0, 5.0, 1.0], &[0.5, 1.0, 3.0]]);
-        let inv = Lu::factor(&a).unwrap().inverse().unwrap();
+        let inv = Lu::factor(a.clone()).unwrap().inverse().unwrap();
         let prod = a.mat_mul(&inv).unwrap();
         let err = prod.sub(&Matrix::identity(3)).unwrap().max_abs();
         assert!(err < 1e-12, "err = {err}");
@@ -260,7 +281,7 @@ mod tests {
     fn solve_matrix_matches_columnwise_solve() {
         let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]);
         let b = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
-        let lu = Lu::factor(&a).unwrap();
+        let lu = Lu::factor(a).unwrap();
         let x = lu.solve_matrix(&b).unwrap();
         let c0 = lu.solve(&[1.0, 0.0]).unwrap();
         let c1 = lu.solve(&[0.0, 1.0]).unwrap();
@@ -271,7 +292,7 @@ mod tests {
     #[test]
     fn rhs_length_mismatch_errors() {
         let a = Matrix::identity(3);
-        let lu = Lu::factor(&a).unwrap();
+        let lu = Lu::factor(a).unwrap();
         assert!(lu.solve(&[1.0, 2.0]).is_err());
         assert!(lu.solve_transposed(&[1.0, 2.0]).is_err());
     }
@@ -284,10 +305,10 @@ mod tests {
             &[-2.0, 1.0, 2.0, -0.5],
             &[1.0, 4.0, 0.0, 3.0],
         ]);
-        let lu = Lu::factor(&a).unwrap();
+        let lu = Lu::factor(a.clone()).unwrap();
         let b = [1.0, -2.0, 0.5, 3.0];
         let x = lu.solve_transposed(&b).unwrap();
-        let via_t = Lu::factor(&a.transpose()).unwrap().solve(&b).unwrap();
+        let via_t = Lu::factor(a.transpose()).unwrap().solve(&b).unwrap();
         assert_close(&x, &via_t, 1e-12);
         // Residual check against A^T x = b directly.
         for j in 0..4 {
@@ -300,7 +321,7 @@ mod tests {
     fn transposed_solve_handles_permutations() {
         // A matrix that forces row swaps in the factorization.
         let a = Matrix::from_rows(&[&[0.0, 2.0, 1.0], &[1.0, 0.0, 3.0], &[4.0, 1.0, 0.0]]);
-        let lu = Lu::factor(&a).unwrap();
+        let lu = Lu::factor(a.clone()).unwrap();
         let b = [5.0, -1.0, 2.0];
         let x = lu.solve_transposed(&b).unwrap();
         for j in 0..3 {

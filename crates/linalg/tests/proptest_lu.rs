@@ -22,7 +22,7 @@ proptest! {
             let base = if i == j { n as f64 + 2.0 } else { 0.0 };
             base + entries[i * n + j]
         });
-        let lu = Lu::factor(&a).unwrap();
+        let lu = Lu::factor(a.clone()).unwrap();
         let x = lu.solve(&b).unwrap();
         let r = a.mat_vec(&x);
         prop_assert!(vec_ops::max_abs_diff(&r, &b) < 1e-8,
@@ -40,7 +40,7 @@ proptest! {
             let base = if i == j { n as f64 + 2.0 } else { 0.0 };
             base + entries[i * n + j]
         });
-        let inv = Lu::factor(&a).unwrap().inverse().unwrap();
+        let inv = Lu::factor(a.clone()).unwrap().inverse().unwrap();
         let prod = a.mat_mul(&inv).unwrap();
         let err = prod.sub(&Matrix::identity(n)).unwrap().max_abs();
         prop_assert!(err < 1e-8, "err = {err}");

@@ -17,7 +17,7 @@
 //!
 //! [`Basis`]: crate::Basis
 
-use crate::model::{Problem, RowOp, Sense};
+use crate::model::{Constraint, Problem, RowOp, Sense};
 
 /// Where an internal column currently sits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,6 +44,22 @@ pub(crate) enum VarMap {
 pub(crate) type SparseCol = Vec<(usize, f64)>;
 
 /// The rewritten problem both engines solve.
+///
+/// A form can be **patched in place** (`patch_rhs`, `patch_row`,
+/// `patch_cost`) after the problem it was built from changed a right-hand
+/// side, a row's coefficient values or an objective coefficient. Every
+/// patch evaluates the same expressions in the same order as [`build`],
+/// so a patched form is bit-identical to a rebuilt one — with one
+/// exception that is tracked, not hidden: normalisation negates a row
+/// whose shifted right-hand side is negative, and a patch that moves a
+/// row across zero would have to negate its coefficients and re-lay the
+/// artificial columns. Such a row is left **stale**: `shifted_rhs` and
+/// the activity range (all that [`InternalForm::infeasible_row`] reads)
+/// are current, the normalised fields wait for the rebuild that
+/// [`InternalForm::sync`] runs when `stale_rows > 0`. A row patched back
+/// across zero is simply no longer stale.
+///
+/// [`build`]: InternalForm::build
 pub(crate) struct InternalForm {
     /// `-1` for maximization (internally always minimize), `+1` otherwise.
     pub sense_sign: f64,
@@ -53,8 +69,17 @@ pub(crate) struct InternalForm {
     pub upper: Vec<f64>,
     /// Phase-2 (real) internal cost of every column.
     pub cost: Vec<f64>,
-    /// Constant folded out of shifts/mirrors (internal objective offset).
-    pub obj_const: f64,
+    /// Right-hand sides with variable shifts folded in, before
+    /// normalisation (any sign).
+    pub shifted_rhs: Vec<f64>,
+    /// Rows whose shifts all vanish (see [`unshifted`]): their shifted
+    /// right-hand side is the stated one, no pass over the terms needed.
+    pub unshifted: Vec<bool>,
+    /// Smallest and largest value each row's structural part can take
+    /// inside the column bounds, in the row's stated orientation
+    /// (`Σ_{a<0} a·u` and `Σ_{a>0} a·u`; lower bounds are 0).
+    pub act_lo: Vec<f64>,
+    pub act_hi: Vec<f64>,
     /// Normalized right-hand sides, all >= 0.
     pub rhs: Vec<f64>,
     /// Normalized row operators (after any negative-rhs flip).
@@ -73,6 +98,65 @@ pub(crate) struct InternalForm {
     pub n_total: usize,
     /// Structural signature for warm-start validation (48-bit).
     pub signature: u64,
+    /// Rows whose `shifted_rhs` sign disagrees with `flipped` (see the
+    /// type docs). Zero after `build` and `sync`.
+    pub stale_rows: usize,
+}
+
+/// Row `c`'s right-hand side with the variable shifts folded in.
+fn shifted_rhs(maps: &[VarMap], c: &Constraint) -> f64 {
+    let mut b = c.rhs;
+    for &(uj, a) in &c.terms {
+        match maps[uj] {
+            VarMap::Shift { lb, .. } => b -= a * lb,
+            VarMap::Mirror { ub, .. } => b -= a * ub,
+            VarMap::Split { .. } => {}
+        }
+    }
+    b
+}
+
+/// Whether folding the shifts into row `c`'s right-hand side subtracts
+/// nothing but zeros: every variable of the row is free or bounded at
+/// exactly 0 on its finite side, every coefficient finite (so each
+/// `a * 0.0` is a zero, not a NaN). Subtracting zeros of either sign
+/// leaves any right-hand side but `-0.0` bit for bit as it was.
+fn unshifted(maps: &[VarMap], c: &Constraint) -> bool {
+    c.terms.iter().all(|&(uj, a)| {
+        let zero = 0.0_f64.to_bits();
+        a.is_finite()
+            && match maps[uj] {
+                VarMap::Shift { lb: at, .. } | VarMap::Mirror { ub: at, .. } => {
+                    at.abs().to_bits() == zero
+                }
+                VarMap::Split { .. } => true,
+            }
+    })
+}
+
+/// Visit row `c`'s coefficients on internal columns, in term order,
+/// before any normalisation flip.
+fn for_each_coeff(maps: &[VarMap], c: &Constraint, mut visit: impl FnMut(usize, f64)) {
+    for &(uj, a) in &c.terms {
+        match maps[uj] {
+            VarMap::Shift { col, .. } => visit(col, a),
+            VarMap::Mirror { col, .. } => visit(col, -a),
+            VarMap::Split { pos, neg } => {
+                visit(pos, a);
+                visit(neg, -a);
+            }
+        }
+    }
+}
+
+/// Add coefficient `a` on a column bounded by `[0, u]` to a row's
+/// activity range.
+fn widen(lo: &mut f64, hi: &mut f64, a: f64, u: f64) {
+    if a > 0.0 {
+        *hi += a * u;
+    } else if a < 0.0 {
+        *lo += a * u;
+    }
 }
 
 impl InternalForm {
@@ -88,7 +172,6 @@ impl InternalForm {
         let mut maps: Vec<VarMap> = Vec::with_capacity(problem.vars.len());
         let mut upper: Vec<f64> = Vec::new();
         let mut cost: Vec<f64> = Vec::new();
-        let mut obj_const = 0.0;
         let sense_sign = match problem.sense {
             Sense::Maximize => -1.0,
             Sense::Minimize => 1.0,
@@ -101,7 +184,6 @@ impl InternalForm {
                 });
                 upper.push(v.upper - v.lower);
                 cost.push(sense_sign * v.objective);
-                obj_const += sense_sign * v.objective * v.lower;
             } else if v.upper.is_finite() {
                 maps.push(VarMap::Mirror {
                     col: upper.len(),
@@ -109,7 +191,6 @@ impl InternalForm {
                 });
                 upper.push(f64::INFINITY);
                 cost.push(-sense_sign * v.objective);
-                obj_const += sense_sign * v.objective * v.upper;
             } else {
                 maps.push(VarMap::Split {
                     pos: upper.len(),
@@ -126,29 +207,26 @@ impl InternalForm {
         // ---- Rows in internal coordinates --------------------------------
         // Structural coefficients land in a scratch row first (terms are
         // already deduplicated by the model), then scatter into columns.
+        let mut shifted = Vec::with_capacity(nrows);
+        let mut unshifted_rows = Vec::with_capacity(nrows);
+        let mut act_lo = Vec::with_capacity(nrows);
+        let mut act_hi = Vec::with_capacity(nrows);
         let mut rhs = Vec::with_capacity(nrows);
         let mut ops = Vec::with_capacity(nrows);
         let mut flipped = Vec::with_capacity(nrows);
         let mut row_coeffs: Vec<Vec<(usize, f64)>> = Vec::with_capacity(nrows);
         for c in &problem.cons {
-            let mut b = c.rhs;
+            let mut b = shifted_rhs(&maps, c);
+            shifted.push(b);
+            unshifted_rows.push(unshifted(&maps, c));
             let mut coeffs: Vec<(usize, f64)> = Vec::with_capacity(c.terms.len() + 2);
-            for &(uj, a) in &c.terms {
-                match maps[uj] {
-                    VarMap::Shift { col, lb } => {
-                        b -= a * lb;
-                        coeffs.push((col, a));
-                    }
-                    VarMap::Mirror { col, ub } => {
-                        b -= a * ub;
-                        coeffs.push((col, -a));
-                    }
-                    VarMap::Split { pos, neg } => {
-                        coeffs.push((pos, a));
-                        coeffs.push((neg, -a));
-                    }
-                }
-            }
+            let (mut lo, mut hi) = (0.0, 0.0);
+            for_each_coeff(&maps, c, |col, a| {
+                widen(&mut lo, &mut hi, a, upper[col]);
+                coeffs.push((col, a));
+            });
+            act_lo.push(lo);
+            act_hi.push(hi);
             let mut op = c.op;
             let flip = b < 0.0;
             if flip {
@@ -215,7 +293,10 @@ impl InternalForm {
             maps,
             upper,
             cost,
-            obj_const,
+            shifted_rhs: shifted,
+            unshifted: unshifted_rows,
+            act_lo,
+            act_hi,
             rhs,
             ops,
             flipped,
@@ -225,7 +306,102 @@ impl InternalForm {
             art_start,
             n_total,
             signature,
+            stale_rows: 0,
         }
+    }
+
+    fn is_stale(&self, i: usize) -> bool {
+        let negative = self.shifted_rhs[i] < 0.0;
+        negative != self.flipped[i]
+    }
+
+    /// Re-derive row `i`'s right-hand side after `problem.cons[i].rhs`
+    /// (or the row's coefficients, which shifts fold into it) changed.
+    pub(crate) fn patch_rhs(&mut self, problem: &Problem, i: usize) {
+        let was_stale = self.is_stale(i);
+        let c = &problem.cons[i];
+        let b = if self.unshifted[i] && c.rhs.to_bits() != (-0.0_f64).to_bits() {
+            c.rhs
+        } else {
+            shifted_rhs(&self.maps, c)
+        };
+        self.shifted_rhs[i] = b;
+        let stale = self.is_stale(i);
+        if !stale {
+            self.rhs[i] = if self.flipped[i] { -b } else { b };
+        }
+        self.stale_rows = self.stale_rows + usize::from(stale) - usize::from(was_stale);
+    }
+
+    /// Re-derive row `i` after the coefficient values of
+    /// `problem.cons[i]` changed (same variables, same order).
+    pub(crate) fn patch_row(&mut self, problem: &Problem, i: usize) {
+        let c = &problem.cons[i];
+        let flip = self.flipped[i];
+        let (mut lo, mut hi) = (0.0, 0.0);
+        let (cols, upper) = (&mut self.cols, &self.upper);
+        for_each_coeff(&self.maps, c, |col, a| {
+            widen(&mut lo, &mut hi, a, upper[col]);
+            let column = &mut cols[col];
+            let at = column
+                .binary_search_by_key(&i, |&(row, _)| row)
+                .expect("every term of a row has an entry in its column");
+            column[at].1 = if flip { -a } else { a };
+        });
+        self.act_lo[i] = lo;
+        self.act_hi[i] = hi;
+        self.unshifted[i] = unshifted(&self.maps, c);
+        self.patch_rhs(problem, i);
+    }
+
+    /// Re-derive the internal cost of user variable `v` after its
+    /// objective coefficient changed.
+    pub(crate) fn patch_cost(&mut self, problem: &Problem, v: usize) {
+        let (sign, objective) = (self.sense_sign, problem.vars[v].objective);
+        match self.maps[v] {
+            VarMap::Shift { col, .. } => self.cost[col] = sign * objective,
+            VarMap::Mirror { col, .. } => self.cost[col] = -sign * objective,
+            VarMap::Split { pos, neg } => {
+                self.cost[pos] = sign * objective;
+                self.cost[neg] = -sign * objective;
+            }
+        }
+    }
+
+    /// Bring the normalised fields up to date with `problem` after
+    /// patches moved rows across zero. A no-op when none did.
+    pub(crate) fn sync(&mut self, problem: &Problem) {
+        if self.stale_rows > 0 {
+            *self = InternalForm::build(problem);
+        }
+    }
+
+    /// A row no point inside the column bounds can satisfy, and by how
+    /// much it is missed: a `<=` row whose smallest activity still
+    /// exceeds the right-hand side by more than `tol`, a `>=` row whose
+    /// largest activity falls short of it (`==`: either). Reads only
+    /// `shifted_rhs` and the activity range, which patches keep current
+    /// even on stale rows, so a sweep can reject a candidate without
+    /// normalising it. O(rows).
+    ///
+    /// In normalised terms the rows caught are `Ge`/`Eq` rows whose
+    /// maximum activity cannot reach a positive right-hand side, where
+    /// phase 1 would leave that row's artificial at no less than the
+    /// shortfall: the verdict is phase 1's, reached early.
+    pub(crate) fn infeasible_row(&self, problem: &Problem, tol: f64) -> Option<f64> {
+        let mut worst = tol;
+        for (i, c) in problem.cons.iter().enumerate() {
+            let b = self.shifted_rhs[i];
+            let miss = match c.op {
+                RowOp::Le => self.act_lo[i] - b,
+                RowOp::Ge => b - self.act_hi[i],
+                RowOp::Eq => (self.act_lo[i] - b).max(b - self.act_hi[i]),
+            };
+            // `max` drops the NaN of an infinite bound against an
+            // infinite right-hand side.
+            worst = worst.max(miss);
+        }
+        (worst > tol).then_some(worst)
     }
 
     /// Map an unbounded internal column back to a user variable name.

@@ -25,6 +25,16 @@
 //!   pathologies, and tests cross-check the engines against each other
 //!   through [`Problem::solve_dense`].
 //!
+//! A model that is solved many times with a few numbers changed in
+//! between — the CRAC sweep's one LP per outlet candidate — is kept as a
+//! [`Prepared`] problem: [`Problem::prepare`] builds the internal form
+//! once, `set_rhs` / `set_row_coeffs` / `set_var_objective` patch problem
+//! and form in place (bit for bit what a rebuild gives), and
+//! [`Prepared::solve_warm`] runs the same solve path. Before its first
+//! factorisation that path refuses a problem with a row out of reach of
+//! the variable bounds, so a sweep's infeasible candidates cost a scan of
+//! the rows.
+//!
 //! Anti-cycling falls back to Bland's rule after a run of degenerate
 //! steps in both engines. Problem sizes in this workspace top out around
 //! ~300 rows × ~2000 columns (the Eq.-21 baseline on a 150-node data
@@ -56,6 +66,7 @@ mod basis;
 mod internal;
 mod model;
 pub mod mps;
+mod prepared;
 mod presolve;
 mod revised;
 mod simplex;
@@ -64,4 +75,5 @@ mod solution;
 pub use basis::Basis;
 pub use model::{ConstraintId, Problem, RowOp, Sense, VarId};
 pub use mps::to_mps;
+pub use prepared::Prepared;
 pub use solution::{LpError, Solution, Status};

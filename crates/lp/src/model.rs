@@ -1,4 +1,5 @@
 use crate::basis::Basis;
+use crate::internal::InternalForm;
 use crate::solution::{LpError, Solution};
 use crate::{revised, simplex};
 
@@ -58,6 +59,24 @@ pub struct Problem {
     pub(crate) sense: Sense,
     pub(crate) vars: Vec<Variable>,
     pub(crate) cons: Vec<Constraint>,
+}
+
+/// The one solve path behind [`Problem::solve_warm`] and
+/// [`crate::Prepared::solve_warm`]: the revised simplex on `form` (built
+/// on the spot when the caller keeps none), retried on the dense tableau
+/// after a numerical pathology.
+pub(crate) fn solve_with(
+    problem: &Problem,
+    form: Option<&mut InternalForm>,
+    warm: Option<&Basis>,
+) -> Result<Solution, LpError> {
+    match revised::solve(problem, form, warm) {
+        Err(LpError::IterationLimit { .. }) | Err(LpError::Internal { .. }) => {
+            thermaware_obs::counter_add("lp.dense_fallbacks", 1);
+            simplex::solve(problem, false)
+        }
+        other => other,
+    }
 }
 
 impl Problem {
@@ -255,13 +274,7 @@ impl Problem {
     /// The returned [`Solution`] carries a fresh basis — chain it through
     /// repeated re-solves via [`Solution::take_basis`].
     pub fn solve_warm(&self, warm: Option<&Basis>) -> Result<Solution, LpError> {
-        match revised::solve(self, warm) {
-            Err(LpError::IterationLimit { .. }) | Err(LpError::Internal { .. }) => {
-                thermaware_obs::counter_add("lp.dense_fallbacks", 1);
-                simplex::solve(self, false)
-            }
-            other => other,
-        }
+        solve_with(self, None, warm)
     }
 
     /// Solve on the dense two-phase tableau engine — the fallback oracle.

@@ -1,0 +1,355 @@
+//! A problem kept ready to be solved again and again.
+//!
+//! [`Problem::solve_warm`] rewrites the model into the engines' internal
+//! form on every call. A caller that solves one model many times with a
+//! few numbers changed in between — the Stage-1 CRAC sweep changes the
+//! right-hand sides and one row of coefficients per candidate — pays for
+//! that rewrite each time although almost all of it comes out the same.
+//! [`Prepared`] owns the problem together with its internal form and
+//! applies each change to both in place. The patched form is bit for bit
+//! what a rebuild would produce (the crate's property tests hold it to
+//! that), and [`Prepared::solve_warm`] runs the same solve function as
+//! [`Problem::solve_warm`], so a prepared problem gives the answers, pivot
+//! for pivot, of the same problem built afresh.
+
+use crate::basis::Basis;
+use crate::internal::InternalForm;
+use crate::model::{solve_with, ConstraintId, Problem, VarId};
+use crate::solution::{LpError, Solution};
+
+/// A [`Problem`] together with its internal form; see the module docs.
+pub struct Prepared {
+    problem: Problem,
+    form: InternalForm,
+}
+
+impl Problem {
+    /// Fix the model's structure — variables, bounds, rows and which
+    /// variables each row mentions — and keep it ready for repeated
+    /// solves with patched numbers.
+    pub fn prepare(self) -> Prepared {
+        let form = InternalForm::build(&self);
+        Prepared {
+            problem: self,
+            form,
+        }
+    }
+}
+
+impl Prepared {
+    /// Replace the right-hand side of a row.
+    ///
+    /// # Panics
+    /// Panics on NaN.
+    pub fn set_rhs(&mut self, row: ConstraintId, rhs: f64) {
+        assert!(!rhs.is_nan(), "NaN rhs");
+        self.problem.cons[row.0].rhs = rhs;
+        self.form.patch_rhs(&self.problem, row.0);
+    }
+
+    /// Replace the coefficient values of a row, keeping its sparsity
+    /// pattern: `coeffs` holds one value per distinct variable of the
+    /// row, in the order [`Problem::add_row`] first met them.
+    ///
+    /// # Panics
+    /// Panics on NaN or when `coeffs` is not as long as the row.
+    pub fn set_row_coeffs(&mut self, row: ConstraintId, coeffs: &[f64]) {
+        let terms = &mut self.problem.cons[row.0].terms;
+        assert_eq!(coeffs.len(), terms.len(), "set_row_coeffs: row length");
+        for ((_, a), &c) in terms.iter_mut().zip(coeffs) {
+            assert!(!c.is_nan(), "NaN coefficient");
+            *a = c;
+        }
+        self.form.patch_row(&self.problem, row.0);
+    }
+
+    /// Replace a variable's objective coefficient.
+    ///
+    /// # Panics
+    /// Panics on NaN.
+    pub fn set_var_objective(&mut self, v: VarId, objective: f64) {
+        self.problem.set_var_objective(v, objective);
+        self.form.patch_cost(&self.problem, v.0);
+    }
+
+    /// [`Problem::solve_warm`] on the kept form. A solve is the one place
+    /// that may have to re-normalise the form (a patch moved a row's
+    /// right-hand side across zero), hence `&mut self`.
+    pub fn solve_warm(&mut self, warm: Option<&Basis>) -> Result<Solution, LpError> {
+        solve_with(&self.problem, Some(&mut self.form), warm)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::model::{RowOp, Sense};
+    use proptest::prelude::*;
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The fields patches keep current whatever the row signs did.
+    fn assert_current_fields_match(a: &InternalForm, b: &InternalForm) {
+        assert_eq!(bits(&a.shifted_rhs), bits(&b.shifted_rhs), "shifted_rhs");
+        assert_eq!(bits(&a.act_lo), bits(&b.act_lo), "act_lo");
+        assert_eq!(bits(&a.act_hi), bits(&b.act_hi), "act_hi");
+        assert_eq!(a.unshifted, b.unshifted, "unshifted");
+        // Artificial columns come and go with the row signs; everything
+        // before them is laid out by the variables and rows alone.
+        let n = a.art_start;
+        assert_eq!(n, b.art_start);
+        assert_eq!(bits(&a.cost[..n]), bits(&b.cost[..n]), "cost");
+        assert_eq!(bits(&a.upper[..n]), bits(&b.upper[..n]), "upper");
+    }
+
+    /// Field by field, bit by bit.
+    fn assert_same_form(a: &InternalForm, b: &InternalForm) {
+        assert_current_fields_match(a, b);
+        assert_eq!(bits(&a.cost), bits(&b.cost), "cost");
+        assert_eq!(bits(&a.upper), bits(&b.upper), "upper");
+        assert_eq!(a.sense_sign.to_bits(), b.sense_sign.to_bits());
+        // `VarMap` carries bounds; `{:?}` of an f64 round-trips its bits.
+        assert_eq!(format!("{:?}", a.maps), format!("{:?}", b.maps));
+        assert_eq!(bits(&a.rhs), bits(&b.rhs), "rhs");
+        assert_eq!(a.ops, b.ops, "ops");
+        assert_eq!(a.flipped, b.flipped, "flip pattern");
+        let cols = |f: &InternalForm| -> Vec<Vec<(usize, u64)>> {
+            f.cols
+                .iter()
+                .map(|c| c.iter().map(|&(i, v)| (i, v.to_bits())).collect())
+                .collect()
+        };
+        assert_eq!(cols(a), cols(b), "columns");
+        assert_eq!(a.slack_col, b.slack_col);
+        assert_eq!(a.art_col, b.art_col);
+        assert_eq!((a.art_start, a.n_total), (b.art_start, b.n_total));
+        assert_eq!(a.signature, b.signature, "signature");
+        assert_eq!((a.stale_rows, b.stale_rows), (0, 0));
+    }
+
+    /// Check the kept form against a rebuild of the patched problem.
+    fn check(p: &Prepared) {
+        let fresh = InternalForm::build(&p.problem);
+        assert_current_fields_match(&p.form, &fresh);
+        let moved = (0..fresh.m())
+            .filter(|&i| p.form.flipped[i] != fresh.flipped[i])
+            .count();
+        assert_eq!(p.form.stale_rows, moved, "stale rows are the rows that changed sign");
+        if moved == 0 {
+            assert_same_form(&p.form, &fresh);
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Patch {
+        Rhs(usize, f64),
+        Row(usize, Vec<f64>),
+        Objective(usize, f64),
+        Sync,
+    }
+
+    /// `(op, rhs, per-variable (coefficient, present?))`.
+    type RowSpec = (u8, f64, Vec<(f64, bool)>);
+
+    #[derive(Debug, Clone)]
+    struct Model {
+        /// `(kind, a, b, objective)`: kind 0 = `[a, a + b]`, 1 = `(-inf, a]`,
+        /// 2 = free, 3 = `[0, b]`.
+        vars: Vec<(u8, f64, f64, f64)>,
+        rows: Vec<RowSpec>,
+    }
+
+    fn model() -> impl Strategy<Value = Model> {
+        (1usize..6, 1usize..6).prop_flat_map(|(n, m)| {
+            let var = (0u8..4, -3.0_f64..3.0, 0.0_f64..4.0, -5.0_f64..5.0);
+            let row = (
+                0u8..3,
+                -6.0_f64..6.0,
+                prop::collection::vec((-3.0_f64..3.0, any::<bool>()), n),
+            );
+            (
+                prop::collection::vec(var, n),
+                prop::collection::vec(row, m),
+            )
+                .prop_map(|(vars, rows)| Model { vars, rows })
+        })
+    }
+
+    fn patches() -> impl Strategy<Value = Vec<Patch>> {
+        let patch = (
+            0u8..7,
+            0usize..8,
+            -6.0_f64..6.0,
+            prop::collection::vec(-3.0_f64..3.0, 8),
+        )
+            .prop_map(|(kind, at, x, row)| match kind {
+                0..=2 => Patch::Rhs(at, x),
+                3 | 4 => Patch::Row(at, row),
+                5 => Patch::Objective(at, x),
+                _ => Patch::Sync,
+            });
+        prop::collection::vec(patch, 1..24)
+    }
+
+    fn build(m: &Model) -> (Problem, Vec<ConstraintId>) {
+        let mut p = Problem::new(Sense::Maximize);
+        let vars: Vec<VarId> = m
+            .vars
+            .iter()
+            .enumerate()
+            .map(|(j, &(kind, a, b, obj))| {
+                let (lo, hi) = match kind {
+                    0 => (a, a + b),
+                    1 => (f64::NEG_INFINITY, a),
+                    2 => (f64::NEG_INFINITY, f64::INFINITY),
+                    _ => (0.0, b),
+                };
+                p.add_var(&format!("x{j}"), lo, hi, obj)
+            })
+            .collect();
+        let rows = m
+            .rows
+            .iter()
+            .enumerate()
+            .map(|(i, (op, rhs, coeffs))| {
+                let terms: Vec<(VarId, f64)> = coeffs
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &(_, present))| present)
+                    .map(|(j, &(a, _))| (vars[j], a))
+                    .collect();
+                let op = [RowOp::Le, RowOp::Ge, RowOp::Eq][usize::from(*op)];
+                p.add_row(&format!("r{i}"), &terms, op, *rhs)
+            })
+            .collect();
+        (p, rows)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Tentpole invariant: whatever sequence of patches ran, the kept
+        /// form is the form `InternalForm::build` makes of the patched
+        /// problem — every field, every bit — and rows that changed sign
+        /// are exactly the ones counted stale until a sync rebuilds.
+        #[test]
+        fn patched_form_equals_rebuilt_form(m in model(), seq in patches()) {
+            let (problem, rows) = build(&m);
+            let n = problem.num_vars();
+            let mut p = problem.prepare();
+            check(&p);
+            for patch in seq {
+                match patch {
+                    Patch::Rhs(at, x) => p.set_rhs(rows[at % rows.len()], x),
+                    Patch::Row(at, values) => {
+                        let row = rows[at % rows.len()];
+                        let len = p.problem.cons[row.0].terms.len();
+                        p.set_row_coeffs(row, &values[..len]);
+                    }
+                    Patch::Objective(at, x) => p.set_var_objective(VarId(at % n), x),
+                    Patch::Sync => {
+                        p.form.sync(&p.problem);
+                        prop_assert_eq!(p.form.stale_rows, 0);
+                    }
+                }
+                check(&p);
+            }
+            p.form.sync(&p.problem);
+            assert_same_form(&p.form, &InternalForm::build(&p.problem));
+        }
+    }
+
+    fn budget_problem() -> (Problem, VarId, ConstraintId, ConstraintId) {
+        // max 3x + 2y  s.t.  x + y <= 8,  x - y <= 2,  0 <= x, y <= 10
+        let mut p = Problem::new(Sense::Maximize);
+        let x = p.add_var("x", 0.0, 10.0, 3.0);
+        let y = p.add_var("y", 0.0, 10.0, 2.0);
+        let cap = p.add_row("cap", &[(x, 1.0), (y, 1.0)], RowOp::Le, 8.0);
+        let gap = p.add_row("gap", &[(x, 1.0), (y, -1.0)], RowOp::Le, 2.0);
+        (p, x, cap, gap)
+    }
+
+    #[test]
+    fn rhs_across_zero_and_back_needs_no_rebuild() {
+        let (p, _, cap, _) = budget_problem();
+        let mut p = p.prepare();
+        let before = p.form.signature;
+        p.set_rhs(cap, -1.0);
+        assert_eq!(p.form.stale_rows, 1);
+        check(&p);
+        // x + y <= -1 with x, y >= 0: out of reach, settled without the
+        // re-normalisation.
+        match p.solve_warm(None) {
+            Err(LpError::Infeasible { residual }) => assert_eq!(residual, 1.0),
+            other => panic!("expected infeasible, got {other:?}"),
+        }
+        assert_eq!(p.form.stale_rows, 1, "an infeasible verdict leaves the form alone");
+        p.set_rhs(cap, 6.0);
+        assert_eq!(p.form.stale_rows, 0);
+        assert_eq!(p.form.signature, before);
+        assert_same_form(&p.form, &InternalForm::build(&p.problem));
+        let sol = p.solve_warm(None).unwrap();
+        assert!((sol.objective - 16.0).abs() < 1e-9); // x = 4, y = 2
+    }
+
+    #[test]
+    fn negative_zero_rhs_is_folded_like_a_rebuild_folds_it() {
+        // Both rows sit on variables bounded at 0, so their shifts vanish
+        // and `set_rhs` skips the pass over the terms — except for -0.0,
+        // the one value that subtracting a zero can change: against the
+        // -0.0 that `gap`'s negative coefficient contributes it comes out
+        // +0.0, and the kept form must say so too.
+        let (p, _, cap, gap) = budget_problem();
+        let mut p = p.prepare();
+        assert_eq!(p.form.unshifted, [true, true]);
+        p.set_rhs(cap, -0.0);
+        p.set_rhs(gap, -0.0);
+        assert_eq!(p.form.shifted_rhs[gap.0].to_bits(), 0.0_f64.to_bits());
+        check(&p);
+    }
+
+    #[test]
+    fn a_solve_re_normalises_a_row_that_stays_across_zero() {
+        // x - y <= -3 is feasible (y >= x + 3) but normalises to a `Ge`
+        // row with an artificial: the form must be rebuilt to solve it.
+        let (p, _, _, gap) = budget_problem();
+        let mut p = p.prepare();
+        p.set_rhs(gap, -3.0);
+        assert_eq!(p.form.stale_rows, 1);
+        let sol = p.solve_warm(None).unwrap();
+        assert_eq!(p.form.stale_rows, 0);
+        assert_same_form(&p.form, &InternalForm::build(&p.problem));
+        assert!((sol.objective - 18.5).abs() < 1e-9); // x = 2.5, y = 5.5
+    }
+
+    #[test]
+    fn prepared_solves_are_the_problems_solves_bit_for_bit() {
+        let (p, x, cap, gap) = budget_problem();
+        let mut kept = p.clone().prepare();
+        let mut fresh = p;
+        let mut basis: Option<Basis> = None;
+        for (rhs, coeffs, obj) in [
+            (7.0, [1.0, 1.0], 3.0),
+            (5.5, [1.0, 2.0], 1.0),
+            (9.0, [2.0, 1.0], 4.0),
+        ] {
+            kept.set_rhs(cap, rhs);
+            kept.set_row_coeffs(gap, &coeffs);
+            kept.set_var_objective(x, obj);
+            fresh.cons[cap.0].rhs = rhs;
+            for ((_, a), c) in fresh.cons[gap.0].terms.iter_mut().zip(coeffs) {
+                *a = c;
+            }
+            fresh.set_var_objective(x, obj);
+            let mut a = kept.solve_warm(basis.as_ref()).unwrap();
+            let b = fresh.solve_warm(basis.as_ref()).unwrap();
+            assert_eq!(a.iterations, b.iterations);
+            assert_eq!(a.objective.to_bits(), b.objective.to_bits());
+            assert_eq!(bits(&a.values), bits(&b.values));
+            assert_eq!(bits(&a.duals), bits(&b.duals));
+            basis = a.take_basis();
+        }
+    }
+}

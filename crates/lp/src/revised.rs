@@ -111,7 +111,7 @@ impl<'a> Rev<'a> {
                 b[(i, r)] = a;
             }
         }
-        let lu = Lu::factor(&b).map_err(|_| LpError::Internal {
+        let lu = Lu::factor(b).map_err(|_| LpError::Internal {
             what: "singular basis matrix".to_string(),
         })?;
         self.lu = Some(lu);
@@ -121,11 +121,11 @@ impl<'a> Rev<'a> {
     }
 
     /// `v := B^{-1} v` through the factorization and the eta chain.
-    fn ftran(&self, v: &mut Vec<f64>) -> Result<(), LpError> {
+    fn ftran(&self, v: &mut [f64]) -> Result<(), LpError> {
         let lu = self.lu.as_ref().ok_or_else(|| LpError::Internal {
             what: "ftran before factorization".to_string(),
         })?;
-        *v = lu.solve(v).map_err(|e| LpError::Internal {
+        lu.solve_in_place(v).map_err(|e| LpError::Internal {
             what: format!("ftran: {e}"),
         })?;
         for e in &self.etas {
@@ -141,7 +141,7 @@ impl<'a> Rev<'a> {
     }
 
     /// `v := B^{-T} v`: eta chain backward, then the transposed LU solve.
-    fn btran(&self, v: &mut Vec<f64>) -> Result<(), LpError> {
+    fn btran(&self, v: &mut [f64]) -> Result<(), LpError> {
         for e in self.etas.iter().rev() {
             let mut s = v[e.r];
             for (i, (&vi, &wi)) in v.iter().zip(&e.w).enumerate() {
@@ -154,10 +154,9 @@ impl<'a> Rev<'a> {
         let lu = self.lu.as_ref().ok_or_else(|| LpError::Internal {
             what: "btran before factorization".to_string(),
         })?;
-        *v = lu.solve_transposed(v).map_err(|e| LpError::Internal {
+        lu.solve_transposed_in_place(v).map_err(|e| LpError::Internal {
             what: format!("btran: {e}"),
-        })?;
-        Ok(())
+        })
     }
 
     /// Simplex multipliers `y = B^{-T} c_B` for the given costs.
@@ -621,19 +620,25 @@ struct SolveStats {
 }
 
 /// Solve `problem` with the revised simplex, optionally warm-starting
-/// from `warm`. Observability mirrors the dense engine's wrapper: one
+/// from `warm`. `form` is the problem's internal form when the caller
+/// keeps one ([`crate::Prepared`]); `None` builds it here, inside the
+/// timed section. Observability mirrors the dense engine's wrapper: one
 /// batched recorder visit per solve.
-pub(crate) fn solve(problem: &Problem, warm: Option<&Basis>) -> Result<Solution, LpError> {
+pub(crate) fn solve(
+    problem: &Problem,
+    form: Option<&mut InternalForm>,
+    warm: Option<&Basis>,
+) -> Result<Solution, LpError> {
     let mut stats = SolveStats {
         warm: WarmStats::default(),
         degen: 0,
         refactorizations: 0,
     };
     if !thermaware_obs::enabled() {
-        return solve_impl(problem, warm, &mut stats);
+        return solve_impl(problem, form, warm, &mut stats);
     }
     let start = std::time::Instant::now();
-    let result = solve_impl(problem, warm, &mut stats);
+    let result = solve_impl(problem, form, warm, &mut stats);
     let elapsed_us = start.elapsed().as_micros() as f64;
     thermaware_obs::with_recorder(|r| {
         r.counter_add("lp.solves", 1);
@@ -663,23 +668,36 @@ pub(crate) fn solve(problem: &Problem, warm: Option<&Basis>) -> Result<Solution,
 
 fn solve_impl(
     problem: &Problem,
+    form: Option<&mut InternalForm>,
     warm: Option<&Basis>,
     stats: &mut SolveStats,
 ) -> Result<Solution, LpError> {
-    let f = InternalForm::build(problem);
+    let mut built = None;
+    let f = match form {
+        Some(f) => f,
+        None => built.insert(InternalForm::build(problem)),
+    };
+    // A row out of reach of the column bounds settles the question
+    // before anything is factorized — and before a patched form pays for
+    // the re-normalisation only a real solve needs.
+    if let Some(residual) = f.infeasible_row(problem, FEAS_TOL) {
+        return Err(LpError::Infeasible { residual });
+    }
+    f.sync(problem);
+    let f: &InternalForm = f;
     let cap = 200 * (f.m() + f.n_total + 10);
     let cost_scale = 1.0 + f.cost.iter().fold(0.0_f64, |m, c| m.max(c.abs()));
     let tol2 = COST_TOL * cost_scale;
 
     // ---- Warm path --------------------------------------------------------
     if let Some(basis) = warm {
-        if let Some(sol) = try_warm(problem, &f, basis, tol2, cap, stats)? {
+        if let Some(sol) = try_warm(problem, f, basis, tol2, cap, stats)? {
             return Ok(sol);
         }
     }
 
     // ---- Cold two-phase ----------------------------------------------------
-    let mut rev = cold_start(&f)?;
+    let mut rev = cold_start(f)?;
     let needs_phase1 = f.art_col.iter().any(Option::is_some);
     if needs_phase1 {
         let phase1_cost: Vec<f64> = (0..f.n_total)
@@ -898,7 +916,7 @@ mod tests {
     #[test]
     fn matches_dense_on_basic_problem() {
         let p = sample();
-        let s = solve(&p, None).unwrap();
+        let s = solve(&p, None, None).unwrap();
         assert!((s.objective - 10.0).abs() < 1e-9);
         assert!((s.values[0] - 2.0).abs() < 1e-9);
         assert!((s.values[1] - 2.0).abs() < 1e-9);
@@ -908,8 +926,8 @@ mod tests {
     #[test]
     fn warm_restart_costs_no_pivots_when_unperturbed() {
         let p = sample();
-        let cold = solve(&p, None).unwrap();
-        let warm = solve(&p, cold.basis.as_ref()).unwrap();
+        let cold = solve(&p, None, None).unwrap();
+        let warm = solve(&p, None, cold.basis.as_ref()).unwrap();
         assert_eq!(warm.iterations, 0, "unchanged problem should re-verify, not re-pivot");
         assert!((warm.objective - cold.objective).abs() < 1e-9);
     }
@@ -917,12 +935,12 @@ mod tests {
     #[test]
     fn warm_restart_after_cost_change_stays_correct() {
         let mut p = sample();
-        let cold = solve(&p, None).unwrap();
+        let cold = solve(&p, None, None).unwrap();
         // Flip the preference toward y.
         p.set_var_objective(crate::model::VarId(0), 1.0);
         p.set_var_objective(crate::model::VarId(1), 5.0);
-        let warm = solve(&p, cold.basis.as_ref()).unwrap();
-        let fresh = solve(&p, None).unwrap();
+        let warm = solve(&p, None, cold.basis.as_ref()).unwrap();
+        let fresh = solve(&p, None, None).unwrap();
         assert!((warm.objective - fresh.objective).abs() < 1e-9);
         assert!(p.max_violation(&warm.values) < 1e-9);
     }
@@ -933,11 +951,11 @@ mod tests {
         let x = p.add_var("x", 0.0, 10.0, 3.0);
         let y = p.add_var("y", 0.0, 10.0, 2.0);
         let r = p.add_row("cap", &[(x, 1.0), (y, 1.0)], RowOp::Le, 8.0);
-        let cold = solve(&p, None).unwrap();
+        let cold = solve(&p, None, None).unwrap();
         // Fault-style tightening: the binding row loses half its budget.
         p.cons[r.0].rhs = 4.0;
-        let warm = solve(&p, cold.basis.as_ref()).unwrap();
-        let fresh = solve(&p, None).unwrap();
+        let warm = solve(&p, None, cold.basis.as_ref()).unwrap();
+        let fresh = solve(&p, None, None).unwrap();
         assert!((warm.objective - fresh.objective).abs() < 1e-9);
         assert!(p.max_violation(&warm.values) < 1e-9);
     }
@@ -945,13 +963,13 @@ mod tests {
     #[test]
     fn mismatched_basis_falls_back_to_cold() {
         let p = sample();
-        let cold = solve(&p, None).unwrap();
+        let cold = solve(&p, None, None).unwrap();
         // A structurally different problem: extra row.
         let mut p2 = sample();
         let x = crate::model::VarId(0);
         p2.add_row("extra", &[(x, 1.0)], RowOp::Le, 1.5);
-        let s = solve(&p2, cold.basis.as_ref()).unwrap();
-        let fresh = solve(&p2, None).unwrap();
+        let s = solve(&p2, None, cold.basis.as_ref()).unwrap();
+        let fresh = solve(&p2, None, None).unwrap();
         assert!((s.objective - fresh.objective).abs() < 1e-9);
     }
 
@@ -960,12 +978,12 @@ mod tests {
         let mut p = Problem::new(Sense::Maximize);
         let x = p.add_var("x", 0.0, 1.0, 1.0);
         p.add_row("force", &[(x, 1.0)], RowOp::Ge, 3.0);
-        assert!(matches!(solve(&p, None), Err(LpError::Infeasible { .. })));
+        assert!(matches!(solve(&p, None, None), Err(LpError::Infeasible { .. })));
 
         let mut q = Problem::new(Sense::Maximize);
         let _g = q.add_var("growth", 0.0, f64::INFINITY, 1.0);
         assert!(matches!(
-            solve(&q, None),
+            solve(&q, None, None),
             Err(LpError::Unbounded { var }) if var == "growth"
         ));
     }
@@ -980,7 +998,7 @@ mod tests {
         let mut p = Problem::new(Sense::Maximize);
         let x = p.add_var("x", 0.0, f64::INFINITY, 1.0);
         p.add_row("thin", &[(x, 1e-8)], RowOp::Le, 1.0);
-        match solve(&p, None) {
+        match solve(&p, None, None) {
             Err(LpError::Internal { what }) => assert!(what.contains("tiny pivot"), "{what}"),
             other => panic!("expected tiny-pivot error, got {other:?}"),
         }
@@ -1014,7 +1032,7 @@ mod tests {
                 1.0,
             );
         }
-        let s = solve(&p, None).unwrap();
+        let s = solve(&p, None, None).unwrap();
         for (k, &v) in vars.iter().enumerate() {
             assert!((s.value(v) - (k as f64 + 1.0)).abs() < 1e-7, "x{k}");
         }

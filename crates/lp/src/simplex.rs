@@ -483,8 +483,16 @@ fn solve_impl(
             let internal: f64 = (0..tab.n())
                 .map(|j| tab.cost[j] * tab.value_of(j).unwrap_or(0.0))
                 .sum();
-            (f.sense_sign * objective - (internal + f.obj_const)).abs()
-                <= 1e-6 * (1.0 + objective.abs() + f.obj_const.abs())
+            let obj_const: f64 = problem
+                .vars
+                .iter()
+                .map(|v| {
+                    let at = if v.lower.is_finite() { v.lower } else { v.upper };
+                    if at.is_finite() { f.sense_sign * v.objective * at } else { 0.0 }
+                })
+                .sum();
+            (f.sense_sign * objective - (internal + obj_const)).abs()
+                <= 1e-6 * (1.0 + objective.abs() + obj_const.abs())
         },
         "objective bookkeeping mismatch"
     );

@@ -65,7 +65,7 @@ pub fn estimate_a_matrix(observations: &[Observation]) -> Result<Matrix, String>
     for j in 0..n {
         g[(j, j)] += ridge;
     }
-    let lu = Lu::factor(&g).map_err(|e| format!("normal matrix singular: {e}"))?;
+    let lu = Lu::factor(g).map_err(|e| format!("normal matrix singular: {e}"))?;
 
     let mut a = Matrix::zeros(n, n);
     let mut rhs = vec![0.0; n];

@@ -107,7 +107,7 @@ impl ChipGrid {
             }
         }
 
-        let b_inv = Lu::factor(&b)?.inverse()?;
+        let b_inv = Lu::factor(b)?.inverse()?;
         Ok(ChipGrid {
             n,
             w,

@@ -61,16 +61,19 @@ impl ThermalState {
 }
 
 /// Affine inlet-temperature coefficients at fixed CRAC outlets.
+///
+/// The base vectors depend on the outlets and are owned; the two
+/// sensitivity matrices do not, and are borrowed from the model.
 #[derive(Debug, Clone)]
-pub struct ThermalCoefficients {
+pub struct ThermalCoefficients<'a> {
     /// `Tin_node_i = base_node[i] + Σ_j g_node[(i, j)] · P_j`.
     pub base_node: Vec<f64>,
     /// Node-inlet sensitivity to node powers (`n_nodes × n_nodes`).
-    pub g_node: Matrix,
+    pub g_node: &'a Matrix,
     /// `Tin_crac_i = base_crac[i] + Σ_j g_crac[(i, j)] · P_j`.
     pub base_crac: Vec<f64>,
     /// CRAC-inlet sensitivity to node powers (`n_crac × n_nodes`).
-    pub g_crac: Matrix,
+    pub g_crac: &'a Matrix,
 }
 
 /// The assembled steady-state thermal model of one data center.
@@ -120,7 +123,7 @@ impl ThermalModel {
         for i in 0..nn {
             i_minus_ann[(i, i)] += 1.0;
         }
-        let lu = Lu::factor(&i_minus_ann)
+        let lu = Lu::factor(i_minus_ann)
             .map_err(|e| format!("recirculation structure is singular: {e}"))?;
         let m_inv = lu
             .inverse()
@@ -167,6 +170,17 @@ impl ThermalModel {
         &self.flows
     }
 
+    /// Node-inlet sensitivity to node powers, `G_n` of the module docs
+    /// (`n_nodes × n_nodes`); the same at every CRAC outlet setting.
+    pub fn g_node(&self) -> &Matrix {
+        &self.g_node
+    }
+
+    /// CRAC-inlet sensitivity to node powers, `G_c` (`n_crac × n_nodes`).
+    pub fn g_crac(&self) -> &Matrix {
+        &self.g_crac
+    }
+
     /// Steady-state temperatures for assigned CRAC outlets (°C) and node
     /// powers (kW, *total* node power including base).
     pub fn steady_state(&self, crac_out_c: &[f64], node_power_kw: &[f64]) -> ThermalState {
@@ -201,7 +215,7 @@ impl ThermalModel {
     /// Affine inlet coefficients at fixed CRAC outlets (see module docs).
     /// The sensitivity matrices are precomputed; only the base vectors are
     /// built here, so this is cheap enough for the CRAC temperature search.
-    pub fn coefficients(&self, crac_out_c: &[f64]) -> ThermalCoefficients {
+    pub fn coefficients(&self, crac_out_c: &[f64]) -> ThermalCoefficients<'_> {
         assert_eq!(crac_out_c.len(), self.n_crac);
         let nc = self.n_crac;
         let nn = self.n_nodes;
@@ -238,9 +252,9 @@ impl ThermalModel {
         }
         ThermalCoefficients {
             base_node,
-            g_node: self.g_node.clone(),
+            g_node: &self.g_node,
             base_crac,
-            g_crac: self.g_crac.clone(),
+            g_crac: &self.g_crac,
         }
     }
 
@@ -294,7 +308,7 @@ impl ThermalModel {
         for i in 0..nf {
             m[(i, i)] += 1.0;
         }
-        let lu = Lu::factor(&m).map_err(|e| format!("failure block singular: {e}"))?;
+        let lu = Lu::factor(m).map_err(|e| format!("failure block singular: {e}"))?;
         let mut rhs = vec![0.0; nf];
         for (i, &u) in free.iter().enumerate() {
             let mut acc = 0.0;
