@@ -68,6 +68,28 @@ impl Counts {
     }
 }
 
+/// Where the recorded solves' time went: the revised engine's per-solve
+/// phase timers (`lp.phase.*_us`) against `lp.solve_us`. Wall-clock, so
+/// printed only — nothing here lands in the snapshot.
+fn print_phase_split(label: &str, rec: &MemoryRecorder) {
+    let snap = rec.snapshot();
+    let sum = |name: &str| snap.histogram(name).map_or(0.0, |h| h.sum);
+    let total = sum("lp.solve_us");
+    let pivots = snap.counter("lp.pivots").max(1);
+    println!(
+        "{label}: {:.1} ms in the LP, {:.1} us / pivot; of which",
+        total / 1e3,
+        total / pivots as f64
+    );
+    let mut rest = total;
+    for phase in ["factorize", "ftran", "btran", "pivot_row", "pricing", "compute_xb"] {
+        let us = sum(&format!("lp.phase.{phase}_us"));
+        rest -= us;
+        println!("  {phase:<12} {:>9.1} ms  {:>5.1} %", us / 1e3, 100.0 * us / total.max(1e-9));
+    }
+    println!("  {:<12} {:>9.1} ms  {:>5.1} %", "other", rest / 1e3, 100.0 * rest / total.max(1e-9));
+}
+
 fn pair_json(label: &str, cold: Counts, warm: Counts) -> serde_json::Value {
     let speedup = cold.pivots as f64 / (warm.pivots as f64).max(1.0);
     let hit_rate = warm.warm_starts as f64 / (warm.solves as f64).max(1.0);
@@ -119,6 +141,7 @@ fn main() {
 
     // -- Part 1: Stage-1 CRAC outlet sweep ---------------------------------
     let run_sweep = |warm_start: bool| -> (Counts, f64) {
+        let label = if warm_start { "stage1 sweep, warm" } else { "stage1 sweep, cold" };
         let rec = Arc::new(MemoryRecorder::new());
         let sol = {
             let _guard = thermaware_obs::install(rec.clone());
@@ -131,6 +154,7 @@ fn main() {
             )
             .expect("stage 1")
         };
+        print_phase_split(label, &rec);
         (Counts::from_recorder(&rec), sol.objective)
     };
     let (sweep_cold, obj_cold) = run_sweep(false);

@@ -10,7 +10,10 @@
 //!
 //! The matrices here are at most a few hundred rows (the number of CRAC
 //! units plus compute nodes), so a straightforward dense `O(n^3)`
-//! factorization is the right tool; no sparse machinery is warranted.
+//! factorization is the right tool. The one concession to sparsity is
+//! [`CompressedLu`]: the simplex's basis is a handful of dense columns in
+//! an identity, so it solves against lists of the dense factors' nonzeros
+//! — the same sums in the same order, bit for bit the dense solves.
 //!
 //! # Example
 //!
@@ -32,5 +35,6 @@ mod matrix;
 pub mod vec_ops;
 
 pub use error::LinalgError;
+pub use lu::CompressedLu;
 pub use lu::Lu;
 pub use matrix::Matrix;

@@ -219,6 +219,234 @@ impl Lu {
     }
 }
 
+/// The bit pattern of `-0.0`, the one start value a skipped zero term
+/// could have changed (see [`CompressedLu`]).
+const NEG_ZERO: u64 = (-0.0_f64).to_bits();
+
+/// The nonzeros of one triangle of the packed factors, grouped by line
+/// (row or column) and, inside a line, in ascending order of the other
+/// index: line `k` is `at[start[k]..start[k + 1]]` with values `val[..]`.
+#[derive(Debug, Clone)]
+struct Lines {
+    start: Vec<u32>,
+    at: Vec<u32>,
+    val: Vec<f64>,
+}
+
+impl Lines {
+    /// Room for `n` lines holding `nnz` entries between them.
+    fn with_capacity(n: usize, nnz: usize) -> Lines {
+        let mut start = Vec::with_capacity(n + 1);
+        start.push(0);
+        Lines {
+            start,
+            at: Vec::with_capacity(nnz),
+            val: Vec::with_capacity(nnz),
+        }
+    }
+
+    /// Lines of the given lengths, every entry still to be written.
+    fn with_lengths(lengths: &[u32]) -> Lines {
+        let mut start = Vec::with_capacity(lengths.len() + 1);
+        let mut total = 0;
+        start.push(0);
+        for &len in lengths {
+            total += len;
+            start.push(total);
+        }
+        Lines {
+            start,
+            at: vec![0; total as usize],
+            val: vec![0.0; total as usize],
+        }
+    }
+
+    /// Close the line that the entries pushed since the last call make up.
+    fn end_line(&mut self) {
+        self.start.push(self.at.len() as u32);
+    }
+
+    /// `s - Σ val·x[at]` over line `k`, one term after the other in
+    /// stored order.
+    #[inline]
+    fn sub_dot(&self, k: usize, mut s: f64, x: &[f64]) -> f64 {
+        let (lo, hi) = (self.start[k] as usize, self.start[k + 1] as usize);
+        for (&j, &v) in self.at[lo..hi].iter().zip(&self.val[lo..hi]) {
+            s -= v * x[j as usize];
+        }
+        s
+    }
+}
+
+/// An [`Lu`] whose two substitutions visit the nonzeros of `L` and `U`
+/// only: the form the revised simplex solves with, where the basis is a
+/// handful of dense columns in an identity and the packed factors are
+/// almost all zeros.
+///
+/// [`Lu::factor`] still runs the elimination on the dense matrix — it
+/// picks the pivots, and with them every bit of the factors. This type
+/// lists the nonzeros of the result four ways (`L` and `U` by row for
+/// `A x = b`, by column for `A^T x = b`), each line in ascending order,
+/// so a substitution row subtracts the same products in the same order
+/// as the dense loop and leaves out only the terms whose factor entry is
+/// an exact zero. Such a term is `±0` (right-hand sides are finite), and
+/// subtracting `±0` changes no running sum but one: `-0.0 - (-0.0)` is
+/// `+0.0`. A sum can be `-0.0` only while it still holds an untouched
+/// `-0.0` right-hand-side entry — exact cancellation gives `+0.0` — so a
+/// row that starts from `-0.0` runs the dense loop instead. Every
+/// solution is therefore the dense solve's **bit for bit**, signed zeros
+/// included (`tests/proptest_lu.rs` holds both to `to_bits`).
+#[derive(Debug, Clone)]
+pub struct CompressedLu {
+    /// The packed factors the lists below were read from: the `-0.0`
+    /// rows' loops run on them, and a refactorisation takes the storage
+    /// back ([`CompressedLu::into_matrix`]).
+    dense: Lu,
+    /// `U`'s diagonal.
+    diag: Vec<f64>,
+    /// Strictly lower `L` by row and by column, strictly upper `U` by
+    /// row and by column.
+    l_rows: Lines,
+    l_cols: Lines,
+    u_rows: Lines,
+    u_cols: Lines,
+}
+
+impl Lu {
+    /// List the factors' nonzeros; see [`CompressedLu`]. Two passes over
+    /// the packed matrix: one counts (every list is allocated once, at
+    /// its final size), one fills.
+    pub fn compress(self) -> CompressedLu {
+        let n = self.dim();
+        assert!(u32::try_from(n * n).is_ok(), "matrix too large to index with u32");
+        let mut l_in_col = vec![0u32; n];
+        let mut u_in_col = vec![0u32; n];
+        for i in 0..n {
+            for (j, &v) in self.lu.row(i).iter().enumerate() {
+                if j != i && v != 0.0 { // lint: allow(float-eq): an entry is left out only when it is an exact zero
+                    let count = if j < i { &mut l_in_col } else { &mut u_in_col };
+                    count[j] += 1;
+                }
+            }
+        }
+        let l_nnz: u32 = l_in_col.iter().sum();
+        let u_nnz: u32 = u_in_col.iter().sum();
+        let mut l_rows = Lines::with_capacity(n, l_nnz as usize);
+        let mut u_rows = Lines::with_capacity(n, u_nnz as usize);
+        let mut l_cols = Lines::with_lengths(&l_in_col);
+        let mut u_cols = Lines::with_lengths(&u_in_col);
+        // Next free slot of each column; rows arrive in ascending order,
+        // so every column list comes out ascending too.
+        let mut l_next: Vec<u32> = l_cols.start[..n].to_vec();
+        let mut u_next: Vec<u32> = u_cols.start[..n].to_vec();
+        let mut diag = Vec::with_capacity(n);
+        for i in 0..n {
+            for (j, &v) in self.lu.row(i).iter().enumerate() {
+                if j == i {
+                    diag.push(v);
+                } else if v != 0.0 { // lint: allow(float-eq): the same exact-zero test as the counting pass
+                    let (rows, cols, next) = if j < i {
+                        (&mut l_rows, &mut l_cols, &mut l_next)
+                    } else {
+                        (&mut u_rows, &mut u_cols, &mut u_next)
+                    };
+                    rows.at.push(j as u32);
+                    rows.val.push(v);
+                    let slot = next[j] as usize;
+                    cols.at[slot] = i as u32;
+                    cols.val[slot] = v;
+                    next[j] += 1;
+                }
+            }
+            l_rows.end_line();
+            u_rows.end_line();
+        }
+        CompressedLu {
+            dense: self,
+            diag,
+            l_rows,
+            l_cols,
+            u_rows,
+            u_cols,
+        }
+    }
+
+    /// Give the matrix storage back (holding the packed factors), for a
+    /// caller that factors matrix after matrix of one size.
+    pub fn into_matrix(self) -> Matrix {
+        self.lu
+    }
+}
+
+impl CompressedLu {
+    /// [`Lu::into_matrix`] of the factorization underneath.
+    pub fn into_matrix(self) -> Matrix {
+        self.dense.into_matrix()
+    }
+
+    /// [`Lu::solve_in_place`], bit for bit, for finite `x`.
+    pub fn solve_in_place(&self, x: &mut [f64]) -> Result<(), LinalgError> {
+        self.dense.check_len("lu_solve", x.len())?;
+        let n = self.dense.dim();
+        let lu = &self.dense.lu;
+        for (k, &p) in self.dense.swaps.iter().enumerate() {
+            x.swap(k, p);
+        }
+        // L y = P b.
+        for i in 1..n {
+            let s = x[i];
+            x[i] = if s.to_bits() == NEG_ZERO {
+                let row = lu.row(i);
+                (0..i).fold(s, |s, j| s - row[j] * x[j])
+            } else {
+                self.l_rows.sub_dot(i, s, x)
+            };
+        }
+        // U x = y.
+        for i in (0..n).rev() {
+            let s = x[i];
+            let s = if s.to_bits() == NEG_ZERO {
+                let row = lu.row(i);
+                (i + 1..n).fold(s, |s, j| s - row[j] * x[j])
+            } else {
+                self.u_rows.sub_dot(i, s, x)
+            };
+            x[i] = s / self.diag[i];
+        }
+        Ok(())
+    }
+
+    /// [`Lu::solve_transposed_in_place`], bit for bit, for finite `w`.
+    pub fn solve_transposed_in_place(&self, w: &mut [f64]) -> Result<(), LinalgError> {
+        self.dense.check_len("lu_solve_transposed", w.len())?;
+        let n = self.dense.dim();
+        let lu = &self.dense.lu;
+        // U^T z = b: row i of U^T is column i of U.
+        for i in 0..n {
+            let s = w[i];
+            let s = if s.to_bits() == NEG_ZERO {
+                (0..i).fold(s, |s, j| s - lu[(j, i)] * w[j])
+            } else {
+                self.u_cols.sub_dot(i, s, w)
+            };
+            w[i] = s / self.diag[i];
+        }
+        // L^T w = z.
+        for i in (0..n).rev() {
+            let s = w[i];
+            w[i] = if s.to_bits() == NEG_ZERO {
+                (i + 1..n).fold(s, |s, j| s - lu[(j, i)] * w[j])
+            } else {
+                self.l_cols.sub_dot(i, s, w)
+            };
+        }
+        for (k, &p) in self.dense.swaps.iter().enumerate().rev() {
+            w.swap(k, p);
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -263,6 +263,12 @@ impl Matrix {
             .fold(0.0_f64, f64::max)
     }
 
+    /// Set every entry to `value`, keeping the storage (a caller that
+    /// builds matrix after matrix of one shape reuses one buffer).
+    pub fn fill(&mut self, value: f64) {
+        self.data.fill(value);
+    }
+
     /// Flat row-major view of the underlying storage.
     pub fn as_slice(&self) -> &[f64] {
         &self.data

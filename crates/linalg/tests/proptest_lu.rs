@@ -3,6 +3,41 @@
 use proptest::prelude::*;
 use thermaware_linalg::{vec_ops, Lu, Matrix};
 
+/// A right-hand side with the entries a simplex vector has: exact zeros
+/// of both signs between the values (`kind` 0–1: `+0.0`, 2: `-0.0`).
+fn rhs(kinds: &[u8], values: &[f64]) -> Vec<f64> {
+    kinds
+        .iter()
+        .zip(values)
+        .map(|(&kind, &v)| match kind {
+            0 | 1 => 0.0,
+            2 => -0.0,
+            _ => v,
+        })
+        .collect()
+}
+
+/// Both solves of the compressed factors against the dense ones, bit
+/// for bit. `None` when the matrix is singular.
+fn compressed_equals_dense(a: Matrix, b: &[f64]) -> Option<Result<(), String>> {
+    let dense = Lu::factor(a).ok()?;
+    let compressed = dense.clone().compress();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let (mut x, mut y) = (b.to_vec(), b.to_vec());
+    dense.solve_in_place(&mut x).unwrap();
+    compressed.solve_in_place(&mut y).unwrap();
+    if bits(&x) != bits(&y) {
+        return Some(Err(format!("solve: dense {x:?} vs compressed {y:?}")));
+    }
+    let (mut x, mut y) = (b.to_vec(), b.to_vec());
+    dense.solve_transposed_in_place(&mut x).unwrap();
+    compressed.solve_transposed_in_place(&mut y).unwrap();
+    if bits(&x) != bits(&y) {
+        return Some(Err(format!("solve_transposed: dense {x:?} vs compressed {y:?}")));
+    }
+    Some(Ok(()))
+}
+
 // All strategies below generate diagonally dominant matrices (`D + R` with
 // a dominant diagonal `D` and small noise `R`): diagonal dominance keeps the
 // condition number bounded so residual assertions can use tight tolerances.
@@ -80,5 +115,59 @@ proptest! {
         vec_ops::scale(2.0, &mut a2);
         let d3 = vec_ops::dot(&a2, &b);
         prop_assert!((d3 - 2.0 * d1).abs() < 1e-9);
+    }
+
+    /// The shape of a simplex basis: signed unit columns in scrambled
+    /// order (slacks and surpluses, so the elimination has to swap rows
+    /// and half the pivots are `-1`) with `k` dense columns among them.
+    /// The compressed factors' solves must be the dense factors' solves
+    /// to the bit, signed zeros included.
+    #[test]
+    fn compressed_solves_equal_dense_solves_on_basis_shaped_matrices(
+        (n, order, negative, dense_at, dense_vals, kinds, values) in (8usize..65, 0usize..13)
+            .prop_flat_map(|(n, k)| (
+                Just(n),
+                prop::collection::vec(0.0_f64..1.0, n),
+                prop::collection::vec(any::<bool>(), n),
+                prop::collection::vec(0usize..n, k),
+                prop::collection::vec((-3.0_f64..3.0, 0u8..4), k * n),
+                prop::collection::vec(0u8..6, n),
+                prop::collection::vec(-5.0_f64..5.0, n),
+            ))
+    ) {
+        // Column r is the unit vector of row perm[r], signed.
+        let mut perm: Vec<usize> = (0..n).collect();
+        perm.sort_by(|&a, &b| order[a].total_cmp(&order[b]));
+        let mut a = Matrix::zeros(n, n);
+        for (r, &i) in perm.iter().enumerate() {
+            a[(i, r)] = if negative[r] { -1.0 } else { 1.0 };
+        }
+        for (c, &r) in dense_at.iter().enumerate() {
+            for i in 0..n {
+                // A quarter of a dense column's entries are exact zeros.
+                let (v, zero) = dense_vals[c * n + i];
+                a[(i, r)] = if zero == 0 { 0.0 } else { v };
+            }
+        }
+        match compressed_equals_dense(a, &rhs(&kinds, &values)) {
+            Some(outcome) => prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err()),
+            None => prop_assume!(false),
+        }
+    }
+
+    #[test]
+    fn compressed_solves_equal_dense_solves_on_dense_matrices(
+        (n, entries, kinds, values) in (2usize..24).prop_flat_map(|n| (
+            Just(n),
+            prop::collection::vec(-4.0_f64..4.0, n * n),
+            prop::collection::vec(0u8..6, n),
+            prop::collection::vec(-5.0_f64..5.0, n),
+        ))
+    ) {
+        let a = Matrix::from_vec(n, n, entries);
+        match compressed_equals_dense(a, &rhs(&kinds, &values)) {
+            Some(outcome) => prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err()),
+            None => prop_assume!(false),
+        }
     }
 }

@@ -8,12 +8,19 @@
 //! rows with negative right-hand sides are negated, and `Ge`/`Eq` rows get
 //! artificial columns for the phase-1 cold start.
 //!
-//! The constraint matrix is stored **column-major and sparse** — the
-//! revised simplex only ever touches whole columns (FTRAN of the entering
-//! column, pricing dot products), and the dense tableau assembles its
-//! `m × n` matrix from the same columns. Keeping one builder guarantees the
-//! two engines agree on column indexing, which is what makes a [`Basis`]
-//! handle produced by either engine consumable by the other.
+//! The constraint matrix is stored sparse and **twice**. Column-major
+//! (`cols`) is what the basis is assembled from — the factorisation, the
+//! FTRAN of the entering column, the dense tableau's `m × n` matrix — and
+//! what fixes the column indexing both engines share, which is what makes
+//! a [`Basis`] handle produced by either engine consumable by the other.
+//! Row-major (`rows`, the structural block only) is what the revised
+//! simplex prices with: the dual pivot row `rho·A` and the reduced costs
+//! `c - y·A` are wanted for every column at once from a `rho` or `y` that
+//! is mostly exact zeros, so [`InternalForm::for_each_row_product`] walks
+//! the rows whose multiplier is not zero and nothing else. Each column
+//! still receives its products in ascending row order, the order of its
+//! entry in `cols`, so the sums are the column-wise dot products bit for
+//! bit (DESIGN §10).
 //!
 //! [`Basis`]: crate::Basis
 
@@ -42,6 +49,34 @@ pub(crate) enum VarMap {
 
 /// One sparse internal column: `(row, coefficient)` pairs, row-sorted.
 pub(crate) type SparseCol = Vec<(usize, f64)>;
+
+/// The structural block by row (CSR): row `i` holds the coefficients
+/// `val[start[i]..start[i + 1]]` on the columns `col[..]`, in the order
+/// the problem's row lists its terms and with the row's normalisation
+/// sign applied — entry for entry the values `cols` holds. Slack and
+/// artificial columns are not listed: each is a single `±1` that
+/// `slack_col`, `art_col` and `ops` already describe.
+#[derive(Debug)]
+pub(crate) struct SparseRows {
+    pub(crate) start: Vec<u32>,
+    pub(crate) col: Vec<u32>,
+    pub(crate) val: Vec<f64>,
+}
+
+impl SparseRows {
+    fn range(&self, i: usize) -> std::ops::Range<usize> {
+        self.start[i] as usize..self.start[i + 1] as usize
+    }
+
+    /// `(column, coefficient)` pairs of row `i`.
+    pub(crate) fn row(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let at = self.range(i);
+        self.col[at.clone()]
+            .iter()
+            .zip(&self.val[at])
+            .map(|(&j, &a)| (j as usize, a))
+    }
+}
 
 /// The rewritten problem both engines solve.
 ///
@@ -88,6 +123,8 @@ pub(crate) struct InternalForm {
     pub flipped: Vec<bool>,
     /// Sparse columns, including slack and artificial columns.
     pub cols: Vec<SparseCol>,
+    /// The structural columns again, by row.
+    pub rows: SparseRows,
     /// Slack column of each row (`Le`/`Ge` rows only).
     pub slack_col: Vec<Option<usize>>,
     /// Artificial column of each row (`Ge`/`Eq` rows only).
@@ -214,24 +251,41 @@ impl InternalForm {
         let mut rhs = Vec::with_capacity(nrows);
         let mut ops = Vec::with_capacity(nrows);
         let mut flipped = Vec::with_capacity(nrows);
-        let mut row_coeffs: Vec<Vec<(usize, f64)>> = Vec::with_capacity(nrows);
+        let nnz: usize = problem
+            .cons
+            .iter()
+            .flat_map(|c| &c.terms)
+            .map(|&(uj, _)| if matches!(maps[uj], VarMap::Split { .. }) { 2 } else { 1 })
+            .sum();
+        assert!(
+            u32::try_from(nnz.max(n_struct)).is_ok(),
+            "constraint matrix too large to index with u32"
+        );
+        let mut rows = SparseRows {
+            start: Vec::with_capacity(nrows + 1),
+            col: Vec::with_capacity(nnz),
+            val: Vec::with_capacity(nnz),
+        };
+        rows.start.push(0);
         for c in &problem.cons {
             let mut b = shifted_rhs(&maps, c);
             shifted.push(b);
             unshifted_rows.push(unshifted(&maps, c));
-            let mut coeffs: Vec<(usize, f64)> = Vec::with_capacity(c.terms.len() + 2);
+            let first = rows.col.len();
             let (mut lo, mut hi) = (0.0, 0.0);
             for_each_coeff(&maps, c, |col, a| {
                 widen(&mut lo, &mut hi, a, upper[col]);
-                coeffs.push((col, a));
+                rows.col.push(col as u32);
+                rows.val.push(a);
             });
+            rows.start.push(rows.col.len() as u32);
             act_lo.push(lo);
             act_hi.push(hi);
             let mut op = c.op;
             let flip = b < 0.0;
             if flip {
                 b = -b;
-                for (_, a) in &mut coeffs {
+                for a in &mut rows.val[first..] {
                     *a = -*a;
                 }
                 op = match op {
@@ -243,7 +297,6 @@ impl InternalForm {
             rhs.push(b);
             ops.push(op);
             flipped.push(flip);
-            row_coeffs.push(coeffs);
         }
 
         // ---- Slack then artificial columns -------------------------------
@@ -269,8 +322,8 @@ impl InternalForm {
 
         // ---- Scatter into sparse columns ---------------------------------
         let mut cols: Vec<SparseCol> = vec![Vec::new(); n_total];
-        for (i, coeffs) in row_coeffs.iter().enumerate() {
-            for &(j, a) in coeffs {
+        for i in 0..nrows {
+            for (j, a) in rows.row(i) {
                 cols[j].push((i, a));
             }
         }
@@ -301,6 +354,7 @@ impl InternalForm {
             ops,
             flipped,
             cols,
+            rows,
             slack_col,
             art_col,
             art_start,
@@ -340,13 +394,20 @@ impl InternalForm {
         let flip = self.flipped[i];
         let (mut lo, mut hi) = (0.0, 0.0);
         let (cols, upper) = (&mut self.cols, &self.upper);
+        // `build` laid the row out with this same walk, so the k-th
+        // coefficient visited is the k-th entry of the row-major copy.
+        let mut at_row = self.rows.range(i);
+        let row_vals = &mut self.rows.val;
         for_each_coeff(&self.maps, c, |col, a| {
             widen(&mut lo, &mut hi, a, upper[col]);
+            let a = if flip { -a } else { a };
             let column = &mut cols[col];
             let at = column
                 .binary_search_by_key(&i, |&(row, _)| row)
                 .expect("every term of a row has an entry in its column");
-            column[at].1 = if flip { -a } else { a };
+            column[at].1 = a;
+            let k = at_row.next().expect("a patched row keeps its length");
+            row_vals[k] = a;
         });
         self.act_lo[i] = lo;
         self.act_hi[i] = hi;
@@ -374,6 +435,75 @@ impl InternalForm {
         if self.stale_rows > 0 {
             *self = InternalForm::build(problem);
         }
+    }
+
+    /// Visit `(j, mult[i] · a_ij)` for every entry of every row whose
+    /// multiplier is not an exact zero — structural entries, then the
+    /// row's slack and artificial — rows ascending. Column `j` therefore
+    /// meets its products in the order of `cols[j]`, minus the ones that
+    /// are `±0` because the multiplier is.
+    #[inline]
+    pub(crate) fn for_each_row_product(&self, mult: &[f64], mut visit: impl FnMut(usize, f64)) {
+        for (i, &y) in mult.iter().enumerate() {
+            if y == 0.0 { // lint: allow(float-eq): a row is skipped only when every product in it is an exact zero
+                continue;
+            }
+            for (j, a) in self.rows.row(i) {
+                visit(j, y * a);
+            }
+            // The singletons' coefficients: `+1` (`Le` slack, artificial)
+            // or `-1` (`Ge` surplus); the product is `y` or `-y` exactly.
+            if let Some(s) = self.slack_col[i] {
+                visit(s, if matches!(self.ops[i], RowOp::Le) { y } else { -y });
+            }
+            if let Some(a) = self.art_col[i] {
+                visit(a, y);
+            }
+        }
+    }
+
+    /// Row `rho` of `B^{-1} A` for every column: `alpha[j] = rho · a_j`.
+    ///
+    /// Each sum starts at `+0.0` and adds its products in ascending row
+    /// order, as the dot product down `cols[j]` does. The terms left out
+    /// are exact zeros, and adding `±0` changes no sum that started at
+    /// `+0.0` (it can only ever be `+0.0` or nonzero), so every `alpha[j]`
+    /// is the column-wise dot product bit for bit.
+    pub(crate) fn pivot_row(&self, rho: &[f64], alpha: &mut Vec<f64>) {
+        alpha.clear();
+        alpha.resize(self.n_total, 0.0);
+        self.for_each_row_product(rho, |j, p| alpha[j] += p);
+    }
+
+    /// Reduced cost of every column: `d[j] = costs[j] - y · a_j`, the
+    /// bits [`InternalForm::column_reduced_cost`] gives column by column.
+    ///
+    /// Subtracting the `±0` of a skipped row changes a running sum only
+    /// when that sum is `-0.0` (`-0.0 - (-0.0)` is `+0.0`), and a sum is
+    /// `-0.0` only while it is still the untouched cost it started from:
+    /// exact cancellation gives `+0.0`. A cost is `-0.0` when `Maximize`
+    /// negates a zero objective coefficient; those columns are priced
+    /// down their column instead, so the pass is exact by construction
+    /// rather than up to the sign of a zero — which `total_cmp` in the
+    /// dual ratio test would see.
+    pub(crate) fn reduced_costs(&self, costs: &[f64], y: &[f64], d: &mut Vec<f64>) {
+        d.clear();
+        d.extend_from_slice(costs);
+        self.for_each_row_product(y, |j, p| d[j] -= p);
+        for (j, c) in costs.iter().enumerate() {
+            if c.to_bits() == (-0.0_f64).to_bits() {
+                d[j] = self.column_reduced_cost(costs, y, j);
+            }
+        }
+    }
+
+    /// Reduced cost of column `j`, term by term down the column.
+    pub(crate) fn column_reduced_cost(&self, costs: &[f64], y: &[f64], j: usize) -> f64 {
+        let mut d = costs[j];
+        for &(i, a) in &self.cols[j] {
+            d -= y[i] * a;
+        }
+        d
     }
 
     /// A row no point inside the column bounds can satisfy, and by how

@@ -122,11 +122,33 @@ mod tests {
                 .collect()
         };
         assert_eq!(cols(a), cols(b), "columns");
+        assert_rows_transpose_cols(a);
+        assert_eq!(a.rows.start, b.rows.start, "row starts");
+        assert_eq!(a.rows.col, b.rows.col, "row columns");
+        assert_eq!(bits(&a.rows.val), bits(&b.rows.val), "row values");
         assert_eq!(a.slack_col, b.slack_col);
         assert_eq!(a.art_col, b.art_col);
         assert_eq!((a.art_start, a.n_total), (b.art_start, b.n_total));
         assert_eq!(a.signature, b.signature, "signature");
         assert_eq!((a.stale_rows, b.stale_rows), (0, 0));
+    }
+
+    /// The row-major copy is the structural block of `cols`, transposed:
+    /// the same entries with the same bits, and nothing else.
+    fn assert_rows_transpose_cols(f: &InternalForm) {
+        // Slack columns are numbered from the end of the structural ones.
+        let n_struct = f.slack_col.iter().flatten().next().copied().unwrap_or(f.art_start);
+        let mut by_col: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n_struct];
+        for i in 0..f.m() {
+            for (j, a) in f.rows.row(i) {
+                by_col[j].push((i, a.to_bits()));
+            }
+        }
+        for (j, listed) in by_col.iter().enumerate() {
+            let column: Vec<(usize, u64)> =
+                f.cols[j].iter().map(|&(i, a)| (i, a.to_bits())).collect();
+            assert_eq!(listed, &column, "column {j} read off the rows");
+        }
     }
 
     /// Check the kept form against a rebuild of the patched problem.
@@ -227,6 +249,25 @@ mod tests {
         (p, rows)
     }
 
+    fn apply(p: &mut Prepared, rows: &[ConstraintId], patch: Patch) {
+        match patch {
+            Patch::Rhs(at, x) => p.set_rhs(rows[at % rows.len()], x),
+            Patch::Row(at, values) => {
+                let row = rows[at % rows.len()];
+                let len = p.problem.cons[row.0].terms.len();
+                p.set_row_coeffs(row, &values[..len]);
+            }
+            Patch::Objective(at, x) => {
+                let n = p.problem.num_vars();
+                p.set_var_objective(VarId(at % n), x)
+            }
+            Patch::Sync => {
+                p.form.sync(&p.problem);
+                assert_eq!(p.form.stale_rows, 0);
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -237,27 +278,85 @@ mod tests {
         #[test]
         fn patched_form_equals_rebuilt_form(m in model(), seq in patches()) {
             let (problem, rows) = build(&m);
-            let n = problem.num_vars();
             let mut p = problem.prepare();
             check(&p);
             for patch in seq {
-                match patch {
-                    Patch::Rhs(at, x) => p.set_rhs(rows[at % rows.len()], x),
-                    Patch::Row(at, values) => {
-                        let row = rows[at % rows.len()];
-                        let len = p.problem.cons[row.0].terms.len();
-                        p.set_row_coeffs(row, &values[..len]);
-                    }
-                    Patch::Objective(at, x) => p.set_var_objective(VarId(at % n), x),
-                    Patch::Sync => {
-                        p.form.sync(&p.problem);
-                        prop_assert_eq!(p.form.stale_rows, 0);
-                    }
-                }
+                apply(&mut p, &rows, patch);
                 check(&p);
             }
             p.form.sync(&p.problem);
             assert_same_form(&p.form, &InternalForm::build(&p.problem));
+        }
+    }
+
+    /// Multipliers as the simplex produces them: values between exact
+    /// zeros of both signs.
+    fn multipliers() -> impl Strategy<Value = Vec<f64>> {
+        prop::collection::vec((0u8..5, -4.0_f64..4.0), 8).prop_map(|entries| {
+            entries
+                .into_iter()
+                .map(|(kind, v)| match kind {
+                    0 | 1 => 0.0,
+                    2 => -0.0,
+                    _ => v,
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The row-wise kernels give, for every column, the bits of the
+        /// dot product down that column: the dual pivot row from `rho`,
+        /// the reduced costs from `y` — on models with free (`Split`)
+        /// and mirrored variables, rows that normalise flipped, zero
+        /// objective coefficients under `Maximize` (internal cost
+        /// `-0.0`), multipliers that are mostly zeros of either sign, and
+        /// after patches as well as fresh from `build`.
+        #[test]
+        fn row_wise_pricing_equals_column_dot_products(
+            m in model(),
+            zero_objective in prop::collection::vec(any::<bool>(), 6),
+            seq in patches(),
+            mult in multipliers(),
+            phase_one in any::<bool>(),
+        ) {
+            let mut m = m;
+            for (var, &zero) in m.vars.iter_mut().zip(&zero_objective) {
+                if zero {
+                    var.3 = 0.0;
+                }
+            }
+            let (problem, rows) = build(&m);
+            let mut p = problem.prepare();
+            // Objective patches would undo the zeros above.
+            for patch in seq.into_iter().filter(|p| !matches!(p, Patch::Objective(..))) {
+                apply(&mut p, &rows, patch);
+            }
+            p.form.sync(&p.problem);
+            let f = &p.form;
+            let mult = &mult[..f.m()];
+            let costs: Vec<f64> = if phase_one {
+                (0..f.n_total).map(|j| if j >= f.art_start { 1.0 } else { 0.0 }).collect()
+            } else {
+                f.cost.clone()
+            };
+
+            let (mut alpha, mut d) = (vec![f64::NAN; 3], vec![f64::NAN; 3]);
+            f.pivot_row(mult, &mut alpha);
+            f.reduced_costs(&costs, mult, &mut d);
+            prop_assert_eq!(alpha.len(), f.n_total);
+            prop_assert_eq!(d.len(), f.n_total);
+            for j in 0..f.n_total {
+                let mut dot = 0.0;
+                for &(i, a) in &f.cols[j] {
+                    dot += mult[i] * a;
+                }
+                prop_assert_eq!(alpha[j].to_bits(), dot.to_bits(), "alpha[{}]: {} vs {}", j, alpha[j], dot);
+                let column = f.column_reduced_cost(&costs, mult, j);
+                prop_assert_eq!(d[j].to_bits(), column.to_bits(), "d[{}]: {} vs {}", j, d[j], column);
+            }
         }
     }
 

@@ -8,7 +8,18 @@
 //!
 //! * **FTRAN** `B^{-1} v`: one LU solve, then the eta chain forward.
 //! * **BTRAN** `B^{-T} v`: the eta chain backward, then one transposed
-//!   LU solve ([`thermaware_linalg::Lu::solve_transposed`]).
+//!   LU solve.
+//!
+//! The basis of the LPs this workspace solves is a few structural
+//! columns in an identity of slacks, and the vectors priced with (`rho`,
+//! `y`) are mostly exact zeros, so the three kernels that used to own a
+//! solve's time walk nonzeros only: the LU solves run on the factors'
+//! nonzero lists ([`thermaware_linalg::CompressedLu`]), and the dual
+//! pivot row and the reduced costs are scattered row by row from the
+//! form's row-major copy ([`InternalForm::pivot_row`],
+//! [`InternalForm::reduced_costs`]). None of them reorders a sum — the
+//! results are the dense loops' bit for bit, which is what keeps every
+//! pivot sequence, and with it every plan, what it was (DESIGN §10).
 //!
 //! Each pivot appends one eta vector (O(m) storage, O(m) application);
 //! after [`ETA_LIMIT`] etas — or on a dangerously small pivot — the basis
@@ -38,7 +49,9 @@ use crate::basis::Basis;
 use crate::internal::{InternalForm, VarState};
 use crate::model::Problem;
 use crate::solution::{LpError, Solution, Status};
-use thermaware_linalg::{Lu, Matrix};
+use std::cell::Cell;
+use std::time::Instant;
+use thermaware_linalg::{CompressedLu, Lu, Matrix};
 
 /// Entries smaller than this are unusable as ratio-test pivots.
 const PIVOT_EPS: f64 = 1e-9;
@@ -79,6 +92,62 @@ struct WarmStats {
     dual_iters: usize,
 }
 
+/// The parts of a solve that `lp.phase.*_us` tells apart. They do not
+/// nest: the FTRAN inside `compute_xb` counts as `ComputeXb`, the BTRAN
+/// for the multipliers as `Btran`, not as pricing.
+#[derive(Clone, Copy)]
+enum Phase {
+    Factorize,
+    Ftran,
+    Btran,
+    /// Dual iteration: pivot row, reduced costs, ratio test.
+    PivotRow,
+    /// Primal pricing (reduced costs + entering column) and the warm
+    /// path's bound-flip pass.
+    Pricing,
+    ComputeXb,
+}
+
+/// One histogram per [`Phase`], in declaration order.
+const PHASE_METRICS: [&str; 6] = [
+    "lp.phase.factorize_us",
+    "lp.phase.ftran_us",
+    "lp.phase.btran_us",
+    "lp.phase.pivot_row_us",
+    "lp.phase.pricing_us",
+    "lp.phase.compute_xb_us",
+];
+
+/// Nanoseconds per [`Phase`], accumulated over one solve and flushed
+/// with the solve's other metrics. Whether a recorder is installed is
+/// asked once, at solve start; without one no clock is ever read.
+struct PhaseClock {
+    on: bool,
+    ns: [Cell<u64>; PHASE_METRICS.len()],
+}
+
+impl PhaseClock {
+    fn new(on: bool) -> Self {
+        PhaseClock {
+            on,
+            ns: Default::default(),
+        }
+    }
+
+    #[inline]
+    fn start(&self) -> Option<Instant> {
+        self.on.then(Instant::now) // lint: allow(determinism): read only when a recorder was installed at solve start; the time is reported, never branched on
+    }
+
+    #[inline]
+    fn stop(&self, phase: Phase, since: Option<Instant>) {
+        if let Some(t) = since {
+            let cell = &self.ns[phase as usize];
+            cell.set(cell.get() + t.elapsed().as_nanos() as u64);
+        }
+    }
+}
+
 struct Rev<'a> {
     f: &'a InternalForm,
     /// Working upper bounds (artificials frozen to 0 outside phase 1).
@@ -86,7 +155,7 @@ struct Rev<'a> {
     /// Basic column of each row.
     basic: Vec<usize>,
     state: Vec<VarState>,
-    lu: Option<Lu>,
+    lu: Option<CompressedLu>,
     etas: Vec<Eta>,
     /// Values of the basic variables, one per row.
     xb: Vec<f64>,
@@ -95,33 +164,94 @@ struct Rev<'a> {
     degen_total: usize,
     bland: bool,
     factorizations: usize,
+    clock: &'a PhaseClock,
+    /// Per-iteration vectors, kept between iterations so that a pivot
+    /// allocates nothing but the eta it leaves behind: multipliers `y`,
+    /// reduced costs `d` and pivot row `alpha` (one entry per column),
+    /// the dual's `rho` and ratio-test candidates, the entering column.
+    y: Vec<f64>,
+    d: Vec<f64>,
+    alpha: Vec<f64>,
+    rho: Vec<f64>,
+    cands: Vec<(f64, f64, usize)>,
+    w: Vec<f64>,
 }
 
 impl<'a> Rev<'a> {
+    /// A solver state at the given basis, nothing factorized yet.
+    fn new(
+        f: &'a InternalForm,
+        upper: Vec<f64>,
+        basic: Vec<usize>,
+        state: Vec<VarState>,
+        clock: &'a PhaseClock,
+    ) -> Self {
+        Rev {
+            f,
+            upper,
+            basic,
+            state,
+            lu: None,
+            etas: Vec::new(),
+            xb: Vec::new(),
+            iterations: 0,
+            degen_run: 0,
+            degen_total: 0,
+            bland: false,
+            factorizations: 0,
+            clock,
+            y: Vec::new(),
+            d: Vec::new(),
+            alpha: Vec::new(),
+            rho: Vec::new(),
+            cands: Vec::new(),
+            w: Vec::new(),
+        }
+    }
+
     fn m(&self) -> usize {
         self.f.m()
     }
 
-    /// Factor the current basis matrix from the sparse columns.
+    /// Factor the current basis matrix from the sparse columns. A
+    /// refactorisation builds it in the storage of the factors it
+    /// replaces.
     fn factorize(&mut self) -> Result<(), LpError> {
+        let since = self.clock.start();
         let m = self.m();
-        let mut b = Matrix::zeros(m, m);
+        let mut b = match self.lu.take() {
+            Some(old) => {
+                let mut b = old.into_matrix();
+                b.fill(0.0);
+                b
+            }
+            None => Matrix::zeros(m, m),
+        };
         for (r, &j) in self.basic.iter().enumerate() {
             for &(i, a) in &self.f.cols[j] {
                 b[(i, r)] = a;
             }
         }
-        let lu = Lu::factor(b).map_err(|_| LpError::Internal {
+        let lu = Lu::factor(b).map(Lu::compress).map_err(|_| LpError::Internal {
             what: "singular basis matrix".to_string(),
-        })?;
-        self.lu = Some(lu);
+        });
+        self.clock.stop(Phase::Factorize, since);
+        self.lu = Some(lu?);
         self.etas.clear();
         self.factorizations += 1;
         Ok(())
     }
 
-    /// `v := B^{-1} v` through the factorization and the eta chain.
+    /// `v := B^{-1} v`, timed as [`Phase::Ftran`].
     fn ftran(&self, v: &mut [f64]) -> Result<(), LpError> {
+        let since = self.clock.start();
+        let done = self.ftran_untimed(v);
+        self.clock.stop(Phase::Ftran, since);
+        done
+    }
+
+    /// `v := B^{-1} v` through the factorization and the eta chain.
+    fn ftran_untimed(&self, v: &mut [f64]) -> Result<(), LpError> {
         let lu = self.lu.as_ref().ok_or_else(|| LpError::Internal {
             what: "ftran before factorization".to_string(),
         })?;
@@ -141,7 +271,9 @@ impl<'a> Rev<'a> {
     }
 
     /// `v := B^{-T} v`: eta chain backward, then the transposed LU solve.
+    /// Timed as [`Phase::Btran`].
     fn btran(&self, v: &mut [f64]) -> Result<(), LpError> {
+        let since = self.clock.start();
         for e in self.etas.iter().rev() {
             let mut s = v[e.r];
             for (i, (&vi, &wi)) in v.iter().zip(&e.w).enumerate() {
@@ -151,33 +283,44 @@ impl<'a> Rev<'a> {
             }
             v[e.r] = s / e.w[e.r];
         }
-        let lu = self.lu.as_ref().ok_or_else(|| LpError::Internal {
-            what: "btran before factorization".to_string(),
-        })?;
-        lu.solve_transposed_in_place(v).map_err(|e| LpError::Internal {
-            what: format!("btran: {e}"),
-        })
+        let done = match &self.lu {
+            Some(lu) => lu.solve_transposed_in_place(v).map_err(|e| LpError::Internal {
+                what: format!("btran: {e}"),
+            }),
+            None => Err(LpError::Internal {
+                what: "btran before factorization".to_string(),
+            }),
+        };
+        self.clock.stop(Phase::Btran, since);
+        done
     }
 
     /// Simplex multipliers `y = B^{-T} c_B` for the given costs.
-    fn multipliers(&self, costs: &[f64]) -> Result<Vec<f64>, LpError> {
-        let mut y: Vec<f64> = self.basic.iter().map(|&j| costs[j]).collect();
-        self.btran(&mut y)?;
-        Ok(y)
+    fn multipliers(&self, costs: &[f64], y: &mut Vec<f64>) -> Result<(), LpError> {
+        y.clear();
+        y.extend(self.basic.iter().map(|&j| costs[j]));
+        self.btran(y)
     }
 
-    /// Reduced cost of column `j` given the multipliers.
-    fn reduced_cost(&self, costs: &[f64], y: &[f64], j: usize) -> f64 {
-        let mut d = costs[j];
-        for &(i, a) in &self.f.cols[j] {
-            d -= y[i] * a;
+    /// Multipliers, then the reduced cost of every column into `self.d`,
+    /// that pass timed as `phase`.
+    fn price(&mut self, costs: &[f64], phase: Phase) -> Result<(), LpError> {
+        let mut y = std::mem::take(&mut self.y);
+        let priced = self.multipliers(costs, &mut y);
+        if priced.is_ok() {
+            let since = self.clock.start();
+            self.f.reduced_costs(costs, &y, &mut self.d);
+            self.clock.stop(phase, since);
         }
-        d
+        self.y = y;
+        priced
     }
 
     /// Recompute `xb = B^{-1} (b - Σ_{j at upper} u_j a_j)` from scratch.
     fn compute_xb(&mut self) -> Result<(), LpError> {
-        let mut rhs = self.f.rhs.clone();
+        let since = self.clock.start();
+        let mut rhs = std::mem::take(&mut self.xb);
+        rhs.clone_from(&self.f.rhs);
         for (j, col) in self.f.cols.iter().enumerate() {
             if self.state[j] == VarState::Upper {
                 let u = self.upper[j];
@@ -188,13 +331,27 @@ impl<'a> Rev<'a> {
                 }
             }
         }
-        self.ftran(&mut rhs)?;
+        let done = self.ftran_untimed(&mut rhs);
         self.xb = rhs;
-        Ok(())
+        self.clock.stop(Phase::ComputeXb, since);
+        done
     }
 
-    /// Pick an entering column for the primal, or `None` at optimality.
-    fn choose_entering(&self, costs: &[f64], y: &[f64], tol: f64) -> Option<(usize, f64)> {
+    /// The entering column `w = B^{-1} a_q`, in the kept buffer.
+    fn entering_column(&mut self, q: usize) -> Result<Vec<f64>, LpError> {
+        let mut w = std::mem::take(&mut self.w);
+        w.clear();
+        w.resize(self.m(), 0.0);
+        for &(i, a) in &self.f.cols[q] {
+            w[i] = a;
+        }
+        self.ftran(&mut w)?;
+        Ok(w)
+    }
+
+    /// Pick an entering column for the primal from the reduced costs in
+    /// `self.d`, or `None` at optimality.
+    fn choose_entering(&self, tol: f64) -> Option<(usize, f64)> {
         let mut best: Option<(usize, f64)> = None;
         let mut best_gain = tol;
         for j in 0..self.f.n_total {
@@ -208,8 +365,7 @@ impl<'a> Rev<'a> {
             if self.upper[j] <= 0.0 {
                 continue;
             }
-            let d = self.reduced_cost(costs, y, j);
-            let gain = -dir * d;
+            let gain = -dir * self.d[j];
             if gain > best_gain {
                 if self.bland {
                     return Some((j, dir));
@@ -223,17 +379,16 @@ impl<'a> Rev<'a> {
 
     /// One primal simplex step with the active costs.
     fn primal_step(&mut self, costs: &[f64], tol: f64) -> Result<Step, LpError> {
-        let y = self.multipliers(costs)?;
-        let Some((q, dir)) = self.choose_entering(costs, &y, tol) else {
+        self.price(costs, Phase::Pricing)?;
+        let since = self.clock.start();
+        let entering = self.choose_entering(tol);
+        self.clock.stop(Phase::Pricing, since);
+        let Some((q, dir)) = entering else {
             return Ok(Step::Optimal);
         };
 
         // w = B^{-1} a_q: how the basics move when x_q moves by +1·dir.
-        let mut w = vec![0.0; self.m()];
-        for &(i, a) in &self.f.cols[q] {
-            w[i] = a;
-        }
-        self.ftran(&mut w)?;
+        let w = self.entering_column(q)?;
 
         // Ratio test: distance t >= 0 until a basic hits a bound or x_q
         // flips to its own opposite bound.
@@ -267,6 +422,7 @@ impl<'a> Rev<'a> {
         }
 
         if t_best.is_infinite() {
+            self.w = w;
             return Ok(Step::Unbounded(q));
         }
 
@@ -276,6 +432,7 @@ impl<'a> Rev<'a> {
         if let Some((r, _)) = leave {
             if w[r].abs() < PIVOT_TINY {
                 if !self.etas.is_empty() {
+                    self.w = w;
                     self.factorize()?;
                     self.compute_xb()?;
                     return Ok(Step::Retry);
@@ -315,6 +472,7 @@ impl<'a> Rev<'a> {
                         })
                     }
                 };
+                self.w = w;
             }
             Some((r, hit)) => {
                 let k = self.basic[r];
@@ -401,12 +559,18 @@ impl<'a> Rev<'a> {
                 return Ok(()); // primal feasible again
             };
 
-            // Row r of B^{-1} A: alpha_j = rho · a_j with rho = B^{-T} e_r.
-            let mut rho = vec![0.0; self.m()];
+            // Row r of B^{-1} A: alpha_j = rho · a_j with rho = B^{-T} e_r,
+            // for every column at once from the rows where rho is not
+            // zero, and the reduced costs the same way from y.
+            let mut rho = std::mem::take(&mut self.rho);
+            rho.clear();
+            rho.resize(self.m(), 0.0);
             rho[r] = 1.0;
             self.btran(&mut rho)?;
             beta[r] = rho.iter().map(|v| v * v).sum();
-            let y = self.multipliers(costs)?;
+            self.price(costs, Phase::PivotRow)?;
+            let since = self.clock.start();
+            self.f.pivot_row(&rho, &mut self.alpha);
 
             // Entering column: bound-flipping dual ratio test (BFRT).
             // Each eligible candidate offers a dual step of
@@ -421,16 +585,14 @@ impl<'a> Rev<'a> {
             // here because a budget/capacity shift re-rests whole runs
             // of boxed segment variables, which the classic test pays
             // one pivot each for and this test pays zero.
-            let mut cands: Vec<(f64, f64, usize)> = Vec::new(); // (ratio, |alpha|, col)
+            let mut cands = std::mem::take(&mut self.cands); // (ratio, |alpha|, col)
+            cands.clear();
             for j in 0..self.f.n_total {
                 let st = self.state[j];
                 if st == VarState::Basic || self.upper[j] <= 0.0 {
                     continue;
                 }
-                let mut alpha = 0.0;
-                for &(i, a) in &self.f.cols[j] {
-                    alpha += rho[i] * a;
-                }
+                let alpha = self.alpha[j];
                 // Eligibility: entering from Lower needs delta >= 0,
                 // from Upper delta <= 0, with delta = (xb_r - target)/alpha.
                 let eligible = if to_upper {
@@ -443,7 +605,7 @@ impl<'a> Rev<'a> {
                 if !eligible {
                     continue;
                 }
-                let d = self.reduced_cost(costs, &y, j);
+                let d = self.d[j];
                 // Dual feasibility holds within tol, so clamp tiny
                 // wrong-signed reduced costs to zero for the ratio.
                 let num = match st {
@@ -455,6 +617,7 @@ impl<'a> Rev<'a> {
             }
             // Ratio order; ties prefer the larger |alpha| for stability.
             cands.sort_by(|a, b| a.0.total_cmp(&b.0).then(b.1.total_cmp(&a.1)));
+            self.clock.stop(Phase::PivotRow, since);
             let k = self.basic[r];
             let target = if to_upper { self.upper[k] } else { 0.0 };
             let mut slope = (self.xb[r] - target).abs();
@@ -477,6 +640,7 @@ impl<'a> Rev<'a> {
                     break;
                 }
             }
+            self.cands = cands;
             let Some(q) = entering else {
                 // No column can absorb the (remaining) infeasibility: the
                 // perturbed problem is primal-infeasible *or* the warm
@@ -493,13 +657,10 @@ impl<'a> Rev<'a> {
                 self.compute_xb()?;
             }
 
-            let mut w = vec![0.0; self.m()];
-            for &(i, a) in &self.f.cols[q] {
-                w[i] = a;
-            }
-            self.ftran(&mut w)?;
+            let w = self.entering_column(q)?;
             if w[r].abs() < PIVOT_TINY {
                 if !self.etas.is_empty() {
+                    (self.w, self.rho) = (w, rho);
                     self.factorize()?;
                     self.compute_xb()?;
                     continue;
@@ -524,6 +685,7 @@ impl<'a> Rev<'a> {
                 }
             }
             beta[r] = (beta_r / (w[r] * w[r])).max(1e-10);
+            self.rho = tau;
 
             let delta = (self.xb[r] - target) / w[r];
             for i in 0..self.m() {
@@ -592,7 +754,8 @@ impl<'a> Rev<'a> {
 
         // Row duals: y solves B^T y = c_B, and the user-space dual undoes
         // the sense and any rhs-normalization flip.
-        let y = self.multipliers(&f.cost)?;
+        let mut y = Vec::new();
+        self.multipliers(&f.cost, &mut y)?;
         let duals: Vec<f64> = (0..f.m())
             .map(|i| {
                 let flip = if f.flipped[i] { -1.0 } else { 1.0 };
@@ -634,15 +797,21 @@ pub(crate) fn solve(
         degen: 0,
         refactorizations: 0,
     };
-    if !thermaware_obs::enabled() {
-        return solve_impl(problem, form, warm, &mut stats);
+    let clock = PhaseClock::new(thermaware_obs::enabled());
+    if !clock.on {
+        return solve_impl(problem, form, warm, &mut stats, &clock);
     }
-    let start = std::time::Instant::now();
-    let result = solve_impl(problem, form, warm, &mut stats);
-    let elapsed_us = start.elapsed().as_micros() as f64;
+    let start = Instant::now();
+    let result = solve_impl(problem, form, warm, &mut stats, &clock);
+    // Fractional, so that the phases — disjoint stretches of this
+    // interval — can never sum to more than it.
+    let elapsed_us = start.elapsed().as_nanos() as f64 / 1e3;
     thermaware_obs::with_recorder(|r| {
         r.counter_add("lp.solves", 1);
         r.observe("lp.solve_us", elapsed_us);
+        for (name, ns) in PHASE_METRICS.iter().zip(&clock.ns) {
+            r.observe(name, ns.get() as f64 / 1e3);
+        }
         r.observe("lp.degenerate_steps", stats.degen as f64);
         r.counter_add("lp.refactorizations", stats.refactorizations as u64);
         if stats.warm.warm_start {
@@ -671,6 +840,7 @@ fn solve_impl(
     form: Option<&mut InternalForm>,
     warm: Option<&Basis>,
     stats: &mut SolveStats,
+    clock: &PhaseClock,
 ) -> Result<Solution, LpError> {
     let mut built = None;
     let f = match form {
@@ -691,13 +861,13 @@ fn solve_impl(
 
     // ---- Warm path --------------------------------------------------------
     if let Some(basis) = warm {
-        if let Some(sol) = try_warm(problem, f, basis, tol2, cap, stats)? {
+        if let Some(sol) = try_warm(problem, f, basis, tol2, cap, stats, clock)? {
             return Ok(sol);
         }
     }
 
     // ---- Cold two-phase ----------------------------------------------------
-    let mut rev = cold_start(f)?;
+    let mut rev = cold_start(f, clock)?;
     let needs_phase1 = f.art_col.iter().any(Option::is_some);
     if needs_phase1 {
         let phase1_cost: Vec<f64> = (0..f.n_total)
@@ -736,7 +906,7 @@ fn solve_impl(
 
 /// Build the phase-1 starting point: slacks basic on `Le` rows,
 /// artificials basic on `Ge`/`Eq` rows — an identity basis.
-fn cold_start(f: &InternalForm) -> Result<Rev<'_>, LpError> {
+fn cold_start<'a>(f: &'a InternalForm, clock: &'a PhaseClock) -> Result<Rev<'a>, LpError> {
     let m = f.m();
     let mut basic = vec![usize::MAX; m];
     let mut state = vec![VarState::Lower; f.n_total];
@@ -753,20 +923,7 @@ fn cold_start(f: &InternalForm) -> Result<Rev<'_>, LpError> {
         basic[i] = b;
         state[b] = VarState::Basic;
     }
-    let mut rev = Rev {
-        f,
-        upper: f.upper.clone(),
-        basic,
-        state,
-        lu: None,
-        etas: Vec::new(),
-        xb: vec![0.0; m],
-        iterations: 0,
-        degen_run: 0,
-        degen_total: 0,
-        bland: false,
-        factorizations: 0,
-    };
+    let mut rev = Rev::new(f, f.upper.clone(), basic, state, clock);
     rev.factorize()?;
     rev.compute_xb()?;
     Ok(rev)
@@ -784,6 +941,7 @@ fn try_warm(
     tol2: f64,
     cap: usize,
     stats: &mut SolveStats,
+    clock: &PhaseClock,
 ) -> Result<Option<Solution>, LpError> {
     let Some((basic, mut state)) = basis.restore(f) else {
         return Ok(None);
@@ -797,20 +955,7 @@ fn try_warm(
             state[j] = VarState::Lower;
         }
     }
-    let mut rev = Rev {
-        f,
-        upper,
-        basic,
-        state,
-        lu: None,
-        etas: Vec::new(),
-        xb: vec![0.0; f.m()],
-        iterations: 0,
-        degen_run: 0,
-        degen_total: 0,
-        bland: false,
-        factorizations: 0,
-    };
+    let mut rev = Rev::new(f, upper, basic, state, clock);
     if rev.factorize().is_err() {
         // The perturbed coefficients made the old basis singular.
         return Ok(None);
@@ -840,13 +985,13 @@ fn try_warm(
         // perturbation barely flipped — are left in place, because
         // flipping them moves the iterate a full bound-length for no
         // gain and the clamped dual ratio test absorbs them at zero cost.
-        let Ok(y) = rev.multipliers(&f.cost) else {
+        if rev.price(&f.cost, Phase::Pricing).is_err() {
             return Ok(None);
-        };
+        }
         let flip_tol = 1e6 * tol2;
         let mut flipped = false;
         for j in 0..f.n_total {
-            let d = rev.reduced_cost(&f.cost, &y, j);
+            let d = rev.d[j];
             match rev.state[j] {
                 VarState::Basic => {}
                 // Fixed columns (u == 0) cannot leave their bound, so any
