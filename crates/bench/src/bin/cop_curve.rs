@@ -1,9 +1,11 @@
 //! The Eq.-8 CoP curve of the HP Utility Data Center, tabulated over the
 //! searchable outlet range — the nonlinearity that makes Eq. 7 an MINLP.
 
+use thermaware_bench::cli::Args;
 use thermaware_thermal::cop::cop;
 
 fn main() {
+    Args::parse("cop_curve   (takes no flags)");
     println!("# CoP(tau) = 0.0068 tau^2 + 0.0008 tau + 0.458   (Eq. 8)\n");
     println!("{:<10} {:<10} {:<14}", "tau_C", "CoP", "kW_per_kW_heat");
     for t in 0..=40 {

@@ -10,6 +10,7 @@
 //! Each curve is printed as `power_kW  reward_rate` breakpoint rows plus
 //! a dense sample so it can be piped straight into a plotting tool.
 
+use thermaware_bench::cli::Args;
 use thermaware_core::{reward_rate_curve, ArrCurve, PiecewiseLinear};
 use thermaware_power::PStateTable;
 use thermaware_workload::{EcsMatrix, TaskType, Workload};
@@ -49,6 +50,7 @@ fn print_curve(title: &str, curve: &PiecewiseLinear) {
 }
 
 fn main() {
+    Args::parse("fig3_4_5   (takes no flags)");
     println!("# Figures 3-5 — reward-rate curves of the Section-V.B.2 example\n");
 
     let (w3, p3) = example(100.0);

@@ -14,7 +14,7 @@
 
 use thermaware_bench::cli::Args;
 use thermaware_bench::fig6::{run_figure6_set, Fig6Config, PAPER_SETS};
-use thermaware_bench::parallel::default_threads;
+use thermaware_shard::pool::default_threads;
 use thermaware_datacenter::CracSearchOptions;
 
 const USAGE: &str =

@@ -17,7 +17,7 @@ use thermaware_core::{solve_three_stage, ThreeStageOptions};
 use thermaware_datacenter::ScenarioParams;
 use thermaware_runtime::{FaultScript, Supervisor, SupervisorConfig, SupervisorReport};
 
-const USAGE: &str = "runtime [--nodes N] [--cracs N] [--seed S] [--margin F] \
+const USAGE: &str = "runtime [--nodes N] [--cracs N] [--seed S] [--margin F] [--trip F] \
                      [--horizon SECONDS] [--surge F] [--verbose 1]";
 
 fn main() {

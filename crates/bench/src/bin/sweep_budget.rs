@@ -6,7 +6,7 @@
 //! budget, the more the P-state ladder matters.
 
 use thermaware_bench::cli::Args;
-use thermaware_bench::parallel::{default_threads, parallel_map};
+use thermaware_shard::pool::{default_threads, scoped_map};
 use thermaware_bench::stats::mean_ci95;
 use thermaware_core::{solve_baseline, solve_three_stage_best_of};
 use thermaware_datacenter::{CracSearchOptions, ScenarioParams};
@@ -32,7 +32,7 @@ fn main() {
 
     // One scenario per run; sweep the budget within it so the comparison
     // isolates the budget effect from scenario noise.
-    let row_results = parallel_map(runs, default_threads(runs), |r| {
+    let row_results = scoped_map(runs, default_threads(runs), |r| {
         let params = ScenarioParams {
             n_nodes,
             n_crac,

@@ -5,7 +5,7 @@
 //! identical node types (1.0) to strongly lopsided floors.
 
 use thermaware_bench::cli::Args;
-use thermaware_bench::parallel::{default_threads, parallel_map};
+use thermaware_shard::pool::{default_threads, scoped_map};
 use thermaware_bench::stats::mean_ci95;
 use thermaware_core::{solve_baseline, solve_three_stage_best_of};
 use thermaware_datacenter::{CracSearchOptions, ScenarioParams};
@@ -27,7 +27,7 @@ fn main() {
     println!("{:<10} {:>12} {:>8}", "perf_ratio", "improvement%", "ci95");
 
     for &ratio in &ratios {
-        let imp_results = parallel_map(runs, default_threads(runs), |r| {
+        let imp_results = scoped_map(runs, default_threads(runs), |r| {
             let mut params = ScenarioParams {
                 n_nodes,
                 n_crac,

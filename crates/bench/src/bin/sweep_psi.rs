@@ -6,7 +6,7 @@
 //! curve.
 
 use thermaware_bench::cli::Args;
-use thermaware_bench::parallel::{default_threads, parallel_map};
+use thermaware_shard::pool::{default_threads, scoped_map};
 use thermaware_bench::stats::mean_ci95;
 use thermaware_core::{solve_three_stage, ThreeStageOptions};
 use thermaware_datacenter::ScenarioParams;
@@ -29,7 +29,7 @@ fn main() {
 
     let psis = [12.5, 25.0, 37.5, 50.0, 62.5, 75.0, 87.5, 100.0];
     // Build scenarios once per run; sweep psi within.
-    let run_results = parallel_map(runs, default_threads(runs), |r| {
+    let run_results = scoped_map(runs, default_threads(runs), |r| {
         let params = ScenarioParams {
             n_nodes,
             n_crac,

@@ -5,10 +5,10 @@
 
 use thermaware_bench::cli::Args;
 use thermaware_bench::fig6::{run_figure6_set, Fig6Config, SimulationSet};
-use thermaware_bench::parallel::default_threads;
+use thermaware_shard::pool::default_threads;
 use thermaware_datacenter::CracSearchOptions;
 
-const USAGE: &str = "sweep_vprop [--runs N] [--nodes N] [--cracs N] [--seed S] [--share F]";
+const USAGE: &str = "sweep_vprop [--runs N] [--nodes N] [--cracs N] [--seed S] [--share F] [--threads N]";
 
 fn main() {
     let args = Args::parse(USAGE);

@@ -2,7 +2,7 @@
 //! three-stage assignment over the Eq.-21 baseline, across the paper's
 //! three simulation sets.
 
-use crate::parallel::parallel_map;
+use thermaware_shard::pool::{default_threads, scoped_map};
 use crate::stats::{mean_ci95, Summary};
 use thermaware_core::{solve_baseline, solve_three_stage, ThreeStageOptions};
 use thermaware_datacenter::{CracSearchOptions, ScenarioParams};
@@ -61,7 +61,7 @@ impl Default for Fig6Config {
             n_nodes: 150,
             n_crac: 3,
             base_seed: 1,
-            threads: crate::parallel::default_threads(25),
+            threads: default_threads(25),
             search: CracSearchOptions::default(),
         }
     }
@@ -118,9 +118,9 @@ pub fn run_one_scenario(
         search: config.search,
         ..ThreeStageOptions::default()
     };
-    let s25 = solve_three_stage(&dc, &mk(25.0))?;
-    let s50 = solve_three_stage(&dc, &mk(50.0))?;
-    let base = solve_baseline(&dc, config.search)?;
+    let s25 = solve_three_stage(&dc, &mk(25.0)).map_err(|e| e.to_string())?;
+    let s50 = solve_three_stage(&dc, &mk(50.0)).map_err(|e| e.to_string())?;
+    let base = solve_baseline(&dc, config.search).map_err(|e| e.to_string())?;
     Ok(Fig6Run {
         psi25: s25.reward_rate(),
         psi50: s50.reward_rate(),
@@ -131,7 +131,7 @@ pub fn run_one_scenario(
 /// Run a full simulation set (the paper's 25 seeds), fanned out over
 /// threads.
 pub fn run_figure6_set(set: SimulationSet, config: &Fig6Config) -> Result<Fig6SetResult, String> {
-    let results = parallel_map(config.runs, config.threads, |r| {
+    let results = scoped_map(config.runs, config.threads, |r| {
         run_one_scenario(set, config, config.base_seed + r as u64)
     });
     let mut runs = Vec::with_capacity(config.runs);

@@ -3,7 +3,6 @@
 
 pub mod cli;
 pub mod fig6;
-pub mod parallel;
 pub mod stats;
 
 pub use fig6::{run_figure6_set, Fig6Config, Fig6SetResult, SimulationSet};

@@ -15,9 +15,9 @@
 //! DESIGN.md).
 
 use crate::error::SolveError;
-use thermaware_datacenter::{optimize_crac_outlets, CracSearchOptions, DataCenter};
+use crate::room::{self, NodeLoad, RoomLp};
+use thermaware_datacenter::{CracSearchOptions, DataCenter};
 use thermaware_lp::{Problem, RowOp, Sense, VarId};
-use thermaware_thermal::{cop, RHO_CP};
 
 /// The baseline's assignment.
 #[derive(Debug, Clone)]
@@ -56,13 +56,23 @@ pub(crate) fn baseline_impl(
     search: CracSearchOptions,
 ) -> Result<BaselineSolution, SolveError> {
     let _span = thermaware_obs::span("baseline");
-    let best = optimize_crac_outlets(&dc.cracs, search, |outlets| {
-        solve_fixed_outlets(dc, outlets).map(|(_, obj)| obj)
-    })
-    .ok_or(SolveError::NoFeasibleOutlets { stage: "baseline" })?;
-    let (crac_out_c, _) = best;
-    let (frac_cont, reward_rate_continuous) = solve_fixed_outlets(dc, &crac_out_c)
-        .ok_or(SolveError::OutletRecheckFailed { stage: "baseline" })?;
+    let (mut room, vars) = frac_lp(dc);
+    let (crac_out_c, frac_cont, reward_rate_continuous) =
+        room::search_outlets(dc, search, "baseline", |outlets| {
+            room.set_outlets(outlets);
+            let sol = room.lp.solve_warm(None).ok()?;
+            let frac: Vec<Vec<f64>> = vars
+                .iter()
+                .map(|row| {
+                    row.iter()
+                        .map(|var| var.map_or(0.0, |v| sol.value(v).max(0.0)))
+                        .collect()
+                })
+                .collect();
+            let node_powers = baseline_node_powers(dc, &frac);
+            room::recheck(dc, outlets, &node_powers, dc.budget.p_const_kw)?;
+            Some((frac, sol.objective))
+        })?;
 
     // Eq. 22 integerization: per node, shrink all fractions by a common
     // factor so cores-in-use is an integer.
@@ -116,15 +126,15 @@ pub fn baseline_node_powers(dc: &DataCenter, frac: &[Vec<f64>]) -> Vec<f64> {
         .collect()
 }
 
-/// The Eq.-21 LP at fixed outlets. Returns per-node fractions and the
-/// objective, or `None` when infeasible.
-fn solve_fixed_outlets(dc: &DataCenter, outlets: &[f64]) -> Option<(Vec<Vec<f64>>, f64)> {
+/// The Eq.-21 LP of one outlet search: `FRAC` variables `vars[j][i]`
+/// (`None` for deadline-infeasible pairs, FRAC pinned to 0), the arrival
+/// and per-node capacity rows, and the room's rows over node powers that
+/// are `pw_j` kW per unit of `Σ_i FRAC(i, j)`.
+fn frac_lp(dc: &DataCenter) -> (RoomLp<'_>, Vec<Vec<Option<VarId>>>) {
     let nn = dc.n_nodes();
     let t = dc.n_task_types();
-    let coeff = dc.thermal.coefficients(outlets);
 
     let mut p = Problem::new(Sense::Maximize);
-    // vars[j][i], skipping deadline-infeasible pairs (FRAC pinned to 0).
     let mut vars: Vec<Vec<Option<VarId>>> = Vec::with_capacity(nn);
     for j in 0..nn {
         let nt = dc.node_type_of[j];
@@ -175,82 +185,19 @@ fn solve_fixed_outlets(dc: &DataCenter, outlets: &[f64]) -> Option<(Vec<Vec<f64>
         }
     }
 
-    // Power coefficient of node j per unit of Σ_i FRAC(i,j).
-    let pw: Vec<f64> = (0..nn)
+    // Constraints 4 (redlines) and 3 (power budget, linearized exactly
+    // like Stage 1's) are the room's.
+    let layout = (0..nn)
         .map(|j| {
             let nt = dc.node_type(j);
-            nt.core.pstates.power_kw(0) * nt.cores_per_node as f64
+            let pw = nt.core.pstates.power_kw(0) * nt.cores_per_node as f64;
+            NodeLoad {
+                vars: vars[j].iter().flatten().map(|&v| (v, pw)).collect(),
+                fixed_kw: nt.base_power_kw,
+            }
         })
         .collect();
-    let base_power: Vec<f64> = (0..nn).map(|j| dc.node_type(j).base_power_kw).collect();
-    // A thermal/power row Σ_j c_j P_j expands over vars with c_j * pw_j.
-    let expand = |coeffs: &dyn Fn(usize) -> f64| -> Vec<(VarId, f64)> {
-        let mut terms = Vec::with_capacity(nn * t);
-        for j in 0..nn {
-            let c = coeffs(j) * pw[j];
-            if c.abs() < 1e-14 {
-                continue;
-            }
-            for i in 0..t {
-                if let Some(v) = vars[j][i] {
-                    terms.push((v, c));
-                }
-            }
-        }
-        terms
-    };
-
-    // Constraint 4 (thermal rows).
-    for u in 0..nn {
-        let fixed: f64 = (0..nn).map(|j| coeff.g_node[(u, j)] * base_power[j]).sum();
-        let rhs = dc.thermal.node_redline_c - coeff.base_node[u] - fixed;
-        let terms = expand(&|j| coeff.g_node[(u, j)]);
-        p.add_row_nodup(&format!("redline_node{u}"), &terms, RowOp::Le, rhs);
-    }
-    for c in 0..dc.n_crac() {
-        let fixed: f64 = (0..nn).map(|j| coeff.g_crac[(c, j)] * base_power[j]).sum();
-        let rhs = dc.thermal.crac_redline_c - coeff.base_crac[c] - fixed;
-        let terms = expand(&|j| coeff.g_crac[(c, j)]);
-        p.add_row_nodup(&format!("redline_crac{c}"), &terms, RowOp::Le, rhs);
-    }
-    // Constraint 3 (power budget), linearized exactly like Stage 1's.
-    let w: Vec<f64> = (0..dc.n_crac())
-        .map(|c| RHO_CP * dc.cracs[c].flow_m3s / cop::cop(outlets[c]))
-        .collect();
-    let node_coeff: Vec<f64> = (0..nn)
-        .map(|j| 1.0 + (0..dc.n_crac()).map(|c| w[c] * coeff.g_crac[(c, j)]).sum::<f64>())
-        .collect();
-    let fixed_power: f64 = (0..nn).map(|j| node_coeff[j] * base_power[j]).sum::<f64>()
-        + (0..dc.n_crac())
-            .map(|c| w[c] * (coeff.base_crac[c] - outlets[c]))
-            .sum::<f64>();
-    let terms = expand(&|j| node_coeff[j]);
-    p.add_row_nodup(
-        "power_budget",
-        &terms,
-        RowOp::Le,
-        dc.budget.p_const_kw - fixed_power,
-    );
-
-    let sol = p.solve().ok()?;
-    let frac: Vec<Vec<f64>> = (0..nn)
-        .map(|j| {
-            (0..t)
-                .map(|i| vars[j][i].map_or(0.0, |v| sol.value(v).max(0.0)))
-                .collect()
-        })
-        .collect();
-
-    // Exact clamped-power re-check, mirroring Stage 1.
-    let node_powers = baseline_node_powers(dc, &frac);
-    let (it, cooling, state) = dc.total_power_kw(outlets, &node_powers);
-    if it + cooling > dc.budget.p_const_kw * (1.0 + 1e-7) + 1e-7 {
-        return None;
-    }
-    if !dc.redlines_ok(&state) {
-        return None;
-    }
-    Some((frac, sol.objective))
+    (RoomLp::build(dc, p, layout, true), vars)
 }
 
 #[cfg(test)]

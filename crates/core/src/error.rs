@@ -166,15 +166,6 @@ impl Deserialize for SolveError {
     }
 }
 
-/// Legacy-compatible conversion: call sites that accumulate errors as
-/// `String` (report generators, `?` into `Result<_, String>`) keep
-/// working against the typed solvers.
-impl From<SolveError> for String {
-    fn from(e: SolveError) -> String {
-        e.to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,13 +228,5 @@ mod tests {
     fn unknown_kind_rejected() {
         let v = Value::Object(vec![("kind".to_string(), "gremlin".to_value())]);
         assert!(SolveError::from_value(&v).is_err());
-    }
-
-    #[test]
-    fn string_conversion_matches_display() {
-        let e = SolveError::NoFeasibleOutlets { stage: "stage1" };
-        let s: String = e.clone().into();
-        assert_eq!(s, e.to_string());
-        assert!(s.contains("stage1"));
     }
 }

@@ -11,11 +11,15 @@
 //! (rounding down could surrender the reward guarantee); then confirm
 //! with Stage 3 that the discrete plan still clears the floor.
 
-use crate::arr::ArrCurve;
+use crate::error::SolveError;
+use crate::room::{self, RoomLp};
+use crate::stage1::{
+    add_segment_vars, arr_and_node_curves, distribute_node_power, segment_layout,
+    segment_node_power,
+};
 use crate::stage3::solve_stage3;
-use thermaware_datacenter::{optimize_crac_outlets, CracSearchOptions, DataCenter};
+use thermaware_datacenter::{CracSearchOptions, DataCenter};
 use thermaware_lp::{Problem, RowOp, Sense, VarId};
-use thermaware_thermal::{cop, RHO_CP};
 
 /// Options for the power-minimization solve.
 #[derive(Debug, Clone, Copy)]
@@ -50,42 +54,66 @@ pub struct MinPowerSolution {
 
 /// Minimize total power subject to `reward rate >= reward_floor`.
 ///
-/// Errors when the floor is unattainable within the redlines (it exceeds
-/// what even all-P0 operation could earn) or no outlet combination is
-/// feasible.
+/// Errors with [`SolveError::NoFeasibleOutlets`] when the floor is
+/// unattainable within the redlines at every searched outlet combination
+/// (it exceeds what even all-P0 operation could earn).
 pub fn solve_min_power(
     dc: &DataCenter,
     reward_floor: f64,
     options: &MinPowerOptions,
-) -> Result<MinPowerSolution, String> {
-    let arr_curves: Vec<ArrCurve> = (0..dc.node_types.len())
-        .map(|j| {
-            ArrCurve::build(
-                &dc.workload,
-                &dc.node_types[j].core.pstates,
-                j,
-                options.psi_percent,
-            )
-        })
-        .collect();
-    let node_curves: Vec<crate::pwl::PiecewiseLinear> = (0..dc.node_types.len())
-        .map(|j| {
-            arr_curves[j]
-                .curve
-                .aggregate_copies(dc.node_types[j].cores_per_node)
-        })
-        .collect();
+) -> Result<MinPowerSolution, SolveError> {
+    let (_, node_curves) = arr_and_node_curves(dc, options.psi_percent);
 
-    let best = optimize_crac_outlets(&dc.cracs, options.search, |outlets| {
-        // Maximize the negative power.
-        solve_fixed(dc, &node_curves, outlets, reward_floor).map(|(_, power)| -power)
-    })
-    .ok_or_else(|| {
-        format!("min-power: reward floor {reward_floor} unattainable within redlines")
-    })?;
-    let (crac_out_c, _) = best;
-    let (core_power, _) = solve_fixed(dc, &node_curves, &crac_out_c, reward_floor)
-        .ok_or_else(|| "min-power: best outlets became infeasible".to_owned())?;
+    // Stage 1's segment variables under the swapped objective: each
+    // segment costs its contribution to total power, `node_coeff` per kW
+    // (set per candidate), and earns its slope towards the floor.
+    let nn = dc.n_nodes();
+    let mut p = Problem::new(Sense::Minimize);
+    let node_vars = add_segment_vars(&mut p, dc, &node_curves, |_| 0.0);
+    let reward_terms: Vec<(VarId, f64)> = node_vars
+        .iter()
+        .enumerate()
+        .flat_map(|(node, vars)| vars.iter().copied().zip(node_curves[dc.node_type_of[node]].slopes()))
+        .collect();
+    // Reward floor. NOTE: a minimization objective would happily leave a
+    // later (cheaper-reward) segment filled while an earlier one is not;
+    // concavity of the curve plus the floor being a *lower* bound keeps
+    // the greedy segment order optimal here too (filling earlier segments
+    // first earns at least as much reward per watt).
+    p.add_row_nodup("reward_floor", &reward_terms, RowOp::Ge, reward_floor);
+    // Redlines only: the power budget is what this problem minimizes.
+    let mut room = RoomLp::build(dc, p, segment_layout(dc, &node_vars), false);
+
+    let (crac_out_c, node_core, _) =
+        room::search_outlets(dc, options.search, "min_power", |outlets| {
+            let linearised = room.set_outlets(outlets);
+            for (vars, &c) in node_vars.iter().zip(&linearised.node_coeff) {
+                for &v in vars {
+                    room.lp.set_var_objective(v, c);
+                }
+            }
+            let sol = room.lp.solve_warm(None).ok()?;
+            let node_core = segment_node_power(&node_vars, &sol);
+            // No budget to break here, only redlines. The search maximizes;
+            // score the negative of the exact power.
+            let exact_power_kw =
+                room::recheck(dc, outlets, &dc.node_powers(&node_core), f64::INFINITY)?;
+            Some((node_core, -exact_power_kw))
+        })?;
+
+    // Distribute node power to cores (same mixing as Stage 1).
+    let mut core_power = vec![0.0; dc.n_cores()];
+    for node in 0..nn {
+        // node_curves are node-level; per-core hull = divide by count.
+        let count = dc.node_type(node).cores_per_node;
+        let per_core_hull: Vec<(f64, f64)> = node_curves[dc.node_type_of[node]]
+            .points()
+            .iter()
+            .map(|&(x, y)| (x / count as f64, y / count as f64))
+            .collect();
+        let cores: Vec<usize> = dc.cores_of_node(node).collect();
+        distribute_node_power(node_core[node], &per_core_hull, &cores, &mut core_power);
+    }
 
     // Round powers *up* to P-states so the continuous reward estimate is
     // not surrendered.
@@ -104,112 +132,6 @@ pub fn solve_min_power(
         total_power_kw: it + cooling,
         reward_rate: s3.reward_rate,
     })
-}
-
-/// Fixed-outlet LP: minimize linearized total power subject to the reward
-/// floor and redlines. Returns per-core powers and the linearized power.
-fn solve_fixed(
-    dc: &DataCenter,
-    node_curves: &[crate::pwl::PiecewiseLinear],
-    outlets: &[f64],
-    reward_floor: f64,
-) -> Option<(Vec<f64>, f64)> {
-    let nn = dc.n_nodes();
-    let coeff = dc.thermal.coefficients(outlets);
-    let base_power: Vec<f64> = (0..nn).map(|j| dc.node_type(j).base_power_kw).collect();
-    let w: Vec<f64> = (0..dc.n_crac())
-        .map(|c| RHO_CP * dc.cracs[c].flow_m3s / cop::cop(outlets[c]))
-        .collect();
-    let node_coeff: Vec<f64> = (0..nn)
-        .map(|j| 1.0 + (0..dc.n_crac()).map(|c| w[c] * coeff.g_crac[(c, j)]).sum::<f64>())
-        .collect();
-    let mut p = Problem::new(Sense::Minimize);
-    let mut node_vars: Vec<Vec<VarId>> = Vec::with_capacity(nn);
-    let mut reward_terms: Vec<(VarId, f64)> = Vec::new();
-    for node in 0..nn {
-        let curve = &node_curves[dc.node_type_of[node]];
-        let pts = curve.points();
-        let slopes = curve.slopes();
-        let vars: Vec<VarId> = (0..slopes.len())
-            .map(|s| {
-                let len = pts[s + 1].0 - pts[s].0;
-                // Objective: this segment's contribution to total power.
-                p.add_var(&format!("seg_n{node}_s{s}"), 0.0, len, node_coeff[node])
-            })
-            .collect();
-        for (s, &v) in vars.iter().enumerate() {
-            reward_terms.push((v, slopes[s]));
-        }
-        node_vars.push(vars);
-    }
-    // Reward floor. NOTE: a minimization objective would happily leave a
-    // later (cheaper-reward) segment filled while an earlier one is not;
-    // concavity of the curve plus the floor being a *lower* bound keeps
-    // the greedy segment order optimal here too (filling earlier segments
-    // first earns at least as much reward per watt).
-    p.add_row_nodup("reward_floor", &reward_terms, RowOp::Ge, reward_floor);
-    // Redlines.
-    let row_terms = |coeffs: &dyn Fn(usize) -> f64| -> Vec<(VarId, f64)> {
-        let mut terms = Vec::with_capacity(nn * 4);
-        for (node, vars) in node_vars.iter().enumerate() {
-            let c = coeffs(node);
-            if c.abs() < 1e-14 {
-                continue;
-            }
-            for &v in vars {
-                terms.push((v, c));
-            }
-        }
-        terms
-    };
-    for i in 0..nn {
-        let fixed: f64 = (0..nn).map(|j| coeff.g_node[(i, j)] * base_power[j]).sum();
-        let rhs = dc.thermal.node_redline_c - coeff.base_node[i] - fixed;
-        let terms = row_terms(&|j| coeff.g_node[(i, j)]);
-        p.add_row_nodup(&format!("redline_node{i}"), &terms, RowOp::Le, rhs);
-    }
-    for c in 0..dc.n_crac() {
-        let fixed: f64 = (0..nn).map(|j| coeff.g_crac[(c, j)] * base_power[j]).sum();
-        let rhs = dc.thermal.crac_redline_c - coeff.base_crac[c] - fixed;
-        let terms = row_terms(&|j| coeff.g_crac[(c, j)]);
-        p.add_row_nodup(&format!("redline_crac{c}"), &terms, RowOp::Le, rhs);
-    }
-
-    let sol = p.solve().ok()?;
-    // Redline re-check on the exact model.
-    let node_core: Vec<f64> = node_vars
-        .iter()
-        .map(|vars| vars.iter().map(|&v| sol.value(v).max(0.0)).sum())
-        .collect();
-    let node_powers: Vec<f64> = (0..nn).map(|j| base_power[j] + node_core[j]).collect();
-    let state = dc.thermal.steady_state(outlets, &node_powers);
-    if !dc.redlines_ok(&state) {
-        return None;
-    }
-    let exact_power: f64 =
-        node_powers.iter().sum::<f64>() + dc.thermal.total_crac_power_kw(&state);
-
-    // Distribute node power to cores (same mixing as Stage 1).
-    let mut core_power = vec![0.0; dc.n_cores()];
-    for node in 0..nn {
-        let t = dc.node_type_of[node];
-        let hull = &node_curves[t];
-        // node_curves are node-level; per-core hull = divide by count.
-        let count = dc.node_type(node).cores_per_node;
-        let per_core_hull: Vec<(f64, f64)> = hull
-            .points()
-            .iter()
-            .map(|&(x, y)| (x / count as f64, y / count as f64))
-            .collect();
-        let cores: Vec<usize> = dc.cores_of_node(node).collect();
-        crate::stage1::distribute_node_power(
-            node_core[node],
-            &per_core_hull,
-            &cores,
-            &mut core_power,
-        );
-    }
-    Some((core_power, exact_power))
 }
 
 #[cfg(test)]
@@ -250,6 +172,9 @@ mod tests {
     fn impossible_floor_errors() {
         let dc = ScenarioParams::small_test().build(3).unwrap();
         let absurd = dc.workload.max_reward_rate() * 10.0;
-        assert!(solve_min_power(&dc, absurd, &MinPowerOptions::default()).is_err());
+        assert_eq!(
+            solve_min_power(&dc, absurd, &MinPowerOptions::default()).err(),
+            Some(SolveError::NoFeasibleOutlets { stage: "min_power" })
+        );
     }
 }

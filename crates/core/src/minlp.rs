@@ -178,7 +178,7 @@ pub fn solve_exact(dc: &DataCenter, options: &MinlpOptions) -> Result<ExactSolut
         if let Some(outlets) = feasible_outlet {
             // The reward does not depend on the outlets (only feasibility
             // does), so one feasible combo suffices.
-            let s3 = solve_stage3(dc, &pstates)?;
+            let s3 = solve_stage3(dc, &pstates).map_err(|e| e.to_string())?;
             if best
                 .as_ref()
                 .is_none_or(|b| s3.reward_rate > b.reward_rate)

@@ -1,0 +1,233 @@
+//! The fixed-outlet room LP (paper Section V.B.2), written once.
+//!
+//! With the CRAC outlets fixed, inlet temperatures are affine in node
+//! power (Eq. 6) and CRAC power is linear in them (Eq. 3), so Stage 1, the
+//! Eq. 21 baseline, the Section VIII power-minimising dual and the
+//! task-aware Stage 3 are LPs over *the same* redline rows and power row;
+//! they differ in their variables and objectives. A caller describes its
+//! variables as a [`NodeLoad`] per node — which variables carry the node's
+//! power and how many kW each unit of them is — and this module owns the
+//! rest: the rows ([`RoomLp::build`]), what a choice of outlets does to
+//! them ([`RoomLp::set_outlets`]), the outlet search around them
+//! ([`search_outlets`]) and the re-check of a solution against the exact,
+//! Eq. 3-clamped model ([`recheck`]).
+//!
+//! The sensitivities `g_node`/`g_crac` do not depend on the outlets, so the
+//! rows keep their coefficients across an outlet search; a candidate moves
+//! every right-hand side (through the `base` vectors) and the power row's
+//! coefficients (through `CoP(out_c)`). The model is therefore built once
+//! per search and patched per candidate, which `thermaware_lp::Prepared`
+//! holds to be bit for bit the model a build per candidate would make.
+
+use crate::error::SolveError;
+use thermaware_datacenter::{optimize_crac_outlets, CracSearchOptions, DataCenter};
+use thermaware_lp::{ConstraintId, Prepared, Problem, RowOp, VarId};
+use thermaware_thermal::{cop, RHO_CP};
+
+/// How one node's power reads off the caller's variables:
+/// `P_j = fixed_kw + Σ kw_per_unit · var`.
+pub(crate) struct NodeLoad {
+    /// The variables that carry the node's power, with kW per unit of each.
+    pub(crate) vars: Vec<(VarId, f64)>,
+    /// The node's power with every variable at zero, kW.
+    pub(crate) fixed_kw: f64,
+}
+
+/// What a choice of outlets makes of the power model (Eq. 3 linearised).
+pub(crate) struct Linearised {
+    /// Total-power sensitivity to each node's power: the node itself plus
+    /// the cooling it induces, `1 + Σ_c w_c·g_crac[(c, j)]` with
+    /// `w_c = ρ·Cp·F_c / CoP(out_c)`.
+    pub(crate) node_coeff: Vec<f64>,
+    /// Total power with every variable at zero: the nodes' fixed draw at
+    /// `node_coeff` plus the outlet-dependent CRAC term.
+    pub(crate) fixed_power_kw: f64,
+}
+
+/// A caller's LP with the room's rows appended, prepared for patching.
+pub(crate) struct RoomLp<'a> {
+    dc: &'a DataCenter,
+    /// The prepared problem; the caller patches its objective and solves.
+    pub(crate) lp: Prepared,
+    node_rows: Vec<ConstraintId>,
+    crac_rows: Vec<ConstraintId>,
+    power_row: Option<ConstraintId>,
+    fixed_kw: Vec<f64>,
+    /// `Σ_j g_node[(i, j)] · fixed_kw[j]` per node row, and the same over
+    /// `g_crac` per CRAC row.
+    fixed_node: Vec<f64>,
+    fixed_crac: Vec<f64>,
+    /// `(node, kW per unit)` of each `power_budget` term, in row order.
+    power_terms: Vec<(usize, f64)>,
+    power_coeffs: Vec<f64>,
+}
+
+impl<'a> RoomLp<'a> {
+    /// Append `redline_node*`, `redline_crac*` and, with `power_budget`,
+    /// the Eq. 7 Constraint 4 row to `problem`, which already holds the
+    /// caller's variables and outlet-independent rows. Right-hand sides
+    /// and the power row's coefficients are placeholders until
+    /// [`RoomLp::set_outlets`].
+    pub(crate) fn build(
+        dc: &'a DataCenter,
+        mut problem: Problem,
+        layout: Vec<NodeLoad>,
+        power_budget: bool,
+    ) -> Self {
+        let nn = dc.n_nodes();
+        assert_eq!(layout.len(), nn, "one NodeLoad per node");
+        let fixed_kw: Vec<f64> = layout.iter().map(|load| load.fixed_kw).collect();
+
+        // One rule for the terms a row Σ_j g_j · P_j keeps, visited as
+        // `(node, variable, kW per unit, coefficient)`.
+        let visit_terms = |g: &dyn Fn(usize) -> f64,
+                           visit: &mut dyn FnMut(usize, VarId, f64, f64)| {
+            for (node, load) in layout.iter().enumerate() {
+                let g = g(node);
+                for &(v, kw_per_unit) in &load.vars {
+                    let c = g * kw_per_unit;
+                    if c.abs() >= 1e-14 {
+                        visit(node, v, kw_per_unit, c);
+                    }
+                }
+            }
+        };
+        let mut terms: Vec<(VarId, f64)> = Vec::new();
+        let mut thermal_rows = |name: &str, g: &thermaware_linalg::Matrix| {
+            let (mut rows, mut fixed) = (Vec::new(), Vec::new());
+            for i in 0..g.rows() {
+                fixed.push((0..nn).map(|j| g[(i, j)] * fixed_kw[j]).sum());
+                terms.clear();
+                visit_terms(&|j| g[(i, j)], &mut |_, v, _, c| terms.push((v, c)));
+                rows.push(problem.add_row_nodup(&format!("{name}{i}"), &terms, RowOp::Le, 0.0));
+            }
+            (rows, fixed)
+        };
+        let (node_rows, fixed_node) = thermal_rows("redline_node", dc.thermal.g_node());
+        let (crac_rows, fixed_crac) = thermal_rows("redline_crac", dc.thermal.g_crac());
+
+        // Power row: Σ_j P_j + Σ_c w_c (Tin_c − out_c) <= Pconst. Its
+        // coefficients `node_coeff_j · kW per unit` have `node_coeff_j >= 1`
+        // at every candidate, so the terms it keeps are those of `g = 1`.
+        let mut power_terms = Vec::new();
+        let power_row = power_budget.then(|| {
+            terms.clear();
+            visit_terms(&|_| 1.0, &mut |node, v, kw_per_unit, c| {
+                terms.push((v, c));
+                power_terms.push((node, kw_per_unit));
+            });
+            problem.add_row_nodup("power_budget", &terms, RowOp::Le, 0.0)
+        });
+
+        RoomLp {
+            dc,
+            lp: problem.prepare(),
+            node_rows,
+            crac_rows,
+            power_row,
+            fixed_kw,
+            fixed_node,
+            fixed_crac,
+            power_coeffs: Vec::with_capacity(power_terms.len()),
+            power_terms,
+        }
+    }
+
+    /// Patch every right-hand side and the power row for `outlets`.
+    pub(crate) fn set_outlets(&mut self, outlets: &[f64]) -> Linearised {
+        let dc = self.dc;
+        let nn = dc.n_nodes();
+        let coeff = dc.thermal.coefficients(outlets);
+        let w: Vec<f64> = (0..dc.n_crac())
+            .map(|c| RHO_CP * dc.cracs[c].flow_m3s / cop::cop(outlets[c]))
+            .collect();
+        let node_coeff: Vec<f64> = (0..nn)
+            .map(|j| 1.0 + (0..dc.n_crac()).map(|c| w[c] * coeff.g_crac[(c, j)]).sum::<f64>())
+            .collect();
+
+        // The fixed node powers shift every row's rhs.
+        for (i, &row) in self.node_rows.iter().enumerate() {
+            let rhs = dc.thermal.node_redline_c - coeff.base_node[i] - self.fixed_node[i];
+            self.lp.set_rhs(row, rhs);
+        }
+        for (c, &row) in self.crac_rows.iter().enumerate() {
+            let rhs = dc.thermal.crac_redline_c - coeff.base_crac[c] - self.fixed_crac[c];
+            self.lp.set_rhs(row, rhs);
+        }
+
+        // Power row, with Tin_c affine in node powers.
+        let fixed_power_kw: f64 = (0..nn).map(|j| node_coeff[j] * self.fixed_kw[j]).sum::<f64>()
+            + (0..dc.n_crac())
+                .map(|c| w[c] * (coeff.base_crac[c] - outlets[c]))
+                .sum::<f64>();
+        if let Some(row) = self.power_row {
+            self.power_coeffs.clear();
+            self.power_coeffs
+                .extend(self.power_terms.iter().map(|&(node, kw)| node_coeff[node] * kw));
+            self.lp.set_row_coeffs(row, &self.power_coeffs);
+            self.lp.set_rhs(row, dc.budget.p_const_kw - fixed_power_kw);
+        }
+        Linearised {
+            node_coeff,
+            fixed_power_kw,
+        }
+    }
+}
+
+/// The paper's coarse-to-fine outlet search over `evaluate`, which solves
+/// one candidate and returns its plan and score (`None` when infeasible);
+/// then `evaluate` once more at the winner, for its plan.
+pub(crate) fn search_outlets<T>(
+    dc: &DataCenter,
+    search: CracSearchOptions,
+    stage: &'static str,
+    mut evaluate: impl FnMut(&[f64]) -> Option<(T, f64)>,
+) -> Result<(Vec<f64>, T, f64), SolveError> {
+    let (outlets, _) = optimize_crac_outlets(&dc.cracs, search, |outlets| {
+        evaluate(outlets).map(|(_, score)| score)
+    })
+    .ok_or(SolveError::NoFeasibleOutlets { stage })?;
+    let (plan, score) = evaluate(&outlets).ok_or(SolveError::OutletRecheckFailed { stage })?;
+    Ok((outlets, plan, score))
+}
+
+/// Is `total_kw` inside `budget_kw`, to the tolerance an LP solution at
+/// the budget needs?
+pub(crate) fn within_budget(total_kw: f64, budget_kw: f64) -> bool {
+    total_kw <= budget_kw * (1.0 + 1e-7) + 1e-7
+}
+
+/// Exact re-check of an LP solution: the LP's CRAC power is unclamped and
+/// the true (Eq. 3) power can only be larger. Returns the exact total
+/// power (IT + cooling, kW) of `node_powers_kw` at `outlets`, or `None`
+/// when it breaks `budget_kw` or a redline for real.
+pub(crate) fn recheck(
+    dc: &DataCenter,
+    outlets: &[f64],
+    node_powers_kw: &[f64],
+    budget_kw: f64,
+) -> Option<f64> {
+    let (it, cooling, state) = dc.total_power_kw(outlets, node_powers_kw);
+    let total = it + cooling;
+    (within_budget(total, budget_kw) && dc.redlines_ok(&state)).then_some(total)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use thermaware_datacenter::ScenarioParams;
+
+    #[test]
+    fn recheck_refuses_2e7_over_budget_and_accepts_half_e7() {
+        let dc = ScenarioParams::small_test().build(1).unwrap();
+        let outlets = [17.0];
+        let node_powers = dc.node_powers(&vec![0.0; dc.n_nodes()]);
+        let total = recheck(&dc, &outlets, &node_powers, f64::INFINITY).expect("idle room is cool");
+        assert!(total > 1.0, "relative term dominates: {total} kW");
+        assert_eq!(recheck(&dc, &outlets, &node_powers, total / (1.0 + 2e-7)), None);
+        assert_eq!(recheck(&dc, &outlets, &node_powers, total / (1.0 + 0.5e-7)), Some(total));
+        // A redline broken for real is refused whatever the budget.
+        let hot = dc.node_powers(&vec![1e3; dc.n_nodes()]);
+        assert_eq!(recheck(&dc, &outlets, &hot, f64::INFINITY), None);
+    }
+}

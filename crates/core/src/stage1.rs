@@ -26,15 +26,19 @@
 //! ([`thermaware_datacenter::optimize_crac_outlets`]). Its ~190
 //! candidates are one parametric LP: the sensitivities do not depend on
 //! the outlets, so the model is built once per search and each candidate
-//! patches the right-hand sides and the power row (`OutletSweep`).
+//! patches the right-hand sides and the power row. The rows, the patch
+//! and the exact re-check are `crate::room`'s, shared with the baseline
+//! and the two extensions; what is Stage 1's own is the segment variables,
+//! their pricing and the warm basis chained across candidates.
 
 use crate::arr::ArrCurve;
 use crate::error::SolveError;
 use crate::objective::ObjectiveWeights;
+use crate::pwl::PiecewiseLinear;
+use crate::room::{self, NodeLoad, RoomLp};
 use serde::{Deserialize, Serialize};
-use thermaware_datacenter::{optimize_crac_outlets, CracSearchOptions, DataCenter};
-use thermaware_lp::{Basis, ConstraintId, Prepared, Problem, RowOp, Sense, VarId};
-use thermaware_thermal::{cop, RHO_CP};
+use thermaware_datacenter::{CracSearchOptions, DataCenter};
+use thermaware_lp::{Basis, Problem, Sense, Solution, VarId};
 
 /// Options for Stage 1.
 #[derive(Debug, Clone, Copy)]
@@ -94,40 +98,16 @@ pub fn solve_stage1(
     options: &Stage1Options,
 ) -> Result<Stage1Solution, SolveError> {
     let _span = thermaware_obs::span("stage1");
-    // ARR per node type, lifted to node-level aggregate curves.
-    let arr_curves: Vec<ArrCurve> = (0..dc.node_types.len())
-        .map(|j| {
-            ArrCurve::build(
-                &dc.workload,
-                &dc.node_types[j].core.pstates,
-                j,
-                options.psi_percent,
-            )
-        })
-        .collect();
+    let (arr_curves, node_curves) = arr_and_node_curves(dc, options.psi_percent);
     if thermaware_obs::enabled() {
         for c in &arr_curves {
             thermaware_obs::observe("core.arr_hull_points", c.curve.points().len() as f64);
         }
     }
-    let node_curves: Vec<crate::pwl::PiecewiseLinear> = (0..dc.node_types.len())
-        .map(|j| {
-            arr_curves[j]
-                .curve
-                .aggregate_copies(dc.node_types[j].cores_per_node)
-        })
-        .collect();
 
     let mut sweep = OutletSweep::new(dc, &node_curves, options);
-    let best = optimize_crac_outlets(&dc.cracs, options.search, |outlets| {
-        sweep.evaluate(outlets).map(|(_, obj)| obj)
-    })
-    .ok_or(SolveError::NoFeasibleOutlets { stage: "stage1" })?;
-    let (crac_out_c, _) = best;
-
-    let (node_core_power_kw, objective) = sweep
-        .evaluate(&crac_out_c)
-        .ok_or(SolveError::OutletRecheckFailed { stage: "stage1" })?;
+    let (crac_out_c, node_core_power_kw, objective) =
+        room::search_outlets(dc, options.search, "stage1", |outlets| sweep.evaluate(outlets))?;
     thermaware_obs::gauge_set("core.stage1_objective", objective);
 
     // Distribute each node's power to its cores along the per-core hull.
@@ -153,126 +133,40 @@ pub fn solve_stage1(
     })
 }
 
-/// The fixed-outlet LP of one Stage-1 outlet search, built once.
-///
-/// Across candidates the LP keeps its variables (one per node × hull
-/// segment) and its thermal rows' coefficients: the sensitivities
-/// `g_node`/`g_crac` do not depend on the outlets. What a candidate
-/// changes is every right-hand side (through the `base` vectors), the
-/// `power_budget` row's coefficients (through `CoP(out_c)`) and, with
-/// cost weights, the objective coefficients. [`OutletSweep::evaluate`]
-/// computes exactly those — with the expressions, in the order, a
-/// per-candidate model build would use — and patches them into the
-/// prepared problem, so a sweep is bit for bit the sequence of LPs built
-/// one by one, at the cost of what differs between them.
+/// Stage 1's use of the room LP over one outlet search: one variable per
+/// node × hull segment, each a kW of that node's core power, priced at the
+/// segment's slope; the last feasible candidate's basis carried forward.
 struct OutletSweep<'a> {
     dc: &'a DataCenter,
     options: &'a Stage1Options,
-    lp: Prepared,
+    room: RoomLp<'a>,
     /// Segment slopes of every node type's aggregate ARR curve.
     slopes: Vec<Vec<f64>>,
     /// Segment variables of every node.
     node_vars: Vec<Vec<VarId>>,
-    node_rows: Vec<ConstraintId>,
-    crac_rows: Vec<ConstraintId>,
-    power_row: ConstraintId,
-    /// Base (idle) power of every node: constant, shifts every row's rhs.
-    base_power: Vec<f64>,
-    /// `Σ_j g_node[(i, j)] · base_power[j]` per node row, and the same
-    /// over `g_crac` per CRAC row.
-    fixed_node: Vec<f64>,
-    fixed_crac: Vec<f64>,
     /// The last feasible candidate's optimal basis.
     warm: Option<Basis>,
-    /// `power_budget` coefficients, one per segment variable.
-    power_coeffs: Vec<f64>,
 }
 
 impl<'a> OutletSweep<'a> {
     fn new(
         dc: &'a DataCenter,
-        node_curves: &[crate::pwl::PiecewiseLinear],
+        node_curves: &[PiecewiseLinear],
         options: &'a Stage1Options,
     ) -> Self {
-        let nn = dc.n_nodes();
-        let (g_node, g_crac) = (dc.thermal.g_node(), dc.thermal.g_crac());
         let slopes: Vec<Vec<f64>> = node_curves.iter().map(|c| c.slopes()).collect();
-
         let mut p = Problem::new(Sense::Maximize);
-        // Segment variables per node; remember each node's var ids. The
-        // objective is the raw slope, which is what reward-only weights
-        // keep (bit-identical path); cost weights overwrite it per
-        // candidate.
-        let mut node_vars: Vec<Vec<VarId>> = Vec::with_capacity(nn);
-        for node in 0..nn {
-            let t = dc.node_type_of[node];
-            let pts = node_curves[t].points();
-            let slopes = &slopes[t];
-            let vars = (0..slopes.len())
-                .map(|s| {
-                    let len = pts[s + 1].0 - pts[s].0;
-                    p.add_var(&format!("seg_n{node}_s{s}"), 0.0, len, slopes[s])
-                })
-                .collect();
-            node_vars.push(vars);
-        }
-
-        // Per-node-power coefficient helper: a row Σ_j c_j · P_core_j (op) rhs
-        // expands over each node's segment variables.
-        let row_terms = |coeffs: &dyn Fn(usize) -> f64| -> Vec<(VarId, f64)> {
-            let mut terms = Vec::with_capacity(nn * 4);
-            for (node, vars) in node_vars.iter().enumerate() {
-                let c = coeffs(node);
-                if c.abs() < 1e-14 {
-                    continue;
-                }
-                for &v in vars {
-                    terms.push((v, c));
-                }
-            }
-            terms
-        };
-
-        let base_power: Vec<f64> = (0..nn).map(|j| dc.node_type(j).base_power_kw).collect();
-
-        // Thermal rows: node inlets <= node redline, CRAC inlets <= CRAC
-        // redline. Right-hand sides are placeholders until `evaluate`.
-        let mut node_rows = Vec::with_capacity(nn);
-        let mut fixed_node = Vec::with_capacity(nn);
-        for i in 0..nn {
-            fixed_node.push((0..nn).map(|j| g_node[(i, j)] * base_power[j]).sum());
-            let terms = row_terms(&|j| g_node[(i, j)]);
-            node_rows.push(p.add_row_nodup(&format!("redline_node{i}"), &terms, RowOp::Le, 0.0));
-        }
-        let mut crac_rows = Vec::with_capacity(dc.n_crac());
-        let mut fixed_crac = Vec::with_capacity(dc.n_crac());
-        for c in 0..dc.n_crac() {
-            fixed_crac.push((0..nn).map(|j| g_crac[(c, j)] * base_power[j]).sum());
-            let terms = row_terms(&|j| g_crac[(c, j)]);
-            crac_rows.push(p.add_row_nodup(&format!("redline_crac{c}"), &terms, RowOp::Le, 0.0));
-        }
-
-        // Power row: Σ_j P_j + Σ_c w_c (Tin_c - out_c) <= Pconst. Its
-        // coefficients `node_coeff_j = 1 + Σ_c w_c·g_crac` are at least 1,
-        // so every node is in the row at every candidate.
-        let terms = row_terms(&|_| 1.0);
-        let power_coeffs = Vec::with_capacity(terms.len());
-        let power_row = p.add_row_nodup("power_budget", &terms, RowOp::Le, 0.0);
-
+        // The objective is the raw slope, which is what reward-only
+        // weights keep (bit-identical path); cost weights overwrite it
+        // per candidate.
+        let node_vars = add_segment_vars(&mut p, dc, node_curves, |slope| slope);
         OutletSweep {
             dc,
             options,
-            lp: p.prepare(),
+            room: RoomLp::build(dc, p, segment_layout(dc, &node_vars), true),
             slopes,
             node_vars,
-            node_rows,
-            crac_rows,
-            power_row,
-            base_power,
-            fixed_node,
-            fixed_crac,
             warm: None,
-            power_coeffs,
         }
     }
 
@@ -296,17 +190,7 @@ impl<'a> OutletSweep<'a> {
     /// next grid point.
     fn evaluate(&mut self, outlets: &[f64]) -> Option<(Vec<f64>, f64)> {
         let dc = self.dc;
-        let nn = dc.n_nodes();
-        let coeff = dc.thermal.coefficients(outlets);
-
-        // Total-power sensitivities:
-        // w_c = ρ·Cp·F_c / CoP(out_c), node_coeff_j = 1 + Σ_c w_c·g_crac.
-        let w: Vec<f64> = (0..dc.n_crac())
-            .map(|c| RHO_CP * dc.cracs[c].flow_m3s / cop::cop(outlets[c]))
-            .collect();
-        let node_coeff: Vec<f64> = (0..nn)
-            .map(|j| 1.0 + (0..dc.n_crac()).map(|c| w[c] * coeff.g_crac[(c, j)]).sum::<f64>())
-            .collect();
+        let linearised = self.room.set_outlets(outlets);
         let objective = &self.options.objective;
         let reward_only = objective.is_reward_only();
         let cost_rate = objective.cost_rate_per_kws();
@@ -315,69 +199,98 @@ impl<'a> OutletSweep<'a> {
             for (node, vars) in self.node_vars.iter().enumerate() {
                 let slopes = &self.slopes[dc.node_type_of[node]];
                 for (&v, &slope) in vars.iter().zip(slopes) {
-                    let obj = objective.reward_weight * slope - cost_rate * node_coeff[node];
-                    self.lp.set_var_objective(v, obj);
+                    let obj =
+                        objective.reward_weight * slope - cost_rate * linearised.node_coeff[node];
+                    self.room.lp.set_var_objective(v, obj);
                 }
             }
         }
 
-        // Base node powers are constant; they shift every row's rhs.
-        for (i, &row) in self.node_rows.iter().enumerate() {
-            let rhs = dc.thermal.node_redline_c - coeff.base_node[i] - self.fixed_node[i];
-            self.lp.set_rhs(row, rhs);
-        }
-        for (c, &row) in self.crac_rows.iter().enumerate() {
-            let rhs = dc.thermal.crac_redline_c - coeff.base_crac[c] - self.fixed_crac[c];
-            self.lp.set_rhs(row, rhs);
-        }
-
-        // Power row, with Tin_c affine in node powers.
-        let fixed_power: f64 = (0..nn).map(|j| node_coeff[j] * self.base_power[j]).sum::<f64>()
-            + (0..dc.n_crac())
-                .map(|c| w[c] * (coeff.base_crac[c] - outlets[c]))
-                .sum::<f64>();
-        self.power_coeffs.clear();
-        for (vars, &c) in self.node_vars.iter().zip(&node_coeff) {
-            self.power_coeffs.extend(std::iter::repeat_n(c, vars.len()));
-        }
-        self.lp.set_row_coeffs(self.power_row, &self.power_coeffs);
-        self.lp.set_rhs(self.power_row, dc.budget.p_const_kw - fixed_power);
-
         if !self.options.warm_start {
             self.warm = None;
         }
-        let mut sol = self.lp.solve_warm(self.warm.as_ref()).ok()?;
+        let mut sol = self.room.lp.solve_warm(self.warm.as_ref()).ok()?;
         self.warm = sol.take_basis();
 
-        // Recover per-node core power.
-        let node_core_power: Vec<f64> = self
-            .node_vars
-            .iter()
-            .map(|vars| vars.iter().map(|&v| sol.value(v).max(0.0)).sum())
-            .collect();
-
-        // Exact re-check: the LP's CRAC power is unclamped; the true (Eq. 3)
-        // power can only be larger, so reject if the budget breaks for real.
-        let node_powers: Vec<f64> = (0..nn)
-            .map(|j| self.base_power[j] + node_core_power[j])
-            .collect();
-        let (it, cooling, state) = dc.total_power_kw(outlets, &node_powers);
-        if it + cooling > dc.budget.p_const_kw * (1.0 + 1e-7) + 1e-7 {
-            return None;
-        }
-        if !dc.redlines_ok(&state) {
-            return None;
-        }
+        let node_core_power = segment_node_power(&self.node_vars, &sol);
+        let node_powers = dc.node_powers(&node_core_power);
+        room::recheck(dc, outlets, &node_powers, dc.budget.p_const_kw)?;
         // The variables only carry the *marginal* cost; fold in the cost of
         // the fixed draw (node bases + outlet-dependent CRAC floor) so the
         // outlet search compares candidates by the full net objective.
         let objective_value = if reward_only {
             sol.objective
         } else {
-            sol.objective - cost_rate * fixed_power
+            sol.objective - cost_rate * linearised.fixed_power_kw
         };
         Some((node_core_power, objective_value))
     }
+}
+
+/// ARR per node type at `psi_percent`, and each lifted to the node-level
+/// aggregate curve of that type's `cores_per_node` identical cores.
+pub(crate) fn arr_and_node_curves(
+    dc: &DataCenter,
+    psi_percent: f64,
+) -> (Vec<ArrCurve>, Vec<PiecewiseLinear>) {
+    let arr_curves: Vec<ArrCurve> = (0..dc.node_types.len())
+        .map(|j| ArrCurve::build(&dc.workload, &dc.node_types[j].core.pstates, j, psi_percent))
+        .collect();
+    let node_curves = (0..dc.node_types.len())
+        .map(|j| {
+            arr_curves[j]
+                .curve
+                .aggregate_copies(dc.node_types[j].cores_per_node)
+        })
+        .collect();
+    (arr_curves, node_curves)
+}
+
+/// One variable per node × segment of the node's aggregate ARR curve,
+/// bounded by the segment's length (kW of core power) and priced at
+/// `objective(slope)`. Returns each node's variables.
+pub(crate) fn add_segment_vars(
+    p: &mut Problem,
+    dc: &DataCenter,
+    node_curves: &[PiecewiseLinear],
+    objective: impl Fn(f64) -> f64,
+) -> Vec<Vec<VarId>> {
+    (0..dc.n_nodes())
+        .map(|node| {
+            let curve = &node_curves[dc.node_type_of[node]];
+            let pts = curve.points();
+            curve
+                .slopes()
+                .iter()
+                .enumerate()
+                .map(|(s, &slope)| {
+                    let len = pts[s + 1].0 - pts[s].0;
+                    p.add_var(&format!("seg_n{node}_s{s}"), 0.0, len, objective(slope))
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// The room-LP layout of hull-segment variables: each is a kW of its
+/// node's core power, on top of the node's base power.
+pub(crate) fn segment_layout(dc: &DataCenter, node_vars: &[Vec<VarId>]) -> Vec<NodeLoad> {
+    node_vars
+        .iter()
+        .enumerate()
+        .map(|(node, vars)| NodeLoad {
+            vars: vars.iter().map(|&v| (v, 1.0)).collect(),
+            fixed_kw: dc.node_type(node).base_power_kw,
+        })
+        .collect()
+}
+
+/// Per-node core power of a solution over hull-segment variables.
+pub(crate) fn segment_node_power(node_vars: &[Vec<VarId>], sol: &Solution) -> Vec<f64> {
+    node_vars
+        .iter()
+        .map(|vars| vars.iter().map(|&v| sol.value(v).max(0.0)).sum())
+        .collect()
 }
 
 /// Split a node's total core power across its cores using adjacent hull
@@ -530,13 +443,7 @@ mod tests {
         }
         .build(5)
         .unwrap();
-        let node_curves: Vec<crate::pwl::PiecewiseLinear> = (0..dc.node_types.len())
-            .map(|j| {
-                ArrCurve::build(&dc.workload, &dc.node_types[j].core.pstates, j, 50.0)
-                    .curve
-                    .aggregate_copies(dc.node_types[j].cores_per_node)
-            })
-            .collect();
+        let (_, node_curves) = arr_and_node_curves(&dc, 50.0);
         let candidates: Vec<[f64; 2]> = [
             [12.0, 12.0],
             [18.0, 15.0],

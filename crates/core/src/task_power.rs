@@ -19,10 +19,11 @@
 //! power budget and the thermal redlines become rows **in TC** rather
 //! than facts fixed by Stage 2.
 
+use crate::error::SolveError;
+use crate::room::{self, NodeLoad, RoomLp};
 use crate::stage3::Stage3Solution;
 use thermaware_datacenter::DataCenter;
 use thermaware_lp::{Problem, RowOp, Sense, VarId};
-use thermaware_thermal::{cop, RHO_CP};
 
 /// Per-task-type power behaviour.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,12 +87,11 @@ pub fn solve_stage3_task_aware(
     pstates: &[usize],
     crac_out_c: &[f64],
     model: &TaskPowerModel,
-) -> Result<TaskAwareSolution, String> {
+) -> Result<TaskAwareSolution, SolveError> {
     assert_eq!(pstates.len(), dc.n_cores());
     let t = dc.n_task_types();
     model.check(t);
     let nn = dc.n_nodes();
-    let coeff = dc.thermal.coefficients(crac_out_c);
 
     // ---- Group cores by (node, P-state): cores of one node share a type,
     // so within a node the P-state fully determines behaviour. ----------
@@ -247,66 +247,27 @@ pub fn solve_stage3_task_aware(
         split[gi].1 * (model.factors[i] - model.idle_factor) / ecs
     };
 
-    // Thermal rows: Tin_u = base + Σ_j G[u][j]·P_j(TC) <= redline.
-    let add_affine_row = |name: &str,
-                              p: &mut Problem,
-                              g_of_node: &dyn Fn(usize) -> f64,
-                              rhs_minus_base: f64| {
-        let mut terms: Vec<(VarId, f64)> = Vec::new();
-        let mut fixed = 0.0;
-        for (gi, g) in groups.iter().enumerate() {
-            let gn = g_of_node(g.node);
-            if gn.abs() < 1e-14 {
-                continue;
-            }
-            for i in 0..t {
-                if let Some(v) = vars[gi][i] {
-                    let c = gn * power_coeff(gi, i);
-                    if c != 0.0 { // lint: allow(float-eq): skip exactly-zero computed coefficients; a zero term is harmless either way
-                        terms.push((v, c));
-                    }
-                }
+    // Redlines and power budget over those node powers are the room's.
+    let mut layout: Vec<NodeLoad> = fixed_node_power
+        .iter()
+        .map(|&fixed_kw| NodeLoad {
+            vars: Vec::new(),
+            fixed_kw,
+        })
+        .collect();
+    for (gi, g) in groups.iter().enumerate() {
+        for i in 0..t {
+            if let Some(v) = vars[gi][i] {
+                layout[g.node].vars.push((v, power_coeff(gi, i)));
             }
         }
-        for j in 0..nn {
-            fixed += g_of_node(j) * fixed_node_power[j];
-        }
-        p.add_row_nodup(name, &terms, RowOp::Le, rhs_minus_base - fixed);
-    };
-    for u in 0..nn {
-        add_affine_row(
-            &format!("redline_node{u}"),
-            &mut p,
-            &|j| coeff.g_node[(u, j)],
-            dc.thermal.node_redline_c - coeff.base_node[u],
-        );
     }
-    for c in 0..dc.n_crac() {
-        add_affine_row(
-            &format!("redline_crac{c}"),
-            &mut p,
-            &|j| coeff.g_crac[(c, j)],
-            dc.thermal.crac_redline_c - coeff.base_crac[c],
-        );
-    }
-    // Power budget with the linearized CRAC power (as in Stage 1).
-    let w: Vec<f64> = (0..dc.n_crac())
-        .map(|c| RHO_CP * dc.cracs[c].flow_m3s / cop::cop(crac_out_c[c]))
-        .collect();
-    let node_coeff: Vec<f64> = (0..nn)
-        .map(|j| 1.0 + (0..dc.n_crac()).map(|c| w[c] * coeff.g_crac[(c, j)]).sum::<f64>())
-        .collect();
-    let crac_fixed: f64 = (0..dc.n_crac())
-        .map(|c| w[c] * (coeff.base_crac[c] - crac_out_c[c]))
-        .sum();
-    add_affine_row(
-        "power_budget",
-        &mut p,
-        &|j| node_coeff[j],
-        dc.budget.p_const_kw - crac_fixed,
-    );
-
-    let sol = p.solve().map_err(|e| format!("task-aware Stage 3 LP: {e}"))?;
+    let mut room = RoomLp::build(dc, p, layout, true);
+    room.set_outlets(crac_out_c);
+    let sol = room.lp.solve_warm(None).map_err(|source| SolveError::Lp {
+        stage: "task_power",
+        source,
+    })?;
 
     // ---- Re-package as a Stage3Solution --------------------------------
     let mut group_of_core = vec![usize::MAX; dc.n_cores()];
@@ -381,7 +342,7 @@ pub fn reclaim_power(
     crac_out_c: &[f64],
     model: &TaskPowerModel,
     max_upgrades: usize,
-) -> Result<(Vec<usize>, TaskAwareSolution), String> {
+) -> Result<(Vec<usize>, TaskAwareSolution), SolveError> {
     let mut current = pstates.to_vec();
     let mut best = solve_stage3_task_aware(dc, &current, crac_out_c, model)?;
     for _ in 0..max_upgrades {
@@ -444,7 +405,7 @@ pub fn reclaim_power(
             trial[core] -= 1;
             match solve_stage3_task_aware(dc, &trial, crac_out_c, model) {
                 Ok(sol)
-                    if sol.total_power_kw <= dc.budget.p_const_kw * (1.0 + 1e-7) + 1e-7
+                    if room::within_budget(sol.total_power_kw, dc.budget.p_const_kw)
                         && sol.reward_rate > best.reward_rate + 1e-9 =>
                 {
                     current = trial;
@@ -601,6 +562,20 @@ mod tests {
             fixed.reward_rate
         );
         assert_eq!(upgraded, plan.pstates, "P-states changed without headroom");
+    }
+
+    #[test]
+    fn a_budget_below_the_fixed_draw_is_a_typed_infeasibility() {
+        let (mut dc, plan) = setup();
+        dc.budget.p_const_kw = 0.5 * dc.budget.p_min_kw;
+        let model = TaskPowerModel::uniform(dc.n_task_types());
+        match solve_stage3_task_aware(&dc, &plan.pstates, plan.crac_out_c(), &model) {
+            Err(SolveError::Lp {
+                stage: "task_power",
+                source: thermaware_lp::LpError::Infeasible { .. },
+            }) => {}
+            other => panic!("expected an infeasible task_power LP, got {other:?}"),
+        }
     }
 
     #[test]

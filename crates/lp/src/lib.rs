@@ -67,7 +67,6 @@ mod internal;
 mod model;
 pub mod mps;
 mod prepared;
-mod presolve;
 mod revised;
 mod simplex;
 mod solution;

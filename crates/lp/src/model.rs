@@ -52,8 +52,8 @@ pub(crate) struct Constraint {
 ///
 /// Variables carry box bounds `[lower, upper]` (either side may be
 /// infinite) and an objective coefficient; constraints are sparse rows.
-/// Call [`Problem::solve`] for an optimum or [`Problem::solve_feasibility`]
-/// for any feasible point (used by the Appendix-B coefficient generator).
+/// Call [`Problem::solve`] for an optimum; a pure feasibility problem (the
+/// Appendix-B coefficient generator's) is one with a zero objective.
 #[derive(Debug, Clone)]
 pub struct Problem {
     pub(crate) sense: Sense,
@@ -73,7 +73,7 @@ pub(crate) fn solve_with(
     match revised::solve(problem, form, warm) {
         Err(LpError::IterationLimit { .. }) | Err(LpError::Internal { .. }) => {
             thermaware_obs::counter_add("lp.dense_fallbacks", 1);
-            simplex::solve(problem, false)
+            simplex::solve(problem)
         }
         other => other,
     }
@@ -283,23 +283,7 @@ impl Problem {
     /// independent implementation; production callers use
     /// [`Problem::solve`].
     pub fn solve_dense(&self) -> Result<Solution, LpError> {
-        simplex::solve(self, false)
-    }
-
-    /// Solve after a presolve pass (fixed-variable substitution, empty-row
-    /// elimination, unconstrained-column pinning); the postsolve maps
-    /// primal values and row duals back exactly. Opt-in — see the
-    /// `presolve` module docs for when it pays.
-    pub fn solve_presolved(&self) -> Result<Solution, LpError> {
-        crate::presolve::solve_presolved(self)
-    }
-
-    /// Find *any* feasible point (phase 1 only); the objective is ignored.
-    ///
-    /// Used by the Appendix-B cross-interference LP, which is a pure
-    /// feasibility problem ("Find α subject to …").
-    pub fn solve_feasibility(&self) -> Result<Solution, LpError> {
-        simplex::solve(self, true)
+        simplex::solve(self)
     }
 
     /// Evaluate the objective at a given point (no feasibility check).

@@ -335,8 +335,7 @@ impl Tableau {
     }
 }
 
-/// Solve `problem` with the dense engine; when `feasibility_only`, stop
-/// after phase 1 and report any feasible point.
+/// Solve `problem` with the dense engine.
 ///
 /// Observability wrapper around [`solve_impl`]: per-solve wall time,
 /// iteration/pivot/degeneracy statistics, and outcome counters. The LP
@@ -345,13 +344,13 @@ impl Tableau {
 /// single recorder visit, and no span is opened here — `lp.solve_us` is
 /// the per-solve timing. With no recorder installed this adds one
 /// relaxed atomic load to the solve.
-pub(crate) fn solve(problem: &Problem, feasibility_only: bool) -> Result<Solution, LpError> {
+pub(crate) fn solve(problem: &Problem) -> Result<Solution, LpError> {
     let mut degen = 0usize;
     if !thermaware_obs::enabled() {
-        return solve_impl(problem, feasibility_only, &mut degen);
+        return solve_impl(problem, &mut degen);
     }
     let start = std::time::Instant::now();
-    let result = solve_impl(problem, feasibility_only, &mut degen);
+    let result = solve_impl(problem, &mut degen);
     let elapsed_us = start.elapsed().as_micros() as f64;
     thermaware_obs::with_recorder(|r| {
         r.counter_add("lp.solves", 1);
@@ -371,11 +370,7 @@ pub(crate) fn solve(problem: &Problem, feasibility_only: bool) -> Result<Solutio
     result
 }
 
-fn solve_impl(
-    problem: &Problem,
-    feasibility_only: bool,
-    degen_out: &mut usize,
-) -> Result<Solution, LpError> {
+fn solve_impl(problem: &Problem, degen_out: &mut usize) -> Result<Solution, LpError> {
     let f = InternalForm::build(problem);
     let nrows = f.m();
     let n_total = f.n_total;
@@ -448,20 +443,6 @@ fn solve_impl(
                 tab.state[j] = VarState::Lower;
             }
         }
-    }
-
-    if feasibility_only {
-        let (values, duals) = extract(problem, &tab, &f)?;
-        let objective = problem.objective_value(&values);
-        *degen_out = tab.degen_total;
-        return Ok(Solution {
-            status: Status::Feasible,
-            objective,
-            values,
-            duals,
-            iterations: tab.iterations,
-            basis: None,
-        });
     }
 
     // ---- Phase 2 ----------------------------------------------------------

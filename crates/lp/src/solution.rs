@@ -6,9 +6,6 @@ use std::fmt;
 pub enum Status {
     /// An optimal solution was found.
     Optimal,
-    /// A feasible (not necessarily optimal) point was found — returned by
-    /// [`crate::Problem::solve_feasibility`].
-    Feasible,
 }
 
 /// A solved LP.
@@ -32,8 +29,7 @@ pub struct Solution {
     pub duals: Vec<f64>,
     /// Number of simplex pivots performed (both phases).
     pub iterations: usize,
-    /// Warm-start handle captured at termination (engine-dependent; the
-    /// feasibility-only and presolved paths return `None`).
+    /// Warm-start handle captured at termination.
     pub(crate) basis: Option<crate::Basis>,
 }
 

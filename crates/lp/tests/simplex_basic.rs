@@ -174,15 +174,16 @@ fn degenerate_lp_terminates() {
 }
 
 #[test]
-fn feasibility_mode_finds_a_point() {
+fn zero_objective_solve_finds_a_point() {
     let mut p = Problem::new(Sense::Minimize);
     let x = p.add_var("x", 0.0, 10.0, 0.0);
     let y = p.add_var("y", 0.0, 10.0, 0.0);
     p.add_row("r1", &[(x, 1.0), (y, 1.0)], RowOp::Eq, 7.0);
     p.add_row("r2", &[(x, 1.0), (y, -1.0)], RowOp::Ge, 1.0);
-    let sol = p.solve_feasibility().unwrap();
-    assert_eq!(sol.status, Status::Feasible);
-    assert!(p.max_violation(&sol.values) < 1e-7);
+    for sol in [p.solve().unwrap(), p.solve_dense().unwrap()] {
+        assert_eq!(sol.status, Status::Optimal);
+        assert!(p.max_violation(&sol.values) < 1e-7);
+    }
 }
 
 #[test]

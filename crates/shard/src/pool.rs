@@ -692,5 +692,6 @@ mod tests {
             }
         }
         assert!(scoped_map(0, 4, |i| i).is_empty());
+        assert_eq!(scoped_map(1, 4, |i| i + 10), vec![Ok(10)]);
     }
 }
