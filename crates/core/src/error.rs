@@ -7,15 +7,18 @@
 //! infeasibility (degrade further and retry) is distinguishable from
 //! numerical pathology or caller bugs (stop retrying; escalate).
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::fmt;
 use thermaware_lp::LpError;
 
-/// Stage names appear in [`SolveError`] as `&'static str`; deserialization
-/// interns the string back to the known constant (or a recognizable
-/// fallback — the set of stages is closed, so hitting the fallback means
-/// the payload came from a newer writer).
-fn intern_stage(s: &str) -> &'static str {
+/// Stage names appear in [`SolveError`] as `&'static str`
+/// (`#[serde(with = "stage_name")]`): reading interns the string back to
+/// the known constant (or a recognizable fallback — the set of stages is
+/// closed, so hitting the fallback means the payload came from a newer
+/// writer).
+mod stage_name {
+    use serde::{Deserialize, Error, Serialize, Value};
+
     const KNOWN: &[&str] = &[
         "stage1",
         "stage2",
@@ -26,20 +29,26 @@ fn intern_stage(s: &str) -> &'static str {
         "task_power",
         "crac_search",
     ];
-    KNOWN
-        .iter()
-        .find(|k| **k == s)
-        .copied()
-        .unwrap_or("unrecognized")
+
+    pub(super) fn to_value(stage: &&'static str) -> Value {
+        stage.to_value()
+    }
+
+    pub(super) fn from_value(v: &Value) -> Result<&'static str, Error> {
+        let stage = String::from_value(v)?;
+        Ok(KNOWN.iter().find(|k| **k == stage).copied().unwrap_or("unrecognized"))
+    }
 }
 
 /// Why a stage solver could not produce a plan.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
 pub enum SolveError {
     /// No searched CRAC outlet combination admitted a feasible
     /// power/thermal assignment (a thermally unbuildable configuration).
     NoFeasibleOutlets {
         /// Which solver was searching (`"stage1"`, `"baseline"`, ...).
+        #[serde(with = "stage_name")]
         stage: &'static str,
     },
     /// The outlet combination chosen during the search failed the exact
@@ -47,11 +56,13 @@ pub enum SolveError {
     /// optimistic at precisely the winning point.
     OutletRecheckFailed {
         /// Which solver was rechecking.
+        #[serde(with = "stage_name")]
         stage: &'static str,
     },
     /// An LP embedded in a stage failed.
     Lp {
         /// Which solver owned the LP.
+        #[serde(with = "stage_name")]
         stage: &'static str,
         /// The solver-level cause.
         source: LpError,
@@ -108,67 +119,10 @@ impl std::error::Error for SolveError {
     }
 }
 
-// Hand-written serde (the vendored derive cannot express payload enums):
-// a tagged object `{"kind": ..., <payload>}`, with stage names interned
-// back to `&'static str` on the way in.
-impl Serialize for SolveError {
-    fn to_value(&self) -> Value {
-        let entries = match self {
-            SolveError::NoFeasibleOutlets { stage } => vec![
-                ("kind".to_string(), "no_feasible_outlets".to_value()),
-                ("stage".to_string(), stage.to_value()),
-            ],
-            SolveError::OutletRecheckFailed { stage } => vec![
-                ("kind".to_string(), "outlet_recheck_failed".to_value()),
-                ("stage".to_string(), stage.to_value()),
-            ],
-            SolveError::Lp { stage, source } => vec![
-                ("kind".to_string(), "lp".to_value()),
-                ("stage".to_string(), stage.to_value()),
-                ("source".to_string(), source.to_value()),
-            ],
-            SolveError::InvalidInput { what } => vec![
-                ("kind".to_string(), "invalid_input".to_value()),
-                ("what".to_string(), what.to_value()),
-            ],
-        };
-        Value::Object(entries)
-    }
-}
-
-impl Deserialize for SolveError {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let entries = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("SolveError: expected object"))?;
-        let kind: String = serde::field(entries, "kind")?;
-        let stage = |entries: &[(String, Value)]| -> Result<&'static str, serde::Error> {
-            serde::field::<String>(entries, "stage").map(|s| intern_stage(&s))
-        };
-        match kind.as_str() {
-            "no_feasible_outlets" => Ok(SolveError::NoFeasibleOutlets {
-                stage: stage(entries)?,
-            }),
-            "outlet_recheck_failed" => Ok(SolveError::OutletRecheckFailed {
-                stage: stage(entries)?,
-            }),
-            "lp" => Ok(SolveError::Lp {
-                stage: stage(entries)?,
-                source: serde::field(entries, "source")?,
-            }),
-            "invalid_input" => Ok(SolveError::InvalidInput {
-                what: serde::field(entries, "what")?,
-            }),
-            other => Err(serde::Error::custom(format!(
-                "SolveError: unknown kind '{other}'"
-            ))),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     #[test]
     fn infeasibility_classification() {

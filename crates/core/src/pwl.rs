@@ -11,9 +11,9 @@ pub struct PiecewiseLinear {
     points: Vec<(f64, f64)>,
 }
 
-// Deserialization is written by hand so a corrupted checkpoint yields an
-// error rather than tripping `PiecewiseLinear::new`'s panic on
-// non-increasing breakpoints.
+// By hand: the breakpoints of a curve read from disk are checked, so a
+// corrupted checkpoint yields an error rather than tripping
+// `PiecewiseLinear::new`'s panic on non-increasing breakpoints.
 impl serde::Deserialize for PiecewiseLinear {
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
         let entries = v

@@ -43,7 +43,7 @@
 //! # Example
 //!
 //! ```
-//! use thermaware_lp::{Problem, Sense, RowOp, Status};
+//! use thermaware_lp::{Problem, Sense, RowOp};
 //!
 //! // maximize 3x + 2y  s.t.  x + y <= 4,  x <= 2,  x, y >= 0
 //! let mut p = Problem::new(Sense::Maximize);
@@ -51,7 +51,6 @@
 //! let y = p.add_var("y", 0.0, f64::INFINITY, 2.0);
 //! p.add_row("cap", &[(x, 1.0), (y, 1.0)], RowOp::Le, 4.0);
 //! let mut sol = p.solve().unwrap();
-//! assert_eq!(sol.status, Status::Optimal);
 //! assert!((sol.objective - 10.0).abs() < 1e-9); // x = 2, y = 2
 //!
 //! // Perturb the budget and re-solve warm from the previous basis.
@@ -75,4 +74,4 @@ pub use basis::Basis;
 pub use model::{ConstraintId, Problem, RowOp, Sense, VarId};
 pub use mps::to_mps;
 pub use prepared::Prepared;
-pub use solution::{LpError, Solution, Status};
+pub use solution::{LpError, Solution};

@@ -251,9 +251,8 @@ impl Problem {
 
     /// Solve the LP to optimality.
     ///
-    /// Returns a [`Solution`] whose `status` is [`crate::Status::Optimal`],
-    /// or an [`LpError`] describing infeasibility / unboundedness /
-    /// numerical failure.
+    /// Returns the optimal [`Solution`], or an [`LpError`] describing
+    /// infeasibility / unboundedness / numerical failure.
     ///
     /// Runs the sparse revised simplex ([`crate::revised`]); numerical
     /// pathologies (iteration cap, near-singular pivots) retry on the

@@ -48,7 +48,7 @@
 use crate::basis::Basis;
 use crate::internal::{InternalForm, VarState};
 use crate::model::Problem;
-use crate::solution::{LpError, Solution, Status};
+use crate::solution::{LpError, Solution};
 use std::cell::Cell;
 use std::time::Instant;
 use thermaware_linalg::{CompressedLu, Lu, Matrix};
@@ -765,7 +765,6 @@ impl<'a> Rev<'a> {
 
         let objective = problem.objective_value(&values);
         Ok(Solution {
-            status: Status::Optimal,
             objective,
             values,
             duals,

@@ -19,7 +19,7 @@
 use crate::basis::Basis;
 use crate::internal::{InternalForm, VarState};
 use crate::model::{Problem, RowOp};
-use crate::solution::{LpError, Solution, Status};
+use crate::solution::{LpError, Solution};
 use thermaware_linalg::Matrix;
 
 /// Entries smaller than this are unusable as pivots.
@@ -479,7 +479,6 @@ fn solve_impl(problem: &Problem, degen_out: &mut usize) -> Result<Solution, LpEr
     );
     *degen_out = tab.degen_total;
     Ok(Solution {
-        status: Status::Optimal,
         objective,
         values,
         duals,

@@ -1,18 +1,10 @@
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Termination status of a solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Status {
-    /// An optimal solution was found.
-    Optimal,
-}
-
-/// A solved LP.
+/// A solved LP: an optimal solution (every other ending is an
+/// [`LpError`]).
 #[derive(Debug, Clone)]
 pub struct Solution {
-    /// Termination status.
-    pub status: Status,
     /// Objective value in the *user's* sense (maximization problems report
     /// the maximum).
     pub objective: f64,
@@ -58,7 +50,8 @@ impl Solution {
 }
 
 /// Errors from the simplex solver.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
 pub enum LpError {
     /// The constraint set admits no feasible point. The payload is the
     /// residual infeasibility left after phase 1 (useful for diagnosing
@@ -109,47 +102,3 @@ impl fmt::Display for LpError {
 }
 
 impl std::error::Error for LpError {}
-
-// The vendored serde derive handles only fieldless enums, so the
-// payload-carrying `LpError` implements the trait contract by hand:
-// a tagged object `{"kind": ..., <payload>}`.
-impl Serialize for LpError {
-    fn to_value(&self) -> Value {
-        let (kind, key, payload) = match self {
-            LpError::Infeasible { residual } => ("infeasible", "residual", residual.to_value()),
-            LpError::Unbounded { var } => ("unbounded", "var", var.to_value()),
-            LpError::IterationLimit { limit } => ("iteration_limit", "limit", limit.to_value()),
-            LpError::Internal { what } => ("internal", "what", what.to_value()),
-        };
-        Value::Object(vec![
-            ("kind".to_string(), Value::String(kind.to_string())),
-            (key.to_string(), payload),
-        ])
-    }
-}
-
-impl Deserialize for LpError {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let entries = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("LpError: expected object"))?;
-        let kind: String = serde::field(entries, "kind")?;
-        match kind.as_str() {
-            "infeasible" => Ok(LpError::Infeasible {
-                residual: serde::field(entries, "residual")?,
-            }),
-            "unbounded" => Ok(LpError::Unbounded {
-                var: serde::field(entries, "var")?,
-            }),
-            "iteration_limit" => Ok(LpError::IterationLimit {
-                limit: serde::field(entries, "limit")?,
-            }),
-            "internal" => Ok(LpError::Internal {
-                what: serde::field(entries, "what")?,
-            }),
-            other => Err(serde::Error::custom(format!(
-                "LpError: unknown kind '{other}'"
-            ))),
-        }
-    }
-}

@@ -10,7 +10,7 @@
 //! testing provides.
 
 use proptest::prelude::*;
-use thermaware_lp::{Problem, RowOp, Sense, Status};
+use thermaware_lp::{Problem, RowOp, Sense};
 
 #[derive(Debug, Clone)]
 struct RandomLp {
@@ -57,8 +57,6 @@ proptest! {
     fn solution_is_feasible_and_duality_certified(lp in random_lp()) {
         let (p, _) = build(&lp);
         let sol = p.solve().expect("feasible bounded LP must solve");
-        prop_assert_eq!(sol.status, Status::Optimal);
-
         // Primal feasibility.
         let viol = p.max_violation(&sol.values);
         prop_assert!(viol < 1e-7, "violation {viol}");

@@ -14,7 +14,7 @@
 //!   dual simplex.
 
 use proptest::prelude::*;
-use thermaware_lp::{Problem, RowOp, Sense, Status, VarId};
+use thermaware_lp::{Problem, RowOp, Sense, VarId};
 
 #[derive(Debug, Clone)]
 struct RandomLp {
@@ -58,7 +58,6 @@ fn build(lp: &RandomLp) -> (Problem, Vec<VarId>) {
 /// keeps `x = 0` feasible and the box bounded.
 fn assert_warm_agrees(base: &Problem, perturbed: &Problem) -> Result<(), TestCaseError> {
     let mut first = base.solve().expect("base LP is feasible and bounded");
-    prop_assert_eq!(first.status, Status::Optimal);
     let basis = first.take_basis();
     prop_assert!(basis.is_some(), "optimal revised solve must return a basis");
 

@@ -6,7 +6,8 @@ use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 
 /// A detected constraint violation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
 pub enum Violation {
     /// An inlet redline breach as *observed* (sensor bias included), °C
     /// over the redline.
@@ -41,7 +42,8 @@ pub enum Violation {
 }
 
 /// A degradation-ladder response.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
 pub enum Action {
     /// Stage-3 replan on the surviving cores (P-states fixed — the paper's
     /// Section V.B rule for the rate-only subproblem).
@@ -77,9 +79,11 @@ pub enum Action {
 }
 
 /// One typed log entry.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
 pub enum EventKind {
     /// A scripted fault was injected.
+    #[serde(content = "fault")]
     FaultInjected(Fault),
     /// A node shut itself down: its true inlet exceeded the redline by
     /// more than the trip margin (happens with or without a supervisor).
@@ -93,8 +97,10 @@ pub enum EventKind {
     /// surviving nodes trip.
     NoSteadyState,
     /// The supervisor detected a violation.
+    #[serde(content = "violation")]
     ViolationDetected(Violation),
     /// The supervisor took a degradation-ladder action.
+    #[serde(content = "action")]
     ActionTaken(Action),
     /// A replan attempt failed.
     ReplanFailed {
@@ -356,239 +362,9 @@ impl fmt::Display for EventKind {
     }
 }
 
-// ---- Serde -----------------------------------------------------------------
-//
-// The vendored serde derive cannot express payload-carrying enums, so
-// `Violation`, `Action`, and `EventKind` implement the trait contract by
-// hand as tagged objects `{"kind": ..., <payload>}`. `EventLog`
-// deserialization rebuilds through the ordered insert, so a log read
-// back from disk is time-ordered even if the stored array was not.
-
-/// Observed measurements (temperatures, powers) can legitimately be
-/// non-finite — a floor with no steady state observes `+inf` — but JSON
-/// has no number for those and the serializer would write `null`,
-/// making the event (and every snapshot whose log contains it)
-/// unreadable. Non-finite measurements are encoded as the strings
-/// `"inf"` / `"-inf"` / `"NaN"`; finite values stay plain numbers.
-fn measurement_to_value(x: f64) -> Value {
-    if x.is_finite() {
-        x.to_value()
-    } else {
-        Value::String(format!("{x}"))
-    }
-}
-
-fn measurement_from_value(v: &Value, what: &str) -> Result<f64, serde::Error> {
-    match v {
-        Value::Number(x) => Ok(*x),
-        Value::String(s) => match s.as_str() {
-            "inf" => Ok(f64::INFINITY),
-            "-inf" => Ok(f64::NEG_INFINITY),
-            "NaN" => Ok(f64::NAN),
-            other => Err(serde::Error::custom(format!(
-                "{what}: invalid measurement '{other}'"
-            ))),
-        },
-        _ => Err(serde::Error::custom(format!(
-            "{what}: expected a measurement"
-        ))),
-    }
-}
-
-fn raw_field<'a>(entries: &'a [(String, Value)], name: &str) -> Result<&'a Value, serde::Error> {
-    entries
-        .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v)
-        .ok_or_else(|| serde::Error::custom(format!("missing field '{name}'")))
-}
-
-impl Serialize for Violation {
-    fn to_value(&self) -> Value {
-        let entries = match self {
-            Violation::Redline { observed_c } => vec![
-                ("kind".to_string(), "redline".to_value()),
-                ("observed_c".to_string(), measurement_to_value(*observed_c)),
-            ],
-            Violation::PowerCap { total_kw, budget_kw } => vec![
-                ("kind".to_string(), "power_cap".to_value()),
-                ("total_kw".to_string(), measurement_to_value(*total_kw)),
-                ("budget_kw".to_string(), budget_kw.to_value()),
-            ],
-            Violation::StalePlan => vec![("kind".to_string(), "stale_plan".to_value())],
-            Violation::ChipHotspot { observed_c } => vec![
-                ("kind".to_string(), "chip_hotspot".to_value()),
-                ("observed_c".to_string(), measurement_to_value(*observed_c)),
-            ],
-            Violation::DemandDrift { multiplier, planned } => vec![
-                ("kind".to_string(), "demand_drift".to_value()),
-                ("multiplier".to_string(), measurement_to_value(*multiplier)),
-                ("planned".to_string(), planned.to_value()),
-            ],
-        };
-        Value::Object(entries)
-    }
-}
-
-impl Deserialize for Violation {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let entries = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("Violation: expected object"))?;
-        let kind: String = serde::field(entries, "kind")?;
-        match kind.as_str() {
-            "redline" => Ok(Violation::Redline {
-                observed_c: measurement_from_value(raw_field(entries, "observed_c")?, "Violation")?,
-            }),
-            "power_cap" => Ok(Violation::PowerCap {
-                total_kw: measurement_from_value(raw_field(entries, "total_kw")?, "Violation")?,
-                budget_kw: serde::field(entries, "budget_kw")?,
-            }),
-            "stale_plan" => Ok(Violation::StalePlan),
-            "chip_hotspot" => Ok(Violation::ChipHotspot {
-                observed_c: measurement_from_value(raw_field(entries, "observed_c")?, "Violation")?,
-            }),
-            "demand_drift" => Ok(Violation::DemandDrift {
-                multiplier: measurement_from_value(raw_field(entries, "multiplier")?, "Violation")?,
-                planned: serde::field(entries, "planned")?,
-            }),
-            other => Err(serde::Error::custom(format!(
-                "Violation: unknown kind '{other}'"
-            ))),
-        }
-    }
-}
-
-impl Serialize for Action {
-    fn to_value(&self) -> Value {
-        let entries = match self {
-            Action::Replan => vec![("kind".to_string(), "replan".to_value())],
-            Action::OutletDrop { by_c } => vec![
-                ("kind".to_string(), "outlet_drop".to_value()),
-                ("by_c".to_string(), by_c.to_value()),
-            ],
-            Action::Throttle { steps } => vec![
-                ("kind".to_string(), "throttle".to_value()),
-                ("steps".to_string(), steps.to_value()),
-            ],
-            Action::ShedTaskType { task_type, reward } => vec![
-                ("kind".to_string(), "shed_task_type".to_value()),
-                ("task_type".to_string(), task_type.to_value()),
-                ("reward".to_string(), reward.to_value()),
-            ],
-            Action::Migrate { swaps } => vec![
-                ("kind".to_string(), "migrate".to_value()),
-                ("swaps".to_string(), swaps.to_value()),
-            ],
-            Action::Stage1Replan => vec![("kind".to_string(), "stage1_replan".to_value())],
-        };
-        Value::Object(entries)
-    }
-}
-
-impl Deserialize for Action {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let entries = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("Action: expected object"))?;
-        let kind: String = serde::field(entries, "kind")?;
-        match kind.as_str() {
-            "replan" => Ok(Action::Replan),
-            "outlet_drop" => Ok(Action::OutletDrop {
-                by_c: serde::field(entries, "by_c")?,
-            }),
-            "throttle" => Ok(Action::Throttle {
-                steps: serde::field(entries, "steps")?,
-            }),
-            "shed_task_type" => Ok(Action::ShedTaskType {
-                task_type: serde::field(entries, "task_type")?,
-                reward: serde::field(entries, "reward")?,
-            }),
-            "migrate" => Ok(Action::Migrate {
-                swaps: serde::field(entries, "swaps")?,
-            }),
-            "stage1_replan" => Ok(Action::Stage1Replan),
-            other => Err(serde::Error::custom(format!(
-                "Action: unknown kind '{other}'"
-            ))),
-        }
-    }
-}
-
-impl Serialize for EventKind {
-    fn to_value(&self) -> Value {
-        let entries = match self {
-            EventKind::FaultInjected(fault) => vec![
-                ("kind".to_string(), "fault_injected".to_value()),
-                ("fault".to_string(), fault.to_value()),
-            ],
-            EventKind::NodeTripped { node, inlet_c } => vec![
-                ("kind".to_string(), "node_tripped".to_value()),
-                ("node".to_string(), node.to_value()),
-                ("inlet_c".to_string(), measurement_to_value(*inlet_c)),
-            ],
-            EventKind::NoSteadyState => vec![("kind".to_string(), "no_steady_state".to_value())],
-            EventKind::ViolationDetected(v) => vec![
-                ("kind".to_string(), "violation_detected".to_value()),
-                ("violation".to_string(), v.to_value()),
-            ],
-            EventKind::ActionTaken(a) => vec![
-                ("kind".to_string(), "action_taken".to_value()),
-                ("action".to_string(), a.to_value()),
-            ],
-            EventKind::ReplanFailed { attempt, error } => vec![
-                ("kind".to_string(), "replan_failed".to_value()),
-                ("attempt".to_string(), attempt.to_value()),
-                ("error".to_string(), error.to_value()),
-            ],
-            EventKind::Backoff { epochs } => vec![
-                ("kind".to_string(), "backoff".to_value()),
-                ("epochs".to_string(), epochs.to_value()),
-            ],
-            EventKind::Recovered { margin_c } => vec![
-                ("kind".to_string(), "recovered".to_value()),
-                ("margin_c".to_string(), measurement_to_value(*margin_c)),
-            ],
-        };
-        Value::Object(entries)
-    }
-}
-
-impl Deserialize for EventKind {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let entries = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("EventKind: expected object"))?;
-        let kind: String = serde::field(entries, "kind")?;
-        match kind.as_str() {
-            "fault_injected" => Ok(EventKind::FaultInjected(serde::field(entries, "fault")?)),
-            "node_tripped" => Ok(EventKind::NodeTripped {
-                node: serde::field(entries, "node")?,
-                inlet_c: measurement_from_value(raw_field(entries, "inlet_c")?, "EventKind")?,
-            }),
-            "no_steady_state" => Ok(EventKind::NoSteadyState),
-            "violation_detected" => Ok(EventKind::ViolationDetected(serde::field(
-                entries,
-                "violation",
-            )?)),
-            "action_taken" => Ok(EventKind::ActionTaken(serde::field(entries, "action")?)),
-            "replan_failed" => Ok(EventKind::ReplanFailed {
-                attempt: serde::field(entries, "attempt")?,
-                error: serde::field(entries, "error")?,
-            }),
-            "backoff" => Ok(EventKind::Backoff {
-                epochs: serde::field(entries, "epochs")?,
-            }),
-            "recovered" => Ok(EventKind::Recovered {
-                margin_c: measurement_from_value(raw_field(entries, "margin_c")?, "EventKind")?,
-            }),
-            other => Err(serde::Error::custom(format!(
-                "EventKind: unknown kind '{other}'"
-            ))),
-        }
-    }
-}
-
+// By hand: a log read from disk is rebuilt through the ordered insert,
+// so it is time-ordered and inside its ring bound even if the stored
+// array was not.
 impl Deserialize for EventLog {
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
         let entries = v

@@ -4,7 +4,8 @@ use rand::Rng;
 use serde::{Deserialize, Serialize, Value};
 
 /// One kind of mid-run fault.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
 pub enum Fault {
     /// A CRAC unit's coil fails (fan keeps turning): it stops cooling and
     /// passes air through (`steady_state_with_failed_cracs`).
@@ -147,68 +148,9 @@ impl FaultScript {
     }
 }
 
-// The vendored serde derive cannot express payload-carrying enums, so
-// `Fault` serializes by hand as a tagged object. `FaultScript`
-// deserialization rebuilds through [`FaultScript::push`], restoring the
-// sort order and timestamp clamping no matter what the file contained.
-
-impl Serialize for Fault {
-    fn to_value(&self) -> Value {
-        let entries = match self {
-            Fault::CracFailure { unit } => vec![
-                ("kind".to_string(), "crac_failure".to_value()),
-                ("unit".to_string(), unit.to_value()),
-            ],
-            Fault::CracRecovery { unit } => vec![
-                ("kind".to_string(), "crac_recovery".to_value()),
-                ("unit".to_string(), unit.to_value()),
-            ],
-            Fault::NodeDeath { node } => vec![
-                ("kind".to_string(), "node_death".to_value()),
-                ("node".to_string(), node.to_value()),
-            ],
-            Fault::SensorDrift { bias_c } => vec![
-                ("kind".to_string(), "sensor_drift".to_value()),
-                ("bias_c".to_string(), bias_c.to_value()),
-            ],
-            Fault::ArrivalSurge { factor } => vec![
-                ("kind".to_string(), "arrival_surge".to_value()),
-                ("factor".to_string(), factor.to_value()),
-            ],
-        };
-        Value::Object(entries)
-    }
-}
-
-impl Deserialize for Fault {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let entries = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("Fault: expected object"))?;
-        let kind: String = serde::field(entries, "kind")?;
-        match kind.as_str() {
-            "crac_failure" => Ok(Fault::CracFailure {
-                unit: serde::field(entries, "unit")?,
-            }),
-            "crac_recovery" => Ok(Fault::CracRecovery {
-                unit: serde::field(entries, "unit")?,
-            }),
-            "node_death" => Ok(Fault::NodeDeath {
-                node: serde::field(entries, "node")?,
-            }),
-            "sensor_drift" => Ok(Fault::SensorDrift {
-                bias_c: serde::field(entries, "bias_c")?,
-            }),
-            "arrival_surge" => Ok(Fault::ArrivalSurge {
-                factor: serde::field(entries, "factor")?,
-            }),
-            other => Err(serde::Error::custom(format!(
-                "Fault: unknown kind '{other}'"
-            ))),
-        }
-    }
-}
-
+// By hand: a script read from disk is rebuilt through
+// [`FaultScript::push`], restoring the sort order and timestamp clamping
+// no matter what the file contained.
 impl Deserialize for FaultScript {
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
         let entries = v

@@ -44,6 +44,13 @@ use thermaware_datacenter::{atomic_write, DataCenter, ScenarioSnapshot};
 /// [`PersistError::UnsupportedVersion`].
 pub const FORMAT_VERSION: u64 = 2;
 
+const SNAPSHOTS: SnapshotFormat = SnapshotFormat {
+    version: FORMAT_VERSION,
+    crc_since: 2,
+    obs_count: "persist.snapshots",
+    obs_write_us: "persist.snapshot_write_us",
+};
+
 const RUN_FILE: &str = "run.json";
 const JOURNAL_FILE: &str = "journal.jsonl";
 const SNAP_PREFIX: &str = "snap-";
@@ -287,9 +294,7 @@ impl JournalWriter {
 
     /// Append one record as a framed line; fsync if the batch is full.
     pub fn append<T: Serialize>(&mut self, rec: &T) -> Result<(), PersistError> {
-        let json = serde_json::to_string(rec)
-            .map_err(|e| PersistError::State { reason: e.to_string() })?;
-        let line = frame_journal_line(&json);
+        let line = frame_journal_line(&to_json(rec)?);
         let start = thermaware_obs::enabled().then(std::time::Instant::now);
         self.file.write_all(line.as_bytes())?;
         self.pending += 1;
@@ -324,6 +329,187 @@ impl JournalWriter {
     }
 }
 
+// ---- Snapshot and header files ---------------------------------------------
+//
+// Shared by the same two trails. `snap-<epoch>.json` holds the envelope
+// `{version, epoch, state_crc, state}` — the state as a JSON *string*,
+// so its CRC is over exact bytes — and the header file holds
+// `{version, header}`. Both are written with `atomic_write`.
+
+/// What tells one snapshot trail from the other.
+#[derive(Debug)]
+pub struct SnapshotFormat {
+    /// The version written; a file claiming a newer one is refused with
+    /// [`PersistError::UnsupportedVersion`].
+    pub version: u64,
+    /// First version whose envelopes carry `state_crc`; older ones load
+    /// unchecked.
+    pub crc_since: u64,
+    /// obs counter bumped per snapshot written.
+    pub obs_count: &'static str,
+    /// obs histogram of the snapshot's atomic write, µs.
+    pub obs_write_us: &'static str,
+}
+
+fn corrupt(path: &Path, reason: impl fmt::Display) -> PersistError {
+    PersistError::Corrupt {
+        path: path.to_path_buf(),
+        reason: reason.to_string(),
+    }
+}
+
+fn to_json<T: Serialize>(value: &T) -> Result<String, PersistError> {
+    serde_json::to_string(value).map_err(|e| PersistError::State { reason: e.to_string() })
+}
+
+/// Read an envelope file: its entries and its (gated) version.
+fn read_envelope(path: &Path, max_version: u64) -> Result<(Vec<(String, Value)>, u64), PersistError> {
+    let text = fs::read_to_string(path)?;
+    let Value::Object(entries) =
+        serde_json::from_str(&text).map_err(|e| corrupt(path, format!("envelope JSON: {e}")))?
+    else {
+        return Err(corrupt(path, "envelope is not an object"));
+    };
+    let version: u64 = serde::field(&entries, "version")
+        .map_err(|_| corrupt(path, "missing or non-integral 'version'"))?;
+    if version > max_version {
+        return Err(PersistError::UnsupportedVersion { path: path.to_path_buf(), version });
+    }
+    Ok((entries, version))
+}
+
+/// Write `{version, header}` to `path`.
+pub fn write_header<H: Serialize>(
+    path: &Path,
+    version: u64,
+    header: &H,
+    durable: bool,
+) -> Result<(), PersistError> {
+    let envelope = Value::Object(vec![
+        ("version".to_string(), version.to_value()),
+        ("header".to_string(), header.to_value()),
+    ]);
+    atomic_write(path, to_json(&envelope)?.as_bytes(), durable)?;
+    Ok(())
+}
+
+/// Read a header file back: version gate, then `H`. A missing file is
+/// [`PersistError::NoCheckpoint`] for its directory.
+pub fn read_header<H: Deserialize>(path: &Path, max_version: u64) -> Result<H, PersistError> {
+    match read_envelope(path, max_version) {
+        Ok((entries, _)) => serde::field(&entries, "header").map_err(|e| corrupt(path, e)),
+        Err(PersistError::Io(e)) if e.kind() == io::ErrorKind::NotFound => {
+            Err(PersistError::NoCheckpoint {
+                dir: path.parent().unwrap_or(path).to_path_buf(),
+            })
+        }
+        Err(e) => Err(e),
+    }
+}
+
+/// `(epoch, path)` of every `snap-*.json` in `dir`.
+pub fn snapshot_paths(dir: &Path) -> Result<Vec<(usize, PathBuf)>, PersistError> {
+    let mut out = Vec::new();
+    let entries = match fs::read_dir(dir) {
+        Ok(e) => e,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(out),
+        Err(e) => return Err(e.into()),
+    };
+    for entry in entries {
+        let entry = entry?;
+        let name = entry.file_name();
+        let Some(name) = name.to_str() else { continue };
+        let Some(middle) = name
+            .strip_prefix(SNAP_PREFIX)
+            .and_then(|s| s.strip_suffix(SNAP_SUFFIX))
+        else {
+            continue;
+        };
+        let Ok(epoch) = middle.parse::<usize>() else {
+            continue;
+        };
+        out.push((epoch, entry.path()));
+    }
+    Ok(out)
+}
+
+/// Write the snapshot of `epoch` (its state already serialized as
+/// `state_json`, CRC `state_crc`) into `dir`, then prune all but the
+/// newest `retain` generations.
+pub fn write_snapshot(
+    format: &SnapshotFormat,
+    dir: &Path,
+    epoch: usize,
+    state_json: &str,
+    state_crc: u32,
+    durable: bool,
+    retain: usize,
+) -> Result<(), PersistError> {
+    let envelope = Value::Object(vec![
+        ("version".to_string(), format.version.to_value()),
+        ("epoch".to_string(), epoch.to_value()),
+        ("state_crc".to_string(), state_crc.to_value()),
+        ("state".to_string(), state_json.to_value()),
+    ]);
+    let json = to_json(&envelope)?;
+    let name = format!("{SNAP_PREFIX}{epoch:08}{SNAP_SUFFIX}");
+    let start = thermaware_obs::enabled().then(std::time::Instant::now);
+    atomic_write(&dir.join(name), json.as_bytes(), durable)?;
+    if let Some(t) = start {
+        thermaware_obs::counter_add(format.obs_count, 1);
+        thermaware_obs::observe(format.obs_write_us, t.elapsed().as_micros() as f64);
+    }
+    let mut snaps = snapshot_paths(dir)?;
+    let retain = retain.max(1);
+    if snaps.len() > retain {
+        snaps.sort_by_key(|(e, _)| *e);
+        for (_, path) in snaps.iter().take(snaps.len() - retain) {
+            fs::remove_file(path)?;
+        }
+    }
+    Ok(())
+}
+
+/// Parse one snapshot file: version gate, CRC check, state decode, and
+/// the three epochs — the file name's (`file_epoch`), the envelope's
+/// and the state's own — agreeing. Anything else is an error, and the
+/// caller moves on to an older generation.
+pub fn load_snapshot<S: Deserialize>(
+    format: &SnapshotFormat,
+    path: &Path,
+    file_epoch: usize,
+    epoch_of: impl Fn(&S) -> usize,
+) -> Result<S, PersistError> {
+    let (entries, version) = read_envelope(path, format.version)?;
+    let epoch: usize = serde::field(&entries, "epoch")
+        .map_err(|_| corrupt(path, "missing or non-integral 'epoch'"))?;
+    let state_json = serde::get(&entries, "state")
+        .and_then(Value::as_str)
+        .ok_or_else(|| corrupt(path, "missing 'state'"))?;
+    if version >= format.crc_since {
+        let want: u32 =
+            serde::field(&entries, "state_crc").map_err(|_| corrupt(path, "missing 'state_crc'"))?;
+        let got = crc32(state_json.as_bytes());
+        if got != want {
+            return Err(corrupt(
+                path,
+                format!("state CRC mismatch: stored {want:08x}, computed {got:08x}"),
+            ));
+        }
+    }
+    let state: S = serde_json::from_str(state_json).map_err(|e| corrupt(path, e))?;
+    if epoch != file_epoch || epoch_of(&state) != epoch {
+        return Err(corrupt(
+            path,
+            format!(
+                "file name epoch {file_epoch}, envelope epoch {epoch} and state epoch {} disagree",
+                epoch_of(&state)
+            ),
+        ));
+    }
+    Ok(state)
+}
+
 /// The immutable description of a checkpointed run, written once to
 /// `run.json`: everything needed to rebuild the data center and re-attach
 /// recovered state.
@@ -340,7 +526,8 @@ pub struct RunHeader {
 }
 
 /// One write-ahead journal record.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "rec", rename_all = "snake_case")]
 enum JournalRecord {
     /// Appended (and fsynced) *before* epoch `epoch` executes.
     Begin {
@@ -355,51 +542,6 @@ enum JournalRecord {
         state_crc: u32,
         events: Vec<Event>,
     },
-}
-
-impl Serialize for JournalRecord {
-    fn to_value(&self) -> Value {
-        match self {
-            JournalRecord::Begin { epoch, faults } => Value::Object(vec![
-                ("rec".to_string(), "begin".to_value()),
-                ("epoch".to_string(), epoch.to_value()),
-                ("faults".to_string(), faults.to_value()),
-            ]),
-            JournalRecord::Commit {
-                epoch,
-                state_crc,
-                events,
-            } => Value::Object(vec![
-                ("rec".to_string(), "commit".to_value()),
-                ("epoch".to_string(), epoch.to_value()),
-                ("state_crc".to_string(), state_crc.to_value()),
-                ("events".to_string(), events.to_value()),
-            ]),
-        }
-    }
-}
-
-impl Deserialize for JournalRecord {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let entries = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("journal record: expected object"))?;
-        let rec: String = serde::field(entries, "rec")?;
-        match rec.as_str() {
-            "begin" => Ok(JournalRecord::Begin {
-                epoch: serde::field(entries, "epoch")?,
-                faults: serde::field(entries, "faults")?,
-            }),
-            "commit" => Ok(JournalRecord::Commit {
-                epoch: serde::field(entries, "epoch")?,
-                state_crc: serde::field(entries, "state_crc")?,
-                events: serde::field(entries, "events")?,
-            }),
-            other => Err(serde::Error::custom(format!(
-                "journal record: unknown rec '{other}'"
-            ))),
-        }
-    }
 }
 
 /// Writes the journal and snapshots for one run. Create with
@@ -423,8 +565,8 @@ impl Checkpointer {
         fs::create_dir_all(&cfg.dir)?;
         // Clear snapshots from any previous run in this directory so
         // recovery cannot mix generations.
-        for path in snapshot_paths(&cfg.dir)? {
-            fs::remove_file(path.1)?;
+        for (_, path) in snapshot_paths(&cfg.dir)? {
+            fs::remove_file(path)?;
         }
         let header = RunHeader {
             scenario: ScenarioSnapshot::capture(dc),
@@ -432,13 +574,7 @@ impl Checkpointer {
             plan: plan.clone(),
             script: script.clone(),
         };
-        let envelope = Value::Object(vec![
-            ("version".to_string(), FORMAT_VERSION.to_value()),
-            ("header".to_string(), header.to_value()),
-        ]);
-        let json = serde_json::to_string(&envelope)
-            .map_err(|e| PersistError::State { reason: e.to_string() })?;
-        atomic_write(&cfg.dir.join(RUN_FILE), json.as_bytes(), cfg.durable)?;
+        write_header(&cfg.dir.join(RUN_FILE), FORMAT_VERSION, &header, cfg.durable)?;
         let journal = JournalWriter::create(&cfg.dir.join(JOURNAL_FILE), cfg.durable, cfg.flush_every)?;
         Ok(Checkpointer { cfg, journal })
     }
@@ -451,46 +587,14 @@ impl Checkpointer {
         Ok(Checkpointer { cfg, journal })
     }
 
-    /// Write a full snapshot of `state` (already serialized as
-    /// `state_json`) for epoch `epoch`, then prune old generations.
-    fn write_snapshot(
-        &mut self,
-        epoch: usize,
-        state_json: &str,
-        state_crc: u32,
-    ) -> Result<(), PersistError> {
-        let envelope = Value::Object(vec![
-            ("version".to_string(), FORMAT_VERSION.to_value()),
-            ("epoch".to_string(), epoch.to_value()),
-            ("state_crc".to_string(), state_crc.to_value()),
-            ("state".to_string(), state_json.to_value()),
-        ]);
-        let json = serde_json::to_string(&envelope)
-            .map_err(|e| PersistError::State { reason: e.to_string() })?;
-        let name = format!("{SNAP_PREFIX}{epoch:08}{SNAP_SUFFIX}");
-        let start = thermaware_obs::enabled().then(std::time::Instant::now);
-        atomic_write(&self.cfg.dir.join(name), json.as_bytes(), self.cfg.durable)?;
-        if let Some(t) = start {
-            thermaware_obs::counter_add("persist.snapshots", 1);
-            thermaware_obs::observe("persist.snapshot_write_us", t.elapsed().as_micros() as f64);
-        }
-        // Retention: newest `retain` generations survive.
-        let mut snaps = snapshot_paths(&self.cfg.dir)?;
-        let retain = self.cfg.retain.max(1);
-        if snaps.len() > retain {
-            snaps.sort_by_key(|(e, _)| *e);
-            for (_, path) in snaps.iter().take(snaps.len() - retain) {
-                fs::remove_file(path)?;
-            }
-        }
-        Ok(())
+    fn write_snapshot(&self, epoch: usize, state_json: &str, state_crc: u32) -> Result<(), PersistError> {
+        let cfg = &self.cfg;
+        write_snapshot(&SNAPSHOTS, &cfg.dir, epoch, state_json, state_crc, cfg.durable, cfg.retain)
     }
 
     /// Snapshot a run at its current epoch boundary.
     pub fn snapshot(&mut self, live: &LiveRun<'_>) -> Result<(), PersistError> {
-        let state = live.to_state();
-        let json = serde_json::to_string(&state)
-            .map_err(|e| PersistError::State { reason: e.to_string() })?;
+        let json = to_json(&live.to_state())?;
         self.write_snapshot(live.epoch(), &json, crc32(json.as_bytes()))
     }
 
@@ -509,9 +613,7 @@ impl Checkpointer {
         })?;
         let log_before = live.log().events().len();
         live.step();
-        let state = live.to_state();
-        let json = serde_json::to_string(&state)
-            .map_err(|e| PersistError::State { reason: e.to_string() })?;
+        let json = to_json(&live.to_state())?;
         let state_crc = crc32(json.as_bytes());
         self.journal.append(&JournalRecord::Commit {
             epoch,
@@ -658,33 +760,7 @@ impl RecoveredRun {
 pub fn resume(dir: &Path) -> Result<RecoveredRun, PersistError> {
     // -- 1. Header ---------------------------------------------------------
     let run_path = dir.join(RUN_FILE);
-    let text = match fs::read_to_string(&run_path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            return Err(PersistError::NoCheckpoint { dir: dir.to_path_buf() })
-        }
-        Err(e) => return Err(e.into()),
-    };
-    let v: Value = serde_json::from_str(&text).map_err(|e| PersistError::Corrupt {
-        path: run_path.clone(),
-        reason: e.to_string(),
-    })?;
-    let version = version_of(&v, &run_path)?;
-    if version > FORMAT_VERSION {
-        return Err(PersistError::UnsupportedVersion { path: run_path, version });
-    }
-    let header: RunHeader = v
-        .get("header")
-        .ok_or_else(|| PersistError::Corrupt {
-            path: run_path.clone(),
-            reason: "missing 'header'".to_string(),
-        })
-        .and_then(|h| {
-            RunHeader::from_value(h).map_err(|e| PersistError::Corrupt {
-                path: run_path.clone(),
-                reason: e.to_string(),
-            })
-        })?;
+    let header: RunHeader = read_header(&run_path, FORMAT_VERSION)?;
     let dc = header
         .scenario
         .clone()
@@ -700,19 +776,12 @@ pub fn resume(dir: &Path) -> Result<RecoveredRun, PersistError> {
     let mut snapshots_skipped = 0usize;
     let mut recovered: Option<(SupervisorState, usize)> = None;
     for (epoch, path) in snaps.iter().rev() {
-        match load_snapshot(path) {
-            Ok((state, snap_epoch)) if snap_epoch == *epoch => {
-                recovered = Some((state, snap_epoch));
+        match load_snapshot(&SNAPSHOTS, path, *epoch, |s: &SupervisorState| s.epoch) {
+            Ok(state) => {
+                recovered = Some((state, *epoch));
                 break;
             }
-            Ok((_, snap_epoch)) => {
-                // File name and payload disagree: treat as corrupt.
-                let _ = snap_epoch;
-                snapshots_skipped += 1;
-            }
-            Err(PersistError::UnsupportedVersion { path, version }) => {
-                return Err(PersistError::UnsupportedVersion { path, version })
-            }
+            Err(e @ PersistError::UnsupportedVersion { .. }) => return Err(e),
             Err(_) => snapshots_skipped += 1,
         }
     }
@@ -751,9 +820,7 @@ pub fn resume(dir: &Path) -> Result<RecoveredRun, PersistError> {
             });
         }
         live.step();
-        let json = serde_json::to_string(&live.to_state())
-            .map_err(|e| PersistError::State { reason: e.to_string() })?;
-        if crc32(json.as_bytes()) != *state_crc {
+        if crc32(to_json(&live.to_state())?.as_bytes()) != *state_crc {
             return Err(PersistError::Corrupt {
                 path: journal_path.clone(),
                 reason: format!("replay of epoch {epoch} diverged from the committed state CRC"),
@@ -817,94 +884,6 @@ pub fn resume(dir: &Path) -> Result<RecoveredRun, PersistError> {
     })
 }
 
-/// `(epoch, path)` of every `snap-*.json` in `dir`.
-fn snapshot_paths(dir: &Path) -> Result<Vec<(usize, PathBuf)>, PersistError> {
-    let mut out = Vec::new();
-    let entries = match fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(out),
-        Err(e) => return Err(e.into()),
-    };
-    for entry in entries {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(middle) = name
-            .strip_prefix(SNAP_PREFIX)
-            .and_then(|s| s.strip_suffix(SNAP_SUFFIX))
-        else {
-            continue;
-        };
-        let Ok(epoch) = middle.parse::<usize>() else {
-            continue;
-        };
-        out.push((epoch, entry.path()));
-    }
-    Ok(out)
-}
-
-fn version_of(v: &Value, path: &Path) -> Result<u64, PersistError> {
-    v.get("version")
-        .and_then(|x| x.as_f64())
-        .filter(|x| x.is_finite() && *x >= 0.0 && x.fract() == 0.0) // lint: allow(float-eq): integrality check on a parsed JSON number; exactness is the point
-        .map(|x| x as u64)
-        .ok_or_else(|| PersistError::Corrupt {
-            path: path.to_path_buf(),
-            reason: "missing or non-integral 'version'".to_string(),
-        })
-}
-
-/// Parse one snapshot file: version gate, CRC check (format ≥ 2), state
-/// decode. Returns the state and the epoch the envelope claims.
-fn load_snapshot(path: &Path) -> Result<(SupervisorState, usize), PersistError> {
-    let corrupt = |reason: String| PersistError::Corrupt {
-        path: path.to_path_buf(),
-        reason,
-    };
-    let text = fs::read_to_string(path)?;
-    let v: Value = serde_json::from_str(&text).map_err(|e| corrupt(e.to_string()))?;
-    let version = version_of(&v, path)?;
-    if version > FORMAT_VERSION {
-        return Err(PersistError::UnsupportedVersion {
-            path: path.to_path_buf(),
-            version,
-        });
-    }
-    let epoch = v
-        .get("epoch")
-        .and_then(|x| x.as_f64())
-        .filter(|x| x.is_finite() && *x >= 0.0 && x.fract() == 0.0) // lint: allow(float-eq): integrality check on a parsed JSON number; exactness is the point
-        .map(|x| x as usize)
-        .ok_or_else(|| corrupt("missing or non-integral 'epoch'".to_string()))?;
-    let state_json = v
-        .get("state")
-        .and_then(|x| x.as_str())
-        .ok_or_else(|| corrupt("missing 'state'".to_string()))?;
-    if version >= 2 {
-        let want = v
-            .get("state_crc")
-            .and_then(|x| x.as_f64())
-            .filter(|x| x.is_finite() && *x >= 0.0 && x.fract() == 0.0) // lint: allow(float-eq): integrality check on a parsed JSON number; exactness is the point
-            .map(|x| x as u32)
-            .ok_or_else(|| corrupt("missing 'state_crc'".to_string()))?;
-        let got = crc32(state_json.as_bytes());
-        if got != want {
-            return Err(corrupt(format!(
-                "state CRC mismatch: stored {want:08x}, computed {got:08x}"
-            )));
-        }
-    }
-    let state: SupervisorState =
-        serde_json::from_str(state_json).map_err(|e| corrupt(e.to_string()))?;
-    if state.epoch != epoch {
-        return Err(corrupt(format!(
-            "envelope epoch {epoch} disagrees with state epoch {}",
-            state.epoch
-        )));
-    }
-    Ok((state, epoch))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -933,6 +912,38 @@ mod tests {
         let last = bad.len() - 2;
         bad[last] ^= 0x01;
         assert!(parse_framed_line::<JournalRecord>(&bad).is_none());
+    }
+
+    /// Golden bytes of the two journal records (a private type; the
+    /// public ones are pinned in the root `tests/encoding_golden.rs`).
+    #[test]
+    fn journal_record_bytes_are_pinned() {
+        use crate::event::EventKind;
+        use crate::fault::Fault;
+        let cases = [
+            (
+                JournalRecord::Begin {
+                    epoch: 3,
+                    faults: vec![FaultEvent { at_s: 3.5, fault: Fault::NodeDeath { node: 1 } }],
+                },
+                r#"{"rec":"begin","epoch":3,"faults":[{"at_s":3.5,"fault":{"kind":"node_death","node":1}}]}"#,
+            ),
+            (
+                JournalRecord::Commit {
+                    epoch: 3,
+                    state_crc: 0xffff_ffff,
+                    events: vec![Event { at_s: 4.0, kind: EventKind::NoSteadyState }],
+                },
+                r#"{"rec":"commit","epoch":3,"state_crc":4294967295,"events":[{"at_s":4,"kind":{"kind":"no_steady_state"}}]}"#,
+            ),
+        ];
+        for (rec, literal) in cases {
+            assert_eq!(serde_json::to_string(&rec).expect("encode"), literal);
+            assert_eq!(serde_json::from_str::<JournalRecord>(literal).expect("decode"), rec);
+        }
+        for bad in [r#"{"rec":"gremlin"}"#, r#"{"rec":"commit","epoch":3}"#, r#"{"epoch":3}"#, "[]"] {
+            assert!(serde_json::from_str::<JournalRecord>(bad).is_err(), "accepted {bad}");
+        }
     }
 
     /// A batched writer must leave exactly the same bytes on disk as the
@@ -973,7 +984,7 @@ mod tests {
         let path = dir.join("snap-00000001.json");
         fs::write(&path, br#"{"version":99,"epoch":1,"state_crc":0,"state":"{}"}"#)
             .expect("write");
-        match load_snapshot(&path) {
+        match load_snapshot(&SNAPSHOTS, &path, 1, |s: &SupervisorState| s.epoch) {
             Err(PersistError::UnsupportedVersion { version, .. }) => assert_eq!(version, 99),
             other => panic!("expected UnsupportedVersion, got {other:?}"),
         }

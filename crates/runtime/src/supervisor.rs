@@ -39,7 +39,7 @@ use crate::event::{Action, EventKind, EventLog, Violation};
 use crate::fault::{Fault, FaultScript};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use thermaware_core::stage3::{solve_stage3_warm, Stage3Basis, Stage3Solution};
 use thermaware_core::{solve_three_stage, ThreeStageOptions, ThreeStageSolution};
 use thermaware_datacenter::DataCenter;
@@ -52,7 +52,7 @@ use thermaware_workload::{Curve, TaskArrival};
 const MAX_LADDER_ITERS: usize = 10_000;
 
 /// Supervisor tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SupervisorConfig {
     /// Epoch length, seconds.
     pub epoch_s: f64,
@@ -75,6 +75,7 @@ pub struct SupervisorConfig {
     pub supervise: bool,
     /// Seed of the arrival stream (identical across supervised and
     /// unsupervised runs of the same config/seed).
+    #[serde(with = "serde::Hex")]
     pub seed: u64,
     /// Scenario demand curve: each epoch the planned arrival-rate
     /// multiplier follows `demand.rate_at(t)` (times any scripted surge
@@ -84,13 +85,27 @@ pub struct SupervisorConfig {
     /// reproduces the static-demand supervisor bit for bit.
     ///
     /// [`drift_threshold`]: SupervisorConfig::drift_threshold
+    #[serde(default)]
     pub demand: Option<Curve>,
     /// Relative demand drift that triggers a Stage-1 replan (only with
     /// [`demand`](SupervisorConfig::demand) set): replan when
     /// `|m − planned| > drift_threshold · planned`.
+    #[serde(default = "default_drift_threshold")]
     pub drift_threshold: f64,
     /// ψ (percent) used by drift-triggered three-stage re-solves.
+    #[serde(default = "default_psi_percent")]
     pub psi_percent: f64,
+}
+
+// The three scenario fields are absent from configs persisted before
+// the scenario engine existed; they read as these defaults, which
+// reproduce the static supervisor.
+fn default_drift_threshold() -> f64 {
+    0.25
+}
+
+fn default_psi_percent() -> f64 {
+    50.0
 }
 
 impl Default for SupervisorConfig {
@@ -107,82 +122,9 @@ impl Default for SupervisorConfig {
             supervise: true,
             seed: 0,
             demand: None,
-            drift_threshold: 0.25,
-            psi_percent: 50.0,
+            drift_threshold: default_drift_threshold(),
+            psi_percent: default_psi_percent(),
         }
-    }
-}
-
-// The vendored serde routes every integer through `f64`, which silently
-// rounds seeds above 2^53 — so `seed` travels as a 16-digit hex string.
-
-impl Serialize for SupervisorConfig {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("epoch_s".to_string(), self.epoch_s.to_value()),
-            ("horizon_s".to_string(), self.horizon_s.to_value()),
-            (
-                "max_replan_attempts".to_string(),
-                self.max_replan_attempts.to_value(),
-            ),
-            ("outlet_drop_c".to_string(), self.outlet_drop_c.to_value()),
-            ("throttle_steps".to_string(), self.throttle_steps.to_value()),
-            ("trip_margin_c".to_string(), self.trip_margin_c.to_value()),
-            ("redline_tol_c".to_string(), self.redline_tol_c.to_value()),
-            ("power_tol_kw".to_string(), self.power_tol_kw.to_value()),
-            ("supervise".to_string(), self.supervise.to_value()),
-            ("seed".to_string(), format!("{:016x}", self.seed).to_value()),
-            (
-                "demand".to_string(),
-                match &self.demand {
-                    Some(curve) => curve.to_value(),
-                    None => Value::Null,
-                },
-            ),
-            (
-                "drift_threshold".to_string(),
-                self.drift_threshold.to_value(),
-            ),
-            ("psi_percent".to_string(), self.psi_percent.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for SupervisorConfig {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let entries = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("SupervisorConfig: expected object"))?;
-        let seed_hex: String = serde::field(entries, "seed")?;
-        let seed = u64::from_str_radix(&seed_hex, 16).map_err(|e| {
-            serde::Error::custom(format!("SupervisorConfig: bad seed '{seed_hex}': {e}"))
-        })?;
-        // The scenario fields are absent from configs persisted before
-        // the scenario engine existed; default them rather than
-        // rejecting (the defaults reproduce the static supervisor).
-        let demand = match entries.iter().find(|(k, _)| k == "demand") {
-            None | Some((_, Value::Null)) => None,
-            Some((_, v)) => Some(Curve::from_value(v)?),
-        };
-        let defaults = SupervisorConfig::default();
-        let drift_threshold: f64 =
-            serde::field(entries, "drift_threshold").unwrap_or(defaults.drift_threshold);
-        let psi_percent: f64 = serde::field(entries, "psi_percent").unwrap_or(defaults.psi_percent);
-        Ok(SupervisorConfig {
-            epoch_s: serde::field(entries, "epoch_s")?,
-            horizon_s: serde::field(entries, "horizon_s")?,
-            max_replan_attempts: serde::field(entries, "max_replan_attempts")?,
-            outlet_drop_c: serde::field(entries, "outlet_drop_c")?,
-            trip_margin_c: serde::field(entries, "trip_margin_c")?,
-            throttle_steps: serde::field(entries, "throttle_steps")?,
-            redline_tol_c: serde::field(entries, "redline_tol_c")?,
-            power_tol_kw: serde::field(entries, "power_tol_kw")?,
-            supervise: serde::field(entries, "supervise")?,
-            seed,
-            demand,
-            drift_threshold,
-            psi_percent,
-        })
     }
 }
 

@@ -31,9 +31,8 @@ pub enum DispatchPolicy {
     },
 }
 
-// Hand-written serde: `AtcTcWindowed` carries a payload, which the
-// vendored derive cannot express. Fieldless variants print as plain
-// strings; the windowed rule prints as `{"kind": ..., "tau_s": ...}`.
+// By hand: two shapes in one type — the fieldless rules print as plain
+// strings, the windowed rule as `{"kind": ..., "tau_s": ...}`.
 impl Serialize for DispatchPolicy {
     fn to_value(&self) -> Value {
         match self {

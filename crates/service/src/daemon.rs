@@ -330,7 +330,6 @@ pub fn run_daemon(
                     warm: warm_basis.clone(),
                 };
                 if job_tx.try_send(job).is_ok() {
-                    engine.note_replan_requested();
                     inflight = Some((generation, Instant::now()));
                     thermaware_obs::counter_add("service.solves_spawned", 1);
                 }

@@ -12,7 +12,7 @@
 
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use crate::proto::Batch;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use thermaware_core::stage3::Stage3Solution;
 use thermaware_datacenter::DataCenter;
@@ -84,7 +84,8 @@ pub struct ServiceTotals {
 /// What the live shell learned about a replan attempt, journaled in
 /// the epoch's begin record. `Ok` carries the full new plan so replay
 /// never re-solves.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
 pub enum ReplanVerdict {
     /// No solve finished this epoch.
     NotAttempted,
@@ -104,7 +105,7 @@ pub enum ReplanVerdict {
 
 /// The full serializable engine state — the unit the store snapshots
 /// and CRC-checks.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServiceState {
     /// Epochs executed.
     pub epoch: usize,
@@ -125,8 +126,10 @@ pub struct ServiceState {
     /// Rates the active plan was built for (drift baseline).
     pub planned_rates: Vec<f64>,
     /// Recently admitted batch ids, oldest first (dedup window).
+    #[serde(with = "serde::Hex")]
     pub recent_ids: Vec<u64>,
-    /// Epoch of the last replan *request* (rate limiting).
+    /// Epoch whose step last consumed a replan verdict (the baseline of
+    /// the `min_replan_gap_epochs` rate limit).
     pub last_replan_epoch: usize,
     /// Lifetime counters.
     pub totals: ServiceTotals,
@@ -301,11 +304,6 @@ impl ServiceEngine {
         (dc, self.state.pstates.clone())
     }
 
-    /// Record that a solve was spawned (rate limiting baseline).
-    pub fn note_replan_requested(&mut self) {
-        self.state.last_replan_epoch = self.state.epoch;
-    }
-
     /// Execute one epoch: dispatch `batches` (in order), update demand
     /// EWMAs, apply the journaled `verdict` to the breaker and the
     /// plan, settle finished tasks, and advance the clock.
@@ -389,6 +387,12 @@ impl ServiceEngine {
 
         // ---- Verdict → breaker → plan/ladder ------------------------------
         let t1 = t0 + epoch_s;
+        // The rate limit counts from the answer, and is set here — inside
+        // the journaled step — so replay sees it; while a solve is out
+        // the daemon's in-flight slot is what holds back a second one.
+        if *verdict != ReplanVerdict::NotAttempted {
+            state.last_replan_epoch = state.epoch;
+        }
         match verdict {
             ReplanVerdict::NotAttempted => {}
             ReplanVerdict::Ok { stage3 } => {
@@ -477,119 +481,5 @@ fn unshed_all(shed: &mut Vec<usize>, log: &mut EventLog, at_s: f64) {
     if !shed.is_empty() {
         shed.clear();
         log.record(at_s, EventKind::Recovered { margin_c: 0.0 });
-    }
-}
-
-// ---- Serde -----------------------------------------------------------------
-
-impl Serialize for ReplanVerdict {
-    fn to_value(&self) -> Value {
-        match self {
-            ReplanVerdict::NotAttempted => {
-                Value::Object(vec![("kind".to_string(), "not_attempted".to_value())])
-            }
-            ReplanVerdict::Ok { stage3 } => Value::Object(vec![
-                ("kind".to_string(), "ok".to_value()),
-                ("stage3".to_string(), stage3.to_value()),
-            ]),
-            ReplanVerdict::TimedOut => {
-                Value::Object(vec![("kind".to_string(), "timed_out".to_value())])
-            }
-            ReplanVerdict::Failed { error } => Value::Object(vec![
-                ("kind".to_string(), "failed".to_value()),
-                ("error".to_string(), error.to_value()),
-            ]),
-        }
-    }
-}
-
-impl Deserialize for ReplanVerdict {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let entries = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("ReplanVerdict: expected object"))?;
-        let kind: String = serde::field(entries, "kind")?;
-        match kind.as_str() {
-            "not_attempted" => Ok(ReplanVerdict::NotAttempted),
-            "ok" => Ok(ReplanVerdict::Ok {
-                stage3: serde::field(entries, "stage3")?,
-            }),
-            "timed_out" => Ok(ReplanVerdict::TimedOut),
-            "failed" => Ok(ReplanVerdict::Failed {
-                error: serde::field(entries, "error")?,
-            }),
-            other => Err(serde::Error::custom(format!(
-                "ReplanVerdict: unknown kind '{other}'"
-            ))),
-        }
-    }
-}
-
-impl Serialize for ServiceState {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("epoch".to_string(), self.epoch.to_value()),
-            ("now_s".to_string(), self.now_s.to_value()),
-            ("pstates".to_string(), self.pstates.to_value()),
-            ("stage3".to_string(), self.stage3.to_value()),
-            ("sim".to_string(), self.sim.to_value()),
-            ("breaker".to_string(), self.breaker.to_value()),
-            ("shed".to_string(), self.shed.to_value()),
-            ("ewma".to_string(), self.ewma.to_value()),
-            ("planned_rates".to_string(), self.planned_rates.to_value()),
-            (
-                "recent_ids".to_string(),
-                Value::Array(
-                    self.recent_ids
-                        .iter()
-                        .map(|id| Value::String(format!("{id:016x}")))
-                        .collect(),
-                ),
-            ),
-            (
-                "last_replan_epoch".to_string(),
-                self.last_replan_epoch.to_value(),
-            ),
-            ("totals".to_string(), self.totals.to_value()),
-            ("log".to_string(), self.log.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for ServiceState {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let entries = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("ServiceState: expected object"))?;
-        let raw_ids = entries
-            .iter()
-            .find(|(k, _)| k == "recent_ids")
-            .map(|(_, v)| v)
-            .and_then(|v| v.as_array())
-            .ok_or_else(|| serde::Error::custom("ServiceState: missing 'recent_ids'"))?;
-        let mut recent_ids = Vec::with_capacity(raw_ids.len());
-        for v in raw_ids {
-            let hex = v
-                .as_str()
-                .ok_or_else(|| serde::Error::custom("ServiceState: id must be a hex string"))?;
-            recent_ids.push(u64::from_str_radix(hex, 16).map_err(|e| {
-                serde::Error::custom(format!("ServiceState: bad id '{hex}': {e}"))
-            })?);
-        }
-        Ok(ServiceState {
-            epoch: serde::field(entries, "epoch")?,
-            now_s: serde::field(entries, "now_s")?,
-            pstates: serde::field(entries, "pstates")?,
-            stage3: serde::field(entries, "stage3")?,
-            sim: serde::field(entries, "sim")?,
-            breaker: serde::field(entries, "breaker")?,
-            shed: serde::field(entries, "shed")?,
-            ewma: serde::field(entries, "ewma")?,
-            planned_rates: serde::field(entries, "planned_rates")?,
-            recent_ids,
-            last_replan_epoch: serde::field(entries, "last_replan_epoch")?,
-            totals: serde::field(entries, "totals")?,
-            log: serde::field(entries, "log")?,
-        })
     }
 }

@@ -102,13 +102,15 @@ pub struct LoadReport {
     pub latency_p99_ms: f64,
     /// Worst admission latency, ms.
     pub latency_max_ms: f64,
-    /// Acked batch ids (hex), in ack order: the exactly-once ledger a
+    /// Acked batch ids, in ack order: the exactly-once ledger a
     /// verify pass replays against the resumed daemon.
-    pub acked_ids: Vec<String>,
+    #[serde(with = "serde::Hex")]
+    pub acked_ids: Vec<u64>,
     /// Ids sent but never acked (chaos disconnects, shutdown races):
     /// the daemon may or may not have admitted them, so a verify pass
     /// accepts either answer.
-    pub unacked_ids: Vec<String>,
+    #[serde(with = "serde::Hex")]
+    pub unacked_ids: Vec<u64>,
 }
 
 /// Per-worker tally merged into the final report.
@@ -301,7 +303,7 @@ fn worker(cfg: &LoadgenConfig, client_idx: usize, nonce: u16) -> WorkerTally {
             let json = serde_json::to_string(&request)
                 .unwrap_or_default();
             let sent = client.send_line(&json);
-            tally.report.unacked_ids.push(format!("{id:016x}"));
+            tally.report.unacked_ids.push(id);
             match Client::connect(&cfg.socket) {
                 Ok(fresh) => client = fresh,
                 Err(_) => {
@@ -343,7 +345,7 @@ fn worker(cfg: &LoadgenConfig, client_idx: usize, nonce: u16) -> WorkerTally {
                 // The request may have reached the daemon before the
                 // failure: in doubt, like a disconnect.
                 tally.report.io_errors += 1;
-                tally.report.unacked_ids.push(format!("{id:016x}"));
+                tally.report.unacked_ids.push(id);
                 match Client::connect(&cfg.socket) {
                     Ok(fresh) => client = fresh,
                     Err(_) => break,
@@ -366,7 +368,7 @@ fn record_response(tally: &mut WorkerTally, id: u64, response: &Response, took: 
             } else {
                 tally.report.acked += 1;
             }
-            tally.report.acked_ids.push(format!("{id:016x}"));
+            tally.report.acked_ids.push(id);
             tally.latencies_ms.push(took.as_secs_f64() * 1_000.0);
         }
         Response::Rejected { reason, .. } => match reason {
@@ -393,8 +395,8 @@ pub fn verify(
     window: usize,
 ) -> std::io::Result<VerifyOutcome> {
     let tail_start = report.acked_ids.len().saturating_sub(window);
-    let acked: Vec<u64> = parse_ids(&report.acked_ids[tail_start..]);
-    let unacked: Vec<u64> = parse_ids(&report.unacked_ids);
+    let acked = &report.acked_ids[tail_start..];
+    let unacked = &report.unacked_ids;
     let shards = connections.max(1);
     let outcomes: Vec<std::io::Result<VerifyOutcome>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..shards)
@@ -476,12 +478,6 @@ fn verify_shard(
     Ok(out)
 }
 
-fn parse_ids(hex: &[String]) -> Vec<u64> {
-    hex.iter()
-        .filter_map(|h| u64::from_str_radix(h, 16).ok())
-        .collect()
-}
-
 fn percentile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
@@ -520,12 +516,13 @@ mod tests {
             duration_s: 1.5,
             sent_batches: 10,
             acked: 8,
-            acked_ids: vec!["00070000000000aa".to_string()],
-            unacked_ids: vec!["00070000000000ab".to_string()],
+            acked_ids: vec![0x0007_0000_0000_00aa],
+            unacked_ids: vec![0x0007_0000_0000_00ab],
             latency_p99_ms: 12.5,
             ..LoadReport::default()
         };
         let json = serde_json::to_string(&report).expect("encode");
+        assert!(json.contains(r#""acked_ids":["00070000000000aa"],"unacked_ids":["00070000000000ab"]"#));
         let back: LoadReport = serde_json::from_str(&json).expect("decode");
         assert_eq!(back.acked, 8);
         assert_eq!(back.acked_ids, report.acked_ids);

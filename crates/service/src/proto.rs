@@ -25,9 +25,10 @@ use serde::{Deserialize, Serialize, Value};
 pub const MAX_LINE_BYTES: usize = 256 * 1024;
 
 /// One admission batch: a client-unique id and task counts by type.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Batch {
     /// Client-assigned unique id (the exactly-once key).
+    #[serde(with = "serde::Hex")]
     pub id: u64,
     /// `(task_type, count)` pairs.
     pub tasks: Vec<(usize, usize)>,
@@ -62,6 +63,7 @@ pub enum Request {
 
 /// Why a submit was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum RejectReason {
     /// The bounded admission queue is full — retry after the hint.
     QueueFull,
@@ -72,27 +74,6 @@ pub enum RejectReason {
     BatchTooLarge,
     /// A task type index outside the scenario's workload.
     UnknownTaskType,
-}
-
-impl RejectReason {
-    fn as_str(self) -> &'static str {
-        match self {
-            RejectReason::QueueFull => "queue_full",
-            RejectReason::BudgetExpired => "budget_expired",
-            RejectReason::BatchTooLarge => "batch_too_large",
-            RejectReason::UnknownTaskType => "unknown_task_type",
-        }
-    }
-
-    fn parse(s: &str) -> Option<RejectReason> {
-        Some(match s {
-            "queue_full" => RejectReason::QueueFull,
-            "budget_expired" => RejectReason::BudgetExpired,
-            "batch_too_large" => RejectReason::BatchTooLarge,
-            "unknown_task_type" => RejectReason::UnknownTaskType,
-            _ => return None,
-        })
-    }
 }
 
 /// Point-in-time service statistics (the `stats` response payload).
@@ -137,13 +118,15 @@ pub struct StatsReport {
 }
 
 /// A daemon response.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "type", rename_all = "snake_case")]
 pub enum Response {
     /// The batch is journaled durably and will enter epoch `epoch`.
     /// `duplicate` means the id was already admitted — the batch was
     /// acked again but will not dispatch twice.
     Accepted {
         /// Echoed batch id.
+        #[serde(with = "serde::Hex")]
         id: u64,
         /// Epoch the batch enters (or entered, for duplicates).
         epoch: usize,
@@ -153,6 +136,7 @@ pub enum Response {
     /// The batch was refused; nothing was journaled.
     Rejected {
         /// Echoed batch id.
+        #[serde(with = "serde::Hex")]
         id: u64,
         /// Why.
         reason: RejectReason,
@@ -160,6 +144,7 @@ pub enum Response {
         retry_after_ms: u64,
     },
     /// Stats payload.
+    #[serde(content = "report")]
     Stats(StatsReport),
     /// Liveness reply.
     Pong,
@@ -172,50 +157,15 @@ pub enum Response {
     },
 }
 
-// ---- Serde -----------------------------------------------------------------
-//
-// Payload-carrying enums need manual impls under the vendored serde;
-// ids travel as 16-digit hex strings (u64s do not survive f64 JSON
-// numbers above 2^53).
-
-fn id_to_value(id: u64) -> Value {
-    Value::String(format!("{id:016x}"))
-}
-
-fn id_from(entries: &[(String, Value)]) -> Result<u64, serde::Error> {
-    let hex: String = serde::field(entries, "id")?;
-    u64::from_str_radix(&hex, 16)
-        .map_err(|e| serde::Error::custom(format!("bad id '{hex}': {e}")))
-}
-
-impl Serialize for Batch {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("id".to_string(), id_to_value(self.id)),
-            ("tasks".to_string(), self.tasks.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for Batch {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let entries = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("Batch: expected object"))?;
-        Ok(Batch {
-            id: id_from(entries)?,
-            tasks: serde::field(entries, "tasks")?,
-        })
-    }
-}
-
+// By hand: `submit` inlines its batch's `id` and `tasks` beside the tag
+// and leaves `budget_ms` out when there is none.
 impl Serialize for Request {
     fn to_value(&self) -> Value {
         match self {
             Request::Submit { batch, budget_ms } => {
                 let mut entries = vec![
                     ("type".to_string(), "submit".to_value()),
-                    ("id".to_string(), id_to_value(batch.id)),
+                    ("id".to_string(), serde::Hex::to_value(&batch.id)),
                     ("tasks".to_string(), batch.tasks.to_value()),
                 ];
                 if let Some(ms) = budget_ms {
@@ -239,7 +189,7 @@ impl Deserialize for Request {
         match kind.as_str() {
             "submit" => Ok(Request::Submit {
                 batch: Batch {
-                    id: id_from(entries)?,
+                    id: serde::field_with(entries, "id", serde::Hex::from_value)?,
                     tasks: serde::field(entries, "tasks")?,
                 },
                 budget_ms: serde::field(entries, "budget_ms").ok(),
@@ -249,72 +199,6 @@ impl Deserialize for Request {
             "shutdown" => Ok(Request::Shutdown),
             other => Err(serde::Error::custom(format!(
                 "Request: unknown type '{other}'"
-            ))),
-        }
-    }
-}
-
-impl Serialize for Response {
-    fn to_value(&self) -> Value {
-        match self {
-            Response::Accepted { id, epoch, duplicate } => Value::Object(vec![
-                ("type".to_string(), "accepted".to_value()),
-                ("id".to_string(), id_to_value(*id)),
-                ("epoch".to_string(), epoch.to_value()),
-                ("duplicate".to_string(), duplicate.to_value()),
-            ]),
-            Response::Rejected { id, reason, retry_after_ms } => Value::Object(vec![
-                ("type".to_string(), "rejected".to_value()),
-                ("id".to_string(), id_to_value(*id)),
-                ("reason".to_string(), reason.as_str().to_value()),
-                ("retry_after_ms".to_string(), retry_after_ms.to_value()),
-            ]),
-            Response::Stats(report) => Value::Object(vec![
-                ("type".to_string(), "stats".to_value()),
-                ("report".to_string(), report.to_value()),
-            ]),
-            Response::Pong => Value::Object(vec![("type".to_string(), "pong".to_value())]),
-            Response::ShuttingDown => {
-                Value::Object(vec![("type".to_string(), "shutting_down".to_value())])
-            }
-            Response::Error { message } => Value::Object(vec![
-                ("type".to_string(), "error".to_value()),
-                ("message".to_string(), message.to_value()),
-            ]),
-        }
-    }
-}
-
-impl Deserialize for Response {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let entries = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("Response: expected object"))?;
-        let kind: String = serde::field(entries, "type")?;
-        match kind.as_str() {
-            "accepted" => Ok(Response::Accepted {
-                id: id_from(entries)?,
-                epoch: serde::field(entries, "epoch")?,
-                duplicate: serde::field(entries, "duplicate")?,
-            }),
-            "rejected" => {
-                let reason: String = serde::field(entries, "reason")?;
-                Ok(Response::Rejected {
-                    id: id_from(entries)?,
-                    reason: RejectReason::parse(&reason).ok_or_else(|| {
-                        serde::Error::custom(format!("Response: unknown reason '{reason}'"))
-                    })?,
-                    retry_after_ms: serde::field(entries, "retry_after_ms")?,
-                })
-            }
-            "stats" => Ok(Response::Stats(serde::field(entries, "report")?)),
-            "pong" => Ok(Response::Pong),
-            "shutting_down" => Ok(Response::ShuttingDown),
-            "error" => Ok(Response::Error {
-                message: serde::field(entries, "message")?,
-            }),
-            other => Err(serde::Error::custom(format!(
-                "Response: unknown type '{other}'"
             ))),
         }
     }

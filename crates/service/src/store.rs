@@ -1,6 +1,7 @@
 //! The service's durable layer: a write-ahead journal of (batches,
 //! verdict) epoch inputs plus periodic full-state snapshots, built on
-//! the runtime persist crate's framed-journal primitives.
+//! the runtime persist crate's framed-journal, header-file and
+//! snapshot-file primitives (one copy of the file format for both).
 //!
 //! # Exactly-once admission across SIGKILL
 //!
@@ -30,23 +31,28 @@
 
 use crate::engine::{ReplanVerdict, ServiceConfig, ServiceEngine, ServiceState};
 use crate::proto::Batch;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::fs;
-use std::io;
 use std::path::{Path, PathBuf};
 use thermaware_core::stage3::Stage3Solution;
-use thermaware_datacenter::{atomic_write, ScenarioSnapshot};
+use thermaware_datacenter::ScenarioSnapshot;
 use thermaware_runtime::persist::{
-    crc32, read_framed_journal, truncate_journal, JournalWriter, PersistError,
+    crc32, load_snapshot, read_framed_journal, read_header, snapshot_paths, truncate_journal,
+    write_header, write_snapshot, JournalWriter, PersistError, SnapshotFormat,
 };
 
 /// On-disk format version for the service store.
 pub const SERVICE_FORMAT_VERSION: u64 = 1;
 
+const SNAPSHOTS: SnapshotFormat = SnapshotFormat {
+    version: SERVICE_FORMAT_VERSION,
+    crc_since: 1,
+    obs_count: "service.snapshots",
+    obs_write_us: "service.snapshot_write_us",
+};
+
 const HEADER_FILE: &str = "service.json";
 const JOURNAL_FILE: &str = "journal.jsonl";
-const SNAP_PREFIX: &str = "snap-";
-const SNAP_SUFFIX: &str = ".json";
 
 /// The immutable run description written once at store creation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -62,7 +68,8 @@ pub struct ServiceHeader {
 }
 
 /// One write-ahead record.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "rec", rename_all = "snake_case")]
 pub enum ServiceRecord {
     /// Fsynced *before* epoch `epoch`'s batches are acknowledged: the
     /// complete deterministic input of the epoch step.
@@ -82,51 +89,6 @@ pub enum ServiceRecord {
         /// CRC-32 over the post-step [`ServiceState`] JSON.
         state_crc: u32,
     },
-}
-
-impl Serialize for ServiceRecord {
-    fn to_value(&self) -> Value {
-        match self {
-            ServiceRecord::Begin {
-                epoch,
-                batches,
-                verdict,
-            } => Value::Object(vec![
-                ("rec".to_string(), "begin".to_value()),
-                ("epoch".to_string(), epoch.to_value()),
-                ("batches".to_string(), batches.to_value()),
-                ("verdict".to_string(), verdict.to_value()),
-            ]),
-            ServiceRecord::Commit { epoch, state_crc } => Value::Object(vec![
-                ("rec".to_string(), "commit".to_value()),
-                ("epoch".to_string(), epoch.to_value()),
-                ("state_crc".to_string(), state_crc.to_value()),
-            ]),
-        }
-    }
-}
-
-impl Deserialize for ServiceRecord {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let entries = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("service record: expected object"))?;
-        let rec: String = serde::field(entries, "rec")?;
-        match rec.as_str() {
-            "begin" => Ok(ServiceRecord::Begin {
-                epoch: serde::field(entries, "epoch")?,
-                batches: serde::field(entries, "batches")?,
-                verdict: serde::field(entries, "verdict")?,
-            }),
-            "commit" => Ok(ServiceRecord::Commit {
-                epoch: serde::field(entries, "epoch")?,
-                state_crc: serde::field(entries, "state_crc")?,
-            }),
-            other => Err(serde::Error::custom(format!(
-                "service record: unknown rec '{other}'"
-            ))),
-        }
-    }
 }
 
 /// Durability policy for a service store.
@@ -188,13 +150,7 @@ impl ServiceStore {
             pstates: engine.state().pstates.clone(),
             stage3: engine.state().stage3.clone(),
         };
-        let envelope = Value::Object(vec![
-            ("version".to_string(), SERVICE_FORMAT_VERSION.to_value()),
-            ("header".to_string(), header.to_value()),
-        ]);
-        let json = serde_json::to_string(&envelope)
-            .map_err(|e| PersistError::State { reason: e.to_string() })?;
-        atomic_write(&cfg.dir.join(HEADER_FILE), json.as_bytes(), cfg.durable)?;
+        write_header(&cfg.dir.join(HEADER_FILE), SERVICE_FORMAT_VERSION, &header, cfg.durable)?;
         let journal =
             JournalWriter::create(&cfg.dir.join(JOURNAL_FILE), cfg.durable, cfg.flush_every)?;
         let mut store = ServiceStore { cfg, journal };
@@ -251,30 +207,8 @@ impl ServiceStore {
     pub fn snapshot(&mut self, engine: &ServiceEngine) -> Result<(), PersistError> {
         self.journal.sync()?;
         let (json, crc) = state_json_crc(engine.state())?;
-        let envelope = Value::Object(vec![
-            ("version".to_string(), SERVICE_FORMAT_VERSION.to_value()),
-            ("epoch".to_string(), engine.state().epoch.to_value()),
-            ("state_crc".to_string(), crc.to_value()),
-            ("state".to_string(), json.to_value()),
-        ]);
-        let out = serde_json::to_string(&envelope)
-            .map_err(|e| PersistError::State { reason: e.to_string() })?;
-        let name = format!("{SNAP_PREFIX}{:08}{SNAP_SUFFIX}", engine.state().epoch);
-        let start = thermaware_obs::enabled().then(std::time::Instant::now);
-        atomic_write(&self.cfg.dir.join(name), out.as_bytes(), self.cfg.durable)?;
-        if let Some(t) = start {
-            thermaware_obs::counter_add("service.snapshots", 1);
-            thermaware_obs::observe("service.snapshot_write_us", t.elapsed().as_micros() as f64);
-        }
-        let mut snaps = snapshot_paths(&self.cfg.dir)?;
-        let retain = self.cfg.retain.max(1);
-        if snaps.len() > retain {
-            snaps.sort_by_key(|(e, _)| *e);
-            for (_, path) in snaps.iter().take(snaps.len() - retain) {
-                fs::remove_file(path)?;
-            }
-        }
-        Ok(())
+        let cfg = &self.cfg;
+        write_snapshot(&SNAPSHOTS, &cfg.dir, engine.state().epoch, &json, crc, cfg.durable, cfg.retain)
     }
 }
 
@@ -298,48 +232,21 @@ pub struct ServiceRecoveryInfo {
 /// ever re-run**), verify commit CRCs, and truncate any torn tail.
 pub fn resume_service(dir: &Path) -> Result<(ServiceEngine, ServiceRecoveryInfo), PersistError> {
     let _span = thermaware_obs::span("service.resume");
-    let header_path = dir.join(HEADER_FILE);
-    let raw = match fs::read_to_string(&header_path) {
-        Ok(s) => s,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            return Err(PersistError::NoCheckpoint { dir: dir.to_path_buf() })
-        }
-        Err(e) => return Err(e.into()),
-    };
-    let envelope: Value = serde_json::from_str(&raw).map_err(|e| PersistError::Corrupt {
-        path: header_path.clone(),
-        reason: format!("header JSON: {e}"),
-    })?;
-    let entries = envelope.as_object().ok_or_else(|| PersistError::Corrupt {
-        path: header_path.clone(),
-        reason: "header envelope is not an object".to_string(),
-    })?;
-    let version: u64 = serde::field(entries, "version").map_err(|e| PersistError::Corrupt {
-        path: header_path.clone(),
-        reason: e.to_string(),
-    })?;
-    if version > SERVICE_FORMAT_VERSION {
-        return Err(PersistError::UnsupportedVersion { path: header_path, version });
-    }
-    let header: ServiceHeader =
-        serde::field(entries, "header").map_err(|e| PersistError::Corrupt {
-            path: header_path.clone(),
-            reason: e.to_string(),
-        })?;
+    let header: ServiceHeader = read_header(&dir.join(HEADER_FILE), SERVICE_FORMAT_VERSION)?;
     let dc = header
         .scenario
         .clone()
         .restore()
         .map_err(|e| PersistError::State { reason: format!("scenario restore: {e}") })?;
 
-    // Newest snapshot that passes its CRC wins; corrupt generations are
-    // skipped, and with none valid we bootstrap epoch 0 from the header.
+    // Newest snapshot that passes its checks wins; corrupt generations
+    // are skipped, and with none valid we bootstrap epoch 0 from the header.
     let mut snaps = snapshot_paths(dir)?;
     snaps.sort_by_key(|(e, _)| *e);
     let mut state: Option<ServiceState> = None;
     let mut snapshot_epoch = 0usize;
     for (epoch, path) in snaps.iter().rev() {
-        if let Some(s) = load_snapshot(path) {
+        if let Ok(s) = load_snapshot(&SNAPSHOTS, path, *epoch, |s: &ServiceState| s.epoch) {
             state = Some(s);
             snapshot_epoch = *epoch;
             break;
@@ -413,44 +320,4 @@ pub fn resume_service(dir: &Path) -> Result<(ServiceEngine, ServiceRecoveryInfo)
             truncated_bytes,
         },
     ))
-}
-
-fn load_snapshot(path: &Path) -> Option<ServiceState> {
-    let raw = fs::read_to_string(path).ok()?;
-    let envelope: Value = serde_json::from_str(&raw).ok()?;
-    let entries = envelope.as_object()?;
-    let version: u64 = serde::field(entries, "version").ok()?;
-    if version > SERVICE_FORMAT_VERSION {
-        return None;
-    }
-    let want: u32 = serde::field(entries, "state_crc").ok()?;
-    let json: String = serde::field(entries, "state").ok()?;
-    if crc32(json.as_bytes()) != want {
-        return None;
-    }
-    serde_json::from_str(&json).ok()
-}
-
-fn snapshot_paths(dir: &Path) -> Result<Vec<(usize, PathBuf)>, PersistError> {
-    let mut out = Vec::new();
-    let entries = match fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(out),
-        Err(e) => return Err(e.into()),
-    };
-    for entry in entries {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(rest) = name.strip_prefix(SNAP_PREFIX) else {
-            continue;
-        };
-        let Some(num) = rest.strip_suffix(SNAP_SUFFIX) else {
-            continue;
-        };
-        if let Ok(epoch) = num.parse::<usize>() {
-            out.push((epoch, entry.path()));
-        }
-    }
-    Ok(out)
 }

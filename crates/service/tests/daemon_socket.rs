@@ -139,19 +139,29 @@ mod e2e {
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
             .expect("timeout");
-        stream.write_all(b"this is not json\n").expect("send garbage");
-        let mut line = String::new();
-        BufReader::new(&stream).read_line(&mut line).expect("recv");
-        let resp: Response = serde_json::from_str(line.trim_end()).expect("decode");
-        assert!(matches!(resp, Response::Error { .. }), "garbage earns an error frame");
-
-        // The same connection still works afterwards.
         let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        stream.write_all(b"{\"type\":\"ping\"}\n").expect("ping");
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("recv pong");
-        let resp: Response = serde_json::from_str(line.trim_end()).expect("decode pong");
-        assert!(matches!(resp, Response::Pong));
+        let mut exchange = |frame: &[u8]| -> Response {
+            stream.write_all(frame).expect("send");
+            stream.write_all(b"\n").expect("send nl");
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("recv");
+            serde_json::from_str(line.trim_end()).expect("decode")
+        };
+        assert!(
+            matches!(exchange(b"this is not json"), Response::Error { .. }),
+            "garbage earns an error frame"
+        );
+        // The same connection still works afterwards.
+        assert!(matches!(exchange(b"{\"type\":\"ping\"}"), Response::Pong));
+
+        // A line inside the size cap but nested 200,000 deep: the JSON
+        // reader recurses per level, and used to overflow the
+        // connection thread's stack — aborting the whole daemon.
+        match exchange("[".repeat(200_000).as_bytes()) {
+            Response::Error { message } => assert!(message.contains("nesting"), "{message}"),
+            other => panic!("deep nesting answered {other:?}"),
+        }
+        assert!(matches!(exchange(b"{\"type\":\"ping\"}"), Response::Pong));
 
         assert!(matches!(
             roundtrip(&socket, &Request::Shutdown),

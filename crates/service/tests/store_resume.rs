@@ -162,3 +162,72 @@ fn verdicts_replay_without_resolving() {
     assert_eq!(resumed.state().totals.replans, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The daemon's epoch order — begin → step → commit → snapshot → ask
+/// for a replan — with a request made after the last snapshot. The
+/// request used to move `last_replan_epoch` outside any journaled step,
+/// so replay from the snapshot reached a different state CRC than the
+/// commit record held and resume stopped with `replay divergence`.
+#[test]
+fn replan_requested_after_the_last_snapshot_resumes_bit_identically() {
+    let dir = tmp_dir("replan");
+    let mut live = engine(7);
+    let cfg = StoreConfig { durable: false, snapshot_interval: 4, ..StoreConfig::new(&dir) };
+    let mut store = ServiceStore::create(cfg, &live).expect("create");
+    let mut inflight: Option<ReplanVerdict> = None;
+    let mut last_request_epoch = 0;
+    for _ in 0..10 {
+        let epoch = live.state().epoch;
+        let batches = vec![batch(1000 + epoch as u64, 0, 40)]; // far off the planned rates
+        let verdict = inflight.take().unwrap_or(ReplanVerdict::NotAttempted);
+        store.append_begin(epoch, &batches, &verdict).expect("begin");
+        live.step(&batches, &verdict);
+        let (_, crc) = state_json_crc(live.state()).expect("crc");
+        store.append_commit(epoch, crc).expect("commit");
+        if store.snapshot_due(live.state().epoch) {
+            store.snapshot(&live).expect("snapshot");
+        }
+        if live.wants_replan() {
+            let _job = live.solve_request();
+            // The solve answers in the next epoch's begin record.
+            inflight = Some(ReplanVerdict::Ok { stage3: live.state().stage3.clone() });
+            last_request_epoch = live.state().epoch;
+        }
+    }
+    store.sync().expect("sync");
+    drop(store);
+
+    let (resumed, info) = resume_service(&dir).expect("resume");
+    assert!(
+        last_request_epoch >= info.snapshot_epoch && info.replayed_epochs > 0,
+        "a replan was requested at epoch {last_request_epoch}, after the snapshot at {}",
+        info.snapshot_epoch
+    );
+    assert_eq!(
+        serde_json::to_string(resumed.state()).expect("resumed"),
+        serde_json::to_string(live.state()).expect("live"),
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A generation whose file name disagrees with the epoch inside it is
+/// corrupt: resume skips it for the next one down.
+#[test]
+fn misnamed_snapshot_generation_is_skipped() {
+    let dir = tmp_dir("misnamed");
+    let mut live = engine(7);
+    let cfg = StoreConfig { durable: false, snapshot_interval: 4, ..StoreConfig::new(&dir) };
+    let mut store = ServiceStore::create(cfg, &live).expect("create");
+    drive(&mut live, &mut store, 10);
+    store.sync().expect("sync");
+    drop(store);
+    std::fs::copy(dir.join("snap-00000004.json"), dir.join("snap-00000012.json")).expect("plant");
+
+    let (resumed, info) = resume_service(&dir).expect("resume");
+    assert_eq!(info.snapshot_epoch, 8, "the planted generation 12 holds epoch 4");
+    assert_eq!(
+        serde_json::to_string(resumed.state()).expect("resumed"),
+        serde_json::to_string(live.state()).expect("live"),
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -10,10 +10,11 @@
 //! `service::loadgen` grew first; they now live here so the plan-side
 //! scenario engine and the client-side load shape can never drift apart.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// A deterministic level-versus-time shape.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
 pub enum Curve {
     /// Flat level.
     Constant {
@@ -88,63 +89,6 @@ impl Curve {
                 len_s: num(4)?,
             }),
             _ => None,
-        }
-    }
-}
-
-// The vendored serde derive cannot express payload-carrying enums, so
-// `Curve` serializes by hand as a tagged object (same convention as
-// `runtime::Fault`).
-
-impl Serialize for Curve {
-    fn to_value(&self) -> Value {
-        let entries = match *self {
-            Curve::Constant { rate } => vec![
-                ("kind".to_string(), "constant".to_value()),
-                ("rate".to_string(), rate.to_value()),
-            ],
-            Curve::Diurnal { base, peak, period_s } => vec![
-                ("kind".to_string(), "diurnal".to_value()),
-                ("base".to_string(), base.to_value()),
-                ("peak".to_string(), peak.to_value()),
-                ("period_s".to_string(), period_s.to_value()),
-            ],
-            Curve::Surge { base, surge, start_s, len_s } => vec![
-                ("kind".to_string(), "surge".to_value()),
-                ("base".to_string(), base.to_value()),
-                ("surge".to_string(), surge.to_value()),
-                ("start_s".to_string(), start_s.to_value()),
-                ("len_s".to_string(), len_s.to_value()),
-            ],
-        };
-        Value::Object(entries)
-    }
-}
-
-impl Deserialize for Curve {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let entries = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("Curve: expected object"))?;
-        let kind: String = serde::field(entries, "kind")?;
-        match kind.as_str() {
-            "constant" => Ok(Curve::Constant {
-                rate: serde::field(entries, "rate")?,
-            }),
-            "diurnal" => Ok(Curve::Diurnal {
-                base: serde::field(entries, "base")?,
-                peak: serde::field(entries, "peak")?,
-                period_s: serde::field(entries, "period_s")?,
-            }),
-            "surge" => Ok(Curve::Surge {
-                base: serde::field(entries, "base")?,
-                surge: serde::field(entries, "surge")?,
-                start_s: serde::field(entries, "start_s")?,
-                len_s: serde::field(entries, "len_s")?,
-            }),
-            other => Err(serde::Error::custom(format!(
-                "Curve: unknown kind '{other}'"
-            ))),
         }
     }
 }

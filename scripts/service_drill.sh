@@ -36,10 +36,12 @@ serve() { # serve TRACE_PATH
     --breaker-threshold 2 --breaker-cooldown 2 \
     --chaos-solver-rate 0.7 --chaos-seed 42 \
     --flush-every 8 --snapshot-interval 32 \
-    --trace "$1" &
+    --trace "$1" 2>"$1.stderr" &
   SERVER_PID=$!
   for _ in $(seq 1 200); do [ -S "$SOCK" ] && break; sleep 0.05; done
-  [ -S "$SOCK" ] || { echo "FAIL: daemon never bound $SOCK"; exit 1; }
+  # A daemon that cannot resume says why on stderr (`resume failed: …`)
+  # and exits before binding: show that, not just the missing socket.
+  [ -S "$SOCK" ] || { echo "FAIL: daemon never bound $SOCK; its stderr:"; cat "$1.stderr"; exit 1; }
 }
 
 json_field() { # json_field FILE KEY -> integer value
@@ -79,7 +81,7 @@ serve "$WORK/trace2.jsonl"
 SECOND_PID=$SERVER_PID
 
 "$BIN/thermaware-loadgen" --socket "$SOCK" --verify-against "$REPORT" \
-  || { echo "FAIL: verify lost admitted work"; kill -9 "$SECOND_PID"; exit 1; }
+  || { echo "FAIL: verify lost admitted work; daemon stderr:"; cat "$WORK/trace2.jsonl.stderr"; kill -9 "$SECOND_PID"; exit 1; }
 
 kill -9 "$SECOND_PID" 2>/dev/null || true
 wait "$SECOND_PID" 2>/dev/null || true

@@ -1,0 +1,364 @@
+//! Golden bytes of everything journaled, snapshotted or sent over the
+//! socket as a tagged object: one literal per variant, held in both
+//! directions (`to_string(x) == literal`, `from_str(literal) == x`).
+//! The round-trip suites cannot see a changed tag key, field order or
+//! id encoding — both directions change together — and a directory
+//! written by an older binary must keep resuming.
+
+use thermaware::core::stage3::Stage3Solution;
+use thermaware::core::{SolveError, Solver};
+use thermaware::datacenter::ScenarioParams;
+use thermaware::lp::LpError;
+use thermaware::runtime::event::DEFAULT_LOG_CAPACITY;
+use thermaware::runtime::{
+    Action, Event, EventKind, EventLog, Fault, FaultEvent, SupervisorConfig, Violation,
+};
+use thermaware::service::engine::ServiceState;
+use thermaware::service::proto::{RejectReason, StatsReport};
+use thermaware::service::store::ServiceRecord;
+use thermaware::service::{Batch, ReplanVerdict, Request, Response, ServiceConfig, ServiceEngine};
+use thermaware::workload::Curve;
+
+/// `f()` at the type of `_like` (names the parse target without naming
+/// the serde traits, which the root package does not depend on).
+fn typed<T>(_like: &T, f: impl FnOnce() -> T) -> T {
+    f()
+}
+
+macro_rules! pin {
+    ($x:expr, $literal:expr) => {{
+        let x = $x;
+        let literal: &str = &$literal;
+        assert_eq!(serde_json::to_string(&x).expect("encode"), literal);
+        let back = typed(&x, || serde_json::from_str(literal).expect("decode"));
+        assert_eq!(back, x, "{literal}");
+    }};
+}
+
+macro_rules! rejects {
+    ($t:ty, $($literal:expr),+ $(,)?) => {$({
+        let literal: &str = &$literal;
+        assert!(serde_json::from_str::<$t>(literal).is_err(), "{} accepted {literal}", stringify!($t));
+    })+};
+}
+
+#[test]
+fn lp_and_solve_errors() {
+    pin!(LpError::Infeasible { residual: 0.5 }, r#"{"kind":"infeasible","residual":0.5}"#);
+    pin!(LpError::Unbounded { var: "tc_0_1".into() }, r#"{"kind":"unbounded","var":"tc_0_1"}"#);
+    pin!(LpError::IterationLimit { limit: 1000 }, r#"{"kind":"iteration_limit","limit":1000}"#);
+    pin!(LpError::Internal { what: "no pivot".into() }, r#"{"kind":"internal","what":"no pivot"}"#);
+    rejects!(LpError, r#"{"kind":"gremlin"}"#, r#"{"kind":"infeasible"}"#, r#""infeasible""#, r#"{}"#);
+
+    pin!(
+        SolveError::NoFeasibleOutlets { stage: "stage1" },
+        r#"{"kind":"no_feasible_outlets","stage":"stage1"}"#
+    );
+    pin!(
+        SolveError::OutletRecheckFailed { stage: "baseline" },
+        r#"{"kind":"outlet_recheck_failed","stage":"baseline"}"#
+    );
+    pin!(
+        SolveError::Lp { stage: "stage3", source: LpError::Infeasible { residual: 0.001 } },
+        r#"{"kind":"lp","stage":"stage3","source":{"kind":"infeasible","residual":0.001}}"#
+    );
+    pin!(
+        SolveError::InvalidInput { what: "short pstates".into() },
+        r#"{"kind":"invalid_input","what":"short pstates"}"#
+    );
+    // A stage name this build does not know is interned to the fallback.
+    assert_eq!(
+        serde_json::from_str::<SolveError>(r#"{"kind":"no_feasible_outlets","stage":"stage9"}"#)
+            .expect("decode"),
+        SolveError::NoFeasibleOutlets { stage: "unrecognized" }
+    );
+    rejects!(SolveError, r#"{"kind":"gremlin"}"#, r#"{"kind":"lp","stage":"stage3"}"#, r#"[]"#);
+}
+
+#[test]
+fn curves_and_faults() {
+    pin!(Curve::Constant { rate: 200.0 }, r#"{"kind":"constant","rate":200}"#);
+    pin!(
+        Curve::Diurnal { base: 0.5, peak: 1.5, period_s: 60.0 },
+        r#"{"kind":"diurnal","base":0.5,"peak":1.5,"period_s":60}"#
+    );
+    pin!(
+        Curve::Surge { base: 1.0, surge: 3.0, start_s: 10.0, len_s: 5.5 },
+        r#"{"kind":"surge","base":1,"surge":3,"start_s":10,"len_s":5.5}"#
+    );
+    rejects!(Curve, r#"{"kind":"sawtooth"}"#, r#"{"kind":"surge","base":1}"#, r#"3"#);
+
+    pin!(Fault::CracFailure { unit: 1 }, r#"{"kind":"crac_failure","unit":1}"#);
+    pin!(Fault::CracRecovery { unit: 0 }, r#"{"kind":"crac_recovery","unit":0}"#);
+    pin!(Fault::NodeDeath { node: 7 }, r#"{"kind":"node_death","node":7}"#);
+    pin!(Fault::SensorDrift { bias_c: -2.5 }, r#"{"kind":"sensor_drift","bias_c":-2.5}"#);
+    pin!(Fault::ArrivalSurge { factor: 2.0 }, r#"{"kind":"arrival_surge","factor":2}"#);
+    pin!(
+        FaultEvent { at_s: 4.0, fault: Fault::NodeDeath { node: 2 } },
+        r#"{"at_s":4,"fault":{"kind":"node_death","node":2}}"#
+    );
+    rejects!(Fault, r#"{"kind":"meteor"}"#, r#"{"kind":"node_death"}"#, r#"{"node":1}"#);
+}
+
+#[test]
+fn events() {
+    pin!(Violation::Redline { observed_c: 1.25 }, r#"{"kind":"redline","observed_c":1.25}"#);
+    pin!(
+        Violation::PowerCap { total_kw: 20.5, budget_kw: 19.4 },
+        r#"{"kind":"power_cap","total_kw":20.5,"budget_kw":19.4}"#
+    );
+    pin!(Violation::StalePlan, r#"{"kind":"stale_plan"}"#);
+    pin!(Violation::ChipHotspot { observed_c: 91.0 }, r#"{"kind":"chip_hotspot","observed_c":91}"#);
+    pin!(
+        Violation::DemandDrift { multiplier: 1.5, planned: 1.0 },
+        r#"{"kind":"demand_drift","multiplier":1.5,"planned":1}"#
+    );
+    rejects!(Violation, r#"{"kind":"gremlin"}"#, r#"{"kind":"redline"}"#, r#"null"#);
+
+    pin!(Action::Replan, r#"{"kind":"replan"}"#);
+    pin!(Action::OutletDrop { by_c: 2.0 }, r#"{"kind":"outlet_drop","by_c":2}"#);
+    pin!(Action::Throttle { steps: 8 }, r#"{"kind":"throttle","steps":8}"#);
+    pin!(
+        Action::ShedTaskType { task_type: 4, reward: 1.5 },
+        r#"{"kind":"shed_task_type","task_type":4,"reward":1.5}"#
+    );
+    pin!(Action::Migrate { swaps: 3 }, r#"{"kind":"migrate","swaps":3}"#);
+    pin!(Action::Stage1Replan, r#"{"kind":"stage1_replan"}"#);
+    rejects!(Action, r#"{"kind":"gremlin"}"#, r#"{"kind":"throttle"}"#, r#""replan""#);
+
+    pin!(
+        EventKind::FaultInjected(Fault::CracFailure { unit: 0 }),
+        r#"{"kind":"fault_injected","fault":{"kind":"crac_failure","unit":0}}"#
+    );
+    pin!(
+        EventKind::NodeTripped { node: 2, inlet_c: 29.5 },
+        r#"{"kind":"node_tripped","node":2,"inlet_c":29.5}"#
+    );
+    pin!(EventKind::NoSteadyState, r#"{"kind":"no_steady_state"}"#);
+    pin!(
+        EventKind::ViolationDetected(Violation::StalePlan),
+        r#"{"kind":"violation_detected","violation":{"kind":"stale_plan"}}"#
+    );
+    pin!(
+        EventKind::ActionTaken(Action::Throttle { steps: 2 }),
+        r#"{"kind":"action_taken","action":{"kind":"throttle","steps":2}}"#
+    );
+    pin!(
+        EventKind::ReplanFailed { attempt: 2, error: "stage3 LP: infeasible".into() },
+        r#"{"kind":"replan_failed","attempt":2,"error":"stage3 LP: infeasible"}"#
+    );
+    pin!(EventKind::Backoff { epochs: 4 }, r#"{"kind":"backoff","epochs":4}"#);
+    pin!(EventKind::Recovered { margin_c: -0.5 }, r#"{"kind":"recovered","margin_c":-0.5}"#);
+    rejects!(
+        EventKind,
+        r#"{"kind":"gremlin"}"#,
+        r#"{"kind":"fault_injected"}"#,
+        r#"{"kind":"node_tripped","node":2}"#,
+        r#"{"kind":"action_taken","action":{"kind":"gremlin"}}"#,
+    );
+}
+
+/// A floor with no steady state observes `+inf`; JSON has no such
+/// number, so the measurement travels as a string.
+#[test]
+fn non_finite_measurements() {
+    pin!(Violation::Redline { observed_c: f64::INFINITY }, r#"{"kind":"redline","observed_c":"inf"}"#);
+    pin!(
+        EventKind::Recovered { margin_c: f64::NEG_INFINITY },
+        r#"{"kind":"recovered","margin_c":"-inf"}"#
+    );
+    pin!(
+        EventKind::NodeTripped { node: 0, inlet_c: f64::INFINITY },
+        r#"{"kind":"node_tripped","node":0,"inlet_c":"inf"}"#
+    );
+    let nan = r#"{"kind":"chip_hotspot","observed_c":"NaN"}"#;
+    assert_eq!(
+        serde_json::to_string(&Violation::ChipHotspot { observed_c: f64::NAN }).expect("encode"),
+        nan
+    );
+    match serde_json::from_str::<Violation>(nan).expect("decode") {
+        Violation::ChipHotspot { observed_c } => assert!(observed_c.is_nan()),
+        other => panic!("decoded {other:?}"),
+    }
+    rejects!(Violation, r#"{"kind":"redline","observed_c":"warm"}"#);
+}
+
+#[test]
+fn event_log_and_supervisor_config() {
+    let mut log = EventLog::default();
+    log.record(1.0, EventKind::NoSteadyState);
+    let events = r#"[{"at_s":1,"kind":{"kind":"no_steady_state"}}]"#;
+    pin!(
+        log.clone(),
+        format!(r#"{{"events":{events},"capacity":{DEFAULT_LOG_CAPACITY},"dropped":0}}"#)
+    );
+    // Written before the ring bound existed: no `capacity`/`dropped`.
+    let legacy: EventLog =
+        serde_json::from_str(&format!(r#"{{"events":{events}}}"#)).expect("legacy log");
+    assert_eq!(legacy, log);
+    pin!(
+        Event { at_s: 0.5, kind: EventKind::Backoff { epochs: 1 } },
+        r#"{"at_s":0.5,"kind":{"kind":"backoff","epochs":1}}"#
+    );
+
+    let head = r#"{"epoch_s":1,"horizon_s":30,"max_replan_attempts":3,"outlet_drop_c":2,"throttle_steps":8,"trip_margin_c":3,"redline_tol_c":0.000001,"power_tol_kw":0.000001,"supervise":true,"seed":"ffffffffffffffff""#;
+    let cfg = SupervisorConfig { seed: u64::MAX, ..SupervisorConfig::default() };
+    pin!(cfg, format!(r#"{head},"demand":null,"drift_threshold":0.25,"psi_percent":50}}"#));
+    pin!(
+        SupervisorConfig {
+            demand: Some(Curve::Constant { rate: 1.5 }),
+            drift_threshold: 0.1,
+            psi_percent: 25.0,
+            ..cfg
+        },
+        format!(
+            r#"{head},"demand":{{"kind":"constant","rate":1.5}},"drift_threshold":0.1,"psi_percent":25}}"#
+        )
+    );
+    // Written before the scenario engine existed: the three scenario
+    // fields are absent and default to the static supervisor.
+    let legacy: SupervisorConfig = serde_json::from_str(&format!("{head}}}")).expect("legacy cfg");
+    assert_eq!(legacy, cfg);
+    rejects!(
+        SupervisorConfig,
+        r#"{"seed":"ffffffffffffffff"}"#,
+        head.replace("ffffffffffffffff", "not hex") + "}",
+        head.replace(r#""ffffffffffffffff""#, "7") + "}",
+    );
+}
+
+fn stage3() -> Stage3Solution {
+    Stage3Solution {
+        reward_rate: 1.5,
+        rate_per_core: vec![vec![0.5, 1.0]],
+        group_of_core: vec![0, 0],
+        groups: vec![(0, 1)],
+    }
+}
+
+const STAGE3: &str = r#"{"reward_rate":1.5,"rate_per_core":[[0.5,1]],"group_of_core":[0,0],"groups":[[0,1]]}"#;
+
+#[test]
+fn service_journal_records() {
+    pin!(ReplanVerdict::NotAttempted, r#"{"kind":"not_attempted"}"#);
+    pin!(ReplanVerdict::Ok { stage3: stage3() }, format!(r#"{{"kind":"ok","stage3":{STAGE3}}}"#));
+    pin!(ReplanVerdict::TimedOut, r#"{"kind":"timed_out"}"#);
+    pin!(
+        ReplanVerdict::Failed { error: "stage3 LP: infeasible".into() },
+        r#"{"kind":"failed","error":"stage3 LP: infeasible"}"#
+    );
+    rejects!(ReplanVerdict, r#"{"kind":"gremlin"}"#, r#"{"kind":"ok"}"#, r#""timed_out""#);
+
+    pin!(
+        Batch { id: u64::MAX, tasks: vec![(0, 3), (2, 1)] },
+        r#"{"id":"ffffffffffffffff","tasks":[[0,3],[2,1]]}"#
+    );
+    rejects!(Batch, r#"{"id":7,"tasks":[]}"#, r#"{"id":"xyz","tasks":[]}"#, r#"{"tasks":[]}"#);
+
+    pin!(
+        ServiceRecord::Begin {
+            epoch: 3,
+            batches: vec![Batch { id: 0xa1, tasks: vec![(1, 4)] }],
+            verdict: ReplanVerdict::TimedOut,
+        },
+        r#"{"rec":"begin","epoch":3,"batches":[{"id":"00000000000000a1","tasks":[[1,4]]}],"verdict":{"kind":"timed_out"}}"#
+    );
+    pin!(
+        ServiceRecord::Commit { epoch: 3, state_crc: 0xffff_ffff },
+        r#"{"rec":"commit","epoch":3,"state_crc":4294967295}"#
+    );
+    rejects!(ServiceRecord, r#"{"rec":"gremlin"}"#, r#"{"rec":"commit","epoch":3}"#, r#"{"kind":"begin"}"#);
+}
+
+#[test]
+fn socket_protocol() {
+    pin!(
+        Request::Submit {
+            batch: Batch { id: 0xa1, tasks: vec![(0, 3), (2, 1)] },
+            budget_ms: Some(500),
+        },
+        r#"{"type":"submit","id":"00000000000000a1","tasks":[[0,3],[2,1]],"budget_ms":500}"#
+    );
+    pin!(
+        Request::Submit { batch: Batch { id: u64::MAX, tasks: vec![(0, 64)] }, budget_ms: None },
+        r#"{"type":"submit","id":"ffffffffffffffff","tasks":[[0,64]]}"#
+    );
+    pin!(Request::Stats, r#"{"type":"stats"}"#);
+    pin!(Request::Ping, r#"{"type":"ping"}"#);
+    pin!(Request::Shutdown, r#"{"type":"shutdown"}"#);
+    rejects!(Request, r#"{"type":"gremlin"}"#, r#"{"type":"submit","tasks":[]}"#, r#"{"id":"00"}"#);
+
+    pin!(
+        Response::Accepted { id: 0xa1, epoch: 17, duplicate: false },
+        r#"{"type":"accepted","id":"00000000000000a1","epoch":17,"duplicate":false}"#
+    );
+    for (reason, name) in [
+        (RejectReason::QueueFull, "queue_full"),
+        (RejectReason::BudgetExpired, "budget_expired"),
+        (RejectReason::BatchTooLarge, "batch_too_large"),
+        (RejectReason::UnknownTaskType, "unknown_task_type"),
+    ] {
+        pin!(
+            Response::Rejected { id: u64::MAX, reason, retry_after_ms: 120 },
+            format!(
+                r#"{{"type":"rejected","id":"ffffffffffffffff","reason":"{name}","retry_after_ms":120}}"#
+            )
+        );
+    }
+    pin!(
+        Response::Stats(StatsReport {
+            epoch: 9,
+            now_s: 9.0,
+            reward: 12.5,
+            breaker: "closed".into(),
+            backlog_s: 0.25,
+            ..StatsReport::default()
+        }),
+        r#"{"type":"stats","report":{"epoch":9,"now_s":9,"admitted_batches":0,"duplicate_batches":0,"admitted_tasks":0,"dropped_tasks":0,"shed_tasks":0,"completed_tasks":0,"late_tasks":0,"lost_tasks":0,"reward":12.5,"replans":0,"replan_failures":0,"breaker_opens":0,"breaker":"closed","shed_types":0,"backlog_s":0.25,"log_dropped":0}}"#
+    );
+    pin!(Response::Pong, r#"{"type":"pong"}"#);
+    pin!(Response::ShuttingDown, r#"{"type":"shutting_down"}"#);
+    pin!(Response::Error { message: "bad line".into() }, r#"{"type":"error","message":"bad line"}"#);
+    rejects!(
+        Response,
+        r#"{"type":"gremlin"}"#,
+        r#"{"type":"accepted","id":"00000000000000a1","epoch":17}"#,
+        r#"{"type":"rejected","id":"00000000000000a1","reason":"QueueFull","retry_after_ms":1}"#,
+        r#"{"type":"stats"}"#,
+    );
+}
+
+/// The state the store snapshots and CRCs: key order, and the dedup
+/// window's ids as hex strings over the full `u64` range.
+#[test]
+fn service_state() {
+    let dc = ScenarioParams::small_test().build(7).expect("scenario");
+    let plan = Solver::new(&dc).solve().expect("plan");
+    let mut engine = ServiceEngine::new(dc, ServiceConfig::default(), &plan.pstates, &plan.stage3);
+    let batches = [Batch { id: u64::MAX, tasks: vec![(0, 2)] }, Batch { id: 7, tasks: vec![(1, 1)] }];
+    engine.step(&batches, &ReplanVerdict::NotAttempted);
+    let json = serde_json::to_string(engine.state()).expect("encode");
+    assert!(json.starts_with(r#"{"epoch":1,"now_s":1,"pstates":["#), "{}", &json[..60]);
+    assert!(
+        json.contains(r#""recent_ids":["ffffffffffffffff","0000000000000007"],"last_replan_epoch":0,"totals":{"#),
+        "ids travel as 16-digit hex"
+    );
+    let value: serde_json::Value = serde_json::from_str(&json).expect("value");
+    let keys: Vec<&str> =
+        value.as_object().expect("object").iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(
+        keys,
+        [
+            "epoch", "now_s", "pstates", "stage3", "sim", "breaker", "shed", "ewma",
+            "planned_rates", "recent_ids", "last_replan_epoch", "totals", "log"
+        ]
+    );
+    let back: ServiceState = serde_json::from_str(&json).expect("decode");
+    assert_eq!(&back, engine.state());
+    assert_eq!(serde_json::to_string(&back).expect("re-encode"), json);
+    rejects!(
+        ServiceState,
+        json.replace(r#""ffffffffffffffff""#, "7"),
+        json.replace(r#""recent_ids""#, r#""recent""#),
+    );
+}
