@@ -19,11 +19,11 @@
 //!
 //! Only scale-free metrics are gated (ratios, rates, seeded counts);
 //! wall-clock milliseconds (`overhead_pct`, `mono_s`, `pooled_s`) vary
-//! with CI hardware and stay ungated — the bench binaries keep their own
-//! absolute floors (e.g. `lp_bench`'s `MIN_SPEEDUP`) which encode
+//! with CI hardware and stay ungated — the bench experiments keep their
+//! own absolute floors (e.g. `lp_bench`'s `MIN_SPEEDUP`) which encode
 //! machine-independent claims.
 //!
-//! Flow: each bench binary writes a fresh snapshot under
+//! Flow: each bench experiment writes a fresh snapshot under
 //! `results/current/`; `bench --check` compares those against the
 //! committed `results/BENCH_*.json`; `bench --bless` copies current over
 //! committed after validating it parses and carries every gated metric.
@@ -35,7 +35,7 @@ use std::path::Path;
 /// Allowed relative drift for gated metrics (15%).
 pub const TOLERANCE: f64 = 0.15;
 
-/// Directory (under the workspace root) where bench binaries write
+/// Directory (under the workspace root) where bench experiments write
 /// fresh snapshots for comparison.
 pub const CURRENT_DIR: &str = "results/current";
 

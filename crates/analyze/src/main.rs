@@ -14,7 +14,7 @@
 //! already suppressed where they stand) and regenerates
 //! `results/api/<crate>.txt`.
 //!
-//! `bench --check` compares the fresh snapshots the bench binaries
+//! `bench --check` compares the fresh snapshots the bench experiments
 //! wrote to `results/current/` against the committed
 //! `results/BENCH_*.json` baselines, gating every manifest metric at
 //! ±15%. `bench --bless` validates all current snapshots then promotes

@@ -25,7 +25,7 @@
 //! - **`obs-coverage`** — every public solve/replan/resume entry must
 //!   open an `obs` span in its own crate, directly or via some function
 //!   it reaches (delegating wrappers like `Solver::solve` →
-//!   `solve_three_stage` count). A span opened only in *another* crate
+//!   `three_stage_impl` count). A span opened only in *another* crate
 //!   does not: that instrumentation names someone else's subsystem, and
 //!   accepting it would let any entry ride on the one span left in the
 //!   workspace.
@@ -45,15 +45,13 @@ pub type Entry = (&'static str, Option<&'static str>, &'static str);
 /// The panic-free surface: everything a caller can invoke to get a
 /// plan, plus the crash-recovery and supervision paths that must
 /// survive chaos drills without unwinding.
-pub const PANIC_ENTRIES: [Entry; 16] = [
+pub const PANIC_ENTRIES: [Entry; 14] = [
     ("core", Some("Solver"), "solve"),
     ("core", Some("Solver"), "solve_at"),
-    ("core", None, "solve_three_stage"),
-    ("core", None, "solve_three_stage_best_of"),
+    ("core", Some("Solver"), "baseline"),
     ("core", None, "solve_stage1"),
     ("core", None, "solve_stage3"),
     ("core", None, "solve_stage3_warm"),
-    ("core", None, "solve_baseline"),
     ("shard", Some("FleetSolver"), "replan"),
     ("shard", None, "solve_zone"),
     ("shard", None, "solve_monolithic"),
@@ -81,11 +79,10 @@ pub const TAINT_ENTRIES: [Entry; 6] = [
 /// Public solve/replan/resume entries that must stay instrumented
 /// (PR 3's span tree is what EXPERIMENTS.md traces are cut from; an
 /// uninstrumented entry rots silently until someone needs the trace).
-pub const OBS_ENTRIES: [Entry; 10] = [
+pub const OBS_ENTRIES: [Entry; 9] = [
     ("core", Some("Solver"), "solve"),
     ("core", Some("Solver"), "solve_at"),
-    ("core", None, "solve_three_stage"),
-    ("core", None, "solve_baseline"),
+    ("core", Some("Solver"), "baseline"),
     ("shard", Some("FleetSolver"), "replan"),
     ("service", Some("ServiceEngine"), "step"),
     ("service", None, "resume_service"),

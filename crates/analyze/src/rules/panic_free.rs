@@ -3,7 +3,7 @@
 //! PR 1 made the runtime supervisor panic-free (`clippy::unwrap_used`
 //! denied in `runtime` and `obs`); this rule extends the guarantee
 //! workspace-wide to every crate a solve can pass through. A panic
-//! inside `solve_three_stage` unwinds through the supervisor's staged
+//! inside `Solver::solve` unwinds through the supervisor's staged
 //! degradation ladder and turns a recoverable numerical pathology into a
 //! dead run — the exact failure mode PR 1 removed.
 //!

@@ -1,0 +1,202 @@
+//! Scenario-engine benchmark: diurnal demand, chip-level thermal
+//! migration, and multi-objective cost, snapshotted to
+//! `results/BENCH_scenarios.json`.
+//!
+//! Three measurements, all pure deterministic f64 arithmetic (seeded
+//! simulation, no wall-clock dependence), so every gated metric is
+//! stable across machines and `thermaware-analyze bench --check` gates
+//! it at ±15% drift against the committed baseline:
+//!
+//! 1. **Diurnal sweep** — the [`Solver`] builder solves the same floor
+//!    at the trough and crest of a diurnal arrival curve; the crest plan
+//!    must collect strictly more reward. A supervised run under the same
+//!    curve then counts the drift-triggered full replans
+//!    (`Stage1Replan`) the scenario engine issues as demand walks away
+//!    from the planned multiplier.
+//! 2. **Migration drill** — a hot chip model (low DTM redline) plus a
+//!    scripted CRAC failure: the supervisor's chip rung must answer
+//!    every `ChipHotspot` with `Migrate` (work spread across the die at
+//!    zero reward cost) or a targeted throttle; the drill counts
+//!    hotspots, migrations, and total swaps.
+//! 3. **Multi-objective** — reward-only versus a priced objective on
+//!    the same floor: the priced plan must draw no more power and the
+//!    reward-only plan must stay the reward maximizer; the drill gates
+//!    the relative power and reward deltas.
+//!
+//! The supervised runs' full event logs are written to `--trace` (text,
+//! one section per drill) and uploaded as a CI artifact.
+//!
+//! ```sh
+//! cargo run --release -p thermaware-bench -- scenario_bench    # write results/current/BENCH_scenarios.json
+//! cargo run -p thermaware-analyze -- bench --check              # gate vs committed baselines
+//! ```
+
+use super::{ctx, write_file, write_json};
+use thermaware_core::{ObjectiveWeights, Solver};
+use thermaware_datacenter::{Args, ScenarioParams};
+use thermaware_runtime::{
+    Action, EventKind, FaultScript, Supervisor, SupervisorConfig, Violation,
+};
+use thermaware_thermal::{ChipModel, ChipParams};
+use thermaware_workload::Curve;
+
+pub(super) const USAGE: &str = "scenario_bench [--nodes N] [--seed S] [--price P] [--out PATH] \
+                     [--trace PATH]";
+
+pub(super) fn run(args: &Args) -> Result<(), String> {
+    let seed = args.get_u64("seed", 1);
+    // Task rewards are abstract units, so a price that bites must be
+    // commensurate with the floor's marginal reward per kWh (~2e5 units
+    // on the 8-node seed-1 floor); the default sits in the smooth part
+    // of the trade-off curve, away from the all-or-nothing knife edges.
+    let price = args.get_f64("price", 200_000.0);
+    let out_path = args.get_str("out", "results/current/BENCH_scenarios.json");
+    let trace_path = args.get_str("trace", "results/scenario_trace.txt");
+
+    let room = ScenarioParams {
+        n_nodes: 8,
+        n_crac: 2,
+        ..ScenarioParams::small_test()
+    };
+    let dc = args.data_center(room, seed)?;
+    let n_nodes = dc.n_nodes();
+    println!("## scenario bench — {n_nodes} nodes, seed {seed}");
+    let mut trace = String::new();
+
+    // -- Part 1: diurnal demand -------------------------------------------
+    let day = Curve::Diurnal { base: 0.5, peak: 1.5, period_s: 12.0 };
+    let solver = Solver::new(&dc).arrival_curve(day);
+    let trough = ctx(solver.solve_at(0.0), "trough solve")?;
+    let crest = ctx(solver.solve_at(6.0), "crest solve")?;
+    assert!(
+        crest.reward_rate() > trough.reward_rate(),
+        "crest reward {} must beat trough {}",
+        crest.reward_rate(),
+        trough.reward_rate()
+    );
+    let crest_over_trough = crest.reward_rate() / trough.reward_rate().max(1e-12);
+
+    let plan = ctx(Solver::new(&dc).solve(), "static plan")?;
+    let cfg = SupervisorConfig {
+        horizon_s: 18.0,
+        demand: Some(day),
+        ..SupervisorConfig::default()
+    };
+    let report = Supervisor::new(&dc, cfg).run(&plan, &FaultScript::new());
+    let count = |pred: &dyn Fn(&EventKind) -> bool| {
+        report.log.events().iter().filter(|e| pred(&e.kind)).count()
+    };
+    let drift_violations = count(&|k| {
+        matches!(k, EventKind::ViolationDetected(Violation::DemandDrift { .. }))
+    });
+    let drift_replans =
+        count(&|k| matches!(k, EventKind::ActionTaken(Action::Stage1Replan)));
+    assert!(
+        drift_replans > 0,
+        "a 3x diurnal swing must trigger at least one full replan"
+    );
+    println!(
+        "diurnal: reward {:.2}/s (trough) -> {:.2}/s (crest) = {crest_over_trough:.3}x; \
+         {drift_violations} drift violations, {drift_replans} full replans \
+         over {} epochs ({:?})",
+        trough.reward_rate(),
+        crest.reward_rate(),
+        cfg.horizon_s / cfg.epoch_s,
+        report.outcome,
+    );
+    trace.push_str(&format!(
+        "== diurnal drill ({:?}) ==\n{}\n",
+        report.outcome, report.log
+    ));
+
+    // -- Part 2: chip-level migration drill --------------------------------
+    let cores_per_type: Vec<usize> =
+        dc.node_types.iter().map(|t| t.cores_per_node).collect();
+    let chip = ctx(
+        ChipModel::build(&cores_per_type, &ChipParams { t_dtm_c: 40.0, ..ChipParams::default() }),
+        "chip model",
+    )?;
+    let script = FaultScript::new().crac_failure(1.0, 0);
+    let cfg = SupervisorConfig { horizon_s: 10.0, ..SupervisorConfig::default() };
+    let report = Supervisor::new(&dc, cfg).with_chip(&chip).run(&plan, &script);
+    let count = |pred: &dyn Fn(&EventKind) -> bool| {
+        report.log.events().iter().filter(|e| pred(&e.kind)).count()
+    };
+    let chip_hotspots = count(&|k| {
+        matches!(k, EventKind::ViolationDetected(Violation::ChipHotspot { .. }))
+    });
+    let migrations = count(&|k| matches!(k, EventKind::ActionTaken(Action::Migrate { .. })));
+    let migrate_swaps: usize = report
+        .log
+        .events()
+        .iter()
+        .map(|e| match e.kind {
+            EventKind::ActionTaken(Action::Migrate { swaps }) => swaps,
+            _ => 0,
+        })
+        .sum();
+    assert!(
+        chip_hotspots > 0,
+        "a 40 degree DTM under a CRAC failure must trip the chip rung"
+    );
+    println!(
+        "migration: {chip_hotspots} hotspots, {migrations} migrations \
+         ({migrate_swaps} swaps) ({:?})",
+        report.outcome,
+    );
+    trace.push_str(&format!(
+        "== migration drill ({:?}) ==\n{}\n",
+        report.outcome, report.log
+    ));
+
+    // -- Part 3: multi-objective trade-off ---------------------------------
+    let weights = ObjectiveWeights { price_per_kwh: price, ..ObjectiveWeights::reward_only() };
+    let priced = ctx(Solver::new(&dc).objective(weights).solve(), "priced solve")?;
+    let (r0, r1) = (plan.reward_rate(), priced.reward_rate());
+    let (p0, p1) = (plan.total_power_kw(&dc), priced.total_power_kw(&dc));
+    assert!(p1 <= p0 + 1e-9, "a positive price must not increase power");
+    let power_drop_frac = (p0 - p1) / p0.max(1e-12);
+    let reward_drop_frac = (r0 - r1) / r0.max(1e-12);
+    assert!(
+        power_drop_frac > 0.01,
+        "the default price must actually trade: power only dropped {:.2}%",
+        100.0 * power_drop_frac
+    );
+    assert!(
+        priced.net_objective(&dc, &weights) >= plan.net_objective(&dc, &weights) - 1e-9,
+        "under the priced objective, the priced plan must win"
+    );
+    println!(
+        "multi-objective @ {price} $/kWh: power {p0:.1} -> {p1:.1} kW (-{:.1}%), \
+         reward {r0:.2} -> {r1:.2}/s (-{:.1}%)",
+        100.0 * power_drop_frac,
+        100.0 * reward_drop_frac,
+    );
+
+    write_file(&trace_path, &trace)?;
+    println!("trace written to {trace_path}");
+
+    // -- Snapshot, bless, or check -----------------------------------------
+    let doc = serde_json::json!({
+        "experiment": "scenarios",
+        "config": {
+            "nodes": n_nodes,
+            "seed": seed,
+        },
+        // Scale-free and machine-independent: drift-gated at ±15%.
+        "deterministic": {
+            "diurnal_crest_over_trough": crest_over_trough,
+            "drift_violations": drift_violations as f64,
+            "drift_replans": drift_replans as f64,
+            "chip_hotspots": chip_hotspots as f64,
+            "migrations": migrations as f64,
+            "migrate_swaps": migrate_swaps as f64,
+            "multiobj_power_drop_frac": power_drop_frac,
+            "multiobj_reward_drop_frac": reward_drop_frac,
+        },
+    });
+
+    write_json(&out_path, &doc)?;
+    println!("snapshot written to {out_path}");
+    Ok(())
+}

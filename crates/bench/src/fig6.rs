@@ -4,7 +4,7 @@
 
 use thermaware_shard::pool::{default_threads, scoped_map};
 use crate::stats::{mean_ci95, Summary};
-use thermaware_core::{solve_baseline, solve_three_stage, ThreeStageOptions};
+use thermaware_core::Solver;
 use thermaware_datacenter::{CracSearchOptions, ScenarioParams};
 
 /// One of the paper's simulation sets (a Figure-6 column group).
@@ -113,14 +113,10 @@ pub fn run_one_scenario(
         ..ScenarioParams::paper(set.static_share, set.v_prop)
     };
     let dc = params.build(seed)?;
-    let mk = |psi| ThreeStageOptions {
-        psi_percent: psi,
-        search: config.search,
-        ..ThreeStageOptions::default()
-    };
-    let s25 = solve_three_stage(&dc, &mk(25.0)).map_err(|e| e.to_string())?;
-    let s50 = solve_three_stage(&dc, &mk(50.0)).map_err(|e| e.to_string())?;
-    let base = solve_baseline(&dc, config.search).map_err(|e| e.to_string())?;
+    let solver = |psi| Solver::new(&dc).psi(psi).crac_grid(config.search);
+    let s25 = solver(25.0).solve().map_err(|e| e.to_string())?;
+    let s50 = solver(50.0).solve().map_err(|e| e.to_string())?;
+    let base = solver(50.0).baseline().map_err(|e| e.to_string())?;
     Ok(Fig6Run {
         psi25: s25.reward_rate(),
         psi50: s50.reward_rate(),

@@ -36,21 +36,8 @@ pub struct BaselineSolution {
     pub reward_rate_continuous: f64,
 }
 
-/// Solve the baseline for a data center.
-///
-///// Prefer [`crate::Solver::baseline`] — the builder façade wrapping this
-/// entry point; this free function is kept as a thin shim for existing
-/// call sites and produces bit-identical assignments.
-#[doc(hidden)]
-pub fn solve_baseline(
-    dc: &DataCenter,
-    search: CracSearchOptions,
-) -> Result<BaselineSolution, SolveError> {
-    baseline_impl(dc, search)
-}
-
-/// Shared implementation behind [`solve_baseline`] and
-/// [`crate::Solver::baseline`].
+/// Solve the baseline for a data center — what
+/// [`crate::Solver::baseline`] runs.
 pub(crate) fn baseline_impl(
     dc: &DataCenter,
     search: CracSearchOptions,
@@ -212,7 +199,7 @@ mod tests {
     #[test]
     fn baseline_solves_and_is_feasible() {
         let dc = dc(1);
-        let sol = solve_baseline(&dc, CracSearchOptions::default()).expect("baseline");
+        let sol = baseline_impl(&dc, CracSearchOptions::default()).expect("baseline");
         assert!(sol.reward_rate > 0.0);
         assert!(sol.reward_rate <= sol.reward_rate_continuous + 1e-9);
         assert!(sol.reward_rate <= dc.workload.max_reward_rate() * (1.0 + 1e-9));
@@ -227,7 +214,7 @@ mod tests {
     #[test]
     fn integerization_yields_whole_cores() {
         let dc = dc(2);
-        let sol = solve_baseline(&dc, CracSearchOptions::default()).unwrap();
+        let sol = baseline_impl(&dc, CracSearchOptions::default()).unwrap();
         for j in 0..dc.n_nodes() {
             let cores = dc.node_type(j).cores_per_node as f64;
             let used: f64 = sol.frac[j].iter().sum::<f64>() * cores;
@@ -242,7 +229,7 @@ mod tests {
     #[test]
     fn fractions_respect_node_capacity() {
         let dc = dc(3);
-        let sol = solve_baseline(&dc, CracSearchOptions::default()).unwrap();
+        let sol = baseline_impl(&dc, CracSearchOptions::default()).unwrap();
         for j in 0..dc.n_nodes() {
             let s: f64 = sol.frac[j].iter().sum();
             assert!(s <= 1.0 + 1e-7, "node {j}: fraction sum {s}");
@@ -252,7 +239,7 @@ mod tests {
     #[test]
     fn arrival_rates_respected() {
         let dc = dc(4);
-        let sol = solve_baseline(&dc, CracSearchOptions::default()).unwrap();
+        let sol = baseline_impl(&dc, CracSearchOptions::default()).unwrap();
         for i in 0..dc.n_task_types() {
             let total: f64 = (0..dc.n_nodes())
                 .map(|j| {
@@ -271,7 +258,7 @@ mod tests {
     #[test]
     fn oversubscription_leaves_cores_off() {
         let dc = dc(5);
-        let sol = solve_baseline(&dc, CracSearchOptions::default()).unwrap();
+        let sol = baseline_impl(&dc, CracSearchOptions::default()).unwrap();
         let total_on: f64 = sol.cores_on.iter().sum();
         assert!(
             total_on < dc.n_cores() as f64,

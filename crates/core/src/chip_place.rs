@@ -89,7 +89,7 @@ mod tests {
     #[test]
     fn placement_preserves_node_pstate_multisets() {
         let dc = ScenarioParams::small_test().build(11).unwrap();
-        let sol = crate::solve_three_stage(&dc, &crate::ThreeStageOptions::default()).unwrap();
+        let sol = crate::Solver::new(&dc).solve().unwrap();
         let chip = chip_for(&dc);
         let mut placed = sol.pstates.clone();
         place_within_nodes(&dc, &chip, &mut placed);
@@ -105,7 +105,7 @@ mod tests {
     #[test]
     fn placement_never_heats_a_die() {
         let dc = ScenarioParams::small_test().build(12).unwrap();
-        let sol = crate::solve_three_stage(&dc, &crate::ThreeStageOptions::default()).unwrap();
+        let sol = crate::Solver::new(&dc).solve().unwrap();
         let chip = chip_for(&dc);
         let mut placed = sol.pstates.clone();
         place_within_nodes(&dc, &chip, &mut placed);

@@ -56,14 +56,12 @@ pub mod three_stage;
 pub mod verify;
 
 pub use arr::ArrCurve;
-pub use baseline::{solve_baseline, BaselineSolution};
+pub use baseline::BaselineSolution;
 pub use chip_place::place_within_nodes;
 pub use error::SolveError;
 pub use objective::ObjectiveWeights;
 pub use pwl::PiecewiseLinear;
 pub use rr::reward_rate_curve;
 pub use solver::Solver;
-pub use three_stage::{
-    solve_three_stage, solve_three_stage_best_of, ThreeStageOptions, ThreeStageSolution,
-};
+pub use three_stage::{ThreeStageOptions, ThreeStageSolution};
 pub use verify::{verify_assignment, VerificationReport};

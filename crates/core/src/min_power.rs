@@ -143,11 +143,7 @@ mod tests {
     fn meets_floor_with_less_power_than_budgeted_operation() {
         let dc = ScenarioParams::small_test().build(1).unwrap();
         // Ask for half of what the budgeted three-stage solve achieves.
-        let full = crate::three_stage::solve_three_stage(
-            &dc,
-            &crate::three_stage::ThreeStageOptions::default(),
-        )
-        .unwrap();
+        let full = crate::Solver::new(&dc).solve().unwrap();
         let floor = 0.5 * full.reward_rate();
         let sol = solve_min_power(&dc, floor, &MinPowerOptions::default()).expect("min power");
         assert!(

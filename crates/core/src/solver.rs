@@ -1,12 +1,9 @@
-//! The [`Solver`] builder — the workspace's **single documented solve
-//! entry point**.
-//!
-//! The free functions ([`crate::solve_three_stage`] and friends) grew
-//! one configuration parameter at a time (ψ, the CRAC search options,
-//! an observability recorder), and every addition rippled through each
-//! signature. They are now `#[doc(hidden)]` pass-throughs kept for
-//! existing call sites; the builder gathers all configuration in one
-//! place with defaults matching [`ThreeStageOptions::default`]:
+//! The [`Solver`] builder — the workspace's **single solve entry
+//! point**: the three-stage technique, the Eq.-21 baseline and the
+//! Stage-3 replan are all asked for here, with every configuration knob
+//! (ψ, the CRAC search options, an observability recorder, the scenario
+//! engine) gathered in one place and defaults matching
+//! [`ThreeStageOptions::default`]:
 //!
 //! ```
 //! use thermaware_core::Solver;
@@ -16,10 +13,6 @@
 //! let plan = Solver::new(&dc).psi(50.0).solve().expect("plan");
 //! assert!(plan.reward_rate() > 0.0);
 //! ```
-//!
-//! Both paths call the same `pub(crate)` implementations, so a builder
-//! solve is **bit-identical** to the equivalent free-function call (a
-//! test in `tests/solver_builder.rs` holds this).
 //!
 //! # The scenario surface
 //!
@@ -69,9 +62,8 @@ enum PsiPolicy {
 ///
 /// Construct with [`Solver::new`], chain configuration, finish with
 /// [`solve`](Solver::solve) / [`solve_at`](Solver::solve_at) (or
-/// [`baseline`](Solver::baseline)). Every knob has the same default the
-/// historical free functions used, so `Solver::new(&dc).solve()` equals
-/// `solve_three_stage(&dc, &ThreeStageOptions::default())` bit for bit.
+/// [`baseline`](Solver::baseline)). Every knob defaults to
+/// [`ThreeStageOptions::default`]'s value.
 pub struct Solver<'a> {
     dc: &'a DataCenter,
     psi: PsiPolicy,
@@ -215,9 +207,8 @@ impl<'a> Solver<'a> {
         }
 
         match &self.demand {
-            // No demand curve: solve the original data center directly
-            // (with all-default scenario knobs this is the historical,
-            // bit-identical path).
+            // No demand curve: solve the original data center directly,
+            // without the clone.
             None => {
                 let sol = self.run(self.dc, weights)?;
                 self.finish(self.dc, sol)
@@ -234,7 +225,7 @@ impl<'a> Solver<'a> {
         }
     }
 
-    /// Dispatch the ψ policy against the shared `pub(crate)` impls.
+    /// Dispatch the ψ policy.
     fn run(&self, dc: &DataCenter, weights: ObjectiveWeights) -> Result<ThreeStageSolution, SolveError> {
         let base = ThreeStageOptions {
             psi_percent: ThreeStageOptions::default().psi_percent,
@@ -314,7 +305,7 @@ mod tests {
     fn defaults_match_three_stage_options() {
         let dc = ScenarioParams::small_test().build(5).unwrap();
         let a = Solver::new(&dc).solve().expect("builder");
-        let b = crate::solve_three_stage(&dc, &ThreeStageOptions::default()).expect("legacy");
+        let b = three_stage_impl(&dc, &ThreeStageOptions::default()).expect("options");
         assert_eq!(a, b);
     }
 

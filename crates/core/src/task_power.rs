@@ -426,12 +426,12 @@ pub fn reclaim_power(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::three_stage::{solve_three_stage, ThreeStageOptions};
+    use crate::Solver;
     use thermaware_datacenter::ScenarioParams;
 
     fn setup() -> (DataCenter, crate::three_stage::ThreeStageSolution) {
         let dc = ScenarioParams::small_test().build(1).unwrap();
-        let plan = solve_three_stage(&dc, &ThreeStageOptions::default()).unwrap();
+        let plan = Solver::new(&dc).solve().unwrap();
         (dc, plan)
     }
 

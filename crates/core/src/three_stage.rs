@@ -84,24 +84,7 @@ impl ThreeStageSolution {
     }
 }
 
-/// Run Stages 1–3 for one ψ.
-///
-/// Prefer [`crate::Solver`] — the builder façade wrapping this entry
-/// point (`Solver::new(&dc).psi(50.0).solve()`); this free function is
-/// kept as a thin shim for existing call sites and produces bit-identical
-/// plans.
-#[doc(hidden)]
-pub fn solve_three_stage(
-    dc: &DataCenter,
-    options: &ThreeStageOptions,
-) -> Result<ThreeStageSolution, SolveError> {
-    three_stage_impl(dc, options)
-}
-
-/// Shared implementation behind [`solve_three_stage`] and
-/// [`crate::Solver::solve`] — both paths call this with the same
-/// arguments, which is what makes the builder bit-identical to the
-/// legacy entry point.
+/// Run Stages 1–3 for one ψ — what [`crate::Solver::solve`] runs.
 pub(crate) fn three_stage_impl(
     dc: &DataCenter,
     options: &ThreeStageOptions,
@@ -137,31 +120,8 @@ pub(crate) fn three_stage_impl(
 }
 
 /// Run the three-stage technique for several ψ values and keep the best
-/// (by Stage-3 reward rate) — the paper's "best of the two" series in
-/// Figure 6.
-///
-/// Prefer [`crate::Solver`] with
-/// [`psi_best_of`](crate::Solver::psi_best_of); this free function is
-/// kept as a thin shim for existing call sites and produces bit-identical
-/// plans.
-#[doc(hidden)]
-pub fn solve_three_stage_best_of(
-    dc: &DataCenter,
-    psis: &[f64],
-    search: CracSearchOptions,
-) -> Result<ThreeStageSolution, SolveError> {
-    three_stage_best_of_impl(
-        dc,
-        psis,
-        &ThreeStageOptions {
-            search,
-            ..ThreeStageOptions::default()
-        },
-    )
-}
-
-/// Shared implementation behind [`solve_three_stage_best_of`] and the
-/// builder's best-of mode. `base.psi_percent` is ignored — each
+/// — the paper's "best of the two" series in Figure 6, behind
+/// [`crate::Solver::psi_best_of`]. `base.psi_percent` is ignored — each
 /// candidate in `psis` is solved with the rest of `base`'s options, and
 /// the winner is picked by `base.objective`'s net objective (exactly
 /// the Stage-3 reward rate under reward-only weights).
@@ -178,7 +138,7 @@ pub(crate) fn three_stage_best_of_impl(
     let mut last_err: Option<SolveError> = None;
     for &psi in psis {
         thermaware_obs::counter_add("core.psi_candidates", 1);
-        match solve_three_stage(
+        match three_stage_impl(
             dc,
             &ThreeStageOptions {
                 psi_percent: psi,
@@ -219,7 +179,7 @@ mod tests {
     #[test]
     fn end_to_end_solves_and_verifies() {
         let dc = ScenarioParams::small_test().build(1).unwrap();
-        let sol = solve_three_stage(&dc, &ThreeStageOptions::default()).expect("solve");
+        let sol = three_stage_impl(&dc, &ThreeStageOptions::default()).expect("solve");
         assert!(sol.reward_rate() > 0.0);
         assert!(sol.reward_rate() <= dc.workload.max_reward_rate() * (1.0 + 1e-9));
         let report = verify_assignment(&dc, sol.crac_out_c(), &sol.pstates, Some(&sol.stage3));
@@ -233,7 +193,7 @@ mod tests {
         // paper explains this for ψ=25) but not absurdly higher than the
         // theoretical max.
         let dc = ScenarioParams::small_test().build(2).unwrap();
-        let sol = solve_three_stage(&dc, &ThreeStageOptions::default()).unwrap();
+        let sol = three_stage_impl(&dc, &ThreeStageOptions::default()).unwrap();
         assert!(sol.reward_rate() <= dc.workload.max_reward_rate() * (1.0 + 1e-9));
         assert!(sol.stage1.objective > 0.0);
     }
@@ -241,7 +201,7 @@ mod tests {
     #[test]
     fn best_of_psi_picks_the_better_one() {
         let dc = ScenarioParams::small_test().build(3).unwrap();
-        let s25 = solve_three_stage(
+        let s25 = three_stage_impl(
             &dc,
             &ThreeStageOptions {
                 psi_percent: 25.0,
@@ -249,7 +209,7 @@ mod tests {
             },
         )
         .unwrap();
-        let s50 = solve_three_stage(
+        let s50 = three_stage_impl(
             &dc,
             &ThreeStageOptions {
                 psi_percent: 50.0,
@@ -258,7 +218,7 @@ mod tests {
         )
         .unwrap();
         let best =
-            solve_three_stage_best_of(&dc, &[25.0, 50.0], CracSearchOptions::default()).unwrap();
+            three_stage_best_of_impl(&dc, &[25.0, 50.0], &ThreeStageOptions::default()).unwrap();
         let expected = s25.reward_rate().max(s50.reward_rate());
         assert!((best.reward_rate() - expected).abs() < 1e-9);
     }
@@ -268,7 +228,7 @@ mod tests {
         // Pconst = (Pmin+Pmax)/2 cannot power every core at P0: the
         // assignment must park some cores in deeper states or off.
         let dc = ScenarioParams::small_test().build(4).unwrap();
-        let sol = solve_three_stage(&dc, &ThreeStageOptions::default()).unwrap();
+        let sol = three_stage_impl(&dc, &ThreeStageOptions::default()).unwrap();
         let non_p0 = sol.pstates.iter().filter(|&&p| p != 0).count();
         assert!(non_p0 > 0, "all cores at P0 under an oversubscribed budget");
     }

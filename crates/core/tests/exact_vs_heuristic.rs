@@ -3,10 +3,8 @@
 //! and confirm the exact optimum dominates every other solver.
 
 use thermaware_core::minlp::{solve_exact, MinlpOptions};
-use thermaware_core::{
-    solve_baseline, solve_three_stage_best_of, verify_assignment,
-};
-use thermaware_datacenter::{CracSearchOptions, DataCenter, PowerBudget};
+use thermaware_core::{verify_assignment, Solver};
+use thermaware_datacenter::{DataCenter, PowerBudget};
 use thermaware_linalg::Matrix;
 use thermaware_power::{CoreType, NodeType, PStateTable};
 use thermaware_thermal::{CracUnit, CrossInterference, Layout, ThermalModel};
@@ -87,7 +85,7 @@ fn exact_dominates_heuristic_and_gap_is_small() {
     let dc = tiny_dc([3.0, 2.0]);
     let exact = solve_exact(&dc, &MinlpOptions::default()).expect("exact");
     let heuristic =
-        solve_three_stage_best_of(&dc, &[25.0, 50.0, 100.0], CracSearchOptions::default())
+        Solver::new(&dc).psi_best_of([25.0, 50.0, 100.0]).solve()
             .expect("heuristic");
     assert!(
         exact.reward_rate >= heuristic.reward_rate() - 1e-6,
@@ -113,7 +111,7 @@ fn exact_dominates_heuristic_and_gap_is_small() {
 fn exact_dominates_baseline_too() {
     let dc = tiny_dc([3.0, 2.0]);
     let exact = solve_exact(&dc, &MinlpOptions::default()).expect("exact");
-    let baseline = solve_baseline(&dc, CracSearchOptions::default()).expect("baseline");
+    let baseline = Solver::new(&dc).baseline().expect("baseline");
     assert!(
         exact.reward_rate >= baseline.reward_rate - 1e-6,
         "exact {} below baseline {}",
@@ -146,6 +144,6 @@ fn undersubscribed_instance_serves_all_arrivals() {
     let exact = solve_exact(&dc, &MinlpOptions::default()).expect("exact");
     assert!((exact.reward_rate - ceiling).abs() < 1e-6);
     let heuristic =
-        solve_three_stage_best_of(&dc, &[50.0], CracSearchOptions::default()).unwrap();
+        Solver::new(&dc).psi_best_of([50.0]).solve().unwrap();
     assert!((heuristic.reward_rate() - ceiling).abs() < 1e-6);
 }

@@ -12,11 +12,10 @@
 //! its own copy used to subtract the two sums one after the other, and its
 //! terms follow the one `|g·a| < 1e-14` rule.
 
-use thermaware_core::baseline::solve_baseline;
 use thermaware_core::min_power::{solve_min_power, MinPowerOptions};
 use thermaware_core::task_power::{reclaim_power, solve_stage3_task_aware, TaskPowerModel};
-use thermaware_core::{solve_three_stage, ThreeStageOptions};
-use thermaware_datacenter::{CracSearchOptions, DataCenter, ScenarioParams};
+use thermaware_core::Solver;
+use thermaware_datacenter::{DataCenter, ScenarioParams};
 
 fn dc(seed: u64) -> DataCenter {
     ScenarioParams::small_test().build(seed).expect("small_test scenario builds")
@@ -32,7 +31,7 @@ const BASELINE_BITS: [[u64; 3]; 3] = [
 #[test]
 fn baseline_is_pinned_to_the_bit() {
     for (seed, want) in (1..).zip(BASELINE_BITS) {
-        let sol = solve_baseline(&dc(seed), CracSearchOptions::default()).expect("baseline");
+        let sol = Solver::new(&dc(seed)).baseline().expect("baseline");
         assert_eq!(sol.crac_out_c.len(), 1);
         let got = [
             sol.reward_rate.to_bits(),
@@ -55,7 +54,7 @@ const MIN_POWER_BITS: [[u64; 2]; 3] = [
 fn min_power_is_pinned_to_the_bit() {
     for (seed, want) in (1..).zip(MIN_POWER_BITS) {
         let dc = dc(seed);
-        let full = solve_three_stage(&dc, &ThreeStageOptions::default()).expect("three-stage");
+        let full = Solver::new(&dc).solve().expect("three-stage");
         let sol = solve_min_power(&dc, 0.5 * full.reward_rate(), &MinPowerOptions::default())
             .expect("min power");
         assert_eq!(sol.crac_out_c.len(), 1);
@@ -119,7 +118,7 @@ const TASK_AWARE: [(f64, &str); 3] = [
 fn task_aware_is_pinned_to_tolerance_with_identical_reclaimed_pstates() {
     for (seed, (want_reward, want_pstates)) in (1..).zip(TASK_AWARE) {
         let dc = dc(seed);
-        let plan = solve_three_stage(&dc, &ThreeStageOptions::default()).expect("three-stage");
+        let plan = Solver::new(&dc).solve().expect("three-stage");
         let mixed = TaskPowerModel {
             factors: (0..dc.n_task_types())
                 .map(|i| 0.5 + 0.2 * (i % 4) as f64)

@@ -3,7 +3,7 @@
 //! problems (the paper notes full enumeration grows exponentially with
 //! the number of CRAC units, so the fallback has to be trustworthy).
 
-use thermaware_core::{solve_three_stage, ThreeStageOptions};
+use thermaware_core::Solver;
 use thermaware_datacenter::{CracSearchOptions, ScenarioParams};
 
 #[test]
@@ -15,30 +15,20 @@ fn coordinate_descent_close_to_exhaustive() {
     }
     .build(3)
     .unwrap();
-    let exhaustive = solve_three_stage(
-        &dc,
-        &ThreeStageOptions {
-            psi_percent: 50.0,
-            search: CracSearchOptions {
-                exhaustive_refine: true,
-                ..CracSearchOptions::default()
-            },
-            ..ThreeStageOptions::default()
-        },
-    )
-    .unwrap();
-    let descent = solve_three_stage(
-        &dc,
-        &ThreeStageOptions {
-            psi_percent: 50.0,
-            search: CracSearchOptions {
-                exhaustive_refine: false,
-                ..CracSearchOptions::default()
-            },
-            ..ThreeStageOptions::default()
-        },
-    )
-    .unwrap();
+    let exhaustive = Solver::new(&dc)
+        .crac_grid(CracSearchOptions {
+            exhaustive_refine: true,
+            ..CracSearchOptions::default()
+        })
+        .solve()
+        .unwrap();
+    let descent = Solver::new(&dc)
+        .crac_grid(CracSearchOptions {
+            exhaustive_refine: false,
+            ..CracSearchOptions::default()
+        })
+        .solve()
+        .unwrap();
     assert!(
         descent.reward_rate() >= 0.95 * exhaustive.reward_rate(),
         "descent {} vs exhaustive {}",
@@ -53,61 +43,41 @@ fn coordinate_descent_close_to_exhaustive() {
 #[test]
 fn wider_refinement_never_hurts() {
     let dc = ScenarioParams::small_test().build(5).unwrap();
-    let narrow = solve_three_stage(
-        &dc,
-        &ThreeStageOptions {
-            psi_percent: 50.0,
-            search: CracSearchOptions {
-                refine_radius: 0,
-                ..CracSearchOptions::default()
-            },
-            ..ThreeStageOptions::default()
-        },
-    )
-    .unwrap();
-    let wide = solve_three_stage(
-        &dc,
-        &ThreeStageOptions {
-            psi_percent: 50.0,
-            search: CracSearchOptions {
-                refine_radius: 4,
-                ..CracSearchOptions::default()
-            },
-            ..ThreeStageOptions::default()
-        },
-    )
-    .unwrap();
+    let narrow = Solver::new(&dc)
+        .crac_grid(CracSearchOptions {
+            refine_radius: 0,
+            ..CracSearchOptions::default()
+        })
+        .solve()
+        .unwrap();
+    let wide = Solver::new(&dc)
+        .crac_grid(CracSearchOptions {
+            refine_radius: 4,
+            ..CracSearchOptions::default()
+        })
+        .solve()
+        .unwrap();
     assert!(wide.reward_rate() >= narrow.reward_rate() - 1e-9);
 }
 
 #[test]
 fn finer_coarse_grid_never_hurts() {
     let dc = ScenarioParams::small_test().build(6).unwrap();
-    let coarse = solve_three_stage(
-        &dc,
-        &ThreeStageOptions {
-            psi_percent: 50.0,
-            search: CracSearchOptions {
-                coarse_step_c: 15.0,
-                refine_radius: 0,
-                ..CracSearchOptions::default()
-            },
-            ..ThreeStageOptions::default()
-        },
-    )
-    .unwrap();
-    let fine = solve_three_stage(
-        &dc,
-        &ThreeStageOptions {
-            psi_percent: 50.0,
-            search: CracSearchOptions {
-                coarse_step_c: 2.0,
-                refine_radius: 0,
-                ..CracSearchOptions::default()
-            },
-            ..ThreeStageOptions::default()
-        },
-    )
-    .unwrap();
+    let coarse = Solver::new(&dc)
+        .crac_grid(CracSearchOptions {
+            coarse_step_c: 15.0,
+            refine_radius: 0,
+            ..CracSearchOptions::default()
+        })
+        .solve()
+        .unwrap();
+    let fine = Solver::new(&dc)
+        .crac_grid(CracSearchOptions {
+            coarse_step_c: 2.0,
+            refine_radius: 0,
+            ..CracSearchOptions::default()
+        })
+        .solve()
+        .unwrap();
     assert!(fine.reward_rate() >= coarse.reward_rate() - 1e-9);
 }

@@ -1,11 +1,8 @@
-//! The [`Solver`] builder must be *bit-identical* to the legacy free
-//! functions: both paths funnel into the same `pub(crate)` implementations,
-//! and these tests hold that contract across every configuration knob.
+//! Installing a recorder through the [`Solver`] builder must not change
+//! the plan.
 
-use thermaware_core::{
-    solve_baseline, solve_three_stage, solve_three_stage_best_of, Solver, ThreeStageOptions,
-};
-use thermaware_datacenter::{CracSearchOptions, ScenarioParams};
+use thermaware_core::Solver;
+use thermaware_datacenter::ScenarioParams;
 
 fn build_dc(seed: u64) -> thermaware_datacenter::DataCenter {
     ScenarioParams {
@@ -15,64 +12,6 @@ fn build_dc(seed: u64) -> thermaware_datacenter::DataCenter {
     }
     .build(seed)
     .expect("scenario")
-}
-
-#[test]
-fn builder_single_psi_is_bit_identical() {
-    let dc = build_dc(17);
-    for psi in [25.0, 50.0, 100.0] {
-        let opts = ThreeStageOptions {
-            psi_percent: psi,
-            ..ThreeStageOptions::default()
-        };
-        let legacy = solve_three_stage(&dc, &opts).expect("legacy");
-        let built = Solver::new(&dc).psi(psi).solve().expect("builder");
-        assert_eq!(legacy, built, "psi = {psi}");
-    }
-}
-
-#[test]
-fn builder_best_of_is_bit_identical() {
-    let dc = build_dc(23);
-    let psis = [30.0, 50.0, 80.0];
-    let search = CracSearchOptions::default();
-    let legacy = solve_three_stage_best_of(&dc, &psis, search).expect("legacy");
-    let built = Solver::new(&dc)
-        .psi_best_of(psis.to_vec())
-        .crac_grid(search)
-        .solve()
-        .expect("builder");
-    assert_eq!(legacy, built);
-}
-
-#[test]
-fn builder_baseline_is_bit_identical() {
-    let dc = build_dc(31);
-    let search = CracSearchOptions::default();
-    let legacy = solve_baseline(&dc, search).expect("legacy");
-    let built = Solver::new(&dc).crac_grid(search).baseline().expect("builder");
-    assert_eq!(legacy.reward_rate, built.reward_rate);
-    assert_eq!(legacy.crac_out_c, built.crac_out_c);
-    assert_eq!(legacy.frac, built.frac);
-    assert_eq!(legacy.cores_on, built.cores_on);
-}
-
-#[test]
-fn builder_with_custom_search_grid_is_bit_identical() {
-    let dc = build_dc(41);
-    let search = CracSearchOptions {
-        coarse_step_c: 2.0,
-        fine_step_c: 0.5,
-        ..CracSearchOptions::default()
-    };
-    let opts = ThreeStageOptions {
-        psi_percent: 50.0,
-        search,
-        ..ThreeStageOptions::default()
-    };
-    let legacy = solve_three_stage(&dc, &opts).expect("legacy");
-    let built = Solver::new(&dc).psi(50.0).crac_grid(search).solve().expect("builder");
-    assert_eq!(legacy, built);
 }
 
 #[test]

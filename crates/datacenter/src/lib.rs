@@ -23,12 +23,14 @@
 //! ```
 
 mod budget;
+mod cli;
 mod crac_search;
 mod datacenter;
 mod scenario;
 mod snapshot;
 
 pub use budget::PowerBudget;
+pub use cli::Args;
 pub use crac_search::{optimize_crac_outlets, CracSearchOptions};
 pub use datacenter::DataCenter;
 pub use scenario::{validate_workload, InterferenceMethod, ScenarioError, ScenarioParams};

@@ -196,13 +196,13 @@ pub fn migrate_to_tspd(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use thermaware_core::{solve_three_stage, ThreeStageOptions};
+    use thermaware_core::Solver;
     use thermaware_datacenter::ScenarioParams;
     use thermaware_thermal::ChipParams;
 
     fn solved_zone() -> (DataCenter, Vec<usize>, Vec<f64>) {
         let dc = ScenarioParams::small_test().build(3).expect("scenario builds");
-        let plan = solve_three_stage(&dc, &ThreeStageOptions::default()).expect("solves");
+        let plan = Solver::new(&dc).solve().expect("solves");
         let outlets = plan.crac_out_c().to_vec();
         (dc, plan.pstates, outlets)
     }

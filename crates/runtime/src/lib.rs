@@ -17,14 +17,14 @@
 //! solver paths it calls return [`thermaware_core::SolveError`]).
 //!
 //! ```
-//! use thermaware_core::{solve_three_stage, ThreeStageOptions};
+//! use thermaware_core::Solver;
 //! use thermaware_datacenter::ScenarioParams;
 //! use thermaware_runtime::{FaultScript, Supervisor, SupervisorConfig};
 //!
 //! let dc = ScenarioParams { n_nodes: 8, n_crac: 2, ..ScenarioParams::small_test() }
 //!     .build(1)
 //!     .expect("scenario");
-//! let plan = solve_three_stage(&dc, &ThreeStageOptions::default()).expect("plan");
+//! let plan = Solver::new(&dc).solve().expect("plan");
 //!
 //! // Kill a node 3 s in; surge demand 1.5x at 6 s.
 //! let script = FaultScript::new().node_death(3.0, 0).arrival_surge(6.0, 1.5);

@@ -41,7 +41,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use thermaware_core::stage3::{solve_stage3_warm, Stage3Basis, Stage3Solution};
-use thermaware_core::{solve_three_stage, ThreeStageOptions, ThreeStageSolution};
+use thermaware_core::{Solver, ThreeStageSolution};
 use thermaware_datacenter::DataCenter;
 use thermaware_scheduler::{EpochSim, EpochSimState, SimulationResult};
 use thermaware_thermal::ChipModel;
@@ -978,13 +978,7 @@ impl<'a> LiveRun<'a> {
                                 planned: self.world.planned_surge,
                             }),
                         );
-                        match solve_three_stage(
-                            &self.work_dc,
-                            &ThreeStageOptions {
-                                psi_percent: cfg.psi_percent,
-                                ..ThreeStageOptions::default()
-                            },
-                        ) {
+                        match Solver::new(&self.work_dc).psi(cfg.psi_percent).solve() {
                             Ok(sol) => {
                                 self.world.pstates = sol.pstates;
                                 self.world.outlets = sol.stage1.crac_out_c;
@@ -1360,7 +1354,6 @@ fn epoch_arrivals(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use thermaware_core::{solve_three_stage, ThreeStageOptions};
     use thermaware_datacenter::ScenarioParams;
 
     fn setup() -> (DataCenter, ThreeStageSolution) {
@@ -1371,7 +1364,7 @@ mod tests {
         }
         .build(1)
         .expect("scenario");
-        let plan = solve_three_stage(&dc, &ThreeStageOptions::default()).expect("plan");
+        let plan = Solver::new(&dc).solve().expect("plan");
         (dc, plan)
     }
 

@@ -17,7 +17,7 @@ use rand::SeedableRng;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
-use thermaware_core::{solve_three_stage, ThreeStageOptions, ThreeStageSolution};
+use thermaware_core::{Solver, ThreeStageSolution};
 use thermaware_datacenter::{DataCenter, ScenarioParams};
 use thermaware_runtime::{
     resume, run_checkpointed, CheckpointConfig, FaultScript, PersistError, Supervisor,
@@ -37,7 +37,7 @@ fn scenario() -> &'static (DataCenter, ThreeStageSolution) {
         }
         .build(1)
         .expect("scenario");
-        let plan = solve_three_stage(&dc, &ThreeStageOptions::default()).expect("plan");
+        let plan = Solver::new(&dc).solve().expect("plan");
         (dc, plan)
     })
 }
@@ -329,7 +329,7 @@ fn meltdown_events_journal_cleanly_and_resume() {
     }
     .build(3)
     .expect("scenario");
-    let plan = solve_three_stage(&dc, &ThreeStageOptions::default()).expect("plan");
+    let plan = Solver::new(&dc).solve().expect("plan");
     let script = FaultScript::new().crac_failure(2.0, 0);
     let baseline = Supervisor::new(&dc, cfg(3)).run(&plan, &script);
     assert!(

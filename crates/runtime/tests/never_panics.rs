@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::OnceLock;
-use thermaware_core::{solve_three_stage, ThreeStageOptions, ThreeStageSolution};
+use thermaware_core::{Solver, ThreeStageSolution};
 use thermaware_datacenter::{DataCenter, ScenarioParams};
 use thermaware_runtime::{FaultScript, Outcome, Supervisor, SupervisorConfig};
 
@@ -25,7 +25,7 @@ fn scenario() -> &'static (DataCenter, ThreeStageSolution) {
         }
         .build(1)
         .expect("scenario");
-        let plan = solve_three_stage(&dc, &ThreeStageOptions::default()).expect("plan");
+        let plan = Solver::new(&dc).solve().expect("plan");
         (dc, plan)
     })
 }

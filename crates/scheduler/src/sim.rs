@@ -431,12 +431,12 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use thermaware_core::{solve_three_stage, ThreeStageOptions};
+    use thermaware_core::Solver;
     use thermaware_datacenter::ScenarioParams;
 
     fn setup(seed: u64) -> (DataCenter, Vec<usize>, Stage3Solution) {
         let dc = ScenarioParams::small_test().build(seed).unwrap();
-        let sol = solve_three_stage(&dc, &ThreeStageOptions::default()).unwrap();
+        let sol = Solver::new(&dc).solve().unwrap();
         (dc, sol.pstates, sol.stage3)
     }
 

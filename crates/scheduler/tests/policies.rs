@@ -5,7 +5,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use thermaware_core::stage3::Stage3Solution;
-use thermaware_core::{solve_three_stage, ThreeStageOptions};
+use thermaware_core::Solver;
 use thermaware_datacenter::{DataCenter, ScenarioParams};
 use thermaware_scheduler::{
     simulate_with_policy, DispatchDecision, DispatchPolicy, DynamicScheduler,
@@ -14,7 +14,7 @@ use thermaware_workload::ArrivalTrace;
 
 fn setup(seed: u64) -> (DataCenter, Vec<usize>, Stage3Solution) {
     let dc = ScenarioParams::small_test().build(seed).unwrap();
-    let sol = solve_three_stage(&dc, &ThreeStageOptions::default()).unwrap();
+    let sol = Solver::new(&dc).solve().unwrap();
     (dc, sol.pstates, sol.stage3)
 }
 

@@ -4,7 +4,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use thermaware_core::{solve_three_stage, ThreeStageOptions};
+use thermaware_core::Solver;
 use thermaware_datacenter::ScenarioParams;
 use thermaware_scheduler::{simulate, simulate_stochastic, DispatchPolicy};
 use thermaware_workload::ArrivalTrace;
@@ -16,7 +16,7 @@ fn setup(seed: u64) -> (
     ArrivalTrace,
 ) {
     let dc = ScenarioParams::small_test().build(seed).unwrap();
-    let plan = solve_three_stage(&dc, &ThreeStageOptions::default()).unwrap();
+    let plan = Solver::new(&dc).solve().unwrap();
     let mut rng = StdRng::seed_from_u64(seed ^ 0xF00D);
     let trace = ArrivalTrace::generate(&dc.workload, 10.0, &mut rng);
     (dc, plan.pstates, plan.stage3, trace)

@@ -4,7 +4,7 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use thermaware_service::cli::Args;
+use thermaware_datacenter::Args;
 use thermaware_service::loadgen::{run, verify, LoadReport, LoadgenConfig};
 use thermaware_workload::Curve;
 
@@ -38,7 +38,7 @@ verify:
   --verify-window N      most-recent acked ids to check     [5000]";
 
 fn main() -> ExitCode {
-    let args = Args::parse(USAGE);
+    let args = Args::parse(std::env::args().skip(1), USAGE);
     let Some(socket) = args.get_opt_str("socket").map(PathBuf::from) else {
         eprintln!("--socket is required\n{USAGE}");
         return ExitCode::from(2);

@@ -8,10 +8,9 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 use thermaware_core::Solver;
-use thermaware_datacenter::ScenarioParams;
+use thermaware_datacenter::{Args, ScenarioParams};
 use thermaware_obs::JsonlRecorder;
 use thermaware_service::breaker::BreakerConfig;
-use thermaware_service::cli::Args;
 use thermaware_service::daemon::{run_daemon, DaemonConfig};
 use thermaware_service::engine::{ServiceConfig, ServiceEngine};
 use thermaware_service::store::{resume_service, ServiceStore, StoreConfig};
@@ -55,7 +54,7 @@ observability:
   --trace-keep N         rotated generations kept             [2]";
 
 fn main() -> ExitCode {
-    let args = Args::parse(USAGE);
+    let args = Args::parse(std::env::args().skip(1), USAGE);
     let Some(dir) = args.get_opt_str("dir").map(PathBuf::from) else {
         eprintln!("--dir is required\n{USAGE}");
         return ExitCode::from(2);

@@ -22,7 +22,6 @@
 //! plan and sheds the lowest-reward task type while open.
 
 pub mod breaker;
-pub mod cli;
 pub mod daemon;
 pub mod engine;
 pub mod loadgen;

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use thermaware_core::{solve_three_stage, ObjectiveWeights, ThreeStageOptions};
+use thermaware_core::{ObjectiveWeights, Solver};
 use thermaware_shard::fleet::{Fleet, FleetParams};
 use thermaware_shard::pool::PoolConfig;
 use thermaware_shard::solver::{solve_monolithic, FleetConfig, FleetSolver};
@@ -123,13 +123,14 @@ proptest! {
 
 /// A single-zone fleet collapses the decomposition entirely: the master
 /// hands the zone the whole budget, so the sharded answer must equal the
-/// plain `solve_three_stage` on that zone's data center.
+/// plain `Solver::solve` on that zone's data center.
 #[test]
 fn single_zone_fleet_matches_global_three_stage() {
     let fleet = Arc::new(
         Fleet::build(&FleetParams::small(1, 8, 42), 50.0).expect("fleet builds"),
     );
-    let global = solve_three_stage(&fleet.zones[0], &ThreeStageOptions::default())
+    let global = Solver::new(&fleet.zones[0])
+        .solve()
         .expect("global solve");
     let mut solver = FleetSolver::new(Arc::clone(&fleet), cfg(2));
     let plan = solver.replan(None);

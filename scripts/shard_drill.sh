@@ -23,7 +23,7 @@ TRACE="$WORK/shard_trace.jsonl"
 mkdir -p "$WORK"
 
 echo "== shard drill: worker panic + zone timeout + reconvergence (workdir $WORK) =="
-"$BIN/shard_drill" --trace "$TRACE"
+"$BIN/thermaware-exp" shard_drill --trace "$TRACE"
 
 [ -f "$TRACE" ] || { echo "FAIL: drill wrote no trace"; exit 1; }
 

@@ -4,12 +4,12 @@
 //! A full Rust reproduction of Al-Qawasmeh, Pasricha, Maciejewski &
 //! Siegel, *"Thermal-Aware Performance Optimization in Power Constrained
 //! Heterogeneous Data Centers"* (IEEE IPDPSW 2012), including every
-//! substrate the paper relies on: a dense LP solver, the abstract
-//! heat-flow thermal model with cross-interference generation, CMOS
-//! P-state power models, the Section-VI synthetic workload, the
-//! three-stage assignment technique, the Eq.-21 baseline, an exact MINLP
-//! reference, and the second-step dynamic scheduler with a discrete-event
-//! simulator.
+//! substrate the paper relies on: a sparse revised-simplex LP solver,
+//! the abstract heat-flow thermal model with cross-interference
+//! generation, CMOS P-state power models, the Section-VI synthetic
+//! workload, the three-stage assignment technique, the Eq.-21 baseline,
+//! an exact MINLP reference, and the second-step dynamic scheduler with a
+//! discrete-event simulator.
 //!
 //! This crate is a facade: it re-exports the workspace members under one
 //! namespace. Depend on the individual `thermaware-*` crates instead when
@@ -65,7 +65,8 @@ pub use thermaware_datacenter as datacenter;
 pub use thermaware_linalg as linalg;
 /// Zero-dependency observability: spans, counters, histograms, sinks.
 pub use thermaware_obs as obs;
-/// The two-phase bounded-variable simplex LP solver.
+/// The bounded-variable revised-simplex LP solver (primal and dual
+/// phases, warm starts).
 pub use thermaware_lp as lp;
 /// P-state tables and CMOS power models.
 pub use thermaware_power as power;

@@ -25,8 +25,7 @@ pub use thermaware_datacenter::{
 // Workload, arrival traces, and scenario curves (demand, price, carbon).
 pub use thermaware_workload::{ArrivalTrace, Curve, Workload};
 
-// The solver: the `Solver` builder is the single documented entry point
-// (the legacy free functions are `#[doc(hidden)]` shims behind it).
+// The solver: the `Solver` builder is the single solve entry point.
 pub use thermaware_core::{
     verify_assignment, BaselineSolution, ObjectiveWeights, SolveError, Solver,
     ThreeStageOptions, ThreeStageSolution, VerificationReport,

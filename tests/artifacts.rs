@@ -2,7 +2,7 @@
 //! export across crate boundaries — the reproducibility features a
 //! downstream user leans on when filing a bug or pinning a result.
 
-use thermaware::core::{solve_three_stage, ThreeStageOptions};
+use thermaware::core::Solver;
 use thermaware::datacenter::{ScenarioParams, ScenarioSnapshot};
 use thermaware::lp::{to_mps, Problem, RowOp, Sense};
 
@@ -15,7 +15,7 @@ fn snapshot_restores_and_replans_to_the_same_reward() {
     }
     .build(21)
     .unwrap();
-    let original = solve_three_stage(&dc, &ThreeStageOptions::default()).unwrap();
+    let original = Solver::new(&dc).solve().unwrap();
 
     // Round-trip through JSON, as an artifact file would.
     let json = serde_json::to_string(&ScenarioSnapshot::capture(&dc)).unwrap();
@@ -23,7 +23,7 @@ fn snapshot_restores_and_replans_to_the_same_reward() {
         .unwrap()
         .restore()
         .unwrap();
-    let replanned = solve_three_stage(&restored, &ThreeStageOptions::default()).unwrap();
+    let replanned = Solver::new(&restored).solve().unwrap();
 
     let diff = (original.reward_rate() - replanned.reward_rate()).abs();
     assert!(

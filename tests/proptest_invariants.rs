@@ -2,10 +2,8 @@
 //! produces, the solvers' outputs must verify against the exact models.
 
 use proptest::prelude::*;
-use thermaware::core::{
-    solve_baseline, solve_three_stage, verify_assignment, ThreeStageOptions,
-};
-use thermaware::datacenter::{CracSearchOptions, ScenarioParams};
+use thermaware::core::{verify_assignment, Solver};
+use thermaware::datacenter::ScenarioParams;
 
 proptest! {
     // Each case builds a scenario and runs two LP-based solvers; keep the
@@ -25,7 +23,7 @@ proptest! {
             ..ScenarioParams::paper(share, v_prop)
         };
         let dc = params.build(seed).expect("scenario generation");
-        let plan = solve_three_stage(&dc, &ThreeStageOptions::default()).expect("solve");
+        let plan = Solver::new(&dc).solve().expect("solve");
         let report = verify_assignment(&dc, plan.crac_out_c(), &plan.pstates, Some(&plan.stage3));
         prop_assert!(report.is_feasible(), "{report:?}");
         prop_assert!(plan.reward_rate() > 0.0);
@@ -43,7 +41,7 @@ proptest! {
             ..ScenarioParams::paper(0.3, 0.1)
         };
         let dc = params.build(seed).expect("scenario generation");
-        let base = solve_baseline(&dc, CracSearchOptions::default()).expect("solve");
+        let base = Solver::new(&dc).baseline().expect("solve");
         let node_powers = thermaware::core::baseline::baseline_node_powers(&dc, &base.frac);
         let (it, cooling, state) = dc.total_power_kw(&base.crac_out_c, &node_powers);
         prop_assert!(it + cooling <= dc.budget.p_const_kw * (1.0 + 1e-6) + 1e-6);

@@ -4,11 +4,8 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use thermaware::core::{
-    solve_baseline, solve_three_stage, solve_three_stage_best_of, verify_assignment,
-    ThreeStageOptions,
-};
-use thermaware::datacenter::{CracSearchOptions, ScenarioParams};
+use thermaware::core::{verify_assignment, Solver};
+use thermaware::datacenter::ScenarioParams;
 use thermaware::scheduler::simulate;
 use thermaware::workload::ArrivalTrace;
 
@@ -25,7 +22,7 @@ fn scenario(seed: u64) -> thermaware::datacenter::DataCenter {
 #[test]
 fn first_step_plan_feeds_second_step_cleanly() {
     let dc = scenario(1);
-    let plan = solve_three_stage(&dc, &ThreeStageOptions::default()).expect("first step");
+    let plan = Solver::new(&dc).solve().expect("first step");
     let report = verify_assignment(&dc, plan.crac_out_c(), &plan.pstates, Some(&plan.stage3));
     assert!(report.is_feasible(), "{report:?}");
 
@@ -46,9 +43,9 @@ fn three_stage_usually_beats_baseline_in_set3_conditions() {
     let mut improvements = Vec::new();
     for seed in 1..=5 {
         let dc = scenario(seed);
-        let plan = solve_three_stage_best_of(&dc, &[25.0, 50.0], CracSearchOptions::default())
+        let plan = Solver::new(&dc).psi_best_of([25.0, 50.0]).solve()
             .expect("plan");
-        let base = solve_baseline(&dc, CracSearchOptions::default()).expect("baseline");
+        let base = Solver::new(&dc).baseline().expect("baseline");
         improvements.push(100.0 * (plan.reward_rate() - base.reward_rate) / base.reward_rate);
     }
     let mean = improvements.iter().sum::<f64>() / improvements.len() as f64;
@@ -61,11 +58,11 @@ fn three_stage_usually_beats_baseline_in_set3_conditions() {
 #[test]
 fn both_solvers_respect_the_same_budget_and_redlines() {
     let dc = scenario(2);
-    let plan = solve_three_stage(&dc, &ThreeStageOptions::default()).unwrap();
+    let plan = Solver::new(&dc).solve().unwrap();
     let report = verify_assignment(&dc, plan.crac_out_c(), &plan.pstates, Some(&plan.stage3));
     assert!(report.is_feasible());
 
-    let base = solve_baseline(&dc, CracSearchOptions::default()).unwrap();
+    let base = Solver::new(&dc).baseline().unwrap();
     let node_powers = thermaware::core::baseline::baseline_node_powers(&dc, &base.frac);
     let (it, cooling, state) = dc.total_power_kw(&base.crac_out_c, &node_powers);
     assert!(it + cooling <= dc.budget.p_const_kw * (1.0 + 1e-6) + 1e-6);
@@ -76,8 +73,8 @@ fn both_solvers_respect_the_same_budget_and_redlines() {
 fn reward_rates_bounded_by_arrival_ceiling() {
     let dc = scenario(3);
     let ceiling = dc.workload.max_reward_rate();
-    let plan = solve_three_stage(&dc, &ThreeStageOptions::default()).unwrap();
-    let base = solve_baseline(&dc, CracSearchOptions::default()).unwrap();
+    let plan = Solver::new(&dc).solve().unwrap();
+    let base = Solver::new(&dc).baseline().unwrap();
     assert!(plan.reward_rate() <= ceiling * (1.0 + 1e-9));
     assert!(base.reward_rate <= ceiling * (1.0 + 1e-9));
 }
@@ -87,12 +84,12 @@ fn higher_power_budget_never_hurts() {
     // Relax the budget by 20% and re-solve: the reward cannot drop
     // (monotonicity sanity check across the whole pipeline).
     let dc = scenario(4);
-    let before = solve_three_stage(&dc, &ThreeStageOptions::default())
+    let before = Solver::new(&dc).solve()
         .unwrap()
         .reward_rate();
     let mut relaxed = dc.clone();
     relaxed.budget.p_const_kw *= 1.2;
-    let after = solve_three_stage(&relaxed, &ThreeStageOptions::default())
+    let after = Solver::new(&relaxed).solve()
         .unwrap()
         .reward_rate();
     assert!(
@@ -104,12 +101,12 @@ fn higher_power_budget_never_hurts() {
 #[test]
 fn tighter_redlines_never_help() {
     let dc = scenario(5);
-    let before = solve_three_stage(&dc, &ThreeStageOptions::default())
+    let before = Solver::new(&dc).solve()
         .unwrap()
         .reward_rate();
     let mut tight = dc.clone();
     tight.thermal.node_redline_c -= 3.0;
-    let after = solve_three_stage(&tight, &ThreeStageOptions::default())
+    let after = Solver::new(&tight).solve()
         .map(|s| s.reward_rate())
         .unwrap_or(0.0);
     assert!(
