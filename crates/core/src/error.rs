@@ -17,7 +17,7 @@ use thermaware_lp::LpError;
 /// closed, so hitting the fallback means the payload came from a newer
 /// writer).
 mod stage_name {
-    use serde::{Deserialize, Error, Serialize, Value};
+    use serde::{Deserialize, Error, Serialize, Sink, Value};
 
     const KNOWN: &[&str] = &[
         "stage1",
@@ -30,8 +30,8 @@ mod stage_name {
         "crac_search",
     ];
 
-    pub(super) fn to_value(stage: &&'static str) -> Value {
-        stage.to_value()
+    pub(super) fn serialize<S: Sink>(stage: &&'static str, sink: &mut S) {
+        stage.serialize(sink);
     }
 
     pub(super) fn from_value(v: &Value) -> Result<&'static str, Error> {

@@ -363,3 +363,30 @@ fn meltdown_events_journal_cleanly_and_resume() {
     assert_eq!(report.log, baseline.log);
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// The whole journaled state, not its round trip: `(json.len(), crc)` of
+/// the [`SupervisorState`](thermaware_runtime::SupervisorState) six
+/// epochs into the meltdown above (`"inf"` observations included), as
+/// every commit record computes them. The constant was computed by the
+/// commit *before* the encoder started streaming. (It follows the plan's
+/// bits: a change to the LP kernels that moves those re-pins it.)
+#[test]
+fn supervisor_state_bytes_are_pinned() {
+    let dc = ScenarioParams {
+        n_nodes: 6,
+        n_crac: 1,
+        ..ScenarioParams::small_test()
+    }
+    .build(3)
+    .expect("scenario");
+    let plan = Solver::new(&dc).solve().expect("plan");
+    let script = FaultScript::new().crac_failure(2.0, 0);
+    let sup = Supervisor::new(&dc, cfg(3));
+    let mut live = sup.begin(&plan, &script);
+    for _ in 0..6 {
+        assert!(live.step());
+    }
+    let (json, crc) = thermaware_runtime::persist::json_crc(&live.to_state()).expect("encode");
+    assert!(json.contains("\"inf\""), "the pinned state holds a non-finite observation");
+    assert_eq!((json.len(), crc), (108_154, 0xce46_eba0));
+}

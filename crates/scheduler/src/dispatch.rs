@@ -2,7 +2,7 @@
 //! plan-oblivious comparison policies used by the `ablation_dispatch`
 //! experiment.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Sink, Value};
 use thermaware_core::stage3::Stage3Solution;
 use thermaware_datacenter::DataCenter;
 
@@ -34,15 +34,19 @@ pub enum DispatchPolicy {
 // By hand: two shapes in one type — the fieldless rules print as plain
 // strings, the windowed rule as `{"kind": ..., "tau_s": ...}`.
 impl Serialize for DispatchPolicy {
-    fn to_value(&self) -> Value {
+    fn serialize<S: Sink>(&self, sink: &mut S) {
         match self {
-            DispatchPolicy::AtcTc => Value::String("atc_tc".to_string()),
-            DispatchPolicy::EarliestFinish => Value::String("earliest_finish".to_string()),
-            DispatchPolicy::LeastLoaded => Value::String("least_loaded".to_string()),
-            DispatchPolicy::AtcTcWindowed { tau_s } => Value::Object(vec![
-                ("kind".to_string(), "atc_tc_windowed".to_value()),
-                ("tau_s".to_string(), tau_s.to_value()),
-            ]),
+            DispatchPolicy::AtcTc => sink.string("atc_tc"),
+            DispatchPolicy::EarliestFinish => sink.string("earliest_finish"),
+            DispatchPolicy::LeastLoaded => sink.string("least_loaded"),
+            DispatchPolicy::AtcTcWindowed { tau_s } => {
+                sink.begin_object();
+                sink.key("kind");
+                sink.string("atc_tc_windowed");
+                sink.key("tau_s");
+                tau_s.serialize(sink);
+                sink.end_object();
+            }
         }
     }
 }

@@ -16,7 +16,7 @@
 //! single `error` response and the connection stays usable; a client
 //! can be arbitrarily hostile without wedging the daemon.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Sink, Value};
 
 /// Longest request or response line the daemon will read, bytes. A
 /// line that exceeds this is answered with an `error` response and
@@ -160,23 +160,26 @@ pub enum Response {
 // By hand: `submit` inlines its batch's `id` and `tasks` beside the tag
 // and leaves `budget_ms` out when there is none.
 impl Serialize for Request {
-    fn to_value(&self) -> Value {
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        sink.begin_object();
+        sink.key("type");
         match self {
             Request::Submit { batch, budget_ms } => {
-                let mut entries = vec![
-                    ("type".to_string(), "submit".to_value()),
-                    ("id".to_string(), serde::Hex::to_value(&batch.id)),
-                    ("tasks".to_string(), batch.tasks.to_value()),
-                ];
+                sink.string("submit");
+                sink.key("id");
+                serde::Hex::serialize(&batch.id, sink);
+                sink.key("tasks");
+                batch.tasks.serialize(sink);
                 if let Some(ms) = budget_ms {
-                    entries.push(("budget_ms".to_string(), ms.to_value()));
+                    sink.key("budget_ms");
+                    ms.serialize(sink);
                 }
-                Value::Object(entries)
             }
-            Request::Stats => Value::Object(vec![("type".to_string(), "stats".to_value())]),
-            Request::Ping => Value::Object(vec![("type".to_string(), "ping".to_value())]),
-            Request::Shutdown => Value::Object(vec![("type".to_string(), "shutdown".to_value())]),
+            Request::Stats => sink.string("stats"),
+            Request::Ping => sink.string("ping"),
+            Request::Shutdown => sink.string("shutdown"),
         }
+        sink.end_object();
     }
 }
 

@@ -37,7 +37,7 @@ use std::path::{Path, PathBuf};
 use thermaware_core::stage3::Stage3Solution;
 use thermaware_datacenter::ScenarioSnapshot;
 use thermaware_runtime::persist::{
-    crc32, load_snapshot, read_framed_journal, read_header, snapshot_paths, truncate_journal,
+    json_crc, load_snapshot, read_framed_journal, read_header, snapshot_paths, truncate_journal,
     write_header, write_snapshot, JournalWriter, PersistError, SnapshotFormat,
 };
 
@@ -122,12 +122,9 @@ impl StoreConfig {
 }
 
 /// Serialize a state and CRC it — the (json, crc) pair snapshots and
-/// commit records share.
+/// commit records share ([`json_crc`] at the state's type).
 pub fn state_json_crc(state: &ServiceState) -> Result<(String, u32), PersistError> {
-    let json = serde_json::to_string(state)
-        .map_err(|e| PersistError::State { reason: e.to_string() })?;
-    let crc = crc32(json.as_bytes());
-    Ok((json, crc))
+    json_crc(state)
 }
 
 /// Writes the journal and snapshots for one service run.

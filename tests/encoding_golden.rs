@@ -3,7 +3,9 @@
 //! directions (`to_string(x) == literal`, `from_str(literal) == x`).
 //! The round-trip suites cannot see a changed tag key, field order or
 //! id encoding — both directions change together — and a directory
-//! written by an older binary must keep resuming.
+//! written by an older binary must keep resuming. Every pinned value is
+//! also printed by way of its `Value` tree: the streaming writer and the
+//! tree builder must agree on every shape.
 
 use thermaware::core::stage3::Stage3Solution;
 use thermaware::core::{SolveError, Solver};
@@ -15,7 +17,7 @@ use thermaware::runtime::{
 };
 use thermaware::service::engine::ServiceState;
 use thermaware::service::proto::{RejectReason, StatsReport};
-use thermaware::service::store::ServiceRecord;
+use thermaware::service::store::{state_json_crc, ServiceRecord};
 use thermaware::service::{Batch, ReplanVerdict, Request, Response, ServiceConfig, ServiceEngine};
 use thermaware::workload::Curve;
 
@@ -30,6 +32,9 @@ macro_rules! pin {
         let x = $x;
         let literal: &str = &$literal;
         assert_eq!(serde_json::to_string(&x).expect("encode"), literal);
+        // The tree a value builds prints the same bytes as the value itself.
+        let tree = serde_json::to_value(&x);
+        assert_eq!(serde_json::to_string(&tree).expect("encode tree"), literal);
         let back = typed(&x, || serde_json::from_str(literal).expect("decode"));
         assert_eq!(back, x, "{literal}");
     }};
@@ -181,6 +186,9 @@ fn non_finite_measurements() {
         other => panic!("decoded {other:?}"),
     }
     rejects!(Violation, r#"{"kind":"redline","observed_c":"warm"}"#);
+    // Nor does a non-finite value come in as a number: a literal that
+    // overflows `f64` is refused, not read as infinity.
+    rejects!(Violation, r#"{"kind":"redline","observed_c":1e999}"#, r#"{"kind":"redline","observed_c":-1e999}"#);
 }
 
 #[test]
@@ -361,4 +369,96 @@ fn service_state() {
         json.replace(r#""ffffffffffffffff""#, "7"),
         json.replace(r#""recent_ids""#, r#""recent""#),
     );
+}
+
+/// The pretty printer is the same writer with an indent: two spaces per
+/// level, `": "` after a key, empty containers closed on the spot.
+#[test]
+fn pretty_printing() {
+    let record = ServiceRecord::Begin {
+        epoch: 3,
+        batches: vec![
+            Batch { id: 0xa1, tasks: vec![(1, 4)] },
+            Batch { id: 7, tasks: Vec::new() },
+        ],
+        verdict: ReplanVerdict::Failed { error: "tab\there".into() },
+    };
+    let pretty = serde_json::to_string_pretty(&record).expect("encode");
+    assert_eq!(
+        pretty,
+        r#"{
+  "rec": "begin",
+  "epoch": 3,
+  "batches": [
+    {
+      "id": "00000000000000a1",
+      "tasks": [
+        [
+          1,
+          4
+        ]
+      ]
+    },
+    {
+      "id": "0000000000000007",
+      "tasks": []
+    }
+  ],
+  "verdict": {
+    "kind": "failed",
+    "error": "tab\there"
+  }
+}"#
+    );
+    let tree = serde_json::to_value(&record);
+    assert_eq!(serde_json::to_string_pretty(&tree).expect("encode tree"), pretty);
+    let back: ServiceRecord = serde_json::from_str(&pretty).expect("decode");
+    assert_eq!(back, record);
+}
+
+/// The whole state, not a prefix of it: `(json.len(), crc)` as the store
+/// computes them, on an engine driven through a 3x surge with three
+/// failed solves (the breaker opens and sheds) and one replan that lands.
+/// The constants were computed by the commit *before* the encoder
+/// started streaming; a changed digit anywhere in the 150 kB fails them.
+/// (They follow the plan's bits: a change to the LP kernels that moves
+/// those re-pins these three pairs and says so.)
+#[test]
+fn service_state_bytes_are_pinned() {
+    let dc = ScenarioParams::small_test().build(7).expect("scenario");
+    let plan = Solver::new(&dc).solve().expect("plan");
+    let mut engine = ServiceEngine::new(dc, ServiceConfig::default(), &plan.pstates, &plan.stage3);
+    let mut pending = None;
+    let mut pinned = Vec::new();
+    for epoch in 0..40 {
+        let level = if (10..30).contains(&epoch) { 2.1 } else { 0.7 };
+        let tasks: Vec<(usize, usize)> = engine
+            .dc()
+            .workload
+            .task_types
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (i, (t.arrival_rate * level) as usize))
+            .collect();
+        let batch = Batch { id: (epoch as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15), tasks };
+        let verdict = if (10..13).contains(&epoch) {
+            ReplanVerdict::Failed { error: "scripted solver outage".into() }
+        } else {
+            pending.take().unwrap_or(ReplanVerdict::NotAttempted)
+        };
+        engine.step(&[batch], &verdict);
+        if epoch >= 13 && engine.state().totals.replans == 0 && engine.wants_replan() {
+            let (dc, pstates) = engine.solve_request();
+            let (stage3, _) = Solver::new(&dc).stage3_replan(&pstates, None).expect("replan");
+            pending = Some(ReplanVerdict::Ok { stage3 });
+        }
+        if [1, 20, 40].contains(&engine.state().epoch) {
+            let (json, crc) = state_json_crc(engine.state()).expect("encode");
+            pinned.push((json.len(), crc));
+        }
+    }
+    let state = engine.state();
+    assert_eq!((state.breaker.opens, state.totals.replan_failures, state.totals.replans), (1, 3, 1));
+    assert!(state.totals.shed_tasks > 0 && state.totals.dropped_tasks > 0);
+    assert_eq!(pinned, [(126_253, 0x7c55_80a6), (171_497, 0x380b_4f24), (117_044, 0xd1f5_e525)]);
 }
