@@ -52,6 +52,30 @@ impl Stage3Solution {
     pub fn total_rate(&self, dc: &DataCenter, task_type: usize) -> f64 {
         (0..dc.n_cores()).map(|k| self.tc(task_type, k)).sum()
     }
+
+    /// Can [`tc`](Self::tc) be asked for every task type and core of
+    /// `dc`? The check for a plan read from disk or a journal, made once
+    /// where it enters: a group per core, every group index naming a rate
+    /// row, every row one rate per task type.
+    pub fn fits(&self, dc: &DataCenter) -> Result<(), String> {
+        if self.group_of_core.len() != dc.n_cores() {
+            return Err(format!(
+                "stage-3 plan groups {} cores, the room has {}",
+                self.group_of_core.len(),
+                dc.n_cores()
+            ));
+        }
+        if self.group_of_core.iter().any(|&g| g >= self.rate_per_core.len()) {
+            return Err("stage-3 plan names a core group it has no rates for".to_string());
+        }
+        if self.rate_per_core.iter().any(|row| row.len() != dc.n_task_types()) {
+            return Err(format!(
+                "stage-3 plan rate rows are not {} task types wide",
+                dc.n_task_types()
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Solve Stage 3 for a concrete P-state assignment (global core order).

@@ -51,5 +51,5 @@ pub use persist::{
     RecoveryInfo, RunHeader,
 };
 pub use supervisor::{
-    LiveRun, Outcome, Supervisor, SupervisorConfig, SupervisorReport, SupervisorState, WorldView,
+    LiveRun, Outcome, Supervisor, SupervisorConfig, SupervisorReport, SupervisorState,
 };

@@ -37,7 +37,7 @@ use std::fmt;
 use std::fs::{self, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use thermaware_core::{verify_assignment, ThreeStageSolution};
+use thermaware_core::ThreeStageSolution;
 use thermaware_datacenter::{atomic_write, DataCenter, ScenarioSnapshot};
 
 /// Current on-disk format version. Version 1 snapshots (no `state_crc`
@@ -663,7 +663,7 @@ impl Checkpointer {
 
     /// Snapshot a run at its current epoch boundary.
     pub fn snapshot(&mut self, live: &LiveRun<'_>) -> Result<(), PersistError> {
-        let (json, crc) = json_crc(&live.to_state())?;
+        let (json, crc) = json_crc(live.state())?;
         self.write_snapshot(live.epoch(), &json, crc)
     }
 
@@ -682,7 +682,7 @@ impl Checkpointer {
         })?;
         let log_before = live.log().events().len();
         live.step();
-        let (json, state_crc) = json_crc(&live.to_state())?;
+        let (json, state_crc) = json_crc(live.state())?;
         self.journal.append(&JournalRecord::Commit {
             epoch,
             state_crc,
@@ -888,7 +888,7 @@ pub fn resume(dir: &Path) -> Result<RecoveredRun, PersistError> {
             });
         }
         live.step();
-        if json_crc(&live.to_state())?.1 != *state_crc {
+        if json_crc(live.state())?.1 != *state_crc {
             return Err(PersistError::Corrupt {
                 path: journal_path.clone(),
                 reason: format!("replay of epoch {epoch} diverged from the committed state CRC"),
@@ -898,34 +898,9 @@ pub fn resume(dir: &Path) -> Result<RecoveredRun, PersistError> {
     }
 
     // -- 5. Physical invariant check ---------------------------------------
-    let view = live.world_view();
-    let mut pstates = view.pstates.to_vec();
-    for (node, &dead) in view.dead.iter().enumerate() {
-        if dead {
-            let off = dc.node_type(node).core.pstates.off_index();
-            for k in dc.cores_of_node(node) {
-                pstates[k] = off;
-            }
-        }
-    }
-    // A stale plan can carry rates for cores that have since been
-    // throttled to their off state; verifying those against the current
-    // P-states would be meaningless (and trips a debug assertion in
-    // `verify_assignment`). Rates are checked only when they are
-    // consistent with the assignment being verified.
-    let rates_consistent = (0..dc.n_cores()).all(|k| {
-        let nt = dc.core_type(k);
-        (0..dc.n_task_types())
-            .all(|i| view.stage3.tc(i, k) <= 0.0 || dc.workload.ecs.ecs(i, nt, pstates[k]) > 0.0)
-    });
-    let rates = if rates_consistent {
-        Some(view.stage3)
-    } else {
-        None
-    };
-    let report = verify_assignment(&dc, view.outlets, &pstates, rates);
+    let report = live.state().verify(&dc);
     let feasible = report.is_feasible();
-    if !feasible && view.believes_healthy() {
+    if !feasible && live.state().believes_healthy() {
         return Err(PersistError::InvariantViolation {
             reason: format!(
                 "state claims health but verification found redline {:+.3} °C, headroom {:+.3} kW",
@@ -943,7 +918,7 @@ pub fn resume(dir: &Path) -> Result<RecoveredRun, PersistError> {
         worst_redline_violation_c: report.worst_redline_violation_c,
         power_headroom_kw: report.power_headroom_kw,
     };
-    let state = live.to_state();
+    let state = live.into_state();
     Ok(RecoveredRun {
         dc,
         header,

@@ -41,9 +41,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use thermaware_core::stage3::{solve_stage3_warm, Stage3Basis, Stage3Solution};
-use thermaware_core::{Solver, ThreeStageSolution};
+use thermaware_core::{verify_assignment, Solver, ThreeStageSolution, VerificationReport};
 use thermaware_datacenter::DataCenter;
-use thermaware_scheduler::{EpochSim, EpochSimState, SimulationResult};
+use thermaware_scheduler::{EpochSim, SimulationResult};
 use thermaware_thermal::ChipModel;
 use thermaware_workload::{Curve, TaskArrival};
 
@@ -106,6 +106,13 @@ fn default_drift_threshold() -> f64 {
 
 fn default_psi_percent() -> f64 {
     50.0
+}
+
+impl SupervisorConfig {
+    /// Epochs in the configured horizon (at least one).
+    fn n_epochs(&self) -> usize {
+        (self.horizon_s / self.epoch_s).ceil().max(1.0) as usize
+    }
 }
 
 impl Default for SupervisorConfig {
@@ -228,6 +235,23 @@ struct World {
     meltdown: bool,
 }
 
+impl World {
+    /// The P-states Stage 3 and the scheduler actually see: dead nodes'
+    /// cores forced to their off state.
+    fn effective_pstates(&self, dc: &DataCenter) -> Vec<usize> {
+        let mut ps = self.pstates.clone();
+        for (node, &d) in self.dead.iter().enumerate() {
+            if d {
+                let off = dc.node_type(node).core.pstates.off_index();
+                for k in dc.cores_of_node(node) {
+                    ps[k] = off;
+                }
+            }
+        }
+        ps
+    }
+}
+
 /// The fault-tolerant runtime supervisor for one data center.
 #[derive(Clone, Copy)]
 pub struct Supervisor<'a> {
@@ -263,8 +287,8 @@ impl<'a> Supervisor<'a> {
     }
 
     /// Start a resumable run: the returned [`LiveRun`] executes one epoch
-    /// per [`LiveRun::step`] call and can snapshot its complete state at
-    /// any epoch boundary with [`LiveRun::to_state`].
+    /// per [`LiveRun::step`] call and lends its complete state at any
+    /// epoch boundary as [`LiveRun::state`].
     pub fn begin(&self, plan: &ThreeStageSolution, script: &FaultScript) -> LiveRun<'a> {
         let dc = self.dc;
         let cfg = self.cfg;
@@ -289,22 +313,23 @@ impl<'a> Supervisor<'a> {
             meltdown: false,
         };
         let sim = EpochSim::new(dc, &world.pstates, &world.stage3);
-        let n_epochs = (cfg.horizon_s / cfg.epoch_s).ceil().max(1.0) as usize;
         LiveRun {
             dc,
-            cfg,
             chip: self.chip,
             script: script.clone(),
             work_dc,
-            world,
-            log: EventLog::default(),
-            sim,
-            epoch: 0,
-            n_epochs,
-            next_event: 0,
-            acted: false,
-            backoff_skip: 0,
-            backoff_next: 1,
+            n_epochs: cfg.n_epochs(),
+            state: SupervisorState {
+                cfg,
+                epoch: 0,
+                next_event: 0,
+                world,
+                sim,
+                log: EventLog::default(),
+                acted: false,
+                backoff_skip: 0,
+                backoff_next: 1,
+            },
         }
     }
 
@@ -313,7 +338,7 @@ impl<'a> Supervisor<'a> {
         &self,
         world: &mut World,
         work_dc: &mut DataCenter,
-        sim: &mut EpochSim<'_>,
+        sim: &mut EpochSim,
         at_s: f64,
         fault: Fault,
         log: &mut EventLog,
@@ -359,7 +384,7 @@ impl<'a> Supervisor<'a> {
     }
 
     /// Kill a node: mark it dead, mask its cores, lose its in-flight work.
-    fn kill_node(&self, world: &mut World, sim: &mut EpochSim<'_>, node: usize, at_s: f64) {
+    fn kill_node(&self, world: &mut World, sim: &mut EpochSim, node: usize, at_s: f64) {
         if node >= world.dead.len() || world.dead[node] {
             return;
         }
@@ -467,7 +492,7 @@ impl<'a> Supervisor<'a> {
         &self,
         world: &mut World,
         work_dc: &mut DataCenter,
-        sim: &mut EpochSim<'_>,
+        sim: &mut EpochSim,
         now: f64,
         initial: Health,
         log: &mut EventLog,
@@ -601,7 +626,7 @@ impl<'a> Supervisor<'a> {
                 log.record(now, EventKind::ViolationDetected(Violation::StalePlan));
                 match solve_stage3_warm(
                     work_dc,
-                    &self.effective_pstates(world),
+                    &world.effective_pstates(dc),
                     world.stage3_basis.as_ref(),
                 ) {
                     Ok((s3, basis)) => {
@@ -609,7 +634,7 @@ impl<'a> Supervisor<'a> {
                         world.stage3_basis = basis;
                         world.stale = false;
                         attempts = 0;
-                        sim.replan(&self.effective_pstates(world), &world.stage3, now);
+                        sim.replan(dc, &world.effective_pstates(dc), &world.stage3, now);
                         log.record(now, EventKind::ActionTaken(Action::Replan));
                     }
                     Err(err) => {
@@ -645,21 +670,6 @@ impl<'a> Supervisor<'a> {
             return true;
         }
         false
-    }
-
-    /// The P-states Stage 3 and the scheduler actually see: dead nodes'
-    /// cores forced to their off state.
-    fn effective_pstates(&self, world: &World) -> Vec<usize> {
-        let mut ps = world.pstates.clone();
-        for (node, &d) in world.dead.iter().enumerate() {
-            if d {
-                let off = self.dc.node_type(node).core.pstates.off_index();
-                for k in self.dc.cores_of_node(node) {
-                    ps[k] = off;
-                }
-            }
-        }
-        ps
     }
 
     /// Rung 2: drop every unit's set-point by `outlet_drop_c`, clamped to
@@ -829,7 +839,7 @@ impl<'a> Supervisor<'a> {
     fn apply_trips(
         &self,
         world: &mut World,
-        sim: &mut EpochSim<'_>,
+        sim: &mut EpochSim,
         now: f64,
         log: &mut EventLog,
     ) {
@@ -884,39 +894,37 @@ impl<'a> Supervisor<'a> {
 /// `cfg.seed`, so a run restored at any epoch boundary draws exactly
 /// the arrivals the uninterrupted run would have drawn — the property
 /// the `persist` module's crash recovery is built on.
+///
+/// Everything an epoch changes lives in one [`SupervisorState`], which is
+/// what the persist layer checksums and writes; the rest is borrowed
+/// (`dc`, `chip`), fixed for the run (`script`) or derived from the state
+/// (`work_dc`, `n_epochs`).
 pub struct LiveRun<'a> {
     dc: &'a DataCenter,
-    cfg: SupervisorConfig,
     chip: Option<&'a ChipModel>,
     script: FaultScript,
     work_dc: DataCenter,
-    world: World,
-    log: EventLog,
-    sim: EpochSim<'a>,
-    epoch: usize,
     n_epochs: usize,
-    next_event: usize,
-    acted: bool,
-    backoff_skip: u32,
-    backoff_next: u32,
+    state: SupervisorState,
 }
 
 impl<'a> LiveRun<'a> {
     /// Execute the next epoch. Returns `false` (doing nothing) once the
     /// horizon is complete.
     pub fn step(&mut self) -> bool {
-        if self.epoch >= self.n_epochs {
+        if self.is_done() {
             return false;
         }
         let _span = thermaware_obs::span("supervisor.epoch");
         thermaware_obs::counter_add("runtime.epochs", 1);
+        let st = &mut self.state;
+        let cfg = st.cfg;
         let sup = Supervisor {
             dc: self.dc,
-            cfg: self.cfg,
+            cfg,
             chip: self.chip,
         };
-        let cfg = self.cfg;
-        let e = self.epoch;
+        let e = st.epoch;
         let t0 = e as f64 * cfg.epoch_s;
         let t1 = (t0 + cfg.epoch_s).min(cfg.horizon_s);
 
@@ -924,18 +932,18 @@ impl<'a> LiveRun<'a> {
         // A fault takes effect at the first epoch boundary at or after
         // its timestamp (the supervisor's world advances in epochs), so
         // the log stays time-ordered.
-        while self.next_event < self.script.events().len()
-            && self.script.events()[self.next_event].at_s <= t0
+        while st.next_event < self.script.events().len()
+            && self.script.events()[st.next_event].at_s <= t0
         {
-            let ev = self.script.events()[self.next_event];
-            self.next_event += 1;
+            let ev = self.script.events()[st.next_event];
+            st.next_event += 1;
             sup.inject(
-                &mut self.world,
+                &mut st.world,
                 &mut self.work_dc,
-                &mut self.sim,
+                &mut st.sim,
                 t0,
                 ev.fault,
-                &mut self.log,
+                &mut st.log,
             );
         }
 
@@ -944,20 +952,20 @@ impl<'a> LiveRun<'a> {
         // unconditionally — demand is the environment, not a supervisor
         // decision — while replanning stays drift-gated below.
         if let Some(curve) = &cfg.demand {
-            let m = self.world.fault_surge * curve.rate_at(t0).max(0.0);
-            self.world.surge = m;
+            let m = st.world.fault_surge * curve.rate_at(t0).max(0.0);
+            st.world.surge = m;
             for (i, t) in self.work_dc.workload.task_types.iter_mut().enumerate() {
                 t.arrival_rate = self.dc.workload.task_types[i].arrival_rate * m;
             }
-            for &i in &self.world.shed {
+            for &i in &st.world.shed {
                 self.work_dc.workload.task_types[i].arrival_rate = 0.0;
             }
         }
 
         // -- 2. Supervision (before the air catches up) -------------------
         if cfg.supervise {
-            if self.backoff_skip > 0 {
-                self.backoff_skip -= 1;
+            if st.backoff_skip > 0 {
+                st.backoff_skip -= 1;
             } else {
                 // Demand drift: the live multiplier moved far enough from
                 // the one the active plan was solved at that rate-only
@@ -968,28 +976,28 @@ impl<'a> LiveRun<'a> {
                 // on the dead-masked cores and pushes them into the
                 // scheduler.
                 if cfg.demand.is_some() {
-                    let drift = (self.world.surge - self.world.planned_surge).abs();
-                    if drift > cfg.drift_threshold * self.world.planned_surge.max(1e-9) {
-                        self.acted = true;
-                        self.log.record(
+                    let drift = (st.world.surge - st.world.planned_surge).abs();
+                    if drift > cfg.drift_threshold * st.world.planned_surge.max(1e-9) {
+                        st.acted = true;
+                        st.log.record(
                             t0,
                             EventKind::ViolationDetected(Violation::DemandDrift {
-                                multiplier: self.world.surge,
-                                planned: self.world.planned_surge,
+                                multiplier: st.world.surge,
+                                planned: st.world.planned_surge,
                             }),
                         );
                         match Solver::new(&self.work_dc).psi(cfg.psi_percent).solve() {
                             Ok(sol) => {
-                                self.world.pstates = sol.pstates;
-                                self.world.outlets = sol.stage1.crac_out_c;
-                                self.world.stage3_basis = sol.stage3_basis;
-                                self.world.planned_surge = self.world.surge;
-                                self.world.stale = true;
-                                self.log
+                                st.world.pstates = sol.pstates;
+                                st.world.outlets = sol.stage1.crac_out_c;
+                                st.world.stage3_basis = sol.stage3_basis;
+                                st.world.planned_surge = st.world.surge;
+                                st.world.stale = true;
+                                st.log
                                     .record(t0, EventKind::ActionTaken(Action::Stage1Replan));
                             }
                             Err(err) => {
-                                self.log.record(
+                                st.log.record(
                                     t0,
                                     EventKind::ReplanFailed {
                                         attempt: 1,
@@ -1000,26 +1008,26 @@ impl<'a> LiveRun<'a> {
                         }
                     }
                 }
-                let h = sup.health(&self.world);
-                if !h.ok(&cfg) || self.world.stale {
-                    self.acted = true;
+                let h = sup.health(&st.world);
+                if !h.ok(&cfg) || st.world.stale {
+                    st.acted = true;
                     let recovered = sup.respond(
-                        &mut self.world,
+                        &mut st.world,
                         &mut self.work_dc,
-                        &mut self.sim,
+                        &mut st.sim,
                         t0,
                         h,
-                        &mut self.log,
+                        &mut st.log,
                     );
                     if recovered {
-                        self.backoff_next = 1;
+                        st.backoff_next = 1;
                     } else {
-                        self.backoff_skip = self.backoff_next;
-                        self.backoff_next = (self.backoff_next * 2).min(8);
-                        self.log.record(
+                        st.backoff_skip = st.backoff_next;
+                        st.backoff_next = (st.backoff_next * 2).min(8);
+                        st.log.record(
                             t0,
                             EventKind::Backoff {
-                                epochs: self.backoff_skip,
+                                epochs: st.backoff_skip,
                             },
                         );
                     }
@@ -1028,27 +1036,27 @@ impl<'a> LiveRun<'a> {
         }
 
         // -- 3. Physics: thermal trips on the *true* state ----------------
-        sup.apply_trips(&mut self.world, &mut self.sim, t0, &mut self.log);
+        sup.apply_trips(&mut st.world, &mut st.sim, t0, &mut st.log);
 
         // -- 4. The epoch's arrivals --------------------------------------
         let mut rng = epoch_rng(cfg.seed, e);
-        for a in epoch_arrivals(&mut rng, self.dc, self.world.surge, t0, t1) {
-            self.sim.dispatch(a.task_type, a.time, a.deadline);
+        for a in epoch_arrivals(&mut rng, self.dc, st.world.surge, t0, t1) {
+            st.sim.dispatch(a.task_type, a.time, a.deadline);
         }
-        self.epoch += 1;
+        st.epoch += 1;
         true
     }
 
     /// Final reckoning on the true steady state; consumes the run.
     pub fn conclude(self) -> SupervisorReport {
         let dc = self.dc;
-        let cfg = self.cfg;
+        let SupervisorState { cfg, world, sim, log, acted, .. } = self.state;
         let sup = Supervisor { dc, cfg, chip: self.chip };
-        let powers = sup.node_powers(&self.world);
+        let powers = sup.node_powers(&world);
         let (final_violation_c, final_power_kw) = match dc.thermal.steady_state_with_failed_cracs(
-            &self.world.outlets,
+            &world.outlets,
             &powers,
-            &self.world.failed,
+            &world.failed,
         ) {
             Ok(state) => (
                 state.redline_violation(dc.thermal.node_redline_c, dc.thermal.crac_redline_c),
@@ -1056,16 +1064,16 @@ impl<'a> LiveRun<'a> {
             ),
             Err(_) => (f64::INFINITY, powers.iter().sum::<f64>()),
         };
-        let nodes_dead = self.world.dead.iter().filter(|&&d| d).count();
+        let nodes_dead = world.dead.iter().filter(|&&d| d).count();
         let healthy = final_violation_c <= cfg.redline_tol_c
             && final_power_kw <= dc.budget.p_const_kw + cfg.power_tol_kw;
-        let outcome = if self.world.meltdown || !final_violation_c.is_finite() {
+        let outcome = if world.meltdown || !final_violation_c.is_finite() {
             Outcome::Unrecoverable
         } else if !healthy {
             Outcome::Degraded
-        } else if !self.world.shed.is_empty() {
+        } else if !world.shed.is_empty() {
             Outcome::Shed
-        } else if self.acted || nodes_dead > 0 {
+        } else if acted || nodes_dead > 0 {
             Outcome::Recovered
         } else {
             Outcome::Nominal
@@ -1073,12 +1081,12 @@ impl<'a> LiveRun<'a> {
 
         SupervisorReport {
             outcome,
-            sim: self.sim.finish(cfg.horizon_s),
-            log: self.log,
+            sim: sim.finish(dc, cfg.horizon_s),
+            log,
             final_violation_c,
             final_power_kw,
             nodes_dead,
-            shed_task_types: self.world.shed,
+            shed_task_types: world.shed,
         }
     }
 
@@ -1094,7 +1102,7 @@ impl<'a> LiveRun<'a> {
 
     /// Epochs fully executed so far.
     pub fn epoch(&self) -> usize {
-        self.epoch
+        self.state.epoch
     }
 
     /// Total epochs over the configured horizon.
@@ -1104,74 +1112,55 @@ impl<'a> LiveRun<'a> {
 
     /// Has the horizon been fully executed?
     pub fn is_done(&self) -> bool {
-        self.epoch >= self.n_epochs
+        self.state.epoch >= self.n_epochs
     }
 
     /// The typed event history so far.
     pub fn log(&self) -> &EventLog {
-        &self.log
+        &self.state.log
     }
 
     /// The scripted faults the *next* [`step`](LiveRun::step) will inject
     /// — what a write-ahead journal records before the epoch executes.
     pub fn due_faults(&self) -> Vec<crate::fault::FaultEvent> {
-        let t0 = self.epoch as f64 * self.cfg.epoch_s;
-        self.script.events()[self.next_event..]
+        let t0 = self.state.epoch as f64 * self.state.cfg.epoch_s;
+        self.script.events()[self.state.next_event..]
             .iter()
             .take_while(|e| e.at_s <= t0)
             .copied()
             .collect()
     }
 
-    /// Current per-core P-states, CRAC outlets, failure masks — exposed
-    /// for invariant checks against the physical model after recovery.
-    pub fn world_view(&self) -> WorldView<'_> {
-        WorldView {
-            pstates: &self.world.pstates,
-            outlets: &self.world.outlets,
-            stage3: &self.world.stage3,
-            failed: &self.world.failed,
-            dead: &self.world.dead,
-            shed: &self.world.shed,
-            bias_c: self.world.bias_c,
-            surge: self.world.surge,
-            stale: self.world.stale,
-            meltdown: self.world.meltdown,
-            backoff_skip: self.backoff_skip,
-        }
+    /// The complete execution state — what a snapshot writes and a commit
+    /// record checksums. Only meaningful at an epoch boundary, i.e.
+    /// between [`step`](LiveRun::step) calls.
+    pub fn state(&self) -> &SupervisorState {
+        &self.state
     }
 
-    /// Snapshot the complete execution state. Only meaningful at an epoch
-    /// boundary — i.e. between [`step`](LiveRun::step) calls.
-    pub fn to_state(&self) -> SupervisorState {
-        SupervisorState {
-            cfg: self.cfg,
-            epoch: self.epoch,
-            next_event: self.next_event,
-            world: self.world.clone(),
-            sim: self.sim.to_state(),
-            log: self.log.clone(),
-            acted: self.acted,
-            backoff_skip: self.backoff_skip,
-            backoff_next: self.backoff_next,
-        }
+    /// Give up the run for its state (what [`from_state`](Self::from_state)
+    /// takes back).
+    pub fn into_state(self) -> SupervisorState {
+        self.state
     }
 
     /// Restore a run from a [`SupervisorState`] snapshot, against the
     /// same data center and fault script it was taken from. The
     /// replanning model (`work_dc`) is *derived* state — base arrival
     /// rates scaled by the surge factor, shed types zeroed — so it is
-    /// rebuilt here bit-identically rather than persisted.
+    /// rebuilt here bit-identically rather than persisted. The state
+    /// comes from disk: everything in it that indexes `dc` or the script
+    /// is checked here, once.
     pub fn from_state(
         dc: &'a DataCenter,
         script: &FaultScript,
         state: SupervisorState,
     ) -> Result<LiveRun<'a>, String> {
-        let cfg = state.cfg;
+        let cfg = &state.cfg;
         if !(cfg.epoch_s > 0.0 && cfg.horizon_s > 0.0) {
             return Err("supervisor state: non-positive epoch or horizon length".to_string());
         }
-        let n_epochs = (cfg.horizon_s / cfg.epoch_s).ceil().max(1.0) as usize;
+        let n_epochs = cfg.n_epochs();
         if state.epoch > n_epochs {
             return Err(format!(
                 "supervisor state: epoch {} past the horizon ({n_epochs} epochs)",
@@ -1201,9 +1190,10 @@ impl<'a> LiveRun<'a> {
         if !w.surge.is_finite() || w.surge < 0.0 {
             return Err("supervisor state: non-finite or negative surge factor".to_string());
         }
-        if state.sim.per_type.len() != dc.workload.task_types.len() {
-            return Err("supervisor state: per-type stats do not match the workload".to_string());
-        }
+        w.stage3
+            .fits(dc)
+            .and_then(|()| state.sim.fits(dc))
+            .map_err(|misfit| format!("supervisor state: {misfit}"))?;
         let mut work_dc = dc.clone();
         for (i, t) in work_dc.workload.task_types.iter_mut().enumerate() {
             t.arrival_rate = dc.workload.task_types[i].arrival_rate * w.surge;
@@ -1211,73 +1201,16 @@ impl<'a> LiveRun<'a> {
         for &i in &w.shed {
             work_dc.workload.task_types[i].arrival_rate = 0.0;
         }
-        let sim = EpochSim::from_state(dc, state.sim);
         // The chip model is borrowed, not persisted: reattach it after
         // restore with [`LiveRun::with_chip`].
         Ok(LiveRun {
             dc,
-            cfg,
             chip: None,
             script: script.clone(),
             work_dc,
-            world: state.world,
-            log: state.log,
-            sim,
-            epoch: state.epoch,
             n_epochs,
-            next_event: state.next_event,
-            acted: state.acted,
-            backoff_skip: state.backoff_skip,
-            backoff_next: state.backoff_next,
+            state,
         })
-    }
-}
-
-/// A read-only view of a [`LiveRun`]'s world, for invariant checks and
-/// reporting (e.g. verifying a recovered run against the power cap and
-/// redlines without touching the event log).
-#[derive(Debug, Clone, Copy)]
-pub struct WorldView<'a> {
-    /// Current per-core P-states.
-    pub pstates: &'a [usize],
-    /// Current CRAC outlet set-points, °C.
-    pub outlets: &'a [f64],
-    /// Current Stage-3 rates.
-    pub stage3: &'a Stage3Solution,
-    /// Failed CRAC units.
-    pub failed: &'a [bool],
-    /// Dead nodes.
-    pub dead: &'a [bool],
-    /// Shed task types.
-    pub shed: &'a [usize],
-    /// Observed-minus-true inlet sensor bias, °C.
-    pub bias_c: f64,
-    /// Arrival-rate multiplier.
-    pub surge: f64,
-    /// The plan no longer matches the floor.
-    pub stale: bool,
-    /// The room lost its steady state at some point.
-    pub meltdown: bool,
-    /// Epochs of supervision backoff still pending.
-    pub backoff_skip: u32,
-}
-
-impl WorldView<'_> {
-    /// Is this world undisturbed and *verifiably* healthy? No failures,
-    /// sheds, stale plan, backoff, sensor bias (a biased floor's health
-    /// is believed, not known), or demand surge (the plan targets rates
-    /// the original workload cannot be verified against) — the condition
-    /// under which a recovered run is expected to satisfy every physical
-    /// constraint.
-    pub fn believes_healthy(&self) -> bool {
-        !self.stale
-            && !self.meltdown
-            && self.backoff_skip == 0
-            && self.shed.is_empty()
-            && self.bias_c == 0.0 // lint: allow(float-eq): bias_c is only ever assigned literals; exact no-fault test
-            && self.surge == 1.0 // lint: allow(float-eq): surge is only ever assigned literals; exact no-fault test
-            && !self.failed.iter().any(|&f| f)
-            && !self.dead.iter().any(|&d| d)
     }
 }
 
@@ -1293,7 +1226,7 @@ pub struct SupervisorState {
     /// Fault-script events already injected.
     pub next_event: usize,
     world: World,
-    sim: EpochSimState,
+    sim: EpochSim,
     log: EventLog,
     acted: bool,
     backoff_skip: u32,
@@ -1304,6 +1237,44 @@ impl SupervisorState {
     /// The typed event history captured in this state.
     pub fn log(&self) -> &EventLog {
         &self.log
+    }
+
+    /// Is this world undisturbed and *verifiably* healthy? No failures,
+    /// sheds, stale plan, backoff, sensor bias (a biased floor's health
+    /// is believed, not known), or demand surge (the plan targets rates
+    /// the original workload cannot be verified against) — the condition
+    /// under which a recovered run is expected to satisfy every physical
+    /// constraint.
+    pub fn believes_healthy(&self) -> bool {
+        let w = &self.world;
+        !w.stale
+            && !w.meltdown
+            && self.backoff_skip == 0
+            && w.shed.is_empty()
+            && w.bias_c == 0.0 // lint: allow(float-eq): bias_c is only ever assigned literals; exact no-fault test
+            && w.surge == 1.0 // lint: allow(float-eq): surge is only ever assigned literals; exact no-fault test
+            && !w.failed.iter().any(|&f| f)
+            && !w.dead.iter().any(|&d| d)
+    }
+
+    /// Check the assignment this state holds — outlets, P-states with
+    /// dead nodes' cores off, and the Stage-3 rates where they still
+    /// match those P-states — against the physical model's power-cap and
+    /// redline invariants.
+    pub(crate) fn verify(&self, dc: &DataCenter) -> VerificationReport {
+        let w = &self.world;
+        let pstates = w.effective_pstates(dc);
+        // A stale plan can carry rates for cores that have since been
+        // throttled to their off state; verifying those against the current
+        // P-states would be meaningless (and trips a debug assertion in
+        // `verify_assignment`). Rates are checked only when they are
+        // consistent with the assignment being verified.
+        let rates_consistent = (0..dc.n_cores()).all(|k| {
+            let nt = dc.core_type(k);
+            (0..dc.n_task_types())
+                .all(|i| w.stage3.tc(i, k) <= 0.0 || dc.workload.ecs.ecs(i, nt, pstates[k]) > 0.0)
+        });
+        verify_assignment(dc, &w.outlets, &pstates, rates_consistent.then_some(&w.stage3))
     }
 }
 

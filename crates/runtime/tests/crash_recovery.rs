@@ -386,7 +386,25 @@ fn supervisor_state_bytes_are_pinned() {
     for _ in 0..6 {
         assert!(live.step());
     }
-    let (json, crc) = thermaware_runtime::persist::json_crc(&live.to_state()).expect("encode");
+    let (json, crc) = thermaware_runtime::persist::json_crc(live.state()).expect("encode");
     assert!(json.contains("\"inf\""), "the pinned state holds a non-finite observation");
     assert_eq!((json.len(), crc), (108_154, 0xce46_eba0));
+}
+
+/// State enters `LiveRun::from_state` from disk: scheduler tables that do
+/// not fit the data center (here one `count` row a core short) are
+/// refused there, by name — not found later by an index in `dispatch`.
+#[test]
+fn supervisor_state_with_short_scheduler_rows_is_refused() {
+    let (dc, plan) = scenario();
+    let script = FaultScript::new();
+    let live = Supervisor::new(dc, cfg(1)).begin(plan, &script);
+    let json = serde_json::to_string(live.state()).expect("encode");
+    let short = json.replacen(r#""count":[[0,"#, r#""count":[["#, 1);
+    assert_ne!(short, json, "a fresh run's counts are all zero");
+    let state = serde_json::from_str(&short).expect("still a well-formed state");
+    match thermaware_runtime::LiveRun::from_state(dc, &script, state) {
+        Err(reason) => assert!(reason.contains("count"), "{reason}"),
+        Ok(_) => panic!("short count row accepted"),
+    }
 }

@@ -95,7 +95,12 @@ pub enum DispatchDecision {
 }
 
 /// Mutable dispatch state: per-core backlog and per-(type, core) counts.
-#[derive(Debug, Clone)]
+///
+/// This struct is its own checkpoint form — the persist layers write it
+/// as it stands, fields in declaration order — so state read back from
+/// disk is checked against the room with [`DynamicScheduler::fits`]
+/// before anything indexes it.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DynamicScheduler {
     /// The active policy.
     policy: DispatchPolicy,
@@ -116,6 +121,7 @@ pub struct DynamicScheduler {
     busy_until: Vec<f64>,
     /// Service time of each task type on each core (`1/ECS` at the
     /// assigned P-state); `INFINITY` where the type cannot run.
+    #[serde(with = "cannot_run_as_null")]
     service: Vec<Vec<f64>>,
     /// Accumulated busy time per core (for utilization reporting).
     busy_time: Vec<f64>,
@@ -191,17 +197,6 @@ impl DynamicScheduler {
         }
     }
 
-    /// Replace the whole core-liveness mask.
-    pub fn set_core_mask(&mut self, alive: &[bool]) {
-        assert_eq!(alive.len(), self.alive.len());
-        self.alive.copy_from_slice(alive);
-    }
-
-    /// Is core `k` still dispatchable?
-    pub fn core_alive(&self, core: usize) -> bool {
-        self.alive[core]
-    }
-
     /// Mean outstanding backlog across live cores at `now`, seconds —
     /// how far a freshly admitted task would typically wait behind
     /// queued work. The service daemon turns this into its
@@ -225,12 +220,18 @@ impl DynamicScheduler {
     /// Dispatch one task of type `task_type` arriving at `now` with the
     /// given absolute `deadline`.
     pub fn dispatch(&mut self, task_type: usize, now: f64, deadline: f64) -> DispatchDecision {
-        self.dispatch_with_service(task_type, now, deadline, None)
+        match self.pick(task_type, now, deadline) {
+            None => DispatchDecision::Dropped,
+            Some(k) => self.commit(task_type, now, k, self.service[task_type][k]),
+        }
     }
 
     /// Dispatch applying a multiplicative factor to the chosen core's
     /// service estimate — the stochastic-simulation entry point (the
-    /// factor is the realized-over-estimated service ratio).
+    /// factor is the realized-over-estimated service ratio). The
+    /// scheduler admits on the estimate (it cannot see the future), but
+    /// the core is busy for the realized duration — so under service-time
+    /// noise an admitted task can finish late, exactly like a real floor.
     pub fn dispatch_with_realized_factor(
         &mut self,
         task_type: usize,
@@ -238,42 +239,16 @@ impl DynamicScheduler {
         deadline: f64,
         factor: f64,
     ) -> DispatchDecision {
-        // Selection must happen with the estimate only; the realized
-        // duration applies to whichever core wins. A two-phase call would
-        // race against our own mutation, so resolve the winner first via
-        // the shared pickers, then commit with the stretched service.
-        let best = match self.policy {
-            DispatchPolicy::AtcTc => self.pick_atc_tc(task_type, now, deadline),
-            DispatchPolicy::AtcTcWindowed { tau_s } => {
-                self.pick_atc_tc_windowed(task_type, now, deadline, tau_s)
-            }
-            DispatchPolicy::EarliestFinish => {
-                self.pick_by_key(task_type, now, deadline, |_busy, finish| finish)
-            }
-            DispatchPolicy::LeastLoaded => {
-                self.pick_by_key(task_type, now, deadline, |busy, _finish| busy)
-            }
-        };
-        match best {
+        match self.pick(task_type, now, deadline) {
             None => DispatchDecision::Dropped,
             Some(k) => self.commit(task_type, now, k, self.service[task_type][k] * factor),
         }
     }
 
-    /// Like [`DynamicScheduler::dispatch`], with an optionally *realized*
-    /// service time that may differ from the `1/ECS` estimate the
-    /// admission check plans with. The scheduler admits on the estimate
-    /// (it cannot see the future), but the core is busy for the realized
-    /// duration — so under service-time noise an admitted task can finish
-    /// late, exactly like a real floor.
-    pub fn dispatch_with_service(
-        &mut self,
-        task_type: usize,
-        now: f64,
-        deadline: f64,
-        realized_service: Option<f64>,
-    ) -> DispatchDecision {
-        let best = match self.policy {
+    /// The core the active policy gives this task, judged on the service
+    /// estimate alone.
+    fn pick(&self, task_type: usize, now: f64, deadline: f64) -> Option<usize> {
+        match self.policy {
             DispatchPolicy::AtcTc => self.pick_atc_tc(task_type, now, deadline),
             DispatchPolicy::AtcTcWindowed { tau_s } => {
                 self.pick_atc_tc_windowed(task_type, now, deadline, tau_s)
@@ -283,13 +258,6 @@ impl DynamicScheduler {
             }
             DispatchPolicy::LeastLoaded => {
                 self.pick_by_key(task_type, now, deadline, |busy, _finish| busy)
-            }
-        };
-        match best {
-            None => DispatchDecision::Dropped,
-            Some(k) => {
-                let service = realized_service.unwrap_or(self.service[task_type][k]);
-                self.commit(task_type, now, k, service)
             }
         }
     }
@@ -444,89 +412,75 @@ impl DynamicScheduler {
             .sum::<f64>()
             / (active.len() as f64 * horizon)
     }
-}
 
-/// Serializable mirror of [`DynamicScheduler`] — the checkpoint form the
-/// runtime's persist layer writes. Service times use `Option<f64>` with
-/// `None` standing for "cannot run" because JSON has no `INFINITY`; every
-/// other field round-trips bit-exactly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SchedulerState {
-    /// The active policy.
-    pub policy: DispatchPolicy,
-    /// Desired rates (per core) from Stage 3.
-    pub tc: Vec<Vec<f64>>,
-    /// AtcTc candidate cores per task type.
-    pub candidates: Vec<Vec<usize>>,
-    /// Cores able to run each type at all.
-    pub runnable: Vec<Vec<usize>>,
-    /// Tasks of each type assigned to each core.
-    pub count: Vec<Vec<u64>>,
-    /// Windowed-rate estimates `(rate, last_update)` per (type, core).
-    pub ewma_rate: Vec<Vec<(f64, f64)>>,
-    /// Time each core becomes free.
-    pub busy_until: Vec<f64>,
-    /// Service time per (type, core); `None` where the type cannot run
-    /// (`INFINITY` in the live scheduler).
-    pub service: Vec<Vec<Option<f64>>>,
-    /// Accumulated busy time per core.
-    pub busy_time: Vec<f64>,
-    /// Core liveness mask.
-    pub alive: Vec<bool>,
-    /// When the current plan took effect.
-    pub plan_start: f64,
-}
-
-impl DynamicScheduler {
-    /// Capture the full dispatch state for checkpointing.
-    pub fn to_state(&self) -> SchedulerState {
-        SchedulerState {
-            policy: self.policy,
-            tc: self.tc.clone(),
-            candidates: self.candidates.clone(),
-            runnable: self.runnable.clone(),
-            count: self.count.clone(),
-            ewma_rate: self.ewma_rate.clone(),
-            busy_until: self.busy_until.clone(),
-            service: self
-                .service
-                .iter()
-                .map(|row| {
-                    row.iter()
-                        .map(|&s| if s.is_finite() { Some(s) } else { None })
-                        .collect()
-                })
-                .collect(),
-            busy_time: self.busy_time.clone(),
-            alive: self.alive.clone(),
-            plan_start: self.plan_start,
+    /// Do these tables fit a room with `dc`'s task types and cores? The
+    /// check for state read from disk, made once where it enters: every
+    /// index the dispatch paths use is in range afterwards.
+    pub(crate) fn fits(&self, dc: &DataCenter) -> Result<(), String> {
+        let (t, n) = (dc.n_task_types(), dc.n_cores());
+        fn table<T>(rows: &[Vec<T>], t: usize, n: usize) -> bool {
+            rows.len() == t && rows.iter().all(|row| row.len() == n)
+        }
+        fn core_sets(sets: &[Vec<usize>], t: usize, n: usize) -> bool {
+            sets.len() == t && sets.iter().flatten().all(|&k| k < n)
+        }
+        let checks = [
+            ("tc", table(&self.tc, t, n)),
+            ("candidates", core_sets(&self.candidates, t, n)),
+            ("runnable", core_sets(&self.runnable, t, n)),
+            ("count", table(&self.count, t, n)),
+            ("ewma_rate", table(&self.ewma_rate, t, n)),
+            ("busy_until", self.busy_until.len() == n),
+            ("service", table(&self.service, t, n)),
+            ("busy_time", self.busy_time.len() == n),
+            ("alive", self.alive.len() == n),
+        ];
+        match checks.iter().find(|(_, fits)| !fits) {
+            Some((name, _)) => Err(format!(
+                "scheduler `{name}` does not fit {t} task types on {n} cores"
+            )),
+            None => Ok(()),
         }
     }
+}
 
-    /// Rebuild a scheduler from a checkpointed state (inverse of
-    /// [`DynamicScheduler::to_state`]).
-    pub fn from_state(state: SchedulerState) -> DynamicScheduler {
-        DynamicScheduler {
-            policy: state.policy,
-            tc: state.tc,
-            candidates: state.candidates,
-            runnable: state.runnable,
-            count: state.count,
-            ewma_rate: state.ewma_rate,
-            busy_until: state.busy_until,
-            service: state
-                .service
-                .into_iter()
-                .map(|row| {
-                    row.into_iter()
-                        .map(|s| s.unwrap_or(f64::INFINITY))
-                        .collect()
-                })
-                .collect(),
-            busy_time: state.busy_time,
-            alive: state.alive,
-            plan_start: state.plan_start,
+/// `service` on disk: JSON has no `INFINITY`, so "cannot run" is `null`
+/// there and every finite time a plain number.
+mod cannot_run_as_null {
+    use serde::{Deserialize, Error, Sink, Value};
+
+    pub fn serialize<S: Sink>(table: &[Vec<f64>], sink: &mut S) {
+        sink.begin_array();
+        for row in table {
+            sink.begin_array();
+            for &s in row {
+                if s.is_finite() {
+                    sink.number(s);
+                } else {
+                    sink.null();
+                }
+            }
+            sink.end_array();
         }
+        sink.end_array();
+    }
+
+    pub fn from_value(v: &Value) -> Result<Vec<Vec<f64>>, Error> {
+        let rows = v.as_array().ok_or_else(|| Error::custom("expected array"))?;
+        let mut table = Vec::with_capacity(rows.len());
+        for row in rows {
+            let row = row.as_array().ok_or_else(|| Error::custom("expected array"))?;
+            // Sized up front: this table is a quarter of a live state.
+            let mut times = Vec::with_capacity(row.len());
+            for s in row {
+                times.push(match s {
+                    Value::Null => f64::INFINITY,
+                    s => f64::from_value(s)?,
+                });
+            }
+            table.push(times);
+        }
+        Ok(table)
     }
 }
 

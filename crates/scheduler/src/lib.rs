@@ -19,8 +19,8 @@
 mod dispatch;
 mod sim;
 
-pub use dispatch::{DispatchDecision, DispatchPolicy, DynamicScheduler, SchedulerState};
+pub use dispatch::{DispatchDecision, DispatchPolicy, DynamicScheduler};
 pub use sim::{
-    simulate, simulate_stochastic, simulate_with_policy, Admitted, EpochSim, EpochSimState,
-    LatencyStats, SimulationResult, TypeStats,
+    simulate, simulate_stochastic, simulate_with_policy, Admitted, EpochSim, LatencyStats,
+    SimulationResult, TypeStats,
 };

@@ -1,6 +1,6 @@
 //! Event-driven simulation of the second step over an arrival trace.
 
-use crate::dispatch::{DispatchDecision, DispatchPolicy, DynamicScheduler, SchedulerState};
+use crate::dispatch::{DispatchDecision, DispatchPolicy, DynamicScheduler};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use thermaware_core::stage3::Stage3Solution;
@@ -171,7 +171,7 @@ fn simulate_inner<R: Rng>(
             "admitted task missed deadline without service noise"
         );
     }
-    sim.finish(trace.horizon_s)
+    sim.finish(dc, trace.horizon_s)
 }
 
 /// One admitted task awaiting completion accounting.
@@ -198,29 +198,33 @@ pub struct Admitted {
 /// the plan ([`EpochSim::replan`]), kill cores ([`EpochSim::kill_cores`])
 /// — which is exactly what the runtime supervisor's epoch loop needs.
 /// [`simulate`] is a single uninterrupted run of the same machinery.
-pub struct EpochSim<'a> {
-    dc: &'a DataCenter,
+///
+/// The simulation is its own checkpoint form: the persist layers write
+/// this struct as it stands and read it straight back. It holds no
+/// reference to the room — the calls that need one take `&DataCenter` —
+/// and state read from disk passes [`EpochSim::fits`] before it is stepped.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct EpochSim {
     scheduler: DynamicScheduler,
     per_type: Vec<TypeStats>,
     admitted: Vec<Admitted>,
 }
 
-impl<'a> EpochSim<'a> {
+impl EpochSim {
     /// Start a simulation from the first step's outputs with the paper's
     /// `AtcTc` policy.
-    pub fn new(dc: &'a DataCenter, pstates: &[usize], stage3: &Stage3Solution) -> Self {
+    pub fn new(dc: &DataCenter, pstates: &[usize], stage3: &Stage3Solution) -> Self {
         Self::with_policy(dc, pstates, stage3, DispatchPolicy::AtcTc)
     }
 
     /// Start a simulation with an explicit dispatch policy.
     pub fn with_policy(
-        dc: &'a DataCenter,
+        dc: &DataCenter,
         pstates: &[usize],
         stage3: &Stage3Solution,
         policy: DispatchPolicy,
     ) -> Self {
         EpochSim {
-            dc,
             scheduler: DynamicScheduler::with_policy(dc, pstates, stage3, policy),
             per_type: vec![TypeStats::default(); dc.n_task_types()],
             admitted: Vec::new(),
@@ -283,9 +287,9 @@ impl<'a> EpochSim<'a> {
 
     /// Replace the active plan at time `now` (see
     /// [`DynamicScheduler::apply_plan`]).
-    pub fn replan(&mut self, pstates: &[usize], stage3: &Stage3Solution, now: f64) {
+    pub fn replan(&mut self, dc: &DataCenter, pstates: &[usize], stage3: &Stage3Solution, now: f64) {
         thermaware_obs::counter_add("sched.replans", 1);
-        self.scheduler.apply_plan(self.dc, pstates, stage3, now);
+        self.scheduler.apply_plan(dc, pstates, stage3, now);
     }
 
     /// Kill cores at time `at`: they stop accepting work, and admitted
@@ -314,10 +318,10 @@ impl<'a> EpochSim<'a> {
     /// `t`). Wait/response percentiles in the final summary cover only
     /// unsettled tasks — a daemon measures admission latency at the
     /// protocol layer instead. Returns how many tasks were settled.
-    pub fn settle(&mut self, up_to_s: f64) -> usize {
+    pub fn settle(&mut self, dc: &DataCenter, up_to_s: f64) -> usize {
         let before = self.admitted.len();
         let per_type = &mut self.per_type;
-        let task_types = &self.dc.workload.task_types;
+        let task_types = &dc.workload.task_types;
         self.admitted.retain(|a| {
             if a.finish > up_to_s {
                 return true;
@@ -346,30 +350,28 @@ impl<'a> EpochSim<'a> {
         &self.per_type
     }
 
-    /// Capture the full simulation state for checkpointing. Everything
-    /// except the `DataCenter` reference (restored separately from the
-    /// scenario snapshot) round-trips.
-    pub fn to_state(&self) -> EpochSimState {
-        EpochSimState {
-            scheduler: self.scheduler.to_state(),
-            per_type: self.per_type.clone(),
-            admitted: self.admitted.clone(),
+    /// Does this state fit `dc`? The check for a simulation read from
+    /// disk, made once where it enters (`LiveRun::from_state`, the
+    /// service engine's `from_state`): scheduler tables sized for `dc`'s
+    /// task types and cores, one counter per type, every in-flight task on
+    /// a core and of a type that exist.
+    pub fn fits(&self, dc: &DataCenter) -> Result<(), String> {
+        self.scheduler.fits(dc)?;
+        if self.per_type.len() != dc.n_task_types() {
+            return Err("per-type stats do not match the workload".to_string());
         }
-    }
-
-    /// Rebuild a simulation mid-flight from a checkpointed state against
-    /// a (restored) data center.
-    pub fn from_state(dc: &'a DataCenter, state: EpochSimState) -> EpochSim<'a> {
-        EpochSim {
-            dc,
-            scheduler: DynamicScheduler::from_state(state.scheduler),
-            per_type: state.per_type,
-            admitted: state.admitted,
+        if self
+            .admitted
+            .iter()
+            .any(|a| a.core >= dc.n_cores() || a.task_type >= dc.n_task_types())
+        {
+            return Err("an in-flight task names a core or task type out of range".to_string());
         }
+        Ok(())
     }
 
     /// Close the books over `[0, horizon_s]` and summarize.
-    pub fn finish(self, horizon_s: f64) -> SimulationResult {
+    pub fn finish(self, dc: &DataCenter, horizon_s: f64) -> SimulationResult {
         let mut per_type = self.per_type;
         let mut waits: Vec<f64> = Vec::new();
         let mut responses: Vec<f64> = Vec::new();
@@ -390,7 +392,7 @@ impl<'a> EpochSim<'a> {
             // the steady-state rate is defined).
             if a.finish <= horizon_s {
                 per_type[a.task_type].completed += 1;
-                per_type[a.task_type].reward += self.dc.workload.task_types[a.task_type].reward;
+                per_type[a.task_type].reward += dc.workload.task_types[a.task_type].reward;
             }
         }
 
@@ -412,18 +414,6 @@ impl<'a> EpochSim<'a> {
             response: LatencyStats::from_samples(&mut responses),
         }
     }
-}
-
-/// Serializable mirror of [`EpochSim`] (everything but the `DataCenter`
-/// reference): the checkpoint form the runtime's persist layer writes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EpochSimState {
-    /// Dispatch state.
-    pub scheduler: SchedulerState,
-    /// Per-type outcome counters so far.
-    pub per_type: Vec<TypeStats>,
-    /// Admitted tasks awaiting completion accounting.
-    pub admitted: Vec<Admitted>,
 }
 
 #[cfg(test)]
@@ -548,20 +538,20 @@ mod tests {
             sim.dispatch(a.task_type, a.time, a.deadline);
         }
 
-        // Freeze, serialize through JSON, thaw.
-        let state = sim.to_state();
-        let json = serde_json::to_string(&state).expect("serialize");
-        let back: EpochSimState = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back, state);
-        let mut resumed = EpochSim::from_state(&dc, back);
+        // Freeze, serialize through JSON, thaw: the simulation itself.
+        let json = serde_json::to_string(&sim).expect("serialize");
+        let mut resumed: EpochSim = serde_json::from_str(&json).expect("deserialize");
+        assert_eq!(resumed, sim);
+        assert_eq!(resumed.fits(&dc), Ok(()));
+        assert_eq!(serde_json::to_string(&resumed).expect("re-encode"), json);
 
         // Both halves must finish bit-identically.
         for a in &trace.arrivals[split..] {
             sim.dispatch(a.task_type, a.time, a.deadline);
             resumed.dispatch(a.task_type, a.time, a.deadline);
         }
-        let a = sim.finish(trace.horizon_s);
-        let b = resumed.finish(trace.horizon_s);
+        let a = sim.finish(&dc, trace.horizon_s);
+        let b = resumed.finish(&dc, trace.horizon_s);
         assert_eq!(a.reward_collected, b.reward_collected);
         assert_eq!(a.per_type, b.per_type);
         assert_eq!(a.mean_utilization, b.mean_utilization);
@@ -580,14 +570,14 @@ mod tests {
             settled.dispatch(a.task_type, a.time, a.deadline);
             // Aggressively settle after every arrival — the daemon does
             // this per epoch; per arrival is the worst case.
-            settled.settle(a.time);
+            settled.settle(&dc, a.time);
         }
         assert!(
             settled.in_flight() < plain.in_flight(),
             "settling must shrink the in-flight list"
         );
-        let a = plain.finish(trace.horizon_s);
-        let b = settled.finish(trace.horizon_s);
+        let a = plain.finish(&dc, trace.horizon_s);
+        let b = settled.finish(&dc, trace.horizon_s);
         assert_eq!(a.reward_collected, b.reward_collected);
         assert_eq!(a.per_type, b.per_type);
         assert_eq!(a.mean_utilization, b.mean_utilization);

@@ -183,3 +183,100 @@ fn policies_diverge_on_oversubscribed_floors() {
         "all policies identical: {rewards:?}"
     );
 }
+
+const POLICIES: [DispatchPolicy; 4] = [
+    DispatchPolicy::AtcTc,
+    DispatchPolicy::EarliestFinish,
+    DispatchPolicy::LeastLoaded,
+    DispatchPolicy::AtcTcWindowed { tau_s: 2.0 },
+];
+
+/// Drive one scheduler over the seeded stream and fold its decisions into
+/// `(admitted, dropped, Σ finish)`. `stretch` selects the entry point:
+/// plain `dispatch`, or `dispatch_with_realized_factor` with factors drawn
+/// from a second seeded stream. `disturb` re-applies the plan and kills
+/// the first eight cores at the midpoint (the supervisor's two mutations:
+/// rate clocks restart, the liveness mask bites).
+fn decisions(
+    (dc, pstates, s3): &(DataCenter, Vec<usize>, Stage3Solution),
+    trace: &ArrivalTrace,
+    policy: DispatchPolicy,
+    stretch: bool,
+    disturb: bool,
+) -> (usize, usize, f64) {
+    use rand::Rng;
+    let mut factors = StdRng::seed_from_u64(43);
+    let mut sched = DynamicScheduler::with_policy(dc, pstates, s3, policy);
+    let (mut admitted, mut dropped, mut finish_sum) = (0, 0, 0.0);
+    for (n, a) in trace.arrivals.iter().enumerate() {
+        if disturb && n == trace.arrivals.len() / 2 {
+            sched.apply_plan(dc, pstates, s3, a.time);
+            sched.kill_cores(&[0, 1, 2, 3, 4, 5, 6, 7]);
+        }
+        let decision = if stretch {
+            let factor = factors.gen_range(0.5..1.5);
+            sched.dispatch_with_realized_factor(a.task_type, a.time, a.deadline, factor)
+        } else {
+            sched.dispatch(a.task_type, a.time, a.deadline)
+        };
+        match decision {
+            DispatchDecision::Assigned { finish, .. } => {
+                admitted += 1;
+                finish_sum += finish;
+            }
+            DispatchDecision::Dropped => dropped += 1,
+        }
+    }
+    (admitted, dropped, finish_sum)
+}
+
+/// Both entry points sit on one picker. The ten triples were computed by
+/// the commit that still had a policy `match` in each of them.
+#[test]
+fn dispatch_decisions_are_pinned_for_every_policy_and_entry_point() {
+    let room = setup(1);
+    let trace = ArrivalTrace::generate(&room.0.workload, 6.0, &mut StdRng::seed_from_u64(41));
+    let mut got = Vec::new();
+    for stretch in [false, true] {
+        for policy in POLICIES {
+            got.push(decisions(&room, &trace, policy, stretch, false));
+        }
+    }
+    got.push(decisions(&room, &trace, POLICIES[0], false, true));
+    got.push(decisions(&room, &trace, POLICIES[3], true, true));
+    assert_eq!(got, PINNED_DECISIONS);
+}
+
+const PINNED_DECISIONS: [(usize, usize, f64); 10] = [
+    (953, 308, 5057.965811469008),
+    (1261, 0, 5766.298770481612),
+    (1261, 0, 5869.96844499859),
+    (1057, 204, 5561.004446471594),
+    (957, 304, 5054.52087287943),
+    (1261, 0, 5734.427057898499),
+    (1261, 0, 5787.317586737008),
+    (1056, 205, 5524.302614309196),
+    (999, 262, 5553.441361650455),
+    (1063, 198, 5804.5573092691175),
+];
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+    /// A realized factor of exactly 1 is the plain `dispatch`: on any
+    /// seeded stream, under any policy, the two entry points pick the same
+    /// core and book the same start and finish for every arrival.
+    #[test]
+    fn unit_factor_dispatch_is_plain_dispatch(trace_seed in 0u64..1_000_000, policy in 0usize..4) {
+        let (dc, pstates, s3) = setup(1);
+        let trace = ArrivalTrace::generate(&dc.workload, 3.0, &mut StdRng::seed_from_u64(trace_seed));
+        let mut plain = DynamicScheduler::with_policy(&dc, &pstates, &s3, POLICIES[policy]);
+        let mut unit = DynamicScheduler::with_policy(&dc, &pstates, &s3, POLICIES[policy]);
+        for a in &trace.arrivals {
+            proptest::prop_assert_eq!(
+                plain.dispatch(a.task_type, a.time, a.deadline),
+                unit.dispatch_with_realized_factor(a.task_type, a.time, a.deadline, 1.0)
+            );
+        }
+    }
+}

@@ -502,7 +502,7 @@ fn handle_submit(
         )
         .is_ok();
     }
-    if !batch.tasks.iter().all(|&(t, _)| t < shared.n_task_types) {
+    if !batch.types_within(shared.n_task_types) {
         return respond(
             writer,
             &Response::Rejected {

@@ -17,7 +17,7 @@ use std::collections::BTreeSet;
 use thermaware_core::stage3::Stage3Solution;
 use thermaware_datacenter::DataCenter;
 use thermaware_runtime::{Action, EventKind, EventLog};
-use thermaware_scheduler::{DispatchDecision, EpochSim, EpochSimState};
+use thermaware_scheduler::{DispatchDecision, EpochSim};
 
 /// Service tuning. Everything here is deterministic policy; wall-clock
 /// knobs (epoch interval, solve timeout) live in
@@ -116,7 +116,7 @@ pub struct ServiceState {
     /// Active Stage-3 plan.
     pub stage3: Stage3Solution,
     /// Dispatch/simulation state.
-    pub sim: EpochSimState,
+    pub sim: EpochSim,
     /// LP circuit breaker.
     pub breaker: CircuitBreaker,
     /// Shed task types, most recent last (the unshed order).
@@ -135,6 +135,41 @@ pub struct ServiceState {
     pub totals: ServiceTotals,
     /// Typed event history (ring-bounded).
     pub log: EventLog,
+}
+
+impl ServiceState {
+    /// Does this state fit `dc`? The check for a state read from disk,
+    /// made where it enters ([`ServiceEngine::from_state`]; the store's
+    /// resume skips a snapshot generation that fails it): a plan for this
+    /// room, one demand rate per task type, shed types that exist, and
+    /// the simulation's own [`EpochSim::fits`].
+    pub(crate) fn fits(&self, dc: &DataCenter) -> Result<(), String> {
+        let t = dc.n_task_types();
+        plan_fits(dc, &self.pstates, &self.stage3)?;
+        if self.ewma.len() != t || self.planned_rates.len() != t {
+            return Err(format!("demand rates are not {t} task types long"));
+        }
+        if self.shed.iter().any(|&i| i >= t) {
+            return Err("shed task type out of range".to_string());
+        }
+        self.sim.fits(dc)
+    }
+}
+
+/// Do a P-state assignment and a Stage-3 plan read from disk fit `dc`?
+/// One P-state per core, none past its node type's off state, and
+/// [`Stage3Solution::fits`] — what building the scheduler's plan tables
+/// indexes with.
+pub(crate) fn plan_fits(
+    dc: &DataCenter,
+    pstates: &[usize],
+    stage3: &Stage3Solution,
+) -> Result<(), String> {
+    let off = |k: usize| dc.node_type(dc.node_of_core(k)).core.pstates.off_index();
+    if pstates.len() != dc.n_cores() || pstates.iter().enumerate().any(|(k, &p)| p > off(k)) {
+        return Err(format!("P-states do not fit the room's {} cores", dc.n_cores()));
+    }
+    stage3.fits(dc)
 }
 
 /// Per-batch outcome of one epoch step, in batch order.
@@ -184,7 +219,7 @@ impl ServiceEngine {
         pstates: &[usize],
         stage3: &Stage3Solution,
     ) -> ServiceEngine {
-        let sim = EpochSim::new(&dc, pstates, stage3).to_state();
+        let sim = EpochSim::new(&dc, pstates, stage3);
         let planned_rates: Vec<f64> =
             dc.workload.task_types.iter().map(|t| t.arrival_rate).collect();
         let state = ServiceState {
@@ -202,13 +237,20 @@ impl ServiceEngine {
             totals: ServiceTotals::default(),
             log: EventLog::with_capacity(cfg.log_capacity),
         };
-        ServiceEngine::from_state(dc, cfg, state)
+        ServiceEngine { dc, cfg, state, recent_set: BTreeSet::new() }
     }
 
-    /// Reattach an engine to a (restored) data center and state.
-    pub fn from_state(dc: DataCenter, cfg: ServiceConfig, state: ServiceState) -> ServiceEngine {
+    /// Reattach an engine to a (restored) data center and state — once
+    /// the state fits the data center: it comes from disk, and `step`
+    /// indexes every table in it unchecked.
+    pub fn from_state(
+        dc: DataCenter,
+        cfg: ServiceConfig,
+        state: ServiceState,
+    ) -> Result<ServiceEngine, String> {
+        state.fits(&dc)?;
         let recent_set = state.recent_ids.iter().copied().collect();
-        ServiceEngine { dc, cfg, state, recent_set }
+        Ok(ServiceEngine { dc, cfg, state, recent_set })
     }
 
     /// The current state (serialize it for snapshots/CRCs).
@@ -231,34 +273,10 @@ impl ServiceEngine {
         self.recent_set.contains(&id)
     }
 
-    /// Does a batch reference only known task types?
-    pub fn batch_types_valid(&self, batch: &Batch) -> bool {
-        batch.tasks.iter().all(|&(t, _)| t < self.dc.n_task_types())
-    }
-
     /// Mean core backlog at the current sim time, seconds — the
     /// daemon's retry-after basis.
     pub fn backlog_s(&self) -> f64 {
-        // The scheduler state is authoritative; rebuilding the sim view
-        // is cheap (no copy of the admitted list).
-        self.state
-            .sim
-            .scheduler
-            .busy_until
-            .iter()
-            .zip(self.state.sim.scheduler.alive.iter())
-            .filter(|&(_, &alive)| alive)
-            .map(|(&up, _)| (up - self.state.now_s).max(0.0))
-            .sum::<f64>()
-            / self
-                .state
-                .sim
-                .scheduler
-                .alive
-                .iter()
-                .filter(|&&a| a)
-                .count()
-                .max(1) as f64
+        self.state.sim.scheduler().backlog_s(self.state.now_s)
     }
 
     /// Is the active plan stale enough (or a probe pending) that the
@@ -304,19 +322,30 @@ impl ServiceEngine {
         (dc, self.state.pstates.clone())
     }
 
+    /// Can [`step`](Self::step) take these inputs? It indexes by task
+    /// type and replays an `Ok` verdict's plan into the scheduler
+    /// unchecked: the daemon admits only batches that pass
+    /// `Batch::types_within` and journals only plans it solved, so this
+    /// is the check for inputs read back from a journal.
+    pub(crate) fn inputs_fit(&self, batches: &[Batch], verdict: &ReplanVerdict) -> Result<(), String> {
+        if !batches.iter().all(|b| b.types_within(self.dc.n_task_types())) {
+            return Err("a batch names an unknown task type".to_string());
+        }
+        match verdict {
+            ReplanVerdict::Ok { stage3 } => stage3.fits(&self.dc),
+            _ => Ok(()),
+        }
+    }
+
     /// Execute one epoch: dispatch `batches` (in order), update demand
     /// EWMAs, apply the journaled `verdict` to the breaker and the
     /// plan, settle finished tasks, and advance the clock.
     pub fn step(&mut self, batches: &[Batch], verdict: &ReplanVerdict) -> EpochReport {
         let _span = thermaware_obs::span("service.step");
-        // Field-level borrows: the sim holds `dc` for its whole scope,
-        // so every mutation below goes through `state`/`recent_set`
-        // directly rather than `&mut self` methods.
         let ServiceEngine { dc, cfg, state, recent_set } = self;
         let t0 = state.now_s;
         let epoch_s = cfg.epoch_s.max(1e-9);
         let mut report = EpochReport::default();
-        let mut sim = EpochSim::from_state(dc, state.sim.clone());
 
         // ---- Admission ----------------------------------------------------
         let mut counts = vec![0usize; dc.n_task_types()];
@@ -363,7 +392,7 @@ impl ServiceEngine {
                         continue;
                     }
                     let deadline = at + dc.workload.task_types[task_type].deadline_slack;
-                    match sim.dispatch(task_type, at, deadline) {
+                    match state.sim.dispatch(task_type, at, deadline) {
                         DispatchDecision::Assigned { .. } => {
                             outcome.admitted += 1;
                             state.totals.admitted_tasks += 1;
@@ -396,7 +425,7 @@ impl ServiceEngine {
         match verdict {
             ReplanVerdict::NotAttempted => {}
             ReplanVerdict::Ok { stage3 } => {
-                sim.replan(&state.pstates, stage3, t1);
+                state.sim.replan(dc, &state.pstates, stage3, t1);
                 state.stage3 = stage3.clone();
                 state.planned_rates = state.ewma.clone();
                 state.totals.replans += 1;
@@ -434,8 +463,7 @@ impl ServiceEngine {
         }
 
         // ---- Settle & advance ---------------------------------------------
-        sim.settle(t1);
-        state.sim = sim.to_state();
+        state.sim.settle(dc, t1);
         state.epoch += 1;
         state.now_s = t1;
         report
@@ -443,7 +471,7 @@ impl ServiceEngine {
 
     /// Per-type outcome stats accumulated by the simulation so far.
     pub fn per_type(&self) -> &[thermaware_scheduler::TypeStats] {
-        &self.state.sim.per_type
+        self.state.sim.per_type()
     }
 }
 

@@ -39,6 +39,13 @@ impl Batch {
     pub fn total_tasks(&self) -> usize {
         self.tasks.iter().map(|&(_, n)| n).sum()
     }
+
+    /// Does every entry name one of a room's `n_task_types` types? The
+    /// socket path rejects a batch that does not, and replay refuses a
+    /// journal that holds one: the engine indexes by type unchecked.
+    pub(crate) fn types_within(&self, n_task_types: usize) -> bool {
+        self.tasks.iter().all(|&(t, _)| t < n_task_types)
+    }
 }
 
 /// A client request.

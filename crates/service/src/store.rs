@@ -29,7 +29,7 @@
 //!   snap-XXXXXXXX.json  full ServiceState snapshots (retained: newest K)
 //! ```
 
-use crate::engine::{ReplanVerdict, ServiceConfig, ServiceEngine, ServiceState};
+use crate::engine::{plan_fits, ReplanVerdict, ServiceConfig, ServiceEngine, ServiceState};
 use crate::proto::Batch;
 use serde::{Deserialize, Serialize};
 use std::fs;
@@ -236,22 +236,30 @@ pub fn resume_service(dir: &Path) -> Result<(ServiceEngine, ServiceRecoveryInfo)
         .restore()
         .map_err(|e| PersistError::State { reason: format!("scenario restore: {e}") })?;
 
-    // Newest snapshot that passes its checks wins; corrupt generations
-    // are skipped, and with none valid we bootstrap epoch 0 from the header.
+    // Newest snapshot that passes its checks and fits the header's room
+    // wins; corrupt generations are skipped, and with none valid we
+    // bootstrap epoch 0 from the header.
     let mut snaps = snapshot_paths(dir)?;
     snaps.sort_by_key(|(e, _)| *e);
     let mut state: Option<ServiceState> = None;
     let mut snapshot_epoch = 0usize;
     for (epoch, path) in snaps.iter().rev() {
-        if let Ok(s) = load_snapshot(&SNAPSHOTS, path, *epoch, |s: &ServiceState| s.epoch) {
+        let loaded = load_snapshot(&SNAPSHOTS, path, *epoch, |s: &ServiceState| s.epoch);
+        if let Some(s) = loaded.ok().filter(|s| s.fits(&dc).is_ok()) {
             state = Some(s);
             snapshot_epoch = *epoch;
             break;
         }
     }
     let mut engine = match state {
-        Some(s) => ServiceEngine::from_state(dc, header.cfg.clone(), s),
-        None => ServiceEngine::new(dc, header.cfg.clone(), &header.pstates, &header.stage3),
+        Some(s) => ServiceEngine::from_state(dc, header.cfg.clone(), s)
+            .map_err(|reason| PersistError::State { reason })?,
+        None => {
+            plan_fits(&dc, &header.pstates, &header.stage3).map_err(|reason| {
+                PersistError::Corrupt { path: dir.join(HEADER_FILE), reason }
+            })?;
+            ServiceEngine::new(dc, header.cfg.clone(), &header.pstates, &header.stage3)
+        }
     };
 
     // Replay the journal's valid prefix on top of the snapshot.
@@ -278,6 +286,11 @@ pub fn resume_service(dir: &Path) -> Result<(ServiceEngine, ServiceRecoveryInfo)
                         ),
                     });
                 }
+                // The record is well framed, not therefore well formed.
+                engine.inputs_fit(batches, verdict).map_err(|misfit| PersistError::Corrupt {
+                    path: journal_path.clone(),
+                    reason: format!("begin record for epoch {epoch}: {misfit}"),
+                })?;
                 engine.step(batches, verdict);
                 replayed += 1;
                 tail_begin = true;

@@ -8,6 +8,7 @@ use thermaware_core::Solver;
 use thermaware_datacenter::ScenarioParams;
 use thermaware_service::engine::{ReplanVerdict, ServiceConfig, ServiceEngine};
 use thermaware_service::proto::Batch;
+use thermaware_runtime::persist::PersistError;
 use thermaware_service::store::{resume_service, state_json_crc, ServiceStore, StoreConfig};
 
 fn engine(seed: u64) -> ServiceEngine {
@@ -229,5 +230,103 @@ fn misnamed_snapshot_generation_is_skipped() {
         serde_json::to_string(resumed.state()).expect("resumed"),
         serde_json::to_string(live.state()).expect("live"),
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What `resume_service` made of a store it must refuse.
+fn refusal(dir: &std::path::Path) -> PersistError {
+    match resume_service(dir) {
+        Ok((engine, _)) => panic!("resumed to epoch {}", engine.state().epoch),
+        Err(e) => e,
+    }
+}
+
+/// A journal is bytes from outside: a record can be well framed, carry a
+/// valid CRC and still not fit the room in the header. The socket path
+/// refuses a batch naming an unknown task type, and the daemon journals
+/// only plans it solved; replay must refuse both — as a typed error
+/// naming the epoch, not an index out of bounds in `step`.
+#[test]
+fn journaled_input_that_misfits_the_room_is_corrupt_not_a_panic() {
+    for name in ["badtype", "badplan"] {
+        let dir = tmp_dir(name);
+        let mut live = engine(7);
+        let cfg = StoreConfig { durable: false, ..StoreConfig::new(&dir) };
+        let mut store = ServiceStore::create(cfg, &live).expect("create");
+        drive(&mut live, &mut store, 2);
+        let (batches, verdict) = if name == "badtype" {
+            (vec![batch(77, 99, 1)], ReplanVerdict::NotAttempted)
+        } else {
+            let mut stage3 = live.state().stage3.clone();
+            stage3.group_of_core.pop();
+            (Vec::new(), ReplanVerdict::Ok { stage3 })
+        };
+        store.append_begin(2, &batches, &verdict).expect("begin");
+        drop(store);
+
+        match refusal(&dir) {
+            PersistError::Corrupt { reason, .. } => {
+                assert!(reason.contains("epoch 2"), "{name}: {reason}")
+            }
+            other => panic!("{name}: expected Corrupt, got {other}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A snapshot with a valid envelope and a valid CRC whose tables are for
+/// another room (here: `ewma` one type short, as a generation copied in
+/// from another store would be) is one more corrupt generation: skipped
+/// — with no older one left, for the header's epoch 0 — never stepped.
+#[test]
+fn snapshot_that_misfits_the_room_is_skipped() {
+    let dir = tmp_dir("misfit");
+    let mut live = engine(7);
+    let cfg = StoreConfig { durable: false, ..StoreConfig::new(&dir) };
+    let mut store = ServiceStore::create(cfg, &live).expect("create");
+
+    let mut foreign = live.state().clone();
+    foreign.ewma.pop();
+    let (json, crc) = state_json_crc(&foreign).expect("encode");
+    let envelope = format!(
+        r#"{{"version":1,"epoch":0,"state_crc":{crc},"state":{}}}"#,
+        serde_json::to_string(&json).expect("quote")
+    );
+    std::fs::write(dir.join("snap-00000000.json"), envelope).expect("plant");
+
+    drive(&mut live, &mut store, 3);
+    store.sync().expect("sync");
+    drop(store);
+
+    let (resumed, info) = resume_service(&dir).expect("resume");
+    assert_eq!((info.snapshot_epoch, info.replayed_epochs), (0, 3));
+    assert_eq!(
+        serde_json::to_string(resumed.state()).expect("resumed"),
+        serde_json::to_string(live.state()).expect("live"),
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// With no usable generation resume bootstraps from the header, which is
+/// a file like the others: a plan in it that is not for its own room is
+/// a corrupt header, not an index out of bounds building the scheduler.
+#[test]
+fn header_plan_that_misfits_the_room_is_corrupt_not_a_panic() {
+    let dir = tmp_dir("badheader");
+    let live = engine(7);
+    let cfg = StoreConfig { durable: false, ..StoreConfig::new(&dir) };
+    drop(ServiceStore::create(cfg, &live).expect("create"));
+    std::fs::remove_file(dir.join("snap-00000000.json")).expect("drop the only generation");
+    let header = std::fs::read_to_string(dir.join("service.json")).expect("header");
+    let short = header.replacen(r#""group_of_core":["#, r#""group_of_core":[0,"#, 1);
+    assert_ne!(short, header);
+    std::fs::write(dir.join("service.json"), short).expect("doctor");
+
+    match refusal(&dir) {
+        PersistError::Corrupt { path, reason } => {
+            assert!(path.ends_with("service.json") && reason.contains("stage-3"), "{reason}")
+        }
+        other => panic!("expected Corrupt, got {other}"),
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,8 +2,8 @@
 //!
 //! Mirrors PR 2's supervisor snapshots: everything the solver carries
 //! across replans — per-zone last-good plans, warm-start bases, and
-//! retry backoff counters — serializes through the vendored serde's
-//! `Value` tree, so a solver restored from a snapshot replans exactly
+//! retry backoff counters — derives the vendored serde's `Serialize` /
+//! `Deserialize`, so a solver restored from a snapshot replans exactly
 //! like the uninterrupted one (warm bases included).
 
 use serde::{Deserialize, Serialize};

@@ -15,6 +15,7 @@ use thermaware::runtime::event::DEFAULT_LOG_CAPACITY;
 use thermaware::runtime::{
     Action, Event, EventKind, EventLog, Fault, FaultEvent, SupervisorConfig, Violation,
 };
+use thermaware::scheduler::DynamicScheduler;
 use thermaware::service::engine::ServiceState;
 use thermaware::service::proto::{RejectReason, StatsReport};
 use thermaware::service::store::{state_json_crc, ServiceRecord};
@@ -368,6 +369,27 @@ fn service_state() {
         ServiceState,
         json.replace(r#""ffffffffffffffff""#, "7"),
         json.replace(r#""recent_ids""#, r#""recent""#),
+    );
+}
+
+/// The scheduler is its own checkpoint form. One task type on two cores,
+/// the second of which cannot run it: that service time is `INFINITY` in
+/// memory and `null` on disk (a number everywhere else), the one field
+/// of the state that does not print as its type prints.
+#[test]
+fn scheduler_state() {
+    const SCHEDULER: &str = r#"{"policy":"atc_tc","tc":[[2,0]],"candidates":[[0]],"runnable":[[0]],"count":[[3,0]],"ewma_rate":[[[0,0],[0,0]]],"busy_until":[1.5,0],"service":[[0.5,null]],"busy_time":[1.5,0],"alive":[true,true],"plan_start":0}"#;
+    let scheduler: DynamicScheduler = serde_json::from_str(SCHEDULER).expect("decode");
+    assert!(format!("{scheduler:?}").contains("service: [[0.5, inf]]"), "{scheduler:?}");
+    // Only the core with a finite service time counts as active: 1.5 s
+    // busy of one core's 3 s, not of two cores' 6.
+    assert_eq!(scheduler.mean_active_utilization(3.0), 0.5);
+    pin!(scheduler, SCHEDULER);
+    rejects!(
+        DynamicScheduler,
+        SCHEDULER.replace("null", r#""never""#),
+        SCHEDULER.replace("null", "{}"),
+        SCHEDULER.replace(r#""service":[[0.5,null]],"#, ""),
     );
 }
 
