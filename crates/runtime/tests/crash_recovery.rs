@@ -408,3 +408,25 @@ fn supervisor_state_with_short_scheduler_rows_is_refused() {
         Ok(_) => panic!("short count row accepted"),
     }
 }
+
+/// The same entrance holds the scheduler's core sets to the order a live
+/// scheduler keeps them in — strictly ascending, which is what makes the
+/// first of equally loaded cores the lowest: a `candidates` row naming a
+/// core twice is refused by name, not dispatched in an order no live run
+/// would take.
+#[test]
+fn supervisor_state_with_a_repeated_candidate_is_refused() {
+    let (dc, plan) = scenario();
+    let script = FaultScript::new();
+    let live = Supervisor::new(dc, cfg(1)).begin(plan, &script);
+    let json = serde_json::to_string(live.state()).expect("encode");
+    let rows = json.find(r#""candidates":["#).expect("the scheduler's rows");
+    let row = rows + json[rows..].find(|c: char| c.is_ascii_digit()).expect("a candidate");
+    let first = &json[row..row + json[row..].find([',', ']']).expect("its end")];
+    let twice = format!("{}{first},{}", &json[..row], &json[row..]);
+    let state = serde_json::from_str(&twice).expect("still a well-formed state");
+    match thermaware_runtime::LiveRun::from_state(dc, &script, state) {
+        Err(reason) => assert!(reason.contains("candidates"), "{reason}"),
+        Ok(_) => panic!("repeated candidate accepted"),
+    }
+}

@@ -1,6 +1,17 @@
 //! Dispatch rules: the paper's `ATC/TC` rule (Section V.C) plus two
 //! plan-oblivious comparison policies used by the `ablation_dispatch`
 //! experiment.
+//!
+//! The `ATC/TC` rule does not scan a task type's candidate cores. Stage 3
+//! plans per (node type, P-state) group, so the candidates fall into a
+//! few **classes** of cores with the same desired rate and the same
+//! service time, bit for bit; inside a class the ratio grows with the
+//! assignment count alone. Each class keeps its cores ordered by
+//! `(count, core)` ([`DispatchOrder`]) and the rule walks that order to
+//! the class's first feasible core, then compares one ratio per class —
+//! the core the scan over all candidates picks, on every arrival (DESIGN
+//! §11 "The dispatch order"). The scan itself is kept as the oracle of
+//! debug builds and tests.
 
 use serde::{Deserialize, Serialize, Sink, Value};
 use thermaware_core::stage3::Stage3Solution;
@@ -131,6 +142,128 @@ pub struct DynamicScheduler {
     /// here, so a mid-flight replan is judged against *its own* desired
     /// rates rather than an average over the superseded plan.
     plan_start: f64,
+    /// The candidates of each type in the order the `AtcTc` rule walks
+    /// them. Derived from `candidates`, `tc`, `service` and `count`, so
+    /// never written: a scheduler read from disk rebuilds it at its first
+    /// dispatch.
+    #[serde(skip)]
+    order: DispatchOrder,
+}
+
+/// Per task type, its candidate cores split into classes.
+///
+/// A function of fields that are written and compared, so it is neither:
+/// `#[serde(skip)]` leaves it empty on a scheduler read from disk (it
+/// holds one row per task type once built), and any two compare equal.
+#[derive(Debug, Clone, Default)]
+struct DispatchOrder {
+    classes: Vec<Vec<Class>>,
+}
+
+impl PartialEq for DispatchOrder {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+/// The candidates of one task type that share `tc` and `service` bit for
+/// bit — in a planned room, the cores of one Stage-3 group.
+#[derive(Debug, Clone, PartialEq)]
+struct Class {
+    tc: f64,
+    service: f64,
+    /// `(count, core)` of every member, ascending. The ratio is the same
+    /// increasing function of `count` for all of them, so this is
+    /// ascending in `(ratio, core)`: the scan's preference.
+    order: Vec<(u64, usize)>,
+}
+
+impl Class {
+    fn holds(&self, tc: f64, service: f64) -> bool {
+        self.tc.to_bits() == tc.to_bits() && self.service.to_bits() == service.to_bits()
+    }
+
+    /// `elapsed * tc`, the scan's divisor, and the largest count the
+    /// scan's rule (b) lets through at it. The scan skips a core when
+    /// `count as f64 / (elapsed * tc)` rounds above 1.0, and a correctly
+    /// rounded quotient of two doubles does that exactly when the
+    /// numerator is the larger: a bound on the count, the divisor's floor
+    /// (counts convert exactly below 2^53 — no plan allows a core more).
+    /// Before any time has passed on the plan only an unused core is
+    /// within its rate.
+    fn rate_bound(&self, elapsed: f64) -> (f64, u64) {
+        let divisor = if elapsed > 0.0 {
+            elapsed * self.tc
+        } else {
+            0.0
+        };
+        (divisor, divisor as u64)
+    }
+}
+
+impl DispatchOrder {
+    /// Classes in order of their first member among `candidates` (which
+    /// are ascending); every member list is allocated once, at its size.
+    fn build(
+        candidates: &[Vec<usize>],
+        tc: &[Vec<f64>],
+        service: &[Vec<f64>],
+        count: &[Vec<u64>],
+    ) -> DispatchOrder {
+        let mut classes = Vec::with_capacity(candidates.len());
+        for (i, cores) in candidates.iter().enumerate() {
+            let class_of = |of_type: &[Class], k: usize| {
+                of_type
+                    .iter()
+                    .position(|c| c.holds(tc[i][k], service[i][k]))
+            };
+            let mut of_type: Vec<Class> = Vec::new();
+            let mut sizes: Vec<usize> = Vec::new();
+            for &k in cores {
+                match class_of(&of_type, k) {
+                    Some(c) => sizes[c] += 1,
+                    None => {
+                        of_type.push(Class {
+                            tc: tc[i][k],
+                            service: service[i][k],
+                            order: Vec::new(),
+                        });
+                        sizes.push(1);
+                    }
+                }
+            }
+            for (class, &size) in of_type.iter_mut().zip(&sizes) {
+                class.order.reserve_exact(size);
+            }
+            for &k in cores {
+                let c = class_of(&of_type, k).expect("the first pass gave every candidate a class");
+                of_type[c].order.push((count[i][k], k));
+            }
+            for class in &mut of_type {
+                class.order.sort_unstable();
+            }
+            classes.push(of_type);
+        }
+        DispatchOrder { classes }
+    }
+
+    /// Core `k` took a task of `task_type` and its count rose to `count`:
+    /// move its entry up past the members it no longer precedes. (A core
+    /// that is not a candidate is in no class.)
+    fn count_rose(&mut self, task_type: usize, k: usize, count: u64, tc: f64, service: f64) {
+        let Some(class) = self.classes[task_type]
+            .iter_mut()
+            .find(|c| c.holds(tc, service))
+        else {
+            return;
+        };
+        let Ok(at) = class.order.binary_search(&(count - 1, k)) else {
+            return;
+        };
+        let to = at + class.order[at + 1..].partition_point(|&e| e < (count, k));
+        class.order[at..=to].rotate_left(1);
+        class.order[to] = (count, k);
+    }
 }
 
 impl DynamicScheduler {
@@ -150,12 +283,14 @@ impl DynamicScheduler {
         let t = dc.n_task_types();
         let n = dc.n_cores();
         let (tc, candidates, runnable, service) = plan_tables(dc, pstates, stage3);
+        let count = vec![vec![0; n]; t];
         DynamicScheduler {
             policy,
+            order: DispatchOrder::build(&candidates, &tc, &service, &count),
             tc,
             candidates,
             runnable,
-            count: vec![vec![0; n]; t],
+            count,
             ewma_rate: vec![vec![(0.0, 0.0); n]; t],
             busy_until: vec![0.0; n],
             service,
@@ -186,6 +321,11 @@ impl DynamicScheduler {
         self.count = vec![vec![0; n]; t];
         self.ewma_rate = vec![vec![(0.0, now); n]; t];
         self.plan_start = now;
+        self.rebuild_order();
+    }
+
+    fn rebuild_order(&mut self) {
+        self.order = DispatchOrder::build(&self.candidates, &self.tc, &self.service, &self.count);
     }
 
     /// Mark cores as dead: they are never dispatched to again. In-flight
@@ -247,9 +387,18 @@ impl DynamicScheduler {
 
     /// The core the active policy gives this task, judged on the service
     /// estimate alone.
-    fn pick(&self, task_type: usize, now: f64, deadline: f64) -> Option<usize> {
+    fn pick(&mut self, task_type: usize, now: f64, deadline: f64) -> Option<usize> {
+        if self.order.classes.len() != self.candidates.len() {
+            // Read from disk (and held to the room by `fits` since).
+            self.rebuild_order();
+        }
         match self.policy {
-            DispatchPolicy::AtcTc => self.pick_atc_tc(task_type, now, deadline),
+            DispatchPolicy::AtcTc => {
+                let core = self.pick_atc_tc(task_type, now, deadline);
+                #[cfg(debug_assertions)]
+                assert_eq!(core, self.pick_atc_tc_scan(task_type, now, deadline));
+                core
+            }
             DispatchPolicy::AtcTcWindowed { tau_s } => {
                 self.pick_atc_tc_windowed(task_type, now, deadline, tau_s)
             }
@@ -270,6 +419,13 @@ impl DynamicScheduler {
         self.busy_until[k] = finish;
         self.busy_time[k] += service;
         self.count[task_type][k] += 1;
+        self.order.count_rose(
+            task_type,
+            k,
+            self.count[task_type][k],
+            self.tc[task_type][k],
+            self.service[task_type][k],
+        );
         if let DispatchPolicy::AtcTcWindowed { tau_s } = self.policy {
             // Decay the estimate to `now`, then add this assignment's
             // impulse (1 task smeared over tau).
@@ -285,8 +441,86 @@ impl DynamicScheduler {
     }
 
     /// The paper's rule: minimum `ATC/TC` ratio, skipping cores at or
-    /// over their desired rate or unable to meet the deadline.
+    /// over their desired rate (rule b) or unable to meet the deadline
+    /// through their backlog (rule c); the lowest core among equals.
+    ///
+    /// Per class: no member can make the deadline if an idle one cannot;
+    /// otherwise the members within their rate are a prefix of `order`,
+    /// and the first of them that is alive and meets the deadline has the
+    /// class's smallest count, hence its smallest ratio, on its lowest
+    /// core. Classes are then compared on the ratio as the scan computes
+    /// it. Each step is exact, not approximate — see DESIGN §11 "The
+    /// dispatch order" — and `pick` holds the result to the scan's in
+    /// debug builds.
     fn pick_atc_tc(&self, task_type: usize, now: f64, deadline: f64) -> Option<usize> {
+        let elapsed = now - self.plan_start;
+        let misses = |k: usize, service: f64| {
+            !self.alive[k] || self.busy_until[k].max(now) + service > deadline
+        };
+        // The scan's ratio, its divisor computed once per class.
+        let ratio_at = |count: u64, divisor: f64| {
+            if elapsed > 0.0 {
+                count as f64 / divisor
+            } else {
+                0.0
+            }
+        };
+        let mut visits = 0u64;
+        let mut best: Option<(usize, f64)> = None;
+        let mut unrated: Option<usize> = None;
+        for class in &self.order.classes[task_type] {
+            if now + class.service > deadline {
+                continue;
+            }
+            let (divisor, within_rate) = class.rate_bound(elapsed);
+            for &(count, k) in &class.order {
+                visits += 1;
+                if count > within_rate {
+                    break;
+                }
+                if misses(k, class.service) {
+                    continue;
+                }
+                let ratio = ratio_at(count, divisor);
+                if ratio.is_nan() {
+                    unrated = Some(unrated.map_or(k, |u| u.min(k)));
+                } else if best.is_none_or(|(b, r)| ratio < r || (ratio == r && k < b)) {
+                    best = Some((k, ratio));
+                }
+                break;
+            }
+        }
+        // `elapsed * tc` underflowed to zero in some class and the ratio
+        // of its unused cores is 0/0. No comparison moves the scan off or
+        // onto such a core: it picks one exactly when the lowest feasible
+        // core of all is one.
+        if let Some(u) = unrated {
+            let rated_below = self.order.classes[task_type].iter().any(|class| {
+                let (divisor, within_rate) = class.rate_bound(elapsed);
+                !ratio_at(0, divisor).is_nan()
+                    && class
+                        .order
+                        .iter()
+                        .take_while(|e| e.0 <= within_rate)
+                        .any(|&(_, k)| {
+                            visits += 1;
+                            k < u && !misses(k, class.service)
+                        })
+            });
+            if !rated_below {
+                best = Some((u, f64::NAN));
+            }
+        }
+        if thermaware_obs::enabled() {
+            thermaware_obs::counter_add("sched.pick_visits", visits);
+        }
+        best.map(|(k, _)| k)
+    }
+
+    /// The rule as a scan over every candidate: what [`Self::pick_atc_tc`]
+    /// must return, kept as the oracle of debug builds and tests.
+    #[cfg(any(test, debug_assertions))]
+    fn pick_atc_tc_scan(&self, task_type: usize, now: f64, deadline: f64) -> Option<usize> {
         let mut best: Option<(usize, f64)> = None;
         let elapsed = now - self.plan_start;
         for &k in &self.candidates[task_type] {
@@ -415,18 +649,32 @@ impl DynamicScheduler {
 
     /// Do these tables fit a room with `dc`'s task types and cores? The
     /// check for state read from disk, made once where it enters: every
-    /// index the dispatch paths use is in range afterwards.
+    /// index the dispatch paths use is in range afterwards, and the core
+    /// sets are in the order a live scheduler holds them in — strictly
+    /// ascending, which is what makes "first among equals" the lowest
+    /// core — with a rate the `AtcTc` rule can divide by on every
+    /// candidate.
     pub(crate) fn fits(&self, dc: &DataCenter) -> Result<(), String> {
         let (t, n) = (dc.n_task_types(), dc.n_cores());
         fn table<T>(rows: &[Vec<T>], t: usize, n: usize) -> bool {
             rows.len() == t && rows.iter().all(|row| row.len() == n)
         }
         fn core_sets(sets: &[Vec<usize>], t: usize, n: usize) -> bool {
-            sets.len() == t && sets.iter().flatten().all(|&k| k < n)
+            sets.len() == t
+                && sets.iter().all(|set| {
+                    set.iter().all(|&k| k < n) && set.windows(2).all(|pair| pair[0] < pair[1])
+                })
         }
+        let rated = self.candidates.iter().zip(&self.tc).all(|(set, tc)| {
+            set.iter().all(|&k| {
+                tc.get(k)
+                    .is_some_and(|rate| rate.is_finite() && *rate > 0.0)
+            })
+        });
         let checks = [
             ("tc", table(&self.tc, t, n)),
             ("candidates", core_sets(&self.candidates, t, n)),
+            ("tc of a candidate", rated),
             ("runnable", core_sets(&self.runnable, t, n)),
             ("count", table(&self.count, t, n)),
             ("ewma_rate", table(&self.ewma_rate, t, n)),
@@ -495,22 +743,215 @@ fn plan_tables(
     let t = dc.n_task_types();
     let n = dc.n_cores();
     let mut tc = vec![vec![0.0; n]; t];
-    let mut candidates = vec![Vec::new(); t];
-    let mut runnable = vec![Vec::new(); t];
+    let mut candidates = Vec::with_capacity(t);
+    let mut runnable = Vec::with_capacity(t);
     let mut service = vec![vec![f64::INFINITY; n]; t];
     for i in 0..t {
         for k in 0..n {
-            let rate = stage3.tc(i, k);
             let etc = dc.workload.ecs.etc(i, dc.core_type(k), pstates[k]);
             service[i][k] = etc;
-            if etc.is_finite() {
-                runnable[i].push(k);
-            }
+            let rate = stage3.tc(i, k);
             if rate > 0.0 && etc.is_finite() {
                 tc[i][k] = rate;
-                candidates[i].push(k);
+            }
+        }
+        runnable.push(cores_where(n, |k| service[i][k].is_finite()));
+        candidates.push(cores_where(n, |k| tc[i][k] > 0.0));
+    }
+    (tc, candidates, runnable, service)
+}
+
+/// The cores of `0..n` that `member` holds for, ascending, in a vector
+/// allocated once at its size.
+fn cores_where(n: usize, member: impl Fn(usize) -> bool) -> Vec<usize> {
+    let mut cores = Vec::with_capacity((0..n).filter(|&k| member(k)).count());
+    cores.extend((0..n).filter(|&k| member(k)));
+    cores
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::sync::OnceLock;
+    use thermaware_core::Solver;
+    use thermaware_datacenter::ScenarioParams;
+    use thermaware_workload::ArrivalTrace;
+
+    type Room = (DataCenter, Vec<usize>, Stage3Solution);
+
+    /// Planned rooms shared by every case: planning is the expensive part.
+    fn rooms() -> &'static [Room] {
+        static ROOMS: OnceLock<Vec<Room>> = OnceLock::new();
+        ROOMS.get_or_init(|| {
+            (1..=3)
+                .map(|seed| {
+                    let dc = ScenarioParams::small_test().build(seed).expect("scenario");
+                    let plan = Solver::new(&dc).solve().expect("plan");
+                    (dc, plan.pstates, plan.stage3)
+                })
+                .collect()
+        })
+    }
+
+    /// Dispatch with the scan asked first — in release too, where `pick`
+    /// does not ask it. Returns the core, `None` for a drop.
+    fn dispatch_checked(
+        sched: &mut DynamicScheduler,
+        task_type: usize,
+        now: f64,
+        deadline: f64,
+    ) -> Option<usize> {
+        let scan = sched.pick_atc_tc_scan(task_type, now, deadline);
+        let core = match sched.dispatch(task_type, now, deadline) {
+            DispatchDecision::Assigned { core, .. } => Some(core),
+            DispatchDecision::Dropped => None,
+        };
+        assert_eq!(core, scan, "type {task_type} at {now} due {deadline}");
+        core
+    }
+
+    /// The index invariant: every class's order is what a fresh build
+    /// from the tables gives.
+    fn assert_order_is_fresh(sched: &DynamicScheduler) {
+        let fresh =
+            DispatchOrder::build(&sched.candidates, &sched.tc, &sched.service, &sched.count);
+        assert_eq!(sched.order.classes, fresh.classes);
+    }
+
+    /// Rule (b) as a bound on the count is the scan's rounded quotient at
+    /// the counts on either side of it, for every divisor below 2^53
+    /// (where `count as f64` starts to round).
+    #[test]
+    fn the_count_bound_is_the_scans_rule_b() {
+        let class = |tc: f64| Class {
+            tc,
+            service: 1.0,
+            order: Vec::new(),
+        };
+        let p53 = 2f64.powi(53);
+        for divisor in [
+            f64::from_bits(1),
+            0.3,
+            1.0,
+            2.5,
+            1e6 + 0.5,
+            1e15,
+            p53.next_down(),
+        ] {
+            let (product, within_rate) = class(divisor).rate_bound(1.0);
+            assert_eq!(product, divisor);
+            let near = within_rate.saturating_sub(3)..=within_rate + 3;
+            for count in near.chain([0, 1, u64::MAX]) {
+                let scan_skips = count as f64 / divisor > 1.0;
+                assert_eq!(count <= within_rate, !scan_skips, "{count} over {divisor}");
+            }
+        }
+        // No time on the plan yet: unused cores only.
+        for elapsed in [0.0, -1.0, f64::NAN] {
+            assert_eq!(class(3.0).rate_bound(elapsed), (0.0, 0));
+        }
+    }
+
+    /// Two classes with one `tc` and two service times: at equal counts
+    /// their ratios are the same bits, and the lowest core wins whichever
+    /// class holds it.
+    #[test]
+    fn equal_ratios_across_classes_go_to_the_lowest_core() {
+        const PAIR: &str = r#"{"policy":"atc_tc","tc":[[2,2,2,2]],"candidates":[[0,1,2,3]],"runnable":[[0,1,2,3]],"count":[[0,0,0,0]],"ewma_rate":[[[0,0],[0,0],[0,0],[0,0]]],"busy_until":[0,0,0,0],"service":[[0.5,0.25,0.5,0.25]],"busy_time":[0,0,0,0],"alive":[true,true,true,true],"plan_start":0}"#;
+        let mut sched: DynamicScheduler = serde_json::from_str(PAIR).expect("decode");
+        let picks: Vec<_> = (0..8)
+            .map(|_| dispatch_checked(&mut sched, 0, 10.0, 20.0))
+            .collect();
+        assert_eq!(picks, [0, 1, 2, 3, 0, 1, 2, 3].map(Some));
+        assert_eq!(
+            sched.order.classes[0].len(),
+            2,
+            "cores 0 and 2, cores 1 and 3"
+        );
+        // All at count 2. Without core 0 the first class answers core 2,
+        // the second core 1.
+        sched.kill_cores(&[0]);
+        assert_eq!(dispatch_checked(&mut sched, 0, 10.0, 20.0), Some(1));
+        assert_order_is_fresh(&sched);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Scan and walk side by side over a stream with everything that
+        /// touches the order in it: the plan instant and the instants one
+        /// ulp past it (the first of which is a subnormal `elapsed`, whose
+        /// product with `tc` underflows), deadlines tight enough to drop, a
+        /// mid-stream replan, a class's lowest cores killed, and a JSON
+        /// round trip after which the rebuilt order must carry on as the
+        /// live one does.
+        #[test]
+        fn the_walk_picks_the_scans_core(
+            room in 0usize..3,
+            stream_seed in 0u64..1_000_000,
+            tightness in prop::sample::select(vec![1.0, 0.6, 0.25]),
+            replan_at in 0.0f64..1.0,
+            kill_at in 0.0f64..1.0,
+            save_at in 0.0f64..1.0,
+        ) {
+            let (dc, pstates, stage3) = &rooms()[room];
+            let mut rng = StdRng::seed_from_u64(stream_seed);
+            let trace = ArrivalTrace::generate(&dc.workload, 4.0, &mut rng);
+            let at = |share: f64| (share * trace.arrivals.len() as f64) as usize;
+            let (replan_at, kill_at, save_at) = (at(replan_at), at(kill_at), at(save_at));
+            let due = |task_type: usize, now: f64| {
+                now + dc.workload.task_types[task_type].deadline_slack * tightness
+            };
+
+            let mut live = DynamicScheduler::new(dc, pstates, stage3);
+            let mut resumed: Option<DynamicScheduler> = None;
+            for task_type in 0..dc.n_task_types() {
+                dispatch_checked(&mut live, task_type, 0.0, due(task_type, 0.0));
+                dispatch_checked(&mut live, task_type, f64::from_bits(1), due(task_type, 0.0));
+            }
+            for (j, a) in trace.arrivals.iter().enumerate() {
+                if j == kill_at {
+                    // The lowest cores of the type's largest class.
+                    let class = live.order.classes[a.task_type].iter().max_by_key(|c| c.order.len());
+                    let mut cores: Vec<usize> =
+                        class.map_or(Vec::new(), |c| c.order.iter().map(|e| e.1).collect());
+                    cores.sort_unstable();
+                    cores.truncate(2);
+                    for sched in std::iter::once(&mut live).chain(resumed.as_mut()) {
+                        sched.kill_cores(&cores);
+                    }
+                }
+                if j == save_at {
+                    let json = serde_json::to_string(&live).expect("encode");
+                    prop_assert!(!json.contains("order") && !json.contains("classes"));
+                    let read: DynamicScheduler = serde_json::from_str(&json).expect("decode");
+                    prop_assert_eq!(read.fits(dc), Ok(()));
+                    prop_assert!(read.order.classes.is_empty(), "the order is not read, it is rebuilt");
+                    resumed = Some(read);
+                }
+                let mut instants = vec![a.time];
+                if j == replan_at {
+                    for sched in std::iter::once(&mut live).chain(resumed.as_mut()) {
+                        sched.apply_plan(dc, pstates, stage3, a.time);
+                    }
+                    instants.push(a.time.next_up());
+                }
+                for now in instants {
+                    let deadline = due(a.task_type, now);
+                    let core = dispatch_checked(&mut live, a.task_type, now, deadline);
+                    if let Some(resumed) = resumed.as_mut() {
+                        prop_assert_eq!(dispatch_checked(resumed, a.task_type, now, deadline), core);
+                    }
+                }
+            }
+            assert_order_is_fresh(&live);
+            if let Some(resumed) = &resumed {
+                assert_order_is_fresh(resumed);
+                prop_assert_eq!(resumed, &live);
             }
         }
     }
-    (tc, candidates, runnable, service)
 }

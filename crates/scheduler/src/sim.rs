@@ -373,8 +373,8 @@ impl EpochSim {
     /// Close the books over `[0, horizon_s]` and summarize.
     pub fn finish(self, dc: &DataCenter, horizon_s: f64) -> SimulationResult {
         let mut per_type = self.per_type;
-        let mut waits: Vec<f64> = Vec::new();
-        let mut responses: Vec<f64> = Vec::new();
+        let mut waits: Vec<f64> = Vec::with_capacity(self.admitted.len());
+        let mut responses: Vec<f64> = Vec::with_capacity(self.admitted.len());
         for a in &self.admitted {
             if a.lost {
                 per_type[a.task_type].lost += 1;

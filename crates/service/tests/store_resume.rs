@@ -6,7 +6,7 @@ use std::fs::OpenOptions;
 use std::io::Write;
 use thermaware_core::Solver;
 use thermaware_datacenter::ScenarioParams;
-use thermaware_service::engine::{ReplanVerdict, ServiceConfig, ServiceEngine};
+use thermaware_service::engine::{ReplanVerdict, ServiceConfig, ServiceEngine, ServiceState};
 use thermaware_service::proto::Batch;
 use thermaware_runtime::persist::PersistError;
 use thermaware_service::store::{resume_service, state_json_crc, ServiceStore, StoreConfig};
@@ -275,36 +275,56 @@ fn journaled_input_that_misfits_the_room_is_corrupt_not_a_panic() {
 }
 
 /// A snapshot with a valid envelope and a valid CRC whose tables are for
-/// another room (here: `ewma` one type short, as a generation copied in
-/// from another store would be) is one more corrupt generation: skipped
-/// — with no older one left, for the header's epoch 0 — never stepped.
+/// another room (`ewma` one type short, as a generation copied in from
+/// another store would be), or are not tables a live scheduler could hold
+/// (a `candidates` row out of order: "the lowest core among equals" would
+/// no longer be the first), is one more corrupt generation: skipped —
+/// with no older one left, for the header's epoch 0 — never stepped.
 #[test]
 fn snapshot_that_misfits_the_room_is_skipped() {
-    let dir = tmp_dir("misfit");
-    let mut live = engine(7);
-    let cfg = StoreConfig { durable: false, ..StoreConfig::new(&dir) };
-    let mut store = ServiceStore::create(cfg, &live).expect("create");
+    for name in ["misfit", "unordered"] {
+        let dir = tmp_dir(name);
+        let mut live = engine(7);
+        let cfg = StoreConfig { durable: false, ..StoreConfig::new(&dir) };
+        let mut store = ServiceStore::create(cfg, &live).expect("create");
 
-    let mut foreign = live.state().clone();
-    foreign.ewma.pop();
-    let (json, crc) = state_json_crc(&foreign).expect("encode");
-    let envelope = format!(
-        r#"{{"version":1,"epoch":0,"state_crc":{crc},"state":{}}}"#,
-        serde_json::to_string(&json).expect("quote")
-    );
-    std::fs::write(dir.join("snap-00000000.json"), envelope).expect("plant");
+        let foreign = if name == "misfit" {
+            let mut foreign = live.state().clone();
+            foreign.ewma.pop();
+            foreign
+        } else {
+            let json = serde_json::to_string(live.state()).expect("encode");
+            const ROWS: &str = r#""candidates":[["#;
+            let row = json.find(ROWS).expect("the scheduler's rows") + ROWS.len();
+            let end = row + json[row..].find(']').expect("row end");
+            let mut cores: Vec<&str> = json[row..end].split(',').collect();
+            cores.swap(0, 1);
+            let swapped = format!("{}{}{}", &json[..row], cores.join(","), &json[end..]);
+            let foreign: ServiceState =
+                serde_json::from_str(&swapped).expect("still a well-formed state");
+            let misfit = foreign.sim.fits(live.dc()).expect_err("an unordered row");
+            assert!(misfit.contains("candidates"), "{misfit}");
+            foreign
+        };
+        let (json, crc) = state_json_crc(&foreign).expect("encode");
+        let envelope = format!(
+            r#"{{"version":1,"epoch":0,"state_crc":{crc},"state":{}}}"#,
+            serde_json::to_string(&json).expect("quote")
+        );
+        std::fs::write(dir.join("snap-00000000.json"), envelope).expect("plant");
 
-    drive(&mut live, &mut store, 3);
-    store.sync().expect("sync");
-    drop(store);
+        drive(&mut live, &mut store, 3);
+        store.sync().expect("sync");
+        drop(store);
 
-    let (resumed, info) = resume_service(&dir).expect("resume");
-    assert_eq!((info.snapshot_epoch, info.replayed_epochs), (0, 3));
-    assert_eq!(
-        serde_json::to_string(resumed.state()).expect("resumed"),
-        serde_json::to_string(live.state()).expect("live"),
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+        let (resumed, info) = resume_service(&dir).expect("resume");
+        assert_eq!((info.snapshot_epoch, info.replayed_epochs), (0, 3), "{name}");
+        assert_eq!(
+            serde_json::to_string(resumed.state()).expect("resumed"),
+            serde_json::to_string(live.state()).expect("live"),
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// With no usable generation resume bootstraps from the header, which is

@@ -15,7 +15,7 @@ use thermaware::runtime::event::DEFAULT_LOG_CAPACITY;
 use thermaware::runtime::{
     Action, Event, EventKind, EventLog, Fault, FaultEvent, SupervisorConfig, Violation,
 };
-use thermaware::scheduler::DynamicScheduler;
+use thermaware::scheduler::{DispatchDecision, DynamicScheduler};
 use thermaware::service::engine::ServiceState;
 use thermaware::service::proto::{RejectReason, StatsReport};
 use thermaware::service::store::{state_json_crc, ServiceRecord};
@@ -391,6 +391,19 @@ fn scheduler_state() {
         SCHEDULER.replace("null", "{}"),
         SCHEDULER.replace(r#""service":[[0.5,null]],"#, ""),
     );
+    // The order the ATC/TC rule walks is derived from these fields and is
+    // not among them: a scheduler read from these bytes rebuilds it at its
+    // first dispatch and writes the same keys back.
+    let mut read: DynamicScheduler = serde_json::from_str(SCHEDULER).expect("decode");
+    assert_eq!(
+        read.dispatch(0, 2.0, 3.0),
+        DispatchDecision::Assigned { core: 0, start: 2.0, finish: 2.5 }
+    );
+    let after = SCHEDULER
+        .replace(r#""count":[[3,0]]"#, r#""count":[[4,0]]"#)
+        .replace(r#""busy_until":[1.5,0]"#, r#""busy_until":[2.5,0]"#)
+        .replace(r#""busy_time":[1.5,0]"#, r#""busy_time":[2,0]"#);
+    assert_eq!(serde_json::to_string(&read).expect("encode"), after);
 }
 
 /// The pretty printer is the same writer with an indent: two spaces per
