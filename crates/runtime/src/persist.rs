@@ -57,75 +57,44 @@ const JOURNAL_FILE: &str = "journal.jsonl";
 const SNAP_PREFIX: &str = "snap-";
 const SNAP_SUFFIX: &str = ".json";
 
-/// The reflected IEEE polynomial.
-const CRC_POLY: u32 = 0xEDB8_8320;
-
-/// `CRC_TABLES[0][b]` is the CRC register after the byte `b` alone (eight
-/// shift/xor rounds); `CRC_TABLES[k][b]` is that byte followed by `k`
-/// zero bytes — what lets eight input bytes be folded in one step.
-const CRC_TABLES: [[u32; 256]; 8] = {
-    let mut tables = [[0u32; 256]; 8];
-    let mut b = 0;
-    while b < 256 {
-        let mut crc = b as u32;
-        let mut round = 0;
-        while round < 8 {
-            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
-            round += 1;
-        }
-        tables[0][b] = crc;
-        b += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut b = 0;
-        while b < 256 {
-            let prev = tables[k - 1][b];
-            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
-            b += 1;
-        }
-        k += 1;
-    }
-    tables
-};
-
-/// CRC-32 (IEEE 802.3: reflected, polynomial `0xEDB88320`, initial value
-/// and final xor `0xFFFFFFFF`), slice-by-8: eight bytes per step through
-/// eight 256-entry tables built at compile time, the tail byte by byte.
-/// Every commit record checksums a whole state, so this runs over
-/// hundreds of kilobytes per epoch.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut crc = 0xFFFF_FFFFu32;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-        crc = t[7][(lo & 0xff) as usize]
-            ^ t[6][(lo >> 8 & 0xff) as usize]
-            ^ t[5][(lo >> 16 & 0xff) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][c[4] as usize]
-            ^ t[2][c[5] as usize]
-            ^ t[1][c[6] as usize]
-            ^ t[0][c[7] as usize];
-    }
-    for &b in chunks.remainder() {
-        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xff) as usize];
-    }
-    !crc
-}
+/// The checksum of every journal line and state, and its concatenation
+/// rule. They live beside the printer, where a fragment that keeps its
+/// own CRC is built; this module is where the workspace reaches them.
+pub use serde_json::{crc32, crc32_combine};
 
 /// Encode `value` and checksum the bytes: the `(json, crc)` pair every
 /// commit record, snapshot and replay check is made of, for both trails.
+///
+/// A member that keeps its encoded text (the scheduler's plan tables)
+/// splices it into the writer with its CRC, so only the spans in between
+/// are encoded and read here; [`crc32_combine`] joins the parts into
+/// exactly the checksum of the whole text.
 pub fn json_crc<T: Serialize>(value: &T) -> Result<(String, u32), PersistError> {
     let timed = thermaware_obs::enabled();
     let begun = timed.then(std::time::Instant::now);
-    let json = to_json(value)?;
+    let mut out = Writer::compact();
+    value.serialize(&mut out);
+    let (json, spliced) = out.finish_spliced();
     let encoded = timed.then(std::time::Instant::now);
-    let crc = crc32(json.as_bytes());
+    let bytes = json.as_bytes();
+    let mut crc = 0; // of the empty prefix
+    let mut fresh_from = 0;
+    for span in &spliced {
+        let fresh = &bytes[fresh_from..span.at];
+        crc = crc32_combine(crc, crc32(fresh), fresh.len());
+        crc = crc32_combine(crc, span.crc, span.len);
+        fresh_from = span.at + span.len;
+    }
+    let fresh = &bytes[fresh_from..];
+    crc = crc32_combine(crc, crc32(fresh), fresh.len());
+    #[cfg(any(test, debug_assertions))]
+    assert_eq!(crc, crc32(bytes), "combined over {} spliced spans", spliced.len());
     if let (Some(begun), Some(encoded)) = (begun, encoded) {
         thermaware_obs::observe("persist.encode_us", (encoded - begun).as_secs_f64() * 1e6);
         thermaware_obs::observe("persist.crc_us", encoded.elapsed().as_secs_f64() * 1e6);
+        let bytes_spliced: usize = spliced.iter().map(|span| span.len).sum();
+        thermaware_obs::counter_add("persist.bytes_encoded", (bytes.len() - bytes_spliced) as u64);
+        thermaware_obs::counter_add("persist.bytes_spliced", bytes_spliced as u64);
     }
     Ok((json, crc))
 }
@@ -932,6 +901,10 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The reflected IEEE polynomial, stated here a second time: the
+    /// reference shares nothing with what it checks.
+    const CRC_POLY: u32 = 0xEDB8_8320;
+
     /// The definition: one bit at a time, no table. What `crc32` was
     /// until it had whole states to cover, kept as its reference.
     fn crc32_bitwise(bytes: &[u8]) -> u32 {
@@ -978,6 +951,58 @@ mod tests {
             offset in 0usize..8,
         ) {
             prop_assert_eq!(crc32(&buf[offset..]), crc32_bitwise(&buf[offset..]));
+        }
+    }
+
+    /// Lengths on both sides of the slice-by-8 step, and of nothing.
+    const EDGE_LENGTHS: [usize; 7] = [0, 1, 7, 8, 9, 63, 65];
+
+    proptest! {
+        /// The concatenation rule at arbitrary splits, and at every split
+        /// that leaves an edge length on either side (empty halves
+        /// included).
+        #[test]
+        fn crc32_combine_is_the_crc_of_the_concatenation(
+            buf in prop::collection::vec(0u8..=255, 0..600usize),
+            split in 0.0f64..=1.0,
+        ) {
+            let whole = crc32(&buf);
+            let arbitrary = (split * buf.len() as f64) as usize;
+            let edges = EDGE_LENGTHS.iter().flat_map(|&n| [n, buf.len().saturating_sub(n)]);
+            for at in edges.chain([arbitrary]).filter(|&at| at <= buf.len()) {
+                let (a, b) = buf.split_at(at);
+                prop_assert_eq!(crc32_combine(crc32(a), crc32(b), b.len()), whole, "split at {}", at);
+            }
+        }
+
+        /// Three parts joined left first or right first.
+        #[test]
+        fn crc32_combine_is_associative(
+            a in prop::collection::vec(0u8..=255, 0..80usize),
+            b in prop::collection::vec(0u8..=255, 0..80usize),
+            c in prop::collection::vec(0u8..=255, 0..80usize),
+        ) {
+            let (ca, cb, cc) = (crc32(&a), crc32(&b), crc32(&c));
+            let left = crc32_combine(crc32_combine(ca, cb, b.len()), cc, c.len());
+            let right = crc32_combine(ca, crc32_combine(cb, cc, c.len()), b.len() + c.len());
+            prop_assert_eq!(left, right);
+            prop_assert_eq!(left, crc32(&[a, b, c].concat()));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// Fragment-sized second halves: lengths with many bits set, past
+        /// 64 kB.
+        #[test]
+        fn crc32_combine_agrees_past_64_kb(
+            buf in prop::collection::vec(0u8..=255, 70_000..400_000usize),
+            head in 0usize..70_000,
+        ) {
+            let (a, b) = buf.split_at(head.min(buf.len() - 65_537));
+            prop_assert!(b.len() > 65_536);
+            prop_assert_eq!(crc32_combine(crc32(a), crc32(b), b.len()), crc32(&buf));
         }
     }
 

@@ -13,7 +13,9 @@
 //! §11 "The dispatch order"). The scan itself is kept as the oracle of
 //! debug builds and tests.
 
+use crate::encoded::Encoded;
 use serde::{Deserialize, Serialize, Sink, Value};
+use std::ops::Deref;
 use thermaware_core::stage3::Stage3Solution;
 use thermaware_datacenter::DataCenter;
 
@@ -111,29 +113,33 @@ pub enum DispatchDecision {
 /// as it stands, fields in declaration order — so state read back from
 /// disk is checked against the room with [`DynamicScheduler::fits`]
 /// before anything indexes it.
+///
+/// The five tables only a plan writes (`ewma_rate` also the windowed
+/// rule's `commit`) are [`Encoded`]: between replans they are most of the
+/// state's bytes and none of what an epoch changes, so each keeps the
+/// text it was last written as.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DynamicScheduler {
     /// The active policy.
     policy: DispatchPolicy,
     /// Desired rates (per core) from Stage 3.
-    tc: Vec<Vec<f64>>,
+    tc: Encoded<Vec<Vec<f64>>>,
     /// Cores with a nonzero desired rate, per task type — the only cores
     /// the AtcTc rule ever considers.
-    candidates: Vec<Vec<usize>>,
+    candidates: Encoded<Vec<Vec<usize>>>,
     /// Cores that can run each type at all (finite service time) — the
     /// candidate set of the plan-oblivious policies.
-    runnable: Vec<Vec<usize>>,
+    runnable: Encoded<Vec<Vec<usize>>>,
     /// Tasks of each type assigned to each core: `count[i][core]`.
     count: Vec<Vec<u64>>,
     /// Exponentially-decayed rate estimate per (type, core) and its last
     /// update instant — only maintained under `AtcTcWindowed`.
-    ewma_rate: Vec<Vec<(f64, f64)>>,
+    ewma_rate: Encoded<Vec<Vec<(f64, f64)>>>,
     /// Time each core becomes free.
     busy_until: Vec<f64>,
     /// Service time of each task type on each core (`1/ECS` at the
     /// assigned P-state); `INFINITY` where the type cannot run.
-    #[serde(with = "cannot_run_as_null")]
-    service: Vec<Vec<f64>>,
+    service: Encoded<ServiceTimes>,
     /// Accumulated busy time per core (for utilization reporting).
     busy_time: Vec<f64>,
     /// Liveness mask: dead cores (failed nodes) are never dispatched to.
@@ -287,13 +293,13 @@ impl DynamicScheduler {
         DynamicScheduler {
             policy,
             order: DispatchOrder::build(&candidates, &tc, &service, &count),
-            tc,
-            candidates,
-            runnable,
+            tc: Encoded::new(tc),
+            candidates: Encoded::new(candidates),
+            runnable: Encoded::new(runnable),
             count,
-            ewma_rate: vec![vec![(0.0, 0.0); n]; t],
+            ewma_rate: Encoded::new(vec![vec![(0.0, 0.0); n]; t]),
             busy_until: vec![0.0; n],
-            service,
+            service: Encoded::new(ServiceTimes(service)),
             busy_time: vec![0.0; n],
             alive: vec![true; n],
             plan_start: 0.0,
@@ -314,12 +320,12 @@ impl DynamicScheduler {
         let t = dc.n_task_types();
         let n = dc.n_cores();
         let (tc, candidates, runnable, service) = plan_tables(dc, pstates, stage3);
-        self.tc = tc;
-        self.candidates = candidates;
-        self.runnable = runnable;
-        self.service = service;
+        self.tc = Encoded::new(tc);
+        self.candidates = Encoded::new(candidates);
+        self.runnable = Encoded::new(runnable);
+        self.service = Encoded::new(ServiceTimes(service));
         self.count = vec![vec![0; n]; t];
-        self.ewma_rate = vec![vec![(0.0, now); n]; t];
+        self.ewma_rate = Encoded::new(vec![vec![(0.0, now); n]; t]);
         self.plan_start = now;
         self.rebuild_order();
     }
@@ -431,7 +437,7 @@ impl DynamicScheduler {
             // impulse (1 task smeared over tau).
             let (rate, last) = self.ewma_rate[task_type][k];
             let decayed = rate * (-(now - last) / tau_s).exp();
-            self.ewma_rate[task_type][k] = (decayed + 1.0 / tau_s, now);
+            self.ewma_rate.to_mut()[task_type][k] = (decayed + 1.0 / tau_s, now);
         }
         DispatchDecision::Assigned {
             core: k,
@@ -665,7 +671,7 @@ impl DynamicScheduler {
                     set.iter().all(|&k| k < n) && set.windows(2).all(|pair| pair[0] < pair[1])
                 })
         }
-        let rated = self.candidates.iter().zip(&self.tc).all(|(set, tc)| {
+        let rated = self.candidates.iter().zip(self.tc.iter()).all(|(set, tc)| {
             set.iter().all(|&k| {
                 tc.get(k)
                     .is_some_and(|rate| rate.is_finite() && *rate > 0.0)
@@ -692,14 +698,30 @@ impl DynamicScheduler {
     }
 }
 
-/// `service` on disk: JSON has no `INFINITY`, so "cannot run" is `null`
-/// there and every finite time a plain number.
-mod cannot_run_as_null {
-    use serde::{Deserialize, Error, Sink, Value};
+/// The `service` table. On disk JSON has no `INFINITY`, so "cannot run"
+/// is `null` there and every finite time a plain number.
+#[derive(Clone, PartialEq)]
+struct ServiceTimes(Vec<Vec<f64>>);
 
-    pub fn serialize<S: Sink>(table: &[Vec<f64>], sink: &mut S) {
+// As the table it wraps: `service: [[0.5, inf]]`.
+impl std::fmt::Debug for ServiceTimes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+impl Deref for ServiceTimes {
+    type Target = Vec<Vec<f64>>;
+
+    fn deref(&self) -> &Vec<Vec<f64>> {
+        &self.0
+    }
+}
+
+impl Serialize for ServiceTimes {
+    fn serialize<S: Sink>(&self, sink: &mut S) {
         sink.begin_array();
-        for row in table {
+        for row in &self.0 {
             sink.begin_array();
             for &s in row {
                 if s.is_finite() {
@@ -712,12 +734,15 @@ mod cannot_run_as_null {
         }
         sink.end_array();
     }
+}
 
-    pub fn from_value(v: &Value) -> Result<Vec<Vec<f64>>, Error> {
-        let rows = v.as_array().ok_or_else(|| Error::custom("expected array"))?;
+impl Deserialize for ServiceTimes {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let expected_array = || serde::Error::custom("expected array");
+        let rows = v.as_array().ok_or_else(expected_array)?;
         let mut table = Vec::with_capacity(rows.len());
         for row in rows {
-            let row = row.as_array().ok_or_else(|| Error::custom("expected array"))?;
+            let row = row.as_array().ok_or_else(expected_array)?;
             // Sized up front: this table is a quarter of a live state.
             let mut times = Vec::with_capacity(row.len());
             for s in row {
@@ -728,7 +753,7 @@ mod cannot_run_as_null {
             }
             table.push(times);
         }
-        Ok(table)
+        Ok(ServiceTimes(table))
     }
 }
 

@@ -17,6 +17,7 @@
 //! check (c) always earns its reward.
 
 mod dispatch;
+mod encoded;
 mod sim;
 
 pub use dispatch::{DispatchDecision, DispatchPolicy, DynamicScheduler};

@@ -491,7 +491,7 @@ fn handle_submit(
     budget_ms: Option<u64>,
 ) -> bool {
     let id = batch.id;
-    if batch.total_tasks() > shared.max_batch_tasks {
+    if !batch.tasks_within(shared.max_batch_tasks) {
         return respond(
             writer,
             &Response::Rejected {

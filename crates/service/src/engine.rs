@@ -323,13 +323,18 @@ impl ServiceEngine {
     }
 
     /// Can [`step`](Self::step) take these inputs? It indexes by task
-    /// type and replays an `Ok` verdict's plan into the scheduler
-    /// unchecked: the daemon admits only batches that pass
-    /// `Batch::types_within` and journals only plans it solved, so this
-    /// is the check for inputs read back from a journal.
+    /// type, loops once per task and replays an `Ok` verdict's plan into
+    /// the scheduler unchecked: the daemon admits only batches that pass
+    /// `Batch::types_within` and `Batch::tasks_within` and journals only
+    /// plans it solved, so this is the check for inputs read back from a
+    /// journal.
     pub(crate) fn inputs_fit(&self, batches: &[Batch], verdict: &ReplanVerdict) -> Result<(), String> {
         if !batches.iter().all(|b| b.types_within(self.dc.n_task_types())) {
             return Err("a batch names an unknown task type".to_string());
+        }
+        let max = self.cfg.max_batch_tasks;
+        if !batches.iter().all(|b| b.tasks_within(max)) {
+            return Err(format!("a batch holds more than the {max} tasks one may"));
         }
         match verdict {
             ReplanVerdict::Ok { stage3 } => stage3.fits(&self.dc),

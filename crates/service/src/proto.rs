@@ -40,6 +40,17 @@ impl Batch {
         self.tasks.iter().map(|&(_, n)| n).sum()
     }
 
+    /// Do the counts add up — without overflowing — to at most `max`
+    /// tasks? The cap of the socket path, which replay applies again to
+    /// a journal: the engine loops once per task, and a well-framed line
+    /// can claim 2^63 of them.
+    pub(crate) fn tasks_within(&self, max: usize) -> bool {
+        self.tasks
+            .iter()
+            .try_fold(0usize, |sum, &(_, n)| sum.checked_add(n))
+            .is_some_and(|total| total <= max)
+    }
+
     /// Does every entry name one of a room's `n_task_types` types? The
     /// socket path rejects a batch that does not, and replay refuses a
     /// journal that holds one: the engine indexes by type unchecked.

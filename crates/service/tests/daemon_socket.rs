@@ -14,7 +14,7 @@ mod e2e {
     use thermaware_service::engine::{ServiceConfig, ServiceEngine};
     use thermaware_service::loadgen::{self, LoadgenConfig};
     use thermaware_workload::Curve;
-    use thermaware_service::proto::{Request, Response};
+    use thermaware_service::proto::{RejectReason, Request, Response};
     use thermaware_service::store::{ServiceStore, StoreConfig};
 
     fn tmp_dir(name: &str) -> std::path::PathBuf {
@@ -160,6 +160,16 @@ mod e2e {
         match exchange("[".repeat(200_000).as_bytes()) {
             Response::Error { message } => assert!(message.contains("nesting"), "{message}"),
             other => panic!("deep nesting answered {other:?}"),
+        }
+        assert!(matches!(exchange(b"{\"type\":\"ping\"}"), Response::Pong));
+
+        // Two counts that each fit a `usize` and add up to 2^64: a
+        // wrapping sum is 0, inside any cap — and the epoch loop would
+        // then dispatch 2^63 tasks twice over.
+        let wrapping = br#"{"type":"submit","id":"00000000000000a1","tasks":[[0,9223372036854775808],[1,9223372036854775808]]}"#;
+        match exchange(wrapping) {
+            Response::Rejected { reason, .. } => assert_eq!(reason, RejectReason::BatchTooLarge),
+            other => panic!("an overflowing batch answered {other:?}"),
         }
         assert!(matches!(exchange(b"{\"type\":\"ping\"}"), Response::Pong));
 

@@ -243,23 +243,36 @@ fn refusal(dir: &std::path::Path) -> PersistError {
 
 /// A journal is bytes from outside: a record can be well framed, carry a
 /// valid CRC and still not fit the room in the header. The socket path
-/// refuses a batch naming an unknown task type, and the daemon journals
-/// only plans it solved; replay must refuse both — as a typed error
-/// naming the epoch, not an index out of bounds in `step`.
+/// refuses a batch naming an unknown task type or holding more than
+/// `max_batch_tasks` tasks, and the daemon journals only plans it solved;
+/// replay must refuse all three — as a typed error naming the epoch, not
+/// an index out of bounds in `step`, a sum that overflows, or a loop of
+/// 2^63 dispatches.
 #[test]
 fn journaled_input_that_misfits_the_room_is_corrupt_not_a_panic() {
-    for name in ["badtype", "badplan"] {
+    for name in ["badtype", "badplan", "toomany", "overflow"] {
         let dir = tmp_dir(name);
         let mut live = engine(7);
         let cfg = StoreConfig { durable: false, ..StoreConfig::new(&dir) };
         let mut store = ServiceStore::create(cfg, &live).expect("create");
         drive(&mut live, &mut store, 2);
-        let (batches, verdict) = if name == "badtype" {
-            (vec![batch(77, 99, 1)], ReplanVerdict::NotAttempted)
-        } else {
-            let mut stage3 = live.state().stage3.clone();
-            stage3.group_of_core.pop();
-            (Vec::new(), ReplanVerdict::Ok { stage3 })
+        let (batches, verdict) = match name {
+            "badtype" => (vec![batch(77, 99, 1)], ReplanVerdict::NotAttempted),
+            "badplan" => {
+                let mut stage3 = live.state().stage3.clone();
+                stage3.group_of_core.pop();
+                (Vec::new(), ReplanVerdict::Ok { stage3 })
+            }
+            "toomany" => {
+                let over = live.config().max_batch_tasks + 1;
+                (vec![batch(77, 0, over)], ReplanVerdict::NotAttempted)
+            }
+            _ => {
+                // Each count survives the trip through JSON's `f64`; their
+                // sum is 2^64.
+                let half = Batch { id: 77, tasks: vec![(0, 1 << 63), (1, 1 << 63)] };
+                (vec![half], ReplanVerdict::NotAttempted)
+            }
         };
         store.append_begin(2, &batches, &verdict).expect("begin");
         drop(store);
