@@ -234,7 +234,8 @@ struct Lines {
 }
 
 impl Lines {
-    /// Room for `n` lines holding `nnz` entries between them.
+    /// Room for `n` lines holding `nnz` entries between them, to start
+    /// with.
     fn with_capacity(n: usize, nnz: usize) -> Lines {
         let mut start = Vec::with_capacity(n + 1);
         start.push(0);
@@ -264,6 +265,30 @@ impl Lines {
     /// Close the line that the entries pushed since the last call make up.
     fn end_line(&mut self) {
         self.start.push(self.at.len() as u32);
+    }
+
+    /// The same entries listed by the other index (as many lines as
+    /// here). Lines are walked in ascending order, so every line of the
+    /// result comes out ascending too.
+    fn transposed(&self) -> Lines {
+        let n = self.start.len() - 1;
+        let mut lengths = vec![0u32; n];
+        for &j in &self.at {
+            lengths[j as usize] += 1;
+        }
+        let mut out = Lines::with_lengths(&lengths);
+        // Next free slot of each line of the result.
+        let mut next: Vec<u32> = out.start[..n].to_vec();
+        for k in 0..n {
+            let (lo, hi) = (self.start[k] as usize, self.start[k + 1] as usize);
+            for (&j, &v) in self.at[lo..hi].iter().zip(&self.val[lo..hi]) {
+                let slot = next[j as usize] as usize;
+                out.at[slot] = k as u32;
+                out.val[slot] = v;
+                next[j as usize] += 1;
+            }
+        }
+        out
     }
 
     /// `s - Σ val·x[at]` over line `k`, one term after the other in
@@ -313,54 +338,30 @@ pub struct CompressedLu {
 }
 
 impl Lu {
-    /// List the factors' nonzeros; see [`CompressedLu`]. Two passes over
-    /// the packed matrix: one counts (every list is allocated once, at
-    /// its final size), one fills.
+    /// List the factors' nonzeros; see [`CompressedLu`]. One pass over the
+    /// packed matrix lists both triangles by row; the by-column lists are
+    /// then laid out from those — the nonzeros, not the matrix, a second
+    /// time.
     pub fn compress(self) -> CompressedLu {
         let n = self.dim();
         assert!(u32::try_from(n * n).is_ok(), "matrix too large to index with u32");
-        let mut l_in_col = vec![0u32; n];
-        let mut u_in_col = vec![0u32; n];
-        for i in 0..n {
-            for (j, &v) in self.lu.row(i).iter().enumerate() {
-                if j != i && v != 0.0 { // lint: allow(float-eq): an entry is left out only when it is an exact zero
-                    let count = if j < i { &mut l_in_col } else { &mut u_in_col };
-                    count[j] += 1;
-                }
-            }
-        }
-        let l_nnz: u32 = l_in_col.iter().sum();
-        let u_nnz: u32 = u_in_col.iter().sum();
-        let mut l_rows = Lines::with_capacity(n, l_nnz as usize);
-        let mut u_rows = Lines::with_capacity(n, u_nnz as usize);
-        let mut l_cols = Lines::with_lengths(&l_in_col);
-        let mut u_cols = Lines::with_lengths(&u_in_col);
-        // Next free slot of each column; rows arrive in ascending order,
-        // so every column list comes out ascending too.
-        let mut l_next: Vec<u32> = l_cols.start[..n].to_vec();
-        let mut u_next: Vec<u32> = u_cols.start[..n].to_vec();
+        let mut l_rows = Lines::with_capacity(n, n);
+        let mut u_rows = Lines::with_capacity(n, n);
         let mut diag = Vec::with_capacity(n);
         for i in 0..n {
             for (j, &v) in self.lu.row(i).iter().enumerate() {
                 if j == i {
                     diag.push(v);
-                } else if v != 0.0 { // lint: allow(float-eq): the same exact-zero test as the counting pass
-                    let (rows, cols, next) = if j < i {
-                        (&mut l_rows, &mut l_cols, &mut l_next)
-                    } else {
-                        (&mut u_rows, &mut u_cols, &mut u_next)
-                    };
+                } else if v != 0.0 { // lint: allow(float-eq): an entry is left out only when it is an exact zero
+                    let rows = if j < i { &mut l_rows } else { &mut u_rows };
                     rows.at.push(j as u32);
                     rows.val.push(v);
-                    let slot = next[j] as usize;
-                    cols.at[slot] = i as u32;
-                    cols.val[slot] = v;
-                    next[j] += 1;
                 }
             }
             l_rows.end_line();
             u_rows.end_line();
         }
+        let (l_cols, u_cols) = (l_rows.transposed(), u_rows.transposed());
         CompressedLu {
             dense: self,
             diag,

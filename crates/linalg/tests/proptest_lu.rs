@@ -38,6 +38,29 @@ fn compressed_equals_dense(a: Matrix, b: &[f64]) -> Option<Result<(), String>> {
     Some(Ok(()))
 }
 
+/// Factors that hold `-0.0` entries in both triangles: a multiplier
+/// `+0.0 / negative pivot` in `L`, an entry of `A` carried into `U`.
+/// `compress` leaves them out like any zero — the row lists it builds in
+/// its one pass and the column lists it lays out from those — and the
+/// solves must not show it, whatever zeros the right-hand side holds.
+#[test]
+fn compressed_solves_equal_dense_solves_with_negative_zero_factors() {
+    let a = Matrix::from_rows(&[
+        &[-2.0, -0.0, 1.0, -0.0],
+        &[0.0, -4.0, -0.0, 2.0],
+        &[1.0, 0.0, -3.0, -0.0],
+        &[0.0, 2.0, 0.0, -5.0],
+    ]);
+    let packed = Lu::factor(a.clone()).unwrap().into_matrix();
+    let neg_zero = |i: usize, j: usize| packed[(i, j)].to_bits() == (-0.0_f64).to_bits();
+    assert!(neg_zero(1, 0), "a -0.0 multiplier in L: {packed:?}");
+    assert!(neg_zero(0, 1), "a -0.0 entry in U: {packed:?}");
+    for kinds in [[3, 3, 3, 3], [2, 3, 0, 3], [3, 2, 2, 0], [0, 0, 3, 2], [2, 2, 2, 2]] {
+        let outcome = compressed_equals_dense(a.clone(), &rhs(&kinds, &[1.5, -2.0, 0.25, 3.0]));
+        assert_eq!(outcome, Some(Ok(())), "kinds {kinds:?}");
+    }
+}
+
 // All strategies below generate diagonally dominant matrices (`D + R` with
 // a dominant diagonal `D` and small noise `R`): diagonal dominance keeps the
 // condition number bounded so residual assertions can use tight tolerances.

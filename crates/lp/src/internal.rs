@@ -8,19 +8,23 @@
 //! rows with negative right-hand sides are negated, and `Ge`/`Eq` rows get
 //! artificial columns for the phase-1 cold start.
 //!
-//! The constraint matrix is stored sparse and **twice**. Column-major
-//! (`cols`) is what the basis is assembled from — the factorisation, the
-//! FTRAN of the entering column, the dense tableau's `m × n` matrix — and
-//! what fixes the column indexing both engines share, which is what makes
-//! a [`Basis`] handle produced by either engine consumable by the other.
-//! Row-major (`rows`, the structural block only) is what the revised
-//! simplex prices with: the dual pivot row `rho·A` and the reduced costs
-//! `c - y·A` are wanted for every column at once from a `rho` or `y` that
-//! is mostly exact zeros, so [`InternalForm::for_each_row_product`] walks
-//! the rows whose multiplier is not zero and nothing else. Each column
-//! still receives its products in ascending row order, the order of its
-//! entry in `cols`, so the sums are the column-wise dot products bit for
-//! bit (DESIGN §10).
+//! The constraint matrix is stored sparse and **twice**, both times as
+//! [`SparseLines`]. Column-major (`cols`) is what the basis is assembled
+//! from — the factorisation, the FTRAN of the entering column, the dense
+//! tableau's `m × n` matrix — and what fixes the column indexing both
+//! engines share, which is what makes a [`Basis`] handle produced by
+//! either engine consumable by the other. Row-major (`rows`, the
+//! structural block only) is what the revised simplex prices with: the
+//! dual pivot row `rho·A` and the reduced costs `c - y·A` are wanted for
+//! every column at once from a `rho` or `y` that is mostly exact zeros,
+//! so [`InternalForm::pivot_row`] and [`InternalForm::reduced_costs`]
+//! walk the rows whose multiplier is not zero and nothing else. Each
+//! column still receives its products in ascending row order, the order
+//! of its entries in `cols`, so the sums are the column-wise dot products
+//! bit for bit. A line whose indices are one ascending run — every line
+//! of a dense block, such as the room LP's redline rows — is walked as a
+//! slice against a window of the dense vector instead of entry by index:
+//! the same products added in the same order (DESIGN §10).
 //!
 //! [`Basis`]: crate::Basis
 
@@ -47,34 +51,97 @@ pub(crate) enum VarMap {
     Split { pos: usize, neg: usize },
 }
 
-/// One sparse internal column: `(row, coefficient)` pairs, row-sorted.
-pub(crate) type SparseCol = Vec<(usize, f64)>;
-
-/// The structural block by row (CSR): row `i` holds the coefficients
-/// `val[start[i]..start[i + 1]]` on the columns `col[..]`, in the order
-/// the problem's row lists its terms and with the row's normalisation
-/// sign applied — entry for entry the values `cols` holds. Slack and
-/// artificial columns are not listed: each is a single `±1` that
-/// `slack_col`, `art_col` and `ops` already describe.
+/// A sparse matrix by line — rows or columns: line `k` holds the
+/// coefficients `val[start[k]..start[k + 1]]` at the cross indices
+/// `at[..]`. A form keeps two: `rows`, the structural block by row, in
+/// the order the problem's row lists its terms and with the row's
+/// normalisation sign applied (slack and artificial columns are not
+/// listed there: each is a single `±1` that `slack_col`, `art_col` and
+/// `ops` already describe); and `cols`, every column, row-sorted — entry
+/// for entry the values `rows` holds, plus those singletons.
 #[derive(Debug)]
-pub(crate) struct SparseRows {
+pub(crate) struct SparseLines {
     pub(crate) start: Vec<u32>,
-    pub(crate) col: Vec<u32>,
+    pub(crate) at: Vec<u32>,
     pub(crate) val: Vec<f64>,
+    /// Whether line `k`'s indices are one ascending run `first, first + 1,
+    /// …`: such a line is a window of the dense vector it multiplies into.
+    /// Fixed by the sparsity pattern, which no patch changes.
+    pub(crate) run: Vec<bool>,
 }
 
-impl SparseRows {
-    fn range(&self, i: usize) -> std::ops::Range<usize> {
-        self.start[i] as usize..self.start[i + 1] as usize
+impl SparseLines {
+    /// Lines of the given lengths, every entry still to be written.
+    fn with_lengths(lengths: &[u32]) -> SparseLines {
+        let mut start = Vec::with_capacity(lengths.len() + 1);
+        let mut total = 0;
+        start.push(0);
+        for &len in lengths {
+            total += len;
+            start.push(total);
+        }
+        SparseLines {
+            start,
+            at: vec![0; total as usize],
+            val: vec![0.0; total as usize],
+            run: Vec::new(),
+        }
     }
 
-    /// `(column, coefficient)` pairs of row `i`.
-    pub(crate) fn row(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        let at = self.range(i);
-        self.col[at.clone()]
+    /// Set `run` from the indices, once every line is written.
+    fn mark_runs(&mut self) {
+        self.run = (0..self.start.len() - 1)
+            .map(|k| {
+                let at = &self.at[self.range(k)];
+                !at.is_empty() && at.windows(2).all(|w| w[1] == w[0] + 1)
+            })
+            .collect();
+    }
+
+    fn range(&self, k: usize) -> std::ops::Range<usize> {
+        self.start[k] as usize..self.start[k + 1] as usize
+    }
+
+    /// `(cross index, coefficient)` pairs of line `k`.
+    pub(crate) fn line(&self, k: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let at = self.range(k);
+        self.at[at.clone()]
             .iter()
             .zip(&self.val[at])
             .map(|(&j, &a)| (j as usize, a))
+    }
+
+    /// Where line `k` keeps its entry at cross index `i`.
+    fn slot(&self, k: usize, i: usize) -> usize {
+        let at = self.range(k);
+        if self.run[k] {
+            at.start + i - self.at[at.start] as usize
+        } else {
+            at.start
+                + self.at[at]
+                    .binary_search(&(i as u32))
+                    .expect("every term of a row has an entry in its column")
+        }
+    }
+
+    /// `apply(&mut x[at], mult · val)` over line `k`, entry after entry in
+    /// stored order — `apply` adds the product or subtracts it. A run is
+    /// a slice loop against its window of `x`, any other line an indexed
+    /// walk: one multiply, then one `apply`, per entry on either branch.
+    #[inline]
+    fn scatter(&self, k: usize, mult: f64, x: &mut [f64], apply: impl Fn(&mut f64, f64)) {
+        let at = self.range(k);
+        let val = &self.val[at.clone()];
+        if self.run[k] {
+            let first = self.at[at.start] as usize;
+            for (x, &a) in x[first..first + val.len()].iter_mut().zip(val) {
+                apply(x, mult * a);
+            }
+        } else {
+            for (&j, &a) in self.at[at].iter().zip(val) {
+                apply(&mut x[j as usize], mult * a);
+            }
+        }
     }
 }
 
@@ -121,10 +188,10 @@ pub(crate) struct InternalForm {
     pub ops: Vec<RowOp>,
     /// Whether row `i` was negated during normalization.
     pub flipped: Vec<bool>,
-    /// Sparse columns, including slack and artificial columns.
-    pub cols: Vec<SparseCol>,
+    /// Every column, including slack and artificial columns.
+    pub(crate) cols: SparseLines,
     /// The structural columns again, by row.
-    pub rows: SparseRows,
+    pub(crate) rows: SparseLines,
     /// Slack column of each row (`Le`/`Ge` rows only).
     pub slack_col: Vec<Option<usize>>,
     /// Artificial column of each row (`Ge`/`Eq` rows only).
@@ -257,28 +324,31 @@ impl InternalForm {
             .flat_map(|c| &c.terms)
             .map(|&(uj, _)| if matches!(maps[uj], VarMap::Split { .. }) { 2 } else { 1 })
             .sum();
+        // Every index below is at most this: each row adds two columns at
+        // most and two entries to the column store.
         assert!(
-            u32::try_from(nnz.max(n_struct)).is_ok(),
+            u32::try_from(nnz.max(n_struct) + 2 * nrows).is_ok(),
             "constraint matrix too large to index with u32"
         );
-        let mut rows = SparseRows {
+        let mut rows = SparseLines {
             start: Vec::with_capacity(nrows + 1),
-            col: Vec::with_capacity(nnz),
+            at: Vec::with_capacity(nnz),
             val: Vec::with_capacity(nnz),
+            run: Vec::new(),
         };
         rows.start.push(0);
         for c in &problem.cons {
             let mut b = shifted_rhs(&maps, c);
             shifted.push(b);
             unshifted_rows.push(unshifted(&maps, c));
-            let first = rows.col.len();
+            let first = rows.at.len();
             let (mut lo, mut hi) = (0.0, 0.0);
             for_each_coeff(&maps, c, |col, a| {
                 widen(&mut lo, &mut hi, a, upper[col]);
-                rows.col.push(col as u32);
+                rows.at.push(col as u32);
                 rows.val.push(a);
             });
-            rows.start.push(rows.col.len() as u32);
+            rows.start.push(rows.at.len() as u32);
             act_lo.push(lo);
             act_hi.push(hi);
             let mut op = c.op;
@@ -298,6 +368,7 @@ impl InternalForm {
             ops.push(op);
             flipped.push(flip);
         }
+        rows.mark_runs();
 
         // ---- Slack then artificial columns -------------------------------
         let mut slack_col: Vec<Option<usize>> = vec![None; nrows];
@@ -321,23 +392,35 @@ impl InternalForm {
         cost.resize(n_total, 0.0);
 
         // ---- Scatter into sparse columns ---------------------------------
-        let mut cols: Vec<SparseCol> = vec![Vec::new(); n_total];
+        let mut in_col = vec![0u32; n_total];
+        for &j in &rows.at {
+            in_col[j as usize] += 1;
+        }
+        in_col[n_struct..].fill(1);
+        let mut cols = SparseLines::with_lengths(&in_col);
+        // Next free slot of each column. Rows are scanned in order and
+        // maps are injective, so each column ends up row-sorted with
+        // unique row indices.
+        let mut next: Vec<u32> = cols.start[..n_total].to_vec();
+        let mut place = |j: usize, i: usize, a: f64| {
+            let slot = next[j] as usize;
+            (cols.at[slot], cols.val[slot]) = (i as u32, a);
+            next[j] += 1;
+        };
         for i in 0..nrows {
-            for (j, a) in rows.row(i) {
-                cols[j].push((i, a));
+            for (j, a) in rows.line(i) {
+                place(j, i, a);
             }
         }
-        // Rows are scanned in order and maps are injective, so each column
-        // ends up row-sorted with unique row indices.
         for (i, (&s, &a)) in slack_col.iter().zip(&art_col).enumerate() {
             if let Some(sc) = s {
-                let coef = if matches!(ops[i], RowOp::Le) { 1.0 } else { -1.0 };
-                cols[sc].push((i, coef));
+                place(sc, i, if matches!(ops[i], RowOp::Le) { 1.0 } else { -1.0 });
             }
             if let Some(ac) = a {
-                cols[ac].push((i, 1.0));
+                place(ac, i, 1.0);
             }
         }
+        cols.mark_runs();
 
         let signature = signature(sense_sign, &maps, problem, &ops, &flipped);
 
@@ -401,11 +484,8 @@ impl InternalForm {
         for_each_coeff(&self.maps, c, |col, a| {
             widen(&mut lo, &mut hi, a, upper[col]);
             let a = if flip { -a } else { a };
-            let column = &mut cols[col];
-            let at = column
-                .binary_search_by_key(&i, |&(row, _)| row)
-                .expect("every term of a row has an entry in its column");
-            column[at].1 = a;
+            let slot = cols.slot(col, i);
+            cols.val[slot] = a;
             let k = at_row.next().expect("a patched row keeps its length");
             row_vals[k] = a;
         });
@@ -437,46 +517,41 @@ impl InternalForm {
         }
     }
 
-    /// Visit `(j, mult[i] · a_ij)` for every entry of every row whose
-    /// multiplier is not an exact zero — structural entries, then the
-    /// row's slack and artificial — rows ascending. Column `j` therefore
-    /// meets its products in the order of `cols[j]`, minus the ones that
-    /// are `±0` because the multiplier is.
-    #[inline]
-    pub(crate) fn for_each_row_product(&self, mult: &[f64], mut visit: impl FnMut(usize, f64)) {
-        for (i, &y) in mult.iter().enumerate() {
-            if y == 0.0 { // lint: allow(float-eq): a row is skipped only when every product in it is an exact zero
-                continue;
-            }
-            for (j, a) in self.rows.row(i) {
-                visit(j, y * a);
-            }
-            // The singletons' coefficients: `+1` (`Le` slack, artificial)
-            // or `-1` (`Ge` surplus); the product is `y` or `-y` exactly.
-            if let Some(s) = self.slack_col[i] {
-                visit(s, if matches!(self.ops[i], RowOp::Le) { y } else { -y });
-            }
-            if let Some(a) = self.art_col[i] {
-                visit(a, y);
-            }
-        }
+    /// Row `i`'s entries outside the structural block, `(column, ±1)`:
+    /// `+1` on a `Le` slack and on an artificial, `-1` on a `Ge` surplus.
+    /// A product with one is the multiplier or its negation, exactly.
+    fn singletons(&self, i: usize) -> impl Iterator<Item = (usize, f64)> {
+        let sign = if matches!(self.ops[i], RowOp::Le) { 1.0 } else { -1.0 };
+        let slack = self.slack_col[i].map(|s| (s, sign));
+        slack.into_iter().chain(self.art_col[i].map(|a| (a, 1.0)))
     }
 
-    /// Row `rho` of `B^{-1} A` for every column: `alpha[j] = rho · a_j`.
+    /// Row `rho` of `B^{-1} A` for every column: `alpha[j] = rho · a_j`,
+    /// from the rows whose multiplier is not an exact zero — structural
+    /// entries, then the row's slack and artificial — rows ascending.
     ///
     /// Each sum starts at `+0.0` and adds its products in ascending row
-    /// order, as the dot product down `cols[j]` does. The terms left out
+    /// order, as the dot product down column `j` does. The terms left out
     /// are exact zeros, and adding `±0` changes no sum that started at
     /// `+0.0` (it can only ever be `+0.0` or nonzero), so every `alpha[j]`
     /// is the column-wise dot product bit for bit.
     pub(crate) fn pivot_row(&self, rho: &[f64], alpha: &mut Vec<f64>) {
         alpha.clear();
         alpha.resize(self.n_total, 0.0);
-        self.for_each_row_product(rho, |j, p| alpha[j] += p);
+        for (i, &r) in rho.iter().enumerate() {
+            if r == 0.0 { // lint: allow(float-eq): a row is skipped only when every product in it is an exact zero
+                continue;
+            }
+            self.rows.scatter(i, r, alpha, |x, p| *x += p);
+            for (j, one) in self.singletons(i) {
+                alpha[j] += r * one;
+            }
+        }
     }
 
     /// Reduced cost of every column: `d[j] = costs[j] - y · a_j`, the
-    /// bits [`InternalForm::column_reduced_cost`] gives column by column.
+    /// bits [`InternalForm::column_reduced_cost`] gives column by column,
+    /// from the rows [`InternalForm::pivot_row`] would walk.
     ///
     /// Subtracting the `±0` of a skipped row changes a running sum only
     /// when that sum is `-0.0` (`-0.0 - (-0.0)` is `+0.0`), and a sum is
@@ -489,7 +564,15 @@ impl InternalForm {
     pub(crate) fn reduced_costs(&self, costs: &[f64], y: &[f64], d: &mut Vec<f64>) {
         d.clear();
         d.extend_from_slice(costs);
-        self.for_each_row_product(y, |j, p| d[j] -= p);
+        for (i, &yi) in y.iter().enumerate() {
+            if yi == 0.0 { // lint: allow(float-eq): a row is skipped only when every product in it is an exact zero
+                continue;
+            }
+            self.rows.scatter(i, yi, d, |x, p| *x -= p);
+            for (j, one) in self.singletons(i) {
+                d[j] -= yi * one;
+            }
+        }
         for (j, c) in costs.iter().enumerate() {
             if c.to_bits() == (-0.0_f64).to_bits() {
                 d[j] = self.column_reduced_cost(costs, y, j);
@@ -500,10 +583,22 @@ impl InternalForm {
     /// Reduced cost of column `j`, term by term down the column.
     pub(crate) fn column_reduced_cost(&self, costs: &[f64], y: &[f64], j: usize) -> f64 {
         let mut d = costs[j];
-        for &(i, a) in &self.cols[j] {
+        for (i, a) in self.cols.line(j) {
             d -= y[i] * a;
         }
         d
+    }
+
+    /// `b − Σ_{j at upper} u_j a_j`: what the basic variables are left to
+    /// meet once every nonbasic column rests at its bound. Columns
+    /// ascending, each down its rows.
+    pub(crate) fn rhs_at_bounds(&self, state: &[VarState], upper: &[f64], rhs: &mut Vec<f64>) {
+        rhs.clone_from(&self.rhs);
+        for (j, (&st, &u)) in state.iter().zip(upper).enumerate() {
+            if st == VarState::Upper && u != 0.0 { // lint: allow(float-eq): skip columns pinned at a zero bound; exact zeros only
+                self.cols.scatter(j, u, rhs, |x, p| *x -= p);
+            }
+        }
     }
 
     /// A row no point inside the column bounds can satisfy, and by how

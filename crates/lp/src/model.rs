@@ -68,9 +68,10 @@ pub struct Problem {
 pub(crate) fn solve_with(
     problem: &Problem,
     form: Option<&mut InternalForm>,
+    ws: &mut revised::Workspace,
     warm: Option<&Basis>,
 ) -> Result<Solution, LpError> {
-    match revised::solve(problem, form, warm) {
+    match revised::solve(problem, form, ws, warm) {
         Err(LpError::IterationLimit { .. }) | Err(LpError::Internal { .. }) => {
             thermaware_obs::counter_add("lp.dense_fallbacks", 1);
             simplex::solve(problem)
@@ -273,7 +274,7 @@ impl Problem {
     /// The returned [`Solution`] carries a fresh basis — chain it through
     /// repeated re-solves via [`Solution::take_basis`].
     pub fn solve_warm(&self, warm: Option<&Basis>) -> Result<Solution, LpError> {
-        solve_with(self, None, warm)
+        solve_with(self, None, &mut revised::Workspace::default(), warm)
     }
 
     /// Solve on the dense two-phase tableau engine — the fallback oracle.

@@ -15,12 +15,15 @@
 use crate::basis::Basis;
 use crate::internal::InternalForm;
 use crate::model::{solve_with, ConstraintId, Problem, VarId};
+use crate::revised::Workspace;
 use crate::solution::{LpError, Solution};
 
 /// A [`Problem`] together with its internal form; see the module docs.
 pub struct Prepared {
     problem: Problem,
     form: InternalForm,
+    /// What the last solve worked in, for the next one to work in.
+    ws: Workspace,
 }
 
 impl Problem {
@@ -32,6 +35,7 @@ impl Problem {
         Prepared {
             problem: self,
             form,
+            ws: Workspace::default(),
         }
     }
 }
@@ -76,13 +80,14 @@ impl Prepared {
     /// that may have to re-normalise the form (a patch moved a row's
     /// right-hand side across zero), hence `&mut self`.
     pub fn solve_warm(&mut self, warm: Option<&Basis>) -> Result<Solution, LpError> {
-        solve_with(&self.problem, Some(&mut self.form), warm)
+        solve_with(&self.problem, Some(&mut self.form), &mut self.ws, warm)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::internal::VarState;
     use crate::model::{RowOp, Sense};
     use proptest::prelude::*;
 
@@ -115,17 +120,13 @@ mod tests {
         assert_eq!(bits(&a.rhs), bits(&b.rhs), "rhs");
         assert_eq!(a.ops, b.ops, "ops");
         assert_eq!(a.flipped, b.flipped, "flip pattern");
-        let cols = |f: &InternalForm| -> Vec<Vec<(usize, u64)>> {
-            f.cols
-                .iter()
-                .map(|c| c.iter().map(|&(i, v)| (i, v.to_bits())).collect())
-                .collect()
-        };
-        assert_eq!(cols(a), cols(b), "columns");
+        for (which, a, b) in [("cols", &a.cols, &b.cols), ("rows", &a.rows, &b.rows)] {
+            assert_eq!(a.start, b.start, "{which}.start");
+            assert_eq!(a.at, b.at, "{which}.at");
+            assert_eq!(bits(&a.val), bits(&b.val), "{which}.val");
+            assert_eq!(a.run, b.run, "{which}.run");
+        }
         assert_rows_transpose_cols(a);
-        assert_eq!(a.rows.start, b.rows.start, "row starts");
-        assert_eq!(a.rows.col, b.rows.col, "row columns");
-        assert_eq!(bits(&a.rows.val), bits(&b.rows.val), "row values");
         assert_eq!(a.slack_col, b.slack_col);
         assert_eq!(a.art_col, b.art_col);
         assert_eq!((a.art_start, a.n_total), (b.art_start, b.n_total));
@@ -140,13 +141,13 @@ mod tests {
         let n_struct = f.slack_col.iter().flatten().next().copied().unwrap_or(f.art_start);
         let mut by_col: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n_struct];
         for i in 0..f.m() {
-            for (j, a) in f.rows.row(i) {
+            for (j, a) in f.rows.line(i) {
                 by_col[j].push((i, a.to_bits()));
             }
         }
         for (j, listed) in by_col.iter().enumerate() {
             let column: Vec<(usize, u64)> =
-                f.cols[j].iter().map(|&(i, a)| (i, a.to_bits())).collect();
+                f.cols.line(j).map(|(i, a)| (i, a.to_bits())).collect();
             assert_eq!(listed, &column, "column {j} read off the rows");
         }
     }
@@ -172,8 +173,11 @@ mod tests {
         Sync,
     }
 
-    /// `(op, rhs, per-variable (coefficient, present?))`.
-    type RowSpec = (u8, f64, Vec<(f64, bool)>);
+    /// `(op, rhs, per-variable (coefficient, present?), layout)`. Layout
+    /// bit 0 lists every variable whatever its `present` says (a dense
+    /// row: its columns are one run), bit 1 lists the terms last variable
+    /// first (never an ascending run beyond a single term).
+    type RowSpec = (u8, f64, Vec<(f64, bool)>, u8);
 
     #[derive(Debug, Clone)]
     struct Model {
@@ -190,6 +194,7 @@ mod tests {
                 0u8..3,
                 -6.0_f64..6.0,
                 prop::collection::vec((-3.0_f64..3.0, any::<bool>()), n),
+                0u8..4,
             );
             (
                 prop::collection::vec(var, n),
@@ -235,13 +240,16 @@ mod tests {
             .rows
             .iter()
             .enumerate()
-            .map(|(i, (op, rhs, coeffs))| {
-                let terms: Vec<(VarId, f64)> = coeffs
+            .map(|(i, (op, rhs, coeffs, layout))| {
+                let mut terms: Vec<(VarId, f64)> = coeffs
                     .iter()
                     .enumerate()
-                    .filter(|(_, &(_, present))| present)
+                    .filter(|(_, &(_, present))| present || layout & 1 != 0)
                     .map(|(j, &(a, _))| (vars[j], a))
                     .collect();
+                if layout & 2 != 0 {
+                    terms.reverse();
+                }
                 let op = [RowOp::Le, RowOp::Ge, RowOp::Eq][usize::from(*op)];
                 p.add_row(&format!("r{i}"), &terms, op, *rhs)
             })
@@ -313,7 +321,14 @@ mod tests {
         /// and mirrored variables, rows that normalise flipped, zero
         /// objective coefficients under `Maximize` (internal cost
         /// `-0.0`), multipliers that are mostly zeros of either sign, and
-        /// after patches as well as fresh from `build`.
+        /// after patches as well as fresh from `build`. Likewise the
+        /// right-hand side at the bounds, against the entry-by-entry walk
+        /// down the columns at an upper bound, some of them exact zeros.
+        /// And all three once more with every `run` flag cleared: the
+        /// slice loops give the bits of the indexed walk, on forms that
+        /// mix runs (dense rows, rows of consecutive variables, the
+        /// columns under them) with lines that are not (gaps, terms
+        /// listed backwards).
         #[test]
         fn row_wise_pricing_equals_column_dot_products(
             m in model(),
@@ -321,6 +336,7 @@ mod tests {
             seq in patches(),
             mult in multipliers(),
             phase_one in any::<bool>(),
+            resting in prop::collection::vec(0u8..4, 32),
         ) {
             let mut m = m;
             for (var, &zero) in m.vars.iter_mut().zip(&zero_objective) {
@@ -350,14 +366,69 @@ mod tests {
             prop_assert_eq!(d.len(), f.n_total);
             for j in 0..f.n_total {
                 let mut dot = 0.0;
-                for &(i, a) in &f.cols[j] {
+                for (i, a) in f.cols.line(j) {
                     dot += mult[i] * a;
                 }
                 prop_assert_eq!(alpha[j].to_bits(), dot.to_bits(), "alpha[{}]: {} vs {}", j, alpha[j], dot);
                 let column = f.column_reduced_cost(&costs, mult, j);
                 prop_assert_eq!(d[j].to_bits(), column.to_bits(), "d[{}]: {} vs {}", j, d[j], column);
             }
+
+            // Columns at an upper bound: the form's own, `+0.0` or `-0.0`.
+            let mut upper = f.upper.clone();
+            let state: Vec<VarState> = (0..f.n_total)
+                .map(|j| {
+                    match resting[j] {
+                        2 => upper[j] = 0.0,
+                        3 => upper[j] = -0.0,
+                        _ => {}
+                    }
+                    if resting[j] > 0 && upper[j].is_finite() { VarState::Upper } else { VarState::Lower }
+                })
+                .collect();
+            let mut xb = vec![f64::NAN; 3];
+            f.rhs_at_bounds(&state, &upper, &mut xb);
+            let mut walked = f.rhs.clone();
+            // (A column at a zero bound is skipped, as it always was.)
+            for j in (0..f.n_total).filter(|&j| state[j] == VarState::Upper && upper[j].abs().to_bits() != 0) {
+                for (i, a) in f.cols.line(j) {
+                    walked[i] -= a * upper[j];
+                }
+            }
+            prop_assert_eq!(bits(&xb), bits(&walked), "rhs_at_bounds");
+
+            let mixed = (f.rows.run.clone(), f.cols.run.clone());
+            let f = &mut p.form;
+            f.rows.run.fill(false);
+            f.cols.run.fill(false);
+            let (mut alpha_at, mut d_at, mut xb_at) = (Vec::new(), Vec::new(), Vec::new());
+            f.pivot_row(mult, &mut alpha_at);
+            f.reduced_costs(&costs, mult, &mut d_at);
+            f.rhs_at_bounds(&state, &upper, &mut xb_at);
+            prop_assert_eq!(bits(&alpha), bits(&alpha_at), "pivot_row, runs {:?}", &mixed);
+            prop_assert_eq!(bits(&d), bits(&d_at), "reduced_costs, runs {:?}", &mixed);
+            prop_assert_eq!(bits(&xb), bits(&xb_at), "rhs_at_bounds, runs {:?}", &mixed);
         }
+    }
+
+    #[test]
+    fn runs_are_the_lines_whose_indices_ascend_by_one() {
+        // x0..x3; a dense row, a dense row listed backwards, a row with a
+        // gap, a row on two neighbours, a single term.
+        let mut p = Problem::new(Sense::Maximize);
+        let x: Vec<VarId> = (0..4).map(|j| p.add_var(&format!("x{j}"), 0.0, 1.0, 1.0)).collect();
+        let all: Vec<(VarId, f64)> = x.iter().map(|&v| (v, 2.0)).collect();
+        let backwards: Vec<(VarId, f64)> = all.iter().rev().copied().collect();
+        p.add_row("dense", &all, RowOp::Le, 1.0);
+        p.add_row("backwards", &backwards, RowOp::Le, 1.0);
+        p.add_row("gap", &[(x[0], 1.0), (x[2], 1.0)], RowOp::Le, 1.0);
+        p.add_row("pair", &[(x[2], 1.0), (x[3], 1.0)], RowOp::Le, 1.0);
+        p.add_row("single", &[(x[1], 1.0)], RowOp::Le, 1.0);
+        let f = InternalForm::build(&p);
+        assert_eq!(f.rows.run, [true, false, false, true, true]);
+        // x0: rows 0-2; x1: rows 0, 1, 4; x2: rows 0-3; x3: rows 0, 1, 3;
+        // then the five slacks, one entry each.
+        assert_eq!(f.cols.run, [true, false, true, false, true, true, true, true, true]);
     }
 
     fn budget_problem() -> (Problem, VarId, ConstraintId, ConstraintId) {

@@ -17,9 +17,11 @@
 //! nonzero lists ([`thermaware_linalg::CompressedLu`]), and the dual
 //! pivot row and the reduced costs are scattered row by row from the
 //! form's row-major copy ([`InternalForm::pivot_row`],
-//! [`InternalForm::reduced_costs`]). None of them reorders a sum — the
-//! results are the dense loops' bit for bit, which is what keeps every
-//! pivot sequence, and with it every plan, what it was (DESIGN §10).
+//! [`InternalForm::reduced_costs`]) — as slice loops where a row's
+//! columns are one run, which in the room LP is every row. None of them
+//! reorders a sum — the results are the dense loops' bit for bit, which
+//! is what keeps every pivot sequence, and with it every plan, what it
+//! was (DESIGN §10).
 //!
 //! Each pivot appends one eta vector (O(m) storage, O(m) application);
 //! after [`ETA_LIMIT`] etas — or on a dangerously small pivot — the basis
@@ -50,6 +52,8 @@ use crate::internal::{InternalForm, VarState};
 use crate::model::Problem;
 use crate::solution::{LpError, Solution};
 use std::cell::Cell;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 use std::time::Instant;
 use thermaware_linalg::{CompressedLu, Lu, Matrix};
 
@@ -71,6 +75,106 @@ const ETA_LIMIT: usize = 48;
 /// One product-form update: basis column `r` was replaced, `w = B^{-1} a_q`.
 struct Eta {
     r: usize,
+    w: Vec<f64>,
+}
+
+impl Eta {
+    /// `v := E^{-1} v`: `v[r] /= w[r]`, then every other entry loses
+    /// `w[i]` times that — below `r` and above it, no test per element.
+    fn apply(&self, v: &mut [f64]) {
+        let (v_lo, v_hi) = v.split_at_mut(self.r);
+        let (w_lo, w_hi) = self.w.split_at(self.r);
+        let xr = v_hi[0] / w_hi[0];
+        for (vi, &wi) in v_lo.iter_mut().zip(w_lo) {
+            *vi -= wi * xr;
+        }
+        for (vi, &wi) in v_hi[1..].iter_mut().zip(&w_hi[1..]) {
+            *vi -= wi * xr;
+        }
+        v_hi[0] = xr;
+    }
+}
+
+/// One candidate of the dual ratio test. Ordered as the test takes them:
+/// smaller ratio first, ties to the larger `|alpha|` for stability, then
+/// to the smaller column — the order a stable sort by the first two gives
+/// a list built in column order. Total, since columns are distinct.
+#[derive(Clone, Copy)]
+struct Cand {
+    ratio: f64,
+    abs_alpha: f64,
+    col: usize,
+}
+
+impl Ord for Cand {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.ratio.total_cmp(&other.ratio))
+            .then(other.abs_alpha.total_cmp(&self.abs_alpha))
+            .then(self.col.cmp(&other.col))
+    }
+}
+
+impl PartialOrd for Cand {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Cand {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Cand {}
+
+/// The walk of the bound-flipping ratio test over its candidates in
+/// order: flip every boxed column whose whole range leaves more than
+/// `FEAS_TOL` of the row's infeasibility `slope` to repair, stop at the
+/// first that would over-repair it or has no bound to flip to. Returns
+/// that column — the entering one — and whether any column was flipped.
+fn long_step(
+    mut next: impl FnMut() -> Option<Cand>,
+    upper: &[f64],
+    state: &mut [VarState],
+    mut slope: f64,
+) -> (Option<usize>, bool) {
+    let mut flipped = false;
+    while let Some(Cand { abs_alpha, col: j, .. }) = next() {
+        let absorb = upper[j] * abs_alpha; // inf when unboxed
+        if absorb.is_finite() && slope - absorb > FEAS_TOL {
+            // Candidates are nonbasic by construction, so the flip is a
+            // two-way toggle.
+            state[j] = if state[j] == VarState::Lower {
+                VarState::Upper
+            } else {
+                VarState::Lower
+            };
+            slope -= absorb;
+            flipped = true;
+        } else {
+            return (Some(j), flipped);
+        }
+    }
+    (None, flipped)
+}
+
+/// What a solve works in besides its basis, kept by a [`crate::Prepared`]
+/// from one solve to the next so that none but the first allocates it:
+/// the factors (a refactorisation builds the basis matrix in the storage
+/// of the factors it replaces — the last solve's, at a solve's start) and
+/// the per-iteration vectors: multipliers `y`, reduced costs `d` and
+/// pivot row `alpha` (one entry per column), the dual's `rho` and
+/// ratio-test candidates, the entering column. Every one is overwritten
+/// before it is read.
+#[derive(Default)]
+pub(crate) struct Workspace {
+    lu: Option<CompressedLu>,
+    y: Vec<f64>,
+    d: Vec<f64>,
+    alpha: Vec<f64>,
+    rho: Vec<f64>,
+    cands: Vec<Reverse<Cand>>,
     w: Vec<f64>,
 }
 
@@ -155,7 +259,6 @@ struct Rev<'a> {
     /// Basic column of each row.
     basic: Vec<usize>,
     state: Vec<VarState>,
-    lu: Option<CompressedLu>,
     etas: Vec<Eta>,
     /// Values of the basic variables, one per row.
     xb: Vec<f64>,
@@ -165,33 +268,27 @@ struct Rev<'a> {
     bland: bool,
     factorizations: usize,
     clock: &'a PhaseClock,
-    /// Per-iteration vectors, kept between iterations so that a pivot
-    /// allocates nothing but the eta it leaves behind: multipliers `y`,
-    /// reduced costs `d` and pivot row `alpha` (one entry per column),
-    /// the dual's `rho` and ratio-test candidates, the entering column.
-    y: Vec<f64>,
-    d: Vec<f64>,
-    alpha: Vec<f64>,
-    rho: Vec<f64>,
-    cands: Vec<(f64, f64, usize)>,
-    w: Vec<f64>,
+    /// Factors and per-iteration vectors: a pivot allocates nothing but
+    /// the eta it leaves behind.
+    ws: &'a mut Workspace,
 }
 
 impl<'a> Rev<'a> {
-    /// A solver state at the given basis, nothing factorized yet.
+    /// A solver state at the given basis, nothing factorized yet: the
+    /// workspace's factors are some other basis's until `factorize` ran.
     fn new(
         f: &'a InternalForm,
         upper: Vec<f64>,
         basic: Vec<usize>,
         state: Vec<VarState>,
         clock: &'a PhaseClock,
+        ws: &'a mut Workspace,
     ) -> Self {
         Rev {
             f,
             upper,
             basic,
             state,
-            lu: None,
             etas: Vec::new(),
             xb: Vec::new(),
             iterations: 0,
@@ -200,12 +297,7 @@ impl<'a> Rev<'a> {
             bland: false,
             factorizations: 0,
             clock,
-            y: Vec::new(),
-            d: Vec::new(),
-            alpha: Vec::new(),
-            rho: Vec::new(),
-            cands: Vec::new(),
-            w: Vec::new(),
+            ws,
         }
     }
 
@@ -219,16 +311,15 @@ impl<'a> Rev<'a> {
     fn factorize(&mut self) -> Result<(), LpError> {
         let since = self.clock.start();
         let m = self.m();
-        let mut b = match self.lu.take() {
-            Some(old) => {
-                let mut b = old.into_matrix();
+        let mut b = match self.ws.lu.take().map(CompressedLu::into_matrix) {
+            Some(mut b) if b.shape() == (m, m) => {
                 b.fill(0.0);
                 b
             }
-            None => Matrix::zeros(m, m),
+            _ => Matrix::zeros(m, m),
         };
         for (r, &j) in self.basic.iter().enumerate() {
-            for &(i, a) in &self.f.cols[j] {
+            for (i, a) in self.f.cols.line(j) {
                 b[(i, r)] = a;
             }
         }
@@ -236,7 +327,7 @@ impl<'a> Rev<'a> {
             what: "singular basis matrix".to_string(),
         });
         self.clock.stop(Phase::Factorize, since);
-        self.lu = Some(lu?);
+        self.ws.lu = Some(lu?);
         self.etas.clear();
         self.factorizations += 1;
         Ok(())
@@ -252,20 +343,14 @@ impl<'a> Rev<'a> {
 
     /// `v := B^{-1} v` through the factorization and the eta chain.
     fn ftran_untimed(&self, v: &mut [f64]) -> Result<(), LpError> {
-        let lu = self.lu.as_ref().ok_or_else(|| LpError::Internal {
+        let lu = self.ws.lu.as_ref().ok_or_else(|| LpError::Internal {
             what: "ftran before factorization".to_string(),
         })?;
         lu.solve_in_place(v).map_err(|e| LpError::Internal {
             what: format!("ftran: {e}"),
         })?;
         for e in &self.etas {
-            let xr = v[e.r] / e.w[e.r];
-            for (i, (vi, &wi)) in v.iter_mut().zip(&e.w).enumerate() {
-                if i != e.r {
-                    *vi -= wi * xr;
-                }
-            }
-            v[e.r] = xr;
+            e.apply(v);
         }
         Ok(())
     }
@@ -283,7 +368,7 @@ impl<'a> Rev<'a> {
             }
             v[e.r] = s / e.w[e.r];
         }
-        let done = match &self.lu {
+        let done = match &self.ws.lu {
             Some(lu) => lu.solve_transposed_in_place(v).map_err(|e| LpError::Internal {
                 what: format!("btran: {e}"),
             }),
@@ -305,14 +390,14 @@ impl<'a> Rev<'a> {
     /// Multipliers, then the reduced cost of every column into `self.d`,
     /// that pass timed as `phase`.
     fn price(&mut self, costs: &[f64], phase: Phase) -> Result<(), LpError> {
-        let mut y = std::mem::take(&mut self.y);
+        let mut y = std::mem::take(&mut self.ws.y);
         let priced = self.multipliers(costs, &mut y);
         if priced.is_ok() {
             let since = self.clock.start();
-            self.f.reduced_costs(costs, &y, &mut self.d);
+            self.f.reduced_costs(costs, &y, &mut self.ws.d);
             self.clock.stop(phase, since);
         }
-        self.y = y;
+        self.ws.y = y;
         priced
     }
 
@@ -320,17 +405,7 @@ impl<'a> Rev<'a> {
     fn compute_xb(&mut self) -> Result<(), LpError> {
         let since = self.clock.start();
         let mut rhs = std::mem::take(&mut self.xb);
-        rhs.clone_from(&self.f.rhs);
-        for (j, col) in self.f.cols.iter().enumerate() {
-            if self.state[j] == VarState::Upper {
-                let u = self.upper[j];
-                if u != 0.0 { // lint: allow(float-eq): skip columns pinned at a zero bound; exact zeros only
-                    for &(i, a) in col {
-                        rhs[i] -= a * u;
-                    }
-                }
-            }
-        }
+        self.f.rhs_at_bounds(&self.state, &self.upper, &mut rhs);
         let done = self.ftran_untimed(&mut rhs);
         self.xb = rhs;
         self.clock.stop(Phase::ComputeXb, since);
@@ -339,10 +414,10 @@ impl<'a> Rev<'a> {
 
     /// The entering column `w = B^{-1} a_q`, in the kept buffer.
     fn entering_column(&mut self, q: usize) -> Result<Vec<f64>, LpError> {
-        let mut w = std::mem::take(&mut self.w);
+        let mut w = std::mem::take(&mut self.ws.w);
         w.clear();
         w.resize(self.m(), 0.0);
-        for &(i, a) in &self.f.cols[q] {
+        for (i, a) in self.f.cols.line(q) {
             w[i] = a;
         }
         self.ftran(&mut w)?;
@@ -365,7 +440,7 @@ impl<'a> Rev<'a> {
             if self.upper[j] <= 0.0 {
                 continue;
             }
-            let gain = -dir * self.d[j];
+            let gain = -dir * self.ws.d[j];
             if gain > best_gain {
                 if self.bland {
                     return Some((j, dir));
@@ -422,7 +497,7 @@ impl<'a> Rev<'a> {
         }
 
         if t_best.is_infinite() {
-            self.w = w;
+            self.ws.w = w;
             return Ok(Step::Unbounded(q));
         }
 
@@ -432,7 +507,7 @@ impl<'a> Rev<'a> {
         if let Some((r, _)) = leave {
             if w[r].abs() < PIVOT_TINY {
                 if !self.etas.is_empty() {
-                    self.w = w;
+                    self.ws.w = w;
                     self.factorize()?;
                     self.compute_xb()?;
                     return Ok(Step::Retry);
@@ -472,7 +547,7 @@ impl<'a> Rev<'a> {
                         })
                     }
                 };
-                self.w = w;
+                self.ws.w = w;
             }
             Some((r, hit)) => {
                 let k = self.basic[r];
@@ -562,7 +637,7 @@ impl<'a> Rev<'a> {
             // Row r of B^{-1} A: alpha_j = rho · a_j with rho = B^{-T} e_r,
             // for every column at once from the rows where rho is not
             // zero, and the reduced costs the same way from y.
-            let mut rho = std::mem::take(&mut self.rho);
+            let mut rho = std::mem::take(&mut self.ws.rho);
             rho.clear();
             rho.resize(self.m(), 0.0);
             rho[r] = 1.0;
@@ -570,7 +645,7 @@ impl<'a> Rev<'a> {
             beta[r] = rho.iter().map(|v| v * v).sum();
             self.price(costs, Phase::PivotRow)?;
             let since = self.clock.start();
-            self.f.pivot_row(&rho, &mut self.alpha);
+            self.f.pivot_row(&rho, &mut self.ws.alpha);
 
             // Entering column: bound-flipping dual ratio test (BFRT).
             // Each eligible candidate offers a dual step of
@@ -585,14 +660,14 @@ impl<'a> Rev<'a> {
             // here because a budget/capacity shift re-rests whole runs
             // of boxed segment variables, which the classic test pays
             // one pivot each for and this test pays zero.
-            let mut cands = std::mem::take(&mut self.cands); // (ratio, |alpha|, col)
+            let mut cands = std::mem::take(&mut self.ws.cands);
             cands.clear();
             for j in 0..self.f.n_total {
                 let st = self.state[j];
                 if st == VarState::Basic || self.upper[j] <= 0.0 {
                     continue;
                 }
-                let alpha = self.alpha[j];
+                let alpha = self.ws.alpha[j];
                 // Eligibility: entering from Lower needs delta >= 0,
                 // from Upper delta <= 0, with delta = (xb_r - target)/alpha.
                 let eligible = if to_upper {
@@ -605,7 +680,7 @@ impl<'a> Rev<'a> {
                 if !eligible {
                     continue;
                 }
-                let d = self.d[j];
+                let d = self.ws.d[j];
                 // Dual feasibility holds within tol, so clamp tiny
                 // wrong-signed reduced costs to zero for the ratio.
                 let num = match st {
@@ -613,34 +688,22 @@ impl<'a> Rev<'a> {
                     VarState::Upper => (-d).max(0.0),
                     VarState::Basic => continue,
                 };
-                cands.push((num / alpha.abs(), alpha.abs(), j));
+                cands.push(Reverse(Cand {
+                    ratio: num / alpha.abs(),
+                    abs_alpha: alpha.abs(),
+                    col: j,
+                }));
             }
-            // Ratio order; ties prefer the larger |alpha| for stability.
-            cands.sort_by(|a, b| a.0.total_cmp(&b.0).then(b.1.total_cmp(&a.1)));
-            self.clock.stop(Phase::PivotRow, since);
+            // The walk below takes a few of the candidates, in `Cand`
+            // order: a heap on their buffer hands them over one by one.
+            let mut cands = BinaryHeap::from(cands);
             let k = self.basic[r];
             let target = if to_upper { self.upper[k] } else { 0.0 };
-            let mut slope = (self.xb[r] - target).abs();
-            let mut entering = None;
-            let mut flipped = false;
-            for &(_, abs_alpha, j) in &cands {
-                let absorb = self.upper[j] * abs_alpha; // inf when unboxed
-                if absorb.is_finite() && slope - absorb > FEAS_TOL {
-                    // Candidates are nonbasic by construction, so the
-                    // flip is a two-way toggle.
-                    self.state[j] = if self.state[j] == VarState::Lower {
-                        VarState::Upper
-                    } else {
-                        VarState::Lower
-                    };
-                    slope -= absorb;
-                    flipped = true;
-                } else {
-                    entering = Some(j);
-                    break;
-                }
-            }
-            self.cands = cands;
+            let slope = (self.xb[r] - target).abs();
+            let next = || cands.pop().map(|Reverse(c)| c);
+            let (entering, flipped) = long_step(next, &self.upper, &mut self.state, slope);
+            self.ws.cands = cands.into_vec();
+            self.clock.stop(Phase::PivotRow, since);
             let Some(q) = entering else {
                 // No column can absorb the (remaining) infeasibility: the
                 // perturbed problem is primal-infeasible *or* the warm
@@ -660,7 +723,7 @@ impl<'a> Rev<'a> {
             let w = self.entering_column(q)?;
             if w[r].abs() < PIVOT_TINY {
                 if !self.etas.is_empty() {
-                    (self.w, self.rho) = (w, rho);
+                    (self.ws.w, self.ws.rho) = (w, rho);
                     self.factorize()?;
                     self.compute_xb()?;
                     continue;
@@ -685,7 +748,7 @@ impl<'a> Rev<'a> {
                 }
             }
             beta[r] = (beta_r / (w[r] * w[r])).max(1e-10);
-            self.rho = tau;
+            self.ws.rho = tau;
 
             let delta = (self.xb[r] - target) / w[r];
             for i in 0..self.m() {
@@ -779,36 +842,38 @@ struct SolveStats {
     warm: WarmStats,
     degen: usize,
     refactorizations: usize,
+    clock: PhaseClock,
 }
 
 /// Solve `problem` with the revised simplex, optionally warm-starting
 /// from `warm`. `form` is the problem's internal form when the caller
 /// keeps one ([`crate::Prepared`]); `None` builds it here, inside the
-/// timed section. Observability mirrors the dense engine's wrapper: one
+/// timed section. `ws` is the caller's to keep or drop. Observability mirrors the dense engine's wrapper: one
 /// batched recorder visit per solve.
 pub(crate) fn solve(
     problem: &Problem,
     form: Option<&mut InternalForm>,
+    ws: &mut Workspace,
     warm: Option<&Basis>,
 ) -> Result<Solution, LpError> {
     let mut stats = SolveStats {
         warm: WarmStats::default(),
         degen: 0,
         refactorizations: 0,
+        clock: PhaseClock::new(thermaware_obs::enabled()),
     };
-    let clock = PhaseClock::new(thermaware_obs::enabled());
-    if !clock.on {
-        return solve_impl(problem, form, warm, &mut stats, &clock);
+    if !stats.clock.on {
+        return solve_impl(problem, form, ws, warm, &mut stats);
     }
     let start = Instant::now();
-    let result = solve_impl(problem, form, warm, &mut stats, &clock);
+    let result = solve_impl(problem, form, ws, warm, &mut stats);
     // Fractional, so that the phases — disjoint stretches of this
     // interval — can never sum to more than it.
     let elapsed_us = start.elapsed().as_nanos() as f64 / 1e3;
     thermaware_obs::with_recorder(|r| {
         r.counter_add("lp.solves", 1);
         r.observe("lp.solve_us", elapsed_us);
-        for (name, ns) in PHASE_METRICS.iter().zip(&clock.ns) {
+        for (name, ns) in PHASE_METRICS.iter().zip(&stats.clock.ns) {
             r.observe(name, ns.get() as f64 / 1e3);
         }
         r.observe("lp.degenerate_steps", stats.degen as f64);
@@ -837,9 +902,9 @@ pub(crate) fn solve(
 fn solve_impl(
     problem: &Problem,
     form: Option<&mut InternalForm>,
+    ws: &mut Workspace,
     warm: Option<&Basis>,
     stats: &mut SolveStats,
-    clock: &PhaseClock,
 ) -> Result<Solution, LpError> {
     let mut built = None;
     let f = match form {
@@ -860,13 +925,13 @@ fn solve_impl(
 
     // ---- Warm path --------------------------------------------------------
     if let Some(basis) = warm {
-        if let Some(sol) = try_warm(problem, f, basis, tol2, cap, stats, clock)? {
+        if let Some(sol) = try_warm(problem, f, basis, tol2, cap, stats, ws)? {
             return Ok(sol);
         }
     }
 
     // ---- Cold two-phase ----------------------------------------------------
-    let mut rev = cold_start(f, clock)?;
+    let mut rev = cold_start(f, &stats.clock, ws)?;
     let needs_phase1 = f.art_col.iter().any(Option::is_some);
     if needs_phase1 {
         let phase1_cost: Vec<f64> = (0..f.n_total)
@@ -905,7 +970,11 @@ fn solve_impl(
 
 /// Build the phase-1 starting point: slacks basic on `Le` rows,
 /// artificials basic on `Ge`/`Eq` rows — an identity basis.
-fn cold_start<'a>(f: &'a InternalForm, clock: &'a PhaseClock) -> Result<Rev<'a>, LpError> {
+fn cold_start<'a>(
+    f: &'a InternalForm,
+    clock: &'a PhaseClock,
+    ws: &'a mut Workspace,
+) -> Result<Rev<'a>, LpError> {
     let m = f.m();
     let mut basic = vec![usize::MAX; m];
     let mut state = vec![VarState::Lower; f.n_total];
@@ -922,7 +991,7 @@ fn cold_start<'a>(f: &'a InternalForm, clock: &'a PhaseClock) -> Result<Rev<'a>,
         basic[i] = b;
         state[b] = VarState::Basic;
     }
-    let mut rev = Rev::new(f, f.upper.clone(), basic, state, clock);
+    let mut rev = Rev::new(f, f.upper.clone(), basic, state, clock, ws);
     rev.factorize()?;
     rev.compute_xb()?;
     Ok(rev)
@@ -940,7 +1009,7 @@ fn try_warm(
     tol2: f64,
     cap: usize,
     stats: &mut SolveStats,
-    clock: &PhaseClock,
+    ws: &mut Workspace,
 ) -> Result<Option<Solution>, LpError> {
     let Some((basic, mut state)) = basis.restore(f) else {
         return Ok(None);
@@ -954,7 +1023,7 @@ fn try_warm(
             state[j] = VarState::Lower;
         }
     }
-    let mut rev = Rev::new(f, upper, basic, state, clock);
+    let mut rev = Rev::new(f, upper, basic, state, &stats.clock, ws);
     if rev.factorize().is_err() {
         // The perturbed coefficients made the old basis singular.
         return Ok(None);
@@ -990,7 +1059,7 @@ fn try_warm(
         let flip_tol = 1e6 * tol2;
         let mut flipped = false;
         for j in 0..f.n_total {
-            let d = rev.d[j];
+            let d = rev.ws.d[j];
             match rev.state[j] {
                 VarState::Basic => {}
                 // Fixed columns (u == 0) cannot leave their bound, so any
@@ -1047,6 +1116,7 @@ fn try_warm(
 mod tests {
     use super::*;
     use crate::model::{Problem, RowOp, Sense};
+    use proptest::prelude::*;
 
     fn sample() -> Problem {
         // max 3x + 2y  s.t.  x + y <= 4,  x <= 2 (bound),  x,y >= 0
@@ -1057,10 +1127,90 @@ mod tests {
         p
     }
 
+    proptest! {
+        /// The heap hands the dual ratio test its candidates in the
+        /// order the stable sort it replaces laid them out — on lists
+        /// full of equal ratios and equal `(ratio, |alpha|)` pairs — so
+        /// the walk flips the same columns and stops at the same one.
+        #[test]
+        fn heap_pops_in_the_stable_sorts_order(
+            list in prop::collection::vec((0u8..4, 0u8..3, 0u8..4, any::<bool>()), 0..40),
+            slope in 0.0_f64..8.0,
+        ) {
+            // One candidate per column, columns ascending, as `run_dual`
+            // pushes them; ratios include both zeros, which `total_cmp`
+            // tells apart.
+            let ratios = [-0.0, 0.0, 0.5, 2.0];
+            let cands: Vec<Cand> = list
+                .iter()
+                .enumerate()
+                .map(|(col, &(r, a, ..))| Cand {
+                    ratio: ratios[usize::from(r)],
+                    abs_alpha: 0.25 * f64::from(a + 1),
+                    col,
+                })
+                .collect();
+            let upper: Vec<f64> = list
+                .iter()
+                .map(|&(_, _, u, _)| if u == 0 { f64::INFINITY } else { f64::from(u) })
+                .collect();
+            let state: Vec<VarState> = list
+                .iter()
+                .map(|&(.., up)| if up { VarState::Upper } else { VarState::Lower })
+                .collect();
+
+            let mut sorted: Vec<(f64, f64, usize)> =
+                cands.iter().map(|c| (c.ratio, c.abs_alpha, c.col)).collect();
+            sorted.sort_by(|a, b| a.0.total_cmp(&b.0).then(b.1.total_cmp(&a.1)));
+            let sorted: Vec<usize> = sorted.into_iter().map(|c| c.2).collect();
+
+            let mut heap = BinaryHeap::from(cands.iter().map(|&c| Reverse(c)).collect::<Vec<_>>());
+            let popped: Vec<usize> = std::iter::from_fn(|| heap.pop()).map(|c| c.0.col).collect();
+            prop_assert_eq!(&popped, &sorted);
+
+            let mut heap = BinaryHeap::from(cands.iter().map(|&c| Reverse(c)).collect::<Vec<_>>());
+            let mut by_heap = state.clone();
+            let heap_walk = long_step(|| heap.pop().map(|c| c.0), &upper, &mut by_heap, slope);
+            let mut in_order = sorted.iter().map(|&col| cands[col]);
+            let mut by_sort = state.clone();
+            let sort_walk = long_step(|| in_order.next(), &upper, &mut by_sort, slope);
+            prop_assert_eq!(heap_walk, sort_walk);
+            prop_assert_eq!(by_heap, by_sort);
+        }
+
+        /// `Eta::apply`, split at the pivot row, against the loop that
+        /// tests every index — pivot rows at both ends included.
+        #[test]
+        fn split_eta_loop_equals_the_branchy_one(
+            (w, v, r) in (1usize..40).prop_flat_map(|m| (
+                prop::collection::vec(-4.0_f64..4.0, m),
+                prop::collection::vec((0u8..4, -9.0_f64..9.0), m),
+                0..m,
+            )),
+        ) {
+            let v: Vec<f64> = v
+                .into_iter()
+                .map(|(kind, x)| match kind { 0 => 0.0, 1 => -0.0, _ => x })
+                .collect();
+            let mut branchy = v.clone();
+            let xr = branchy[r] / w[r];
+            for (i, (vi, &wi)) in branchy.iter_mut().zip(&w).enumerate() {
+                if i != r {
+                    *vi -= wi * xr;
+                }
+            }
+            branchy[r] = xr;
+            let mut split = v;
+            Eta { r, w }.apply(&mut split);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            prop_assert_eq!(bits(&split), bits(&branchy));
+        }
+    }
+
     #[test]
     fn matches_dense_on_basic_problem() {
         let p = sample();
-        let s = solve(&p, None, None).unwrap();
+        let s = solve(&p, None, &mut Workspace::default(), None).unwrap();
         assert!((s.objective - 10.0).abs() < 1e-9);
         assert!((s.values[0] - 2.0).abs() < 1e-9);
         assert!((s.values[1] - 2.0).abs() < 1e-9);
@@ -1070,8 +1220,8 @@ mod tests {
     #[test]
     fn warm_restart_costs_no_pivots_when_unperturbed() {
         let p = sample();
-        let cold = solve(&p, None, None).unwrap();
-        let warm = solve(&p, None, cold.basis.as_ref()).unwrap();
+        let cold = solve(&p, None, &mut Workspace::default(), None).unwrap();
+        let warm = solve(&p, None, &mut Workspace::default(), cold.basis.as_ref()).unwrap();
         assert_eq!(warm.iterations, 0, "unchanged problem should re-verify, not re-pivot");
         assert!((warm.objective - cold.objective).abs() < 1e-9);
     }
@@ -1079,12 +1229,12 @@ mod tests {
     #[test]
     fn warm_restart_after_cost_change_stays_correct() {
         let mut p = sample();
-        let cold = solve(&p, None, None).unwrap();
+        let cold = solve(&p, None, &mut Workspace::default(), None).unwrap();
         // Flip the preference toward y.
         p.set_var_objective(crate::model::VarId(0), 1.0);
         p.set_var_objective(crate::model::VarId(1), 5.0);
-        let warm = solve(&p, None, cold.basis.as_ref()).unwrap();
-        let fresh = solve(&p, None, None).unwrap();
+        let warm = solve(&p, None, &mut Workspace::default(), cold.basis.as_ref()).unwrap();
+        let fresh = solve(&p, None, &mut Workspace::default(), None).unwrap();
         assert!((warm.objective - fresh.objective).abs() < 1e-9);
         assert!(p.max_violation(&warm.values) < 1e-9);
     }
@@ -1095,11 +1245,11 @@ mod tests {
         let x = p.add_var("x", 0.0, 10.0, 3.0);
         let y = p.add_var("y", 0.0, 10.0, 2.0);
         let r = p.add_row("cap", &[(x, 1.0), (y, 1.0)], RowOp::Le, 8.0);
-        let cold = solve(&p, None, None).unwrap();
+        let cold = solve(&p, None, &mut Workspace::default(), None).unwrap();
         // Fault-style tightening: the binding row loses half its budget.
         p.cons[r.0].rhs = 4.0;
-        let warm = solve(&p, None, cold.basis.as_ref()).unwrap();
-        let fresh = solve(&p, None, None).unwrap();
+        let warm = solve(&p, None, &mut Workspace::default(), cold.basis.as_ref()).unwrap();
+        let fresh = solve(&p, None, &mut Workspace::default(), None).unwrap();
         assert!((warm.objective - fresh.objective).abs() < 1e-9);
         assert!(p.max_violation(&warm.values) < 1e-9);
     }
@@ -1107,13 +1257,13 @@ mod tests {
     #[test]
     fn mismatched_basis_falls_back_to_cold() {
         let p = sample();
-        let cold = solve(&p, None, None).unwrap();
+        let cold = solve(&p, None, &mut Workspace::default(), None).unwrap();
         // A structurally different problem: extra row.
         let mut p2 = sample();
         let x = crate::model::VarId(0);
         p2.add_row("extra", &[(x, 1.0)], RowOp::Le, 1.5);
-        let s = solve(&p2, None, cold.basis.as_ref()).unwrap();
-        let fresh = solve(&p2, None, None).unwrap();
+        let s = solve(&p2, None, &mut Workspace::default(), cold.basis.as_ref()).unwrap();
+        let fresh = solve(&p2, None, &mut Workspace::default(), None).unwrap();
         assert!((s.objective - fresh.objective).abs() < 1e-9);
     }
 
@@ -1122,12 +1272,12 @@ mod tests {
         let mut p = Problem::new(Sense::Maximize);
         let x = p.add_var("x", 0.0, 1.0, 1.0);
         p.add_row("force", &[(x, 1.0)], RowOp::Ge, 3.0);
-        assert!(matches!(solve(&p, None, None), Err(LpError::Infeasible { .. })));
+        assert!(matches!(solve(&p, None, &mut Workspace::default(), None), Err(LpError::Infeasible { .. })));
 
         let mut q = Problem::new(Sense::Maximize);
         let _g = q.add_var("growth", 0.0, f64::INFINITY, 1.0);
         assert!(matches!(
-            solve(&q, None, None),
+            solve(&q, None, &mut Workspace::default(), None),
             Err(LpError::Unbounded { var }) if var == "growth"
         ));
     }
@@ -1142,7 +1292,7 @@ mod tests {
         let mut p = Problem::new(Sense::Maximize);
         let x = p.add_var("x", 0.0, f64::INFINITY, 1.0);
         p.add_row("thin", &[(x, 1e-8)], RowOp::Le, 1.0);
-        match solve(&p, None, None) {
+        match solve(&p, None, &mut Workspace::default(), None) {
             Err(LpError::Internal { what }) => assert!(what.contains("tiny pivot"), "{what}"),
             other => panic!("expected tiny-pivot error, got {other:?}"),
         }
@@ -1176,7 +1326,7 @@ mod tests {
                 1.0,
             );
         }
-        let s = solve(&p, None, None).unwrap();
+        let s = solve(&p, None, &mut Workspace::default(), None).unwrap();
         for (k, &v) in vars.iter().enumerate() {
             assert!((s.value(v) - (k as f64 + 1.0)).abs() < 1e-7, "x{k}");
         }

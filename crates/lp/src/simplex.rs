@@ -377,8 +377,8 @@ fn solve_impl(problem: &Problem, degen_out: &mut usize) -> Result<Solution, LpEr
 
     // ---- Assemble the dense tableau from the sparse columns --------------
     let mut t = Matrix::zeros(nrows, n_total);
-    for (j, col) in f.cols.iter().enumerate() {
-        for &(i, a) in col {
+    for j in 0..n_total {
+        for (i, a) in f.cols.line(j) {
             t[(i, j)] = a;
         }
     }
