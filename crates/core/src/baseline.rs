@@ -184,7 +184,7 @@ fn frac_lp(dc: &DataCenter) -> (RoomLp<'_>, Vec<Vec<Option<VarId>>>) {
             }
         })
         .collect();
-    (RoomLp::build(dc, p, layout, true), vars)
+    (RoomLp::build(dc, p, layout, Some(dc.budget.p_const_kw)), vars)
 }
 
 #[cfg(test)]

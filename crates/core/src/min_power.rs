@@ -82,7 +82,7 @@ pub fn solve_min_power(
     // first earns at least as much reward per watt).
     p.add_row_nodup("reward_floor", &reward_terms, RowOp::Ge, reward_floor);
     // Redlines only: the power budget is what this problem minimizes.
-    let mut room = RoomLp::build(dc, p, segment_layout(dc, &node_vars), false);
+    let mut room = RoomLp::build(dc, p, segment_layout(dc, &node_vars), None);
 
     let (crac_out_c, node_core, _) =
         room::search_outlets(dc, options.search, "min_power", |outlets| {

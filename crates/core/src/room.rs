@@ -20,6 +20,7 @@
 //! holds to be bit for bit the model a build per candidate would make.
 
 use crate::error::SolveError;
+use std::fmt::Write as _;
 use thermaware_datacenter::{optimize_crac_outlets, CracSearchOptions, DataCenter};
 use thermaware_lp::{ConstraintId, Prepared, Problem, RowOp, VarId};
 use thermaware_thermal::{cop, RHO_CP};
@@ -49,88 +50,121 @@ pub(crate) struct RoomLp<'a> {
     dc: &'a DataCenter,
     /// The prepared problem; the caller patches its objective and solves.
     pub(crate) lp: Prepared,
+    rows: RoomRows,
+    /// The total power the `power_budget` row holds the room to, kW.
+    budget_kw: Option<f64>,
+    fixed_kw: Vec<f64>,
+    power_coeffs: Vec<f64>,
+}
+
+/// The room's rows as appended to a caller's problem.
+struct RoomRows {
     node_rows: Vec<ConstraintId>,
     crac_rows: Vec<ConstraintId>,
+    /// The Eq. 7 Constraint 4 row, when asked for.
     power_row: Option<ConstraintId>,
-    fixed_kw: Vec<f64>,
     /// `Σ_j g_node[(i, j)] · fixed_kw[j]` per node row, and the same over
     /// `g_crac` per CRAC row.
     fixed_node: Vec<f64>,
     fixed_crac: Vec<f64>,
     /// `(node, kW per unit)` of each `power_budget` term, in row order.
     power_terms: Vec<(usize, f64)>,
-    power_coeffs: Vec<f64>,
+}
+
+/// Whether a row keeps a term of coefficient `c`.
+fn kept(c: f64) -> bool {
+    c.abs() >= 1e-14
+}
+
+/// Append `redline_node*`, `redline_crac*` and, with `power_row`, the
+/// `power_budget` row to `problem`: per row `Σ_j g_j · P_j`, a term for
+/// every variable of every node whose coefficient is [`kept`], nodes and
+/// their variables in `layout` order.
+fn append_rows(
+    dc: &DataCenter,
+    problem: &mut Problem,
+    layout: &[NodeLoad],
+    power_row: bool,
+) -> RoomRows {
+    let mut terms: Vec<(VarId, f64)> = Vec::new();
+    let mut name = String::new();
+    let mut thermal_rows = |prefix: &str, g: &thermaware_linalg::Matrix| {
+        let (mut rows, mut fixed) = (Vec::new(), Vec::new());
+        for i in 0..g.rows() {
+            let g = g.row(i);
+            fixed.push(g.iter().zip(layout).map(|(g, load)| g * load.fixed_kw).sum());
+            terms.clear();
+            for (g, load) in g.iter().zip(layout) {
+                for &(v, kw_per_unit) in &load.vars {
+                    let c = g * kw_per_unit;
+                    if kept(c) {
+                        terms.push((v, c));
+                    }
+                }
+            }
+            name.clear();
+            let _ = write!(name, "{prefix}{i}");
+            rows.push(problem.add_row_nodup(&name, &terms, RowOp::Le, 0.0));
+        }
+        (rows, fixed)
+    };
+    let (node_rows, fixed_node) = thermal_rows("redline_node", dc.thermal.g_node());
+    let (crac_rows, fixed_crac) = thermal_rows("redline_crac", dc.thermal.g_crac());
+
+    // Power row: Σ_j P_j + Σ_c w_c (Tin_c − out_c) <= Pconst. Its
+    // coefficients `node_coeff_j · kW per unit` have `node_coeff_j >= 1`
+    // at every candidate, so the terms it keeps are those of `g = 1`.
+    let mut power_terms = Vec::new();
+    let power_row = power_row.then(|| {
+        terms.clear();
+        for (node, load) in layout.iter().enumerate() {
+            for &(v, kw_per_unit) in &load.vars {
+                let c = 1.0 * kw_per_unit;
+                if kept(c) {
+                    terms.push((v, c));
+                    power_terms.push((node, kw_per_unit));
+                }
+            }
+        }
+        problem.add_row_nodup("power_budget", &terms, RowOp::Le, 0.0)
+    });
+    RoomRows {
+        node_rows,
+        crac_rows,
+        power_row,
+        fixed_node,
+        fixed_crac,
+        power_terms,
+    }
 }
 
 impl<'a> RoomLp<'a> {
-    /// Append `redline_node*`, `redline_crac*` and, with `power_budget`,
-    /// the Eq. 7 Constraint 4 row to `problem`, which already holds the
-    /// caller's variables and outlet-independent rows. Right-hand sides
-    /// and the power row's coefficients are placeholders until
-    /// [`RoomLp::set_outlets`].
+    /// Append `redline_node*`, `redline_crac*` and, under a
+    /// `power_budget_kw`, the Eq. 7 Constraint 4 row to `problem`, which
+    /// already holds the caller's variables and outlet-independent rows.
+    /// Right-hand sides and the power row's coefficients are placeholders
+    /// until [`RoomLp::set_outlets`].
     pub(crate) fn build(
         dc: &'a DataCenter,
         mut problem: Problem,
         layout: Vec<NodeLoad>,
-        power_budget: bool,
+        power_budget_kw: Option<f64>,
     ) -> Self {
-        let nn = dc.n_nodes();
-        assert_eq!(layout.len(), nn, "one NodeLoad per node");
-        let fixed_kw: Vec<f64> = layout.iter().map(|load| load.fixed_kw).collect();
-
-        // One rule for the terms a row Σ_j g_j · P_j keeps, visited as
-        // `(node, variable, kW per unit, coefficient)`.
-        let visit_terms = |g: &dyn Fn(usize) -> f64,
-                           visit: &mut dyn FnMut(usize, VarId, f64, f64)| {
-            for (node, load) in layout.iter().enumerate() {
-                let g = g(node);
-                for &(v, kw_per_unit) in &load.vars {
-                    let c = g * kw_per_unit;
-                    if c.abs() >= 1e-14 {
-                        visit(node, v, kw_per_unit, c);
-                    }
-                }
-            }
-        };
-        let mut terms: Vec<(VarId, f64)> = Vec::new();
-        let mut thermal_rows = |name: &str, g: &thermaware_linalg::Matrix| {
-            let (mut rows, mut fixed) = (Vec::new(), Vec::new());
-            for i in 0..g.rows() {
-                fixed.push((0..nn).map(|j| g[(i, j)] * fixed_kw[j]).sum());
-                terms.clear();
-                visit_terms(&|j| g[(i, j)], &mut |_, v, _, c| terms.push((v, c)));
-                rows.push(problem.add_row_nodup(&format!("{name}{i}"), &terms, RowOp::Le, 0.0));
-            }
-            (rows, fixed)
-        };
-        let (node_rows, fixed_node) = thermal_rows("redline_node", dc.thermal.g_node());
-        let (crac_rows, fixed_crac) = thermal_rows("redline_crac", dc.thermal.g_crac());
-
-        // Power row: Σ_j P_j + Σ_c w_c (Tin_c − out_c) <= Pconst. Its
-        // coefficients `node_coeff_j · kW per unit` have `node_coeff_j >= 1`
-        // at every candidate, so the terms it keeps are those of `g = 1`.
-        let mut power_terms = Vec::new();
-        let power_row = power_budget.then(|| {
-            terms.clear();
-            visit_terms(&|_| 1.0, &mut |node, v, kw_per_unit, c| {
-                terms.push((v, c));
-                power_terms.push((node, kw_per_unit));
-            });
-            problem.add_row_nodup("power_budget", &terms, RowOp::Le, 0.0)
-        });
-
-        RoomLp {
+        let since = thermaware_obs::enabled().then(std::time::Instant::now);
+        assert_eq!(layout.len(), dc.n_nodes(), "one NodeLoad per node");
+        let rows = append_rows(dc, &mut problem, &layout, power_budget_kw.is_some());
+        let room = RoomLp {
             dc,
             lp: problem.prepare(),
-            node_rows,
-            crac_rows,
-            power_row,
-            fixed_kw,
-            fixed_node,
-            fixed_crac,
-            power_coeffs: Vec::with_capacity(power_terms.len()),
-            power_terms,
+            budget_kw: power_budget_kw,
+            fixed_kw: layout.iter().map(|load| load.fixed_kw).collect(),
+            power_coeffs: Vec::with_capacity(rows.power_terms.len()),
+            rows,
+        };
+        if let Some(since) = since {
+            thermaware_obs::observe("core.room_lp.build_us", since.elapsed().as_nanos() as f64 / 1e3);
         }
+        room
     }
 
     /// Patch every right-hand side and the power row for `outlets`.
@@ -146,12 +180,13 @@ impl<'a> RoomLp<'a> {
             .collect();
 
         // The fixed node powers shift every row's rhs.
-        for (i, &row) in self.node_rows.iter().enumerate() {
-            let rhs = dc.thermal.node_redline_c - coeff.base_node[i] - self.fixed_node[i];
+        let rows = &self.rows;
+        for (i, &row) in rows.node_rows.iter().enumerate() {
+            let rhs = dc.thermal.node_redline_c - coeff.base_node[i] - rows.fixed_node[i];
             self.lp.set_rhs(row, rhs);
         }
-        for (c, &row) in self.crac_rows.iter().enumerate() {
-            let rhs = dc.thermal.crac_redline_c - coeff.base_crac[c] - self.fixed_crac[c];
+        for (c, &row) in rows.crac_rows.iter().enumerate() {
+            let rhs = dc.thermal.crac_redline_c - coeff.base_crac[c] - rows.fixed_crac[c];
             self.lp.set_rhs(row, rhs);
         }
 
@@ -160,12 +195,12 @@ impl<'a> RoomLp<'a> {
             + (0..dc.n_crac())
                 .map(|c| w[c] * (coeff.base_crac[c] - outlets[c]))
                 .sum::<f64>();
-        if let Some(row) = self.power_row {
+        if let Some((row, budget_kw)) = rows.power_row.zip(self.budget_kw) {
             self.power_coeffs.clear();
             self.power_coeffs
-                .extend(self.power_terms.iter().map(|&(node, kw)| node_coeff[node] * kw));
+                .extend(rows.power_terms.iter().map(|&(node, kw)| node_coeff[node] * kw));
             self.lp.set_row_coeffs(row, &self.power_coeffs);
-            self.lp.set_rhs(row, dc.budget.p_const_kw - fixed_power_kw);
+            self.lp.set_rhs(row, budget_kw - fixed_power_kw);
         }
         Linearised {
             node_coeff,
@@ -216,6 +251,90 @@ pub(crate) fn recheck(
 mod tests {
     use super::*;
     use thermaware_datacenter::ScenarioParams;
+    use thermaware_lp::Sense;
+
+    /// The rows as two closures per term wrote them — one rule for the
+    /// terms a row `Σ_j g_j · P_j` keeps, the row's `g` handed in as a
+    /// `dyn Fn` — which the plain loops of `append_rows` replaced.
+    fn append_rows_through_closures(
+        dc: &DataCenter,
+        problem: &mut Problem,
+        layout: &[NodeLoad],
+    ) -> (Vec<(usize, f64)>, Vec<f64>) {
+        let nn = dc.n_nodes();
+        let fixed_kw: Vec<f64> = layout.iter().map(|load| load.fixed_kw).collect();
+        let visit_terms = |g: &dyn Fn(usize) -> f64,
+                           visit: &mut dyn FnMut(usize, VarId, f64, f64)| {
+            for (node, load) in layout.iter().enumerate() {
+                let g = g(node);
+                for &(v, kw_per_unit) in &load.vars {
+                    let c = g * kw_per_unit;
+                    if c.abs() >= 1e-14 {
+                        visit(node, v, kw_per_unit, c);
+                    }
+                }
+            }
+        };
+        let mut terms: Vec<(VarId, f64)> = Vec::new();
+        let mut fixed: Vec<f64> = Vec::new();
+        for (name, g) in [("redline_node", dc.thermal.g_node()), ("redline_crac", dc.thermal.g_crac())] {
+            for i in 0..g.rows() {
+                fixed.push((0..nn).map(|j| g[(i, j)] * fixed_kw[j]).sum());
+                terms.clear();
+                visit_terms(&|j| g[(i, j)], &mut |_, v, _, c| terms.push((v, c)));
+                problem.add_row_nodup(&format!("{name}{i}"), &terms, RowOp::Le, 0.0);
+            }
+        }
+        let mut power_terms = Vec::new();
+        terms.clear();
+        visit_terms(&|_| 1.0, &mut |node, v, kw_per_unit, c| {
+            terms.push((v, c));
+            power_terms.push((node, kw_per_unit));
+        });
+        problem.add_row_nodup("power_budget", &terms, RowOp::Le, 0.0);
+        (power_terms, fixed)
+    }
+
+    /// Term for term: names, variables, coefficient bits, in row order —
+    /// on a room with two CRACs, nodes of two variables each at unequal kW
+    /// per unit, one node without variables and one coefficient small
+    /// enough to be dropped.
+    #[test]
+    fn plain_loops_write_the_rows_the_closures_wrote() {
+        let dc = ScenarioParams {
+            n_nodes: 12,
+            n_crac: 2,
+            ..ScenarioParams::paper(0.3, 0.1)
+        }
+        .build(5)
+        .unwrap();
+        let mut p = Problem::new(Sense::Maximize);
+        let layout: Vec<NodeLoad> = (0..dc.n_nodes())
+            .map(|node| {
+                let vars = match node {
+                    3 => Vec::new(),
+                    _ => (0..2)
+                        .map(|s| {
+                            let v = p.add_var(&format!("n{node}s{s}"), 0.0, 1.0, 1.0);
+                            let kw = if (node, s) == (7, 1) { 1e-15 } else { 0.25 + 0.5 * s as f64 };
+                            (v, kw)
+                        })
+                        .collect(),
+                };
+                NodeLoad { vars, fixed_kw: 0.1 * node as f64 }
+            })
+            .collect();
+        let (mut plain, mut closures) = (p.clone(), p);
+        let rows = append_rows(&dc, &mut plain, &layout, true);
+        let (power_terms, fixed) = append_rows_through_closures(&dc, &mut closures, &layout);
+        assert_eq!(plain.num_rows(), dc.n_nodes() + dc.n_crac() + 1);
+        // `{:?}` of an f64 round-trips its bits.
+        assert_eq!(format!("{plain:?}"), format!("{closures:?}"));
+        assert_eq!(format!("{:?}", rows.power_terms), format!("{power_terms:?}"));
+        let listed: Vec<f64> = rows.fixed_node.iter().chain(&rows.fixed_crac).copied().collect();
+        assert_eq!(format!("{listed:?}"), format!("{fixed:?}"));
+        assert_eq!(rows.power_terms.len(), 2 * (dc.n_nodes() - 1) - 1, "one term dropped");
+    }
 
     #[test]
     fn recheck_refuses_2e7_over_budget_and_accepts_half_e7() {

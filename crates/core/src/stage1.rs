@@ -97,6 +97,18 @@ pub fn solve_stage1(
     dc: &DataCenter,
     options: &Stage1Options,
 ) -> Result<Stage1Solution, SolveError> {
+    solve_stage1_under_budget(dc, dc.budget.p_const_kw, options)
+}
+
+/// [`solve_stage1`] with the room held to `budget_kw` of total power (IT
+/// plus cooling) instead of its own `budget.p_const_kw`: what a fleet
+/// master asks of a zone each time it moves the split, without a copy of
+/// the room to write the number into.
+pub fn solve_stage1_under_budget(
+    dc: &DataCenter,
+    budget_kw: f64,
+    options: &Stage1Options,
+) -> Result<Stage1Solution, SolveError> {
     let _span = thermaware_obs::span("stage1");
     let (arr_curves, node_curves) = arr_and_node_curves(dc, options.psi_percent);
     if thermaware_obs::enabled() {
@@ -105,7 +117,7 @@ pub fn solve_stage1(
         }
     }
 
-    let mut sweep = OutletSweep::new(dc, &node_curves, options);
+    let mut sweep = OutletSweep::new(dc, budget_kw, &node_curves, options);
     let (crac_out_c, node_core_power_kw, objective) =
         room::search_outlets(dc, options.search, "stage1", |outlets| sweep.evaluate(outlets))?;
     thermaware_obs::gauge_set("core.stage1_objective", objective);
@@ -138,6 +150,8 @@ pub fn solve_stage1(
 /// segment's slope; the last feasible candidate's basis carried forward.
 struct OutletSweep<'a> {
     dc: &'a DataCenter,
+    /// Total power the room is held to, kW.
+    budget_kw: f64,
     options: &'a Stage1Options,
     room: RoomLp<'a>,
     /// Segment slopes of every node type's aggregate ARR curve.
@@ -151,6 +165,7 @@ struct OutletSweep<'a> {
 impl<'a> OutletSweep<'a> {
     fn new(
         dc: &'a DataCenter,
+        budget_kw: f64,
         node_curves: &[PiecewiseLinear],
         options: &'a Stage1Options,
     ) -> Self {
@@ -162,8 +177,9 @@ impl<'a> OutletSweep<'a> {
         let node_vars = add_segment_vars(&mut p, dc, node_curves, |slope| slope);
         OutletSweep {
             dc,
+            budget_kw,
             options,
-            room: RoomLp::build(dc, p, segment_layout(dc, &node_vars), true),
+            room: RoomLp::build(dc, p, segment_layout(dc, &node_vars), Some(budget_kw)),
             slopes,
             node_vars,
             warm: None,
@@ -214,7 +230,7 @@ impl<'a> OutletSweep<'a> {
 
         let node_core_power = segment_node_power(&self.node_vars, &sol);
         let node_powers = dc.node_powers(&node_core_power);
-        room::recheck(dc, outlets, &node_powers, dc.budget.p_const_kw)?;
+        room::recheck(dc, outlets, &node_powers, self.budget_kw)?;
         // The variables only carry the *marginal* cost; fold in the cost of
         // the fixed draw (node bases + outlet-dependent CRAC floor) so the
         // outlet search compares candidates by the full net objective.
@@ -467,11 +483,11 @@ mod tests {
                     objective,
                     ..Stage1Options::default()
                 };
-                let mut shared = OutletSweep::new(&dc, &node_curves, &options);
+                let mut shared = OutletSweep::new(&dc, dc.budget.p_const_kw, &node_curves, &options);
                 let mut chain: Option<Basis> = None;
                 let (mut feasible, mut infeasible) = (0, 0);
                 for outlets in &candidates {
-                    let mut fresh = OutletSweep::new(&dc, &node_curves, &options);
+                    let mut fresh = OutletSweep::new(&dc, dc.budget.p_const_kw, &node_curves, &options);
                     fresh.warm = chain.take();
                     let alone = fresh.evaluate(outlets);
                     chain = fresh.warm.take();
@@ -491,6 +507,42 @@ mod tests {
                 assert!(feasible >= 3 && infeasible >= 2, "{feasible} feasible, {infeasible} not");
             }
         }
+    }
+
+    /// Stage 1 under a stated budget is Stage 1 of the same room with
+    /// that budget written into it — plan and objective to the bit, at a
+    /// budget below the room's own (binding), above it, and too small for
+    /// any candidate.
+    #[test]
+    fn a_stated_budget_equals_a_clone_with_that_budget() {
+        let dc = small_dc(6);
+        let options = Stage1Options::default();
+        let own = dc.budget.p_const_kw;
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for budget_kw in [0.5 * (own + dc.budget.p_min_kw), 0.93 * own, 1.2 * own, 0.2 * dc.budget.p_min_kw] {
+            let mut written = dc.clone();
+            written.budget.p_const_kw = budget_kw;
+            match (solve_stage1_under_budget(&dc, budget_kw, &options), solve_stage1(&written, &options)) {
+                (Ok(stated), Ok(cloned)) => {
+                    assert_eq!(stated.objective.to_bits(), cloned.objective.to_bits(), "{budget_kw} kW");
+                    assert_eq!(bits(&stated.crac_out_c), bits(&cloned.crac_out_c));
+                    assert_eq!(bits(&stated.node_core_power_kw), bits(&cloned.node_core_power_kw));
+                    assert_eq!(bits(&stated.core_power_kw), bits(&cloned.core_power_kw));
+                    let node_powers = dc.node_powers(&stated.node_core_power_kw);
+                    let (it, cooling, _) = dc.total_power_kw(&stated.crac_out_c, &node_powers);
+                    assert!(room::within_budget(it + cooling, budget_kw), "{budget_kw} kW");
+                }
+                (Err(stated), Err(cloned)) => {
+                    assert!(budget_kw < dc.budget.p_min_kw, "only the starved budget fails");
+                    assert_eq!(stated.to_string(), cloned.to_string());
+                }
+                (stated, cloned) => panic!("{budget_kw} kW: {stated:?} vs {cloned:?}"),
+            }
+        }
+        let under_own = solve_stage1_under_budget(&dc, own, &options).unwrap();
+        assert_eq!(under_own, solve_stage1(&dc, &options).unwrap());
+        let tighter = solve_stage1_under_budget(&dc, 0.93 * own, &options).unwrap();
+        assert!(tighter.objective < under_own.objective, "the stated budget is the one that binds");
     }
 
     #[test]

@@ -262,7 +262,7 @@ pub fn solve_stage3_task_aware(
             }
         }
     }
-    let mut room = RoomLp::build(dc, p, layout, true);
+    let mut room = RoomLp::build(dc, p, layout, Some(dc.budget.p_const_kw));
     room.set_outlets(crac_out_c);
     let sol = room.lp.solve_warm(None).map_err(|source| SolveError::Lp {
         stage: "task_power",

@@ -13,7 +13,9 @@
 //! factorization is the right tool. The one concession to sparsity is
 //! [`CompressedLu`]: the simplex's basis is a handful of dense columns in
 //! an identity, so it solves against lists of the dense factors' nonzeros
-//! — the same sums in the same order, bit for bit the dense solves.
+//! — the same sums in the same order, bit for bit the dense solves — and
+//! the elimination spends no walk on a column that is a single entry:
+//! the same factors, bit for bit, as if it had.
 //!
 //! # Example
 //!

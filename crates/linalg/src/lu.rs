@@ -19,13 +19,84 @@ pub struct Lu {
     swaps: Vec<usize>,
     /// Sign of the permutation, for determinants.
     perm_sign: f64,
+    /// The columns that took a full elimination step, ascending. Every
+    /// other column was a [`Held::Single`] when its step came and left
+    /// nothing off the diagonal but zeros, so the factors' off-diagonal
+    /// nonzeros all lie in these.
+    wide: Vec<usize>,
+    /// What the elimination keeps track of, kept with the factors so that
+    /// factoring again in this storage allocates nothing.
+    track: Tracking,
 }
 
 /// Pivots smaller than this (relative to the matrix scale) are treated as
 /// zero, i.e. the matrix is reported singular.
 const PIVOT_EPS: f64 = 1e-12;
 
+/// What a column not yet eliminated holds besides `+0.0`s.
+#[derive(Debug, Clone, Copy)]
+enum Held {
+    Nothing,
+    /// One entry, which the matrix was given in this row (exchanges have
+    /// since moved the row, not the entry out of it). Such a column is its
+    /// own elimination step: see [`Lu::eliminate`].
+    Single(usize),
+    /// More than one, or one that a row update may have added to.
+    Several,
+}
+
+impl Held {
+    /// Count an entry in `row` that is not a `+0.0`.
+    fn hold(&mut self, row: usize) {
+        *self = match self {
+            Held::Nothing => Held::Single(row),
+            _ => Held::Several,
+        };
+    }
+}
+
+/// Per-column and per-row state of one elimination.
+#[derive(Debug, Clone, Default)]
+struct Tracking {
+    /// By column.
+    held: Vec<Held>,
+    /// The row the matrix was given at each position, and its inverse:
+    /// where each given row is now.
+    row_at: Vec<usize>,
+    pos_of: Vec<usize>,
+}
+
+impl Tracking {
+    /// Start over for an `n × n` matrix: nothing held, no row moved.
+    fn reset(&mut self, n: usize) {
+        self.held.clear();
+        self.held.resize(n, Held::Nothing);
+        self.row_at.clear();
+        self.row_at.extend(0..n);
+        self.pos_of.clear();
+        self.pos_of.extend(0..n);
+    }
+
+    /// Record the exchange of the rows at positions `a` and `b`.
+    fn swap(&mut self, a: usize, b: usize) {
+        self.row_at.swap(a, b);
+        self.pos_of[self.row_at[a]] = a;
+        self.pos_of[self.row_at[b]] = b;
+    }
+}
+
 impl Lu {
+    /// Factors of the empty matrix, for storage to grow in.
+    fn empty() -> Lu {
+        Lu {
+            lu: Matrix::zeros(0, 0),
+            swaps: Vec::new(),
+            perm_sign: 1.0,
+            wide: Vec::new(),
+            track: Tracking::default(),
+        }
+    }
+
     /// Factor a square matrix, consuming it: the factors are computed in
     /// the matrix's own storage (clone at the call site to keep the
     /// original). Returns [`LinalgError::Singular`] when a pivot column
@@ -36,49 +107,125 @@ impl Lu {
             return Err(LinalgError::NotSquare { shape: a.shape() });
         }
         let n = a.rows();
-        // Scale-aware singularity threshold: a pivot is "zero" relative to
-        // the largest entry of the original matrix.
-        let scale = a.max_abs().max(1.0);
-        let tol = PIVOT_EPS * scale;
-        let mut lu = a;
-        let mut swaps: Vec<usize> = Vec::with_capacity(n);
-        let mut perm_sign = 1.0;
-
-        for k in 0..n {
-            // Partial pivoting: pick the largest entry in column k at or
-            // below the diagonal.
-            let mut piv_row = k;
-            let mut piv_val = lu[(k, k)].abs();
-            for i in k + 1..n {
-                let v = lu[(i, k)].abs();
-                if v > piv_val {
-                    piv_val = v;
-                    piv_row = i;
+        let mut lu = Lu { lu: a, ..Lu::empty() };
+        lu.track.reset(n);
+        // One pass for the largest entry and for what each column holds.
+        let mut scale = 0.0_f64;
+        for i in 0..n {
+            for (&v, held) in lu.lu.row(i).iter().zip(&mut lu.track.held) {
+                scale = scale.max(v.abs());
+                if v.to_bits() != 0 {
+                    held.hold(i);
                 }
             }
-            if piv_val <= tol {
-                return Err(LinalgError::Singular { column: k });
-            }
+        }
+        lu.eliminate(scale)?;
+        // Nothing factors in this storage again.
+        lu.track = Tracking::default();
+        Ok(lu)
+    }
+
+    /// Gaussian elimination with partial pivoting, in place. `scale` is
+    /// the largest `|entry|`: a pivot is "zero" relative to it.
+    ///
+    /// A column that is one entry `v` among `+0.0`s when its step comes is
+    /// eliminated without being walked. The pivot search would start from
+    /// the diagonal and move down only to a strictly larger `|entry|`, so
+    /// it ends on `v`'s row when that lies on or below the diagonal and
+    /// `|v| > tol`, and reports the column singular otherwise; the
+    /// multipliers are `+0.0 / v` — `-0.0` under a negative `v`, which is
+    /// stored, since a solve that starts a row from `-0.0` reads the
+    /// packed factors — and a zero multiplier updates no row. Whether a
+    /// column is still that is known without looking: row exchanges move
+    /// its entry along with the row (`track`), and a row update
+    /// `row_i -= m · row_k` leaves a `+0.0` of the column `+0.0` and its
+    /// entry what it was unless the pivot row holds a nonzero there (or
+    /// `m` is not finite), in which case the column is marked
+    /// [`Held::Several`] and takes the full step like any other. The
+    /// packed factors, `swaps` and `perm_sign` are therefore those of the
+    /// full step at every column, bit for bit (`tests::plain` is that
+    /// elimination, kept as the oracle).
+    fn eliminate(&mut self, scale: f64) -> Result<(), LinalgError> {
+        let Lu { lu, swaps, perm_sign, wide, track } = self;
+        let n = lu.rows();
+        let tol = PIVOT_EPS * scale.max(1.0);
+        swaps.clear();
+        swaps.reserve_exact(n);
+        wide.clear();
+        *perm_sign = 1.0;
+
+        for k in 0..n {
+            let single = match track.held[k] {
+                Held::Single(row) => Some(track.pos_of[row]).filter(|&p| !lu[(p, k)].is_nan()),
+                _ => None,
+            };
+            let piv_row = match single {
+                Some(p) => {
+                    if p < k || lu[(p, k)].abs() <= tol {
+                        return Err(LinalgError::Singular { column: k });
+                    }
+                    p
+                }
+                None => {
+                    // Partial pivoting: pick the largest entry in column k
+                    // at or below the diagonal.
+                    let mut piv_row = k;
+                    let mut piv_val = lu[(k, k)].abs();
+                    for i in k + 1..n {
+                        let v = lu[(i, k)].abs();
+                        if v > piv_val {
+                            piv_val = v;
+                            piv_row = i;
+                        }
+                    }
+                    if piv_val <= tol {
+                        return Err(LinalgError::Singular { column: k });
+                    }
+                    piv_row
+                }
+            };
             swaps.push(piv_row);
             if piv_row != k {
                 lu.swap_rows(piv_row, k);
-                perm_sign = -perm_sign;
+                track.swap(piv_row, k);
+                *perm_sign = -*perm_sign;
             }
             let pivot = lu[(k, k)];
+            if single.is_some() {
+                if pivot < 0.0 {
+                    for i in k + 1..n {
+                        lu[(i, k)] = -0.0;
+                    }
+                }
+                continue;
+            }
+
+            wide.push(k);
+            let mut updated = false;
+            let mut finite = true;
             for i in k + 1..n {
                 let m = lu[(i, k)] / pivot;
                 lu[(i, k)] = m;
                 if m == 0.0 { // lint: allow(float-eq): exact-zero multiplier skips a no-op elimination row
                     continue;
                 }
+                updated = true;
+                finite &= m.is_finite();
                 // Row update on the contiguous tail of row i.
                 let (rk, ri) = lu.two_rows_mut(k, i);
                 for j in k + 1..n {
                     ri[j] -= m * rk[j];
                 }
             }
+            if updated {
+                for (held, &v) in track.held[k + 1..].iter_mut().zip(&lu.row(k)[k + 1..]) {
+                    if v != 0.0 || !finite { // lint: allow(float-eq): a product with an exact zero is the only one that changes nothing
+                        *held = Held::Several;
+                    }
+                }
+            }
         }
-        Ok(Lu { lu, swaps, perm_sign })
+        Ok(())
     }
 
     /// Dimension of the factored matrix.
@@ -226,7 +373,7 @@ const NEG_ZERO: u64 = (-0.0_f64).to_bits();
 /// The nonzeros of one triangle of the packed factors, grouped by line
 /// (row or column) and, inside a line, in ascending order of the other
 /// index: line `k` is `at[start[k]..start[k + 1]]` with values `val[..]`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Lines {
     start: Vec<u32>,
     at: Vec<u32>,
@@ -234,32 +381,22 @@ struct Lines {
 }
 
 impl Lines {
-    /// Room for `n` lines holding `nnz` entries between them, to start
-    /// with.
-    fn with_capacity(n: usize, nnz: usize) -> Lines {
-        let mut start = Vec::with_capacity(n + 1);
-        start.push(0);
-        Lines {
-            start,
-            at: Vec::with_capacity(nnz),
-            val: Vec::with_capacity(nnz),
-        }
+    /// No lines yet, with room for `n` lines of `nnz` entries between
+    /// them: the storage this has, grown by exactly what is missing.
+    fn clear_for(&mut self, n: usize, nnz: usize) {
+        self.start.clear();
+        self.start.reserve_exact(n + 1);
+        self.start.push(0);
+        self.at.clear();
+        self.at.reserve_exact(nnz);
+        self.val.clear();
+        self.val.reserve_exact(nnz);
     }
 
-    /// Lines of the given lengths, every entry still to be written.
-    fn with_lengths(lengths: &[u32]) -> Lines {
-        let mut start = Vec::with_capacity(lengths.len() + 1);
-        let mut total = 0;
-        start.push(0);
-        for &len in lengths {
-            total += len;
-            start.push(total);
-        }
-        Lines {
-            start,
-            at: vec![0; total as usize],
-            val: vec![0.0; total as usize],
-        }
+    /// Add an entry to the line being written.
+    fn push(&mut self, at: usize, val: f64) {
+        self.at.push(at as u32);
+        self.val.push(val);
     }
 
     /// Close the line that the entries pushed since the last call make up.
@@ -267,18 +404,25 @@ impl Lines {
         self.start.push(self.at.len() as u32);
     }
 
-    /// The same entries listed by the other index (as many lines as
-    /// here). Lines are walked in ascending order, so every line of the
-    /// result comes out ascending too.
-    fn transposed(&self) -> Lines {
+    /// Lay the same entries out in `out` by the other index (as many
+    /// lines as here). Lines are walked in ascending order, so every line
+    /// of the result comes out ascending too. `next` is scratch.
+    fn transpose_into(&self, out: &mut Lines, next: &mut Vec<u32>) {
         let n = self.start.len() - 1;
-        let mut lengths = vec![0u32; n];
+        out.clear_for(n, self.at.len());
+        out.start.resize(n + 1, 0);
         for &j in &self.at {
-            lengths[j as usize] += 1;
+            out.start[j as usize + 1] += 1;
         }
-        let mut out = Lines::with_lengths(&lengths);
+        for k in 0..n {
+            out.start[k + 1] += out.start[k];
+        }
+        out.at.resize(self.at.len(), 0);
+        out.val.resize(self.at.len(), 0.0);
         // Next free slot of each line of the result.
-        let mut next: Vec<u32> = out.start[..n].to_vec();
+        next.clear();
+        next.reserve_exact(n);
+        next.extend_from_slice(&out.start[..n]);
         for k in 0..n {
             let (lo, hi) = (self.start[k] as usize, self.start[k + 1] as usize);
             for (&j, &v) in self.at[lo..hi].iter().zip(&self.val[lo..hi]) {
@@ -288,7 +432,6 @@ impl Lines {
                 next[j as usize] += 1;
             }
         }
-        out
     }
 
     /// `s - Σ val·x[at]` over line `k`, one term after the other in
@@ -308,24 +451,28 @@ impl Lines {
 /// handful of dense columns in an identity and the packed factors are
 /// almost all zeros.
 ///
-/// [`Lu::factor`] still runs the elimination on the dense matrix — it
-/// picks the pivots, and with them every bit of the factors. This type
-/// lists the nonzeros of the result four ways (`L` and `U` by row for
-/// `A x = b`, by column for `A^T x = b`), each line in ascending order,
-/// so a substitution row subtracts the same products in the same order
-/// as the dense loop and leaves out only the terms whose factor entry is
-/// an exact zero. Such a term is `±0` (right-hand sides are finite), and
-/// subtracting `±0` changes no running sum but one: `-0.0 - (-0.0)` is
-/// `+0.0`. A sum can be `-0.0` only while it still holds an untouched
-/// `-0.0` right-hand-side entry — exact cancellation gives `+0.0` — so a
-/// row that starts from `-0.0` runs the dense loop instead. Every
-/// solution is therefore the dense solve's **bit for bit**, signed zeros
-/// included (`tests/proptest_lu.rs` holds both to `to_bits`).
+/// The elimination still runs on the dense matrix — it picks the pivots,
+/// and with them every bit of the factors. This type lists the nonzeros
+/// of the result four ways (`L` and `U` by row for `A x = b`, by column
+/// for `A^T x = b`), each line in ascending order, so a substitution row
+/// subtracts the same products in the same order as the dense loop and
+/// leaves out only the terms whose factor entry is an exact zero. Such a
+/// term is `±0` (right-hand sides are finite), and subtracting `±0`
+/// changes no running sum but one: `-0.0 - (-0.0)` is `+0.0`. A sum can be
+/// `-0.0` only while it still holds an untouched `-0.0` right-hand-side
+/// entry — exact cancellation gives `+0.0` — so a row that starts from
+/// `-0.0` runs the dense loop instead. Every solution is therefore the
+/// dense solve's **bit for bit**, signed zeros included
+/// (`tests/proptest_lu.rs` holds both to `to_bits`).
+///
+/// A value of this type is also the storage of the next one: the simplex
+/// refactorises a basis of one size over and over
+/// ([`CompressedLu::factor_columns`]), and neither the matrix nor the
+/// lists are allocated again.
 #[derive(Debug, Clone)]
 pub struct CompressedLu {
     /// The packed factors the lists below were read from: the `-0.0`
-    /// rows' loops run on them, and a refactorisation takes the storage
-    /// back ([`CompressedLu::into_matrix`]).
+    /// rows' loops run on them.
     dense: Lu,
     /// `U`'s diagonal.
     diag: Vec<f64>,
@@ -335,41 +482,32 @@ pub struct CompressedLu {
     l_cols: Lines,
     u_rows: Lines,
     u_cols: Lines,
+    /// Scratch of [`Lines::transpose_into`].
+    next: Vec<u32>,
+}
+
+/// The factors of the empty matrix: where a chain of
+/// [`CompressedLu::factor_columns`] starts.
+impl Default for CompressedLu {
+    fn default() -> Self {
+        Lu::empty().compress()
+    }
 }
 
 impl Lu {
-    /// List the factors' nonzeros; see [`CompressedLu`]. One pass over the
-    /// packed matrix lists both triangles by row; the by-column lists are
-    /// then laid out from those — the nonzeros, not the matrix, a second
-    /// time.
+    /// List the factors' nonzeros; see [`CompressedLu`].
     pub fn compress(self) -> CompressedLu {
-        let n = self.dim();
-        assert!(u32::try_from(n * n).is_ok(), "matrix too large to index with u32");
-        let mut l_rows = Lines::with_capacity(n, n);
-        let mut u_rows = Lines::with_capacity(n, n);
-        let mut diag = Vec::with_capacity(n);
-        for i in 0..n {
-            for (j, &v) in self.lu.row(i).iter().enumerate() {
-                if j == i {
-                    diag.push(v);
-                } else if v != 0.0 { // lint: allow(float-eq): an entry is left out only when it is an exact zero
-                    let rows = if j < i { &mut l_rows } else { &mut u_rows };
-                    rows.at.push(j as u32);
-                    rows.val.push(v);
-                }
-            }
-            l_rows.end_line();
-            u_rows.end_line();
-        }
-        let (l_cols, u_cols) = (l_rows.transposed(), u_rows.transposed());
-        CompressedLu {
+        let mut lists = CompressedLu {
             dense: self,
-            diag,
-            l_rows,
-            l_cols,
-            u_rows,
-            u_cols,
-        }
+            diag: Vec::new(),
+            l_rows: Lines::default(),
+            l_cols: Lines::default(),
+            u_rows: Lines::default(),
+            u_cols: Lines::default(),
+            next: Vec::new(),
+        };
+        lists.list();
+        lists
     }
 
     /// Give the matrix storage back (holding the packed factors), for a
@@ -380,9 +518,96 @@ impl Lu {
 }
 
 impl CompressedLu {
-    /// [`Lu::into_matrix`] of the factorization underneath.
-    pub fn into_matrix(self) -> Matrix {
-        self.dense.into_matrix()
+    /// Factor the `n × n` matrix whose column `r` is the `r`-th item of
+    /// `columns` — its `(row, value)` pairs, no row twice, `+0.0`
+    /// everywhere else — and list the factors, all in the storage `self`
+    /// already has: [`Lu::factor`] then [`Lu::compress`] of that matrix,
+    /// bit for bit, allocating only what a larger `n` than before needs.
+    ///
+    /// On [`LinalgError::Singular`] `self` becomes the factors of the
+    /// empty matrix (every solve refuses its argument's length) and keeps
+    /// the storage for the next call.
+    ///
+    /// # Panics
+    /// Panics unless `columns` has `n` items with every row below `n`.
+    pub fn factor_columns<C>(
+        &mut self,
+        n: usize,
+        columns: impl IntoIterator<Item = C>,
+    ) -> Result<(), LinalgError>
+    where
+        C: IntoIterator<Item = (usize, f64)>,
+    {
+        // What each column holds, and the largest entry, are by-products
+        // of writing the matrix.
+        let Lu { lu, track, .. } = &mut self.dense;
+        lu.reset_zeros(n, n);
+        track.reset(n);
+        let mut scale = 0.0_f64;
+        let mut width = 0;
+        for (r, column) in columns.into_iter().enumerate() {
+            assert!(r < n, "more than {n} columns");
+            for (i, v) in column {
+                assert!(i < n, "row {i} of column {r} in a {n} x {n} matrix");
+                lu[(i, r)] = v;
+                scale = scale.max(v.abs());
+                if v.to_bits() != 0 {
+                    track.held[r].hold(i);
+                }
+            }
+            width = r + 1;
+        }
+        assert_eq!(width, n, "fewer than {n} columns");
+        let done = self.dense.eliminate(scale);
+        if done.is_err() {
+            self.dense.lu.reset_zeros(0, 0);
+        }
+        self.list();
+        done
+    }
+
+    /// Read the nonzero lists off the packed factors. A pass over the
+    /// [`Lu::wide`] columns of each row lists both triangles by row — a
+    /// column outside them holds nothing off the diagonal but zeros — and
+    /// the by-column lists are then laid out from those. A pass before it
+    /// counts, so that storage grows to what the lists need and no
+    /// further.
+    fn list(&mut self) {
+        let CompressedLu { dense, diag, l_rows, l_cols, u_rows, u_cols, next } = self;
+        let n = dense.dim();
+        assert!(u32::try_from(n * n).is_ok(), "matrix too large to index with u32");
+        let off_diagonal = |i: usize| {
+            let row = dense.lu.row(i);
+            let listed = move |&(j, v): &(usize, f64)| {
+                j != i && v != 0.0 // lint: allow(float-eq): an entry is left out only when it is an exact zero
+            };
+            dense.wide.iter().map(move |&j| (j, row[j])).filter(listed)
+        };
+        let (mut below, mut above) = (0, 0);
+        for i in 0..n {
+            for (j, _) in off_diagonal(i) {
+                if j < i {
+                    below += 1;
+                } else {
+                    above += 1;
+                }
+            }
+        }
+        l_rows.clear_for(n, below);
+        u_rows.clear_for(n, above);
+        diag.clear();
+        diag.reserve_exact(n);
+        for i in 0..n {
+            diag.push(dense.lu[(i, i)]);
+            for (j, v) in off_diagonal(i) {
+                let rows = if j < i { &mut *l_rows } else { &mut *u_rows };
+                rows.push(j, v);
+            }
+            l_rows.end_line();
+            u_rows.end_line();
+        }
+        l_rows.transpose_into(l_cols, next);
+        u_rows.transpose_into(u_cols, next);
     }
 
     /// [`Lu::solve_in_place`], bit for bit, for finite `x`.
@@ -451,6 +676,328 @@ impl CompressedLu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The elimination that walks every column, as `Lu::factor` ran it
+    /// before a single-entry column became a step of its own: the oracle
+    /// for the packed factors, `swaps` and `perm_sign`.
+    fn plain(a: Matrix) -> Result<(Matrix, Vec<usize>, f64), LinalgError> {
+        let n = a.rows();
+        let tol = PIVOT_EPS * a.max_abs().max(1.0);
+        let mut lu = a;
+        let mut swaps: Vec<usize> = Vec::with_capacity(n);
+        let mut perm_sign = 1.0;
+        for k in 0..n {
+            let mut piv_row = k;
+            let mut piv_val = lu[(k, k)].abs();
+            for i in k + 1..n {
+                let v = lu[(i, k)].abs();
+                if v > piv_val {
+                    piv_val = v;
+                    piv_row = i;
+                }
+            }
+            if piv_val <= tol {
+                return Err(LinalgError::Singular { column: k });
+            }
+            swaps.push(piv_row);
+            if piv_row != k {
+                lu.swap_rows(piv_row, k);
+                perm_sign = -perm_sign;
+            }
+            let pivot = lu[(k, k)];
+            for i in k + 1..n {
+                let m = lu[(i, k)] / pivot;
+                lu[(i, k)] = m;
+                if m == 0.0 { // lint: allow(float-eq): exact-zero multiplier skips a no-op elimination row
+                    continue;
+                }
+                let (rk, ri) = lu.two_rows_mut(k, i);
+                for j in k + 1..n {
+                    ri[j] -= m * rk[j];
+                }
+            }
+        }
+        Ok((lu, swaps, perm_sign))
+    }
+
+    /// The listing that scans every entry of the packed factors: the
+    /// oracle for the four lists and the diagonal.
+    fn full_scan(lu: &Matrix) -> (Vec<f64>, [Lines; 4]) {
+        let n = lu.rows();
+        let (mut l_rows, mut u_rows) = (Lines::default(), Lines::default());
+        l_rows.clear_for(n, 0);
+        u_rows.clear_for(n, 0);
+        let mut diag = Vec::new();
+        for i in 0..n {
+            for (j, &v) in lu.row(i).iter().enumerate() {
+                if j == i {
+                    diag.push(v);
+                } else if v != 0.0 { // lint: allow(float-eq): an entry is left out only when it is an exact zero
+                    let rows = if j < i { &mut l_rows } else { &mut u_rows };
+                    rows.push(j, v);
+                }
+            }
+            l_rows.end_line();
+            u_rows.end_line();
+        }
+        let (mut l_cols, mut u_cols) = (Lines::default(), Lines::default());
+        l_rows.transpose_into(&mut l_cols, &mut Vec::new());
+        u_rows.transpose_into(&mut u_cols, &mut Vec::new());
+        (diag, [l_rows, l_cols, u_rows, u_cols])
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn assert_same_lines(got: &Lines, want: &Lines, which: &str) {
+        assert_eq!(got.start, want.start, "{which}.start");
+        assert_eq!(got.at, want.at, "{which}.at");
+        assert_eq!(bits(&got.val), bits(&want.val), "{which}.val");
+    }
+
+    /// `a` three ways — `Lu::factor`, `factor_columns` into `kept`
+    /// (whatever that held before) and the plain elimination — must agree
+    /// on the verdict, the packed factors, `swaps` and `perm_sign`, and
+    /// the wide-column lists must be the full scan's. Returns whether `a`
+    /// could be factored.
+    fn check_against_oracles(a: &Matrix, kept: &mut CompressedLu) -> bool {
+        let n = a.rows();
+        let by_matrix = Lu::factor(a.clone());
+        let by_columns = kept.factor_columns(
+            n,
+            // Every entry but the `+0.0`s, which is what a sparse column
+            // leaves out; stored zeros of the other sign are entries.
+            (0..n).map(|r| (0..n).map(move |i| (i, a[(i, r)])).filter(|(_, v)| v.to_bits() != 0)),
+        );
+        match plain(a.clone()) {
+            Err(err) => {
+                assert_eq!(by_matrix.err(), Some(err.clone()), "{a:?}");
+                assert_eq!(by_columns.err(), Some(err), "{a:?}");
+                assert_eq!(kept.dense.dim(), 0, "a failed factorisation solves nothing");
+                assert!(kept.solve_in_place(&mut vec![0.0; n]).is_err() || n == 0);
+                false
+            }
+            Ok((packed, swaps, perm_sign)) => {
+                assert_eq!(by_columns, Ok(()), "{a:?}");
+                let by_matrix = by_matrix.expect("the plain elimination found every pivot");
+                let (diag, lists) = full_scan(&packed);
+                for (how, lu) in [("matrix", by_matrix.compress()), ("columns", kept.clone())] {
+                    let got = &lu.dense;
+                    assert_eq!(bits(got.lu.as_slice()), bits(packed.as_slice()), "{how}: {a:?}");
+                    assert_eq!(got.swaps, swaps, "{how}: {a:?}");
+                    assert_eq!(got.perm_sign.to_bits(), perm_sign.to_bits(), "{how}");
+                    assert_eq!(bits(&lu.diag), bits(&diag), "{how}: diag");
+                    let [l_rows, l_cols, u_rows, u_cols] = &lists;
+                    assert_same_lines(&lu.l_rows, l_rows, "l_rows");
+                    assert_same_lines(&lu.l_cols, l_cols, "l_cols");
+                    assert_same_lines(&lu.u_rows, u_rows, "u_rows");
+                    assert_same_lines(&lu.u_cols, u_cols, "u_cols");
+                }
+                true
+            }
+        }
+    }
+
+    /// One column of a generated matrix.
+    #[derive(Debug, Clone)]
+    enum Col {
+        /// A single entry (`kind` picks `+1`, `-1`, the value, one around
+        /// the singularity threshold, or `-0.0`) in row `at % n`, `+0.0`
+        /// elsewhere — unless `stray`, which also puts a `-0.0` in the
+        /// next row: no longer single.
+        Unit { at: usize, kind: u8, value: f64, stray: bool },
+        /// Values, a third of them exact zeros of either sign.
+        Dense(Vec<(f64, u8)>),
+    }
+
+    fn matrix(n: usize, cols: &[Col]) -> Matrix {
+        let mut a = Matrix::zeros(n, n);
+        for (r, col) in cols.iter().enumerate() {
+            if let Col::Dense(vals) = col {
+                for (i, &(v, zero)) in vals.iter().enumerate() {
+                    a[(i, r)] = match zero {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => v,
+                    };
+                }
+            }
+        }
+        // The units never hold the largest entry, so the threshold is
+        // known before they are written.
+        let tol = PIVOT_EPS * a.max_abs().max(4.0);
+        for (r, col) in cols.iter().enumerate() {
+            if let Col::Unit { at, kind, value, stray } = *col {
+                let i = at % n;
+                a[(i, r)] = match kind {
+                    0..=19 => 1.0,
+                    20..=35 => -1.0,
+                    36..=43 => value,
+                    // At the singularity threshold (singular), a hair
+                    // above it, and below it.
+                    44 => tol,
+                    45 => -tol * (1.0 + f64::EPSILON),
+                    46 => 0.9 * tol,
+                    _ => -0.0,
+                };
+                if stray {
+                    a[((i + 1) % n, r)] = -0.0;
+                }
+            }
+        }
+        // One entry pins the scale the threshold was computed from.
+        if n > 0 && a.max_abs() < 4.0 {
+            let r = cols.iter().position(|c| matches!(c, Col::Dense(_)));
+            if let Some(r) = r {
+                a[(0, r)] = 4.0;
+            }
+        }
+        a
+    }
+
+    /// `n` columns, `dense_tenths` in ten of them dense. The units sit
+    /// on a scrambled permutation — so that most matrices can be
+    /// factored, with rows exchanged on the way — but for one in 24,
+    /// which lands anywhere: on another unit's row, above the diagonal.
+    fn cols(n: usize, dense_tenths: u32) -> impl Strategy<Value = Vec<Col>> {
+        let unit = (0u8..24, 0..n, 0u8..48, -4.0_f64..4.0, 0u8..8);
+        let dense = prop::collection::vec((-4.0_f64..4.0, 0u8..6), n);
+        let col = (0u32..10, unit, dense);
+        (prop::collection::vec(0.0_f64..1.0, n), prop::collection::vec(col, n)).prop_map(
+            move |(order, cols)| {
+                let mut perm: Vec<usize> = (0..n).collect();
+                perm.sort_by(|&a, &b| order[a].total_cmp(&order[b]));
+                cols.into_iter()
+                    .zip(perm)
+                    .map(|((pick, (stay, anywhere, kind, value, stray), dense), at)| {
+                        if pick < dense_tenths {
+                            Col::Dense(dense)
+                        } else {
+                            let at = if stay == 0 { anywhere } else { at };
+                            Col::Unit { at, kind, value, stray: stray == 0 }
+                        }
+                    })
+                    .collect()
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Matrices mixing dense columns with single-entry ones: units
+        /// `+1`, `-1` and arbitrary, wherever they fall — on the diagonal,
+        /// below it, above it (singular), two in one row (singular) —
+        /// moved about by the exchanges the dense columns' pivots ask
+        /// for, filled in when a pivot row holds them, at and around the
+        /// singularity threshold, with a `-0.0` for company. One
+        /// `CompressedLu` is refactored from case to case, so what a
+        /// failed or larger or smaller factorisation leaves behind is
+        /// part of the input.
+        #[test]
+        fn single_column_steps_equal_the_plain_elimination(
+            cases in prop::collection::vec(
+                (1usize..14, 0u32..5).prop_flat_map(|(n, tenths)| (Just(n), cols(n, tenths))),
+                1..6,
+            ),
+        ) {
+            let mut kept = CompressedLu::default();
+            for (n, cols) in &cases {
+                check_against_oracles(&matrix(*n, cols), &mut kept);
+            }
+        }
+
+        /// The shape of a simplex basis — signed units in scrambled order,
+        /// a few dense columns among them — which, unlike the mix above,
+        /// usually can be factored.
+        #[test]
+        fn basis_shaped_matrices_equal_the_plain_elimination(
+            (n, order, negative, dense_at, dense_vals) in (4usize..40, 0usize..9)
+                .prop_flat_map(|(n, k)| (
+                    Just(n),
+                    prop::collection::vec(0.0_f64..1.0, n),
+                    prop::collection::vec(any::<bool>(), n),
+                    prop::collection::vec(0usize..n, k),
+                    prop::collection::vec((-3.0_f64..3.0, 0u8..4), k * n),
+                ))
+        ) {
+            let mut perm: Vec<usize> = (0..n).collect();
+            perm.sort_by(|&a, &b| order[a].total_cmp(&order[b]));
+            let mut a = Matrix::zeros(n, n);
+            for (r, &i) in perm.iter().enumerate() {
+                a[(i, r)] = if negative[r] { -1.0 } else { 1.0 };
+            }
+            for (c, &r) in dense_at.iter().enumerate() {
+                for i in 0..n {
+                    let (v, zero) = dense_vals[c * n + i];
+                    a[(i, r)] = if zero == 0 { 0.0 } else { v };
+                }
+            }
+            let mut kept = Lu::factor(Matrix::identity(3)).expect("identity").compress();
+            prop_assume!(check_against_oracles(&a, &mut kept));
+        }
+    }
+
+    #[test]
+    fn single_columns_by_hand() {
+        let mut kept = CompressedLu::default();
+        // A permutation of signed units: every step single, rows
+        // exchanged, `-0.0` multipliers under the negative ones.
+        let a = Matrix::from_rows(&[
+            &[0.0, 0.0, -1.0, 0.0],
+            &[1.0, 0.0, 0.0, 0.0],
+            &[0.0, 0.0, 0.0, -2.5],
+            &[0.0, 3.0, 0.0, 0.0],
+        ]);
+        assert!(check_against_oracles(&a, &mut kept));
+        assert!(kept.dense.wide.is_empty(), "no column was walked");
+        assert_eq!(kept.dense.lu[(3, 2)].to_bits(), (-0.0_f64).to_bits());
+        // Two units in one row, the second above the diagonal when its
+        // step comes: singular at that column.
+        let a = Matrix::from_rows(&[&[1.0, 1.0, 0.0], &[0.0, 0.0, 1.0], &[0.0, 0.0, 0.0]]);
+        assert!(!check_against_oracles(&a, &mut kept));
+        assert_eq!(kept.factor_columns(3, [vec![(0, 1.0)], vec![(0, 1.0)], vec![(1, 1.0)]]),
+            Err(LinalgError::Singular { column: 1 }));
+        // A dense first column whose pivot row holds the unit of column 2:
+        // that column is filled in and walked, column 1's is only moved.
+        let a = Matrix::from_rows(&[&[1.0, 0.0, 0.0], &[2.0, 1.0, 0.0], &[4.0, 0.0, -1.0]]);
+        assert!(check_against_oracles(&a, &mut kept));
+        assert_eq!(kept.dense.wide, [0, 2]);
+        // A NaN for a unit takes the plain step (whose `NaN <= tol` is
+        // false), as does a column that also holds a `-0.0`.
+        let a = Matrix::from_rows(&[&[f64::NAN, 0.0], &[0.0, 1.0]]);
+        let by_columns = kept.factor_columns(2, [vec![(0, f64::NAN)], vec![(1, 1.0)]]);
+        assert_eq!(by_columns.is_ok(), plain(a).is_ok());
+        let a = Matrix::from_rows(&[&[2.0, 0.0], &[-0.0, 1.0]]);
+        assert!(check_against_oracles(&a, &mut kept));
+        assert_eq!(kept.dense.wide, [0]);
+    }
+
+    /// Refactoring a matrix of a size seen before moves none of the
+    /// storage — matrix, lists, diagonal — and a singular matrix in
+    /// between hands it on rather than dropping it.
+    #[test]
+    fn refactoring_keeps_its_storage_through_a_singular_matrix() {
+        let unit = |i: usize, v: f64| vec![(i, v)];
+        let dense = |vals: [f64; 4]| vals.into_iter().enumerate().collect::<Vec<_>>();
+        let basis = |d: [f64; 4]| [unit(0, 1.0), dense(d), unit(2, -1.0), unit(3, 1.0)];
+        let mut kept = CompressedLu::default();
+        kept.factor_columns(4, basis([0.5, 2.0, -1.0, 0.25])).unwrap();
+        let storage = |lu: &CompressedLu| {
+            (lu.dense.lu.as_slice().as_ptr(), lu.diag.as_ptr(), lu.l_rows.val.as_ptr(), lu.u_cols.val.as_ptr())
+        };
+        let before = storage(&kept);
+        let singular = kept.factor_columns(4, basis([0.5, 0.0, -1.0, 0.25]));
+        assert_eq!(singular, Err(LinalgError::Singular { column: 3 }), "row 1 is empty");
+        assert!(kept.solve_in_place(&mut [0.0; 4]).is_err(), "nothing is factored");
+        kept.factor_columns(4, basis([0.25, -4.0, 1.0, 0.5])).unwrap();
+        assert_eq!(storage(&kept), before);
+        let mut x = [1.0, 2.0, 3.0, 4.0];
+        kept.solve_in_place(&mut x).unwrap();
+        assert_close(&x, &[1.125, -0.5, -3.5, 4.25], 1e-15);
+    }
 
     fn assert_close(a: &[f64], b: &[f64], tol: f64) {
         assert_eq!(a.len(), b.len());

@@ -269,6 +269,14 @@ impl Matrix {
         self.data.fill(value);
     }
 
+    /// Become the `rows x cols` matrix of zeros in the storage this
+    /// matrix has, which grows only when the new shape needs more.
+    pub(crate) fn reset_zeros(&mut self, rows: usize, cols: usize) {
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+        (self.rows, self.cols) = (rows, cols);
+    }
+
     /// Flat row-major view of the underlying storage.
     pub fn as_slice(&self) -> &[f64] {
         &self.data

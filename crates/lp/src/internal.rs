@@ -89,6 +89,7 @@ impl SparseLines {
     }
 
     /// Set `run` from the indices, once every line is written.
+    #[cfg(test)]
     fn mark_runs(&mut self) {
         self.run = (0..self.start.len() - 1)
             .map(|k| {
@@ -263,16 +264,17 @@ fn widen(lo: &mut f64, hi: &mut f64, a: f64, u: f64) {
     }
 }
 
-impl InternalForm {
-    pub(crate) fn m(&self) -> usize {
-        self.rhs.len()
-    }
+/// How the user variables land in internal columns.
+struct VarLayout {
+    sense_sign: f64,
+    maps: Vec<VarMap>,
+    /// Upper bound and phase-2 cost of every structural column.
+    upper: Vec<f64>,
+    cost: Vec<f64>,
+}
 
-    /// Build the internal form of `problem`.
-    pub(crate) fn build(problem: &Problem) -> InternalForm {
-        let nrows = problem.cons.len();
-
-        // ---- Column layout of user variables ----------------------------
+impl VarLayout {
+    fn of(problem: &Problem) -> VarLayout {
         let mut maps: Vec<VarMap> = Vec::with_capacity(problem.vars.len());
         let mut upper: Vec<f64> = Vec::new();
         let mut cost: Vec<f64> = Vec::new();
@@ -306,11 +308,66 @@ impl InternalForm {
                 cost.push(-sense_sign * v.objective);
             }
         }
+        VarLayout { sense_sign, maps, upper, cost }
+    }
+}
+
+/// The columns after the structural ones: slacks in row order, then
+/// artificials in row order.
+struct ExtraColumns {
+    slack_col: Vec<Option<usize>>,
+    art_col: Vec<Option<usize>>,
+    art_start: usize,
+    n_total: usize,
+}
+
+impl ExtraColumns {
+    /// For rows with the normalised operators `ops`, after `n_struct`
+    /// structural columns.
+    fn of(ops: &[RowOp], n_struct: usize) -> ExtraColumns {
+        let mut slack_col: Vec<Option<usize>> = vec![None; ops.len()];
+        let mut next = n_struct;
+        for (i, op) in ops.iter().enumerate() {
+            if matches!(op, RowOp::Le | RowOp::Ge) {
+                slack_col[i] = Some(next);
+                next += 1;
+            }
+        }
+        let art_start = next;
+        let mut art_col: Vec<Option<usize>> = vec![None; ops.len()];
+        for (i, op) in ops.iter().enumerate() {
+            if matches!(op, RowOp::Ge | RowOp::Eq) {
+                art_col[i] = Some(next);
+                next += 1;
+            }
+        }
+        ExtraColumns { slack_col, art_col, art_start, n_total: next }
+    }
+}
+
+impl InternalForm {
+    pub(crate) fn m(&self) -> usize {
+        self.rhs.len()
+    }
+
+    /// Build the internal form of `problem`.
+    ///
+    /// Each row's terms are read once: that walk folds the shifts into
+    /// the right-hand side, decides [`unshifted`], widens the activity
+    /// range, lists the coefficients by row, notes whether their columns
+    /// are one run and counts what every column will hold — each in term
+    /// order, with the expressions [`shifted_rhs`], [`unshifted`] and
+    /// [`for_each_coeff`] evaluate for a patch, so the form is the one
+    /// the separate walks laid out (`build_multipass`, compiled for tests
+    /// only, which the crate's property tests hold it to field by
+    /// field). The column store is then written from the row store,
+    /// marking its runs on the way.
+    pub(crate) fn build(problem: &Problem) -> InternalForm {
+        let nrows = problem.cons.len();
+        let VarLayout { sense_sign, maps, mut upper, mut cost } = VarLayout::of(problem);
         let n_struct = upper.len();
 
         // ---- Rows in internal coordinates --------------------------------
-        // Structural coefficients land in a scratch row first (terms are
-        // already deduplicated by the model), then scatter into columns.
         let mut shifted = Vec::with_capacity(nrows);
         let mut unshifted_rows = Vec::with_capacity(nrows);
         let mut act_lo = Vec::with_capacity(nrows);
@@ -318,36 +375,56 @@ impl InternalForm {
         let mut rhs = Vec::with_capacity(nrows);
         let mut ops = Vec::with_capacity(nrows);
         let mut flipped = Vec::with_capacity(nrows);
-        let nnz: usize = problem
-            .cons
-            .iter()
-            .flat_map(|c| &c.terms)
-            .map(|&(uj, _)| if matches!(maps[uj], VarMap::Split { .. }) { 2 } else { 1 })
-            .sum();
-        // Every index below is at most this: each row adds two columns at
-        // most and two entries to the column store.
-        assert!(
-            u32::try_from(nnz.max(n_struct) + 2 * nrows).is_ok(),
-            "constraint matrix too large to index with u32"
-        );
+        // A free variable's term is two entries: room for the terms is
+        // room for the entries unless the model has such.
+        let terms: usize = problem.cons.iter().map(|c| c.terms.len()).sum();
         let mut rows = SparseLines {
             start: Vec::with_capacity(nrows + 1),
-            at: Vec::with_capacity(nnz),
-            val: Vec::with_capacity(nnz),
-            run: Vec::new(),
+            at: Vec::with_capacity(terms),
+            val: Vec::with_capacity(terms),
+            run: Vec::with_capacity(nrows),
         };
         rows.start.push(0);
+        let mut in_col = vec![0u32; n_struct];
         for c in &problem.cons {
-            let mut b = shifted_rhs(&maps, c);
-            shifted.push(b);
-            unshifted_rows.push(unshifted(&maps, c));
             let first = rows.at.len();
+            let mut b = c.rhs;
+            let mut no_shift = true;
             let (mut lo, mut hi) = (0.0, 0.0);
-            for_each_coeff(&maps, c, |col, a| {
+            // Whether every column so far follows the one before it by
+            // one, and the column that would keep that up.
+            let (mut run, mut follows) = (true, None);
+            let mut visit = |col: usize, a: f64| {
                 widen(&mut lo, &mut hi, a, upper[col]);
+                run &= follows.is_none_or(|next| next == col);
+                follows = Some(col + 1);
                 rows.at.push(col as u32);
                 rows.val.push(a);
-            });
+                in_col[col] += 1;
+            };
+            let zero = 0.0_f64.to_bits();
+            for &(uj, a) in &c.terms {
+                no_shift &= a.is_finite();
+                match maps[uj] {
+                    VarMap::Shift { col, lb } => {
+                        b -= a * lb;
+                        no_shift &= lb.abs().to_bits() == zero;
+                        visit(col, a);
+                    }
+                    VarMap::Mirror { col, ub } => {
+                        b -= a * ub;
+                        no_shift &= ub.abs().to_bits() == zero;
+                        visit(col, -a);
+                    }
+                    VarMap::Split { pos, neg } => {
+                        visit(pos, a);
+                        visit(neg, -a);
+                    }
+                }
+            }
+            shifted.push(b);
+            unshifted_rows.push(no_shift);
+            rows.run.push(run && follows.is_some());
             rows.start.push(rows.at.len() as u32);
             act_lo.push(lo);
             act_hi.push(hi);
@@ -368,42 +445,35 @@ impl InternalForm {
             ops.push(op);
             flipped.push(flip);
         }
-        rows.mark_runs();
+        // Every index above and below is at most this: each row adds two
+        // columns at most and two entries to the column store. (Indices
+        // written so far were cut to 32 bits unchecked; none has been
+        // read back as one.)
+        assert!(
+            u32::try_from(rows.at.len().max(n_struct) + 2 * nrows).is_ok(),
+            "constraint matrix too large to index with u32"
+        );
 
-        // ---- Slack then artificial columns -------------------------------
-        let mut slack_col: Vec<Option<usize>> = vec![None; nrows];
-        let mut next = n_struct;
-        for (i, op) in ops.iter().enumerate() {
-            if matches!(op, RowOp::Le | RowOp::Ge) {
-                slack_col[i] = Some(next);
-                next += 1;
-            }
-        }
-        let art_start = next;
-        let mut art_col: Vec<Option<usize>> = vec![None; nrows];
-        for (i, op) in ops.iter().enumerate() {
-            if matches!(op, RowOp::Ge | RowOp::Eq) {
-                art_col[i] = Some(next);
-                next += 1;
-            }
-        }
-        let n_total = next;
+        let ExtraColumns { slack_col, art_col, art_start, n_total } =
+            ExtraColumns::of(&ops, n_struct);
         upper.resize(n_total, f64::INFINITY);
         cost.resize(n_total, 0.0);
 
         // ---- Scatter into sparse columns ---------------------------------
-        let mut in_col = vec![0u32; n_total];
-        for &j in &rows.at {
-            in_col[j as usize] += 1;
-        }
-        in_col[n_struct..].fill(1);
+        in_col.resize(n_total, 1);
         let mut cols = SparseLines::with_lengths(&in_col);
+        // A column is a run until an entry lands that does not follow the
+        // one before it by one row; an empty one never was.
+        cols.run = in_col.iter().map(|&len| len > 0).collect();
         // Next free slot of each column. Rows are scanned in order and
         // maps are injective, so each column ends up row-sorted with
         // unique row indices.
         let mut next: Vec<u32> = cols.start[..n_total].to_vec();
         let mut place = |j: usize, i: usize, a: f64| {
             let slot = next[j] as usize;
+            if slot > cols.start[j] as usize && cols.at[slot - 1] as usize + 1 != i {
+                cols.run[j] = false;
+            }
             (cols.at[slot], cols.val[slot]) = (i as u32, a);
             next[j] += 1;
         };
@@ -420,7 +490,6 @@ impl InternalForm {
                 place(ac, i, 1.0);
             }
         }
-        cols.mark_runs();
 
         let signature = signature(sense_sign, &maps, problem, &ops, &flipped);
 
@@ -644,6 +713,132 @@ impl InternalForm {
                 _ => None,
             })
             .unwrap_or_else(|| format!("slack#{q}"))
+    }
+}
+
+#[cfg(test)]
+impl InternalForm {
+    /// [`InternalForm::build`] as it ran before its walks were merged: a
+    /// pass over the terms each for the entry count, [`shifted_rhs`],
+    /// [`unshifted`] and [`for_each_coeff`], then the finished stores
+    /// read again for the column lengths and the runs. The oracle the
+    /// one-walk build is held to.
+    pub(crate) fn build_multipass(problem: &Problem) -> InternalForm {
+        let nrows = problem.cons.len();
+        let VarLayout { sense_sign, maps, mut upper, mut cost } = VarLayout::of(problem);
+        let n_struct = upper.len();
+
+        let mut shifted = Vec::with_capacity(nrows);
+        let mut unshifted_rows = Vec::with_capacity(nrows);
+        let mut act_lo = Vec::with_capacity(nrows);
+        let mut act_hi = Vec::with_capacity(nrows);
+        let mut rhs = Vec::with_capacity(nrows);
+        let mut ops = Vec::with_capacity(nrows);
+        let mut flipped = Vec::with_capacity(nrows);
+        let nnz: usize = problem
+            .cons
+            .iter()
+            .flat_map(|c| &c.terms)
+            .map(|&(uj, _)| if matches!(maps[uj], VarMap::Split { .. }) { 2 } else { 1 })
+            .sum();
+        assert!(
+            u32::try_from(nnz.max(n_struct) + 2 * nrows).is_ok(),
+            "constraint matrix too large to index with u32"
+        );
+        let mut rows = SparseLines {
+            start: Vec::with_capacity(nrows + 1),
+            at: Vec::with_capacity(nnz),
+            val: Vec::with_capacity(nnz),
+            run: Vec::new(),
+        };
+        rows.start.push(0);
+        for c in &problem.cons {
+            let mut b = shifted_rhs(&maps, c);
+            shifted.push(b);
+            unshifted_rows.push(unshifted(&maps, c));
+            let first = rows.at.len();
+            let (mut lo, mut hi) = (0.0, 0.0);
+            for_each_coeff(&maps, c, |col, a| {
+                widen(&mut lo, &mut hi, a, upper[col]);
+                rows.at.push(col as u32);
+                rows.val.push(a);
+            });
+            rows.start.push(rows.at.len() as u32);
+            act_lo.push(lo);
+            act_hi.push(hi);
+            let mut op = c.op;
+            let flip = b < 0.0;
+            if flip {
+                b = -b;
+                for a in &mut rows.val[first..] {
+                    *a = -*a;
+                }
+                op = match op {
+                    RowOp::Le => RowOp::Ge,
+                    RowOp::Ge => RowOp::Le,
+                    RowOp::Eq => RowOp::Eq,
+                };
+            }
+            rhs.push(b);
+            ops.push(op);
+            flipped.push(flip);
+        }
+        rows.mark_runs();
+
+        let ExtraColumns { slack_col, art_col, art_start, n_total } =
+            ExtraColumns::of(&ops, n_struct);
+        upper.resize(n_total, f64::INFINITY);
+        cost.resize(n_total, 0.0);
+
+        let mut in_col = vec![0u32; n_total];
+        for &j in &rows.at {
+            in_col[j as usize] += 1;
+        }
+        in_col[n_struct..].fill(1);
+        let mut cols = SparseLines::with_lengths(&in_col);
+        let mut next: Vec<u32> = cols.start[..n_total].to_vec();
+        let mut place = |j: usize, i: usize, a: f64| {
+            let slot = next[j] as usize;
+            (cols.at[slot], cols.val[slot]) = (i as u32, a);
+            next[j] += 1;
+        };
+        for i in 0..nrows {
+            for (j, a) in rows.line(i) {
+                place(j, i, a);
+            }
+        }
+        for (i, (&s, &a)) in slack_col.iter().zip(&art_col).enumerate() {
+            if let Some(sc) = s {
+                place(sc, i, if matches!(ops[i], RowOp::Le) { 1.0 } else { -1.0 });
+            }
+            if let Some(ac) = a {
+                place(ac, i, 1.0);
+            }
+        }
+        cols.mark_runs();
+
+        let signature = signature(sense_sign, &maps, problem, &ops, &flipped);
+        InternalForm {
+            sense_sign,
+            maps,
+            upper,
+            cost,
+            shifted_rhs: shifted,
+            unshifted: unshifted_rows,
+            act_lo,
+            act_hi,
+            rhs,
+            ops,
+            flipped,
+            cols,
+            rows,
+            slack_col,
+            art_col,
+            art_start,
+            n_total,
+            signature,
+            stale_rows: 0,
+        }
     }
 }
 

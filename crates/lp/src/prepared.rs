@@ -152,9 +152,12 @@ mod tests {
         }
     }
 
-    /// Check the kept form against a rebuild of the patched problem.
+    /// Check the kept form against a rebuild of the patched problem, and
+    /// that rebuild — one walk per row — against the build of separate
+    /// passes it replaced.
     fn check(p: &Prepared) {
         let fresh = InternalForm::build(&p.problem);
+        assert_same_form(&fresh, &InternalForm::build_multipass(&p.problem));
         assert_current_fields_match(&p.form, &fresh);
         let moved = (0..fresh.m())
             .filter(|&i| p.form.flipped[i] != fresh.flipped[i])
@@ -429,6 +432,28 @@ mod tests {
         // x0: rows 0-2; x1: rows 0, 1, 4; x2: rows 0-3; x3: rows 0, 1, 3;
         // then the five slacks, one entry each.
         assert_eq!(f.cols.run, [true, false, true, false, true, true, true, true, true]);
+    }
+
+    /// What the generated models leave out: an infinite coefficient (no
+    /// row with one is `unshifted`), a row without terms (never a run),
+    /// a `-0.0` right-hand side, free variables side by side (their
+    /// column pairs make one run) and apart.
+    #[test]
+    fn one_walk_build_equals_the_separate_passes_on_odd_rows() {
+        let mut p = Problem::new(Sense::Minimize);
+        let x = p.add_var("x", 0.0, 4.0, 1.0);
+        let free = p.add_var("free", f64::NEG_INFINITY, f64::INFINITY, -1.0);
+        let free2 = p.add_var("free2", f64::NEG_INFINITY, f64::INFINITY, 0.0);
+        let below = p.add_var("below", f64::NEG_INFINITY, 0.0, 2.0);
+        p.add_row("infinite", &[(x, f64::INFINITY), (free, 1.0)], RowOp::Le, 3.0);
+        p.add_row("empty", &[], RowOp::Eq, 0.0);
+        p.add_row("negative zero", &[(x, 1.0), (below, -1.0)], RowOp::Ge, -0.0);
+        p.add_row("frees", &[(free, 2.0), (free2, -1.0)], RowOp::Le, -1.0);
+        p.add_row("apart", &[(x, 1.0), (free2, 1.0)], RowOp::Eq, 1.0);
+        let form = InternalForm::build(&p);
+        assert_eq!(form.unshifted, [false, true, true, true, true]);
+        assert_eq!(form.rows.run, [true, false, false, true, false]);
+        assert_same_form(&form, &InternalForm::build_multipass(&p));
     }
 
     fn budget_problem() -> (Problem, VarId, ConstraintId, ConstraintId) {

@@ -55,7 +55,7 @@ use std::cell::Cell;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::time::Instant;
-use thermaware_linalg::{CompressedLu, Lu, Matrix};
+use thermaware_linalg::CompressedLu;
 
 /// Entries smaller than this are unusable as ratio-test pivots.
 const PIVOT_EPS: f64 = 1e-9;
@@ -161,15 +161,16 @@ fn long_step(
 
 /// What a solve works in besides its basis, kept by a [`crate::Prepared`]
 /// from one solve to the next so that none but the first allocates it:
-/// the factors (a refactorisation builds the basis matrix in the storage
-/// of the factors it replaces — the last solve's, at a solve's start) and
-/// the per-iteration vectors: multipliers `y`, reduced costs `d` and
+/// the factors (a refactorisation builds the basis matrix and lists its
+/// factors in the storage of those it replaces — the last solve's, at a
+/// solve's start, whether or not that basis could be factored) and the
+/// per-iteration vectors: multipliers `y`, reduced costs `d` and
 /// pivot row `alpha` (one entry per column), the dual's `rho` and
 /// ratio-test candidates, the entering column. Every one is overwritten
 /// before it is read.
 #[derive(Default)]
 pub(crate) struct Workspace {
-    lu: Option<CompressedLu>,
+    lu: CompressedLu,
     y: Vec<f64>,
     d: Vec<f64>,
     alpha: Vec<f64>,
@@ -305,29 +306,17 @@ impl<'a> Rev<'a> {
         self.f.m()
     }
 
-    /// Factor the current basis matrix from the sparse columns. A
-    /// refactorisation builds it in the storage of the factors it
-    /// replaces.
+    /// Factor the current basis matrix from the sparse columns, in the
+    /// storage of the factors it replaces.
     fn factorize(&mut self) -> Result<(), LpError> {
         let since = self.clock.start();
-        let m = self.m();
-        let mut b = match self.ws.lu.take().map(CompressedLu::into_matrix) {
-            Some(mut b) if b.shape() == (m, m) => {
-                b.fill(0.0);
-                b
-            }
-            _ => Matrix::zeros(m, m),
-        };
-        for (r, &j) in self.basic.iter().enumerate() {
-            for (i, a) in self.f.cols.line(j) {
-                b[(i, r)] = a;
-            }
-        }
-        let lu = Lu::factor(b).map(Lu::compress).map_err(|_| LpError::Internal {
-            what: "singular basis matrix".to_string(),
-        });
+        let cols = &self.f.cols;
+        let columns = self.basic.iter().map(|&j| cols.line(j));
+        let done = self.ws.lu.factor_columns(self.f.m(), columns);
         self.clock.stop(Phase::Factorize, since);
-        self.ws.lu = Some(lu?);
+        done.map_err(|_| LpError::Internal {
+            what: "singular basis matrix".to_string(),
+        })?;
         self.etas.clear();
         self.factorizations += 1;
         Ok(())
@@ -343,10 +332,7 @@ impl<'a> Rev<'a> {
 
     /// `v := B^{-1} v` through the factorization and the eta chain.
     fn ftran_untimed(&self, v: &mut [f64]) -> Result<(), LpError> {
-        let lu = self.ws.lu.as_ref().ok_or_else(|| LpError::Internal {
-            what: "ftran before factorization".to_string(),
-        })?;
-        lu.solve_in_place(v).map_err(|e| LpError::Internal {
+        self.ws.lu.solve_in_place(v).map_err(|e| LpError::Internal {
             what: format!("ftran: {e}"),
         })?;
         for e in &self.etas {
@@ -368,14 +354,9 @@ impl<'a> Rev<'a> {
             }
             v[e.r] = s / e.w[e.r];
         }
-        let done = match &self.ws.lu {
-            Some(lu) => lu.solve_transposed_in_place(v).map_err(|e| LpError::Internal {
-                what: format!("btran: {e}"),
-            }),
-            None => Err(LpError::Internal {
-                what: "btran before factorization".to_string(),
-            }),
-        };
+        let done = self.ws.lu.solve_transposed_in_place(v).map_err(|e| LpError::Internal {
+            what: format!("btran: {e}"),
+        });
         self.clock.stop(Phase::Btran, since);
         done
     }

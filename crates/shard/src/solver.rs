@@ -33,7 +33,7 @@ use crate::fleet::Fleet;
 use crate::master::{self, BudgetSplit};
 use crate::pool::{self, Pool, PoolConfig, RunStats};
 use crate::state::{FallbackKind, FleetState, ZonePlan, ZoneSlot, STATE_VERSION};
-use thermaware_core::stage1::{solve_stage1, Stage1Options};
+use thermaware_core::stage1::{solve_stage1_under_budget, Stage1Options};
 use thermaware_core::stage2::assign_pstates;
 use thermaware_core::stage3::{solve_stage3, solve_stage3_warm};
 use thermaware_core::stage3::Stage3Basis;
@@ -148,10 +148,9 @@ pub fn solve_zone(
     objective: &ObjectiveWeights,
     warm: Option<&Stage3Basis>,
 ) -> Result<(ZonePlan, Option<Stage3Basis>), SolveError> {
-    let mut zone_dc = dc.clone();
-    zone_dc.budget.p_const_kw = budget_kw;
-    let stage1 = match solve_stage1(
-        &zone_dc,
+    let stage1 = match solve_stage1_under_budget(
+        dc,
+        budget_kw,
         &Stage1Options {
             psi_percent,
             objective: *objective,
@@ -166,7 +165,7 @@ pub fn solve_zone(
             // all-off *is* the optimum under this budget — a legitimate
             // fresh plan, not a degraded one. Genuinely unbuildable
             // budgets (below even all-off) still propagate the error.
-            let plan = all_off_plan(&zone_dc, zone, budget_kw);
+            let plan = all_off_plan(dc, zone, budget_kw);
             if plan.power_kw <= budget_kw + 1e-6 * budget_kw.max(1.0) {
                 let mut plan = plan;
                 plan.degraded = None;
@@ -175,11 +174,11 @@ pub fn solve_zone(
             return Err(err);
         }
     };
-    let pstates = assign_pstates(&zone_dc, &stage1);
-    let (stage3, basis) = solve_stage3_warm(&zone_dc, &pstates, warm)?;
-    let powers = zone_dc.node_powers_from_pstates(&pstates);
-    let (it, cooling, state) = zone_dc.total_power_kw(&stage1.crac_out_c, &powers);
-    if !zone_dc.redlines_ok(&state) {
+    let pstates = assign_pstates(dc, &stage1);
+    let (stage3, basis) = solve_stage3_warm(dc, &pstates, warm)?;
+    let powers = dc.node_powers_from_pstates(&pstates);
+    let (it, cooling, state) = dc.total_power_kw(&stage1.crac_out_c, &powers);
+    if !dc.redlines_ok(&state) {
         return Err(SolveError::invalid_input(format!(
             "zone {zone}: rounded plan violates redlines"
         )));

@@ -97,6 +97,35 @@ pub struct ThermalModel {
     pub crac_redline_c: f64,
 }
 
+/// `acc[r] += Σ_j a[(row0 + r, col0 + j)] · x[j]` for every `r`: each
+/// row's products are added to that row's accumulator one after the other
+/// in ascending `j`, so every sum is the one-row loop's bit for bit — but
+/// four rows go side by side, which keeps four add chains in flight where
+/// one row alone waits out each add's latency (`n_nodes²` dependent adds a
+/// call, once per CRAC-outlet candidate).
+fn add_block_times(a: &Matrix, row0: usize, col0: usize, x: &[f64], acc: &mut [f64]) {
+    let window = |r: usize| &a.row(row0 + r)[col0..col0 + x.len()];
+    let mut quads = acc.chunks_exact_mut(4);
+    let mut r = 0;
+    for quad in &mut quads {
+        let [mut s0, mut s1, mut s2, mut s3] = [quad[0], quad[1], quad[2], quad[3]];
+        let rows = window(r).iter().zip(window(r + 1)).zip(window(r + 2)).zip(window(r + 3));
+        for (&t, (((&a0, &a1), &a2), &a3)) in x.iter().zip(rows) {
+            s0 += a0 * t;
+            s1 += a1 * t;
+            s2 += a2 * t;
+            s3 += a3 * t;
+        }
+        quad.copy_from_slice(&[s0, s1, s2, s3]);
+        r += 4;
+    }
+    for (k, s) in quads.into_remainder().iter_mut().enumerate() {
+        for (&a, &t) in window(r + k).iter().zip(x) {
+            *s += a * t;
+        }
+    }
+}
+
 impl ThermalModel {
     /// Assemble a model from a layout, per-unit flows, and validated
     /// cross-interference coefficients. Factors `(I − A_nn)` once.
@@ -123,9 +152,8 @@ impl ThermalModel {
         for i in 0..nn {
             i_minus_ann[(i, i)] += 1.0;
         }
-        let lu = Lu::factor(i_minus_ann)
-            .map_err(|e| format!("recirculation structure is singular: {e}"))?;
-        let m_inv = lu
+        let m_inv = Lu::factor(i_minus_ann)
+            .map_err(|e| format!("recirculation structure is singular: {e}"))?
             .inverse()
             .map_err(|e| format!("inverting (I - A_nn): {e}"))?;
 
@@ -231,25 +259,15 @@ impl ThermalModel {
 
         // base_node_i = (A_nc c)_i + (A_nn t0)_i ; base_crac_i = (A_cc c)_i
         // + (A_cn t0)_i.
-        let mut base_node = vec![0.0; nn];
-        for (i, b) in base_node.iter_mut().enumerate() {
-            let mut acc = anc_c[i];
-            for (j, &t) in t0.iter().enumerate() {
-                acc += self.a[(nc + i, nc + j)] * t;
-            }
-            *b = acc;
-        }
+        let mut base_node = anc_c;
+        add_block_times(&self.a, nc, nc, &t0, &mut base_node);
         let mut base_crac = vec![0.0; nc];
         for (i, b) in base_crac.iter_mut().enumerate() {
-            let mut acc = 0.0;
             for (j, &c) in crac_out_c.iter().enumerate() {
-                acc += self.a[(i, j)] * c;
+                *b += self.a[(i, j)] * c;
             }
-            for (j, &t) in t0.iter().enumerate() {
-                acc += self.a[(i, nc + j)] * t;
-            }
-            *b = acc;
         }
+        add_block_times(&self.a, 0, nc, &t0, &mut base_crac);
         ThermalCoefficients {
             base_node,
             g_node: &self.g_node,
@@ -357,6 +375,58 @@ mod tests {
         let ci = generate_ipf(&layout, &flows, &mut rng).unwrap();
         let model = ThermalModel::new(&layout, &flows, &ci, 25.0, 40.0).unwrap();
         (layout, flows, model)
+    }
+
+    /// The base vectors as one accumulator per row summed them, a row at
+    /// a time: what `add_block_times` must reproduce bit for bit.
+    fn bases_one_row_at_a_time(model: &ThermalModel, crac_out_c: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        let (nc, nn) = (model.n_crac, model.n_nodes);
+        let mut anc_c = vec![0.0; nn];
+        for (i, v) in anc_c.iter_mut().enumerate() {
+            for (j, &c) in crac_out_c.iter().enumerate() {
+                *v += model.a[(nc + i, j)] * c;
+            }
+        }
+        let t0 = model.m_inv.mat_vec(&anc_c);
+        let mut base_node = vec![0.0; nn];
+        for (i, b) in base_node.iter_mut().enumerate() {
+            let mut acc = anc_c[i];
+            for (j, &t) in t0.iter().enumerate() {
+                acc += model.a[(nc + i, nc + j)] * t;
+            }
+            *b = acc;
+        }
+        let mut base_crac = vec![0.0; nc];
+        for (i, b) in base_crac.iter_mut().enumerate() {
+            let mut acc = 0.0;
+            for (j, &c) in crac_out_c.iter().enumerate() {
+                acc += model.a[(i, j)] * c;
+            }
+            for (j, &t) in t0.iter().enumerate() {
+                acc += model.a[(i, nc + j)] * t;
+            }
+            *b = acc;
+        }
+        (base_node, base_crac)
+    }
+
+    #[test]
+    fn four_rows_at_a_time_sum_what_one_row_sums() {
+        // Node counts that leave 0 to 3 rows after the last four, CRAC
+        // counts on either side of four.
+        for (n_crac, n_nodes, seed) in [(2, 20, 5), (1, 21, 6), (3, 22, 7), (5, 23, 8), (4, 7, 9)] {
+            let layout = Layout::hot_cold_aisle(n_crac, n_nodes);
+            let flows = uniform_flows(&layout, 0.07, None);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let ci = generate_ipf(&layout, &flows, &mut rng).unwrap();
+            let model = ThermalModel::new(&layout, &flows, &ci, 25.0, 40.0).unwrap();
+            let outlets: Vec<f64> = (0..n_crac).map(|c| 14.5 + 1.75 * c as f64).collect();
+            let coeff = model.coefficients(&outlets);
+            let (base_node, base_crac) = bases_one_row_at_a_time(&model, &outlets);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            assert_eq!(bits(&coeff.base_node), bits(&base_node), "{n_crac} x {n_nodes}");
+            assert_eq!(bits(&coeff.base_crac), bits(&base_crac), "{n_crac} x {n_nodes}");
+        }
     }
 
     #[test]
