@@ -48,7 +48,6 @@ struct Counts {
     warm_starts: u64,
     dual_reentries: u64,
     refactorizations: u64,
-    dense_fallbacks: u64,
     infeasible: u64,
 }
 
@@ -62,7 +61,6 @@ impl Counts {
             warm_starts: get("lp.warm_starts"),
             dual_reentries: get("lp.dual_reentries"),
             refactorizations: get("lp.refactorizations"),
-            dense_fallbacks: get("lp.dense_fallbacks"),
             infeasible: get("lp.infeasible"),
         }
     }
@@ -113,7 +111,6 @@ fn pair_json(label: &str, cold: Counts, warm: Counts) -> serde_json::Value {
         "warm_starts": warm.warm_starts as f64,
         "dual_reentries": warm.dual_reentries as f64,
         "refactorizations": warm.refactorizations as f64,
-        "dense_fallbacks": warm.dense_fallbacks as f64,
         "infeasible": warm.infeasible as f64,
         "pivot_speedup": speedup,
         "warm_hit_rate": hit_rate,

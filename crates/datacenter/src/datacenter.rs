@@ -132,6 +132,22 @@ impl DataCenter {
         counts
     }
 
+    /// Does a P-state assignment read from outside fit this room? One
+    /// P-state per core, none past its node type's off state — what
+    /// every per-core table lookup indexes with.
+    pub fn pstates_fit(&self, pstates: &[usize]) -> Result<(), String> {
+        let fits = pstates.len() == self.n_cores()
+            && (0..self.n_nodes()).all(|j| {
+                let off = self.node_type(j).core.pstates.off_index();
+                pstates[self.cores_of_node(j)].iter().all(|&p| p <= off)
+            });
+        if fits {
+            Ok(())
+        } else {
+            Err(format!("P-states do not fit the room's {} cores", self.n_cores()))
+        }
+    }
+
     /// Node powers (kW, Eq. 1) for per-node *core* power totals: base plus
     /// the given total core draw of each node.
     pub fn node_powers(&self, core_power_per_node: &[f64]) -> Vec<f64> {

@@ -1,5 +1,4 @@
-//! Shared internal form of an LP: the rewriting both simplex engines
-//! (dense tableau and sparse revised) run on.
+//! Internal form of an LP: the rewriting the revised simplex runs on.
 //!
 //! Internal form: `min c·x  s.t.  A x = b,  0 <= x_j <= u_j` (each `u_j`
 //! possibly infinite). User problems are rewritten into this form: finite
@@ -10,11 +9,9 @@
 //!
 //! The constraint matrix is stored sparse and **twice**, both times as
 //! [`SparseLines`]. Column-major (`cols`) is what the basis is assembled
-//! from — the factorisation, the FTRAN of the entering column, the dense
-//! tableau's `m × n` matrix — and what fixes the column indexing both
-//! engines share, which is what makes a [`Basis`] handle produced by
-//! either engine consumable by the other. Row-major (`rows`, the
-//! structural block only) is what the revised simplex prices with: the
+//! from — the factorisation, the FTRAN of the entering column — and what
+//! fixes the column indexing a [`Basis`] handle is written in. Row-major
+//! (`rows`, the structural block only) is what the simplex prices with: the
 //! dual pivot row `rho·A` and the reduced costs `c - y·A` are wanted for
 //! every column at once from a `rho` or `y` that is mostly exact zeros,
 //! so [`InternalForm::pivot_row`] and [`InternalForm::reduced_costs`]
@@ -146,7 +143,7 @@ impl SparseLines {
     }
 }
 
-/// The rewritten problem both engines solve.
+/// The rewritten problem the engine solves.
 ///
 /// A form can be **patched in place** (`patch_rhs`, `patch_row`,
 /// `patch_cost`) after the problem it was built from changed a right-hand

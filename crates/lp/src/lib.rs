@@ -7,23 +7,25 @@
 //! temperatures are fixed, exactly as the paper observes in Section V.B.2.
 //! This crate provides the LP solver those problems run on.
 //!
-//! Two engines share one internal problem form ([`internal`]):
+//! The engine is a **sparse revised simplex** ([`revised`]) on an
+//! internal problem form ([`internal`]): the basis matrix is LU-factorized
+//! (`thermaware-linalg`), pivots append product-form eta updates with
+//! periodic refactorization, and bounded variables are handled implicitly
+//! (nonbasic columns rest at either bound, so box constraints never become
+//! rows). Its defining feature is **warm-starting**: [`Solution::basis`]
+//! hands back an opaque [`Basis`]; passing it into [`Problem::solve_warm`]
+//! on a structurally identical, perturbed problem resumes from the
+//! previous optimum — via the primal when still feasible, via a
+//! dual-simplex re-entry when an RHS change broke feasibility. The CRAC
+//! outlet grid sweep and the runtime supervisor's post-fault replans live
+//! on this path.
 //!
-//! * The default is a **sparse revised simplex** ([`revised`]): the basis
-//!   matrix is LU-factorized (`thermaware-linalg`), pivots append
-//!   product-form eta updates with periodic refactorization, and bounded
-//!   variables are handled implicitly (nonbasic columns rest at either
-//!   bound, so box constraints never become rows). Its defining feature
-//!   is **warm-starting**: [`Solution::basis`] hands back an opaque
-//!   [`Basis`]; passing it into [`Problem::solve_warm`] on a structurally
-//!   identical, perturbed problem resumes from the previous optimum —
-//!   via the primal when still feasible, via a dual-simplex re-entry when
-//!   an RHS change broke feasibility. The CRAC outlet grid sweep and the
-//!   runtime supervisor's post-fault replans live on this path.
-//! * The original **dense two-phase tableau** ([`simplex`]) remains as
-//!   the fallback oracle: [`Problem::solve`] retries on it after revised
-//!   pathologies, and tests cross-check the engines against each other
-//!   through [`Problem::solve_dense`].
+//! What it returns is checked by [`certify`], which proves optimality
+//! from the problem as stated and the solution's values and duals alone —
+//! primal residuals, dual signs, reduced-cost signs and the duality gap —
+//! with none of the engine's arithmetic. Debug builds certify every
+//! optimum a solve returns; the crate's property tests certify theirs in
+//! release too.
 //!
 //! A model that is solved many times with a few numbers changed in
 //! between — the CRAC sweep's one LP per outlet candidate — is kept as a
@@ -36,14 +38,13 @@
 //! the rows.
 //!
 //! Anti-cycling falls back to Bland's rule after a run of degenerate
-//! steps in both engines. Problem sizes in this workspace top out around
-//! ~300 rows × ~2000 columns (the Eq.-21 baseline on a 150-node data
-//! center).
+//! steps. Problem sizes in this workspace top out around ~300 rows ×
+//! ~2000 columns (the Eq.-21 baseline on a 150-node data center).
 //!
 //! # Example
 //!
 //! ```
-//! use thermaware_lp::{Problem, Sense, RowOp};
+//! use thermaware_lp::{certify, Problem, Sense, RowOp};
 //!
 //! // maximize 3x + 2y  s.t.  x + y <= 4,  x <= 2,  x, y >= 0
 //! let mut p = Problem::new(Sense::Maximize);
@@ -52,6 +53,7 @@
 //! p.add_row("cap", &[(x, 1.0), (y, 1.0)], RowOp::Le, 4.0);
 //! let mut sol = p.solve().unwrap();
 //! assert!((sol.objective - 10.0).abs() < 1e-9); // x = 2, y = 2
+//! assert!(certify(&p, &sol).is_ok());
 //!
 //! // Perturb the budget and re-solve warm from the previous basis.
 //! let basis = sol.take_basis();
@@ -62,16 +64,15 @@
 //! ```
 
 mod basis;
+mod certify;
 mod internal;
 mod model;
-pub mod mps;
 mod prepared;
 mod revised;
-mod simplex;
 mod solution;
 
 pub use basis::Basis;
+pub use certify::{certify, CertError, Certificate};
 pub use model::{ConstraintId, Problem, RowOp, Sense, VarId};
-pub use mps::to_mps;
 pub use prepared::Prepared;
 pub use solution::{LpError, Solution};

@@ -1,7 +1,7 @@
 use crate::basis::Basis;
 use crate::internal::InternalForm;
+use crate::revised;
 use crate::solution::{LpError, Solution};
-use crate::{revised, simplex};
 
 /// Optimization direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,21 +63,21 @@ pub struct Problem {
 
 /// The one solve path behind [`Problem::solve_warm`] and
 /// [`crate::Prepared::solve_warm`]: the revised simplex on `form` (built
-/// on the spot when the caller keeps none), retried on the dense tableau
-/// after a numerical pathology.
+/// on the spot when the caller keeps none). A debug build certifies
+/// every optimum it returns.
 pub(crate) fn solve_with(
     problem: &Problem,
     form: Option<&mut InternalForm>,
     ws: &mut revised::Workspace,
     warm: Option<&Basis>,
 ) -> Result<Solution, LpError> {
-    match revised::solve(problem, form, ws, warm) {
-        Err(LpError::IterationLimit { .. }) | Err(LpError::Internal { .. }) => {
-            thermaware_obs::counter_add("lp.dense_fallbacks", 1);
-            simplex::solve(problem)
-        }
-        other => other,
+    let result = revised::solve(problem, form, ws, warm);
+    #[cfg(debug_assertions)]
+    if let Ok(sol) = &result {
+        let certified = crate::certify(problem, sol);
+        assert!(certified.is_ok(), "the solve returned a refuted optimum: {certified:?}");
     }
+    result
 }
 
 impl Problem {
@@ -254,12 +254,6 @@ impl Problem {
     ///
     /// Returns the optimal [`Solution`], or an [`LpError`] describing
     /// infeasibility / unboundedness / numerical failure.
-    ///
-    /// Runs the sparse revised simplex ([`crate::revised`]); numerical
-    /// pathologies (iteration cap, near-singular pivots) retry on the
-    /// dense tableau engine, which uses different arithmetic and often
-    /// survives what broke the factorized path. Verdicts about the
-    /// *problem* (infeasible, unbounded) are returned directly.
     pub fn solve(&self) -> Result<Solution, LpError> {
         self.solve_warm(None)
     }
@@ -275,15 +269,6 @@ impl Problem {
     /// repeated re-solves via [`Solution::take_basis`].
     pub fn solve_warm(&self, warm: Option<&Basis>) -> Result<Solution, LpError> {
         solve_with(self, None, &mut revised::Workspace::default(), warm)
-    }
-
-    /// Solve on the dense two-phase tableau engine — the fallback oracle.
-    ///
-    /// Exists so tests can cross-check the revised simplex against an
-    /// independent implementation; production callers use
-    /// [`Problem::solve`].
-    pub fn solve_dense(&self) -> Result<Solution, LpError> {
-        simplex::solve(self)
     }
 
     /// Evaluate the objective at a given point (no feasibility check).

@@ -73,7 +73,7 @@ pub enum LpError {
         /// The cap that was exceeded.
         limit: usize,
     },
-    /// A tableau invariant the solver relies on was violated — a solver
+    /// An invariant the solver relies on was violated — a solver
     /// bug, not a property of the model. Formerly an `unreachable!`;
     /// the solver paths are panic-free (DESIGN.md §6), so internal
     /// inconsistency surfaces as a typed error the supervisor can

@@ -1,53 +1,105 @@
-//! Property tests: every solve must return a feasible point, and on
-//! random box-bounded `max c·x s.t. A x <= b` instances the returned row
-//! duals must certify optimality through strong duality.
+//! Property tests: on random feasible, bounded LPs every solve must
+//! return an optimum that [`certify`] proves — primal feasible, duals of
+//! the right signs, and no duality gap — a certificate no amount of
+//! example-based testing provides.
 //!
-//! For `max c·x, A x <= b, 0 <= x <= u` the dual is
-//! `min b·y + u·w, y >= 0, w >= 0, A^T y + w >= c`. Given the solver's row
-//! duals `y`, the cheapest feasible `w` is `w_j = max(0, c_j - (A^T y)_j)`;
-//! if the resulting dual objective matches the primal objective, the primal
-//! solution is provably optimal — a certificate no amount of example-based
-//! testing provides.
+//! The generator mixes both senses, `<=`, `>=` and `==` rows, boxes with
+//! negative lower bounds, and lower-only, upper-only and free variables.
+//! Feasibility comes from a witness point `x0` inside the bounds: each
+//! row's right-hand side is its activity at `x0`, moved onto `x0`'s side
+//! for an inequality. Boundedness comes from the objective: a variable
+//! unbounded in a direction has a coefficient that does not improve along
+//! it (zero for a free one).
 
 use proptest::prelude::*;
-use thermaware_lp::{Problem, RowOp, Sense};
+use thermaware_lp::{certify, Problem, RowOp, Sense};
 
 #[derive(Debug, Clone)]
 struct RandomLp {
-    m: usize,
-    n: usize,
-    a: Vec<f64>,
-    b: Vec<f64>,
-    c: Vec<f64>,
-    u: Vec<f64>,
+    sense: Sense,
+    /// `(lower, upper, objective)` of every variable.
+    vars: Vec<(f64, f64, f64)>,
+    /// A point inside the bounds every row holds at.
+    x0: Vec<f64>,
+    /// `(op, coefficients, right-hand side)` of every row.
+    rows: Vec<(RowOp, Vec<f64>, f64)>,
 }
 
 fn random_lp() -> impl Strategy<Value = RandomLp> {
     (1usize..6, 1usize..8).prop_flat_map(|(m, n)| {
+        // kind 0-2 a box `[lo, lo + width]` (lo < 0 half the time),
+        // 3 `[lo, inf)`, 4 `(-inf, lo + width]`, 5 free; `at` places x0.
+        let var = (
+            0u8..6,
+            -3.0_f64..3.0,
+            0.1_f64..10.0,
+            -5.0_f64..5.0,
+            0.0_f64..1.0,
+        );
+        let row = (
+            0u8..3,
+            prop::collection::vec(-2.0_f64..4.0, n),
+            0.0_f64..5.0,
+        );
         (
-            Just(m),
-            Just(n),
-            prop::collection::vec(-2.0_f64..4.0, m * n),
-            // b >= 0 keeps x = 0 feasible, so the instance is never
-            // infeasible; u finite keeps it bounded.
-            prop::collection::vec(0.5_f64..20.0, m),
-            prop::collection::vec(-5.0_f64..5.0, n),
-            prop::collection::vec(0.1_f64..10.0, n),
+            any::<bool>(),
+            prop::collection::vec(var, n),
+            prop::collection::vec(row, m),
         )
-            .prop_map(|(m, n, a, b, c, u)| RandomLp { m, n, a, b, c, u })
+            .prop_map(|(maximize, vars, rows)| {
+                let sense = if maximize {
+                    Sense::Maximize
+                } else {
+                    Sense::Minimize
+                };
+                // The direction the objective improves along.
+                let up = if maximize { 1.0 } else { -1.0 };
+                let (vars, x0): (Vec<_>, Vec<_>) = vars
+                    .into_iter()
+                    .map(|(kind, lo, width, c, at)| match kind {
+                        0..=2 => ((lo, lo + width, c), lo + at * width),
+                        3 => ((lo, f64::INFINITY, -up * c.abs()), lo + at * width),
+                        4 => (
+                            (f64::NEG_INFINITY, lo + width, up * c.abs()),
+                            lo + at * width,
+                        ),
+                        _ => ((f64::NEG_INFINITY, f64::INFINITY, 0.0), lo + at * width),
+                    })
+                    .unzip();
+                let rows = rows
+                    .into_iter()
+                    .map(|(op, coeffs, slack)| {
+                        let at_x0: f64 = coeffs.iter().zip(&x0).map(|(a, x)| a * x).sum();
+                        match op {
+                            0 => (RowOp::Le, coeffs, at_x0 + slack),
+                            1 => (RowOp::Ge, coeffs, at_x0 - slack),
+                            _ => (RowOp::Eq, coeffs, at_x0),
+                        }
+                    })
+                    .collect();
+                RandomLp {
+                    sense,
+                    vars,
+                    x0,
+                    rows,
+                }
+            })
     })
 }
 
-fn build(lp: &RandomLp) -> (Problem, Vec<thermaware_lp::VarId>) {
-    let mut p = Problem::new(Sense::Maximize);
-    let vars: Vec<_> = (0..lp.n)
-        .map(|j| p.add_var(&format!("x{j}"), 0.0, lp.u[j], lp.c[j]))
+fn build(lp: &RandomLp, sense: Sense, flip: f64) -> Problem {
+    let mut p = Problem::new(sense);
+    let vars: Vec<_> = lp
+        .vars
+        .iter()
+        .enumerate()
+        .map(|(j, &(lo, hi, c))| p.add_var(&format!("x{j}"), lo, hi, flip * c))
         .collect();
-    for i in 0..lp.m {
-        let terms: Vec<_> = (0..lp.n).map(|j| (vars[j], lp.a[i * lp.n + j])).collect();
-        p.add_row(&format!("r{i}"), &terms, RowOp::Le, lp.b[i]);
+    for (i, (op, coeffs, rhs)) in lp.rows.iter().enumerate() {
+        let terms: Vec<_> = vars.iter().copied().zip(coeffs.iter().copied()).collect();
+        p.add_row(&format!("r{i}"), &terms, *op, *rhs);
     }
-    (p, vars)
+    p
 }
 
 proptest! {
@@ -55,74 +107,37 @@ proptest! {
 
     #[test]
     fn solution_is_feasible_and_duality_certified(lp in random_lp()) {
-        let (p, _) = build(&lp);
+        let p = build(&lp, lp.sense, 1.0);
         let sol = p.solve().expect("feasible bounded LP must solve");
-        // Primal feasibility.
-        let viol = p.max_violation(&sol.values);
-        prop_assert!(viol < 1e-7, "violation {viol}");
+        certify(&p, &sol).map_err(|e| TestCaseError::fail(format!("optimum refuted: {e}")))?;
+    }
 
-        // Dual feasibility of y (maximize / Le rows => y >= 0).
-        for (i, &y) in sol.duals.iter().enumerate() {
-            prop_assert!(y >= -1e-7, "dual {i} = {y} negative");
-        }
-
-        // Strong duality with the implied bound duals.
-        let mut dual_obj = 0.0;
-        for i in 0..lp.m {
-            dual_obj += sol.duals[i] * lp.b[i];
-        }
-        for j in 0..lp.n {
-            let at_y: f64 = (0..lp.m).map(|i| sol.duals[i] * lp.a[i * lp.n + j]).sum();
-            let w = (lp.c[j] - at_y).max(0.0);
-            dual_obj += w * lp.u[j];
-        }
-        let gap = (dual_obj - sol.objective).abs();
+    #[test]
+    fn objective_beats_random_feasible_points(lp in random_lp()) {
+        let p = build(&lp, lp.sense, 1.0);
+        let sol = p.solve().expect("solve");
+        let witness = p.objective_value(&lp.x0);
+        let better = match lp.sense {
+            Sense::Maximize => sol.objective - witness,
+            Sense::Minimize => witness - sol.objective,
+        };
         prop_assert!(
-            gap <= 1e-6 * (1.0 + sol.objective.abs() + dual_obj.abs()),
-            "duality gap {gap}: primal {} dual {dual_obj}",
+            better >= -1e-7 * (1.0 + witness.abs()),
+            "witness {witness} beats optimum {}",
             sol.objective
         );
     }
 
     #[test]
-    fn objective_beats_random_feasible_points(lp in random_lp(), scale in 0.0_f64..1.0) {
-        let (p, _) = build(&lp);
-        let sol = p.solve().expect("solve");
-        // A scaled-down box corner is feasible when scaled toward 0 far
-        // enough; walk the scale down until feasible, then compare.
-        let mut x: Vec<f64> = lp.u.iter().map(|&u| u * scale).collect();
-        let mut tries = 0;
-        while p.max_violation(&x) > 0.0 && tries < 60 {
-            for v in &mut x {
-                *v *= 0.5;
-            }
-            tries += 1;
-        }
-        if p.max_violation(&x) <= 0.0 {
-            let candidate = p.objective_value(&x);
-            prop_assert!(
-                sol.objective >= candidate - 1e-7 * (1.0 + candidate.abs()),
-                "candidate {candidate} beats optimum {}",
-                sol.objective
-            );
-        }
-    }
-
-    #[test]
     fn min_and_max_are_consistent(lp in random_lp()) {
         // max c·x  ==  -min (-c)·x on the same feasible set.
-        let (pmax, _) = build(&lp);
-        let mut pmin = Problem::new(Sense::Minimize);
-        let vars: Vec<_> = (0..lp.n)
-            .map(|j| pmin.add_var(&format!("x{j}"), 0.0, lp.u[j], -lp.c[j]))
-            .collect();
-        for i in 0..lp.m {
-            let terms: Vec<_> = (0..lp.n).map(|j| (vars[j], lp.a[i * lp.n + j])).collect();
-            pmin.add_row(&format!("r{i}"), &terms, RowOp::Le, lp.b[i]);
-        }
-        let smax = pmax.solve().unwrap();
-        let smin = pmin.solve().unwrap();
-        let diff = (smax.objective + smin.objective).abs();
-        prop_assert!(diff <= 1e-6 * (1.0 + smax.objective.abs()), "diff {diff}");
+        let other = match lp.sense {
+            Sense::Maximize => Sense::Minimize,
+            Sense::Minimize => Sense::Maximize,
+        };
+        let a = build(&lp, lp.sense, 1.0).solve().unwrap();
+        let b = build(&lp, other, -1.0).solve().unwrap();
+        let diff = (a.objective + b.objective).abs();
+        prop_assert!(diff <= 1e-6 * (1.0 + a.objective.abs()), "diff {diff}");
     }
 }

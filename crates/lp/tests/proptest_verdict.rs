@@ -1,15 +1,19 @@
-//! The row-activity verdict against the dense oracle.
+//! The row-activity verdict, held to what it claims without a second
+//! engine.
 //!
 //! Before its first factorisation the revised engine declares a problem
 //! infeasible when one row is out of reach of the variable bounds. Every
-//! row here sits within ±1 of what its variables can reach — a `<=` row's
-//! right-hand side near the row's smallest activity, a `>=` row's near the
-//! largest — so the verdict fires on about half the cases and just misses
-//! on the rest. It must never fire on a problem the dense tableau, which
-//! has no such shortcut, can solve.
+//! row of [`case`] sits within ±1 of what its variables can reach — a
+//! `<=` row's right-hand side near the row's smallest activity, a `>=`
+//! row's near the largest — so the verdict fires on about half the cases
+//! and just misses on the rest: a row out of reach must be refused, and
+//! whatever the engine calls optimal must certify. Every row of
+//! [`witnessed`] has its reachable end at one box corner `x0` and its
+//! right-hand side on `x0`'s side of it, so `x0` is feasible by
+//! construction and the verdict must never fire.
 
 use proptest::prelude::*;
-use thermaware_lp::{LpError, Problem, RowOp, Sense};
+use thermaware_lp::{certify, LpError, Problem, RowOp, Sense};
 
 #[derive(Debug, Clone)]
 struct Case {
@@ -32,6 +36,41 @@ fn case() -> impl Strategy<Value = Case> {
             prop::collection::vec(row, m),
         )
             .prop_map(|(vars, rows)| Case { vars, rows })
+    })
+}
+
+/// A [`Case`] whose rows all reach their end at one box corner `x0`:
+/// each coefficient takes the sign that puts `x0`'s end of its variable
+/// at the row's end (lower end of a `<=` row, upper of a `>=` or `==`
+/// row), and the offset moves the right-hand side into the reachable
+/// range by up to 1 (none for `==`), so `x0` satisfies every row.
+fn witnessed() -> impl Strategy<Value = Case> {
+    (1usize..6, 1usize..5).prop_flat_map(|(n, m)| {
+        let var = (-2.0_f64..2.0, 0.1_f64..5.0, -3.0_f64..3.0);
+        let row = (0u8..3, prop::collection::vec(0.0_f64..3.0, n), 0.0_f64..1.0);
+        (
+            prop::collection::vec(var, n),
+            prop::collection::vec(any::<bool>(), n),
+            prop::collection::vec(row, m),
+        )
+            .prop_map(|(vars, at_upper, rows)| {
+                let rows = rows
+                    .into_iter()
+                    .map(|(op, magnitudes, inside)| {
+                        // `<=`: the row is least where each term is; `>=`
+                        // and `==`: most.
+                        let least = op == 0;
+                        let coeffs = magnitudes
+                            .iter()
+                            .zip(&at_upper)
+                            .map(|(&a, &up)| if up == least { -a } else { a })
+                            .collect();
+                        let offset = if op == 2 { 0.0 } else { -inside };
+                        (op, coeffs, offset)
+                    })
+                    .collect();
+                Case { vars, rows }
+            })
     })
 }
 
@@ -67,36 +106,27 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
-    fn never_infeasible_where_the_dense_oracle_finds_a_solution(case in case()) {
+    fn out_of_reach_is_infeasible_and_every_optimum_certifies(case in case()) {
         let p = build(&case);
         let out_of_reach = case.rows.iter().any(|&(_, _, offset)| offset > 1e-6);
-        match (p.solve(), p.solve_dense()) {
-            (Err(LpError::Infeasible { .. }), Ok(dense)) => {
-                return Err(TestCaseError::fail(format!(
-                    "revised says infeasible, dense found objective {}",
-                    dense.objective
-                )));
+        match p.solve() {
+            Ok(sol) => {
+                prop_assert!(!out_of_reach, "a row out of reach by more than the tolerance was solved");
+                certify(&p, &sol).map_err(|e| TestCaseError::fail(format!("optimum refuted: {e}")))?;
             }
-            (Ok(sol), Ok(dense)) => {
-                prop_assert!(!out_of_reach, "a row was out of reach");
-                prop_assert!(
-                    (sol.objective - dense.objective).abs() <= 1e-6 * (1.0 + dense.objective.abs()),
-                    "revised {} vs dense {}", sol.objective, dense.objective
-                );
-            }
-            (Ok(sol), Err(e)) => {
-                // The oracle may give up where the engine does not; the
-                // answer must then stand on its own.
-                prop_assert!(p.max_violation(&sol.values) < 1e-6, "dense failed with {e}");
-            }
-            (Err(_), Err(_)) => {}
-            (Err(e), Ok(_)) => return Err(TestCaseError::fail(format!("revised failed: {e}"))),
+            Err(e) => prop_assert!(
+                matches!(e, LpError::Infeasible { .. }),
+                "a box-bounded problem either solves or is infeasible, not {e}"
+            ),
         }
-        if out_of_reach {
-            prop_assert!(
-                matches!(p.solve(), Err(LpError::Infeasible { .. })),
-                "a row out of reach by more than the tolerance must be refused"
-            );
-        }
+    }
+
+    #[test]
+    fn never_infeasible_where_a_box_corner_is_feasible(case in witnessed()) {
+        let p = build(&case);
+        let sol = p
+            .solve()
+            .map_err(|e| TestCaseError::fail(format!("feasible by construction, got {e}")))?;
+        certify(&p, &sol).map_err(|e| TestCaseError::fail(format!("optimum refuted: {e}")))?;
     }
 }

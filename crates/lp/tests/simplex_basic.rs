@@ -1,6 +1,6 @@
 //! Unit tests for the simplex solver on small LPs with known optima.
 
-use thermaware_lp::{LpError, Problem, RowOp, Sense};
+use thermaware_lp::{certify, LpError, Problem, RowOp, Sense};
 
 fn close(a: f64, b: f64) -> bool {
     (a - b).abs() < 1e-7 * (1.0 + a.abs().max(b.abs()))
@@ -179,9 +179,9 @@ fn zero_objective_solve_finds_a_point() {
     let y = p.add_var("y", 0.0, 10.0, 0.0);
     p.add_row("r1", &[(x, 1.0), (y, 1.0)], RowOp::Eq, 7.0);
     p.add_row("r2", &[(x, 1.0), (y, -1.0)], RowOp::Ge, 1.0);
-    for sol in [p.solve().unwrap(), p.solve_dense().unwrap()] {
-        assert!(p.max_violation(&sol.values) < 1e-7);
-    }
+    let sol = p.solve().unwrap();
+    assert!(p.max_violation(&sol.values) < 1e-7);
+    certify(&p, &sol).unwrap();
 }
 
 #[test]

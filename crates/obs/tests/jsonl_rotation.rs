@@ -9,13 +9,6 @@ use std::path::Path;
 use std::sync::Arc;
 use thermaware_obs::JsonlRecorder;
 
-fn line_count(path: &Path) -> usize {
-    fs::read_to_string(path)
-        .expect("readable generation")
-        .lines()
-        .count()
-}
-
 fn assert_parses_standalone(path: &Path) {
     let text = fs::read_to_string(path).expect("readable generation");
     let mut lines = text.lines();
@@ -32,6 +25,9 @@ fn assert_parses_standalone(path: &Path) {
     }
 }
 
+/// The rotation limit `create_rotating` clamps a smaller one up to.
+const LIMIT: u64 = 4 * 1024;
+
 #[test]
 fn rotation_shifts_generations_and_bounds_disk() {
     let dir = std::env::temp_dir().join("thermaware-obs-rotation");
@@ -41,17 +37,18 @@ fn rotation_shifts_generations_and_bounds_disk() {
         let _ = fs::remove_file(dir.join(format!("trace.{gen}.jsonl")));
     }
 
-    // max_bytes clamps to 4 KiB; ~90-byte span lines → rotation roughly
-    // every ~45 lines. 500 spans forces several rotations through the
-    // keep=2 window.
+    // ~120-byte span lines (their length moves with the digits of
+    // `start_us`) against the 4 KiB limit: a rotation every ~33 lines,
+    // so 500 spans force several through the keep=2 window.
     let rec = Arc::new(JsonlRecorder::create_rotating(&trace, 1, 2).expect("recorder"));
     {
         let _install = thermaware_obs::install(rec.clone());
-        for _ in 0..500 {
+        for _ in 0..499 {
             let _span = thermaware_obs::span("rotation_probe_span");
         }
+        let _last = thermaware_obs::span("rotation_last_span");
     }
-    rec.finish().expect("finish");
+    rec.flush().expect("flush");
 
     let gen1 = dir.join("trace.1.jsonl");
     let gen2 = dir.join("trace.2.jsonl");
@@ -61,18 +58,37 @@ fn rotation_shifts_generations_and_bounds_disk() {
     assert!(gen2.exists(), "generation 2 present");
     assert!(!gen3.exists(), "keep=2 must delete generation 3");
 
+    // A generation rotates out when the next line would not fit: it is
+    // within one line of the limit, never over it.
+    let texts: Vec<String> = [&trace, &gen1, &gen2]
+        .iter()
+        .map(|p| fs::read_to_string(p).expect("readable generation"))
+        .collect();
+    let longest = texts
+        .iter()
+        .flat_map(|t| t.lines())
+        .map(|l| l.len() as u64 + 1)
+        .max()
+        .expect("span lines on disk");
+    for (path, text) in [(&gen1, &texts[1]), (&gen2, &texts[2])] {
+        let bytes = text.len() as u64;
+        assert!(
+            bytes <= LIMIT && bytes + longest > LIMIT,
+            "{}: {bytes} bytes, lines up to {longest}",
+            path.display()
+        );
+    }
+    let last = texts[0]
+        .lines()
+        .last()
+        .expect("the active file holds spans");
+    assert!(
+        last.contains("rotation_last_span"),
+        "the newest span is in the active file: {last}"
+    );
+
+    rec.finish().expect("finish");
     for path in [&trace, &gen1, &gen2] {
         assert_parses_standalone(path);
-        let bytes = fs::metadata(path).expect("metadata").len();
-        // Each file stays near the (clamped) limit: the active file can
-        // exceed it only by the final metric-summary lines.
-        assert!(bytes < 16 * 1024, "{}: {bytes} bytes", path.display());
     }
-
-    // Rotated generations hold full rotation windows; together with the
-    // active file they must account for the most recent span lines but
-    // NOT all 500 (older ones were deleted with generation 3+).
-    let total = line_count(&trace) + line_count(&gen1) + line_count(&gen2);
-    assert!(total < 500, "old generations must have been dropped ({total} lines kept)");
-    assert!(total > 80, "the recent window must survive ({total} lines kept)");
 }

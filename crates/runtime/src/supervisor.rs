@@ -1175,8 +1175,7 @@ impl<'a> LiveRun<'a> {
             ));
         }
         let w = &state.world;
-        if w.pstates.len() != dc.n_cores()
-            || w.outlets.len() != dc.n_crac()
+        if w.outlets.len() != dc.n_crac()
             || w.failed.len() != dc.n_crac()
             || w.dead.len() != dc.n_nodes()
         {
@@ -1184,6 +1183,7 @@ impl<'a> LiveRun<'a> {
                 "supervisor state: world dimensions do not match the data center".to_string(),
             );
         }
+        dc.pstates_fit(&w.pstates).map_err(|misfit| format!("supervisor state: {misfit}"))?;
         if w.shed.iter().any(|&i| i >= dc.workload.task_types.len()) {
             return Err("supervisor state: shed task type out of range".to_string());
         }

@@ -430,3 +430,39 @@ fn supervisor_state_with_a_repeated_candidate_is_refused() {
         Ok(_) => panic!("repeated candidate accepted"),
     }
 }
+
+/// A snapshot whose CRC verifies can still hold a P-state no core has:
+/// `resume` refuses it at `LiveRun::from_state`, by name, instead of
+/// indexing a P-state table with it on the way to the physical check.
+#[test]
+fn snapshot_with_a_p_state_past_off_is_refused() {
+    let (dc, plan) = scenario();
+    let dir = temp_dir("pstate99");
+    let ckpt = CheckpointConfig::new(&dir);
+    let stopped = run_checkpointed_until(dc, cfg(2), plan, &FaultScript::new(), &ckpt, 2)
+        .expect("checkpointed run");
+    assert!(stopped.is_none());
+
+    let newest = newest_snapshot(&dir);
+    let text = fs::read_to_string(&newest).expect("read snapshot");
+    let v: serde_json::Value = serde_json::from_str(&text).expect("parse snapshot");
+    let state = v.get("state").and_then(|x| x.as_str()).expect("state");
+    let at = state.find(r#""world":{"pstates":["#).expect("the world's P-states")
+        + r#""world":{"pstates":["#.len();
+    let end = at + state[at..].find([',', ']']).expect("the first P-state's end");
+    let bad = format!("{}99{}", &state[..at], &state[end..]);
+    let crc = thermaware_runtime::persist::crc32(bad.as_bytes());
+    let envelope = serde_json::Value::Object(vec![
+        ("version".to_string(), v.get("version").expect("version").clone()),
+        ("epoch".to_string(), v.get("epoch").expect("epoch").clone()),
+        ("state_crc".to_string(), serde_json::Value::Number(f64::from(crc))),
+        ("state".to_string(), serde_json::Value::String(bad)),
+    ]);
+    fs::write(&newest, serde_json::to_string(&envelope).expect("encode")).expect("write");
+
+    match resume(&dir) {
+        Err(PersistError::State { reason }) => assert!(reason.contains("P-states"), "{reason}"),
+        other => panic!("expected a refused state, got {other:?}"),
+    }
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -157,18 +157,14 @@ impl ServiceState {
 }
 
 /// Do a P-state assignment and a Stage-3 plan read from disk fit `dc`?
-/// One P-state per core, none past its node type's off state, and
-/// [`Stage3Solution::fits`] — what building the scheduler's plan tables
-/// indexes with.
+/// [`DataCenter::pstates_fit`] and [`Stage3Solution::fits`] — what
+/// building the scheduler's plan tables indexes with.
 pub(crate) fn plan_fits(
     dc: &DataCenter,
     pstates: &[usize],
     stage3: &Stage3Solution,
 ) -> Result<(), String> {
-    let off = |k: usize| dc.node_type(dc.node_of_core(k)).core.pstates.off_index();
-    if pstates.len() != dc.n_cores() || pstates.iter().enumerate().any(|(k, &p)| p > off(k)) {
-        return Err(format!("P-states do not fit the room's {} cores", dc.n_cores()));
-    }
+    dc.pstates_fit(pstates)?;
     stage3.fits(dc)
 }
 

@@ -1,10 +1,9 @@
-//! Artifact-pipeline integration tests: scenario snapshots and MPS
-//! export across crate boundaries — the reproducibility features a
-//! downstream user leans on when filing a bug or pinning a result.
+//! Artifact-pipeline integration tests: scenario snapshots across crate
+//! boundaries — the reproducibility feature a downstream user leans on
+//! when filing a bug or pinning a result.
 
 use thermaware::core::Solver;
 use thermaware::datacenter::{ScenarioParams, ScenarioSnapshot};
-use thermaware::lp::{to_mps, Problem, RowOp, Sense};
 
 #[test]
 fn snapshot_restores_and_replans_to_the_same_reward() {
@@ -33,34 +32,6 @@ fn snapshot_restores_and_replans_to_the_same_reward() {
         replanned.reward_rate()
     );
     assert_eq!(original.pstates, replanned.pstates);
-}
-
-#[test]
-fn any_workspace_lp_exports_to_mps() {
-    // Build a representative optimization model and dump it: the export
-    // must contain every section and one line per variable/row at least.
-    let mut p = Problem::new(Sense::Maximize);
-    let vars: Vec<_> = (0..12)
-        .map(|j| p.add_var(&format!("seg{j}"), 0.0, 1.0 + j as f64 * 0.1, (j % 5) as f64))
-        .collect();
-    for i in 0..6 {
-        let terms: Vec<_> = vars
-            .iter()
-            .enumerate()
-            .map(|(j, &v)| (v, ((i * 7 + j) % 5) as f64 - 2.0))
-            .collect();
-        p.add_row(&format!("row{i}"), &terms, RowOp::Le, 4.0 + i as f64);
-    }
-    let mps = to_mps(&p, "workspace model");
-    assert!(mps.contains("ENDATA"));
-    for j in 0..12 {
-        assert!(mps.contains(&format!("seg{j}_{j}")), "missing column {j}");
-    }
-    for i in 0..6 {
-        assert!(mps.contains(&format!("row{i}_{i}")), "missing row {i}");
-    }
-    // Sanity: the model still solves after export (export is read-only).
-    assert!(p.solve().is_ok());
 }
 
 #[test]
