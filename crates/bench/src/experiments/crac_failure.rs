@@ -42,18 +42,9 @@ fn shed_until_safe(
             .unwrap();
         // Deepen that node's shallowest core; walk outward to neighbours
         // if the node is already dark.
-        let mut cand: Option<usize> = None;
-        for node in std::iter::once(hottest).chain(0..dc.n_nodes()) {
-            let off = dc.node_type(node).core.pstates.off_index();
-            if let Some(k) = dc
-                .cores_of_node(node)
-                .filter(|&k| ps[k] < off)
-                .min_by_key(|&k| ps[k])
-            {
-                cand = Some(k);
-                break;
-            }
-        }
+        let cand = std::iter::once(hottest)
+            .chain(0..dc.n_nodes())
+            .find_map(|node| dc.shallowest_core(&ps, node));
         match cand {
             Some(k) => {
                 ps[k] += 1;

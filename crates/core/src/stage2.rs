@@ -42,11 +42,7 @@ pub fn assign_pstates(dc: &DataCenter, stage1: &Stage1Solution) -> Vec<usize> {
             }
             // Deepen the core with the smallest (most power-hungry)
             // P-state index; the off state cannot deepen further.
-            let victim = dc
-                .cores_of_node(node)
-                .filter(|&k| pstates[k] < table.off_index())
-                .min_by_key(|&k| pstates[k]);
-            match victim {
+            match dc.shallowest_core(&pstates, node) {
                 Some(k) => pstates[k] += 1,
                 None => break, // everything already off
             }

@@ -233,9 +233,7 @@ mod tests {
     #[test]
     fn all_off_earns_nothing() {
         let dc = dc();
-        let pstates: Vec<usize> = (0..dc.n_cores())
-            .map(|k| dc.node_type(dc.node_of_core(k)).core.pstates.off_index())
-            .collect();
+        let pstates = dc.off_pstates();
         let s = solve_stage3(&dc, &pstates).unwrap();
         assert_eq!(s.reward_rate, 0.0);
         for i in 0..dc.n_task_types() {
@@ -304,9 +302,7 @@ mod tests {
         assert_eq!(warm.rate_per_core.len(), cold.rate_per_core.len());
         // A structural change (new off group) must degrade gracefully to
         // a cold solve rather than corrupting the answer.
-        let off: Vec<usize> = (0..dc.n_cores())
-            .map(|k| dc.node_type(dc.node_of_core(k)).core.pstates.off_index())
-            .collect();
+        let off = dc.off_pstates();
         let (changed, _) = solve_stage3_warm(&dc, &off, basis.as_ref()).unwrap();
         assert_eq!(changed.reward_rate, 0.0);
     }

@@ -97,9 +97,7 @@ mod tests {
     #[test]
     fn all_off_is_feasible_with_headroom() {
         let dc = ScenarioParams::small_test().build(1).unwrap();
-        let pstates: Vec<usize> = (0..dc.n_cores())
-            .map(|k| dc.node_type(dc.node_of_core(k)).core.pstates.off_index())
-            .collect();
+        let pstates = dc.off_pstates();
         let r = verify_assignment(&dc, &dc.budget.min_outlets_c.clone(), &pstates, None);
         assert!(r.is_feasible(), "{r:?}");
         assert!(r.power_headroom_kw > 0.0);

@@ -148,6 +148,26 @@ impl DataCenter {
         }
     }
 
+    /// Every core at its node type's off state.
+    pub fn off_pstates(&self) -> Vec<usize> {
+        let mut pstates = Vec::with_capacity(self.n_cores());
+        for j in 0..self.n_nodes() {
+            pstates.resize(self.core_offsets[j + 1], self.node_type(j).core.pstates.off_index());
+        }
+        pstates
+    }
+
+    /// The live core of `node` with the smallest P-state index, the first
+    /// such core on ties — the core Stage 2 deepens first (Section
+    /// V.B.3), and every degradation ladder's next throttle step on that
+    /// node. `None` when all its cores are off.
+    pub fn shallowest_core(&self, pstates: &[usize], node: usize) -> Option<usize> {
+        let off = self.node_type(node).core.pstates.off_index();
+        self.cores_of_node(node)
+            .filter(|&k| pstates[k] < off)
+            .min_by_key(|&k| pstates[k])
+    }
+
     /// Node powers (kW, Eq. 1) for per-node *core* power totals: base plus
     /// the given total core draw of each node.
     pub fn node_powers(&self, core_power_per_node: &[f64]) -> Vec<f64> {

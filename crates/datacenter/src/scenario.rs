@@ -484,9 +484,7 @@ mod tests {
         // compare within float tolerance.
         assert!(close(&max, &dc.max_node_powers()));
         // All off equals the minimum.
-        let off: Vec<usize> = (0..dc.n_cores())
-            .map(|k| dc.node_type(dc.node_of_core(k)).core.pstates.off_index())
-            .collect();
+        let off = dc.off_pstates();
         let min = dc.node_powers_from_pstates(&off);
         assert!(close(&min, &dc.min_node_powers()));
     }

@@ -1,55 +1,74 @@
-//! The greedy throttle ladder, exposed as a standalone deterministic
-//! primitive.
+//! The degradation steps, one copy each.
 //!
-//! PR 1 buried the power-cap throttle inside the supervisor's rung-3
-//! response. The fleet solver (`crates/shard`) needs the same move for
-//! its degraded-zone fallback — take the zone's last-good plan and walk
-//! it back under a shrunken budget — so the greedy core selection lives
-//! here and the supervisor calls it for its power-mode rung.
+//! Three ladders give up reward safely under faults: the supervisor's
+//! response (`Supervisor::respond`), the fleet solver's degraded-zone
+//! fallback (`thermaware_shard`) and the service's circuit breaker
+//! (`thermaware_service`). Their rung *orders* differ and stay written
+//! out where they are; the *steps* they share live here — the greedy
+//! throttle step, the chip-level die scan and migration, the shed rule
+//! and the epoch backoff (DESIGN §6 "One copy of each step").
 //!
-//! The move is the paper's Stage-2 logic run in reverse: repeatedly
-//! deepen the P-state of the core giving up the most power per MHz of
-//! speed lost (the least reward-efficient speed, by concavity of ARR).
-//! Deepening only ever lowers node powers, and the heat-flow model's
-//! inlet temperatures are nondecreasing in node powers, so a
+//! The throttle step is the paper's Stage-2 logic run in reverse:
+//! repeatedly deepen one node's shallowest core
+//! ([`DataCenter::shallowest_core`]), choosing the node by a caller's
+//! score. Deepening only ever lowers node powers, and the heat-flow
+//! model's inlet temperatures are nondecreasing in node powers, so a
 //! redline-feasible plan stays redline-feasible at every step — the
 //! ladder can only walk *into* the feasible region.
 
+use crate::event::{Action, EventKind, EventLog};
 use thermaware_datacenter::DataCenter;
-use thermaware_thermal::ChipModel;
+use thermaware_thermal::{ChipGrid, ChipModel};
 
-/// Pick the cheapest one-state deepening: among each live node's
-/// shallowest core, the one shedding the most power per MHz lost.
-/// `dead[j]` masks out dead nodes (`None` = all alive). Returns the
-/// global core index, or `None` when every core is already off.
+/// Cap on an epoch backoff's wait: the supervisor's and every fleet
+/// zone's (the breaker's is its configured `max_cooldown_epochs`).
+pub const MAX_BACKOFF_EPOCHS: u32 = 8;
+
+/// One failure's epoch backoff: wait `len` epochs (at least one), then
+/// double `len` for the next failure, saturating, up to `cap`. Both
+/// counters come back from snapshots unchecked, so nothing here may
+/// overflow.
+pub fn back_off(wait: &mut u32, len: &mut u32, cap: u32) {
+    let n = (*len).max(1);
+    *wait = n;
+    *len = n.saturating_mul(2).min(cap);
+}
+
+/// Pick one one-state deepening: among each live node's shallowest core,
+/// the one with the highest `score(node, dp_kw, ds_mhz)` — the power it
+/// sheds and the speed it gives up — the first node on ties. `dead[j]`
+/// masks out dead nodes (`None` = all alive). Returns the global core
+/// index, or `None` when every live core is already off.
 pub fn cheapest_throttle_step(
     dc: &DataCenter,
     pstates: &[usize],
     dead: Option<&[bool]>,
+    score: impl Fn(usize, f64, f64) -> f64,
 ) -> Option<usize> {
     let mut best: Option<(f64, usize)> = None; // (score, core)
     for j in 0..dc.n_nodes() {
         if dead.is_some_and(|d| d[j]) {
             continue;
         }
-        let table = &dc.node_type(j).core.pstates;
-        let off = table.off_index();
-        let Some(k) = dc
-            .cores_of_node(j)
-            .filter(|&k| pstates[k] < off)
-            .min_by_key(|&k| pstates[k])
-        else {
+        let Some(k) = dc.shallowest_core(pstates, j) else {
             continue;
         };
+        let table = &dc.node_type(j).core.pstates;
         let p = pstates[k];
         let dp_kw = table.power_kw(p) - table.power_kw(p + 1);
         let ds_mhz = (table.freq_mhz(p) - table.freq_mhz(p + 1)).max(1e-9);
-        let score = dp_kw / ds_mhz;
+        let score = score(j, dp_kw, ds_mhz);
         if best.is_none_or(|(b, _)| score > b) {
             best = Some((score, k));
         }
     }
     best.map(|(_, k)| k)
+}
+
+/// The power-cap score: power shed per MHz lost, so the least
+/// reward-efficient speed goes first (by concavity of ARR).
+pub(crate) fn power_per_mhz(_node: usize, dp_kw: f64, ds_mhz: f64) -> f64 {
+    dp_kw / ds_mhz
 }
 
 /// A throttled plan and where it landed.
@@ -69,7 +88,7 @@ pub struct ThrottlePlan {
 }
 
 /// Walk `pstates` under `budget_kw` (total IT + cooling at the given
-/// CRAC outlets) by greedy one-state deepenings, up to `max_steps`.
+/// CRAC outlets) by greedy power-per-MHz deepenings, up to `max_steps`.
 pub fn throttle_to_budget(
     dc: &DataCenter,
     outlets: &[f64],
@@ -88,7 +107,7 @@ pub fn throttle_to_budget(
         if steps >= max_steps {
             return ThrottlePlan { pstates, steps, it_kw, cooling_kw, fits: false };
         }
-        match cheapest_throttle_step(dc, &pstates, None) {
+        match cheapest_throttle_step(dc, &pstates, None, power_per_mhz) {
             Some(k) => {
                 pstates[k] += 1;
                 steps += 1;
@@ -96,6 +115,68 @@ pub fn throttle_to_budget(
             None => return ThrottlePlan { pstates, steps, it_kw, cooling_kw, fits: false },
         }
     }
+}
+
+/// Shed the lowest-reward of `candidates` — `(task type, reward)` pairs,
+/// the caller's eligible types — the first on ties: append it to `shed`,
+/// log it, and return it (`None` when there is no candidate).
+pub fn shed_lowest_reward(
+    candidates: impl IntoIterator<Item = (usize, f64)>,
+    shed: &mut Vec<usize>,
+    log: &mut EventLog,
+    at_s: f64,
+) -> Option<usize> {
+    let (task_type, reward) = candidates.into_iter().min_by(|a, b| a.1.total_cmp(&b.1))?;
+    shed.push(task_type);
+    log.record(at_s, EventKind::ActionTaken(Action::ShedTaskType { task_type, reward }));
+    Some(task_type)
+}
+
+/// Node `j`'s die and its per-core powers under `pstates`, when the chip
+/// model has a grid for the node's type with the node's core count.
+fn die<'c>(
+    dc: &DataCenter,
+    chip: &'c ChipModel,
+    pstates: &[usize],
+    j: usize,
+) -> Option<(&'c ChipGrid, Vec<f64>)> {
+    let t = dc.node_type_of[j];
+    if t >= chip.n_types() {
+        return None;
+    }
+    let grid = chip.grid(t);
+    let cores = dc.cores_of_node(j);
+    if cores.len() != grid.n_cores() {
+        return None;
+    }
+    let table = &dc.node_type(j).core.pstates;
+    Some((grid, cores.map(|k| table.power_kw(pstates[k])).collect()))
+}
+
+/// The hottest live die, `(peak °C, node)`, the first node on ties:
+/// `inlets_c[j]` is node `j`'s die ambient. `None` when no live node has
+/// a die the chip model covers.
+pub(crate) fn hottest_die(
+    dc: &DataCenter,
+    chip: &ChipModel,
+    inlets_c: &[f64],
+    pstates: &[usize],
+    dead: &[bool],
+) -> Option<(f64, usize)> {
+    let mut hottest: Option<(f64, usize)> = None;
+    for (j, &inlet_c) in inlets_c.iter().enumerate() {
+        if dead[j] {
+            continue;
+        }
+        let Some((grid, powers)) = die(dc, chip, pstates, j) else {
+            continue;
+        };
+        let peak = grid.peak_c(inlet_c, &powers);
+        if hottest.is_none_or(|(p, _)| peak > p) {
+            hottest = Some((peak, j));
+        }
+    }
+    hottest
 }
 
 /// A chip-level migration plan and where it landed.
@@ -138,18 +219,11 @@ pub fn migrate_to_tspd(
     let mut peak_after = f64::NEG_INFINITY;
     let mut fits = true;
     for j in 0..dc.n_nodes() {
-        let t = dc.node_type_of[j];
-        if t >= chip.n_types() {
+        let Some((grid, mut powers)) = die(dc, chip, &pstates, j) else {
             continue;
-        }
-        let grid = chip.grid(t);
-        let cores: Vec<usize> = dc.cores_of_node(j).collect();
-        if cores.len() != grid.n_cores() {
-            continue;
-        }
-        let table = &dc.node_type(j).core.pstates;
+        };
+        let first = dc.cores_of_node(j).start;
         let ambient = inlets_c.get(j).copied().unwrap_or(0.0);
-        let mut powers: Vec<f64> = cores.iter().map(|&k| table.power_kw(pstates[k])).collect();
         let mut peak = grid.peak_c(ambient, &powers);
         peak_before = peak_before.max(peak);
         if dead.is_some_and(|d| d[j]) {
@@ -175,7 +249,7 @@ pub fn migrate_to_tspd(
             }
             let Some((p, a, b)) = best else { break };
             powers.swap(a, b);
-            pstates.swap(cores[a], cores[b]);
+            pstates.swap(first + a, first + b);
             peak = p;
             swaps += 1;
         }
@@ -243,7 +317,7 @@ mod tests {
         let plan = throttle_to_budget(&dc, &outlets, &pstates, 0.0, 100_000);
         assert!(!plan.fits);
         // Everything it could turn off, it did.
-        assert!(cheapest_throttle_step(&dc, &plan.pstates, None).is_none());
+        assert!(cheapest_throttle_step(&dc, &plan.pstates, None, power_per_mhz).is_none());
     }
 
     #[test]
@@ -251,7 +325,7 @@ mod tests {
         let (dc, pstates, _outlets) = solved_zone();
         let mut dead = vec![false; dc.n_nodes()];
         dead[0] = true;
-        if let Some(k) = cheapest_throttle_step(&dc, &pstates, Some(&dead)) {
+        if let Some(k) = cheapest_throttle_step(&dc, &pstates, Some(&dead), power_per_mhz) {
             assert!(!dc.cores_of_node(0).contains(&k), "dead node must not be chosen");
         }
     }
@@ -269,17 +343,11 @@ mod tests {
 
     #[test]
     fn zero_budget_on_an_all_off_fleet_terminates_without_steps() {
-        let (dc, pstates, outlets) = solved_zone();
-        let mut all_off = pstates;
-        for j in 0..dc.n_nodes() {
-            let off = dc.node_type(j).core.pstates.off_index();
-            for k in dc.cores_of_node(j) {
-                all_off[k] = off;
-            }
-        }
+        let (dc, _, outlets) = solved_zone();
+        let all_off = dc.off_pstates();
         // Nothing left to deepen: the ladder must return immediately, and
         // static node power keeps the floor above a zero budget.
-        assert!(cheapest_throttle_step(&dc, &all_off, None).is_none());
+        assert!(cheapest_throttle_step(&dc, &all_off, None, power_per_mhz).is_none());
         let plan = throttle_to_budget(&dc, &outlets, &all_off, 0.0, 100_000);
         assert_eq!(plan.steps, 0);
         assert_eq!(plan.pstates, all_off);
@@ -292,7 +360,7 @@ mod tests {
     /// without moving a single watt between nodes.
     #[test]
     fn migration_cools_a_clustered_die_and_preserves_node_power() {
-        let (dc, pstates, _outlets) = solved_zone();
+        let (dc, _, _) = solved_zone();
         let cores_per_type: Vec<usize> =
             dc.node_types.iter().map(|t| t.cores_per_node).collect();
         // t_dtm below ambient: the greedy search runs until no
@@ -305,13 +373,7 @@ mod tests {
 
         // All cores off except four shallow (max-power) cores packed into
         // adjacent grid positions in node 0's corner.
-        let mut clustered = pstates;
-        for j in 0..dc.n_nodes() {
-            let off = dc.node_type(j).core.pstates.off_index();
-            for k in dc.cores_of_node(j) {
-                clustered[k] = off;
-            }
-        }
+        let mut clustered = dc.off_pstates();
         let node0: Vec<usize> = dc.cores_of_node(0).collect();
         let (w, _) = cold.grid(dc.node_type_of[0]).shape();
         for &local in &[0, 1, w, w + 1] {

@@ -20,9 +20,16 @@
 //!    power cost; bounded by each unit's minimum outlet.
 //! 3. **Emergency P-state throttle** of the hottest nodes — sheds heat
 //!    and IT power; bounded by every core reaching its off state.
-//! 4. **Load shedding** of the lowest-reward task types — the last
+//! 4. **Chip rung** (with a [`ChipModel`] attached) — migration within
+//!    a node, then a targeted throttle of the hottest die.
+//! 5. **Load shedding** of the lowest-reward task types — the last
 //!    resort when replanning itself keeps failing; bounded by the number
 //!    of task types.
+//!
+//! Beside the ladder, a demand curve that drifts from the active plan's
+//! level triggers a full three-stage re-solve (the Stage-1 drift
+//! replan). The steps the rungs take are shared with the fleet fallback
+//! and the service breaker ([`crate::degrade`]).
 //!
 //! Within one response the *physical* rungs run first (a rate-only
 //! replan cannot clear a thermal or power breach, and dropping outlets
@@ -35,6 +42,7 @@
 //! before trying again, running degraded in between. Every detection,
 //! action, failure, and recovery is recorded in the typed [`EventLog`].
 
+use crate::degrade;
 use crate::event::{Action, EventKind, EventLog, Violation};
 use crate::fault::{Fault, FaultScript};
 use rand::rngs::StdRng;
@@ -44,7 +52,7 @@ use thermaware_core::stage3::{solve_stage3_warm, Stage3Basis, Stage3Solution};
 use thermaware_core::{verify_assignment, Solver, ThreeStageSolution, VerificationReport};
 use thermaware_datacenter::DataCenter;
 use thermaware_scheduler::{EpochSim, SimulationResult};
-use thermaware_thermal::ChipModel;
+use thermaware_thermal::{ChipModel, ThermalState};
 use thermaware_workload::{Curve, TaskArrival};
 
 /// Absolute bound on ladder iterations within one response — a backstop
@@ -250,6 +258,19 @@ impl World {
         }
         ps
     }
+
+    /// The replanning model's demand, written into `work_dc`: `dc`'s
+    /// arrival rates × `surge`, shed types zeroed, so Stage 3 plans for
+    /// the demand the supervisor believes in. Derived state — rebuilt,
+    /// never persisted (see [`LiveRun::from_state`]).
+    fn rescale_demand(&self, dc: &DataCenter, work_dc: &mut DataCenter) {
+        for (t, base) in work_dc.workload.task_types.iter_mut().zip(&dc.workload.task_types) {
+            t.arrival_rate = base.arrival_rate * self.surge;
+        }
+        for &i in &self.shed {
+            work_dc.workload.task_types[i].arrival_rate = 0.0;
+        }
+    }
 }
 
 /// The fault-tolerant runtime supervisor for one data center.
@@ -292,10 +313,8 @@ impl<'a> Supervisor<'a> {
     pub fn begin(&self, plan: &ThreeStageSolution, script: &FaultScript) -> LiveRun<'a> {
         let dc = self.dc;
         let cfg = self.cfg;
-        // The replanning model: arrival rates carry the surge factor and
-        // shed types are zeroed, so Stage 3 plans for the demand the
-        // supervisor believes in. Derived state — reconstructed, never
-        // persisted (see [`LiveRun::from_state`]).
+        // The replanning model at surge 1, nothing shed (see
+        // `World::rescale_demand`).
         let work_dc = dc.clone();
         let world = World {
             pstates: plan.pstates.clone(),
@@ -372,12 +391,7 @@ impl<'a> Supervisor<'a> {
                     Some(curve) => factor * curve.rate_at(at_s).max(0.0),
                 };
                 world.surge = m;
-                for (i, t) in work_dc.workload.task_types.iter_mut().enumerate() {
-                    t.arrival_rate = self.dc.workload.task_types[i].arrival_rate * m;
-                }
-                for &i in &world.shed {
-                    work_dc.workload.task_types[i].arrival_rate = 0.0;
-                }
+                world.rescale_demand(self.dc, work_dc);
                 world.stale = true;
             }
         }
@@ -405,85 +419,62 @@ impl<'a> Supervisor<'a> {
         p
     }
 
+    /// The room's true steady state at node powers `powers` under the
+    /// world's outlets and failed units (`None`: every CRAC down).
+    fn steady_state(&self, world: &World, powers: &[f64]) -> Option<ThermalState> {
+        self.dc
+            .thermal
+            .steady_state_with_failed_cracs(&world.outlets, powers, &world.failed)
+            .ok()
+    }
+
+    /// `state`'s worst redline violation, °C (≤ 0 when safe).
+    fn violation(&self, state: &ThermalState) -> f64 {
+        state.redline_violation(self.dc.thermal.node_redline_c, self.dc.thermal.crac_redline_c)
+    }
+
+    /// Per-node observed inlets (true inlet + sensor bias), °C — the die
+    /// ambients: the supervisor acts on what its sensors tell it, as for
+    /// room redlines.
+    fn observed_inlets(&self, world: &World, state: &ThermalState) -> Vec<f64> {
+        let nc = self.dc.n_crac();
+        (0..self.dc.n_nodes())
+            .map(|j| state.t_in[nc + j] + world.bias_c)
+            .collect()
+    }
+
     /// Observed health at the current world state.
     fn health(&self, world: &World) -> Health {
         let dc = self.dc;
         let powers = self.node_powers(world);
-        match dc
-            .thermal
-            .steady_state_with_failed_cracs(&world.outlets, &powers, &world.failed)
-        {
-            Ok(state) => {
-                let observed = (state.max_node_inlet() + world.bias_c - dc.thermal.node_redline_c)
-                    .max(state.max_crac_inlet() - dc.thermal.crac_redline_c);
-                let power = powers.iter().sum::<f64>() + dc.thermal.total_crac_power_kw(&state);
-                let nc = dc.n_crac();
-                let inlets: Vec<f64> = (0..dc.n_nodes()).map(|j| state.t_in[nc + j]).collect();
-                Health {
-                    redline_c: observed,
-                    power_over_kw: power - dc.budget.p_const_kw,
-                    power_kw: power,
-                    chip_over_c: self.chip_over_c(world, &inlets),
-                }
-            }
-            Err(_) => Health {
+        let Some(state) = self.steady_state(world, &powers) else {
+            return Health {
                 redline_c: f64::INFINITY,
                 power_over_kw: f64::INFINITY,
                 power_kw: f64::INFINITY,
                 chip_over_c: f64::NEG_INFINITY,
-            },
-        }
-    }
-
-    /// Worst live die's peak temperature over the chip DTM threshold, °C
-    /// (`-inf` without a chip model). The die ambient is each node's
-    /// *observed* inlet (true inlet + sensor bias) — the supervisor acts
-    /// on what its sensors tell it, as for room redlines.
-    fn chip_over_c(&self, world: &World, inlets_c: &[f64]) -> f64 {
-        let Some(chip) = self.chip else {
-            return f64::NEG_INFINITY;
+            };
         };
-        let dc = self.dc;
-        let mut worst = f64::NEG_INFINITY;
-        for (j, &inlet_c) in inlets_c.iter().enumerate().take(dc.n_nodes()) {
-            if world.dead[j] {
-                continue;
-            }
-            let t = dc.node_type_of[j];
-            if t >= chip.n_types() {
-                continue;
-            }
-            let grid = chip.grid(t);
-            let cores: Vec<usize> = dc.cores_of_node(j).collect();
-            if cores.len() != grid.n_cores() {
-                continue;
-            }
-            let table = &dc.node_type(j).core.pstates;
-            let powers: Vec<f64> = cores
-                .iter()
-                .map(|&k| table.power_kw(world.pstates[k]))
-                .collect();
-            let peak = grid.peak_c(inlet_c + world.bias_c, &powers);
-            worst = worst.max(peak - chip.t_dtm_c());
+        let observed = (state.max_node_inlet() + world.bias_c - dc.thermal.node_redline_c)
+            .max(state.max_crac_inlet() - dc.thermal.crac_redline_c);
+        let power = powers.iter().sum::<f64>() + dc.thermal.total_crac_power_kw(&state);
+        // The hottest live die's peak over the DTM threshold (`-inf`
+        // without a chip model).
+        let chip_over_c = self
+            .chip
+            .and_then(|chip| {
+                let inlets = self.observed_inlets(world, &state);
+                let (peak, _) =
+                    degrade::hottest_die(dc, chip, &inlets, &world.pstates, &world.dead)?;
+                Some(peak - chip.t_dtm_c())
+            })
+            .unwrap_or(f64::NEG_INFINITY);
+        Health {
+            redline_c: observed,
+            power_over_kw: power - dc.budget.p_const_kw,
+            power_kw: power,
+            chip_over_c,
         }
-        worst
-    }
-
-    /// Per-node observed inlets (°C) at the current world state, or
-    /// `None` when the room has no steady state.
-    fn observed_inlets(&self, world: &World) -> Option<Vec<f64>> {
-        let dc = self.dc;
-        let powers = self.node_powers(world);
-        let state = dc
-            .thermal
-            .steady_state_with_failed_cracs(&world.outlets, &powers, &world.failed)
-            .ok()?;
-        let nc = dc.n_crac();
-        Some(
-            (0..dc.n_nodes())
-                .map(|j| state.t_in[nc + j] + world.bias_c)
-                .collect(),
-        )
     }
 
     /// The staged degradation ladder. Returns whether observed health was
@@ -588,8 +579,10 @@ impl<'a> Supervisor<'a> {
                         }),
                     );
                 }
-                if let (Some(chip), Some(inlets)) = (self.chip, self.observed_inlets(world)) {
-                    let plan = crate::degrade::migrate_to_tspd(
+                let state = self.steady_state(world, &self.node_powers(world));
+                if let (Some(chip), Some(state)) = (self.chip, state) {
+                    let inlets = self.observed_inlets(world, &state);
+                    let plan = degrade::migrate_to_tspd(
                         dc,
                         chip,
                         &inlets,
@@ -607,13 +600,19 @@ impl<'a> Supervisor<'a> {
                         h = self.health(world);
                         continue;
                     }
-                }
-                if let Some(k) = self.chip_throttle_step(world) {
-                    world.pstates[k] += 1;
-                    world.stale = true;
-                    throttled += 1;
-                    h = self.health(world);
-                    continue;
+                    // No swap helps: deepen the hottest over-DTM die's
+                    // shallowest core.
+                    let target =
+                        degrade::hottest_die(dc, chip, &inlets, &world.pstates, &world.dead)
+                            .filter(|&(peak, _)| peak > chip.t_dtm_c())
+                            .and_then(|(_, j)| dc.shallowest_core(&world.pstates, j));
+                    if let Some(k) = target {
+                        world.pstates[k] += 1;
+                        world.stale = true;
+                        throttled += 1;
+                        h = self.health(world);
+                        continue;
+                    }
                 }
                 flush_throttle(&mut throttled, log);
                 return false; // dies dark (or ambient over DTM) and still too hot
@@ -648,11 +647,21 @@ impl<'a> Supervisor<'a> {
                             },
                         );
                         if attempts >= cfg.max_replan_attempts {
-                            // Rung 4: shed the lowest-reward live type and
+                            // Rung 5: shed the lowest-reward live type and
                             // retry on the smaller problem.
-                            if !self.shed_one(world, work_dc, now, log) {
+                            let live = work_dc
+                                .workload
+                                .task_types
+                                .iter()
+                                .filter(|t| t.arrival_rate > 0.0)
+                                .map(|t| (t.index, t.reward));
+                            let Some(i) =
+                                degrade::shed_lowest_reward(live, &mut world.shed, log, now)
+                            else {
                                 return false;
-                            }
+                            };
+                            work_dc.workload.task_types[i].arrival_rate = 0.0;
+                            world.stale = true;
                             attempts = 0;
                         } else if !infeasible {
                             // Pathology, not infeasibility: hammering the
@@ -701,58 +710,28 @@ impl<'a> Supervisor<'a> {
     /// must be recomputed for the new service speeds). Returns the number
     /// of steps taken (the caller logs them, merged across batches).
     fn throttle(&self, world: &mut World, thermal: bool) -> usize {
-        let dc = self.dc;
         let mut steps = 0usize;
         for _ in 0..self.cfg.throttle_steps {
             let powers = self.node_powers(world);
-            let base_viol = dc
-                .thermal
-                .steady_state_with_failed_cracs(&world.outlets, &powers, &world.failed)
-                .map(|s| s.redline_violation(dc.thermal.node_redline_c, dc.thermal.crac_redline_c))
-                .ok();
-            let chosen = match (thermal, base_viol) {
-                // Thermal mode: score each candidate by the redline
-                // violation shed per MHz lost.
-                (true, Some(v0)) => {
-                    let mut best: Option<(f64, usize)> = None; // (score, core)
-                    for j in (0..dc.n_nodes()).filter(|&j| !world.dead[j]) {
-                        let table = &dc.node_type(j).core.pstates;
-                        let off = table.off_index();
-                        let Some(k) = dc
-                            .cores_of_node(j)
-                            .filter(|&k| world.pstates[k] < off)
-                            .min_by_key(|&k| world.pstates[k])
-                        else {
-                            continue;
-                        };
-                        let p = world.pstates[k];
-                        let dp_kw = table.power_kw(p) - table.power_kw(p + 1);
-                        let ds_mhz = (table.freq_mhz(p) - table.freq_mhz(p + 1)).max(1e-9);
-                        let mut pw = powers.clone();
-                        pw[j] -= dp_kw;
-                        let score = match dc.thermal.steady_state_with_failed_cracs(
-                            &world.outlets,
-                            &pw,
-                            &world.failed,
-                        ) {
-                            Ok(s) => {
-                                (v0 - s.redline_violation(
-                                    dc.thermal.node_redline_c,
-                                    dc.thermal.crac_redline_c,
-                                )) / ds_mhz
-                            }
-                            Err(_) => f64::NEG_INFINITY,
-                        };
-                        if best.is_none_or(|(b, _)| score > b) {
-                            best = Some((score, k));
-                        }
-                    }
-                    best.map(|(_, k)| k)
-                }
-                // Power-cap breach (or no steady state to probe): the
-                // shared degradation ladder's greedy power-per-MHz step.
-                _ => crate::degrade::cheapest_throttle_step(dc, &world.pstates, Some(&world.dead)),
+            // Thermal mode scores by the redline violation shed per MHz
+            // lost; a power-cap breach (or no steady state to probe) by
+            // the power shed per MHz.
+            let v0 = if thermal {
+                self.steady_state(world, &powers).map(|s| self.violation(&s))
+            } else {
+                None
             };
+            let score = |j: usize, dp_kw: f64, ds_mhz: f64| match v0 {
+                Some(v0) => {
+                    let mut pw = powers.clone();
+                    pw[j] -= dp_kw;
+                    self.steady_state(world, &pw)
+                        .map_or(f64::NEG_INFINITY, |s| (v0 - self.violation(&s)) / ds_mhz)
+                }
+                None => degrade::power_per_mhz(j, dp_kw, ds_mhz),
+            };
+            let chosen =
+                degrade::cheapest_throttle_step(self.dc, &world.pstates, Some(&world.dead), score);
             let Some(k) = chosen else { break };
             world.pstates[k] += 1;
             steps += 1;
@@ -761,77 +740,6 @@ impl<'a> Supervisor<'a> {
             world.stale = true;
         }
         steps
-    }
-
-    /// Targeted throttle for a chip hotspot migration cannot cool:
-    /// the shallowest non-off core of the hottest over-DTM die. Returns
-    /// `None` when no chip model is attached, the room has no steady
-    /// state, no die is over DTM, or the hottest die is already dark.
-    fn chip_throttle_step(&self, world: &World) -> Option<usize> {
-        let chip = self.chip?;
-        let inlets = self.observed_inlets(world)?;
-        let dc = self.dc;
-        let mut hottest: Option<(f64, usize)> = None; // (peak, node)
-        for (j, &inlet_c) in inlets.iter().enumerate().take(dc.n_nodes()) {
-            if world.dead[j] {
-                continue;
-            }
-            let t = dc.node_type_of[j];
-            if t >= chip.n_types() {
-                continue;
-            }
-            let grid = chip.grid(t);
-            let cores: Vec<usize> = dc.cores_of_node(j).collect();
-            if cores.len() != grid.n_cores() {
-                continue;
-            }
-            let table = &dc.node_type(j).core.pstates;
-            let powers: Vec<f64> = cores
-                .iter()
-                .map(|&k| table.power_kw(world.pstates[k]))
-                .collect();
-            let peak = grid.peak_c(inlet_c, &powers);
-            if peak > chip.t_dtm_c() && hottest.is_none_or(|(p, _)| peak > p) {
-                hottest = Some((peak, j));
-            }
-        }
-        let (_, j) = hottest?;
-        let table = &dc.node_type(j).core.pstates;
-        let off = table.off_index();
-        dc.cores_of_node(j)
-            .filter(|&k| world.pstates[k] < off)
-            .min_by_key(|&k| world.pstates[k])
-    }
-
-    /// Rung 4: shed the lowest-reward task type still live. Returns
-    /// whether a type was left to shed.
-    fn shed_one(
-        &self,
-        world: &mut World,
-        work_dc: &mut DataCenter,
-        now: f64,
-        log: &mut EventLog,
-    ) -> bool {
-        let victim = work_dc
-            .workload
-            .task_types
-            .iter()
-            .filter(|t| t.arrival_rate > 0.0)
-            .min_by(|a, b| a.reward.total_cmp(&b.reward))
-            .map(|t| (t.index, t.reward));
-        match victim {
-            Some((i, reward)) => {
-                work_dc.workload.task_types[i].arrival_rate = 0.0;
-                world.shed.push(i);
-                world.stale = true;
-                log.record(
-                    now,
-                    EventKind::ActionTaken(Action::ShedTaskType { task_type: i, reward }),
-                );
-                true
-            }
-            None => false,
-        }
     }
 
     /// Physics: nodes whose true inlet exceeds redline + trip margin shut
@@ -847,12 +755,8 @@ impl<'a> Supervisor<'a> {
         let nc = dc.n_crac();
         let trip_at = dc.thermal.node_redline_c + self.cfg.trip_margin_c;
         loop {
-            let powers = self.node_powers(world);
-            match dc
-                .thermal
-                .steady_state_with_failed_cracs(&world.outlets, &powers, &world.failed)
-            {
-                Ok(state) => {
+            match self.steady_state(world, &self.node_powers(world)) {
+                Some(state) => {
                     let hottest = (0..dc.n_nodes())
                         .filter(|&j| !world.dead[j] && state.t_in[nc + j] > trip_at)
                         .max_by(|&a, &b| state.t_in[nc + a].total_cmp(&state.t_in[nc + b]));
@@ -866,7 +770,7 @@ impl<'a> Supervisor<'a> {
                     );
                     self.kill_node(world, sim, j, now);
                 }
-                Err(_) => {
+                None => {
                     // No steady state (every CRAC down): the floor is lost.
                     if !world.meltdown {
                         log.record(now, EventKind::NoSteadyState);
@@ -952,14 +856,8 @@ impl<'a> LiveRun<'a> {
         // unconditionally — demand is the environment, not a supervisor
         // decision — while replanning stays drift-gated below.
         if let Some(curve) = &cfg.demand {
-            let m = st.world.fault_surge * curve.rate_at(t0).max(0.0);
-            st.world.surge = m;
-            for (i, t) in self.work_dc.workload.task_types.iter_mut().enumerate() {
-                t.arrival_rate = self.dc.workload.task_types[i].arrival_rate * m;
-            }
-            for &i in &st.world.shed {
-                self.work_dc.workload.task_types[i].arrival_rate = 0.0;
-            }
+            st.world.surge = st.world.fault_surge * curve.rate_at(t0).max(0.0);
+            st.world.rescale_demand(self.dc, &mut self.work_dc);
         }
 
         // -- 2. Supervision (before the air catches up) -------------------
@@ -1022,8 +920,11 @@ impl<'a> LiveRun<'a> {
                     if recovered {
                         st.backoff_next = 1;
                     } else {
-                        st.backoff_skip = st.backoff_next;
-                        st.backoff_next = (st.backoff_next * 2).min(8);
+                        degrade::back_off(
+                            &mut st.backoff_skip,
+                            &mut st.backoff_next,
+                            degrade::MAX_BACKOFF_EPOCHS,
+                        );
                         st.log.record(
                             t0,
                             EventKind::Backoff {
@@ -1053,16 +954,12 @@ impl<'a> LiveRun<'a> {
         let SupervisorState { cfg, world, sim, log, acted, .. } = self.state;
         let sup = Supervisor { dc, cfg, chip: self.chip };
         let powers = sup.node_powers(&world);
-        let (final_violation_c, final_power_kw) = match dc.thermal.steady_state_with_failed_cracs(
-            &world.outlets,
-            &powers,
-            &world.failed,
-        ) {
-            Ok(state) => (
-                state.redline_violation(dc.thermal.node_redline_c, dc.thermal.crac_redline_c),
-                powers.iter().sum::<f64>() + dc.thermal.total_crac_power_kw(&state),
-            ),
-            Err(_) => (f64::INFINITY, powers.iter().sum::<f64>()),
+        let it_kw = powers.iter().sum::<f64>();
+        let (final_violation_c, final_power_kw) = match sup.steady_state(&world, &powers) {
+            Some(state) => {
+                (sup.violation(&state), it_kw + dc.thermal.total_crac_power_kw(&state))
+            }
+            None => (f64::INFINITY, it_kw),
         };
         let nodes_dead = world.dead.iter().filter(|&&d| d).count();
         let healthy = final_violation_c <= cfg.redline_tol_c
@@ -1190,17 +1087,22 @@ impl<'a> LiveRun<'a> {
         if !w.surge.is_finite() || w.surge < 0.0 {
             return Err("supervisor state: non-finite or negative surge factor".to_string());
         }
+        if !w.outlets.iter().all(|x| x.is_finite()) {
+            return Err("supervisor state: non-finite outlets".to_string());
+        }
+        for (name, x) in
+            [("bias_c", w.bias_c), ("planned_surge", w.planned_surge), ("fault_surge", w.fault_surge)]
+        {
+            if !x.is_finite() {
+                return Err(format!("supervisor state: non-finite {name}"));
+            }
+        }
         w.stage3
             .fits(dc)
             .and_then(|()| state.sim.fits(dc))
             .map_err(|misfit| format!("supervisor state: {misfit}"))?;
         let mut work_dc = dc.clone();
-        for (i, t) in work_dc.workload.task_types.iter_mut().enumerate() {
-            t.arrival_rate = dc.workload.task_types[i].arrival_rate * w.surge;
-        }
-        for &i in &w.shed {
-            work_dc.workload.task_types[i].arrival_rate = 0.0;
-        }
+        w.rescale_demand(dc, &mut work_dc);
         // The chip model is borrowed, not persisted: reattach it after
         // restore with [`LiveRun::with_chip`].
         Ok(LiveRun {

@@ -431,6 +431,37 @@ fn supervisor_state_with_a_repeated_candidate_is_refused() {
     }
 }
 
+/// The newest snapshot's state text, rewritten by `edit` under a
+/// `state_crc` that verifies: bytes a disk can hold that no live run
+/// writes.
+fn edit_newest_snapshot(dir: &Path, edit: impl FnOnce(&str) -> String) {
+    let newest = newest_snapshot(dir);
+    let text = fs::read_to_string(&newest).expect("read snapshot");
+    let v: serde_json::Value = serde_json::from_str(&text).expect("parse snapshot");
+    let state = v.get("state").and_then(|x| x.as_str()).expect("state");
+    let bad = edit(state);
+    assert_ne!(bad, state, "the edit must change the state");
+    let crc = thermaware_runtime::persist::crc32(bad.as_bytes());
+    let envelope = serde_json::Value::Object(vec![
+        ("version".to_string(), v.get("version").expect("version").clone()),
+        ("epoch".to_string(), v.get("epoch").expect("epoch").clone()),
+        ("state_crc".to_string(), serde_json::Value::Number(f64::from(crc))),
+        ("state".to_string(), serde_json::Value::String(bad)),
+    ]);
+    fs::write(&newest, serde_json::to_string(&envelope).expect("encode")).expect("write");
+}
+
+/// `state` with the first value of `"key":` (the first element, for an
+/// array) replaced by `value`.
+fn set_first(state: &str, key: &str, value: &str) -> String {
+    let mut at = state.find(&format!("\"{key}\":")).expect("the key") + key.len() + 3;
+    if state[at..].starts_with('[') {
+        at += 1;
+    }
+    let end = at + state[at..].find([',', ']', '}']).expect("the value's end");
+    format!("{}{value}{}", &state[..at], &state[end..])
+}
+
 /// A snapshot whose CRC verifies can still hold a P-state no core has:
 /// `resume` refuses it at `LiveRun::from_state`, by name, instead of
 /// indexing a P-state table with it on the way to the physical check.
@@ -442,27 +473,77 @@ fn snapshot_with_a_p_state_past_off_is_refused() {
     let stopped = run_checkpointed_until(dc, cfg(2), plan, &FaultScript::new(), &ckpt, 2)
         .expect("checkpointed run");
     assert!(stopped.is_none());
-
-    let newest = newest_snapshot(&dir);
-    let text = fs::read_to_string(&newest).expect("read snapshot");
-    let v: serde_json::Value = serde_json::from_str(&text).expect("parse snapshot");
-    let state = v.get("state").and_then(|x| x.as_str()).expect("state");
-    let at = state.find(r#""world":{"pstates":["#).expect("the world's P-states")
-        + r#""world":{"pstates":["#.len();
-    let end = at + state[at..].find([',', ']']).expect("the first P-state's end");
-    let bad = format!("{}99{}", &state[..at], &state[end..]);
-    let crc = thermaware_runtime::persist::crc32(bad.as_bytes());
-    let envelope = serde_json::Value::Object(vec![
-        ("version".to_string(), v.get("version").expect("version").clone()),
-        ("epoch".to_string(), v.get("epoch").expect("epoch").clone()),
-        ("state_crc".to_string(), serde_json::Value::Number(f64::from(crc))),
-        ("state".to_string(), serde_json::Value::String(bad)),
-    ]);
-    fs::write(&newest, serde_json::to_string(&envelope).expect("encode")).expect("write");
+    edit_newest_snapshot(&dir, |state| set_first(state, "pstates", "99"));
 
     match resume(&dir) {
         Err(PersistError::State { reason }) => assert!(reason.contains("P-states"), "{reason}"),
         other => panic!("expected a refused state, got {other:?}"),
     }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The world's floats enter from disk too: a non-finite CRAC outlet,
+/// sensor bias or surge factor is refused at `LiveRun::from_state`,
+/// naming the field, as a bad `surge` already was.
+#[test]
+fn snapshot_with_a_non_finite_world_value_is_refused() {
+    let (dc, plan) = scenario();
+    for (key, value) in
+        [("outlets", r#""NaN""#), ("bias_c", r#""-inf""#), ("planned_surge", r#""inf""#), ("fault_surge", r#""NaN""#)]
+    {
+        let dir = temp_dir(&format!("nonfinite-{key}"));
+        let ckpt = CheckpointConfig::new(&dir);
+        let stopped = run_checkpointed_until(dc, cfg(2), plan, &FaultScript::new(), &ckpt, 0)
+            .expect("checkpointed run");
+        assert!(stopped.is_none());
+        edit_newest_snapshot(&dir, |state| set_first(state, key, value));
+        match resume(&dir) {
+            Err(PersistError::State { reason }) => {
+                assert!(reason.contains(&format!("non-finite {key}")), "{key}: {reason}")
+            }
+            other => panic!("{key}: expected a refused state, got {other:?}"),
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+/// Counters enter from disk unchecked: a snapshot whose next backoff is
+/// `u32::MAX` must take one more failed response without overflowing
+/// (`backoff_next * 2` panicked in debug builds), and back off for that
+/// long.
+#[test]
+fn a_saturated_backoff_takes_one_more_failure() {
+    let dc = ScenarioParams {
+        n_nodes: 6,
+        n_crac: 1,
+        ..ScenarioParams::small_test()
+    }
+    .build(3)
+    .expect("scenario");
+    let plan = Solver::new(&dc).solve().expect("plan");
+    let script = FaultScript::new().crac_failure(2.0, 0);
+    let dir = temp_dir("backoff-max");
+    let ckpt = CheckpointConfig {
+        snapshot_interval: 2,
+        ..CheckpointConfig::new(&dir)
+    };
+    let stopped =
+        run_checkpointed_until(&dc, cfg(3), &plan, &script, &ckpt, 2).expect("checkpointed run");
+    assert!(stopped.is_none());
+    edit_newest_snapshot(&dir, |state| set_first(state, "backoff_next", "4294967295"));
+
+    let rec = resume(&dir).expect("resume");
+    assert_eq!(rec.info.resume_epoch, 2);
+    let report = rec.finish().expect("the meltdown epoch fails its response");
+    let backoffs: Vec<u32> = report
+        .log
+        .events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            thermaware_runtime::EventKind::Backoff { epochs } => Some(epochs),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(backoffs, [u32::MAX]);
     let _ = fs::remove_dir_all(&dir);
 }

@@ -468,9 +468,7 @@ mod tests {
     #[test]
     fn all_off_drops_everything() {
         let dc = ScenarioParams::small_test().build(3).unwrap();
-        let off: Vec<usize> = (0..dc.n_cores())
-            .map(|k| dc.node_type(dc.node_of_core(k)).core.pstates.off_index())
-            .collect();
+        let off = dc.off_pstates();
         let s3 = thermaware_core::stage3::solve_stage3(&dc, &off).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         let trace = ArrivalTrace::generate(&dc.workload, 2.0, &mut rng);

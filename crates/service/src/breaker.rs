@@ -20,6 +20,7 @@
 //! failure reopens it with a doubled (capped) cooldown.
 
 use serde::{Deserialize, Serialize};
+use thermaware_runtime::degrade::back_off;
 
 /// Breaker tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -132,18 +133,20 @@ impl CircuitBreaker {
             BreakerState::HalfOpen => {
                 // Failed probe: reopen, double the cooldown.
                 self.state = BreakerState::Open;
-                self.cooldown_left = self.cooldown_len;
-                self.cooldown_len =
-                    (self.cooldown_len.saturating_mul(2)).min(cfg.max_cooldown_epochs.max(1));
-                self.opens += 1;
+                back_off(
+                    &mut self.cooldown_left,
+                    &mut self.cooldown_len,
+                    cfg.max_cooldown_epochs.max(1),
+                );
+                self.opens = self.opens.saturating_add(1);
                 true
             }
             BreakerState::Closed => {
-                self.consecutive_failures += 1;
+                self.consecutive_failures = self.consecutive_failures.saturating_add(1);
                 if self.consecutive_failures >= cfg.failure_threshold.max(1) {
                     self.state = BreakerState::Open;
                     self.cooldown_left = self.cooldown_len;
-                    self.opens += 1;
+                    self.opens = self.opens.saturating_add(1);
                     true
                 } else {
                     false

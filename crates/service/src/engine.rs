@@ -16,6 +16,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use thermaware_core::stage3::Stage3Solution;
 use thermaware_datacenter::DataCenter;
+use thermaware_runtime::degrade::shed_lowest_reward;
 use thermaware_runtime::{Action, EventKind, EventLog};
 use thermaware_scheduler::{DispatchDecision, EpochSim};
 
@@ -447,14 +448,20 @@ impl ServiceEngine {
                 state.log.record(
                     t1,
                     EventKind::ReplanFailed {
-                        attempt: state.breaker.consecutive_failures + 1,
+                        attempt: state.breaker.consecutive_failures.saturating_add(1),
                         error,
                     },
                 );
                 thermaware_obs::counter_add("service.replan_failures", 1);
                 if state.breaker.on_failure(&cfg.breaker) {
                     report.breaker_opened = true;
-                    shed_lowest_reward(dc, &mut state.shed, &mut state.log, t1);
+                    // The breaker's rung: shed the lowest-reward type not
+                    // already shed.
+                    let unshed: Vec<(usize, f64)> = (0..dc.n_task_types())
+                        .filter(|t| !state.shed.contains(t))
+                        .map(|t| (t, dc.workload.task_types[t].reward))
+                        .collect();
+                    shed_lowest_reward(unshed, &mut state.shed, &mut state.log, t1);
                     thermaware_obs::counter_add("service.breaker_open", 1);
                 }
             }
@@ -485,23 +492,6 @@ fn remember(recent_set: &mut BTreeSet<u64>, recent_ids: &mut Vec<u64>, window: u
             let evicted = recent_ids.remove(0);
             recent_set.remove(&evicted);
         }
-    }
-}
-
-/// The breaker opened: shed the lowest-reward task type not already
-/// shed (the degradation ladder's last rung).
-fn shed_lowest_reward(dc: &DataCenter, shed: &mut Vec<usize>, log: &mut EventLog, at_s: f64) {
-    let candidate = (0..dc.n_task_types())
-        .filter(|t| !shed.contains(t))
-        .min_by(|&a, &b| {
-            let ra = dc.workload.task_types[a].reward;
-            let rb = dc.workload.task_types[b].reward;
-            ra.partial_cmp(&rb).unwrap_or(std::cmp::Ordering::Equal)
-        });
-    if let Some(task_type) = candidate {
-        let reward = dc.workload.task_types[task_type].reward;
-        shed.push(task_type);
-        log.record(at_s, EventKind::ActionTaken(Action::ShedTaskType { task_type, reward }));
     }
 }
 

@@ -177,3 +177,24 @@ fn identical_inputs_replay_bit_identically() {
         serde_json::from_str(&json).expect("state decodes");
     assert_eq!(serde_json::to_string(&back).expect("re-encode"), json);
 }
+
+/// Counters enter from disk unchecked: a breaker whose failure count is
+/// `u32::MAX` must take one more failure without overflowing (`+ 1`
+/// panicked in debug builds) — and opens, as any count past the
+/// threshold does.
+#[test]
+fn a_saturated_failure_count_takes_one_more_failure() {
+    let cfg = ServiceConfig::default();
+    let e = engine(1, cfg.clone());
+    let json = state_json(&e).replacen(
+        r#""consecutive_failures":0"#,
+        r#""consecutive_failures":4294967295"#,
+        1,
+    );
+    let state = serde_json::from_str(&json).expect("still a well-formed state");
+    let mut e = ServiceEngine::from_state(e.dc().clone(), cfg, state).expect("fits the room");
+    let report = e.step(&[], &ReplanVerdict::Failed { error: "scripted outage".into() });
+    assert!(report.breaker_opened);
+    assert_eq!(e.state().breaker.state, BreakerState::Open);
+    assert_eq!(e.state().breaker.consecutive_failures, u32::MAX);
+}

@@ -20,7 +20,7 @@
 //!
 //! A zone that failed `k` consecutive epochs is not re-dispatched for
 //! `min(2^(k−1), 8)` epochs (it rides its fallback plan meanwhile) —
-//! the supervisor's bounded-retry/backoff policy at fleet scale.
+//! the supervisor's backoff step (`degrade::back_off`), at fleet scale.
 //! Warm-started Stage-3 bases persist across replans and, through
 //! [`FleetSolver::to_state`]/[`FleetSolver::from_state`], across
 //! crash-resume.
@@ -40,6 +40,10 @@ use thermaware_core::stage3::Stage3Basis;
 use thermaware_core::{ObjectiveWeights, SolveError};
 use thermaware_datacenter::DataCenter;
 use thermaware_obs as obs;
+use thermaware_runtime::degrade::{self, back_off, MAX_BACKOFF_EPOCHS};
+
+/// Step bound for the throttle fallback rung.
+const THROTTLE_MAX_STEPS: usize = 100_000;
 
 /// Fleet solver policy.
 #[derive(Debug, Clone)]
@@ -48,11 +52,6 @@ pub struct FleetConfig {
     pub psi_percent: f64,
     /// Worker pool sizing and per-attempt failure policy.
     pub pool: PoolConfig,
-    /// Epoch-level backoff cap: a repeatedly failing zone is skipped for
-    /// at most this many epochs per failure.
-    pub max_backoff_epochs: u32,
-    /// Step bound for the throttle fallback rung.
-    pub throttle_max_steps: usize,
     /// Objective blend every zone's Stage 1 optimizes (reward vs
     /// electricity/carbon cost). The reward-only default reproduces the
     /// historical fleet solver bit for bit.
@@ -64,8 +63,6 @@ impl Default for FleetConfig {
         FleetConfig {
             psi_percent: 50.0,
             pool: PoolConfig::default(),
-            max_backoff_epochs: 8,
-            throttle_max_steps: 100_000,
             objective: ObjectiveWeights::reward_only(),
         }
     }
@@ -319,9 +316,8 @@ impl FleetSolver {
                     plans[z] = Some(plan);
                 }
                 Err(_err) => {
-                    let next = self.zones[z].backoff_next.max(1);
-                    self.zones[z].backoff_skip = next;
-                    self.zones[z].backoff_next = (next * 2).min(self.cfg.max_backoff_epochs);
+                    let slot = &mut self.zones[z];
+                    back_off(&mut slot.backoff_skip, &mut slot.backoff_next, MAX_BACKOFF_EPOCHS);
                 }
             }
         }
@@ -370,12 +366,12 @@ impl FleetSolver {
                 return plan;
             }
             // Rung 2: throttle the last-good plan under the allocation.
-            let throttled = thermaware_runtime::degrade::throttle_to_budget(
+            let throttled = degrade::throttle_to_budget(
                 dc,
                 &lg.outlets,
                 &lg.pstates,
                 budget_kw,
-                self.cfg.throttle_max_steps,
+                THROTTLE_MAX_STEPS,
             );
             if throttled.fits {
                 // Rates for the deepened P-states; the solve is cheap
@@ -405,14 +401,8 @@ impl FleetSolver {
 /// Every core off at the zone's all-off optimal outlets — always
 /// feasible (the budget computation proved these outlets cool the
 /// all-off load within redlines).
-pub fn all_off_plan(dc: &DataCenter, zone: usize, budget_kw: f64) -> ZonePlan {
-    let mut pstates = vec![0usize; dc.n_cores()];
-    for j in 0..dc.n_nodes() {
-        let off = dc.node_type(j).core.pstates.off_index();
-        for k in dc.cores_of_node(j) {
-            pstates[k] = off;
-        }
-    }
+fn all_off_plan(dc: &DataCenter, zone: usize, budget_kw: f64) -> ZonePlan {
+    let pstates = dc.off_pstates();
     let outlets = dc.budget.min_outlets_c.clone();
     let powers = dc.node_powers_from_pstates(&pstates);
     let (it, cooling, _state) = dc.total_power_kw(&outlets, &powers);
@@ -549,6 +539,29 @@ mod tests {
         assert_eq!(a.degraded, b.degraded);
         let tol = 1e-9 * (1.0 + a.reward.abs());
         assert!((a.reward - b.reward).abs() <= tol, "resumed replan must match");
+    }
+
+    /// Counters enter from disk unchecked: a zone whose next skip is
+    /// `u32::MAX` must take one more failure without overflowing
+    /// (`next * 2` panicked in debug builds), and skip that long.
+    #[test]
+    fn a_saturated_backoff_takes_one_more_failure() {
+        let fleet = small_fleet();
+        let mut solver = FleetSolver::new(Arc::clone(&fleet), cfg());
+        solver.replan(None);
+        let json = serde_json::to_string(&solver.to_state()).expect("state serializes").replacen(
+            r#""backoff_next":1"#,
+            r#""backoff_next":4294967295"#,
+            1,
+        );
+        let state: FleetState = serde_json::from_str(&json).expect("state deserializes");
+        let mut solver =
+            FleetSolver::from_state(Arc::clone(&fleet), cfg(), &state).expect("solver restores");
+        let mut script = ChaosScript::new();
+        script.inject_persistent(1, 0, 8, Fault::Error);
+        assert_eq!(solver.replan(Some(&script)).degraded, 1);
+        let zone = &solver.to_state().zones[0];
+        assert_eq!((zone.backoff_skip, zone.backoff_next), (u32::MAX, 8));
     }
 
     fn plan_ok(plan: &FleetPlan, fleet: &Fleet) {
