@@ -17,7 +17,7 @@ use thermaware_lp::LpError;
 /// closed, so hitting the fallback means the payload came from a newer
 /// writer).
 mod stage_name {
-    use serde::{Deserialize, Error, Serialize, Sink, Value};
+    use serde::{Error, Serialize, Sink, Source};
 
     const KNOWN: &[&str] = &[
         "stage1",
@@ -34,8 +34,8 @@ mod stage_name {
         stage.serialize(sink);
     }
 
-    pub(super) fn from_value(v: &Value) -> Result<&'static str, Error> {
-        let stage = String::from_value(v)?;
+    pub(super) fn deserialize(src: &mut Source<'_>) -> Result<&'static str, Error> {
+        let stage = src.str()?;
         Ok(KNOWN.iter().find(|k| **k == stage).copied().unwrap_or("unrecognized"))
     }
 }
@@ -124,6 +124,11 @@ mod tests {
     use super::*;
     use serde::Value;
 
+    /// `v` printed and read back as a `SolveError`.
+    fn read(v: &Value) -> Result<SolveError, serde::Error> {
+        serde_json::from_str(&serde_json::to_string(v).expect("prints"))
+    }
+
     #[test]
     fn infeasibility_classification() {
         assert!(SolveError::NoFeasibleOutlets { stage: "stage1" }.is_infeasible());
@@ -159,7 +164,7 @@ mod tests {
             SolveError::invalid_input("short pstates"),
         ];
         for e in cases {
-            let back = SolveError::from_value(&e.to_value()).expect("round trip");
+            let back = read(&e.to_value()).expect("round trip");
             assert_eq!(back, e);
         }
     }
@@ -174,13 +179,13 @@ mod tests {
                 }
             }
         }
-        let back = SolveError::from_value(&v).expect("deserializes");
+        let back = read(&v).expect("deserializes");
         assert_eq!(back, SolveError::NoFeasibleOutlets { stage: "unrecognized" });
     }
 
     #[test]
     fn unknown_kind_rejected() {
         let v = Value::Object(vec![("kind".to_string(), "gremlin".to_value())]);
-        assert!(SolveError::from_value(&v).is_err());
+        assert!(read(&v).is_err());
     }
 }

@@ -112,14 +112,15 @@ mod tests {
 
     #[test]
     fn serde_round_trip() {
-        use serde::{Deserialize as _, Serialize as _};
+        use serde::Serialize as _;
         let w = ObjectiveWeights {
             reward_weight: 0.8,
             price_per_kwh: 0.12,
             carbon_weight: 0.02,
             carbon_kg_per_kwh: 0.35,
         };
-        let back = ObjectiveWeights::from_value(&w.to_value()).expect("round-trips");
+        let text = serde_json::to_string(&w.to_value()).expect("prints");
+        let back: ObjectiveWeights = serde_json::from_str(&text).expect("round-trips");
         assert_eq!(back, w);
     }
 }

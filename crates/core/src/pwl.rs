@@ -1,7 +1,7 @@
 //! Piecewise-linear curves over `[0, x_max]` — the representation behind
 //! the paper's `RR` and `ARR` functions.
 
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Source};
 
 /// A continuous piecewise-linear function given by breakpoints with
 /// strictly increasing x.
@@ -14,12 +14,14 @@ pub struct PiecewiseLinear {
 // By hand: the breakpoints of a curve read from disk are checked, so a
 // corrupted checkpoint yields an error rather than tripping
 // `PiecewiseLinear::new`'s panic on non-increasing breakpoints.
-impl serde::Deserialize for PiecewiseLinear {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let entries = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("PiecewiseLinear: expected object"))?;
-        let points: Vec<(f64, f64)> = serde::field(entries, "points")?;
+impl Deserialize for PiecewiseLinear {
+    fn deserialize(src: &mut Source<'_>) -> Result<Self, serde::Error> {
+        let mut points = None;
+        src.object(|src, key| match key {
+            "points" => src.first(&mut points, Vec::<(f64, f64)>::deserialize),
+            _ => src.skip(),
+        })?;
+        let points = points.ok_or_else(|| serde::Error::missing_field("points"))?;
         if points.is_empty() {
             return Err(serde::Error::custom("PiecewiseLinear: no breakpoints"));
         }

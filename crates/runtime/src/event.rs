@@ -2,7 +2,7 @@
 //! response, and recovery as a typed, timestamped record.
 
 use crate::fault::Fault;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Source};
 use std::fmt;
 
 /// A detected constraint violation.
@@ -366,18 +366,20 @@ impl fmt::Display for EventKind {
 // so it is time-ordered and inside its ring bound even if the stored
 // array was not.
 impl Deserialize for EventLog {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let entries = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("EventLog: expected object"))?;
-        let events: Vec<Event> = serde::field(entries, "events")?;
+    fn deserialize(src: &mut Source<'_>) -> Result<Self, serde::Error> {
+        let (mut events, mut capacity, mut dropped) = (None, None, None);
+        src.object(|src, key| match key {
+            "events" => src.first(&mut events, Vec::<Event>::deserialize),
+            "capacity" => src.first(&mut capacity, Source::try_read::<usize>),
+            "dropped" => src.first(&mut dropped, Source::try_read::<u64>),
+            _ => src.skip(),
+        })?;
+        let events = events.ok_or_else(|| serde::Error::missing_field("events"))?;
         // `capacity`/`dropped` are absent from logs written before the
-        // ring bound existed; default them rather than rejecting.
-        let capacity: usize = match serde::field(entries, "capacity") {
-            Ok(c) => c,
-            Err(_) => DEFAULT_LOG_CAPACITY,
-        };
-        let dropped: u64 = serde::field(entries, "dropped").unwrap_or(0);
+        // ring bound existed; default them — and a value of the wrong
+        // type — rather than rejecting.
+        let capacity = capacity.flatten().unwrap_or(DEFAULT_LOG_CAPACITY);
+        let dropped = dropped.flatten().unwrap_or(0);
         let mut log = EventLog::with_capacity(capacity);
         // Rebuild through the ordered insert (a stored array may be out
         // of order) but *not* through `record`: replaying a persisted

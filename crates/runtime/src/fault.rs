@@ -1,7 +1,7 @@
 //! Composable, seeded fault scripts injected into a supervised run.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Source};
 
 /// One kind of mid-run fault.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -152,11 +152,13 @@ impl FaultScript {
 // [`FaultScript::push`], restoring the sort order and timestamp clamping
 // no matter what the file contained.
 impl Deserialize for FaultScript {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let entries = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("FaultScript: expected object"))?;
-        let events: Vec<FaultEvent> = serde::field(entries, "events")?;
+    fn deserialize(src: &mut Source<'_>) -> Result<Self, serde::Error> {
+        let mut events = None;
+        src.object(|src, key| match key {
+            "events" => src.first(&mut events, Vec::<FaultEvent>::deserialize),
+            _ => src.skip(),
+        })?;
+        let events = events.ok_or_else(|| serde::Error::missing_field("events"))?;
         let mut script = FaultScript::new();
         for e in events {
             script.push(e.at_s, e.fault);

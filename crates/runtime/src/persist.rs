@@ -31,7 +31,7 @@
 use crate::event::Event;
 use crate::fault::FaultEvent;
 use crate::supervisor::{LiveRun, Supervisor, SupervisorConfig, SupervisorReport, SupervisorState};
-use serde::{Deserialize, Serialize, Sink, Value};
+use serde::{Deserialize, Kind, Serialize, Sink, Source};
 use serde_json::Writer;
 use std::fmt;
 use std::fs::{self, OpenOptions};
@@ -398,20 +398,50 @@ fn member<T: Serialize + ?Sized>(envelope: &mut Writer, key: &str, value: &T) {
     value.serialize(envelope);
 }
 
-/// Read an envelope file: its entries and its (gated) version.
-fn read_envelope(path: &Path, max_version: u64) -> Result<(Vec<(String, Value)>, u64), PersistError> {
-    let text = fs::read_to_string(path)?;
-    let Value::Object(entries) =
-        serde_json::from_str(&text).map_err(|e| corrupt(path, format!("envelope JSON: {e}")))?
-    else {
+/// Read an envelope file's text in one pass: its (gated) version, and
+/// the text of the first member under each of `keys` — checked as JSON
+/// but not read, so that nothing is decoded before the version is
+/// judged. The whole text is checked before anything is judged.
+fn read_envelope<'t, const N: usize>(
+    path: &Path,
+    text: &'t str,
+    max_version: u64,
+    keys: [&str; N],
+) -> Result<(u64, [Option<&'t str>; N]), PersistError> {
+    let mut version = None;
+    let mut members = [None; N];
+    let mut src = Source::new(text);
+    let is_object = src.peek().and_then(|kind| {
+        if kind != Kind::Object {
+            return src.skip().map(|()| false);
+        }
+        src.object(|src, key| {
+            let slot = match keys.iter().position(|k| *k == key) {
+                Some(i) => &mut members[i],
+                None if key == "version" => &mut version,
+                None => return src.skip(),
+            };
+            src.first(slot, Source::raw)
+        })?;
+        Ok(true)
+    });
+    let is_object = is_object
+        .and_then(|is_object| src.finish().map(|()| is_object))
+        .map_err(|e| corrupt(path, format!("envelope JSON: {e}")))?;
+    if !is_object {
         return Err(corrupt(path, "envelope is not an object"));
-    };
-    let version: u64 = serde::field(&entries, "version")
-        .map_err(|_| corrupt(path, "missing or non-integral 'version'"))?;
+    }
+    let version: u64 = read_member(version)
+        .ok_or_else(|| corrupt(path, "missing or non-integral 'version'"))?;
     if version > max_version {
         return Err(PersistError::UnsupportedVersion { path: path.to_path_buf(), version });
     }
-    Ok((entries, version))
+    Ok((version, members))
+}
+
+/// An envelope member read as `T`, if it is there and is one.
+fn read_member<T: Deserialize>(text: Option<&str>) -> Option<T> {
+    serde_json::from_str(text?).ok()
 }
 
 /// Write `{version, header}` to `path`.
@@ -433,15 +463,18 @@ pub fn write_header<H: Serialize>(
 /// Read a header file back: version gate, then `H`. A missing file is
 /// [`PersistError::NoCheckpoint`] for its directory.
 pub fn read_header<H: Deserialize>(path: &Path, max_version: u64) -> Result<H, PersistError> {
-    match read_envelope(path, max_version) {
-        Ok((entries, _)) => serde::field(&entries, "header").map_err(|e| corrupt(path, e)),
-        Err(PersistError::Io(e)) if e.kind() == io::ErrorKind::NotFound => {
-            Err(PersistError::NoCheckpoint {
+    let text = match fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {
+            return Err(PersistError::NoCheckpoint {
                 dir: path.parent().unwrap_or(path).to_path_buf(),
             })
         }
-        Err(e) => Err(e),
-    }
+        Err(e) => return Err(e.into()),
+    };
+    let (_, [header]) = read_envelope(path, &text, max_version, ["header"])?;
+    let header = header.ok_or_else(|| corrupt(path, serde::Error::missing_field("header")))?;
+    serde_json::from_str(header).map_err(|e| corrupt(path, e))
 }
 
 /// `(epoch, path)` of every `snap-*.json` in `dir`.
@@ -518,15 +551,16 @@ pub fn load_snapshot<S: Deserialize>(
     file_epoch: usize,
     epoch_of: impl Fn(&S) -> usize,
 ) -> Result<S, PersistError> {
-    let (entries, version) = read_envelope(path, format.version)?;
-    let epoch: usize = serde::field(&entries, "epoch")
-        .map_err(|_| corrupt(path, "missing or non-integral 'epoch'"))?;
-    let state_json = serde::get(&entries, "state")
-        .and_then(Value::as_str)
-        .ok_or_else(|| corrupt(path, "missing 'state'"))?;
+    let text = fs::read_to_string(path)?;
+    let (version, [epoch, state_crc, state]) =
+        read_envelope(path, &text, format.version, ["epoch", "state_crc", "state"])?;
+    let epoch: usize =
+        read_member(epoch).ok_or_else(|| corrupt(path, "missing or non-integral 'epoch'"))?;
+    // The state is a string member: unescaped once, here, and the file's
+    // text is gone before the state is read out of it.
+    let state_json: String = read_member(state).ok_or_else(|| corrupt(path, "missing 'state'"))?;
     if version >= format.crc_since {
-        let want: u32 =
-            serde::field(&entries, "state_crc").map_err(|_| corrupt(path, "missing 'state_crc'"))?;
+        let want: u32 = read_member(state_crc).ok_or_else(|| corrupt(path, "missing 'state_crc'"))?;
         let got = crc32(state_json.as_bytes());
         if got != want {
             return Err(corrupt(
@@ -535,7 +569,8 @@ pub fn load_snapshot<S: Deserialize>(
             ));
         }
     }
-    let state: S = serde_json::from_str(state_json).map_err(|e| corrupt(path, e))?;
+    drop(text);
+    let state: S = serde_json::from_str(&state_json).map_err(|e| corrupt(path, e))?;
     if epoch != file_epoch || epoch_of(&state) != epoch {
         return Err(corrupt(
             path,

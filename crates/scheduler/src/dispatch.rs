@@ -14,7 +14,7 @@
 //! debug builds and tests.
 
 use crate::encoded::Encoded;
-use serde::{Deserialize, Serialize, Sink, Value};
+use serde::{Deserialize, Kind, Serialize, Sink, Source};
 use std::ops::Deref;
 use thermaware_core::stage3::Stage3Solution;
 use thermaware_datacenter::DataCenter;
@@ -65,9 +65,9 @@ impl Serialize for DispatchPolicy {
 }
 
 impl Deserialize for DispatchPolicy {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        if let Some(s) = v.as_str() {
-            return match s {
+    fn deserialize(src: &mut Source<'_>) -> Result<Self, serde::Error> {
+        if src.peek()? != Kind::Object {
+            return match &*src.str()? {
                 "atc_tc" => Ok(DispatchPolicy::AtcTc),
                 "earliest_finish" => Ok(DispatchPolicy::EarliestFinish),
                 "least_loaded" => Ok(DispatchPolicy::LeastLoaded),
@@ -76,18 +76,17 @@ impl Deserialize for DispatchPolicy {
                 ))),
             };
         }
-        let entries = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("DispatchPolicy: expected string or object"))?;
-        let kind: String = serde::field(entries, "kind")?;
-        match kind.as_str() {
-            "atc_tc_windowed" => Ok(DispatchPolicy::AtcTcWindowed {
-                tau_s: serde::field(entries, "tau_s")?,
-            }),
-            other => Err(serde::Error::custom(format!(
-                "DispatchPolicy: unknown kind '{other}'"
-            ))),
+        let kind: String = src.find("kind")?.ok_or_else(|| serde::Error::missing_field("kind"))?;
+        if kind != "atc_tc_windowed" {
+            return Err(serde::Error::custom(format!("DispatchPolicy: unknown kind '{kind}'")));
         }
+        let mut tau_s = None;
+        src.object(|src, key| match key {
+            "tau_s" => src.first(&mut tau_s, f64::deserialize),
+            _ => src.skip(),
+        })?;
+        let tau_s = tau_s.ok_or_else(|| serde::Error::missing_field("tau_s"))?;
+        Ok(DispatchPolicy::AtcTcWindowed { tau_s })
     }
 }
 
@@ -737,22 +736,23 @@ impl Serialize for ServiceTimes {
 }
 
 impl Deserialize for ServiceTimes {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let expected_array = || serde::Error::custom("expected array");
-        let rows = v.as_array().ok_or_else(expected_array)?;
-        let mut table = Vec::with_capacity(rows.len());
-        for row in rows {
-            let row = row.as_array().ok_or_else(expected_array)?;
-            // Sized up front: this table is a quarter of a live state.
-            let mut times = Vec::with_capacity(row.len());
-            for s in row {
-                times.push(match s {
-                    Value::Null => f64::INFINITY,
-                    s => f64::from_value(s)?,
+    fn deserialize(src: &mut Source<'_>) -> Result<Self, serde::Error> {
+        let mut table = Vec::new();
+        src.array(|src| {
+            let mut times = Vec::new();
+            src.array(|src| {
+                times.push(match src.peek()? {
+                    Kind::Null => src.null().map(|()| f64::INFINITY)?,
+                    _ => f64::deserialize(src)?,
                 });
-            }
+                Ok(())
+            })?;
+            // Sized to fit: this table is a quarter of a live state.
+            times.shrink_to_fit();
             table.push(times);
-        }
+            Ok(())
+        })?;
+        table.shrink_to_fit();
         Ok(ServiceTimes(table))
     }
 }

@@ -9,7 +9,7 @@
 //! was printed from; debug builds and tests print again at every splice
 //! and compare.
 
-use serde::{Deserialize, Serialize, Sink, Value};
+use serde::{Deserialize, Serialize, Sink, Source};
 use serde_json::{crc32, Writer};
 use std::fmt;
 use std::ops::Deref;
@@ -86,7 +86,7 @@ impl<T: Serialize> Serialize for Encoded<T> {
 }
 
 impl<T: Deserialize> Deserialize for Encoded<T> {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        T::from_value(v).map(Encoded::new)
+    fn deserialize(src: &mut Source<'_>) -> Result<Self, serde::Error> {
+        T::deserialize(src).map(Encoded::new)
     }
 }

@@ -61,7 +61,9 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Lifetime counters (monotone; settled into from every epoch).
+/// Lifetime counters (monotone; settled into from every epoch). Each
+/// saturates at `u64::MAX`: a state read from disk may hold any count,
+/// and the writer prints `u64::MAX` as a number that reads back as it.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServiceTotals {
     /// Batches admitted (non-duplicate).
@@ -359,7 +361,7 @@ impl ServiceEngine {
         let mut k = 0usize; // running task index for the arrival spread
         for batch in batches {
             if recent_set.contains(&batch.id) {
-                state.totals.duplicate_batches += 1;
+                state.totals.duplicate_batches = state.totals.duplicate_batches.saturating_add(1);
                 report.batches.push(BatchOutcome {
                     id: batch.id,
                     duplicate: true,
@@ -370,7 +372,7 @@ impl ServiceEngine {
                 continue;
             }
             remember(recent_set, &mut state.recent_ids, cfg.dedup_window, batch.id);
-            state.totals.admitted_batches += 1;
+            state.totals.admitted_batches = state.totals.admitted_batches.saturating_add(1);
             let mut outcome = BatchOutcome {
                 id: batch.id,
                 duplicate: false,
@@ -389,7 +391,7 @@ impl ServiceEngine {
                     counts[task_type] += 1;
                     if state.shed.contains(&task_type) {
                         outcome.shed += 1;
-                        state.totals.shed_tasks += 1;
+                        state.totals.shed_tasks = state.totals.shed_tasks.saturating_add(1);
                         state.totals.shed_reward += dc.workload.task_types[task_type].reward;
                         continue;
                     }
@@ -397,11 +399,11 @@ impl ServiceEngine {
                     match state.sim.dispatch(task_type, at, deadline) {
                         DispatchDecision::Assigned { .. } => {
                             outcome.admitted += 1;
-                            state.totals.admitted_tasks += 1;
+                            state.totals.admitted_tasks = state.totals.admitted_tasks.saturating_add(1);
                         }
                         DispatchDecision::Dropped => {
                             outcome.dropped += 1;
-                            state.totals.dropped_tasks += 1;
+                            state.totals.dropped_tasks = state.totals.dropped_tasks.saturating_add(1);
                         }
                     }
                 }
@@ -430,7 +432,7 @@ impl ServiceEngine {
                 state.sim.replan(dc, &state.pstates, stage3, t1);
                 state.stage3 = stage3.clone();
                 state.planned_rates = state.ewma.clone();
-                state.totals.replans += 1;
+                state.totals.replans = state.totals.replans.saturating_add(1);
                 report.replanned = true;
                 state.log.record(t1, EventKind::ActionTaken(Action::Replan));
                 if state.breaker.on_success(&cfg.breaker) {
@@ -440,7 +442,7 @@ impl ServiceEngine {
                 }
             }
             ReplanVerdict::TimedOut | ReplanVerdict::Failed { .. } => {
-                state.totals.replan_failures += 1;
+                state.totals.replan_failures = state.totals.replan_failures.saturating_add(1);
                 let error = match verdict {
                     ReplanVerdict::Failed { error } => error.clone(),
                     _ => "solve timed out".to_string(),

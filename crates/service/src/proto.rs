@@ -16,7 +16,7 @@
 //! single `error` response and the connection stays usable; a client
 //! can be arbitrarily hostile without wedging the daemon.
 
-use serde::{Deserialize, Serialize, Sink, Value};
+use serde::{Deserialize, Serialize, Sink, Source};
 
 /// Longest request or response line the daemon will read, bytes. A
 /// line that exceeds this is answered with an `error` response and
@@ -202,26 +202,29 @@ impl Serialize for Request {
 }
 
 impl Deserialize for Request {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let entries = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("Request: expected object"))?;
-        let kind: String = serde::field(entries, "type")?;
-        match kind.as_str() {
-            "submit" => Ok(Request::Submit {
-                batch: Batch {
-                    id: serde::field_with(entries, "id", serde::Hex::from_value)?,
-                    tasks: serde::field(entries, "tasks")?,
-                },
-                budget_ms: serde::field(entries, "budget_ms").ok(),
-            }),
-            "stats" => Ok(Request::Stats),
-            "ping" => Ok(Request::Ping),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(serde::Error::custom(format!(
-                "Request: unknown type '{other}'"
-            ))),
-        }
+    fn deserialize(src: &mut Source<'_>) -> Result<Self, serde::Error> {
+        let kind: String = src.find("type")?.ok_or_else(|| serde::Error::missing_field("type"))?;
+        let request = match kind.as_str() {
+            "submit" => {
+                let (mut id, mut tasks, mut budget_ms) = (None, None, None);
+                src.object(|src, key| match key {
+                    "id" => src.first(&mut id, <u64 as serde::Hex>::deserialize),
+                    "tasks" => src.first(&mut tasks, Vec::deserialize),
+                    // A budget of the wrong type is no budget.
+                    "budget_ms" => src.first(&mut budget_ms, Source::try_read::<u64>),
+                    _ => src.skip(),
+                })?;
+                let id = id.ok_or_else(|| serde::Error::missing_field("id"))?;
+                let tasks = tasks.ok_or_else(|| serde::Error::missing_field("tasks"))?;
+                return Ok(Request::Submit { batch: Batch { id, tasks }, budget_ms: budget_ms.flatten() });
+            }
+            "stats" => Request::Stats,
+            "ping" => Request::Ping,
+            "shutdown" => Request::Shutdown,
+            other => return Err(serde::Error::custom(format!("Request: unknown type '{other}'"))),
+        };
+        src.skip()?;
+        Ok(request)
     }
 }
 

@@ -156,8 +156,12 @@ mod e2e {
 
         // A line inside the size cap but nested 200,000 deep: the JSON
         // reader recurses per level, and used to overflow the
-        // connection thread's stack — aborting the whole daemon.
-        match exchange("[".repeat(200_000).as_bytes()) {
+        // connection thread's stack — aborting the whole daemon. Bare,
+        // it is no request at its first byte; as a member of one, the
+        // reader steps into it, and stops at the bound.
+        assert!(matches!(exchange("[".repeat(200_000).as_bytes()), Response::Error { .. }));
+        let member = format!("{{\"type\":\"ping\",\"pad\":{}", "[".repeat(200_000));
+        match exchange(member.as_bytes()) {
             Response::Error { message } => assert!(message.contains("nesting"), "{message}"),
             other => panic!("deep nesting answered {other:?}"),
         }

@@ -198,3 +198,52 @@ fn a_saturated_failure_count_takes_one_more_failure() {
     assert_eq!(e.state().breaker.state, BreakerState::Open);
     assert_eq!(e.state().breaker.consecutive_failures, u32::MAX);
 }
+
+/// The lifetime counters enter from disk unchecked too, and `u64::MAX`
+/// is a count the writer prints (`18446744073709552000`, which reads
+/// back as `u64::MAX`): every one of them must take one more epoch —
+/// a duplicate, a fresh batch with shed, admitted and dropped tasks, a
+/// replan, a failed one — without overflowing (each `+= 1` panicked in
+/// debug builds), and stay at the top.
+#[test]
+fn saturated_totals_take_one_more_epoch() {
+    const COUNTERS: [&str; 7] = [
+        "admitted_batches",
+        "duplicate_batches",
+        "admitted_tasks",
+        "dropped_tasks",
+        "shed_tasks",
+        "replans",
+        "replan_failures",
+    ];
+    let cfg = ServiceConfig::default();
+    let mut e = engine(1, cfg.clone());
+    e.step(&[batch(1, 0, 1)], &ReplanVerdict::NotAttempted);
+    let mut json = state_json(&e).replacen(r#""shed":[]"#, r#""shed":[0]"#, 1);
+    let totals = json.find(r#""totals":{"#).expect("the totals");
+    for counter in COUNTERS {
+        let at = totals + json[totals..].find(&format!("\"{counter}\":")).expect(counter) + counter.len() + 3;
+        let end = at + json[at..].find([',', '}']).expect("the count's end");
+        json.replace_range(at..end, "18446744073709552000");
+    }
+    let state = serde_json::from_str(&json).expect("still a well-formed state");
+    let mut e = ServiceEngine::from_state(e.dc().clone(), cfg, state).expect("fits the room");
+    let stage3 = e.state().stage3.clone();
+    let fresh = Batch { id: 2, tasks: vec![(0, 4), (1, 5000)] };
+    let report = e.step(&[batch(1, 0, 1), fresh], &ReplanVerdict::Ok { stage3 });
+    let outcome = &report.batches[1];
+    assert!(report.batches[0].duplicate && report.replanned);
+    assert!(outcome.shed > 0 && outcome.admitted > 0 && outcome.dropped > 0, "{outcome:?}");
+    e.step(&[], &ReplanVerdict::Failed { error: "scripted outage".into() });
+    let t = &e.state().totals;
+    let counts = [
+        t.admitted_batches,
+        t.duplicate_batches,
+        t.admitted_tasks,
+        t.dropped_tasks,
+        t.shed_tasks,
+        t.replans,
+        t.replan_failures,
+    ];
+    assert_eq!(counts, [u64::MAX; 7]);
+}

@@ -148,8 +148,8 @@ mod tests {
             Curve::Diurnal { base: 1.0, peak: 2.0, period_s: 60.0 },
             Curve::Surge { base: 0.5, surge: 4.0, start_s: 3.0, len_s: 9.0 },
         ] {
-            let v = c.to_value();
-            let back = Curve::from_value(&v).expect("curve round-trips");
+            let text = serde_json::to_string(&c.to_value()).expect("prints");
+            let back: Curve = serde_json::from_str(&text).expect("curve round-trips");
             assert_eq!(back, c);
         }
     }
