@@ -63,40 +63,42 @@ const SNAP_SUFFIX: &str = ".json";
 pub use serde_json::{crc32, crc32_combine};
 
 /// Encode `value` and checksum the bytes: the `(json, crc)` pair every
-/// commit record, snapshot and replay check is made of, for both trails.
+/// commit record and snapshot is made of, for both trails.
 ///
 /// A member that keeps its encoded text (the scheduler's plan tables)
 /// splices it into the writer with its CRC, so only the spans in between
 /// are encoded and read here; [`crc32_combine`] joins the parts into
 /// exactly the checksum of the whole text.
 pub fn json_crc<T: Serialize>(value: &T) -> Result<(String, u32), PersistError> {
-    let timed = thermaware_obs::enabled();
-    let begun = timed.then(std::time::Instant::now);
-    let mut out = Writer::compact();
-    value.serialize(&mut out);
-    let (json, spliced) = out.finish_spliced();
-    let encoded = timed.then(std::time::Instant::now);
-    let bytes = json.as_bytes();
-    let mut crc = 0; // of the empty prefix
-    let mut fresh_from = 0;
-    for span in &spliced {
-        let fresh = &bytes[fresh_from..span.at];
-        crc = crc32_combine(crc, crc32(fresh), fresh.len());
-        crc = crc32_combine(crc, span.crc, span.len);
-        fresh_from = span.at + span.len;
-    }
-    let fresh = &bytes[fresh_from..];
-    crc = crc32_combine(crc, crc32(fresh), fresh.len());
+    let (json, crc) = encode(value, true);
     #[cfg(any(test, debug_assertions))]
-    assert_eq!(crc, crc32(bytes), "combined over {} spliced spans", spliced.len());
-    if let (Some(begun), Some(encoded)) = (begun, encoded) {
-        thermaware_obs::observe("persist.encode_us", (encoded - begun).as_secs_f64() * 1e6);
-        thermaware_obs::observe("persist.crc_us", encoded.elapsed().as_secs_f64() * 1e6);
-        let bytes_spliced: usize = spliced.iter().map(|span| span.len).sum();
-        thermaware_obs::counter_add("persist.bytes_encoded", (bytes.len() - bytes_spliced) as u64);
-        thermaware_obs::counter_add("persist.bytes_spliced", bytes_spliced as u64);
-    }
+    assert_eq!(crc, crc32(json.as_bytes()), "the CRC folded from fresh and spliced parts");
     Ok((json, crc))
+}
+
+/// [`json_crc`]'s CRC without its text, for a check that keeps nothing
+/// else (a replayed or a live commit): the same writer checksums every
+/// few kB and drops them, so a 600 kB state costs no 600 kB string.
+pub fn json_crc_only<T: Serialize>(value: &T) -> u32 {
+    let (_, crc) = encode(value, false);
+    #[cfg(any(test, debug_assertions))]
+    assert_eq!(json_crc(value).ok().map(|(_, full)| full), Some(crc), "the CRC without the text");
+    crc
+}
+
+/// [`json_crc`] and [`json_crc_only`]: one checksumming writer, the text
+/// kept or not.
+fn encode<T: Serialize>(value: &T, keep_text: bool) -> (String, u32) {
+    let begun = thermaware_obs::enabled().then(std::time::Instant::now);
+    let mut out = Writer::checksummed(keep_text);
+    value.serialize(&mut out);
+    let sum = out.finish_checksummed();
+    if let Some(begun) = begun {
+        thermaware_obs::observe("persist.encode_us", begun.elapsed().as_secs_f64() * 1e6);
+        thermaware_obs::counter_add("persist.bytes_encoded", (sum.len - sum.spliced) as u64);
+        thermaware_obs::counter_add("persist.bytes_spliced", sum.spliced as u64);
+    }
+    (sum.text, sum.crc)
 }
 
 /// Why persistence or recovery failed. Every variant is a typed ending —
@@ -892,7 +894,7 @@ pub fn resume(dir: &Path) -> Result<RecoveredRun, PersistError> {
             });
         }
         live.step();
-        if json_crc(live.state())?.1 != *state_crc {
+        if json_crc_only(live.state()) != *state_crc {
             return Err(PersistError::Corrupt {
                 path: journal_path.clone(),
                 reason: format!("replay of epoch {epoch} diverged from the committed state CRC"),

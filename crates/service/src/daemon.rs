@@ -30,7 +30,7 @@
 use crate::breaker::BreakerState;
 use crate::engine::{ReplanVerdict, ServiceEngine};
 use crate::proto::{Batch, RejectReason, Request, Response, StatsReport, MAX_LINE_BYTES};
-use crate::store::{state_json_crc, ServiceStore};
+use crate::store::ServiceStore;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -41,6 +41,7 @@ use std::time::{Duration, Instant};
 use thermaware_core::stage3::Stage3Basis;
 use thermaware_core::Solver;
 use thermaware_datacenter::DataCenter;
+use thermaware_runtime::persist::json_crc_only;
 
 /// Wall-clock knobs for the live shell (deterministic policy lives in
 /// [`crate::engine::ServiceConfig`]).
@@ -285,13 +286,7 @@ pub fn run_daemon(
                     duplicate: outcome.duplicate,
                 });
             }
-            let crc = match state_json_crc(engine.state()) {
-                Ok((_, crc)) => crc,
-                Err(e) => {
-                    loop_result = Err(std::io::Error::other(e.to_string()));
-                    break;
-                }
-            };
+            let crc = json_crc_only(engine.state());
             if let Err(e) = store.append_commit(epoch, crc) {
                 loop_result = Err(std::io::Error::other(e.to_string()));
                 break;

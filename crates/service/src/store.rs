@@ -37,8 +37,8 @@ use std::path::{Path, PathBuf};
 use thermaware_core::stage3::Stage3Solution;
 use thermaware_datacenter::ScenarioSnapshot;
 use thermaware_runtime::persist::{
-    json_crc, load_snapshot, read_framed_journal, read_header, snapshot_paths, truncate_journal,
-    write_header, write_snapshot, JournalWriter, PersistError, SnapshotFormat,
+    json_crc, json_crc_only, load_snapshot, read_framed_journal, read_header, snapshot_paths,
+    truncate_journal, write_header, write_snapshot, JournalWriter, PersistError, SnapshotFormat,
 };
 
 /// On-disk format version for the service store.
@@ -308,7 +308,7 @@ pub fn resume_service(dir: &Path) -> Result<(ServiceEngine, ServiceRecoveryInfo)
                         ),
                     });
                 }
-                let (_, crc) = state_json_crc(engine.state())?;
+                let crc = json_crc_only(engine.state());
                 if crc != *state_crc {
                     return Err(PersistError::Corrupt {
                         path: journal_path.clone(),
