@@ -6,12 +6,14 @@
 //! plans per (node type, P-state) group, so the candidates fall into a
 //! few **classes** of cores with the same desired rate and the same
 //! service time, bit for bit; inside a class the ratio grows with the
-//! assignment count alone. Each class keeps its cores ordered by
-//! `(count, core)` ([`DispatchOrder`]) and the rule walks that order to
-//! the class's first feasible core, then compares one ratio per class —
-//! the core the scan over all candidates picks, on every arrival (DESIGN
-//! §11 "The dispatch order"). The scan itself is kept as the oracle of
-//! debug builds and tests.
+//! assignment count alone. Each class keeps its cores as one bitset per
+//! distinct count, with a lower bound on the backlog of each 64-core
+//! word ([`DispatchOrder`]); the rule takes the lowest count's lowest
+//! feasible core, passing over whole words whose bound already misses
+//! the deadline, then compares one ratio per class — the core the scan
+//! over all candidates picks, on every arrival (DESIGN §11 "The
+//! dispatch order"). The scan itself is kept as the oracle of debug
+//! builds and tests.
 
 use crate::encoded::Encoded;
 use serde::{Deserialize, Kind, Serialize, Sink, Source};
@@ -173,17 +175,148 @@ impl PartialEq for DispatchOrder {
 
 /// The candidates of one task type that share `tc` and `service` bit for
 /// bit — in a planned room, the cores of one Stage-3 group.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The ratio is the same increasing function of `count` for every
+/// member, so ascending `(count, core)` is ascending `(ratio, core)`, the
+/// scan's preference: levels in ascending count, and in each level ranks
+/// in ascending core.
+#[derive(Debug, Clone)]
 struct Class {
     tc: f64,
     service: f64,
-    /// `(count, core)` of every member, ascending. The ratio is the same
-    /// increasing function of `count` for all of them, so this is
-    /// ascending in `(ratio, core)`: the scan's preference.
-    order: Vec<(u64, usize)>,
+    /// The members, ascending: a member's **rank** is its index here.
+    members: Vec<usize>,
+    /// One level per count some member has, ascending by count.
+    levels: Vec<Level>,
+    /// Emptied levels, taken by the next count that needs one, so that a
+    /// commit does not allocate.
+    spare: Vec<Level>,
+}
+
+/// The members of a class at one count, as a bitset over their ranks.
+#[derive(Debug, Clone)]
+struct Level {
+    count: u64,
+    /// Members at this count: the bits set.
+    len: usize,
+    /// Bit `r % 64` of word `r / 64` is set when the member of rank `r`
+    /// has this count.
+    bits: Vec<u64>,
+    /// Per word, a lower bound on `busy_until` of its live members (a
+    /// dead core is never free): `+∞` on an empty word, `−∞` where none
+    /// is known yet. A backlog only grows — `commit` forgets every bound
+    /// when one does not — so a bound stays true until its word is read.
+    bound: Vec<f64>,
+}
+
+/// Rule (c) at one arrival for one class's service time.
+struct Backlog<'a> {
+    busy_until: &'a [f64],
+    alive: &'a [bool],
+    now: f64,
+    service: f64,
+    deadline: f64,
+}
+
+impl Backlog<'_> {
+    /// A core busy until `busy` would finish late: the scan's own
+    /// expression, non-decreasing in `busy`, so it holds for every core
+    /// busy longer too.
+    fn misses(&self, busy: f64) -> bool {
+        busy.max(self.now) + self.service > self.deadline
+    }
+}
+
+/// The lower of a bound and a backlog. A NaN backlog is the lowest:
+/// `f64::max` takes it as `now`, the earliest any core can start.
+fn lower(bound: f64, busy: f64) -> f64 {
+    if busy < bound || busy.is_nan() {
+        busy
+    } else {
+        bound
+    }
+}
+
+impl Level {
+    /// An empty level over `members` ranks.
+    fn new(members: usize) -> Level {
+        let words = members.div_ceil(64);
+        Level {
+            count: 0,
+            len: 0,
+            bits: vec![0; words],
+            bound: vec![f64::INFINITY; words],
+        }
+    }
+
+    /// Set rank `r`, whose core is busy until `busy`.
+    fn insert(&mut self, r: usize, busy: f64) {
+        let w = r / 64;
+        self.bits[w] |= 1 << (r % 64);
+        self.bound[w] = lower(self.bound[w], busy);
+        self.len += 1;
+    }
+
+    /// Clear rank `r`, which is set.
+    fn remove(&mut self, r: usize) {
+        let w = r / 64;
+        self.bits[w] &= !(1 << (r % 64));
+        if self.bits[w] == 0 {
+            self.bound[w] = f64::INFINITY;
+        }
+        self.len -= 1;
+    }
+
+    /// The lowest rank whose core is alive and makes the deadline. A
+    /// word whose bound misses it is passed over unread; a word read to
+    /// its end without a find gets its exact bound back. `visits` counts
+    /// the words and bits examined.
+    fn first_feasible(
+        &mut self,
+        members: &[usize],
+        backlog: &Backlog,
+        visits: &mut u64,
+    ) -> Option<usize> {
+        for (w, (&word, bound)) in self.bits.iter().zip(&mut self.bound).enumerate() {
+            if word == 0 {
+                continue;
+            }
+            *visits += 1;
+            if backlog.misses(*bound) {
+                continue;
+            }
+            let mut least = f64::INFINITY;
+            let mut rest = word;
+            while rest != 0 {
+                let r = w * 64 + rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                *visits += 1;
+                let k = members[r];
+                if backlog.alive[k] {
+                    let busy = backlog.busy_until[k];
+                    if !backlog.misses(busy) {
+                        return Some(r);
+                    }
+                    least = lower(least, busy);
+                }
+            }
+            *bound = least;
+        }
+        None
+    }
 }
 
 impl Class {
+    fn new(tc: f64, service: f64) -> Class {
+        Class {
+            tc,
+            service,
+            members: Vec::new(),
+            levels: Vec::new(),
+            spare: Vec::new(),
+        }
+    }
+
     fn holds(&self, tc: f64, service: f64) -> bool {
         self.tc.to_bits() == tc.to_bits() && self.service.to_bits() == service.to_bits()
     }
@@ -193,9 +326,9 @@ impl Class {
     /// `count as f64 / (elapsed * tc)` rounds above 1.0, and a correctly
     /// rounded quotient of two doubles does that exactly when the
     /// numerator is the larger: a bound on the count, the divisor's floor
-    /// (counts convert exactly below 2^53 — no plan allows a core more).
-    /// Before any time has passed on the plan only an unused core is
-    /// within its rate.
+    /// (counts convert exactly below 2^53 — no plan allows a core more;
+    /// a divisor of `+∞` lets every count through). Before any time has
+    /// passed on the plan only an unused core is within its rate.
     fn rate_bound(&self, elapsed: f64) -> (f64, u64) {
         let divisor = if elapsed > 0.0 {
             elapsed * self.tc
@@ -203,6 +336,75 @@ impl Class {
             0.0
         };
         (divisor, divisor as u64)
+    }
+
+    /// Put every member at the level of its count, no bound known yet.
+    fn fill_levels(&mut self, count: &[u64]) {
+        let mut counts: Vec<u64> = Vec::new();
+        for &k in &self.members {
+            if let Err(at) = counts.binary_search(&count[k]) {
+                counts.insert(at, count[k]);
+            }
+        }
+        let size = self.members.len();
+        self.levels = counts
+            .into_iter()
+            .map(|count| Level {
+                count,
+                ..Level::new(size)
+            })
+            .collect();
+        for (r, &k) in self.members.iter().enumerate() {
+            let at = self.levels.partition_point(|l| l.count < count[k]);
+            self.levels[at].insert(r, f64::NEG_INFINITY);
+        }
+    }
+
+    /// The member of rank `r` went from count `from` to `from + 1`, its
+    /// core now busy until `busy`: one bit cleared, one bit set.
+    fn raise(&mut self, r: usize, from: u64, busy: f64) {
+        let Ok(at) = self.levels.binary_search_by_key(&from, |l| l.count) else {
+            return;
+        };
+        self.levels[at].remove(r);
+        if self.levels[at].len == 0 {
+            self.spare.push(self.levels.remove(at));
+        }
+        let to = from + 1;
+        let at = self.levels.partition_point(|l| l.count < to);
+        if self.levels.get(at).is_none_or(|l| l.count != to) {
+            let size = self.members.len();
+            let mut level = self.spare.pop().unwrap_or_else(|| Level::new(size));
+            level.count = to;
+            self.levels.insert(at, level);
+        }
+        self.levels[at].insert(r, busy);
+    }
+
+    /// The member within rate `within_rate` that the scan prefers in this
+    /// class, as `(count, core)`: the lowest feasible core of the lowest
+    /// count that has one — or, with `any_count`, the lowest feasible
+    /// core of all, for when every count's ratio rounds alike.
+    fn first_feasible(
+        &mut self,
+        within_rate: u64,
+        any_count: bool,
+        backlog: &Backlog,
+        visits: &mut u64,
+    ) -> Option<(u64, usize)> {
+        let mut found: Option<(u64, usize)> = None;
+        for level in self.levels.iter_mut().take_while(|l| l.count <= within_rate) {
+            if let Some(r) = level.first_feasible(&self.members, backlog, visits) {
+                let k = self.members[r];
+                if found.is_none_or(|(_, f)| k < f) {
+                    found = Some((level.count, k));
+                }
+                if !any_count {
+                    break;
+                }
+            }
+        }
+        found
     }
 }
 
@@ -228,46 +430,48 @@ impl DispatchOrder {
                 match class_of(&of_type, k) {
                     Some(c) => sizes[c] += 1,
                     None => {
-                        of_type.push(Class {
-                            tc: tc[i][k],
-                            service: service[i][k],
-                            order: Vec::new(),
-                        });
+                        of_type.push(Class::new(tc[i][k], service[i][k]));
                         sizes.push(1);
                     }
                 }
             }
             for (class, &size) in of_type.iter_mut().zip(&sizes) {
-                class.order.reserve_exact(size);
+                class.members.reserve_exact(size);
             }
             for &k in cores {
                 let c = class_of(&of_type, k).expect("the first pass gave every candidate a class");
-                of_type[c].order.push((count[i][k], k));
+                of_type[c].members.push(k);
             }
             for class in &mut of_type {
-                class.order.sort_unstable();
+                class.fill_levels(&count[i]);
             }
             classes.push(of_type);
         }
         DispatchOrder { classes }
     }
 
-    /// Core `k` took a task of `task_type` and its count rose to `count`:
-    /// move its entry up past the members it no longer precedes. (A core
-    /// that is not a candidate is in no class.)
-    fn count_rose(&mut self, task_type: usize, k: usize, count: u64, tc: f64, service: f64) {
+    /// Core `k` took a task of `task_type`, its count rose to `count` and
+    /// it is busy until `busy`: move it up one level. (A core that is not
+    /// a candidate is in no class.)
+    fn count_rose(&mut self, task_type: usize, k: usize, count: u64, tc: f64, service: f64, busy: f64) {
         let Some(class) = self.classes[task_type]
             .iter_mut()
             .find(|c| c.holds(tc, service))
         else {
             return;
         };
-        let Ok(at) = class.order.binary_search(&(count - 1, k)) else {
-            return;
-        };
-        let to = at + class.order[at + 1..].partition_point(|&e| e < (count, k));
-        class.order[at..=to].rotate_left(1);
-        class.order[to] = (count, k);
+        if let Ok(r) = class.members.binary_search(&k) {
+            class.raise(r, count - 1, busy);
+        }
+    }
+
+    /// A backlog shrank, so no bound is known to hold any more.
+    fn forget_bounds(&mut self) {
+        for class in self.classes.iter_mut().flatten() {
+            for level in &mut class.levels {
+                level.bound.fill(f64::NEG_INFINITY);
+            }
+        }
     }
 }
 
@@ -421,6 +625,12 @@ impl DynamicScheduler {
     fn commit(&mut self, task_type: usize, now: f64, k: usize, service: f64) -> DispatchDecision {
         let start = self.busy_until[k].max(now);
         let finish = start + service;
+        if finish < self.busy_until[k] || finish.is_nan() {
+            // The backlog shrank, or became NaN, which rule (c) reads as
+            // `now`: only a negative or NaN service time does this (read
+            // from disk, or a caller's factor).
+            self.order.forget_bounds();
+        }
         self.busy_until[k] = finish;
         self.busy_time[k] += service;
         self.count[task_type][k] += 1;
@@ -430,6 +640,7 @@ impl DynamicScheduler {
             self.count[task_type][k],
             self.tc[task_type][k],
             self.service[task_type][k],
+            finish,
         );
         if let DispatchPolicy::AtcTcWindowed { tau_s } = self.policy {
             // Decay the estimate to `now`, then add this assignment's
@@ -450,17 +661,21 @@ impl DynamicScheduler {
     /// through their backlog (rule c); the lowest core among equals.
     ///
     /// Per class: no member can make the deadline if an idle one cannot;
-    /// otherwise the members within their rate are a prefix of `order`,
-    /// and the first of them that is alive and meets the deadline has the
-    /// class's smallest count, hence its smallest ratio, on its lowest
-    /// core. Classes are then compared on the ratio as the scan computes
-    /// it. Each step is exact, not approximate — see DESIGN §11 "The
-    /// dispatch order" — and `pick` holds the result to the scan's in
-    /// debug builds.
-    fn pick_atc_tc(&self, task_type: usize, now: f64, deadline: f64) -> Option<usize> {
+    /// otherwise the members within their rate are the levels up to a
+    /// count, and the lowest-ranked member of the lowest level that is
+    /// alive and meets the deadline has the class's smallest ratio on its
+    /// lowest core. Classes are then compared on the ratio as the scan
+    /// computes it. Each step is exact, not approximate — see DESIGN §11
+    /// "The dispatch order" — and `pick` holds the result to the scan's
+    /// in debug builds.
+    fn pick_atc_tc(&mut self, task_type: usize, now: f64, deadline: f64) -> Option<usize> {
         let elapsed = now - self.plan_start;
-        let misses = |k: usize, service: f64| {
-            !self.alive[k] || self.busy_until[k].max(now) + service > deadline
+        let backlog = |service: f64| Backlog {
+            busy_until: &self.busy_until,
+            alive: &self.alive,
+            now,
+            service,
+            deadline,
         };
         // The scan's ratio, its divisor computed once per class.
         let ratio_at = |count: u64, divisor: f64| {
@@ -470,29 +685,27 @@ impl DynamicScheduler {
                 0.0
             }
         };
+        let classes = &mut self.order.classes[task_type];
         let mut visits = 0u64;
         let mut best: Option<(usize, f64)> = None;
         let mut unrated: Option<usize> = None;
-        for class in &self.order.classes[task_type] {
+        for class in classes.iter_mut() {
             if now + class.service > deadline {
                 continue;
             }
             let (divisor, within_rate) = class.rate_bound(elapsed);
-            for &(count, k) in &class.order {
-                visits += 1;
-                if count > within_rate {
-                    break;
-                }
-                if misses(k, class.service) {
-                    continue;
-                }
-                let ratio = ratio_at(count, divisor);
-                if ratio.is_nan() {
-                    unrated = Some(unrated.map_or(k, |u| u.min(k)));
-                } else if best.is_none_or(|(b, r)| ratio < r || (ratio == r && k < b)) {
-                    best = Some((k, ratio));
-                }
-                break;
+            // `elapsed * tc` overflowed: every count's ratio is `c / ∞ = 0`.
+            let any_count = divisor == f64::INFINITY;
+            let backlog = backlog(class.service);
+            let Some((count, k)) = class.first_feasible(within_rate, any_count, &backlog, &mut visits)
+            else {
+                continue;
+            };
+            let ratio = ratio_at(count, divisor);
+            if ratio.is_nan() {
+                unrated = Some(unrated.map_or(k, |u| u.min(k)));
+            } else if best.is_none_or(|(b, r)| ratio < r || (ratio == r && k < b)) {
+                best = Some((k, ratio));
             }
         }
         // `elapsed * tc` underflowed to zero in some class and the ratio
@@ -500,17 +713,13 @@ impl DynamicScheduler {
         // onto such a core: it picks one exactly when the lowest feasible
         // core of all is one.
         if let Some(u) = unrated {
-            let rated_below = self.order.classes[task_type].iter().any(|class| {
+            let rated_below = classes.iter_mut().any(|class| {
                 let (divisor, within_rate) = class.rate_bound(elapsed);
+                let backlog = backlog(class.service);
                 !ratio_at(0, divisor).is_nan()
                     && class
-                        .order
-                        .iter()
-                        .take_while(|e| e.0 <= within_rate)
-                        .any(|&(_, k)| {
-                            visits += 1;
-                            k < u && !misses(k, class.service)
-                        })
+                        .first_feasible(within_rate, true, &backlog, &mut visits)
+                        .is_some_and(|(_, k)| k < u)
             });
             if !rated_below {
                 best = Some((u, f64::NAN));
@@ -799,7 +1008,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use std::sync::OnceLock;
     use thermaware_core::Solver;
     use thermaware_datacenter::ScenarioParams;
@@ -822,15 +1031,22 @@ mod tests {
     }
 
     /// Dispatch with the scan asked first — in release too, where `pick`
-    /// does not ask it. Returns the core, `None` for a drop.
+    /// does not ask it — through `dispatch`, or with a realized service
+    /// factor through `dispatch_with_realized_factor`. Returns the core,
+    /// `None` for a drop.
     fn dispatch_checked(
         sched: &mut DynamicScheduler,
         task_type: usize,
         now: f64,
         deadline: f64,
+        factor: Option<f64>,
     ) -> Option<usize> {
         let scan = sched.pick_atc_tc_scan(task_type, now, deadline);
-        let core = match sched.dispatch(task_type, now, deadline) {
+        let decision = match factor {
+            None => sched.dispatch(task_type, now, deadline),
+            Some(f) => sched.dispatch_with_realized_factor(task_type, now, deadline, f),
+        };
+        let core = match decision {
             DispatchDecision::Assigned { core, .. } => Some(core),
             DispatchDecision::Dropped => None,
         };
@@ -838,12 +1054,37 @@ mod tests {
         core
     }
 
-    /// The index invariant: every class's order is what a fresh build
-    /// from the tables gives.
+    /// The index invariant: every class holds what a fresh build from the
+    /// tables gives — its members, and its levels with their counts and
+    /// bits — and every word's bound is at most the backlog of each live
+    /// member set in it.
     fn assert_order_is_fresh(sched: &DynamicScheduler) {
         let fresh =
             DispatchOrder::build(&sched.candidates, &sched.tc, &sched.service, &sched.count);
-        assert_eq!(sched.order.classes, fresh.classes);
+        let sizes = |order: &DispatchOrder| order.classes.iter().map(Vec::len).collect::<Vec<_>>();
+        assert_eq!(sizes(&sched.order), sizes(&fresh));
+        let levels = |class: &Class| {
+            let shape = class.levels.iter().map(|l| (l.count, l.len, l.bits.clone()));
+            shape.collect::<Vec<_>>()
+        };
+        let pairs = sched.order.classes.iter().flatten().zip(fresh.classes.iter().flatten());
+        for (live, fresh) in pairs {
+            assert!(live.holds(fresh.tc, fresh.service));
+            assert_eq!(live.members, fresh.members);
+            assert_eq!(levels(live), levels(fresh));
+            for level in &live.levels {
+                for (r, &k) in live.members.iter().enumerate() {
+                    let (w, set) = (r / 64, level.bits[r / 64] >> (r % 64) & 1 == 1);
+                    let busy = sched.busy_until[k];
+                    assert!(
+                        !(set && sched.alive[k] && level.bound[w] > busy),
+                        "core {k} at count {} is busy until {busy}, below its bound {}",
+                        level.count,
+                        level.bound[w]
+                    );
+                }
+            }
+        }
     }
 
     /// Rule (b) as a bound on the count is the scan's rounded quotient at
@@ -851,11 +1092,7 @@ mod tests {
     /// (where `count as f64` starts to round).
     #[test]
     fn the_count_bound_is_the_scans_rule_b() {
-        let class = |tc: f64| Class {
-            tc,
-            service: 1.0,
-            order: Vec::new(),
-        };
+        let class = |tc: f64| Class::new(tc, 1.0);
         let p53 = 2f64.powi(53);
         for divisor in [
             f64::from_bits(1),
@@ -878,6 +1115,24 @@ mod tests {
         for elapsed in [0.0, -1.0, f64::NAN] {
             assert_eq!(class(3.0).rate_bound(elapsed), (0.0, 0));
         }
+        // An overflowed divisor: `count / ∞` is 0 for every count.
+        assert_eq!(class(3.0).rate_bound(f64::MAX), (f64::INFINITY, u64::MAX));
+    }
+
+    /// `elapsed * tc` overflows to `+∞`: every count's ratio rounds to 0,
+    /// so the scan takes the lowest feasible core whatever the counts —
+    /// not the lowest count's core (core 1 here). A CRC-valid state can
+    /// hold such a `plan_start`: `fits` does not read it.
+    #[test]
+    fn an_overflowed_rate_clock_goes_to_the_lowest_core() {
+        const FAR: &str = r#"{"policy":"atc_tc","tc":[[2,2,2,2]],"candidates":[[0,1,2,3]],"runnable":[[0,1,2,3]],"count":[[5,3,7,9]],"ewma_rate":[[[0,0],[0,0],[0,0],[0,0]]],"busy_until":[0,0,0,0],"service":[[0.5,0.5,0.5,0.5]],"busy_time":[0,0,0,0],"alive":[true,true,true,true],"plan_start":-1.7e308}"#;
+        let mut sched: DynamicScheduler = serde_json::from_str(FAR).expect("decode");
+        let now = 1.7e308;
+        assert_eq!(now - sched.plan_start, f64::INFINITY);
+        assert_eq!(dispatch_checked(&mut sched, 0, now, now, None), Some(0));
+        sched.kill_cores(&[0]);
+        assert_eq!(dispatch_checked(&mut sched, 0, now, now, None), Some(1));
+        assert_order_is_fresh(&sched);
     }
 
     /// Two classes with one `tc` and two service times: at equal counts
@@ -888,7 +1143,7 @@ mod tests {
         const PAIR: &str = r#"{"policy":"atc_tc","tc":[[2,2,2,2]],"candidates":[[0,1,2,3]],"runnable":[[0,1,2,3]],"count":[[0,0,0,0]],"ewma_rate":[[[0,0],[0,0],[0,0],[0,0]]],"busy_until":[0,0,0,0],"service":[[0.5,0.25,0.5,0.25]],"busy_time":[0,0,0,0],"alive":[true,true,true,true],"plan_start":0}"#;
         let mut sched: DynamicScheduler = serde_json::from_str(PAIR).expect("decode");
         let picks: Vec<_> = (0..8)
-            .map(|_| dispatch_checked(&mut sched, 0, 10.0, 20.0))
+            .map(|_| dispatch_checked(&mut sched, 0, 10.0, 20.0, None))
             .collect();
         assert_eq!(picks, [0, 1, 2, 3, 0, 1, 2, 3].map(Some));
         assert_eq!(
@@ -899,7 +1154,7 @@ mod tests {
         // All at count 2. Without core 0 the first class answers core 2,
         // the second core 1.
         sched.kill_cores(&[0]);
-        assert_eq!(dispatch_checked(&mut sched, 0, 10.0, 20.0), Some(1));
+        assert_eq!(dispatch_checked(&mut sched, 0, 10.0, 20.0, None), Some(1));
         assert_order_is_fresh(&sched);
     }
 
@@ -910,14 +1165,18 @@ mod tests {
         /// touches the order in it: the plan instant and the instants one
         /// ulp past it (the first of which is a subnormal `elapsed`, whose
         /// product with `tc` underflows), deadlines tight enough to drop, a
-        /// mid-stream replan, a class's lowest cores killed, and a JSON
-        /// round trip after which the rebuilt order must carry on as the
-        /// live one does.
+        /// mid-stream replan, a class's lowest cores killed, a JSON round
+        /// trip after which the rebuilt order must carry on as the live one
+        /// does, and — through `dispatch_with_realized_factor` — backlogs
+        /// that grow by more or less than the estimate the rule judged
+        /// them on. The order is held to a fresh build at each of those
+        /// events and every 256 arrivals, not only at the end.
         #[test]
         fn the_walk_picks_the_scans_core(
             room in 0usize..3,
             stream_seed in 0u64..1_000_000,
             tightness in prop::sample::select(vec![1.0, 0.6, 0.25]),
+            realized in any::<bool>(),
             replan_at in 0.0f64..1.0,
             kill_at in 0.0f64..1.0,
             save_at in 0.0f64..1.0,
@@ -930,21 +1189,23 @@ mod tests {
             let due = |task_type: usize, now: f64| {
                 now + dc.workload.task_types[task_type].deadline_slack * tightness
             };
+            // Realized over estimated service, drawn per dispatch.
+            let mut factors = StdRng::seed_from_u64(!stream_seed);
+            let mut factor = || realized.then(|| factors.gen_range(0.25..2.0));
 
             let mut live = DynamicScheduler::new(dc, pstates, stage3);
             let mut resumed: Option<DynamicScheduler> = None;
             for task_type in 0..dc.n_task_types() {
-                dispatch_checked(&mut live, task_type, 0.0, due(task_type, 0.0));
-                dispatch_checked(&mut live, task_type, f64::from_bits(1), due(task_type, 0.0));
+                dispatch_checked(&mut live, task_type, 0.0, due(task_type, 0.0), factor());
+                let first_ulp = f64::from_bits(1);
+                dispatch_checked(&mut live, task_type, first_ulp, due(task_type, 0.0), factor());
             }
             for (j, a) in trace.arrivals.iter().enumerate() {
                 if j == kill_at {
                     // The lowest cores of the type's largest class.
-                    let class = live.order.classes[a.task_type].iter().max_by_key(|c| c.order.len());
-                    let mut cores: Vec<usize> =
-                        class.map_or(Vec::new(), |c| c.order.iter().map(|e| e.1).collect());
-                    cores.sort_unstable();
-                    cores.truncate(2);
+                    let class = live.order.classes[a.task_type].iter().max_by_key(|c| c.members.len());
+                    let cores: Vec<usize> =
+                        class.map_or(Vec::new(), |c| c.members.iter().take(2).copied().collect());
                     for sched in std::iter::once(&mut live).chain(resumed.as_mut()) {
                         sched.kill_cores(&cores);
                     }
@@ -965,10 +1226,16 @@ mod tests {
                     instants.push(a.time.next_up());
                 }
                 for now in instants {
-                    let deadline = due(a.task_type, now);
-                    let core = dispatch_checked(&mut live, a.task_type, now, deadline);
+                    let (deadline, f) = (due(a.task_type, now), factor());
+                    let core = dispatch_checked(&mut live, a.task_type, now, deadline, f);
                     if let Some(resumed) = resumed.as_mut() {
-                        prop_assert_eq!(dispatch_checked(resumed, a.task_type, now, deadline), core);
+                        prop_assert_eq!(dispatch_checked(resumed, a.task_type, now, deadline, f), core);
+                    }
+                }
+                if [replan_at, kill_at, save_at].contains(&j) || j % 256 == 0 {
+                    assert_order_is_fresh(&live);
+                    if let Some(resumed) = &resumed {
+                        assert_order_is_fresh(resumed);
                     }
                 }
             }

@@ -13,7 +13,7 @@
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use crate::proto::Batch;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 use thermaware_core::stage3::Stage3Solution;
 use thermaware_datacenter::DataCenter;
 use thermaware_runtime::degrade::shed_lowest_reward;
@@ -128,9 +128,10 @@ pub struct ServiceState {
     pub ewma: Vec<f64>,
     /// Rates the active plan was built for (drift baseline).
     pub planned_rates: Vec<f64>,
-    /// Recently admitted batch ids, oldest first (dedup window).
+    /// Recently admitted batch ids, oldest first (dedup window): a ring,
+    /// so a full window evicts its oldest id without moving the rest.
     #[serde(with = "serde::Hex")]
-    pub recent_ids: Vec<u64>,
+    pub recent_ids: VecDeque<u64>,
     /// Epoch whose step last consumed a replan verdict (the baseline of
     /// the `min_replan_gap_epochs` rate limit).
     pub last_replan_epoch: usize,
@@ -231,7 +232,7 @@ impl ServiceEngine {
             shed: Vec::new(),
             ewma: planned_rates.clone(),
             planned_rates,
-            recent_ids: Vec::new(),
+            recent_ids: VecDeque::new(),
             last_replan_epoch: 0,
             totals: ServiceTotals::default(),
             log: EventLog::with_capacity(cfg.log_capacity),
@@ -486,12 +487,11 @@ impl ServiceEngine {
 }
 
 /// Admit `id` into the bounded dedup window, evicting the oldest.
-fn remember(recent_set: &mut BTreeSet<u64>, recent_ids: &mut Vec<u64>, window: usize, id: u64) {
+fn remember(recent_set: &mut BTreeSet<u64>, recent_ids: &mut VecDeque<u64>, window: usize, id: u64) {
     if recent_set.insert(id) {
-        recent_ids.push(id);
-        let window = window.max(1);
-        while recent_ids.len() > window {
-            let evicted = recent_ids.remove(0);
+        recent_ids.push_back(id);
+        let excess = recent_ids.len().saturating_sub(window.max(1));
+        for evicted in recent_ids.drain(..excess) {
             recent_set.remove(&evicted);
         }
     }

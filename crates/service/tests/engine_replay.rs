@@ -4,7 +4,7 @@
 use thermaware_core::Solver;
 use thermaware_datacenter::ScenarioParams;
 use thermaware_service::breaker::{BreakerConfig, BreakerState};
-use thermaware_service::engine::{ReplanVerdict, ServiceConfig, ServiceEngine};
+use thermaware_service::engine::{ReplanVerdict, ServiceConfig, ServiceEngine, ServiceState};
 use thermaware_service::proto::Batch;
 
 fn engine(seed: u64, cfg: ServiceConfig) -> ServiceEngine {
@@ -46,6 +46,33 @@ fn dedup_window_is_bounded_and_evicts_oldest() {
     assert_eq!(e.state().recent_ids.len(), 4, "window bound holds");
     assert!(!e.would_duplicate(0), "oldest id aged out");
     assert!(e.would_duplicate(9));
+}
+
+/// A window that has evicted prints its ids oldest first, as hex, reads
+/// back to the same state and the same bytes, and a resumed engine goes
+/// on evicting in the live one's order.
+#[test]
+fn an_evicting_window_reads_back_to_the_same_bytes() {
+    let cfg = ServiceConfig { dedup_window: 3, ..ServiceConfig::default() };
+    let mut live = engine(1, cfg.clone());
+    for id in [5, u64::MAX, 9, 12, 40] {
+        live.step(&[batch(id, 0, 1)], &ReplanVerdict::NotAttempted);
+    }
+    let json = state_json(&live);
+    assert!(
+        json.contains(r#""recent_ids":["0000000000000009","000000000000000c","0000000000000028"],"#),
+        "the three newest ids, oldest first"
+    );
+    let read: ServiceState = serde_json::from_str(&json).expect("decode");
+    assert_eq!(&read, live.state());
+    assert_eq!(serde_json::to_string(&read).expect("encode"), json);
+
+    let mut resumed = ServiceEngine::from_state(live.dc().clone(), cfg, read).expect("fits");
+    for e in [&mut live, &mut resumed] {
+        e.step(&[batch(77, 0, 1)], &ReplanVerdict::NotAttempted);
+        assert!(!e.would_duplicate(9) && e.would_duplicate(12) && e.would_duplicate(77));
+    }
+    assert_eq!(state_json(&resumed), state_json(&live));
 }
 
 #[test]
