@@ -109,6 +109,11 @@ pub fn solve_stage1_under_budget(
     budget_kw: f64,
     options: &Stage1Options,
 ) -> Result<Stage1Solution, SolveError> {
+    // Every comparison with NaN is false, so no search would refuse it;
+    // the LP's right-hand side would.
+    if budget_kw.is_nan() {
+        return Err(SolveError::InvalidInput { what: "the power budget is NaN".to_string() });
+    }
     let _span = thermaware_obs::span("stage1");
     let (arr_curves, node_curves) = arr_and_node_curves(dc, options.psi_percent);
     if thermaware_obs::enabled() {
@@ -175,11 +180,14 @@ impl<'a> OutletSweep<'a> {
         // weights keep (bit-identical path); cost weights overwrite it
         // per candidate.
         let node_vars = add_segment_vars(&mut p, dc, node_curves, |slope| slope);
+        // An infinite budget is no budget: a row `≤ +∞` binds nothing and
+        // leaves the optimum no finite certificate.
+        let budget_row = (budget_kw < f64::INFINITY).then_some(budget_kw);
         OutletSweep {
             dc,
             budget_kw,
             options,
-            room: RoomLp::build(dc, p, segment_layout(dc, &node_vars), Some(budget_kw)),
+            room: RoomLp::build(dc, p, segment_layout(dc, &node_vars), budget_row),
             slopes,
             node_vars,
             warm: None,
@@ -543,6 +551,29 @@ mod tests {
         assert_eq!(under_own, solve_stage1(&dc, &options).unwrap());
         let tighter = solve_stage1_under_budget(&dc, 0.93 * own, &options).unwrap();
         assert!(tighter.objective < under_own.objective, "the stated budget is the one that binds");
+    }
+
+    /// Budgets at the edges: a NaN is refused by name, every budget below
+    /// what the room draws idle finds no outlet combination, and an
+    /// infinite one is no budget at all.
+    #[test]
+    fn budgets_below_idle_power_are_refused_and_infinity_binds_nothing() {
+        let dc = small_dc(6);
+        let options = Stage1Options::default();
+        let nan = solve_stage1_under_budget(&dc, f64::NAN, &options).unwrap_err();
+        assert!(matches!(nan, SolveError::InvalidInput { .. }), "{nan:?}");
+        assert!(nan.to_string().contains("NaN"), "{nan}");
+        for budget_kw in [-1.0, f64::NEG_INFINITY, 0.5 * dc.budget.p_min_kw] {
+            let err = solve_stage1_under_budget(&dc, budget_kw, &options).unwrap_err();
+            assert!(matches!(err, SolveError::NoFeasibleOutlets { stage: "stage1" }), "{budget_kw} kW: {err:?}");
+            assert!(err.to_string().contains("no feasible CRAC outlet combination"), "{err}");
+        }
+        let unbounded = solve_stage1_under_budget(&dc, f64::INFINITY, &options).unwrap();
+        let generous = solve_stage1_under_budget(&dc, 1e3 * dc.budget.p_max_kw, &options).unwrap();
+        let gap = (unbounded.objective - generous.objective).abs();
+        assert!(gap <= 1e-9 * unbounded.objective.abs(), "{} vs {}", unbounded.objective, generous.objective);
+        assert_eq!(unbounded.crac_out_c, generous.crac_out_c);
+        assert!(unbounded.objective > solve_stage1(&dc, &options).unwrap().objective);
     }
 
     #[test]

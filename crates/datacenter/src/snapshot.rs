@@ -155,6 +155,12 @@ impl ScenarioSnapshot {
                 field: "crac_redline_c",
             });
         }
+        let budget = &self.budget;
+        let totals = [budget.p_min_kw, budget.p_max_kw, budget.p_const_kw];
+        let outlets = budget.min_outlets_c.iter().chain(&budget.max_outlets_c);
+        if !totals.iter().chain(outlets).all(|x| x.is_finite()) {
+            return Err(ScenarioError::NonFinite { field: "budget" });
+        }
         validate_workload(&self.workload)?;
         let thermal = ThermalModel::new(
             &self.layout,
@@ -222,6 +228,31 @@ mod tests {
         for (x, y) in a.t_in.iter().zip(&b.t_in) {
             assert!((x - y).abs() < 1e-9, "{x} vs {y}");
         }
+    }
+
+    /// The f64 reader takes `"NaN"` and `"inf"`, so a CRC-valid snapshot
+    /// can carry a budget no solve can use: each non-finite budget number
+    /// is refused by name.
+    #[test]
+    fn a_non_finite_budget_is_refused() {
+        let dc = ScenarioParams { n_nodes: 20, ..ScenarioParams::small_test() }.build(3).unwrap();
+        let damages: [fn(&mut PowerBudget); 5] = [
+            |b| b.p_min_kw = f64::NAN,
+            |b| b.p_max_kw = f64::INFINITY,
+            |b| b.p_const_kw = f64::NAN,
+            |b| b.min_outlets_c[0] = f64::NEG_INFINITY,
+            |b| b.max_outlets_c[0] = f64::NAN,
+        ];
+        for damage in damages {
+            let mut snap = ScenarioSnapshot::capture(&dc);
+            damage(&mut snap.budget);
+            let json = serde_json::to_string(&snap).unwrap();
+            let back: ScenarioSnapshot = serde_json::from_str(&json).unwrap();
+            assert!(matches!(back.restore(), Err(ScenarioError::NonFinite { field: "budget" })));
+        }
+        let json = serde_json::to_string(&ScenarioSnapshot::capture(&dc)).unwrap();
+        let back: ScenarioSnapshot = serde_json::from_str(&json).unwrap();
+        assert!(back.restore().is_ok());
     }
 
     #[test]

@@ -86,13 +86,29 @@ pub fn json_crc_only<T: Serialize>(value: &T) -> u32 {
     crc
 }
 
+thread_local! {
+    /// Length of the last text [`json_crc`] kept on this thread. A trail
+    /// encodes one state per epoch, each about as long as the one before,
+    /// so the next writer starts with room for it and an eighth more:
+    /// one allocation where growing from empty took about fifteen and
+    /// left up to twice the text's length allocated.
+    static LAST_KEPT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// [`json_crc`] and [`json_crc_only`]: one checksumming writer, the text
 /// kept or not.
 fn encode<T: Serialize>(value: &T, keep_text: bool) -> (String, u32) {
     let begun = thermaware_obs::enabled().then(std::time::Instant::now);
     let mut out = Writer::checksummed(keep_text);
+    if keep_text {
+        let last = LAST_KEPT.get();
+        out.reserve(last + last / 8);
+    }
     value.serialize(&mut out);
     let sum = out.finish_checksummed();
+    if keep_text {
+        LAST_KEPT.set(sum.len);
+    }
     if let Some(begun) = begun {
         thermaware_obs::observe("persist.encode_us", begun.elapsed().as_secs_f64() * 1e6);
         thermaware_obs::counter_add("persist.bytes_encoded", (sum.len - sum.spliced) as u64);

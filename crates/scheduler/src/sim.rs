@@ -1,6 +1,7 @@
 //! Event-driven simulation of the second step over an arrival trace.
 
 use crate::dispatch::{DispatchDecision, DispatchPolicy, DynamicScheduler};
+use crate::encoded::EncodedVec;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use thermaware_core::stage3::Stage3Solution;
@@ -203,11 +204,15 @@ pub struct Admitted {
 /// this struct as it stands and read it straight back. It holds no
 /// reference to the room — the calls that need one take `&DataCenter` —
 /// and state read from disk passes [`EpochSim::fits`] before it is stepped.
+///
+/// The in-flight list is an `EncodedVec`: each task keeps the text an
+/// encode printed it as until `settle` drops it or `kill_cores` marks it
+/// lost, so a commit prints only the tasks admitted since the last one.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EpochSim {
     scheduler: DynamicScheduler,
     per_type: Vec<TypeStats>,
-    admitted: Vec<Admitted>,
+    admitted: EncodedVec<Admitted>,
 }
 
 impl EpochSim {
@@ -227,7 +232,7 @@ impl EpochSim {
         EpochSim {
             scheduler: DynamicScheduler::with_policy(dc, pstates, stage3, policy),
             per_type: vec![TypeStats::default(); dc.n_task_types()],
-            admitted: Vec::new(),
+            admitted: EncodedVec::default(),
         }
     }
 
@@ -297,11 +302,11 @@ impl EpochSim {
     pub fn kill_cores(&mut self, cores: &[usize], at: f64) {
         thermaware_obs::counter_add("sched.cores_killed", cores.len() as u64);
         self.scheduler.kill_cores(cores);
-        for a in &mut self.admitted {
-            if !a.lost && a.finish > at && cores.contains(&a.core) {
-                a.lost = true;
-            }
-        }
+        self.admitted.update(|a| {
+            let dies = !a.lost && a.finish > at && cores.contains(&a.core);
+            a.lost |= dies;
+            dies
+        });
     }
 
     /// Fold tasks that finished at or before `up_to_s` into the
@@ -375,7 +380,7 @@ impl EpochSim {
         let mut per_type = self.per_type;
         let mut waits: Vec<f64> = Vec::with_capacity(self.admitted.len());
         let mut responses: Vec<f64> = Vec::with_capacity(self.admitted.len());
-        for a in &self.admitted {
+        for a in self.admitted.iter() {
             if a.lost {
                 per_type[a.task_type].lost += 1;
                 continue;
