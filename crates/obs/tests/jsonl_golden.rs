@@ -8,7 +8,7 @@
 use serde_json::Value;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
-use thermaware_obs::{JsonlRecorder, TRACE_FORMAT_VERSION};
+use thermaware_obs::{JsonlRecorder, Recorder, SpanRecord, TRACE_FORMAT_VERSION};
 
 static GLOBAL: Mutex<()> = Mutex::new(());
 
@@ -164,4 +164,73 @@ fn every_line_type_is_known() {
             "unknown line type {t}"
         );
     }
+}
+
+/// Names that need escaping: a quote, a backslash, a control character
+/// and a non-ASCII letter.
+const ODD: &str = "q\"b\\c\u{1}é";
+
+/// The whole trace of fixed spans and metrics, byte for byte: string
+/// escapes, every kind of `f64` a gauge or histogram prints (shortest
+/// digits, `-0`, a large and a subnormal value, the three non-finite
+/// strings), an integer at 2^53, and the open last bucket's `"inf"` edge.
+#[test]
+fn fixed_records_print_these_bytes() {
+    let buf = SharedBuf::default();
+    let rec = JsonlRecorder::from_writer(Box::new(buf.clone())).expect("recorder");
+    rec.record_span(&SpanRecord {
+        name: "stage1",
+        path: format!("solve/{ODD}/stage1"),
+        depth: 2,
+        start_us: 12,
+        dur_us: 3456,
+        thread: 1,
+    });
+    rec.record_span(&SpanRecord {
+        name: ODD,
+        path: ODD.to_string(),
+        depth: 0,
+        start_us: 0,
+        dur_us: 1 << 53,
+        thread: 0,
+    });
+    rec.counter_add("lp.solves", 18);
+    rec.counter_add("two^53", 1 << 53);
+    rec.counter_add(ODD, 0);
+    for (name, value) in [
+        ("g.tenth", 0.1),
+        ("g.neg_zero", -0.0),
+        ("g.big", 1e21),
+        ("g.tiny", 5e-324),
+        ("g.inf", f64::INFINITY),
+        ("g.neg_inf", f64::NEG_INFINITY),
+        ("g.nan", f64::NAN),
+        (ODD, 88.25),
+    ] {
+        rec.gauge_set(name, value);
+    }
+    for v in [0.75, 3.0, 125.0, 2000.5, 1e13] {
+        rec.observe("lp.solve_us", v);
+    }
+    rec.observe(ODD, -1.0);
+    rec.finish().expect("finish");
+    let expected = [
+        r#"{"type":"meta","format":"thermaware-obs-trace","version":1,"clock":"us"}"#.to_string(),
+        r#"{"type":"span","path":"solve/q\"b\\c\u0001é/stage1","name":"stage1","depth":2,"thread":1,"start_us":12,"dur_us":3456}"#.to_string(),
+        r#"{"type":"span","path":"q\"b\\c\u0001é","name":"q\"b\\c\u0001é","depth":0,"thread":0,"start_us":0,"dur_us":9007199254740992}"#.to_string(),
+        r#"{"type":"counter","name":"lp.solves","value":18}"#.to_string(),
+        r#"{"type":"counter","name":"q\"b\\c\u0001é","value":0}"#.to_string(),
+        r#"{"type":"counter","name":"two^53","value":9007199254740992}"#.to_string(),
+        r#"{"type":"gauge","name":"g.big","value":1000000000000000000000}"#.to_string(),
+        r#"{"type":"gauge","name":"g.inf","value":"inf"}"#.to_string(),
+        r#"{"type":"gauge","name":"g.nan","value":"NaN"}"#.to_string(),
+        r#"{"type":"gauge","name":"g.neg_inf","value":"-inf"}"#.to_string(),
+        r#"{"type":"gauge","name":"g.neg_zero","value":-0}"#.to_string(),
+        r#"{"type":"gauge","name":"g.tenth","value":0.1}"#.to_string(),
+        format!(r#"{{"type":"gauge","name":"g.tiny","value":0.{}5}}"#, "0".repeat(323)),
+        r#"{"type":"gauge","name":"q\"b\\c\u0001é","value":88.25}"#.to_string(),
+        r#"{"type":"hist","name":"lp.solve_us","count":5,"sum":10000000002129.25,"min":0.75,"max":10000000000000,"mean":2000000000425.85,"p50":128,"p95":"inf","p99":"inf","buckets":[[1,1],[4,1],[128,1],[2048,1],["inf",1]]}"#.to_string(),
+        r#"{"type":"hist","name":"q\"b\\c\u0001é","count":1,"sum":-1,"min":-1,"max":-1,"mean":-1,"p50":0.00000095367431640625,"p95":0.00000095367431640625,"p99":0.00000095367431640625,"buckets":[[0.00000095367431640625,1]]}"#.to_string(),
+    ];
+    assert_eq!(buf.contents(), expected.join("\n") + "\n");
 }
