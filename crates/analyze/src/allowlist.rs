@@ -21,20 +21,24 @@
 //! shipped list to exactly the current tree.
 
 use crate::rules::Finding;
+use serde::Serialize;
 use std::fs;
 use std::path::Path;
 
 /// Workspace-relative location of the tracked allowlist.
 pub const ALLOWLIST_PATH: &str = "crates/analyze/allowlist.txt";
 
-/// One parsed allowlist entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One parsed allowlist entry. A stale one prints in the JSON report
+/// as its rule, path and line.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Entry {
     pub rule: String,
     pub path: String,
     pub line: usize,
+    #[serde(skip)]
     pub snippet: String,
     /// 1-based line in allowlist.txt itself (for stale reports).
+    #[serde(skip)]
     pub at: usize,
 }
 

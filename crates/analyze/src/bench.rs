@@ -28,7 +28,8 @@
 //! committed `results/BENCH_*.json`; `bench --bless` copies current over
 //! committed after validating it parses and carries every gated metric.
 
-use crate::json::{self, Value};
+use serde::{Serialize, Sink, Value};
+use serde_json::Writer;
 use std::fs;
 use std::path::Path;
 
@@ -57,6 +58,12 @@ impl Dir {
             Dir::Higher => "higher-better",
             Dir::Pinned => "pinned",
         }
+    }
+}
+
+impl Serialize for Dir {
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        sink.string(self.label());
     }
 }
 
@@ -129,7 +136,9 @@ pub const SPECS: [BenchSpec; 4] = [
     },
 ];
 
-/// One gated metric's comparison result.
+/// One gated metric's comparison result; it prints as one object of
+/// the JSON report (an unreachable ratio as `"inf"`).
+#[derive(Serialize)]
 pub struct Row {
     pub file: &'static str,
     /// Dotted metric path for display (`total.pivot_speedup`).
@@ -195,36 +204,20 @@ impl BenchReport {
         out
     }
 
-    /// Machine-readable report (same hand-rolled JSON style as the
-    /// findings report).
+    /// Machine-readable report, pretty JSON.
     pub fn json(&self) -> String {
-        let mut out = String::from("{\n  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"file\": {}, \"metric\": {}, \"dir\": {}, \"base\": {}, \"now\": {}, \"ratio\": {}, \"ok\": {}}}{}\n",
-                quote(r.file),
-                quote(&r.metric),
-                quote(r.dir.label()),
-                fmt_f64(r.base),
-                fmt_f64(r.now),
-                fmt_f64(r.ratio),
-                r.ok,
-                if i + 1 < self.rows.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ],\n  \"errors\": [\n");
-        for (i, e) in self.errors.iter().enumerate() {
-            out.push_str(&format!(
-                "    {}{}\n",
-                quote(e),
-                if i + 1 < self.errors.len() { "," } else { "" }
-            ));
-        }
-        out.push_str(&format!(
-            "  ],\n  \"tolerance\": {TOLERANCE},\n  \"clean\": {}\n}}\n",
-            self.clean()
-        ));
-        out
+        let mut w = Writer::pretty();
+        w.begin_object();
+        w.key("rows");
+        self.rows.serialize(&mut w);
+        w.key("errors");
+        self.errors.serialize(&mut w);
+        w.key("tolerance");
+        w.number(TOLERANCE);
+        w.key("clean");
+        w.bool(self.clean());
+        w.end_object();
+        w.finish() + "\n"
     }
 }
 
@@ -255,11 +248,8 @@ pub fn check(root: &Path) -> BenchReport {
         };
         for gate in spec.gates {
             let metric = gate.path.join(".");
-            let (Some(b), Some(n)) = (
-                base.get_path(gate.path).and_then(Value::as_f64),
-                now.get_path(gate.path).and_then(Value::as_f64),
-            ) else {
-                let missing_in = if base.get_path(gate.path).and_then(Value::as_f64).is_none() {
+            let (Some(b), Some(n)) = (number_at(&base, gate.path), number_at(&now, gate.path)) else {
+                let missing_in = if number_at(&base, gate.path).is_none() {
                     "baseline"
                 } else {
                     "current snapshot"
@@ -283,7 +273,7 @@ pub fn bless(root: &Path) -> Result<Vec<&'static str>, String> {
         let now = load(&now_path)
             .map_err(|e| format!("{}: current snapshot: {e} — nothing blessed", spec.file))?;
         for gate in spec.gates {
-            if now.get_path(gate.path).and_then(Value::as_f64).is_none() {
+            if number_at(&now, gate.path).is_none() {
                 return Err(format!(
                     "{}: gated metric `{}` missing from current snapshot — nothing blessed",
                     spec.file,
@@ -306,7 +296,12 @@ pub fn bless(root: &Path) -> Result<Vec<&'static str>, String> {
 fn load(path: &Path) -> Result<Value, String> {
     let text = fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
+    serde_json::from_str(&text).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// The number at a path of object keys in a snapshot.
+fn number_at(snapshot: &Value, path: &[&str]) -> Option<f64> {
+    path.iter().try_fold(snapshot, |v, key| v.get(key))?.as_f64()
 }
 
 fn judge(file: &'static str, metric: String, dir: Dir, base: f64, now: f64) -> Row {
@@ -330,32 +325,6 @@ fn judge(file: &'static str, metric: String, dir: Dir, base: f64, now: f64) -> R
     Row { file, metric, dir, base, now, ratio, ok }
 }
 
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        // JSON has no Infinity; an unreachable ratio serializes as null.
-        "null".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -372,6 +341,29 @@ mod tests {
         assert!(!judge("f", "m".into(), Dir::Pinned, 100.0, 84.0).ok, "pinned gates both directions");
         assert!(judge("f", "m".into(), Dir::Pinned, 0.0, 0.0).ok);
         assert!(!judge("f", "m".into(), Dir::Pinned, 0.0, 1.0).ok, "zero baseline pins to zero");
+    }
+
+    /// The JSON report reads back with every row; a ratio with no base
+    /// to divide by prints as the workspace's `"inf"`.
+    #[test]
+    fn the_json_report_reads_back() {
+        let report = BenchReport {
+            rows: vec![
+                judge("BENCH_x.json", "a.b".into(), Dir::Pinned, 0.0, 1.0),
+                judge("BENCH_x.json", "c".into(), Dir::Higher, 4.0, 5.0),
+            ],
+            errors: vec!["BENCH_y.json: \"broken\"".into()],
+        };
+        let v: Value = serde_json::from_str(&report.json()).expect("the report is JSON");
+        let rows = v.get("rows").and_then(Value::as_array).expect("rows");
+        assert_eq!(rows[0].get("ratio").and_then(Value::as_str), Some("inf"));
+        assert_eq!(rows[0].get("ok"), Some(&Value::Bool(false)));
+        assert_eq!(rows[1].get("dir").and_then(Value::as_str), Some("higher-better"));
+        assert_eq!(rows[1].get("ratio").and_then(Value::as_f64), Some(1.25));
+        let errors = v.get("errors").and_then(Value::as_array).expect("errors");
+        assert_eq!(errors[0].as_str(), Some(report.errors[0].as_str()));
+        assert_eq!(v.get("tolerance").and_then(Value::as_f64), Some(TOLERANCE));
+        assert_eq!(v.get("clean"), Some(&Value::Bool(false)));
     }
 
     #[test]

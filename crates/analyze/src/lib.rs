@@ -14,8 +14,11 @@
 //!
 //! Design constraints:
 //!
-//! - **Zero dependencies.** The gate must never fail to build; it lexes
-//!   Rust with a hand-rolled total lexer ([`lexer`]) instead of syn.
+//! - **std plus the vendored codec.** The gate must never fail to
+//!   build: its only dependencies are the vendored `serde` /
+//!   `serde_json` path crates (the bench baselines and both reports go
+//!   through them), and it lexes Rust with a hand-rolled total lexer
+//!   ([`lexer`]) instead of syn.
 //! - **Escapes are explicit and tracked.** A site can opt out with
 //!   `// lint: allow(<rule>): <reason>`; legacy debt lives in a
 //!   committed allowlist ([`allowlist`]) that goes stale — and fails
@@ -31,7 +34,6 @@ pub mod allowlist;
 pub mod bench;
 pub mod callgraph;
 pub mod engine;
-pub mod json;
 pub mod lexer;
 pub mod parser;
 pub mod report;

@@ -1,10 +1,11 @@
-//! Report rendering: human-readable text for the terminal and a small
-//! hand-rolled JSON document for the CI artifact (the analyzer is
-//! dependency-free, so no serde here — the escaping below covers the
-//! strings findings actually contain).
+//! Report rendering: human-readable text for the terminal and a pretty
+//! JSON document for the CI artifact, printed by the vendored
+//! `serde_json` writer.
 
 use crate::engine::Analysis;
 use crate::rules::{Finding, RULES};
+use serde::{Serialize, Sink};
+use serde_json::Writer;
 
 /// Terminal report: findings grouped with locations, then a per-rule
 /// summary table.
@@ -52,74 +53,76 @@ pub fn text(a: &Analysis) -> String {
 
 /// JSON report for the CI artifact.
 pub fn json(a: &Analysis) -> String {
-    let mut out = String::from("{\n  \"schema\": \"thermaware-analyze/v1\",\n");
-    out.push_str(&format!("  \"clean\": {},\n", a.clean()));
-    out.push_str("  \"unsuppressed\": [");
-    out.push_str(&findings_json(&a.unsuppressed));
-    out.push_str("],\n  \"allowlisted\": [");
-    out.push_str(&findings_json(&a.allowlisted));
-    out.push_str("],\n  \"inline_allowed\": [");
-    out.push_str(&findings_json(&a.inline_allowed));
-    out.push_str("],\n  \"stale_allowlist_entries\": [");
-    let stale: Vec<String> = a
-        .stale_entries
-        .iter()
-        .map(|e| {
-            format!(
-                "{{\"rule\": {}, \"path\": {}, \"line\": {}}}",
-                quote(&e.rule),
-                quote(&e.path),
-                e.line
-            )
-        })
-        .collect();
-    out.push_str(&stale.join(", "));
-    out.push_str("]\n}\n");
-    out
-}
-
-fn findings_json(fs: &[Finding]) -> String {
-    let items: Vec<String> = fs
-        .iter()
-        .map(|f| {
-            let witness = if f.witness.is_empty() {
-                String::new()
-            } else {
-                let steps: Vec<String> = f.witness.iter().map(|s| quote(s)).collect();
-                format!(", \"witness\": [{}]", steps.join(", "))
-            };
-            format!(
-                "\n    {{\"rule\": {}, \"path\": {}, \"line\": {}, \"message\": {}, \"snippet\": {}{witness}}}",
-                quote(f.rule),
-                quote(&f.path),
-                f.line,
-                quote(&f.message),
-                quote(&f.snippet)
-            )
-        })
-        .collect();
-    if items.is_empty() {
-        String::new()
-    } else {
-        format!("{}\n  ", items.join(","))
+    let mut w = Writer::pretty();
+    w.begin_object();
+    w.key("schema");
+    w.string("thermaware-analyze/v1");
+    w.key("clean");
+    w.bool(a.clean());
+    for (key, findings) in [
+        ("unsuppressed", &a.unsuppressed),
+        ("allowlisted", &a.allowlisted),
+        ("inline_allowed", &a.inline_allowed),
+    ] {
+        w.key(key);
+        findings.serialize(&mut w);
     }
+    w.key("stale_allowlist_entries");
+    a.stale_entries.serialize(&mut w);
+    w.end_object();
+    w.finish() + "\n"
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::allowlist::Entry;
+    use serde::Value;
+
+    fn finding(message: &str, witness: &[&str]) -> Finding {
+        Finding {
+            rule: "panic-free",
+            path: "crates/x/src/a.rs".into(),
+            line: 7,
+            message: message.into(),
+            snippet: "x.unwrap()".into(),
+            witness: witness.iter().map(|s| s.to_string()).collect(),
         }
     }
-    out.push('"');
-    out
+
+    /// The report reads back as JSON with every member it was given:
+    /// escaped text, a witness when there is one, a stale entry as its
+    /// rule, path and line.
+    #[test]
+    fn the_json_report_reads_back() {
+        let a = Analysis {
+            unsuppressed: vec![finding("a \"quoted\" \\ line\nbreak \u{1}", &["a.rs:1 f", "b.rs:2 g"])],
+            allowlisted: vec![finding("plain", &[])],
+            inline_allowed: Vec::new(),
+            stale_entries: vec![Entry {
+                rule: "float-eq".into(),
+                path: "crates/y/src/b.rs".into(),
+                line: 3,
+                snippet: "a == b".into(),
+                at: 9,
+            }],
+            malformed: Vec::new(),
+        };
+        let text = json(&a);
+        assert!(text.ends_with("}\n"));
+        let v: Value = serde_json::from_str(&text).expect("the report is JSON");
+        let keys: Vec<&str> = v.as_object().expect("object").iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            ["schema", "clean", "unsuppressed", "allowlisted", "inline_allowed", "stale_allowlist_entries"]
+        );
+        assert_eq!(v.get("clean"), Some(&Value::Bool(false)));
+        let first = &v.get("unsuppressed").and_then(Value::as_array).expect("findings")[0];
+        assert_eq!(first.get("message").and_then(Value::as_str), Some(a.unsuppressed[0].message.as_str()));
+        assert_eq!(first.get("line").and_then(Value::as_f64), Some(7.0));
+        assert_eq!(first.get("witness").and_then(Value::as_array).map(<[_]>::len), Some(2));
+        let stale = &v.get("stale_allowlist_entries").and_then(Value::as_array).expect("stale")[0];
+        let keys: Vec<&str> = stale.as_object().expect("object").iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["rule", "path", "line"]);
+    }
 }

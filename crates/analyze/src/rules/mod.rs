@@ -26,6 +26,7 @@ pub mod layering;
 pub mod panic_free;
 
 use crate::workspace::Workspace;
+use serde::Serialize;
 
 /// Rule names, in report order.
 pub const RULES: [&str; 8] = [
@@ -39,8 +40,9 @@ pub const RULES: [&str; 8] = [
     "obs-coverage",
 ];
 
-/// One violation at a specific line of a workspace file.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One violation at a specific line of a workspace file; it prints as
+/// one object of the JSON report.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Finding {
     /// Rule name (one of [`RULES`]).
     pub rule: &'static str,

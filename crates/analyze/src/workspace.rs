@@ -2,8 +2,9 @@
 //! sections for intra-workspace edges, and load every Rust source into a
 //! [`SourceFile`].
 //!
-//! Only `std::fs` is used (the analyzer is dependency-free); Cargo.toml
-//! parsing is a deliberately small line-based scan that understands
+//! Only `std::fs` is used, no manifest crate (the gate must build
+//! offline); Cargo.toml parsing is a deliberately small line-based scan
+//! that understands
 //! exactly the subset this workspace writes: section headers and
 //! `name = …` / `name.workspace = true` dependency keys.
 

@@ -1,14 +1,17 @@
-//! Hostile bytes through the bench gate's JSON reader: every committed
+//! Hostile bytes through the bench gate's JSON reader (the vendored
+//! `serde_json`, read as a `serde::Value`): every committed
 //! `results/BENCH_*.json`, damaged at every k-th byte — flipped, deleted,
-//! replaced, cut off there — reads as a `Value` or a `ParseError`, never
-//! a panic; nesting stops at `MAX_DEPTH` exactly; and `bench --check`
-//! over a damaged current snapshot fails with a message naming the file.
+//! replaced, cut off there — reads as a `Value` or an error naming its
+//! byte, never a panic; `bench --check` over a damaged current snapshot
+//! fails with a message naming the file; and a number that overflows
+//! `f64` is neither a baseline nor a snapshot to bless. The nesting bound
+//! is the reader's own (`serde::MAX_DEPTH`, pinned by its tests).
 
+use serde::Value;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use thermaware_analyze::bench;
-use thermaware_analyze::json::{parse, Value};
 
 fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -40,11 +43,11 @@ fn baselines() -> Vec<(String, Vec<u8>)> {
 /// exponent, an escape, a quote, and a lone UTF-8 lead and continuation.
 const REPLACEMENTS: [u8; 10] = [b'"', b'\\', b'{', b']', b'9', b'-', b'e', b'u', 0xc3, 0x80];
 
-/// A reader that returns at all is the property; `parse` takes text, as
-/// `bench::check` reads a file into a `String` first, so bytes that are
-/// not UTF-8 go in as the lossy text of them.
+/// A reader that returns at all is the property; the reader takes text,
+/// as `bench::check` reads a file into a `String` first, so bytes that
+/// are not UTF-8 go in as the lossy text of them.
 fn read(bytes: &[u8]) -> Result<Value, String> {
-    parse(&String::from_utf8_lossy(bytes)).map_err(|e| e.to_string())
+    serde_json::from_str(&String::from_utf8_lossy(bytes)).map_err(|e| e.to_string())
 }
 
 #[test]
@@ -76,21 +79,6 @@ fn damaged_baselines_read_as_a_value_or_an_error() {
             tally(read(&bytes[..at]));
         }
         assert!(values > 0 && errors > 0, "{name}: {values} values, {errors} errors");
-    }
-}
-
-/// `MAX_DEPTH` is 64: a scalar inside 64 containers reads, inside 65 it
-/// is refused by name, arrays and objects alike, and a file can hold a
-/// nest far deeper than the bound without reaching the stack's.
-#[test]
-fn nesting_stops_at_the_bound() {
-    let arrays = |n: usize| format!("{}1{}", "[".repeat(n), "]".repeat(n));
-    let objects = |n: usize| format!("{}1{}", "{\"k\":".repeat(n), "}".repeat(n));
-    for nest in [arrays, objects] {
-        assert!(parse(&nest(64)).is_ok());
-        let err = parse(&nest(65)).unwrap_err();
-        assert!(err.msg.contains("nesting too deep"), "{err}");
-        assert!(parse(&nest(100_000)).is_err());
     }
 }
 
@@ -134,6 +122,52 @@ fn bench_check_fails_on_a_damaged_snapshot_with_a_message() {
         let _ = fs::remove_dir_all(&dir);
         root_with(&dir, &name, &bytes);
         assert!(bench::check(&dir).clean(), "{name}: {}", bench::check(&dir).text());
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+const LP: &str = "BENCH_lp.json";
+
+/// The committed `BENCH_lp.json` with the Stage-1 sweep's warm pivot
+/// count (its first `warm_pivots` member) written as `number`.
+fn lp_with_sweep_pivots(number: &str) -> Vec<u8> {
+    let text = fs::read_to_string(workspace_root().join("results").join(LP)).expect("baseline reads");
+    let key = "\"warm_pivots\": ";
+    let at = text.find(key).expect("the sweep's pivot count") + key.len();
+    let end = at + text[at..].find(',').expect("a member follows it");
+    format!("{}{number}{}", &text[..at], &text[end..]).into_bytes()
+}
+
+/// A literal that overflows `f64` is no baseline: read as `+inf` it
+/// would let any lower-is-better count pass (`now <= inf`).
+#[test]
+fn an_overflowing_baseline_fails_the_check_by_name() {
+    let dir = std::env::temp_dir().join(format!("thermaware-overflow-check-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    root_with(&dir, LP, &lp_with_sweep_pivots("999999"));
+    fs::write(dir.join("results").join(LP), lp_with_sweep_pivots("1e999")).expect("baseline edit");
+    let report = bench::check(&dir);
+    assert!(!report.clean(), "an overflowing baseline passed:\n{}", report.text());
+    assert!(
+        report.errors.iter().any(|e| e.contains(LP) && e.contains("baseline") && e.contains(" at byte ")),
+        "{}",
+        report.text()
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Nor is it a snapshot to promote: `bless` refuses by name and leaves
+/// every baseline as it was.
+#[test]
+fn bless_refuses_an_overflowing_snapshot() {
+    let dir = std::env::temp_dir().join(format!("thermaware-overflow-bless-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    root_with(&dir, LP, &lp_with_sweep_pivots("1e999"));
+    let err = bench::bless(&dir).expect_err("an overflowing snapshot was blessed");
+    assert!(err.contains(LP) && err.contains("nothing blessed"), "{err}");
+    for (file, bytes) in baselines() {
+        let kept = fs::read(dir.join("results").join(&file)).expect("baseline reads");
+        assert!(kept == bytes, "{file} changed");
     }
     let _ = fs::remove_dir_all(&dir);
 }

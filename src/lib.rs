@@ -63,7 +63,8 @@ pub use thermaware_core as core;
 pub use thermaware_datacenter as datacenter;
 /// Dense linear algebra (matrices, LU).
 pub use thermaware_linalg as linalg;
-/// Zero-dependency observability: spans, counters, histograms, sinks.
+/// Observability on std and the vendored JSON codec: spans, counters,
+/// histograms, sinks.
 pub use thermaware_obs as obs;
 /// The bounded-variable revised-simplex LP solver (primal and dual
 /// phases, warm starts).
