@@ -26,11 +26,12 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use thermaware::core::Solver;
+use thermaware::core::stage3::Stage3Solution;
+use thermaware::core::{Solver, ThreeStageSolution};
 use thermaware::datacenter::{DataCenter, ScenarioParams};
 use thermaware::runtime::persist::{json_crc, run_checkpointed_until};
-use thermaware::runtime::{resume, CheckpointConfig, FaultScript, SupervisorConfig};
-use thermaware::service::store::{state_json_crc, StoreConfig};
+use thermaware::runtime::{resume, CheckpointConfig, FaultScript, RunHeader, SupervisorConfig};
+use thermaware::service::store::{state_json_crc, ServiceHeader, ServiceRecord, StoreConfig};
 use thermaware::service::{
     resume_service, Batch, ReplanVerdict, ServiceConfig, ServiceEngine, ServiceStore,
 };
@@ -104,30 +105,82 @@ fn epoch_batch(dc: &DataCenter, epoch: usize) -> Batch {
     Batch { id: (epoch as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15), tasks }
 }
 
-/// How the fixtures were made. Not part of the suite: a fixture is the
-/// bytes of the commit that wrote it, so this runs by hand, before a
-/// change to anything the encoder sees, and prints the two pins.
+/// The write direction: this build, fed the plans the committed headers
+/// hold and the epoch-9 replan the committed journal holds, writes the
+/// six fixture files byte for byte. No LP is solved, so an LP re-pin
+/// cannot move it; a change to what either trail writes does.
 #[test]
-#[ignore = "rewrites tests/fixtures; run at the commit whose bytes are to be kept"]
-fn write_fixtures() {
-    let dc = room();
-    let plan = Solver::new(&dc).solve().expect("plan");
+fn this_build_writes_the_fixture_bytes() {
+    let run: RunHeader = serde_json::from_str(&header(&fixtures().join(SUPERVISOR_CKPT).join("run.json")))
+        .expect("run header");
+    let service: ServiceHeader =
+        serde_json::from_str(&header(&fixtures().join(SERVICE_STORE).join("service.json")))
+            .expect("service header");
+    let journal = fs::read_to_string(fixtures().join(SERVICE_STORE).join("journal.jsonl")).expect("journal");
+    let replan = journal
+        .lines()
+        .find_map(|line| match serde_json::from_str(line.get(9..)?).ok()? {
+            ServiceRecord::Begin { epoch: 9, verdict: ReplanVerdict::Ok { stage3 }, .. } => Some(stage3),
+            _ => None,
+        })
+        .expect("the journal's epoch-9 Ok verdict");
+    let root = std::env::temp_dir().join(format!("thermaware-fixture-write-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&root);
+    let plans = Plans { supervisor: &run.plan, pstates: &service.pstates, stage3: &service.stage3 };
+    write_trails(&root, &plans, |_| replan);
+    for name in [SERVICE_STORE, SUPERVISOR_CKPT] {
+        let mut committed = file_names(&fixtures().join(name));
+        assert_eq!(file_names(&root.join(name)), committed, "{name}: the files written");
+        for file in committed.drain(..) {
+            let want = fs::read(fixtures().join(name).join(&file)).expect("fixture");
+            let got = fs::read(root.join(name).join(&file)).expect("written");
+            assert!(got == want, "{name}/{file}: {} bytes written, {} committed", got.len(), want.len());
+        }
+    }
+    let _ = fs::remove_dir_all(&root);
+}
 
-    let dir = fixtures().join(SERVICE_STORE);
+/// The text of the `header` member of a `{version, header}` file.
+fn header(path: &Path) -> String {
+    let text = fs::read_to_string(path).expect("header file");
+    let envelope: serde_json::Value = serde_json::from_str(&text).expect("envelope");
+    serde_json::to_string(envelope.get("header").expect("header member")).expect("encode")
+}
+
+fn file_names(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = fs::read_dir(dir)
+        .expect("directory")
+        .map(|entry| entry.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+/// What the two trails start from: the supervisor's three-stage plan and
+/// the service's P-states and Stage-3 rates.
+struct Plans<'a> {
+    supervisor: &'a ThreeStageSolution,
+    pstates: &'a [usize],
+    stage3: &'a Stage3Solution,
+}
+
+/// Write both fixture directories under `root`: the service store (its
+/// epoch-9 replan from `replan`, given the engine at that epoch) and the
+/// supervisor checkpoint killed after six epochs.
+fn write_trails(root: &Path, plans: &Plans<'_>, replan: impl FnOnce(&ServiceEngine) -> Stage3Solution) {
+    let dc = room();
+    let mut replan = Some(replan);
+
+    let dir = root.join(SERVICE_STORE);
     let _ = fs::remove_dir_all(&dir);
-    let mut engine =
-        ServiceEngine::new(dc.clone(), ServiceConfig::default(), &plan.pstates, &plan.stage3);
+    let mut engine = ServiceEngine::new(dc.clone(), ServiceConfig::default(), plans.pstates, plans.stage3);
     let cfg = StoreConfig { durable: false, snapshot_interval: 8, retain: 1, ..StoreConfig::new(&dir) };
     let mut store = ServiceStore::create(cfg, &engine).expect("create");
     for epoch in 0..11 {
         let batches = [epoch_batch(&dc, epoch)];
         let verdict = match epoch {
             3 => ReplanVerdict::Failed { error: "scripted solver outage".into() },
-            9 => {
-                let (dc, pstates) = engine.solve_request();
-                let (stage3, _) = Solver::new(&dc).stage3_replan(&pstates, None).expect("replan");
-                ReplanVerdict::Ok { stage3 }
-            }
+            9 => ReplanVerdict::Ok { stage3: replan.take().expect("one replan")(&engine) },
             _ => ReplanVerdict::NotAttempted,
         };
         store.append_begin(epoch, &batches, &verdict).expect("begin");
@@ -142,10 +195,8 @@ fn write_fixtures() {
         }
     }
     store.sync().expect("sync");
-    let (json, crc) = state_json_crc(engine.state()).expect("crc");
-    println!("const SERVICE_PIN: (usize, u32) = ({}, {crc:#010x});", json.len());
 
-    let dir = fixtures().join(SUPERVISOR_CKPT);
+    let dir = root.join(SUPERVISOR_CKPT);
     let _ = fs::remove_dir_all(&dir);
     let cfg = SupervisorConfig { epoch_s: 0.5, horizon_s: 8.0, seed: 3, ..SupervisorConfig::default() };
     let script = FaultScript::new().crac_failure(2.0, 0);
@@ -155,9 +206,28 @@ fn write_fixtures() {
         durable: false,
         ..CheckpointConfig::new(&dir)
     };
-    let stopped = run_checkpointed_until(&dc, cfg, &plan, &script, &ckpt, 6).expect("run");
+    let stopped = run_checkpointed_until(&dc, cfg, plans.supervisor, &script, &ckpt, 6).expect("run");
     assert!(stopped.is_none(), "killed mid-horizon");
-    let rec = resume(&dir).expect("resume");
+}
+
+/// How the fixtures were made. Not part of the suite: a fixture is the
+/// bytes of the commit that wrote it, so this runs by hand, before a
+/// change to anything the encoder sees, and prints the two pins.
+#[test]
+#[ignore = "rewrites tests/fixtures; run at the commit whose bytes are to be kept"]
+fn write_fixtures() {
+    let dc = room();
+    let plan = Solver::new(&dc).solve().expect("plan");
+    let plans = Plans { supervisor: &plan, pstates: &plan.pstates, stage3: &plan.stage3 };
+    write_trails(&fixtures(), &plans, |engine| {
+        let (dc, pstates) = engine.solve_request();
+        Solver::new(&dc).stage3_replan(&pstates, None).expect("replan").0
+    });
+
+    let (engine, _) = resume_service(&fixtures().join(SERVICE_STORE)).expect("resume");
+    let (json, crc) = state_json_crc(engine.state()).expect("crc");
+    println!("const SERVICE_PIN: (usize, u32) = ({}, {crc:#010x});", json.len());
+    let rec = resume(&fixtures().join(SUPERVISOR_CKPT)).expect("resume");
     let (json, crc) = json_crc(&rec.state).expect("crc");
     println!("const SUPERVISOR_PIN: (usize, u32) = ({}, {crc:#010x});", json.len());
 }
