@@ -47,8 +47,8 @@ pub use degrade::{
 pub use event::{Action, Event, EventKind, EventLog, Violation};
 pub use fault::{Fault, FaultEvent, FaultScript};
 pub use persist::{
-    resume, run_checkpointed, CheckpointConfig, Checkpointer, PersistError, RecoveredRun,
-    RecoveryInfo, RunHeader,
+    resume, run_checkpointed, CheckpointConfig, PersistError, RecoveredRun, RecoveryInfo,
+    RunHeader,
 };
 pub use supervisor::{
     LiveRun, Outcome, Supervisor, SupervisorConfig, SupervisorReport, SupervisorState,

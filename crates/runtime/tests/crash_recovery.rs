@@ -547,3 +547,36 @@ fn a_saturated_backoff_takes_one_more_failure() {
     assert_eq!(backoffs, [u32::MAX]);
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// An epoch missing from the journal after the newest snapshot — its
+/// begin and commit gone, the frames around them intact — is a gap, not
+/// an epoch silently skipped.
+#[test]
+fn a_journal_gap_is_corrupt() {
+    let (dc, plan) = scenario();
+    let dir = temp_dir("gap");
+    let ckpt = CheckpointConfig { snapshot_interval: 4, ..CheckpointConfig::new(&dir) };
+    let stopped = run_checkpointed_until(dc, cfg(2), plan, &FaultScript::new(), &ckpt, 7)
+        .expect("checkpointed run");
+    assert!(stopped.is_none());
+    assert!(newest_snapshot(&dir).ends_with("snap-00000004.json"));
+    let journal = dir.join("journal.jsonl");
+    let text = fs::read_to_string(&journal).expect("journal");
+    let kept: String = text
+        .split_inclusive('\n')
+        .filter(|line| {
+            !line.contains(r#"{"rec":"begin","epoch":5,"#) && !line.contains(r#"{"rec":"commit","epoch":5,"#)
+        })
+        .collect();
+    assert_eq!(text.lines().count() - kept.lines().count(), 2, "epoch 5's begin and commit");
+    fs::write(&journal, kept).expect("rewrite");
+
+    match resume(&dir) {
+        Err(PersistError::Corrupt { path, reason }) => {
+            assert_eq!(path, journal);
+            assert!(reason.contains("journal gap") && reason.contains("epoch 6"), "{reason}");
+        }
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+    let _ = fs::remove_dir_all(&dir);
+}

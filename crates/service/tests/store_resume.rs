@@ -363,3 +363,81 @@ fn header_plan_that_misfits_the_room_is_corrupt_not_a_panic() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Ten epochs, a snapshot every four: generations 0, 4 and 8, and epochs
+/// 8 and 9 journaled after the newest.
+fn ten_epochs(name: &str) -> std::path::PathBuf {
+    let dir = tmp_dir(name);
+    let mut live = engine(7);
+    let cfg = StoreConfig { durable: false, snapshot_interval: 4, ..StoreConfig::new(&dir) };
+    let mut store = ServiceStore::create(cfg, &live).expect("create");
+    drive(&mut live, &mut store, 10);
+    store.sync().expect("sync");
+    dir
+}
+
+/// A generation in a newer format is refused, as the supervisor refuses
+/// one: read as damaged, it would be skipped for an older generation and
+/// the resume would go on from bytes this build cannot judge.
+#[test]
+fn a_future_version_snapshot_is_refused() {
+    let dir = ten_epochs("future");
+    let newest = dir.join("snap-00000008.json");
+    let text = std::fs::read_to_string(&newest).expect("snapshot");
+    let future = text.replacen(r#"{"version":1,"#, r#"{"version":99,"#, 1);
+    assert_ne!(future, text);
+    std::fs::write(&newest, future).expect("rewrite");
+
+    match refusal(&dir) {
+        PersistError::UnsupportedVersion { path, version, supported } => {
+            assert_eq!((path, version, supported), (newest, 99, 1))
+        }
+        other => panic!("expected UnsupportedVersion, got {other}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The refusal names the version the service store supports, not the
+/// supervisor's.
+#[test]
+fn a_newer_header_names_the_version_the_store_reads() {
+    let dir = ten_epochs("newheader");
+    let header = dir.join("service.json");
+    let text = std::fs::read_to_string(&header).expect("header");
+    let newer = text.replacen(r#"{"version":1,"#, r#"{"version":2,"#, 1);
+    assert_ne!(newer, text);
+    std::fs::write(&header, newer).expect("rewrite");
+
+    assert_eq!(
+        refusal(&dir).to_string(),
+        format!("{}: format version 2 is newer than supported (1)", header.display())
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An epoch missing from the journal after the newest generation — its
+/// begin and commit gone, the frames around them intact — is a gap, not
+/// an epoch silently skipped.
+#[test]
+fn a_journal_gap_is_corrupt() {
+    let dir = ten_epochs("gap");
+    let journal = dir.join("journal.jsonl");
+    let text = std::fs::read_to_string(&journal).expect("journal");
+    let kept: String = text
+        .split_inclusive('\n')
+        .filter(|line| {
+            !line.contains(r#"{"rec":"begin","epoch":8,"#) && !line.contains(r#"{"rec":"commit","epoch":8,"#)
+        })
+        .collect();
+    assert_eq!(text.lines().count() - kept.lines().count(), 2, "epoch 8's begin and commit");
+    std::fs::write(&journal, kept).expect("rewrite");
+
+    match refusal(&dir) {
+        PersistError::Corrupt { path, reason } => {
+            assert_eq!(path, journal);
+            assert!(reason.contains("journal gap") && reason.contains("epoch 9"), "{reason}");
+        }
+        other => panic!("expected Corrupt, got {other}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
