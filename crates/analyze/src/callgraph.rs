@@ -11,7 +11,10 @@
 //!   (module-insensitive — which is what makes re-exports transparent:
 //!   `use thermaware_a::helper` finds `a`'s `inner::helper` no matter
 //!   how it is re-exported). An uppercase next-to-last segment (or
-//!   `Self`) constrains the match to methods of that impl type.
+//!   `Self`) constrains the match to methods of that impl type — or,
+//!   when the type defines no method of that name, to the provided
+//!   methods of the traits it implements (`impl Trait for Type`,
+//!   matched by type name in any crate).
 //! - **Method calls** (`.m(…)`): receiver types are unknown, so the
 //!   call links to *every* workspace method named `m` — a deliberate
 //!   over-approximation (class-hierarchy style), tempered by a stoplist
@@ -147,6 +150,21 @@ impl Graph {
             }
         }
 
+        // Provided trait methods reachable through an implementing type:
+        // (type, method name) -> the trait's default-method nodes.
+        let mut by_impl_type: BTreeMap<&str, Vec<NodeId>> = BTreeMap::new();
+        for (id, n) in nodes.iter().enumerate() {
+            if let (false, Some(t)) = (n.in_test, &n.impl_type) {
+                by_impl_type.entry(t.as_str()).or_default().push(id);
+            }
+        }
+        let mut provided: BTreeMap<(String, String), Vec<NodeId>> = BTreeMap::new();
+        for (ty, tr) in parsed.iter().flat_map(|pf| &pf.trait_impls) {
+            for &id in by_impl_type.get(tr.as_str()).into_iter().flatten() {
+                provided.entry((ty.clone(), nodes[id].name.clone())).or_default().push(id);
+            }
+        }
+
         // Import maps per file: bound name -> workspace crate short name.
         let crate_of_root = |root: &str, own: &str| -> Option<String> {
             if root == "crate" || root == "self" || root == "super" {
@@ -191,6 +209,7 @@ impl Graph {
                         own_impl,
                         &imports[fi],
                         &by_crate_name,
+                        &provided,
                         &nodes,
                         &crate_of_root,
                     ),
@@ -309,6 +328,7 @@ fn resolve_path(
     own_impl: Option<&str>,
     imports: &BTreeMap<String, String>,
     by_crate_name: &BTreeMap<(String, String), Vec<NodeId>>,
+    provided: &BTreeMap<(String, String), Vec<NodeId>>,
     nodes: &[Node],
     crate_of_root: &dyn Fn(&str, &str) -> Option<String>,
 ) -> Vec<NodeId> {
@@ -344,10 +364,16 @@ fn resolve_path(
         .cloned()
         .unwrap_or_default();
     match &type_qual {
-        Some(t) => ids
-            .into_iter()
-            .filter(|&id| nodes[id].impl_type.as_deref() == Some(t.as_str()))
-            .collect(),
+        Some(t) => {
+            let own: Vec<NodeId> =
+                ids.into_iter().filter(|&id| nodes[id].impl_type.as_deref() == Some(t.as_str())).collect();
+            // Not the type's own method: a trait's provided one.
+            if own.is_empty() {
+                provided.get(&(t.clone(), name.clone())).cloned().unwrap_or_default()
+            } else {
+                own
+            }
+        }
         // An unqualified call never targets a method; `Solver::solve`
         // style calls always carry the type.
         None => ids
@@ -497,6 +523,31 @@ mod tests {
         assert!(out.contains(&step));
         assert!(out.contains(&assoc));
         assert_eq!(g.nodes[step].panic_sites.len(), 1);
+    }
+
+    #[test]
+    fn provided_trait_methods_resolve_through_the_implementing_type() {
+        let ws = ws_of(&[
+            (
+                "crates/a/src/lib.rs",
+                "a",
+                "pub trait T { fn hook(); fn shared() { Self::hook(); helper(); } }\nfn helper() { v.unwrap(); }\n",
+            ),
+            (
+                "crates/b/src/lib.rs",
+                "b",
+                "use thermaware_a::T;\nstruct S;\nimpl T for S { fn hook() {} }\npub fn entry() { S::shared(); S::hook(); }\n",
+            ),
+        ]);
+        let g = Graph::build(&ws);
+        let entry = g.find("b", None, "entry")[0];
+        let shared = g.find("a", Some("T"), "shared")[0];
+        let own_hook = g.find("b", Some("S"), "hook")[0];
+        let out: Vec<NodeId> = g.edges[entry].iter().map(|e| e.to).collect();
+        let mut want = vec![shared, own_hook];
+        want.sort();
+        assert_eq!(out, want, "`S::shared` is T's provided method, `S::hook` S's own only");
+        assert!(g.reach(&[entry], true).contains_key(&g.find("a", None, "helper")[0]));
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //!
 //! - **items**: `fn` (free, `impl` methods, trait default methods,
 //!   functions nested in bodies), `mod` (inline), `impl` blocks with
-//!   their target type, `use` declarations with the names they bind;
+//!   their target type (and trait, for `impl Trait for Type`), `use`
+//!   declarations with the names they bind;
 //! - **call expressions** inside every fn body: path calls
 //!   (`a::b::f(…)`, turbofish included), method calls (`.m(…)`), and
 //!   macro invocations (`panic!(…)`);
@@ -117,6 +118,8 @@ pub struct ParsedFile {
     pub uses: Vec<UseBind>,
     /// Byte spans of top-level items, in source order, non-overlapping.
     pub item_spans: Vec<(usize, usize)>,
+    /// `(type, trait)` of every `impl Trait for Type` block.
+    pub trait_impls: Vec<(String, String)>,
 }
 
 impl ParsedFile {
@@ -575,6 +578,7 @@ impl<'a> Parser<'a> {
         // after `for`; the type is the last path segment before any
         // generic arguments.
         let mut target: Option<String> = None;
+        let mut trait_name: Option<String> = None;
         let mut after_angle = false;
         while j < self.code.len() {
             match self.text(j) {
@@ -585,7 +589,7 @@ impl<'a> Parser<'a> {
                     return j + 1;
                 }
                 "for" => {
-                    target = None;
+                    trait_name = target.take();
                     after_angle = false;
                     j += 1;
                 }
@@ -614,6 +618,9 @@ impl<'a> Parser<'a> {
             return kw + 1;
         }
         let close = self.skip_balanced(j);
+        if let (Some(ty), Some(tr)) = (&target, trait_name) {
+            self.out.trait_impls.push((ty.clone(), tr));
+        }
         let target = target.unwrap_or_default();
         let impl_type = if target.is_empty() { None } else { Some(target) };
         self.items(j + 1, close.saturating_sub(1), impl_type.as_deref(), false);
@@ -770,6 +777,8 @@ mod tests {
     fn impl_trait_for_type_takes_the_type() {
         let p = parse_src("impl<T: Clone> fmt::Display for Plan<T> { fn fmt(&self) { write!(f, \"x\"); } }");
         assert_eq!(p.fns[0].impl_type.as_deref(), Some("Plan"));
+        assert_eq!(p.trait_impls, vec![("Plan".to_string(), "Display".to_string())]);
+        assert!(parse_src("impl Plan { fn f() {} }").trait_impls.is_empty());
     }
 
     #[test]

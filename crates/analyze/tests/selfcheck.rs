@@ -93,3 +93,63 @@ fn analyzer_actually_scanned_the_workspace() {
         "the shipped tree carries known suppressed findings; zero means the walk went wrong"
     );
 }
+
+#[test]
+fn resume_entries_reach_their_trail_code() {
+    // Each resume is a plain call chain through the trail protocol and
+    // its own trail's part, so `transitive-panic` and `determinism-taint`
+    // check everything recovery runs. A step the graph cannot follow (a
+    // trait's default method called through a type, say) would drop the
+    // code behind it out of both rules without a finding.
+    use thermaware_analyze::callgraph::Graph;
+    use thermaware_analyze::rules::graph::Entry;
+    use thermaware_analyze::workspace::Workspace;
+
+    let ws = Workspace::load(&workspace_root());
+    let g = Graph::build(&ws);
+    let cases: [((&str, &str), &[Entry]); 2] = [
+        (
+            ("runtime", "resume"),
+            &[
+                ("runtime", Some("Trail"), "open"),
+                ("runtime", None, "read_envelope"),
+                ("runtime", None, "load_snapshot"),
+                ("runtime", Some("Trail"), "replay"),
+                ("runtime", None, "read_journal"),
+                ("runtime", Some("LiveRun"), "from_state"),
+                ("runtime", Some("LiveRun"), "step"),
+                ("runtime", Some("SupervisorState"), "verify"),
+            ],
+        ),
+        (
+            ("service", "resume_service"),
+            &[
+                ("runtime", Some("Trail"), "open"),
+                ("runtime", None, "read_envelope"),
+                ("runtime", None, "load_snapshot"),
+                ("runtime", Some("Trail"), "replay"),
+                ("runtime", None, "read_journal"),
+                ("service", Some("ServiceState"), "fits"),
+                ("service", Some("ServiceEngine"), "from_state"),
+                ("service", None, "plan_fits"),
+                ("service", Some("ServiceEngine"), "inputs_fit"),
+                ("service", Some("ServiceEngine"), "step"),
+            ],
+        ),
+    ];
+    let mut missing = String::new();
+    for ((krate, entry), wanted) in cases {
+        let entries = g.find(krate, None, entry);
+        assert_eq!(entries.len(), 1, "entry {krate}::{entry}");
+        let reached = g.reach(&entries, false);
+        for (c, impl_type, name) in wanted {
+            let found = g.find(c, *impl_type, name);
+            assert!(!found.is_empty(), "{c} {impl_type:?} {name} is not in the graph");
+            if !found.iter().any(|id| reached.contains_key(id)) {
+                let owner = impl_type.map(|t| format!("{t}::")).unwrap_or_default();
+                missing.push_str(&format!("  {krate}::{entry} does not reach {c}::{owner}{name}\n"));
+            }
+        }
+    }
+    assert!(missing.is_empty(), "the graph rules lost part of a resume path:\n{missing}");
+}
