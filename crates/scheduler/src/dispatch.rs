@@ -15,7 +15,7 @@
 //! dispatch order"). The scan itself is kept as the oracle of debug
 //! builds and tests.
 
-use crate::encoded::Encoded;
+use crate::encoded::{Encoded, EncodedBlocks};
 use serde::{Deserialize, Kind, Serialize, Sink, Source};
 use std::ops::Deref;
 use thermaware_core::stage3::Stage3Solution;
@@ -118,7 +118,10 @@ pub enum DispatchDecision {
 /// The five tables only a plan writes (`ewma_rate` also the windowed
 /// rule's `commit`) are [`Encoded`]: between replans they are most of the
 /// state's bytes and none of what an epoch changes, so each keeps the
-/// text it was last written as.
+/// text it was last written as. The four per-core tables an epoch does
+/// write (`count`, `busy_until`, `busy_time`, `alive`) are
+/// [`EncodedBlocks`]: each keeps the text of every block of cores no
+/// write has touched since the last encode.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DynamicScheduler {
     /// The active policy.
@@ -132,19 +135,19 @@ pub struct DynamicScheduler {
     /// candidate set of the plan-oblivious policies.
     runnable: Encoded<Vec<Vec<usize>>>,
     /// Tasks of each type assigned to each core: `count[i][core]`.
-    count: Vec<Vec<u64>>,
+    count: Vec<EncodedBlocks<u64>>,
     /// Exponentially-decayed rate estimate per (type, core) and its last
     /// update instant — only maintained under `AtcTcWindowed`.
     ewma_rate: Encoded<Vec<Vec<(f64, f64)>>>,
     /// Time each core becomes free.
-    busy_until: Vec<f64>,
+    busy_until: EncodedBlocks<f64>,
     /// Service time of each task type on each core (`1/ECS` at the
     /// assigned P-state); `INFINITY` where the type cannot run.
     service: Encoded<ServiceTimes>,
     /// Accumulated busy time per core (for utilization reporting).
-    busy_time: Vec<f64>,
+    busy_time: EncodedBlocks<f64>,
     /// Liveness mask: dead cores (failed nodes) are never dispatched to.
-    alive: Vec<bool>,
+    alive: EncodedBlocks<bool>,
     /// When the current plan took effect — the ATC/TC rate clock starts
     /// here, so a mid-flight replan is judged against *its own* desired
     /// rates rather than an average over the superseded plan.
@@ -415,7 +418,7 @@ impl DispatchOrder {
         candidates: &[Vec<usize>],
         tc: &[Vec<f64>],
         service: &[Vec<f64>],
-        count: &[Vec<u64>],
+        count: &[EncodedBlocks<u64>],
     ) -> DispatchOrder {
         let mut classes = Vec::with_capacity(candidates.len());
         for (i, cores) in candidates.iter().enumerate() {
@@ -492,7 +495,7 @@ impl DynamicScheduler {
         let t = dc.n_task_types();
         let n = dc.n_cores();
         let (tc, candidates, runnable, service) = plan_tables(dc, pstates, stage3);
-        let count = vec![vec![0; n]; t];
+        let count = zero_counts(t, n);
         DynamicScheduler {
             policy,
             order: DispatchOrder::build(&candidates, &tc, &service, &count),
@@ -501,10 +504,10 @@ impl DynamicScheduler {
             runnable: Encoded::new(runnable),
             count,
             ewma_rate: Encoded::new(vec![vec![(0.0, 0.0); n]; t]),
-            busy_until: vec![0.0; n],
+            busy_until: vec![0.0; n].into(),
             service: Encoded::new(ServiceTimes(service)),
-            busy_time: vec![0.0; n],
-            alive: vec![true; n],
+            busy_time: vec![0.0; n].into(),
+            alive: vec![true; n].into(),
             plan_start: 0.0,
         }
     }
@@ -527,7 +530,12 @@ impl DynamicScheduler {
         self.candidates = Encoded::new(candidates);
         self.runnable = Encoded::new(runnable);
         self.service = Encoded::new(ServiceTimes(service));
-        self.count = vec![vec![0; n]; t];
+        if self.count.len() == t && self.count.iter().all(|row| row.len() == n) {
+            // The same room: the rows keep their blocks' buffers.
+            self.count.iter_mut().for_each(|row| row.fill(0));
+        } else {
+            self.count = zero_counts(t, n);
+        }
         self.ewma_rate = Encoded::new(vec![vec![(0.0, now); n]; t]);
         self.plan_start = now;
         self.rebuild_order();
@@ -537,12 +545,15 @@ impl DynamicScheduler {
         self.order = DispatchOrder::build(&self.candidates, &self.tc, &self.service, &self.count);
     }
 
-    /// Mark cores as dead: they are never dispatched to again. In-flight
+    /// Mark cores as dead: they are never dispatched to again. An index
+    /// past the room's cores names no core and is skipped. In-flight
     /// accounting (tasks lost with the node) is the caller's job — see
     /// `crate::sim::EpochSim::kill_cores`.
     pub fn kill_cores(&mut self, cores: &[usize]) {
         for &k in cores {
-            self.alive[k] = false;
+            if k < self.alive.len() {
+                *self.alive.to_mut(k) = false;
+            }
         }
     }
 
@@ -631,9 +642,9 @@ impl DynamicScheduler {
             // from disk, or a caller's factor).
             self.order.forget_bounds();
         }
-        self.busy_until[k] = finish;
-        self.busy_time[k] += service;
-        self.count[task_type][k] += 1;
+        *self.busy_until.to_mut(k) = finish;
+        *self.busy_time.to_mut(k) += service;
+        *self.count[task_type].to_mut(k) += 1;
         self.order.count_rose(
             task_type,
             k,
@@ -870,7 +881,7 @@ impl DynamicScheduler {
     /// candidate.
     pub(crate) fn fits(&self, dc: &DataCenter) -> Result<(), String> {
         let (t, n) = (dc.n_task_types(), dc.n_cores());
-        fn table<T>(rows: &[Vec<T>], t: usize, n: usize) -> bool {
+        fn table<R: Deref<Target = [T]>, T>(rows: &[R], t: usize, n: usize) -> bool {
             rows.len() == t && rows.iter().all(|row| row.len() == n)
         }
         fn core_sets(sets: &[Vec<usize>], t: usize, n: usize) -> bool {
@@ -964,6 +975,12 @@ impl Deserialize for ServiceTimes {
         table.shrink_to_fit();
         Ok(ServiceTimes(table))
     }
+}
+
+/// `count` of a fresh plan: no task of any of `t` types on any of `n`
+/// cores.
+fn zero_counts(t: usize, n: usize) -> Vec<EncodedBlocks<u64>> {
+    (0..t).map(|_| vec![0; n].into()).collect()
 }
 
 /// The per-plan lookup tables: desired rates, candidate/runnable sets,
@@ -1155,6 +1172,22 @@ mod tests {
         // the second core 1.
         sched.kill_cores(&[0]);
         assert_eq!(dispatch_checked(&mut sched, 0, 10.0, 20.0, None), Some(1));
+        assert_order_is_fresh(&sched);
+    }
+
+    /// A core index past the room's names no core: `kill_cores` skips it
+    /// and kills the ones in range, as `Supervisor::kill_node` skips a
+    /// node past the room's.
+    #[test]
+    fn killing_a_core_past_the_room_is_skipped() {
+        const FOUR: &str = r#"{"policy":"atc_tc","tc":[[2,2,2,2]],"candidates":[[0,1,2,3]],"runnable":[[0,1,2,3]],"count":[[0,0,0,0]],"ewma_rate":[[[0,0],[0,0],[0,0],[0,0]]],"busy_until":[0,0,0,0],"service":[[0.5,0.5,0.5,0.5]],"busy_time":[0,0,0,0],"alive":[true,true,true,true],"plan_start":0}"#;
+        let mut sched: DynamicScheduler = serde_json::from_str(FOUR).expect("decode");
+        let before = serde_json::to_string(&sched).expect("encode");
+        sched.kill_cores(&[4, usize::MAX]);
+        assert_eq!(serde_json::to_string(&sched).expect("encode"), before);
+        sched.kill_cores(&[7, 0, 1, 99]);
+        assert_eq!(&*sched.alive, [false, false, true, true]);
+        assert_eq!(dispatch_checked(&mut sched, 0, 10.0, 20.0, None), Some(2));
         assert_order_is_fresh(&sched);
     }
 

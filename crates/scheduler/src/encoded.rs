@@ -12,13 +12,14 @@
 //! [`EncodedVec`] does the same per element for a list that gains
 //! elements at the end and loses them anywhere: the in-flight tasks, of
 //! which an epoch admits some and settles others while most are written
-//! again unchanged.
+//! again unchanged. [`EncodedBlocks`] does it per block of [`BLOCK`]
+//! elements for a per-core table of which an epoch writes a few cores.
 
 use serde::{Deserialize, Serialize, Sink, Source};
 use serde_json::{crc32, Writer};
 use std::fmt;
 use std::ops::Deref;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// A value and, from its first encode to its next mutation, the bytes it
 /// encodes to.
@@ -65,8 +66,10 @@ impl<T: fmt::Debug> fmt::Debug for Encoded<T> {
     }
 }
 
+/// The compact JSON of `value`, or of a [`Run`]'s elements with commas
+/// between them.
 fn compact<T: Serialize>(value: &T) -> String {
-    let mut out = Writer::compact();
+    let mut out = Writer::elements_onto(String::new());
     value.serialize(&mut out);
     out.finish()
 }
@@ -78,7 +81,8 @@ fn note_kept(bytes: usize) {
 }
 
 /// Offers `text` to the sink and serializes `value` if it declines. Debug
-/// builds and tests first print `value` again and compare.
+/// builds and tests first print `value` again and compare. `value` may be
+/// a [`Run`], declined element by element.
 fn splice_or_serialize<T: Serialize, S: Sink>(value: &T, text: &str, crc: u32, sink: &mut S) {
     #[cfg(any(test, debug_assertions))]
     {
@@ -303,5 +307,164 @@ impl<T: Serialize> Serialize for EncodedVec<T> {
 impl<T: Deserialize> Deserialize for EncodedVec<T> {
     fn deserialize(src: &mut Source<'_>) -> Result<Self, serde::Error> {
         Vec::<T>::deserialize(src).map(EncodedVec::from)
+    }
+}
+
+/// Elements per block of an [`EncodedBlocks`]. A smaller block prints
+/// fewer unchanged cores again with a dirty one but keeps, joins and
+/// allocates more blocks; 32 prints within 5 kB per commit of 16 with
+/// half as many (DESIGN §7 "The per-core tables").
+const BLOCK: usize = 32;
+
+/// Consecutive elements of an array, serialized one after another with
+/// no brackets: what a sink inside the array takes them as.
+struct Run<'a, T>(&'a [T]);
+
+impl<T: Serialize> Serialize for Run<'_, T> {
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        for item in self.0 {
+            item.serialize(sink);
+        }
+    }
+}
+
+/// A per-core table and, from its first encode on, for each block of
+/// [`BLOCK`] elements the compact text of its run (`e1,e2,…`) and that
+/// text's CRC-32.
+///
+/// An epoch writes a few cores of a table of thousands. An encode prints
+/// the blocks written since the last one, each into the buffer it had
+/// before, and offers every block's text to the sink as one run.
+/// [`to_mut`], the only mutable access, drops the text of its element's
+/// block. A table that has never been encoded has no blocks, so a
+/// simulation that is never written pays a flag and a length check per
+/// write.
+///
+/// As with [`Encoded`], the text is a function of the elements: the
+/// table serializes as a plain array, reads back with no text, compares
+/// by its elements alone, and a clone carries the text along.
+///
+/// [`to_mut`]: EncodedBlocks::to_mut
+pub(crate) struct EncodedBlocks<T> {
+    items: Vec<T>,
+    /// Empty before the first encode, then one per [`BLOCK`] elements.
+    /// Behind a lock because an encode (through `&self`) prints into it.
+    blocks: Mutex<Vec<Block>>,
+}
+
+/// One block's text and CRC-32, current once `clean`. A block turns
+/// clean only when both are whole, so an encode that panicked leaves no
+/// wrong text behind and a poisoned lock is taken as it stands.
+#[derive(Clone, Default)]
+struct Block {
+    text: String,
+    crc: u32,
+    clean: bool,
+}
+
+impl Block {
+    /// Prints `run` over the old text, in the same buffer, and returns
+    /// the bytes printed. A buffer this print had to grow, by doubling,
+    /// is cut to an eighth over its text: a table keeps hundreds of
+    /// blocks, and a reprint is about as long as the last, so it fits
+    /// again without allocating.
+    fn print<T: Serialize>(&mut self, run: &[T]) -> usize {
+        let mut text = std::mem::take(&mut self.text);
+        text.clear();
+        let room = text.capacity();
+        let mut out = Writer::elements_onto(text);
+        Run(run).serialize(&mut out);
+        self.text = out.finish();
+        let len = self.text.len();
+        if self.text.capacity() > room {
+            self.text.shrink_to(len + len / 8);
+        }
+        self.crc = crc32(self.text.as_bytes());
+        self.clean = true;
+        len
+    }
+}
+
+impl<T> EncodedBlocks<T> {
+    /// Element `k`, to change it: its block's text is gone.
+    pub(crate) fn to_mut(&mut self, k: usize) -> &mut T {
+        let blocks = self.blocks.get_mut().unwrap_or_else(PoisonError::into_inner);
+        if let Some(block) = blocks.get_mut(k / BLOCK) {
+            block.clean = false;
+        }
+        &mut self.items[k]
+    }
+
+    /// Sets every element to `value`: every block's text is gone, and its
+    /// buffer stays for the next print.
+    pub(crate) fn fill(&mut self, value: T)
+    where
+        T: Clone,
+    {
+        self.items.fill(value);
+        let blocks = self.blocks.get_mut().unwrap_or_else(PoisonError::into_inner);
+        for block in blocks {
+            block.clean = false;
+        }
+    }
+}
+
+impl<T> From<Vec<T>> for EncodedBlocks<T> {
+    fn from(items: Vec<T>) -> Self {
+        EncodedBlocks { items, blocks: Mutex::default() }
+    }
+}
+
+impl<T> Deref for EncodedBlocks<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.items
+    }
+}
+
+impl<T: Clone> Clone for EncodedBlocks<T> {
+    fn clone(&self) -> Self {
+        let blocks = self.blocks.lock().unwrap_or_else(PoisonError::into_inner).clone();
+        EncodedBlocks { items: self.items.clone(), blocks: Mutex::new(blocks) }
+    }
+}
+
+impl<T: PartialEq> PartialEq for EncodedBlocks<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.items == other.items
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for EncodedBlocks<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.items.fmt(f)
+    }
+}
+
+impl<T: Serialize> Serialize for EncodedBlocks<T> {
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        let mut blocks = self.blocks.lock().unwrap_or_else(PoisonError::into_inner);
+        if blocks.is_empty() {
+            blocks.resize_with(self.items.len().div_ceil(BLOCK), Block::default);
+        }
+        let mut printed = 0;
+        sink.begin_array();
+        for (run, block) in self.items.chunks(BLOCK).zip(blocks.iter_mut()) {
+            if !block.clean {
+                printed += block.print(run);
+            }
+            splice_or_serialize(&Run(run), &block.text, block.crc, sink);
+        }
+        sink.end_array();
+        if printed > 0 {
+            note_kept(printed);
+        }
+    }
+}
+
+impl<T: Deserialize> Deserialize for EncodedBlocks<T> {
+    fn deserialize(src: &mut Source<'_>) -> Result<Self, serde::Error> {
+        Vec::<T>::deserialize(src).map(EncodedBlocks::from)
     }
 }

@@ -3,11 +3,12 @@
 //!
 //! A commit encodes and checksums the whole `ServiceState`. What it may
 //! take as already-encoded text is what an earlier commit printed and
-//! nothing changed since: the scheduler's plan tables and the in-flight
-//! tasks admitted before the last commit. Printed bytes are those the
-//! writer printed (`persist.bytes_encoded`) plus those printed into kept
-//! text for the first time during this commit (`sched.bytes_kept`), which
-//! the writer then takes as a splice.
+//! nothing changed since: the scheduler's plan tables, the blocks of its
+//! per-core rows no task touched and the in-flight tasks admitted before
+//! the last commit. Printed bytes are those the writer printed
+//! (`persist.bytes_encoded`) plus those printed into kept text for the
+//! first time during this commit (`sched.bytes_kept`), which the writer
+//! then takes as a splice.
 //!
 //! A `MemoryRecorder` is installed process-wide, which is why this test
 //! has a file (a process) to itself.
@@ -22,12 +23,13 @@ use thermaware_service::engine::{ReplanVerdict, ServiceConfig, ServiceEngine};
 use thermaware_service::proto::Batch;
 use thermaware_service::store::state_json_crc;
 
-/// About halfway between the 108.0 kB a commit prints here when each
-/// in-flight task is printed once and the 223.2 kB it printed when every
-/// commit printed the whole in-flight list again. What is left is mostly
-/// the scheduler's per-core rows (`count`, `busy_until`, `busy_time`,
-/// `alive`) and the tasks admitted since the last commit.
-const PRINTED_KB_PER_COMMIT: f64 = 165.0;
+/// About halfway between the 64.4 kB a commit prints here when the
+/// scheduler's per-core rows (`count`, `busy_until`, `busy_time`,
+/// `alive`) print only the blocks of cores written since the last commit
+/// and the 108.0 kB it printed when every commit printed those rows
+/// whole. What is left is mostly the blocks of cores that took a task,
+/// the tasks admitted since the last commit and the counters.
+const PRINTED_KB_PER_COMMIT: f64 = 86.2;
 
 /// Epochs run, and the first one counted: the first commits print the
 /// plan tables and fill the in-flight list.
