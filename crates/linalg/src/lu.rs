@@ -438,11 +438,131 @@ impl Lines {
     /// stored order.
     #[inline]
     fn sub_dot(&self, k: usize, mut s: f64, x: &[f64]) -> f64 {
-        let (lo, hi) = (self.start[k] as usize, self.start[k + 1] as usize);
-        for (&j, &v) in self.at[lo..hi].iter().zip(&self.val[lo..hi]) {
+        let (at, val) = self.line(k);
+        for (&j, &v) in at.iter().zip(val) {
             s -= v * x[j as usize];
         }
         s
+    }
+
+    /// [`Lines::sub_dot`] over the entries of line `k` at index `from` or
+    /// beyond, and how many those were.
+    #[inline]
+    fn sub_dot_from(&self, k: usize, from: usize, mut s: f64, x: &[f64]) -> (f64, usize) {
+        let (at, val) = self.line(k);
+        let skip = at.partition_point(|&j| (j as usize) < from);
+        for (&j, &v) in at[skip..].iter().zip(&val[skip..]) {
+            s -= v * x[j as usize];
+        }
+        (s, at.len() - skip)
+    }
+
+    /// Line `k`'s indices and values.
+    #[inline]
+    fn line(&self, k: usize) -> (&[u32], &[f64]) {
+        let (lo, hi) = (self.start[k] as usize, self.start[k + 1] as usize);
+        (&self.at[lo..hi], &self.val[lo..hi])
+    }
+}
+
+/// Whether `x` is a zero of either sign.
+#[inline]
+fn is_zero(x: f64) -> bool {
+    x.to_bits() << 1 == 0
+}
+
+/// A set of rows `0..n`, one bit each.
+#[derive(Debug, Clone, Default)]
+struct RowSet {
+    words: Vec<u64>,
+}
+
+impl RowSet {
+    /// Room for rows `0..n`, none of them in the set.
+    fn clear_for(&mut self, n: usize) {
+        self.words.clear();
+        self.words.resize(n.div_ceil(64), 0);
+    }
+
+    /// Empty the set, keeping its room.
+    fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    #[inline]
+    fn insert(&mut self, i: usize) {
+        self.words[i / 64] |= 1 << (i % 64);
+    }
+
+    #[inline]
+    fn contains(&self, i: usize) -> bool {
+        self.words[i / 64] >> (i % 64) & 1 != 0
+    }
+
+    /// The smallest row in the set at or after `from`.
+    #[inline]
+    fn first_from(&self, from: usize) -> Option<usize> {
+        let mut at = from / 64;
+        let mut word = *self.words.get(at)? & (!0 << (from % 64));
+        while word == 0 {
+            at += 1;
+            word = *self.words.get(at)?;
+        }
+        Some(at * 64 + word.trailing_zeros() as usize)
+    }
+
+    /// The largest row in the set below `end`.
+    #[inline]
+    fn last_below(&self, end: usize) -> Option<usize> {
+        let last = end.checked_sub(1)?;
+        let mut at = last / 64;
+        let mut word = self.words[at] & (!0 >> (63 - last % 64));
+        while word == 0 {
+            at = at.checked_sub(1)?;
+            word = self.words[at];
+        }
+        Some(at * 64 + 63 - word.leading_zeros() as usize)
+    }
+}
+
+/// No term: the end of a row's list in [`Sweep::terms`].
+const NO_TERM: u32 = u32::MAX;
+
+/// Scratch of [`CompressedLu::solve_transposed_in_place`], sized with the
+/// factors and left empty by every solve: the three sets, every `head`
+/// at [`NO_TERM`], no `terms`, nothing `moved`.
+#[derive(Debug, Clone, Default)]
+struct Sweep {
+    /// Rows of `U^T z = b` that a listed entry or a push reached; every
+    /// other row's `z` is `+0.0 / U_kk`.
+    reached: RowSet,
+    /// Rows whose entry of `b` is `-0.0`.
+    neg_zero: RowSet,
+    /// Rows of `L^T w = z` to compute: a `z` other than `+0.0`, or a term.
+    due: RowSet,
+    /// Per row of `L^T`, where its list of terms starts in `terms`.
+    head: Vec<u32>,
+    /// `(L_ji, w_j, next)`: a term `L_ji · w_j` of row `i` and the next
+    /// one of that row's list.
+    terms: Vec<(f64, f64, u32)>,
+    /// The solution's entries other than `+0.0`, `(row, value)`, on their
+    /// way to where `P^T` puts them.
+    moved: Vec<(u32, f64)>,
+}
+
+impl Sweep {
+    /// Size the scratch for `n` rows and `l_nnz` entries of `L`, the most
+    /// terms one solve can hand on.
+    fn clear_for(&mut self, n: usize, l_nnz: usize) {
+        self.reached.clear_for(n);
+        self.neg_zero.clear_for(n);
+        self.due.clear_for(n);
+        self.head.clear();
+        self.head.resize(n, NO_TERM);
+        self.terms.clear();
+        self.terms.reserve_exact(l_nnz);
+        self.moved.clear();
+        self.moved.reserve_exact(n);
     }
 }
 
@@ -453,11 +573,13 @@ impl Lines {
 ///
 /// The elimination still runs on the dense matrix — it picks the pivots,
 /// and with them every bit of the factors. This type lists the nonzeros
-/// of the result four ways (`L` and `U` by row for `A x = b`, by column
-/// for `A^T x = b`), each line in ascending order, so a substitution row
-/// subtracts the same products in the same order as the dense loop and
-/// leaves out only the terms whose factor entry is an exact zero. Such a
-/// term is `±0` (right-hand sides are finite), and subtracting `±0`
+/// of the result four ways (`L` and `U` by row and by column), each line
+/// in ascending order, so a substitution row subtracts the same products
+/// in the same order as the dense loop and leaves out only the terms
+/// whose factor entry is an exact zero — and the transposed solve also
+/// those whose other operand is (see
+/// [`CompressedLu::solve_transposed_in_place`]). Such a term is `±0`
+/// (right-hand sides are finite), and subtracting `±0`
 /// changes no running sum but one: `-0.0 - (-0.0)` is `+0.0`. A sum can be
 /// `-0.0` only while it still holds an untouched `-0.0` right-hand-side
 /// entry — exact cancellation gives `+0.0` — so a row that starts from
@@ -468,7 +590,7 @@ impl Lines {
 /// A value of this type is also the storage of the next one: the simplex
 /// refactorises a basis of one size over and over
 /// ([`CompressedLu::factor_columns`]), and neither the matrix nor the
-/// lists are allocated again.
+/// lists nor the transposed solve's scratch are allocated again.
 #[derive(Debug, Clone)]
 pub struct CompressedLu {
     /// The packed factors the lists below were read from: the `-0.0`
@@ -482,8 +604,15 @@ pub struct CompressedLu {
     l_cols: Lines,
     u_rows: Lines,
     u_cols: Lines,
-    /// Scratch of [`Lines::transpose_into`].
+    /// The rows whose `U_kk` is negative, ascending: where a transposed
+    /// solve that reaches nothing leaves `+0.0 / U_kk = -0.0`.
+    neg_diag: Vec<u32>,
+    /// Where `P^T` — the row exchanges replayed last first — moves the
+    /// entry at each index.
+    dest: Vec<u32>,
+    /// Scratch of [`Lines::transpose_into`] and of `dest`.
     next: Vec<u32>,
+    sweep: Sweep,
 }
 
 /// The factors of the empty matrix: where a chain of
@@ -504,7 +633,10 @@ impl Lu {
             l_cols: Lines::default(),
             u_rows: Lines::default(),
             u_cols: Lines::default(),
+            neg_diag: Vec::new(),
+            dest: Vec::new(),
             next: Vec::new(),
+            sweep: Sweep::default(),
         };
         lists.list();
         lists
@@ -561,6 +693,8 @@ impl CompressedLu {
         let done = self.dense.eliminate(scale);
         if done.is_err() {
             self.dense.lu.reset_zeros(0, 0);
+            self.dense.swaps.clear();
+            self.dense.wide.clear();
         }
         self.list();
         done
@@ -573,7 +707,18 @@ impl CompressedLu {
     /// counts, so that storage grows to what the lists need and no
     /// further.
     fn list(&mut self) {
-        let CompressedLu { dense, diag, l_rows, l_cols, u_rows, u_cols, next } = self;
+        let CompressedLu {
+            dense,
+            diag,
+            l_rows,
+            l_cols,
+            u_rows,
+            u_cols,
+            neg_diag,
+            dest,
+            next,
+            sweep,
+        } = self;
         let n = dense.dim();
         assert!(u32::try_from(n * n).is_ok(), "matrix too large to index with u32");
         let off_diagonal = |i: usize| {
@@ -608,6 +753,21 @@ impl CompressedLu {
         }
         l_rows.transpose_into(l_cols, next);
         u_rows.transpose_into(u_cols, next);
+        // What the transposed solve needs besides the lists.
+        neg_diag.clear();
+        neg_diag.extend((0..n as u32).filter(|&k| diag[k as usize] < 0.0));
+        let at = next;
+        at.clear();
+        at.extend(0..n as u32);
+        for (k, &p) in dense.swaps.iter().enumerate().rev() {
+            at.swap(k, p);
+        }
+        dest.clear();
+        dest.resize(n, 0);
+        for (p, &i) in at.iter().enumerate() {
+            dest[i as usize] = p as u32;
+        }
+        sweep.clear_for(n, l_rows.at.len());
     }
 
     /// [`Lu::solve_in_place`], bit for bit, for finite `x`.
@@ -642,34 +802,155 @@ impl CompressedLu {
         Ok(())
     }
 
-    /// [`Lu::solve_transposed_in_place`], bit for bit, for finite `w`.
-    pub fn solve_transposed_in_place(&self, w: &mut [f64]) -> Result<(), LinalgError> {
+    /// [`Lu::solve_transposed_in_place`], bit for bit, for finite `w`,
+    /// at the cost of what its nonzeros reach rather than of the factors:
+    /// `nz` lists every index at which `w` holds anything but `+0.0` (in
+    /// any order; a repeat, or an index that holds `+0.0`, costs a little
+    /// and changes nothing). Returns how many entries of the factors the
+    /// solve read.
+    ///
+    /// Each substitution row receives the dense loop's terms in the dense
+    /// loop's order, leaving out only products with an exact zero:
+    ///
+    /// * `U^T z = b` runs in ascending rows over the set of rows reached so
+    ///   far. A final nonzero `z_j` is pushed into every row `k` of `U`'s
+    ///   row `j` (`b_k −= U_jk · z_j`), and rows are finished in ascending
+    ///   order, so row `k` receives its terms in ascending `j`: the order
+    ///   of the pull down `U`'s column `k`. A row nothing reaches is
+    ///   `+0.0 / U_kk`, written as `-0.0` where `U_kk < 0` and left alone
+    ///   elsewhere.
+    /// * `L^T w = z` runs in descending rows, where a push would add a
+    ///   row's terms in descending `j`. A nonzero `w_j` is instead handed
+    ///   to every row `i` of `L`'s row `j` as a term `(L_ji, w_j)`
+    ///   inserted at the head of row `i`'s list, which therefore reads
+    ///   back in ascending `j`; the row sums it when its turn comes.
+    /// * A row whose start value is `-0.0` runs the dense loop over the
+    ///   packed factors — reading a row nothing reached as its signed
+    ///   zero — until the sum leaves `-0.0`, and the nonzero terms after.
+    /// * `P^T` moves the entries other than `+0.0` only.
+    ///
+    /// # Panics
+    /// Panics if `nz` lists an index outside `w`.
+    pub fn solve_transposed_in_place(&mut self, w: &mut [f64], nz: &[u32]) -> Result<usize, LinalgError> {
         self.dense.check_len("lu_solve_transposed", w.len())?;
-        let n = self.dense.dim();
-        let lu = &self.dense.lu;
-        // U^T z = b: row i of U^T is column i of U.
-        for i in 0..n {
-            let s = w[i];
-            let s = if s.to_bits() == NEG_ZERO {
-                (0..i).fold(s, |s, j| s - lu[(j, i)] * w[j])
+        let CompressedLu {
+            dense,
+            diag,
+            l_rows,
+            l_cols,
+            u_rows,
+            u_cols,
+            neg_diag,
+            dest,
+            sweep,
+            ..
+        } = self;
+        let Sweep { reached, neg_zero, due, head, terms, moved } = sweep;
+        let n = dense.dim();
+        let lu = &dense.lu;
+        let mut read = 0;
+        for &k in nz {
+            let k = k as usize;
+            if w[k].to_bits() == NEG_ZERO {
+                neg_zero.insert(k);
+            }
+            reached.insert(k);
+        }
+        // U^T z = b: row k of U^T is column k of U.
+        let mut from = 0;
+        while let Some(k) = reached.first_from(from) {
+            from = k + 1;
+            let s = if neg_zero.contains(k) {
+                let mut s = -0.0_f64;
+                let mut j = 0;
+                while j < k && s.to_bits() == NEG_ZERO {
+                    let z = if reached.contains(j) {
+                        w[j]
+                    } else {
+                        0.0_f64.copysign(diag[j])
+                    };
+                    s -= lu[(j, k)] * z;
+                    j += 1;
+                }
+                let (s, rest) = u_cols.sub_dot_from(k, j, s, w);
+                read += j + rest;
+                s
             } else {
-                self.u_cols.sub_dot(i, s, w)
+                w[k]
             };
-            w[i] = s / self.diag[i];
+            let z = s / diag[k];
+            w[k] = z;
+            read += 1;
+            if !is_zero(z) {
+                let (at, val) = u_rows.line(k);
+                for (&c, &u) in at.iter().zip(val) {
+                    w[c as usize] -= u * z;
+                    reached.insert(c as usize);
+                }
+                read += at.len();
+            }
+            if z.to_bits() != 0 {
+                due.insert(k);
+            }
         }
-        // L^T w = z.
-        for i in (0..n).rev() {
-            let s = w[i];
-            w[i] = if s.to_bits() == NEG_ZERO {
-                (i + 1..n).fold(s, |s, j| s - lu[(j, i)] * w[j])
+        for &k in neg_diag.iter() {
+            let k = k as usize;
+            if !reached.contains(k) {
+                w[k] = -0.0;
+                due.insert(k);
+            }
+        }
+        reached.clear();
+        neg_zero.clear();
+        // L^T w = z, from the last row up: row i of L^T is column i of L.
+        let mut end = n;
+        while let Some(i) = due.last_below(end) {
+            end = i;
+            let mut s = w[i];
+            let mut t = std::mem::replace(&mut head[i], NO_TERM);
+            if s.to_bits() == NEG_ZERO {
+                let mut j = i + 1;
+                while j < n && s.to_bits() == NEG_ZERO {
+                    s -= lu[(j, i)] * w[j];
+                    j += 1;
+                }
+                let (sum, rest) = l_cols.sub_dot_from(i, j, s, w);
+                s = sum;
+                read += j - i - 1 + rest;
             } else {
-                self.l_cols.sub_dot(i, s, w)
-            };
+                while t != NO_TERM {
+                    let (l, x, next) = terms[t as usize];
+                    s -= l * x;
+                    t = next;
+                }
+            }
+            w[i] = s;
+            if !is_zero(s) {
+                let (at, val) = l_rows.line(i);
+                for (&c, &l) in at.iter().zip(val) {
+                    let c = c as usize;
+                    terms.push((l, s, head[c]));
+                    head[c] = (terms.len() - 1) as u32;
+                    due.insert(c);
+                }
+                read += at.len();
+            }
+            if s.to_bits() != 0 {
+                moved.push((i as u32, s));
+            }
         }
-        for (k, &p) in self.dense.swaps.iter().enumerate().rev() {
-            w.swap(k, p);
+        due.clear();
+        terms.clear();
+        // x = P^T w: every entry not moved is `+0.0`, and so is where it goes.
+        for (i, _) in moved.iter_mut() {
+            w[*i as usize] = 0.0;
+            *i = dest[*i as usize];
         }
-        Ok(())
+        for &(p, x) in moved.iter() {
+            w[p as usize] = x;
+        }
+        moved.clear();
+        Ok(read)
     }
 }
 
@@ -976,27 +1257,58 @@ mod tests {
     }
 
     /// Refactoring a matrix of a size seen before moves none of the
-    /// storage — matrix, lists, diagonal — and a singular matrix in
-    /// between hands it on rather than dropping it.
+    /// storage — matrix, lists, diagonal, the transposed solve's
+    /// destinations and term pool — and a singular matrix in
+    /// between hands it on rather than dropping it. What the transposed
+    /// solve keeps per factorisation (the negative-diagonal rows, where
+    /// `P^T` sends each entry, its scratch) goes with the factors: refused
+    /// with them, and the next factors' own, bit for bit the dense solve's.
     #[test]
     fn refactoring_keeps_its_storage_through_a_singular_matrix() {
         let unit = |i: usize, v: f64| vec![(i, v)];
         let dense = |vals: [f64; 4]| vals.into_iter().enumerate().collect::<Vec<_>>();
-        let basis = |d: [f64; 4]| [unit(0, 1.0), dense(d), unit(2, -1.0), unit(3, 1.0)];
+        let basis = |d: [f64; 4], s: f64| [unit(0, s), dense(d), unit(2, -s), unit(3, 1.0)];
+        // The transposed solves of `kept` against the dense factors of the
+        // same matrix, on every unit vector and on `-0.0` among them.
+        let transposed_equal_dense = |kept: &mut CompressedLu, cols: &[Vec<(usize, f64)>; 4]| {
+            let mut a = Matrix::zeros(4, 4);
+            for (r, col) in cols.iter().enumerate() {
+                for &(i, v) in col {
+                    a[(i, r)] = v;
+                }
+            }
+            let oracle = Lu::factor(a).unwrap();
+            for k in 0..4 {
+                let mut b = [0.0; 4];
+                b[k] = 1.0;
+                b[(k + 1) % 4] = -0.0;
+                let nz = [k as u32, (k as u32 + 1) % 4];
+                let (mut x, mut y) = (b, b);
+                oracle.solve_transposed_in_place(&mut x).unwrap();
+                kept.solve_transposed_in_place(&mut y, &nz).unwrap();
+                assert_eq!(bits(&y), bits(&x), "e_{k}");
+            }
+        };
         let mut kept = CompressedLu::default();
-        kept.factor_columns(4, basis([0.5, 2.0, -1.0, 0.25])).unwrap();
+        let first = basis([0.5, 2.0, -1.0, 0.25], -1.0);
+        kept.factor_columns(4, first.clone()).unwrap();
+        transposed_equal_dense(&mut kept, &first);
         let storage = |lu: &CompressedLu| {
-            (lu.dense.lu.as_slice().as_ptr(), lu.diag.as_ptr(), lu.l_rows.val.as_ptr(), lu.u_cols.val.as_ptr())
+            let lists = (lu.diag.as_ptr(), lu.l_rows.val.as_ptr(), lu.u_cols.val.as_ptr());
+            (lu.dense.lu.as_slice().as_ptr(), lists, lu.dest.as_ptr(), lu.sweep.terms.as_ptr())
         };
         let before = storage(&kept);
-        let singular = kept.factor_columns(4, basis([0.5, 0.0, -1.0, 0.25]));
+        let singular = kept.factor_columns(4, basis([0.5, 0.0, -1.0, 0.25], 1.0));
         assert_eq!(singular, Err(LinalgError::Singular { column: 3 }), "row 1 is empty");
         assert!(kept.solve_in_place(&mut [0.0; 4]).is_err(), "nothing is factored");
-        kept.factor_columns(4, basis([0.25, -4.0, 1.0, 0.5])).unwrap();
+        assert!(kept.solve_transposed_in_place(&mut [1.0, 0.0, 0.0, 0.0], &[0]).is_err());
+        let last = basis([0.25, -4.0, 1.0, 0.5], 1.0);
+        kept.factor_columns(4, last.clone()).unwrap();
         assert_eq!(storage(&kept), before);
         let mut x = [1.0, 2.0, 3.0, 4.0];
         kept.solve_in_place(&mut x).unwrap();
         assert_close(&x, &[1.125, -0.5, -3.5, 4.25], 1e-15);
+        transposed_equal_dense(&mut kept, &last);
     }
 
     fn assert_close(a: &[f64], b: &[f64], tol: f64) {

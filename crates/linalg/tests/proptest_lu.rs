@@ -17,11 +17,17 @@ fn rhs(kinds: &[u8], values: &[f64]) -> Vec<f64> {
         .collect()
 }
 
+/// The indices at which `b` holds anything but `+0.0`: what a transposed
+/// solve of the compressed factors is told of its right-hand side.
+fn not_plus_zero(b: &[f64]) -> Vec<u32> {
+    (0..b.len() as u32).filter(|&i| b[i as usize].to_bits() != 0).collect()
+}
+
 /// Both solves of the compressed factors against the dense ones, bit
 /// for bit. `None` when the matrix is singular.
 fn compressed_equals_dense(a: Matrix, b: &[f64]) -> Option<Result<(), String>> {
     let dense = Lu::factor(a).ok()?;
-    let compressed = dense.clone().compress();
+    let mut compressed = dense.clone().compress();
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
     let (mut x, mut y) = (b.to_vec(), b.to_vec());
     dense.solve_in_place(&mut x).unwrap();
@@ -31,7 +37,7 @@ fn compressed_equals_dense(a: Matrix, b: &[f64]) -> Option<Result<(), String>> {
     }
     let (mut x, mut y) = (b.to_vec(), b.to_vec());
     dense.solve_transposed_in_place(&mut x).unwrap();
-    compressed.solve_transposed_in_place(&mut y).unwrap();
+    compressed.solve_transposed_in_place(&mut y, &not_plus_zero(b)).unwrap();
     if bits(&x) != bits(&y) {
         return Some(Err(format!("solve_transposed: dense {x:?} vs compressed {y:?}")));
     }
@@ -192,5 +198,70 @@ proptest! {
             Some(outcome) => prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err()),
             None => prop_assume!(false),
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The right-hand sides BTRAN hands the transposed solve: 0–3
+    /// entries — values, `±1`, `-0.0` — in a vector of `+0.0`s (`rho =
+    /// e_r`, a few nonzero costs), against basis-shaped matrices up to
+    /// and past a Fig. 6 basis (n 1–160). Half the units are `-1`, so
+    /// half the pivots are negative and a row the solve does not reach
+    /// ends at `-0.0`; the dense columns hold `-0.0`s, and so do the
+    /// factors. The list of indices the solve is given is in no order and
+    /// now and then repeats one or names a `+0.0`.
+    #[test]
+    fn hypersparse_transposed_solves_equal_dense_solves(
+        (n, order, negative, dense_at, dense_vals, entries, extra) in (1usize..161, 0usize..10)
+            .prop_flat_map(|(n, k)| (
+                Just(n),
+                prop::collection::vec(0.0_f64..1.0, n),
+                prop::collection::vec(any::<bool>(), n),
+                prop::collection::vec(0usize..n, k),
+                prop::collection::vec((-3.0_f64..3.0, 0u8..6), k * n),
+                prop::collection::vec((0usize..n, 0u8..4, -5.0_f64..5.0), 0..4),
+                prop::collection::vec(0usize..n, 0..3),
+            ))
+    ) {
+        let mut perm: Vec<usize> = (0..n).collect();
+        perm.sort_by(|&a, &b| order[a].total_cmp(&order[b]));
+        let mut a = Matrix::zeros(n, n);
+        for (r, &i) in perm.iter().enumerate() {
+            a[(i, r)] = if negative[r] { -1.0 } else { 1.0 };
+        }
+        for (c, &r) in dense_at.iter().enumerate() {
+            for i in 0..n {
+                a[(i, r)] = match dense_vals[c * n + i] {
+                    (_, 0) => 0.0,
+                    (_, 1) => -0.0,
+                    (v, _) => v,
+                };
+            }
+        }
+        let dense = Lu::factor(a);
+        prop_assume!(dense.is_ok());
+        let dense = dense.unwrap();
+        let mut b = vec![0.0; n];
+        for &(i, kind, v) in &entries {
+            b[i] = match kind {
+                0 => -0.0,
+                1 => 1.0,
+                2 => -1.0,
+                _ => v,
+            };
+        }
+        let nz: Vec<u32> = entries.iter().map(|e| e.0).chain(extra).map(|i| i as u32).collect();
+        let mut compressed = dense.clone().compress();
+        let (mut x, mut y) = (b.clone(), b.clone());
+        dense.solve_transposed_in_place(&mut x).unwrap();
+        compressed.solve_transposed_in_place(&mut y, &nz).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        prop_assert_eq!(bits(&y), bits(&x), "b {:?}, listed {:?}", b, nz);
+        // The same factors solve again from a clean slate.
+        let mut again = b.clone();
+        compressed.solve_transposed_in_place(&mut again, &nz).unwrap();
+        prop_assert_eq!(bits(&again), bits(&x));
     }
 }

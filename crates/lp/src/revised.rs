@@ -94,6 +94,45 @@ impl Eta {
         }
         v_hi[0] = xr;
     }
+
+    /// `v := E^{-T} v`: only `v[r]` changes, to `(v[r] − Σ_{i≠r} w[i]·v[i])
+    /// / w[r]`, the sum taken in ascending `i` over the indices `nz` lists
+    /// — every one where `v` is not `+0.0`, ascending — and kept so. The
+    /// terms left out are products with `+0.0`, which change no sum that
+    /// does not start at `-0.0` (DESIGN §10); one that does takes every
+    /// term. Returns how many entries of `v` the sum read.
+    fn apply_transposed(&self, v: &mut [f64], nz: &mut Vec<u32>) -> usize {
+        let r = self.r;
+        let found = nz.binary_search(&(r as u32));
+        let mut s = v[r];
+        let read = if s.to_bits() == (-0.0_f64).to_bits() {
+            for (i, (&vi, &wi)) in v.iter().zip(&self.w).enumerate() {
+                if i != r {
+                    s -= wi * vi;
+                }
+            }
+            v.len()
+        } else {
+            let (below, above) = match found {
+                Ok(at) => (&nz[..at], &nz[at + 1..]),
+                Err(at) => nz.split_at(at),
+            };
+            for &i in below {
+                s -= self.w[i as usize] * v[i as usize];
+            }
+            for &i in above {
+                s -= self.w[i as usize] * v[i as usize];
+            }
+            below.len() + above.len()
+        };
+        v[r] = s / self.w[r];
+        if let Err(at) = found {
+            if v[r].to_bits() != 0 {
+                nz.insert(at, r as u32);
+            }
+        }
+        read
+    }
 }
 
 /// One candidate of the dual ratio test. Ordered as the test takes them:
@@ -164,20 +203,34 @@ fn long_step(
 /// from one solve to the next so that none but the first allocates it:
 /// the factors (a refactorisation builds the basis matrix and lists its
 /// factors in the storage of those it replaces — the last solve's, at a
-/// solve's start, whether or not that basis could be factored) and the
-/// per-iteration vectors: multipliers `y`, reduced costs `d` and
-/// pivot row `alpha` (one entry per column), the dual's `rho` and
-/// ratio-test candidates, the entering column. Every one is overwritten
+/// solve's start, whether or not that basis could be factored), the eta
+/// file and the buffers of etas dropped from it, and the per-iteration
+/// vectors: multipliers `y`, reduced costs `d` and pivot row `alpha`
+/// (one entry per column), the dual's `rho` and ratio-test candidates,
+/// the rows where BTRAN's vector is not `+0.0`. Every one is overwritten
 /// before it is read.
 #[derive(Default)]
 pub(crate) struct Workspace {
     lu: CompressedLu,
+    /// The etas since the last factorisation; a solve starts by retiring
+    /// the last solve's.
+    etas: Vec<Eta>,
+    /// Buffers for entering columns: those of retired etas and of
+    /// columns that did not become one.
+    spare: Vec<Vec<f64>>,
     y: Vec<f64>,
     d: Vec<f64>,
     alpha: Vec<f64>,
     rho: Vec<f64>,
     cands: Vec<Reverse<Cand>>,
-    w: Vec<f64>,
+    nz: Vec<u32>,
+}
+
+impl Workspace {
+    /// Empty the eta file, keeping its buffers.
+    fn retire_etas(&mut self) {
+        self.spare.extend(self.etas.drain(..).map(|e| e.w));
+    }
 }
 
 enum Step {
@@ -224,12 +277,15 @@ const PHASE_METRICS: [&str; 6] = [
     "lp.phase.compute_xb_us",
 ];
 
-/// Nanoseconds per [`Phase`], accumulated over one solve and flushed
-/// with the solve's other metrics. Whether a recorder is installed is
-/// asked once, at solve start; without one no clock is ever read.
+/// Nanoseconds per [`Phase`], and the entries BTRAN read
+/// (`lp.btran_visits`: eta entries and factor entries), accumulated over
+/// one solve and flushed with the solve's other metrics. Whether a
+/// recorder is installed is asked once, at solve start; without one no
+/// clock is ever read.
 struct PhaseClock {
     on: bool,
     ns: [Cell<u64>; PHASE_METRICS.len()],
+    btran_visits: Cell<u64>,
 }
 
 impl PhaseClock {
@@ -237,6 +293,7 @@ impl PhaseClock {
         PhaseClock {
             on,
             ns: Default::default(),
+            btran_visits: Cell::new(0),
         }
     }
 
@@ -261,7 +318,6 @@ struct Rev<'a> {
     /// Basic column of each row.
     basic: Vec<usize>,
     state: Vec<VarState>,
-    etas: Vec<Eta>,
     /// Values of the basic variables, one per row.
     xb: Vec<f64>,
     iterations: usize,
@@ -270,14 +326,14 @@ struct Rev<'a> {
     bland: bool,
     factorizations: usize,
     clock: &'a PhaseClock,
-    /// Factors and per-iteration vectors: a pivot allocates nothing but
-    /// the eta it leaves behind.
+    /// Factors, etas and per-iteration vectors: a pivot allocates nothing.
     ws: &'a mut Workspace,
 }
 
 impl<'a> Rev<'a> {
     /// A solver state at the given basis, nothing factorized yet: the
-    /// workspace's factors are some other basis's until `factorize` ran.
+    /// workspace's factors are some other basis's until `factorize` ran,
+    /// and its etas are retired.
     fn new(
         f: &'a InternalForm,
         upper: Vec<f64>,
@@ -286,12 +342,14 @@ impl<'a> Rev<'a> {
         clock: &'a PhaseClock,
         ws: &'a mut Workspace,
     ) -> Self {
+        ws.retire_etas();
+        ws.nz.clear();
+        ws.nz.reserve(f.m());
         Rev {
             f,
             upper,
             basic,
             state,
-            etas: Vec::new(),
             xb: Vec::new(),
             iterations: 0,
             degen_run: 0,
@@ -318,7 +376,7 @@ impl<'a> Rev<'a> {
         done.map_err(|_| LpError::Internal {
             what: "singular basis matrix".to_string(),
         })?;
-        self.etas.clear();
+        self.ws.retire_etas();
         self.factorizations += 1;
         Ok(())
     }
@@ -336,36 +394,46 @@ impl<'a> Rev<'a> {
         self.ws.lu.solve_in_place(v).map_err(|e| LpError::Internal {
             what: format!("ftran: {e}"),
         })?;
-        for e in &self.etas {
+        for e in &self.ws.etas {
             e.apply(v);
         }
         Ok(())
     }
 
-    /// `v := B^{-T} v`: eta chain backward, then the transposed LU solve.
-    /// Timed as [`Phase::Btran`].
-    fn btran(&self, v: &mut [f64]) -> Result<(), LpError> {
+    /// `v := B^{-T} v`: eta chain backward, then the transposed LU solve,
+    /// each reading only what the nonzeros reach: `self.ws.nz` lists,
+    /// ascending, every row where `v` is not `+0.0`, and the eta pass
+    /// keeps it so for the LU solve. Timed as [`Phase::Btran`].
+    fn btran(&mut self, v: &mut [f64]) -> Result<(), LpError> {
         let since = self.clock.start();
-        for e in self.etas.iter().rev() {
-            let mut s = v[e.r];
-            for (i, (&vi, &wi)) in v.iter().zip(&e.w).enumerate() {
-                if i != e.r {
-                    s -= wi * vi;
-                }
-            }
-            v[e.r] = s / e.w[e.r];
+        let Workspace { lu, etas, nz, .. } = &mut *self.ws;
+        let mut visits = 0;
+        for e in etas.iter().rev() {
+            visits += e.apply_transposed(v, nz);
         }
-        let done = self.ws.lu.solve_transposed_in_place(v).map_err(|e| LpError::Internal {
+        let done = lu.solve_transposed_in_place(v, nz).map_err(|e| LpError::Internal {
             what: format!("btran: {e}"),
         });
+        if let Ok(read) = done {
+            visits += read;
+        }
+        let count = &self.clock.btran_visits;
+        count.set(count.get() + visits as u64);
         self.clock.stop(Phase::Btran, since);
-        done
+        done.map(drop)
     }
 
     /// Simplex multipliers `y = B^{-T} c_B` for the given costs.
-    fn multipliers(&self, costs: &[f64], y: &mut Vec<f64>) -> Result<(), LpError> {
+    fn multipliers(&mut self, costs: &[f64], y: &mut Vec<f64>) -> Result<(), LpError> {
         y.clear();
-        y.extend(self.basic.iter().map(|&j| costs[j]));
+        y.reserve(self.basic.len());
+        self.ws.nz.clear();
+        for (i, &j) in self.basic.iter().enumerate() {
+            y.push(costs[j]);
+            if costs[j].to_bits() != 0 {
+                self.ws.nz.push(i as u32);
+            }
+        }
         self.btran(y)
     }
 
@@ -394,9 +462,9 @@ impl<'a> Rev<'a> {
         done
     }
 
-    /// The entering column `w = B^{-1} a_q`, in the kept buffer.
+    /// The entering column `w = B^{-1} a_q`, in a spare buffer.
     fn entering_column(&mut self, q: usize) -> Result<Vec<f64>, LpError> {
-        let mut w = std::mem::take(&mut self.ws.w);
+        let mut w = self.ws.spare.pop().unwrap_or_default();
         w.clear();
         w.resize(self.m(), 0.0);
         for (i, a) in self.f.cols.line(q) {
@@ -479,7 +547,7 @@ impl<'a> Rev<'a> {
         }
 
         if t_best.is_infinite() {
-            self.ws.w = w;
+            self.ws.spare.push(w);
             return Ok(Step::Unbounded(q));
         }
 
@@ -487,8 +555,8 @@ impl<'a> Rev<'a> {
         // refactorize and retry. From fresh factors it is the column's
         // own entry, above PIVOT_EPS or the ratio test had passed it over.
         if let Some((r, _)) = leave {
-            if w[r].abs() < PIVOT_TINY && !self.etas.is_empty() {
-                self.ws.w = w;
+            if w[r].abs() < PIVOT_TINY && !self.ws.etas.is_empty() {
+                self.ws.spare.push(w);
                 self.factorize()?;
                 self.compute_xb()?;
                 return Ok(Step::Retry);
@@ -524,7 +592,7 @@ impl<'a> Rev<'a> {
                         })
                     }
                 };
-                self.ws.w = w;
+                self.ws.spare.push(w);
             }
             Some((r, hit)) => {
                 let k = self.basic[r];
@@ -537,8 +605,8 @@ impl<'a> Rev<'a> {
                 self.basic[r] = q;
                 self.state[q] = VarState::Basic;
                 self.state[k] = if self.upper[k] <= 0.0 { VarState::Lower } else { hit };
-                self.etas.push(Eta { r, w });
-                if self.etas.len() >= ETA_LIMIT {
+                self.ws.etas.push(Eta { r, w });
+                if self.ws.etas.len() >= ETA_LIMIT {
                     self.factorize()?;
                     self.compute_xb()?;
                 }
@@ -618,6 +686,8 @@ impl<'a> Rev<'a> {
             rho.clear();
             rho.resize(self.m(), 0.0);
             rho[r] = 1.0;
+            self.ws.nz.clear();
+            self.ws.nz.push(r as u32);
             self.btran(&mut rho)?;
             beta[r] = rho.iter().map(|v| v * v).sum();
             self.price(costs, Phase::PivotRow)?;
@@ -699,8 +769,9 @@ impl<'a> Rev<'a> {
 
             let w = self.entering_column(q)?;
             if w[r].abs() < PIVOT_TINY {
-                if !self.etas.is_empty() {
-                    (self.ws.w, self.ws.rho) = (w, rho);
+                if !self.ws.etas.is_empty() {
+                    self.ws.spare.push(w);
+                    self.ws.rho = rho;
                     self.factorize()?;
                     self.compute_xb()?;
                     continue;
@@ -751,8 +822,8 @@ impl<'a> Rev<'a> {
                 VarState::Lower
             };
             self.iterations += 1;
-            self.etas.push(Eta { r, w });
-            if self.etas.len() >= ETA_LIMIT {
+            self.ws.etas.push(Eta { r, w });
+            if self.ws.etas.len() >= ETA_LIMIT {
                 self.factorize()?;
                 self.compute_xb()?;
             }
@@ -769,7 +840,7 @@ impl<'a> Rev<'a> {
     }
 
     /// Recover user-space values, duals, and the basis handle.
-    fn extract(&self, problem: &Problem) -> Result<Solution, LpError> {
+    fn extract(&mut self, problem: &Problem) -> Result<Solution, LpError> {
         let f = self.f;
         let mut pos = vec![usize::MAX; f.n_total];
         for (i, &j) in self.basic.iter().enumerate() {
@@ -853,6 +924,7 @@ pub(crate) fn solve(
         for (name, ns) in PHASE_METRICS.iter().zip(&stats.clock.ns) {
             r.observe(name, ns.get() as f64 / 1e3);
         }
+        r.counter_add("lp.btran_visits", stats.clock.btran_visits.get());
         r.observe("lp.degenerate_steps", stats.degen as f64);
         r.counter_add("lp.refactorizations", stats.refactorizations as u64);
         if stats.warm.warm_start {
@@ -1181,6 +1253,62 @@ mod tests {
             Eta { r, w }.apply(&mut split);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
             prop_assert_eq!(bits(&split), bits(&branchy));
+        }
+
+        /// BTRAN's eta pass over the listed indices against the dense
+        /// backward loop it replaced, on chains whose entries are small
+        /// integers and zeros of both signs — so that sums cancel to
+        /// `+0.0` along the way and `+0.0 / w[r] < 0` leaves `-0.0` for the
+        /// next eta to start from — and right-hand sides of 0–4 entries,
+        /// `-0.0` among them. The list must stay ascending and name every
+        /// entry that is not `+0.0`.
+        #[test]
+        fn listed_eta_pass_equals_the_dense_backward_loop(
+            (v, chain) in (1usize..30).prop_flat_map(|m| (
+                prop::collection::vec((0..m, 0u8..6), 0..5).prop_map(move |entries| {
+                    let mut v = vec![0.0; m];
+                    for (i, kind) in entries {
+                        v[i] = [-0.0, 1.0, -1.0, 2.0, 0.5, -3.0][usize::from(kind)];
+                    }
+                    v
+                }),
+                prop::collection::vec(
+                    (0..m, prop::collection::vec(0u8..8, m), 0u8..4),
+                    0..12,
+                ),
+            )),
+        ) {
+            let values = [0.0, -0.0, 0.0, 1.0, -1.0, 2.0, -0.5, 1.0];
+            let etas: Vec<Eta> = chain
+                .into_iter()
+                .map(|(r, w, pivot)| {
+                    let mut w: Vec<f64> = w.into_iter().map(|k| values[usize::from(k)]).collect();
+                    w[r] = [1.0, -1.0, 2.0, -0.5][usize::from(pivot)];
+                    Eta { r, w }
+                })
+                .collect();
+            let mut dense = v.clone();
+            for e in etas.iter().rev() {
+                let mut s = dense[e.r];
+                for (i, (&vi, &wi)) in dense.iter().zip(&e.w).enumerate() {
+                    if i != e.r {
+                        s -= wi * vi;
+                    }
+                }
+                dense[e.r] = s / e.w[e.r];
+            }
+            let mut listed = v.clone();
+            let mut nz: Vec<u32> =
+                (0..v.len() as u32).filter(|&i| v[i as usize].to_bits() != 0).collect();
+            for e in etas.iter().rev() {
+                e.apply_transposed(&mut listed, &mut nz);
+            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            prop_assert_eq!(bits(&listed), bits(&dense));
+            prop_assert!(nz.windows(2).all(|p| p[0] < p[1]), "{:?}", nz);
+            for (i, x) in listed.iter().enumerate() {
+                prop_assert!(x.to_bits() == 0 || nz.contains(&(i as u32)), "{} not listed", i);
+            }
         }
     }
 
