@@ -85,10 +85,6 @@ impl Workspace {
         }
     }
 
-    pub fn crate_info(&self, name: &str) -> Option<&CrateInfo> {
-        self.crates.iter().find(|c| c.name == name)
-    }
-
     /// All files belonging to `crate_name`.
     pub fn crate_files<'a>(&'a self, crate_name: &'a str) -> impl Iterator<Item = &'a SourceFile> {
         self.files.iter().filter(move |f| f.crate_name == crate_name)

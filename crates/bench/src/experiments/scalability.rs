@@ -4,7 +4,7 @@
 
 use std::time::Instant;
 use super::{ctx, set3};
-use thermaware_core::minlp::{solve_exact, MinlpOptions};
+use thermaware_core::minlp::{multiset_count, solve_exact};
 use thermaware_core::Solver;
 use thermaware_datacenter::Args;
 
@@ -60,7 +60,7 @@ pub(super) fn run(args: &Args) -> Result<(), String> {
             // enumeration; the guard refuses rather than hang (the
             // `exact_vs_heuristic` integration test runs the solver to
             // completion on a 2-node x 2-core instance instead).
-            match solve_exact(&dc, &MinlpOptions::default()) {
+            match solve_exact(&dc) {
                 Ok(sol) => println!(
                     "4 nodes: exact reward {:.2} after {} combinations",
                     sol.reward_rate, sol.combinations_checked
@@ -71,17 +71,4 @@ pub(super) fn run(args: &Args) -> Result<(), String> {
         Err(e) => println!("tiny scenario failed: {e}"),
     }
     Ok(())
-}
-
-fn multiset_count(alphabet: u64, len: u64) -> u64 {
-    // Incremental binomial recurrence; intermediates are themselves
-    // binomial coefficients, so this cannot overflow before saturating.
-    let mut c: u128 = 1;
-    for i in 0..len {
-        c = c * (alphabet as u128 + i as u128) / (i as u128 + 1);
-        if c > u64::MAX as u128 {
-            return u64::MAX;
-        }
-    }
-    c as u64
 }

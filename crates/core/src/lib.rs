@@ -39,7 +39,6 @@
 
 pub mod arr;
 pub mod baseline;
-pub mod chip_place;
 pub mod error;
 pub mod min_power;
 pub mod minlp;
@@ -57,7 +56,6 @@ pub mod verify;
 
 pub use arr::ArrCurve;
 pub use baseline::BaselineSolution;
-pub use chip_place::place_within_nodes;
 pub use error::SolveError;
 pub use objective::ObjectiveWeights;
 pub use pwl::PiecewiseLinear;

@@ -12,25 +12,14 @@
 
 use crate::stage3::{solve_stage3, Stage3Solution};
 use thermaware_datacenter::DataCenter;
+use thermaware_thermal::CracUnit;
 
-/// Options for the exact solver.
-#[derive(Debug, Clone, Copy)]
-pub struct MinlpOptions {
-    /// CRAC outlet grid step, °C.
-    pub crac_step_c: f64,
-    /// Safety cap on enumerated P-state combinations (the solver refuses
-    /// rather than run forever).
-    pub max_combinations: u64,
-}
+/// CRAC outlet grid step, °C.
+const CRAC_STEP_C: f64 = 1.0;
 
-impl Default for MinlpOptions {
-    fn default() -> Self {
-        MinlpOptions {
-            crac_step_c: 1.0,
-            max_combinations: 2_000_000,
-        }
-    }
-}
+/// Safety cap on the (P-state multiset, outlet combination) pairs the
+/// enumeration may try: the solver refuses rather than run forever.
+const MAX_COMBINATIONS: u64 = 2_000_000;
 
 /// The exact optimum found.
 #[derive(Debug, Clone)]
@@ -73,14 +62,15 @@ fn for_each_multiset(alphabet: usize, len: usize, f: &mut impl FnMut(&[usize]) -
     }
 }
 
-/// Count the multisets that [`for_each_multiset`] will enumerate:
+/// Count the multisets of `len` items over `alphabet` symbols (the
+/// P-state multisets of one node that the enumeration tries):
 /// `C(alphabet + len - 1, len)`, saturating at `u64::MAX`.
 ///
 /// Computed by the incremental recurrence `c_{k} = c_{k-1}·(a-1+k)/k`;
 /// every intermediate value is itself a binomial coefficient, so nothing
 /// overflows before the saturation check (a naive `n!/(k!(n-k)!)` would
 /// overflow even `u128` at the 32-cores-per-node scale of Table I).
-fn multiset_count(alphabet: usize, len: usize) -> u64 {
+pub fn multiset_count(alphabet: usize, len: usize) -> u64 {
     let mut c: u128 = 1;
     for i in 0..len {
         c = c * (alphabet as u128 + i as u128) / (i as u128 + 1);
@@ -91,45 +81,44 @@ fn multiset_count(alphabet: usize, len: usize) -> u64 {
     c as u64
 }
 
+/// One CRAC's outlet grid: `min_outlet_c` upward in 1 °C steps, then
+/// `max_outlet_c`.
+fn outlet_axis(crac: &CracUnit) -> impl Iterator<Item = f64> {
+    let hi = crac.max_outlet_c;
+    std::iter::successors(Some(crac.min_outlet_c), |t| Some(t + CRAC_STEP_C))
+        .take_while(move |&t| t < hi - 1e-9)
+        .chain(std::iter::once(hi))
+}
+
 /// Solve Eq. 7 exactly.
 ///
-/// Errors when the instance exceeds `max_combinations` or no feasible
-/// combination exists.
-pub fn solve_exact(dc: &DataCenter, options: &MinlpOptions) -> Result<ExactSolution, String> {
-    // Size check.
-    let mut total: u64 = 1;
-    for j in 0..dc.n_nodes() {
+/// Errors when the P-state combinations times the outlet combinations
+/// exceed 2,000,000 (checked before anything is built), or
+/// when no feasible combination exists.
+pub fn solve_exact(dc: &DataCenter) -> Result<ExactSolution, String> {
+    // Size check: every assignment may try every outlet combination.
+    let assignments = (0..dc.n_nodes()).fold(1u64, |n, j| {
         let nt = dc.node_type(j);
-        let c = multiset_count(nt.core.pstates.n_total(), nt.cores_per_node);
-        total = total.saturating_mul(c);
-    }
-    if total > options.max_combinations {
+        n.saturating_mul(multiset_count(nt.core.pstates.n_total(), nt.cores_per_node))
+    });
+    // An axis longer than the cap is over it whatever the rest.
+    let outlets = dc.cracs.iter().fold(1u64, |n, c| {
+        n.saturating_mul(outlet_axis(c).take(MAX_COMBINATIONS as usize + 1).count() as u64)
+    });
+    if assignments.saturating_mul(outlets) > MAX_COMBINATIONS {
         return Err(format!(
-            "exact enumeration needs {total} P-state combinations (cap {})",
-            options.max_combinations
+            "exact enumeration needs {assignments} P-state combinations x {outlets} outlet \
+             combinations (cap {MAX_COMBINATIONS})"
         ));
     }
 
     // Outlet grid.
-    let axes: Vec<Vec<f64>> = dc
-        .cracs
-        .iter()
-        .map(|c| {
-            let mut v = Vec::new();
-            let mut t = c.min_outlet_c;
-            while t < c.max_outlet_c - 1e-9 {
-                v.push(t);
-                t += options.crac_step_c;
-            }
-            v.push(c.max_outlet_c);
-            v
-        })
-        .collect();
     let mut outlet_combos: Vec<Vec<f64>> = vec![vec![]];
-    for axis in &axes {
+    for crac in &dc.cracs {
+        let axis: Vec<f64> = outlet_axis(crac).collect();
         let mut next = Vec::with_capacity(outlet_combos.len() * axis.len());
         for combo in &outlet_combos {
-            for &t in axis {
+            for &t in &axis {
                 let mut c = combo.clone();
                 c.push(t);
                 next.push(c);

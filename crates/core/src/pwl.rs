@@ -68,6 +68,7 @@ impl PiecewiseLinear {
     }
 
     /// Value at the last breakpoint.
+    #[cfg(test)]
     pub fn y_max(&self) -> f64 {
         self.points.last().expect("PiecewiseLinear is non-empty by construction").1
     }

@@ -1,8 +1,8 @@
 //! The [`Solver`] builder — the workspace's **single solve entry
 //! point**: the three-stage technique, the Eq.-21 baseline and the
 //! Stage-3 replan are all asked for here, with every configuration knob
-//! (ψ, the CRAC search options, an observability recorder, the scenario
-//! engine) gathered in one place and defaults matching
+//! (ψ, the CRAC search options, the objective, a demand curve, an
+//! observability recorder) gathered in one place and defaults matching
 //! [`ThreeStageOptions::default`]:
 //!
 //! ```
@@ -16,34 +16,27 @@
 //!
 //! # The scenario surface
 //!
-//! Beyond the paper's static solve, the builder is where the scenario
-//! engine is configured:
+//! Beyond the paper's static solve, the builder takes two scenario
+//! knobs:
 //!
 //! * [`arrival_curve`](Solver::arrival_curve) — a time-varying demand
 //!   multiplier; [`solve_at`](Solver::solve_at) samples it and scales
 //!   every task type's arrival rate before solving.
-//! * [`objective`](Solver::objective) /
-//!   [`price_curve`](Solver::price_curve) /
-//!   [`carbon_curve`](Solver::carbon_curve) — multi-objective weights
-//!   blending electricity price and carbon intensity into the Stage-1
-//!   objective, with reward-only as the bit-identical default.
-//! * [`chip_model`](Solver::chip_model) — chip-level thermal
-//!   interference: after Stage 2, each node's P-states are permuted
-//!   onto the die's coolest placement (`crate::chip_place`), then
-//!   Stage 3 re-solves warm (same groups, same reward, cooler dies).
-//! * [`warm_start`](Solver::warm_start) — basis reuse across the
-//!   Stage-1 CRAC outlet sweep (on by default).
+//! * [`objective`](Solver::objective) — multi-objective weights blending
+//!   electricity price and carbon intensity into the Stage-1 objective,
+//!   with reward-only as the bit-identical default.
+//!
+//! Chip-level placement is the supervisor's migration rung
+//! (`thermaware_runtime::degrade::migrate_to_tspd`), not a solve step.
 
 use crate::baseline::{baseline_impl, BaselineSolution};
 use crate::error::SolveError;
 use crate::objective::ObjectiveWeights;
-use crate::stage3::solve_stage3_warm;
 use crate::three_stage::{three_stage_best_of_impl, three_stage_impl};
 use crate::{ThreeStageOptions, ThreeStageSolution};
 use std::sync::Arc;
 use thermaware_datacenter::{CracSearchOptions, DataCenter};
 use thermaware_obs::Recorder;
-use thermaware_thermal::ChipModel;
 use thermaware_workload::Curve;
 
 /// Which ψ policy a [`Solver`] runs.
@@ -57,8 +50,7 @@ enum PsiPolicy {
 }
 
 /// Builder façade over the three-stage technique, the baseline, and the
-/// scenario engine (demand curves, multi-objective cost, chip-level
-/// placement).
+/// scenario engine (a demand curve, multi-objective cost).
 ///
 /// Construct with [`Solver::new`], chain configuration, finish with
 /// [`solve`](Solver::solve) / [`solve_at`](Solver::solve_at) (or
@@ -69,30 +61,22 @@ pub struct Solver<'a> {
     psi: PsiPolicy,
     search: CracSearchOptions,
     recorder: Option<Arc<dyn Recorder>>,
-    warm: bool,
     objective: ObjectiveWeights,
     demand: Option<Curve>,
-    price: Option<Curve>,
-    carbon: Option<Curve>,
-    chip: Option<&'a ChipModel>,
 }
 
 impl<'a> Solver<'a> {
     /// A solver over `dc` with default configuration (ψ = 50%, default
-    /// coarse-to-fine CRAC search, warm-started, reward-only objective,
-    /// no demand curve, no chip model, no recorder).
+    /// coarse-to-fine CRAC search, reward-only objective, no demand
+    /// curve, no recorder).
     pub fn new(dc: &'a DataCenter) -> Solver<'a> {
         Solver {
             dc,
             psi: PsiPolicy::Single(ThreeStageOptions::default().psi_percent),
             search: CracSearchOptions::default(),
             recorder: None,
-            warm: true,
             objective: ObjectiveWeights::reward_only(),
             demand: None,
-            price: None,
-            carbon: None,
-            chip: None,
         }
     }
 
@@ -119,14 +103,6 @@ impl<'a> Solver<'a> {
         self
     }
 
-    /// Warm-start Stage 1's fixed-outlet LPs across the CRAC sweep
-    /// (default `true`; `false` restores cold solves per grid point,
-    /// mainly for benchmarking the warm-start win itself).
-    pub fn warm_start(mut self, warm: bool) -> Solver<'a> {
-        self.warm = warm;
-        self
-    }
-
     /// Blend electricity price and carbon into the solve objective.
     /// [`ObjectiveWeights::reward_only`] (the default) preserves the
     /// paper's objective bit for bit.
@@ -144,37 +120,6 @@ impl<'a> Solver<'a> {
         self
     }
 
-    /// Attach a time-varying electricity price ($ per kWh):
-    /// [`solve_at(t)`](Solver::solve_at) samples it into
-    /// [`ObjectiveWeights::price_per_kwh`], overriding the static
-    /// value from [`objective`](Solver::objective).
-    pub fn price_curve(mut self, curve: Curve) -> Solver<'a> {
-        self.price = Some(curve);
-        self
-    }
-
-    /// Attach a time-varying grid carbon intensity (kg CO₂ per kWh):
-    /// [`solve_at(t)`](Solver::solve_at) samples it into
-    /// [`ObjectiveWeights::carbon_kg_per_kwh`]. The intensity only
-    /// affects the objective when
-    /// [`ObjectiveWeights::carbon_weight`] is non-zero.
-    pub fn carbon_curve(mut self, curve: Curve) -> Solver<'a> {
-        self.carbon = Some(curve);
-        self
-    }
-
-    /// Attach a chip-level thermal model: after Stage 2, each node's
-    /// P-states are permuted onto the die's coolest placement order and
-    /// Stage 3 re-solves warm. Node power totals — and therefore every
-    /// room-level redline, the power budget, and the achieved reward —
-    /// are unchanged; only *which* core runs *which* P-state moves.
-    /// Without this call the solve is bit-identical to the chip-unaware
-    /// solver.
-    pub fn chip_model(mut self, chip: &'a ChipModel) -> Solver<'a> {
-        self.chip = Some(chip);
-        self
-    }
-
     /// Install `recorder` as the process-global observability sink for
     /// the duration of the solve (spans, counters, histograms from every
     /// layer down to the simplex pivot loop). The previously installed
@@ -185,53 +130,37 @@ impl<'a> Solver<'a> {
     }
 
     /// Run the configured solve at scenario time `t = 0` — equivalent
-    /// to [`solve_at(0.0)`](Solver::solve_at). With no scenario curves
+    /// to [`solve_at(0.0)`](Solver::solve_at). With no demand curve
     /// attached this takes the direct path on the original data center.
     pub fn solve(&self) -> Result<ThreeStageSolution, SolveError> {
         self.solve_at(0.0)
     }
 
     /// Run the configured solve at scenario time `t_s` seconds: sample
-    /// the demand/price/carbon curves at `t_s`, solve the resulting
-    /// snapshot, then apply chip-aware placement if a chip model is
-    /// attached.
+    /// the demand curve at `t_s` and solve the resulting snapshot.
     pub fn solve_at(&self, t_s: f64) -> Result<ThreeStageSolution, SolveError> {
         let _install = self.recorder.as_ref().map(|r| thermaware_obs::install(Arc::clone(r)));
-
-        let mut weights = self.objective;
-        if let Some(p) = &self.price {
-            weights.price_per_kwh = p.rate_at(t_s);
-        }
-        if let Some(c) = &self.carbon {
-            weights.carbon_kg_per_kwh = c.rate_at(t_s);
-        }
-
         match &self.demand {
             // No demand curve: solve the original data center directly,
             // without the clone.
-            None => {
-                let sol = self.run(self.dc, weights)?;
-                self.finish(self.dc, sol)
-            }
+            None => self.run(self.dc),
             Some(curve) => {
                 let m = curve.rate_at(t_s).max(0.0);
                 let mut dc = self.dc.clone();
                 for t in &mut dc.workload.task_types {
                     t.arrival_rate *= m;
                 }
-                let sol = self.run(&dc, weights)?;
-                self.finish(&dc, sol)
+                self.run(&dc)
             }
         }
     }
 
     /// Dispatch the ψ policy.
-    fn run(&self, dc: &DataCenter, weights: ObjectiveWeights) -> Result<ThreeStageSolution, SolveError> {
+    fn run(&self, dc: &DataCenter) -> Result<ThreeStageSolution, SolveError> {
         let base = ThreeStageOptions {
             psi_percent: ThreeStageOptions::default().psi_percent,
             search: self.search,
-            warm_start: self.warm,
-            objective: weights,
+            objective: self.objective,
         };
         match &self.psi {
             PsiPolicy::Single(psi) => three_stage_impl(
@@ -245,31 +174,9 @@ impl<'a> Solver<'a> {
         }
     }
 
-    /// Chip-aware post-pass: permute P-states within nodes onto each
-    /// die's coolest placement, then re-solve Stage 3 warm so the
-    /// core→group mapping matches. No-op without a chip model.
-    fn finish(
-        &self,
-        dc: &DataCenter,
-        mut sol: ThreeStageSolution,
-    ) -> Result<ThreeStageSolution, SolveError> {
-        let Some(chip) = self.chip else {
-            return Ok(sol);
-        };
-        let moved = crate::chip_place::place_within_nodes(dc, chip, &mut sol.pstates);
-        thermaware_obs::counter_add("core.chip_placement_moves", moved as u64);
-        if moved > 0 {
-            let (stage3, stage3_basis) =
-                solve_stage3_warm(dc, &sol.pstates, sol.stage3_basis.as_ref())?;
-            sol.stage3 = stage3;
-            sol.stage3_basis = stage3_basis;
-        }
-        Ok(sol)
-    }
-
     /// Run the Eq.-21 baseline (P0-or-off fractions) under the same CRAC
-    /// search and recorder configuration. The ψ policy, scenario curves
-    /// and chip model do not apply — the baseline has no ARR averaging
+    /// search and recorder configuration. The ψ policy, the demand curve
+    /// and the objective do not apply — the baseline has no ARR averaging
     /// and serves as the paper's static comparison point.
     pub fn baseline(&self) -> Result<BaselineSolution, SolveError> {
         let _install = self.recorder.as_ref().map(|r| thermaware_obs::install(Arc::clone(r)));

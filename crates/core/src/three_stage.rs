@@ -15,9 +15,6 @@ pub struct ThreeStageOptions {
     pub psi_percent: f64,
     /// CRAC outlet search strategy for Stage 1.
     pub search: CracSearchOptions,
-    /// Warm-start Stage 1's fixed-outlet LPs across the CRAC grid
-    /// sweep (see [`Stage1Options::warm_start`]).
-    pub warm_start: bool,
     /// Objective blend (reward vs electricity/carbon cost). The
     /// reward-only default preserves the paper's objective bit for bit.
     pub objective: ObjectiveWeights,
@@ -28,7 +25,6 @@ impl Default for ThreeStageOptions {
         ThreeStageOptions {
             psi_percent: 50.0,
             search: CracSearchOptions::default(),
-            warm_start: true,
             objective: ObjectiveWeights::reward_only(),
         }
     }
@@ -96,7 +92,7 @@ pub(crate) fn three_stage_impl(
         &Stage1Options {
             psi_percent: options.psi_percent,
             search: options.search,
-            warm_start: options.warm_start,
+            warm_start: true,
             objective: options.objective,
         },
     )?;

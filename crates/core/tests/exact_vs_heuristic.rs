@@ -2,7 +2,7 @@
 //! tractable, so we can bound how much the three-stage heuristic gives up
 //! and confirm the exact optimum dominates every other solver.
 
-use thermaware_core::minlp::{solve_exact, MinlpOptions};
+use thermaware_core::minlp::solve_exact;
 use thermaware_core::{verify_assignment, Solver};
 use thermaware_datacenter::{DataCenter, PowerBudget};
 use thermaware_linalg::Matrix;
@@ -83,7 +83,7 @@ fn tiny_dc(lambda: [f64; 2]) -> DataCenter {
 #[test]
 fn exact_dominates_heuristic_and_gap_is_small() {
     let dc = tiny_dc([3.0, 2.0]);
-    let exact = solve_exact(&dc, &MinlpOptions::default()).expect("exact");
+    let exact = solve_exact(&dc).expect("exact");
     let heuristic =
         Solver::new(&dc).psi_best_of([25.0, 50.0, 100.0]).solve()
             .expect("heuristic");
@@ -110,7 +110,7 @@ fn exact_dominates_heuristic_and_gap_is_small() {
 #[test]
 fn exact_dominates_baseline_too() {
     let dc = tiny_dc([3.0, 2.0]);
-    let exact = solve_exact(&dc, &MinlpOptions::default()).expect("exact");
+    let exact = solve_exact(&dc).expect("exact");
     let baseline = Solver::new(&dc).baseline().expect("baseline");
     assert!(
         exact.reward_rate >= baseline.reward_rate - 1e-6,
@@ -127,7 +127,7 @@ fn intermediate_pstates_win_when_they_are_more_efficient() {
     // exact optimum should use P-state 1 somewhere — the effect the whole
     // paper is about.
     let dc = tiny_dc([3.0, 2.0]);
-    let exact = solve_exact(&dc, &MinlpOptions::default()).expect("exact");
+    let exact = solve_exact(&dc).expect("exact");
     assert!(
         exact.pstates.contains(&1),
         "expected intermediate P-states in {:?}",
@@ -141,9 +141,21 @@ fn undersubscribed_instance_serves_all_arrivals() {
     // ceiling: λ · r summed.
     let dc = tiny_dc([0.1, 0.1]);
     let ceiling = dc.workload.max_reward_rate();
-    let exact = solve_exact(&dc, &MinlpOptions::default()).expect("exact");
+    let exact = solve_exact(&dc).expect("exact");
     assert!((exact.reward_rate - ceiling).abs() < 1e-6);
     let heuristic =
         Solver::new(&dc).psi_best_of([50.0]).solve().unwrap();
     assert!((heuristic.reward_rate() - ceiling).abs() < 1e-6);
+}
+
+#[test]
+fn the_cap_counts_outlet_combinations_too() {
+    // 36 P-state multisets is far under the cap, but a 60,001-point
+    // outlet axis makes 2,160,036 (assignment, outlet) pairs: refused
+    // before the grid is built, naming both counts.
+    let mut dc = tiny_dc([3.0, 2.0]);
+    dc.cracs[0].max_outlet_c = dc.cracs[0].min_outlet_c + 60_000.0;
+    let err = solve_exact(&dc).expect_err("over the cap");
+    assert!(err.contains("36 P-state combinations"), "{err}");
+    assert!(err.contains("60001 outlet combinations"), "{err}");
 }

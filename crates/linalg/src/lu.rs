@@ -357,6 +357,7 @@ impl Lu {
     }
 
     /// Determinant of the original matrix.
+    #[cfg(test)]
     pub fn determinant(&self) -> f64 {
         let mut d = self.perm_sign;
         for i in 0..self.dim() {

@@ -51,6 +51,7 @@ pub fn scale(alpha: f64, x: &mut [f64]) {
 
 /// Euclidean norm.
 #[inline]
+#[cfg(test)]
 pub fn norm2(x: &[f64]) -> f64 {
     dot(x, x).sqrt()
 }

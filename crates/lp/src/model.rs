@@ -41,7 +41,6 @@ pub(crate) struct Variable {
 
 #[derive(Debug, Clone)]
 pub(crate) struct Constraint {
-    pub name: String,
     /// Sparse row: `(column, coefficient)` pairs, deduplicated on build.
     pub terms: Vec<(usize, f64)>,
     pub op: RowOp,
@@ -161,7 +160,6 @@ impl Problem {
             dense = merged.into_iter().map(|(j, _, c)| (j, c)).collect();
         }
         self.cons.push(Constraint {
-            name: name.to_owned(),
             terms: dense,
             op,
             rhs,
@@ -199,7 +197,6 @@ impl Problem {
             "duplicate variable in add_row_nodup row '{name}'"
         );
         self.cons.push(Constraint {
-            name: name.to_owned(),
             terms: dense,
             op,
             rhs,
@@ -215,21 +212,6 @@ impl Problem {
     /// Number of constraint rows added so far.
     pub fn num_rows(&self) -> usize {
         self.cons.len()
-    }
-
-    /// Name of a variable (for diagnostics).
-    pub fn var_name(&self, v: VarId) -> &str {
-        &self.vars[v.0].name
-    }
-
-    /// Name of a constraint row (for diagnostics).
-    pub fn row_name(&self, c: ConstraintId) -> &str {
-        &self.cons[c.0].name
-    }
-
-    /// Objective coefficient of a variable.
-    pub fn var_objective(&self, v: VarId) -> f64 {
-        self.vars[v.0].objective
     }
 
     /// Change a variable's objective coefficient in place (used when the

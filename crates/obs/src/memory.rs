@@ -28,17 +28,6 @@ impl MemoryRecorder {
             .clone()
     }
 
-    /// Spans whose `/`-joined path equals `path`.
-    pub fn spans_at(&self, path: &str) -> Vec<SpanRecord> {
-        self.spans
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .filter(|s| s.path == path)
-            .cloned()
-            .collect()
-    }
-
     /// A point-in-time copy of every counter/gauge/histogram.
     pub fn snapshot(&self) -> MetricsSnapshot {
         self.metrics.snapshot()

@@ -28,6 +28,7 @@ impl CmosParams {
     }
 
     /// Dynamic component of the power at clock `f_mhz`, voltage `v`.
+    #[cfg(test)]
     pub fn dynamic_kw(&self, f_mhz: f64, v: f64) -> f64 {
         self.sc * f_mhz * v * v
     }

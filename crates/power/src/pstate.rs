@@ -115,6 +115,7 @@ impl PStateTable {
     }
 
     /// Iterate over `(index, power_kw)` of all states, off included.
+    #[cfg(test)]
     pub fn iter_powers(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
         (0..self.n_total()).map(|k| (k, self.power_kw(k)))
     }

@@ -355,6 +355,56 @@ mod tests {
         assert!(plan.it_kw + plan.cooling_kw > 0.0);
     }
 
+    /// A chip model for every node type of `dc`, its DTM redline below
+    /// any die temperature, so migration runs to its local optimum.
+    fn cold_chip_for(dc: &DataCenter) -> ChipModel {
+        let cores: Vec<usize> = dc.node_types.iter().map(|t| t.cores_per_node).collect();
+        ChipModel::build(&cores, &ChipParams { t_dtm_c: 0.0, ..ChipParams::default() })
+            .expect("chip model builds")
+    }
+
+    #[test]
+    fn placement_preserves_node_pstate_multisets() {
+        let dc = ScenarioParams::small_test().build(11).expect("scenario builds");
+        let sol = Solver::new(&dc).solve().expect("solves");
+        let inlets = vec![25.0; dc.n_nodes()];
+        let placed = migrate_to_tspd(&dc, &cold_chip_for(&dc), &inlets, &sol.pstates, 10_000, None);
+        for node in 0..dc.n_nodes() {
+            let mut a: Vec<usize> = dc.cores_of_node(node).map(|k| sol.pstates[k]).collect();
+            let mut b: Vec<usize> = dc.cores_of_node(node).map(|k| placed.pstates[k]).collect();
+            a.sort_unstable();
+            b.sort_unstable();
+            assert_eq!(a, b, "node {node} multiset changed");
+        }
+    }
+
+    #[test]
+    fn placement_never_heats_a_die() {
+        let dc = ScenarioParams::small_test().build(12).expect("scenario builds");
+        let sol = Solver::new(&dc).solve().expect("solves");
+        let chip = cold_chip_for(&dc);
+        let inlets = vec![25.0; dc.n_nodes()];
+        let placed = migrate_to_tspd(&dc, &chip, &inlets, &sol.pstates, 10_000, None);
+        assert!(placed.peak_after_c <= placed.peak_before_c + 1e-9);
+        for node in 0..dc.n_nodes() {
+            let t = dc.node_type_of[node];
+            let grid = chip.grid(t);
+            let table = &dc.node_types[t].core.pstates;
+            let before: Vec<f64> = dc
+                .cores_of_node(node)
+                .map(|k| table.power_kw(sol.pstates[k]))
+                .collect();
+            let after: Vec<f64> = dc
+                .cores_of_node(node)
+                .map(|k| table.power_kw(placed.pstates[k]))
+                .collect();
+            assert!(
+                grid.peak_c(25.0, &after) <= grid.peak_c(25.0, &before) + 1e-9,
+                "node {node} got hotter"
+            );
+        }
+    }
+
     /// Four max-power cores clustered in a die corner run hotter than any
     /// spread placement; migration must cool the die to its local optimum
     /// without moving a single watt between nodes.

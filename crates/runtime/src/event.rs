@@ -269,6 +269,7 @@ impl EventLog {
 
     /// Is every timestamp non-decreasing? (Always true by construction;
     /// used as a recovery invariant check on deserialized logs.)
+    #[cfg(test)]
     pub fn is_time_ordered(&self) -> bool {
         self.events.windows(2).all(|w| w[0].at_s <= w[1].at_s)
     }

@@ -760,17 +760,19 @@ impl Trail for Checkpoints {
 
 /// Execute one epoch under write-ahead journaling: *begin* record →
 /// [`LiveRun::step`] → *commit* record → snapshot when the interval (or
-/// the horizon) is reached.
+/// the horizon) is reached. The commit's CRC keeps no text; a snapshot
+/// epoch encodes the state again with its text, as the service does.
 fn checkpointed_epoch(trail: &mut TrailWriter<Checkpoints>, live: &mut LiveRun<'_>) -> Result<(), PersistError> {
     let epoch = live.epoch();
     trail.append(&JournalRecord::Begin { epoch, faults: live.due_faults() })?;
     let log_before = live.log().events().len();
     live.step();
-    let (json, state_crc) = json_crc(live.state())?;
+    let state_crc = json_crc_only(live.state());
     let events = live.log().events_since(log_before).to_vec();
     trail.append(&JournalRecord::Commit { epoch, state_crc, events })?;
     if trail.snapshot_due(live.epoch()) || live.is_done() {
-        trail.snapshot(live.epoch(), &json, state_crc)?;
+        let (json, crc) = json_crc(live.state())?;
+        trail.snapshot(live.epoch(), &json, crc)?;
     }
     Ok(())
 }
@@ -870,21 +872,6 @@ impl RecoveredRun {
     pub fn finish(&self) -> Result<SupervisorReport, PersistError> {
         let mut live = self.live()?;
         while live.step() {}
-        Ok(live.conclude())
-    }
-
-    /// Continue the recovered run to completion *with* checkpointing:
-    /// the journal in `ckpt.dir` is appended to, snapshots resume on the
-    /// configured interval.
-    pub fn finish_checkpointed(
-        &self,
-        ckpt: &CheckpointConfig,
-    ) -> Result<SupervisorReport, PersistError> {
-        let mut live = self.live()?;
-        let mut trail = TrailWriter::reopen(ckpt.clone())?;
-        while !live.is_done() {
-            checkpointed_epoch(&mut trail, &mut live)?;
-        }
         Ok(live.conclude())
     }
 }

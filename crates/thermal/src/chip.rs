@@ -133,11 +133,6 @@ impl ChipGrid {
         self.t_dtm_c
     }
 
-    /// Grid position of core `i` on the die (row-major).
-    pub fn core_xy(&self, i: usize) -> (usize, usize) {
-        (i % self.w, i / self.w)
-    }
-
     /// Steady-state core temperatures (°C) at the given node inlet
     /// (ambient) temperature and per-core powers in **kW** (the unit
     /// the P-state tables use; converted to watts internally).
@@ -157,27 +152,13 @@ impl ChipGrid {
             .fold(ambient_c, f64::max)
     }
 
-    /// Grid positions ranked coolest-first for placement: ascending
-    /// self-heating `B⁻¹[i][i]` (°C per watt at core `i` from its own
-    /// draw), ties broken by index for determinism. Putting the largest
-    /// per-core powers on the earliest positions minimizes hotspots
-    /// under the sort-based placement heuristic.
-    pub fn placement_order(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.n).collect();
-        order.sort_by(|&a, &b| {
-            self.b_inv.row(a)[a]
-                .total_cmp(&self.b_inv.row(b)[b])
-                .then(a.cmp(&b))
-        });
-        order
-    }
-
     /// Thermal-safe power density: for each **active** core `i`, the
     /// uniform per-active-core power (watts) that would put core `i`
     /// exactly at the DTM redline if every active core drew it
     /// (snippet 2's `getTSPD` with this workload's zero idle draw and
     /// unit activity factors). Idle cores get `+inf`; a core whose
     /// redline is unreachable gets `0`.
+    #[cfg(test)]
     pub fn tspd_w(&self, ambient_c: f64, active: &[bool]) -> Vec<f64> {
         debug_assert_eq!(active.len(), self.n);
         (0..self.n)
@@ -201,6 +182,7 @@ impl ChipGrid {
 
     /// The chip-wide TSPD budget: the binding (smallest) active-core
     /// budget from [`ChipGrid::tspd_w`], or `+inf` if nothing is active.
+    #[cfg(test)]
     pub fn tspd_budget_w(&self, ambient_c: f64, active: &[bool]) -> f64 {
         self.tspd_w(ambient_c, active)
             .into_iter()

@@ -47,6 +47,7 @@ pub struct CracUnit {
 impl CracUnit {
     /// A unit with the workspace's default searchable outlet range
     /// (10…25 °C; see DESIGN.md §5).
+    #[cfg(test)]
     pub fn with_flow(flow_m3s: f64) -> CracUnit {
         CracUnit {
             flow_m3s,

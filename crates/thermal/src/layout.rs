@@ -224,6 +224,7 @@ impl Layout {
     }
 
     /// Nodes in the same rack as node `i` (excluding `i`), by node index.
+    #[cfg(test)]
     pub fn rack_mates(&self, i: usize) -> Vec<usize> {
         let p = self.nodes[i];
         self.nodes
@@ -237,6 +238,7 @@ impl Layout {
     }
 
     /// Nodes that share node `i`'s hot aisle (excluding `i`).
+    #[cfg(test)]
     pub fn aisle_mates(&self, i: usize) -> Vec<usize> {
         let p = self.nodes[i];
         self.nodes

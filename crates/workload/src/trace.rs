@@ -72,6 +72,7 @@ impl ArrivalTrace {
     }
 
     /// Empirical arrival rate of each task type over the horizon.
+    #[cfg(test)]
     pub fn empirical_rates(&self, n_task_types: usize) -> Vec<f64> {
         self.counts(n_task_types)
             .into_iter()

@@ -22,7 +22,7 @@ pub use thermaware_datacenter::{
     CracSearchOptions, DataCenter, ScenarioError, ScenarioParams, ScenarioSnapshot,
 };
 
-// Workload, arrival traces, and scenario curves (demand, price, carbon).
+// Workload, arrival traces, and the demand curve.
 pub use thermaware_workload::{ArrivalTrace, Curve, Workload};
 
 // The solver: the `Solver` builder is the single solve entry point.
@@ -31,8 +31,8 @@ pub use thermaware_core::{
     ThreeStageOptions, ThreeStageSolution, VerificationReport,
 };
 
-// Chip-level thermal interference model for the migration rung and the
-// solver's `chip_model(..)` placement pass.
+// Chip-level thermal interference model for the supervisor's migration
+// rung (`Supervisor::with_chip`).
 pub use thermaware_thermal::{ChipModel, ChipParams};
 
 // The second-step dynamic scheduler.
