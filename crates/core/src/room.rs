@@ -79,54 +79,58 @@ fn kept(c: f64) -> bool {
 /// Append `redline_node*`, `redline_crac*` and, with `power_row`, the
 /// `power_budget` row to `problem`: per row `Σ_j g_j · P_j`, a term for
 /// every variable of every node whose coefficient is [`kept`], nodes and
-/// their variables in `layout` order.
+/// their variables in `layout` order, each term written once, straight
+/// into the problem's arena.
 fn append_rows(
     dc: &DataCenter,
     problem: &mut Problem,
     layout: &[NodeLoad],
     power_row: bool,
 ) -> RoomRows {
-    let mut terms: Vec<(VarId, f64)> = Vec::new();
+    let (g_node, g_crac) = (dc.thermal.g_node(), dc.thermal.g_crac());
+    let n_rows = g_node.rows() + g_crac.rows() + usize::from(power_row);
+    let per_row: usize = layout.iter().map(|load| load.vars.len()).sum();
+    problem.reserve_rows(n_rows, n_rows * per_row);
     let mut name = String::new();
     let mut thermal_rows = |prefix: &str, g: &thermaware_linalg::Matrix| {
         let (mut rows, mut fixed) = (Vec::new(), Vec::new());
         for i in 0..g.rows() {
             let g = g.row(i);
             fixed.push(g.iter().zip(layout).map(|(g, load)| g * load.fixed_kw).sum());
-            terms.clear();
-            for (g, load) in g.iter().zip(layout) {
-                for &(v, kw_per_unit) in &load.vars {
-                    let c = g * kw_per_unit;
-                    if kept(c) {
-                        terms.push((v, c));
-                    }
-                }
-            }
             name.clear();
             let _ = write!(name, "{prefix}{i}");
-            rows.push(problem.add_row_nodup(&name, &terms, RowOp::Le, 0.0));
+            rows.push(problem.add_row_with(&name, RowOp::Le, 0.0, |row| {
+                for (g, load) in g.iter().zip(layout) {
+                    for &(v, kw_per_unit) in &load.vars {
+                        let c = g * kw_per_unit;
+                        if kept(c) {
+                            row.push(v, c);
+                        }
+                    }
+                }
+            }));
         }
         (rows, fixed)
     };
-    let (node_rows, fixed_node) = thermal_rows("redline_node", dc.thermal.g_node());
-    let (crac_rows, fixed_crac) = thermal_rows("redline_crac", dc.thermal.g_crac());
+    let (node_rows, fixed_node) = thermal_rows("redline_node", g_node);
+    let (crac_rows, fixed_crac) = thermal_rows("redline_crac", g_crac);
 
     // Power row: Σ_j P_j + Σ_c w_c (Tin_c − out_c) <= Pconst. Its
     // coefficients `node_coeff_j · kW per unit` have `node_coeff_j >= 1`
     // at every candidate, so the terms it keeps are those of `g = 1`.
     let mut power_terms = Vec::new();
     let power_row = power_row.then(|| {
-        terms.clear();
-        for (node, load) in layout.iter().enumerate() {
-            for &(v, kw_per_unit) in &load.vars {
-                let c = 1.0 * kw_per_unit;
-                if kept(c) {
-                    terms.push((v, c));
-                    power_terms.push((node, kw_per_unit));
+        problem.add_row_with("power_budget", RowOp::Le, 0.0, |row| {
+            for (node, load) in layout.iter().enumerate() {
+                for &(v, kw_per_unit) in &load.vars {
+                    let c = 1.0 * kw_per_unit;
+                    if kept(c) {
+                        row.push(v, c);
+                        power_terms.push((node, kw_per_unit));
+                    }
                 }
             }
-        }
-        problem.add_row_nodup("power_budget", &terms, RowOp::Le, 0.0)
+        })
     });
     RoomRows {
         node_rows,

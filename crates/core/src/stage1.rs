@@ -576,6 +576,55 @@ mod tests {
         assert!(unbounded.objective > solve_stage1(&dc, &options).unwrap().objective);
     }
 
+    /// The fixed-outlet Stage-1 LP's optimum under `budget_kw`, or `None`
+    /// when no point meets its rows.
+    fn fixed_outlet_value(dc: &DataCenter, outlets: &[f64], budget_kw: f64) -> Option<f64> {
+        let (_, node_curves) = arr_and_node_curves(dc, 50.0);
+        let mut p = Problem::new(Sense::Maximize);
+        let node_vars = add_segment_vars(&mut p, dc, &node_curves, |slope| slope);
+        let mut room = RoomLp::build(dc, p, segment_layout(dc, &node_vars), Some(budget_kw));
+        room.set_outlets(outlets);
+        room.lp.solve_warm(None).ok().map(|sol| sol.objective)
+    }
+
+    /// Laws of the room LP at fixed outlets (those Stage 1 picked), seeds
+    /// 1–5: the budget is the right-hand side of a `≤` row of a
+    /// maximisation, so the value is non-decreasing and concave in it —
+    /// on equally spaced budgets from the idle floor to past the ceiling,
+    /// feasible from some budget on — and raising the node redline
+    /// relaxes every `redline_node` row, so it never lowers the value.
+    #[test]
+    fn fixed_outlet_value_rises_concavely_in_the_budget_and_with_the_redline() {
+        for seed in 1..=5 {
+            let dc = small_dc(seed);
+            let outlets = solve_stage1(&dc, &Stage1Options::default()).unwrap().crac_out_c;
+            let mut relaxed = dc.clone();
+            relaxed.thermal.node_redline_c += 2.0;
+            let (floor, ceiling) = (dc.budget.p_min_kw, dc.budget.p_max_kw);
+            let budgets: Vec<f64> = (0..=12).map(|k| floor + (ceiling - floor) * f64::from(k) / 10.0).collect();
+            let values: Vec<Option<f64>> =
+                budgets.iter().map(|&b| fixed_outlet_value(&dc, &outlets, b)).collect();
+            let tol = |v: f64| 1e-7 * (1.0 + v.abs());
+
+            let first = values.iter().position(Option::is_some).expect("feasible past the ceiling");
+            let feasible: Vec<f64> = values[first..].iter().map(|v| v.expect("feasible above a feasible budget")).collect();
+            assert!(feasible.len() >= 3, "seed {seed}: {values:?}");
+            for w in feasible.windows(2) {
+                assert!(w[1] >= w[0] - tol(w[0]), "seed {seed}: the value fell, {w:?}");
+            }
+            for w in feasible.windows(3) {
+                assert!(w[2] - w[1] <= w[1] - w[0] + tol(w[1]), "seed {seed}: not concave, {w:?}");
+            }
+            for (&budget, value) in budgets.iter().zip(&values) {
+                let hot = fixed_outlet_value(&relaxed, &outlets, budget);
+                if let Some(value) = *value {
+                    let hot = hot.expect("a relaxed redline keeps a feasible budget feasible");
+                    assert!(hot >= value - tol(value), "seed {seed}, {budget} kW: {hot} < {value}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn distribute_exact_cases() {
         // Hull (0,0) -> (1,10) -> (2,15); 4 cores, total 6: per-core 1.5

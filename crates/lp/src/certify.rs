@@ -123,7 +123,7 @@ pub fn certify(problem: &Problem, sol: &Solution) -> Result<Certificate, CertErr
     let mut primal_residual = 0.0_f64;
     for (i, c) in problem.cons.iter().enumerate() {
         let (mut lhs, mut scale) = (0.0, 1.0 + c.rhs.abs());
-        for &(j, a) in &c.terms {
+        for (j, a) in problem.terms.line(i) {
             let ax = a * x[j];
             lhs += ax;
             scale += ax.abs();
@@ -175,8 +175,8 @@ pub fn certify(problem: &Problem, sol: &Solution) -> Result<Certificate, CertErr
     // ---- 3. Reduced-cost signs -------------------------------------------
     let mut d: Vec<f64> = problem.vars.iter().map(|v| v.objective).collect();
     let mut d_scale = vec![cost_scale; d.len()];
-    for (c, &yi) in problem.cons.iter().zip(y) {
-        for &(j, a) in &c.terms {
+    for (i, &yi) in y.iter().enumerate() {
+        for (j, a) in problem.terms.line(i) {
             let ay = a * yi;
             d[j] -= ay;
             d_scale[j] += ay.abs();

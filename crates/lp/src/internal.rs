@@ -11,7 +11,8 @@
 //! [`SparseLines`]. Column-major (`cols`) is what the basis is assembled
 //! from — the factorisation, the FTRAN of the entering column — and what
 //! fixes the column indexing a [`Basis`] handle is written in. Row-major
-//! (`rows`, the structural block only) is what the simplex prices with: the
+//! (the structural block only; the problem's own arena when no row needs
+//! rewriting, see [`InternalForm::build`]) is what the simplex prices with: the
 //! dual pivot row `rho·A` and the reduced costs `c - y·A` are wanted for
 //! every column at once from a `rho` or `y` that is mostly exact zeros,
 //! so [`InternalForm::pivot_row`] and [`InternalForm::reduced_costs`]
@@ -25,7 +26,11 @@
 //!
 //! [`Basis`]: crate::Basis
 
-use crate::model::{Constraint, Problem, RowOp, Sense};
+use crate::model::{Problem, RowOp, Sense};
+
+/// The bits of `-0.0`, the one right-hand side that subtracting a zero
+/// can change.
+const NEG_ZERO: u64 = 0x8000_0000_0000_0000;
 
 /// Where an internal column currently sits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,13 +55,15 @@ pub(crate) enum VarMap {
 
 /// A sparse matrix by line — rows or columns: line `k` holds the
 /// coefficients `val[start[k]..start[k + 1]]` at the cross indices
-/// `at[..]`. A form keeps two: `rows`, the structural block by row, in
-/// the order the problem's row lists its terms and with the row's
-/// normalisation sign applied (slack and artificial columns are not
-/// listed there: each is a single `±1` that `slack_col`, `art_col` and
-/// `ops` already describe); and `cols`, every column, row-sorted — entry
-/// for entry the values `rows` holds, plus those singletons.
-#[derive(Debug)]
+/// `at[..]`. A [`Problem`] keeps its rows in one, by variable index. A
+/// form keeps two: the structural block by row, in the order the
+/// problem's row lists its terms and with the row's normalisation sign
+/// applied (slack and artificial columns are not listed there: each is a
+/// single `±1` that `slack_col`, `art_col` and `ops` already describe) —
+/// or, when that is the problem's arena entry for entry, no copy of it;
+/// and `cols`, every column, row-sorted — entry for entry the values of
+/// the row store, plus those singletons.
+#[derive(Debug, Clone)]
 pub(crate) struct SparseLines {
     pub(crate) start: Vec<u32>,
     pub(crate) at: Vec<u32>,
@@ -68,6 +75,11 @@ pub(crate) struct SparseLines {
 }
 
 impl SparseLines {
+    /// No lines yet.
+    pub(crate) fn empty() -> SparseLines {
+        SparseLines { start: vec![0], at: Vec::new(), val: Vec::new(), run: Vec::new() }
+    }
+
     /// Lines of the given lengths, every entry still to be written.
     fn with_lengths(lengths: &[u32]) -> SparseLines {
         let mut start = Vec::with_capacity(lengths.len() + 1);
@@ -96,7 +108,7 @@ impl SparseLines {
             .collect();
     }
 
-    fn range(&self, k: usize) -> std::ops::Range<usize> {
+    pub(crate) fn range(&self, k: usize) -> std::ops::Range<usize> {
         self.start[k] as usize..self.start[k + 1] as usize
     }
 
@@ -188,8 +200,9 @@ pub(crate) struct InternalForm {
     pub flipped: Vec<bool>,
     /// Every column, including slack and artificial columns.
     pub(crate) cols: SparseLines,
-    /// The structural columns again, by row.
-    pub(crate) rows: SparseLines,
+    /// The structural columns again, by row; `None` when that is the
+    /// problem's own arena entry for entry ([`InternalForm::row_store`]).
+    pub(crate) rows: Option<SparseLines>,
     /// Slack column of each row (`Le`/`Ge` rows only).
     pub slack_col: Vec<Option<usize>>,
     /// Artificial column of each row (`Ge`/`Eq` rows only).
@@ -205,10 +218,10 @@ pub(crate) struct InternalForm {
     pub stale_rows: usize,
 }
 
-/// Row `c`'s right-hand side with the variable shifts folded in.
-fn shifted_rhs(maps: &[VarMap], c: &Constraint) -> f64 {
-    let mut b = c.rhs;
-    for &(uj, a) in &c.terms {
+/// Row `i`'s right-hand side with the variable shifts folded in.
+fn shifted_rhs(maps: &[VarMap], problem: &Problem, i: usize) -> f64 {
+    let mut b = problem.cons[i].rhs;
+    for (uj, a) in problem.terms.line(i) {
         match maps[uj] {
             VarMap::Shift { lb, .. } => b -= a * lb,
             VarMap::Mirror { ub, .. } => b -= a * ub,
@@ -218,13 +231,13 @@ fn shifted_rhs(maps: &[VarMap], c: &Constraint) -> f64 {
     b
 }
 
-/// Whether folding the shifts into row `c`'s right-hand side subtracts
+/// Whether folding the shifts into row `i`'s right-hand side subtracts
 /// nothing but zeros: every variable of the row is free or bounded at
 /// exactly 0 on its finite side, every coefficient finite (so each
 /// `a * 0.0` is a zero, not a NaN). Subtracting zeros of either sign
 /// leaves any right-hand side but `-0.0` bit for bit as it was.
-fn unshifted(maps: &[VarMap], c: &Constraint) -> bool {
-    c.terms.iter().all(|&(uj, a)| {
+fn unshifted(maps: &[VarMap], problem: &Problem, i: usize) -> bool {
+    problem.terms.line(i).all(|(uj, a)| {
         let zero = 0.0_f64.to_bits();
         a.is_finite()
             && match maps[uj] {
@@ -236,10 +249,10 @@ fn unshifted(maps: &[VarMap], c: &Constraint) -> bool {
     })
 }
 
-/// Visit row `c`'s coefficients on internal columns, in term order,
+/// Visit row `i`'s coefficients on internal columns, in term order,
 /// before any normalisation flip.
-fn for_each_coeff(maps: &[VarMap], c: &Constraint, mut visit: impl FnMut(usize, f64)) {
-    for &(uj, a) in &c.terms {
+fn for_each_coeff(maps: &[VarMap], problem: &Problem, i: usize, mut visit: impl FnMut(usize, f64)) {
+    for (uj, a) in problem.terms.line(i) {
         match maps[uj] {
             VarMap::Shift { col, .. } => visit(col, a),
             VarMap::Mirror { col, .. } => visit(col, -a),
@@ -253,12 +266,165 @@ fn for_each_coeff(maps: &[VarMap], c: &Constraint, mut visit: impl FnMut(usize, 
 
 /// Add coefficient `a` on a column bounded by `[0, u]` to a row's
 /// activity range.
+#[inline]
 fn widen(lo: &mut f64, hi: &mut f64, a: f64, u: f64) {
     if a > 0.0 {
         *hi += a * u;
     } else if a < 0.0 {
         *lo += a * u;
     }
+}
+
+/// The activity range of every row `copies` marks, which lists its own
+/// columns: each row's terms [`widen`] its range one after the other in
+/// term order, as the build's walk widens it, so every bound is the
+/// walk's bit for bit. Where four neighbouring rows are the same run of
+/// columns they go side by side, one `upper` read per column and four
+/// rows' add chains in flight where one row alone waits out each add's
+/// latency.
+fn copied_activity(terms: &SparseLines, upper: &[f64], copies: &[bool], lo: &mut [f64], hi: &mut [f64]) {
+    let window = |i: usize| {
+        let at = terms.range(i);
+        (copies[i] && terms.run[i]).then(|| (terms.at[at.start] as usize, at.len()))
+    };
+    let vals = |i: usize| &terms.val[terms.range(i)];
+    let mut i = 0;
+    while i < copies.len() {
+        let quad = window(i).filter(|_| i + 4 <= copies.len() && (i + 1..i + 4).all(|k| window(k) == window(i)));
+        if let Some((first, len)) = quad {
+            let (mut l0, mut l1, mut l2, mut l3) = (0.0, 0.0, 0.0, 0.0);
+            let (mut h0, mut h1, mut h2, mut h3) = (0.0, 0.0, 0.0, 0.0);
+            let rows = vals(i).iter().zip(vals(i + 1)).zip(vals(i + 2)).zip(vals(i + 3));
+            for (&u, (((&a0, &a1), &a2), &a3)) in upper[first..first + len].iter().zip(rows) {
+                widen(&mut l0, &mut h0, a0, u);
+                widen(&mut l1, &mut h1, a1, u);
+                widen(&mut l2, &mut h2, a2, u);
+                widen(&mut l3, &mut h3, a3, u);
+            }
+            lo[i..i + 4].copy_from_slice(&[l0, l1, l2, l3]);
+            hi[i..i + 4].copy_from_slice(&[h0, h1, h2, h3]);
+            i += 4;
+            continue;
+        }
+        if copies[i] {
+            for (j, a) in terms.line(i) {
+                widen(&mut lo[i], &mut hi[i], a, upper[j]);
+            }
+        }
+        i += 1;
+    }
+}
+
+/// Columns [`fill_columns`] writes from one list of rows: the entries of
+/// a block's rows stay in L1 while its columns are written one after the
+/// other.
+const COLUMN_BLOCK: usize = 64;
+
+/// The column store of a form: column `j` holds `in_col[j]` entries —
+/// the structural rows' (`rows`, by row over the `n_struct` structural
+/// columns), then each row's slack and artificial singleton. Each column
+/// receives its entries in ascending row order, so it is row-sorted with
+/// unique row indices; it is a run until an entry lands that does not
+/// follow the one before it by one row, and an empty one never was.
+///
+/// When every row is empty or one run over whole blocks of
+/// `COLUMN_BLOCK` columns (the last block may end at `n_struct`) — every
+/// row of a room LP spans all its columns — the store is written column
+/// after column, front to back, with no zeroed store to scatter into:
+/// the rows that span a block are listed once, and each of its columns
+/// is exactly those rows, each entry at the column's offset into the
+/// row. Any other structure is scattered row by row into columns of the
+/// lengths `in_col` gives.
+fn fill_columns(
+    rows: &SparseLines,
+    in_col: &[u32],
+    n_struct: usize,
+    slack_col: &[Option<usize>],
+    art_col: &[Option<usize>],
+    ops: &[RowOp],
+) -> SparseLines {
+    let nrows = ops.len();
+    let slack_sign = |i: usize| if matches!(ops[i], RowOp::Le) { 1.0 } else { -1.0 };
+    let window = |i: usize| {
+        let at = rows.range(i);
+        rows.run[i].then(|| (rows.at[at.start] as usize, at.len()))
+    };
+    let whole_blocks = (0..nrows).all(|i| {
+        rows.range(i).is_empty()
+            || window(i).is_some_and(|(first, len)| {
+                let end = first + len;
+                first % COLUMN_BLOCK == 0 && (end % COLUMN_BLOCK == 0 || end == n_struct)
+            })
+    });
+    if !whole_blocks {
+        let mut cols = SparseLines::with_lengths(in_col);
+        cols.run = in_col.iter().map(|&len| len > 0).collect();
+        // Next free slot of each column.
+        let mut next: Vec<u32> = cols.start[..in_col.len()].to_vec();
+        let mut place = |j: usize, i: usize, a: f64| {
+            let slot = next[j] as usize;
+            if slot > cols.start[j] as usize && cols.at[slot - 1] as usize + 1 != i {
+                cols.run[j] = false;
+            }
+            (cols.at[slot], cols.val[slot]) = (i as u32, a);
+            next[j] += 1;
+        };
+        for i in 0..nrows {
+            for (j, a) in rows.line(i) {
+                place(j, i, a);
+            }
+        }
+        for (i, (&s, &a)) in slack_col.iter().zip(art_col).enumerate() {
+            if let Some(sc) = s {
+                place(sc, i, slack_sign(i));
+            }
+            if let Some(ac) = a {
+                place(ac, i, 1.0);
+            }
+        }
+        return cols;
+    }
+
+    let mut cols = SparseLines::empty();
+    let total = in_col.iter().map(|&n| n as usize).sum();
+    cols.start.reserve(in_col.len());
+    cols.at.reserve(total);
+    cols.val.reserve(total);
+    cols.run.reserve(in_col.len());
+    let (mut listed, mut from) = (Vec::new(), Vec::new());
+    for block in (0..n_struct).step_by(COLUMN_BLOCK) {
+        let end = (block + COLUMN_BLOCK).min(n_struct);
+        // The rows that span the block, and where each keeps its entry
+        // in the block's first column.
+        listed.clear();
+        from.clear();
+        for i in 0..nrows {
+            if let Some((first, _)) = window(i).filter(|&(first, len)| first <= block && end <= first + len) {
+                listed.push(i as u32);
+                from.push(rows.start[i] as usize + block - first);
+            }
+        }
+        let run = !listed.is_empty() && listed.windows(2).all(|w| w[0] + 1 == w[1]);
+        for offset in 0..end - block {
+            cols.at.extend_from_slice(&listed);
+            cols.val.extend(from.iter().map(|&k| rows.val[k + offset]));
+            cols.run.push(run);
+            cols.start.push(cols.at.len() as u32);
+        }
+    }
+    // Slack columns in row order, then artificial columns in row order:
+    // one entry each.
+    let singletons = (0..nrows)
+        .filter_map(|i| slack_col[i].map(|_| (i, slack_sign(i))))
+        .chain((0..nrows).filter_map(|i| art_col[i].map(|_| (i, 1.0))));
+    for (i, one) in singletons {
+        cols.at.push(i as u32);
+        cols.val.push(one);
+        cols.run.push(true);
+        cols.start.push(cols.at.len() as u32);
+    }
+    debug_assert_eq!(cols.at.len(), total);
+    cols
 }
 
 /// How the user variables land in internal columns.
@@ -349,41 +515,102 @@ impl InternalForm {
 
     /// Build the internal form of `problem`.
     ///
-    /// Each row's terms are read once: that walk folds the shifts into
-    /// the right-hand side, decides [`unshifted`], widens the activity
-    /// range, lists the coefficients by row, notes whether their columns
-    /// are one run and counts what every column will hold — each in term
-    /// order, with the expressions [`shifted_rhs`], [`unshifted`] and
-    /// [`for_each_coeff`] evaluate for a patch, so the form is the one
+    /// A row that needs no rewriting is *copied*: each of its variables
+    /// sits in the column of its own index, bounded below at exactly 0
+    /// (`Shift { lb: ±0 }`), each coefficient is finite, and the
+    /// right-hand side is neither negative nor `-0.0`. Folding its shifts
+    /// subtracts zeros that change nothing (the [`unshifted`] equivalence
+    /// [`InternalForm::patch_rhs`] relies on) and no flip negates it, so
+    /// its shifted right-hand side is the stated one and its entries are
+    /// the problem's own. When every row is copied the form keeps no row
+    /// store at all: the problem's arena is it. Otherwise a copied row's
+    /// entries are copied as slices, and each other row is read once by
+    /// a walk that folds the shifts into the right-hand side, decides
+    /// [`unshifted`], widens the activity range, lists the coefficients
+    /// by row, notes whether their columns are one run and counts what
+    /// every column will hold — each in term order, with the expressions
+    /// [`shifted_rhs`], [`unshifted`] and [`for_each_coeff`] evaluate for
+    /// a patch. Copied rows get their activity ranges from
+    /// [`copied_activity`], in term order too. The column store is then
+    /// written from the row store by [`fill_columns`]. The form is the one
     /// the separate walks laid out (`build_multipass`, compiled for tests
-    /// only, which the crate's property tests hold it to field by
-    /// field). The column store is then written from the row store,
-    /// marking its runs on the way.
+    /// only, which the crate's property tests hold it to field by field).
     pub(crate) fn build(problem: &Problem) -> InternalForm {
         let nrows = problem.cons.len();
         let VarLayout { sense_sign, maps, mut upper, mut cost } = VarLayout::of(problem);
         let n_struct = upper.len();
+        let terms = &problem.terms;
+
+        // ---- Which rows are copied -------------------------------------
+        let zero = 0.0_f64.to_bits();
+        let copied_var: Vec<bool> = maps
+            .iter()
+            .enumerate()
+            .map(|(uj, m)| matches!(*m, VarMap::Shift { col, lb } if col == uj && lb.abs().to_bits() == zero))
+            .collect();
+        let every_var_copied = copied_var.iter().all(|&c| c);
+        let copies: Vec<bool> = problem
+            .cons
+            .iter()
+            .enumerate()
+            .map(|(i, c)| {
+                let at = terms.range(i);
+                c.rhs >= 0.0
+                    && c.rhs.to_bits() != NEG_ZERO
+                    && (every_var_copied || terms.at[at.clone()].iter().all(|&j| copied_var[j as usize]))
+                    && terms.val[at].iter().fold(true, |finite, a| finite & a.is_finite())
+            })
+            .collect();
 
         // ---- Rows in internal coordinates --------------------------------
         let mut shifted = Vec::with_capacity(nrows);
         let mut unshifted_rows = Vec::with_capacity(nrows);
-        let mut act_lo = Vec::with_capacity(nrows);
-        let mut act_hi = Vec::with_capacity(nrows);
+        let (mut act_lo, mut act_hi) = (vec![0.0; nrows], vec![0.0; nrows]);
+        copied_activity(terms, &upper, &copies, &mut act_lo, &mut act_hi);
         let mut rhs = Vec::with_capacity(nrows);
         let mut ops = Vec::with_capacity(nrows);
         let mut flipped = Vec::with_capacity(nrows);
         // A free variable's term is two entries: room for the terms is
         // room for the entries unless the model has such.
-        let terms: usize = problem.cons.iter().map(|c| c.terms.len()).sum();
-        let mut rows = SparseLines {
-            start: Vec::with_capacity(nrows + 1),
-            at: Vec::with_capacity(terms),
-            val: Vec::with_capacity(terms),
-            run: Vec::with_capacity(nrows),
-        };
-        rows.start.push(0);
+        let mut rows = (!copies.iter().all(|&c| c)).then(|| {
+            let mut rows = SparseLines {
+                start: Vec::with_capacity(nrows + 1),
+                at: Vec::with_capacity(terms.at.len()),
+                val: Vec::with_capacity(terms.at.len()),
+                run: Vec::with_capacity(nrows),
+            };
+            rows.start.push(0);
+            rows
+        });
         let mut in_col = vec![0u32; n_struct];
-        for c in &problem.cons {
+        for (i, c) in problem.cons.iter().enumerate() {
+            if copies[i] {
+                let at = terms.range(i);
+                let listed = &terms.at[at.clone()];
+                if terms.run[i] {
+                    let first = listed[0] as usize;
+                    for n in &mut in_col[first..first + listed.len()] {
+                        *n += 1;
+                    }
+                } else {
+                    for &j in listed {
+                        in_col[j as usize] += 1;
+                    }
+                }
+                if let Some(rows) = &mut rows {
+                    rows.at.extend_from_slice(listed);
+                    rows.val.extend_from_slice(&terms.val[at]);
+                    rows.run.push(terms.run[i]);
+                    rows.start.push(rows.at.len() as u32);
+                }
+                shifted.push(c.rhs);
+                unshifted_rows.push(true);
+                rhs.push(c.rhs);
+                ops.push(c.op);
+                flipped.push(false);
+                continue;
+            }
+            let rows = rows.as_mut().expect("a row that is not copied has a store to go to");
             let first = rows.at.len();
             let mut b = c.rhs;
             let mut no_shift = true;
@@ -399,8 +626,7 @@ impl InternalForm {
                 rows.val.push(a);
                 in_col[col] += 1;
             };
-            let zero = 0.0_f64.to_bits();
-            for &(uj, a) in &c.terms {
+            for (uj, a) in terms.line(i) {
                 no_shift &= a.is_finite();
                 match maps[uj] {
                     VarMap::Shift { col, lb } => {
@@ -423,8 +649,8 @@ impl InternalForm {
             unshifted_rows.push(no_shift);
             rows.run.push(run && follows.is_some());
             rows.start.push(rows.at.len() as u32);
-            act_lo.push(lo);
-            act_hi.push(hi);
+            act_lo[i] = lo;
+            act_hi[i] = hi;
             let mut op = c.op;
             let flip = b < 0.0;
             if flip {
@@ -442,12 +668,13 @@ impl InternalForm {
             ops.push(op);
             flipped.push(flip);
         }
+        let store = rows.as_ref().unwrap_or(terms);
         // Every index above and below is at most this: each row adds two
         // columns at most and two entries to the column store. (Indices
         // written so far were cut to 32 bits unchecked; none has been
         // read back as one.)
         assert!(
-            u32::try_from(rows.at.len().max(n_struct) + 2 * nrows).is_ok(),
+            u32::try_from(store.at.len().max(n_struct) + 2 * nrows).is_ok(),
             "constraint matrix too large to index with u32"
         );
 
@@ -455,38 +682,8 @@ impl InternalForm {
             ExtraColumns::of(&ops, n_struct);
         upper.resize(n_total, f64::INFINITY);
         cost.resize(n_total, 0.0);
-
-        // ---- Scatter into sparse columns ---------------------------------
         in_col.resize(n_total, 1);
-        let mut cols = SparseLines::with_lengths(&in_col);
-        // A column is a run until an entry lands that does not follow the
-        // one before it by one row; an empty one never was.
-        cols.run = in_col.iter().map(|&len| len > 0).collect();
-        // Next free slot of each column. Rows are scanned in order and
-        // maps are injective, so each column ends up row-sorted with
-        // unique row indices.
-        let mut next: Vec<u32> = cols.start[..n_total].to_vec();
-        let mut place = |j: usize, i: usize, a: f64| {
-            let slot = next[j] as usize;
-            if slot > cols.start[j] as usize && cols.at[slot - 1] as usize + 1 != i {
-                cols.run[j] = false;
-            }
-            (cols.at[slot], cols.val[slot]) = (i as u32, a);
-            next[j] += 1;
-        };
-        for i in 0..nrows {
-            for (j, a) in rows.line(i) {
-                place(j, i, a);
-            }
-        }
-        for (i, (&s, &a)) in slack_col.iter().zip(&art_col).enumerate() {
-            if let Some(sc) = s {
-                place(sc, i, if matches!(ops[i], RowOp::Le) { 1.0 } else { -1.0 });
-            }
-            if let Some(ac) = a {
-                place(ac, i, 1.0);
-            }
-        }
+        let cols = fill_columns(store, &in_col, n_struct, &slack_col, &art_col, &ops);
 
         let signature = signature(sense_sign, &maps, problem, &ops, &flipped);
 
@@ -513,6 +710,12 @@ impl InternalForm {
         }
     }
 
+    /// The structural block by row: the form's own store, or the
+    /// problem's arena when that is it entry for entry.
+    pub(crate) fn row_store<'a>(&'a self, problem: &'a Problem) -> &'a SparseLines {
+        self.rows.as_ref().unwrap_or(&problem.terms)
+    }
+
     fn is_stale(&self, i: usize) -> bool {
         let negative = self.shifted_rhs[i] < 0.0;
         negative != self.flipped[i]
@@ -522,11 +725,11 @@ impl InternalForm {
     /// (or the row's coefficients, which shifts fold into it) changed.
     pub(crate) fn patch_rhs(&mut self, problem: &Problem, i: usize) {
         let was_stale = self.is_stale(i);
-        let c = &problem.cons[i];
-        let b = if self.unshifted[i] && c.rhs.to_bits() != (-0.0_f64).to_bits() {
-            c.rhs
+        let stated = problem.cons[i].rhs;
+        let b = if self.unshifted[i] && stated.to_bits() != NEG_ZERO {
+            stated
         } else {
-            shifted_rhs(&self.maps, c)
+            shifted_rhs(&self.maps, problem, i)
         };
         self.shifted_rhs[i] = b;
         let stale = self.is_stale(i);
@@ -536,28 +739,31 @@ impl InternalForm {
         self.stale_rows = self.stale_rows + usize::from(stale) - usize::from(was_stale);
     }
 
-    /// Re-derive row `i` after the coefficient values of
-    /// `problem.cons[i]` changed (same variables, same order).
+    /// Re-derive row `i` after the coefficient values of the problem's
+    /// row `i` changed (same variables, same order).
     pub(crate) fn patch_row(&mut self, problem: &Problem, i: usize) {
-        let c = &problem.cons[i];
         let flip = self.flipped[i];
         let (mut lo, mut hi) = (0.0, 0.0);
         let (cols, upper) = (&mut self.cols, &self.upper);
         // `build` laid the row out with this same walk, so the k-th
-        // coefficient visited is the k-th entry of the row-major copy.
-        let mut at_row = self.rows.range(i);
-        let row_vals = &mut self.rows.val;
-        for_each_coeff(&self.maps, c, |col, a| {
+        // coefficient visited is the k-th entry of the row-major copy. A
+        // form without a copy has no flipped row: the problem's arena
+        // already holds what would be written.
+        let mut own = self.rows.as_mut().map(|rows| (rows.range(i), &mut rows.val));
+        debug_assert!(own.is_some() || !flip, "a flipped row has a store of its own");
+        for_each_coeff(&self.maps, problem, i, |col, a| {
             widen(&mut lo, &mut hi, a, upper[col]);
             let a = if flip { -a } else { a };
             let slot = cols.slot(col, i);
             cols.val[slot] = a;
-            let k = at_row.next().expect("a patched row keeps its length");
-            row_vals[k] = a;
+            if let Some((at_row, row_vals)) = &mut own {
+                let k = at_row.next().expect("a patched row keeps its length");
+                row_vals[k] = a;
+            }
         });
         self.act_lo[i] = lo;
         self.act_hi[i] = hi;
-        self.unshifted[i] = unshifted(&self.maps, c);
+        self.unshifted[i] = unshifted(&self.maps, problem, i);
         self.patch_rhs(problem, i);
     }
 
@@ -594,21 +800,22 @@ impl InternalForm {
 
     /// Row `rho` of `B^{-1} A` for every column: `alpha[j] = rho · a_j`,
     /// from the rows whose multiplier is not an exact zero — structural
-    /// entries, then the row's slack and artificial — rows ascending.
+    /// entries (`rows`, the [`InternalForm::row_store`]), then the row's
+    /// slack and artificial — rows ascending.
     ///
     /// Each sum starts at `+0.0` and adds its products in ascending row
     /// order, as the dot product down column `j` does. The terms left out
     /// are exact zeros, and adding `±0` changes no sum that started at
     /// `+0.0` (it can only ever be `+0.0` or nonzero), so every `alpha[j]`
     /// is the column-wise dot product bit for bit.
-    pub(crate) fn pivot_row(&self, rho: &[f64], alpha: &mut Vec<f64>) {
+    pub(crate) fn pivot_row(&self, rows: &SparseLines, rho: &[f64], alpha: &mut Vec<f64>) {
         alpha.clear();
         alpha.resize(self.n_total, 0.0);
         for (i, &r) in rho.iter().enumerate() {
             if r == 0.0 { // lint: allow(float-eq): a row is skipped only when every product in it is an exact zero
                 continue;
             }
-            self.rows.scatter(i, r, alpha, |x, p| *x += p);
+            rows.scatter(i, r, alpha, |x, p| *x += p);
             for (j, one) in self.singletons(i) {
                 alpha[j] += r * one;
             }
@@ -627,14 +834,14 @@ impl InternalForm {
     /// down their column instead, so the pass is exact by construction
     /// rather than up to the sign of a zero — which `total_cmp` in the
     /// dual ratio test would see.
-    pub(crate) fn reduced_costs(&self, costs: &[f64], y: &[f64], d: &mut Vec<f64>) {
+    pub(crate) fn reduced_costs(&self, rows: &SparseLines, costs: &[f64], y: &[f64], d: &mut Vec<f64>) {
         d.clear();
         d.extend_from_slice(costs);
         for (i, &yi) in y.iter().enumerate() {
             if yi == 0.0 { // lint: allow(float-eq): a row is skipped only when every product in it is an exact zero
                 continue;
             }
-            self.rows.scatter(i, yi, d, |x, p| *x -= p);
+            rows.scatter(i, yi, d, |x, p| *x -= p);
             for (j, one) in self.singletons(i) {
                 d[j] -= yi * one;
             }
@@ -733,10 +940,10 @@ impl InternalForm {
         let mut ops = Vec::with_capacity(nrows);
         let mut flipped = Vec::with_capacity(nrows);
         let nnz: usize = problem
-            .cons
+            .terms
+            .at
             .iter()
-            .flat_map(|c| &c.terms)
-            .map(|&(uj, _)| if matches!(maps[uj], VarMap::Split { .. }) { 2 } else { 1 })
+            .map(|&uj| if matches!(maps[uj as usize], VarMap::Split { .. }) { 2 } else { 1 })
             .sum();
         assert!(
             u32::try_from(nnz.max(n_struct) + 2 * nrows).is_ok(),
@@ -749,13 +956,13 @@ impl InternalForm {
             run: Vec::new(),
         };
         rows.start.push(0);
-        for c in &problem.cons {
-            let mut b = shifted_rhs(&maps, c);
+        for (i, c) in problem.cons.iter().enumerate() {
+            let mut b = shifted_rhs(&maps, problem, i);
             shifted.push(b);
-            unshifted_rows.push(unshifted(&maps, c));
+            unshifted_rows.push(unshifted(&maps, problem, i));
             let first = rows.at.len();
             let (mut lo, mut hi) = (0.0, 0.0);
-            for_each_coeff(&maps, c, |col, a| {
+            for_each_coeff(&maps, problem, i, |col, a| {
                 widen(&mut lo, &mut hi, a, upper[col]);
                 rows.at.push(col as u32);
                 rows.val.push(a);
@@ -828,7 +1035,7 @@ impl InternalForm {
             ops,
             flipped,
             cols,
-            rows,
+            rows: Some(rows),
             slack_col,
             art_col,
             art_start,

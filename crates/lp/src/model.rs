@@ -1,5 +1,5 @@
 use crate::basis::Basis;
-use crate::internal::InternalForm;
+use crate::internal::{InternalForm, SparseLines};
 use crate::revised;
 use crate::solution::{LpError, Solution};
 
@@ -39,10 +39,10 @@ pub(crate) struct Variable {
     pub objective: f64,
 }
 
+/// A row's operator and right-hand side; its terms are line `i` of
+/// [`Problem::terms`].
 #[derive(Debug, Clone)]
 pub(crate) struct Constraint {
-    /// Sparse row: `(column, coefficient)` pairs, deduplicated on build.
-    pub terms: Vec<(usize, f64)>,
     pub op: RowOp,
     pub rhs: f64,
 }
@@ -58,6 +58,32 @@ pub struct Problem {
     pub(crate) sense: Sense,
     pub(crate) vars: Vec<Variable>,
     pub(crate) cons: Vec<Constraint>,
+    /// Every row's terms in one arena, row after row: line `i` holds row
+    /// `i`'s `(variable, coefficient)` pairs in the order the row lists
+    /// them (duplicates merged), `run` whether its variables ascend by
+    /// one. A row is written here once, by [`Problem::add_row_with`].
+    pub(crate) terms: SparseLines,
+}
+
+/// The terms of the row [`Problem::add_row_with`] is adding, written
+/// straight into the problem's arena (held here while the row is open,
+/// so that the writes go to buffers nothing else can reach).
+pub struct RowTerms {
+    at: Vec<u32>,
+    val: Vec<f64>,
+    n_vars: usize,
+}
+
+impl RowTerms {
+    /// Append the term `coeff · var`. A row lists each variable at most
+    /// once (checked in debug builds when the row is closed).
+    #[inline]
+    pub fn push(&mut self, var: VarId, coeff: f64) {
+        debug_assert!(var.0 < self.n_vars, "row references unknown variable");
+        debug_assert!(!coeff.is_nan(), "NaN coefficient");
+        self.at.push(var.0 as u32);
+        self.val.push(coeff);
+    }
 }
 
 /// The one solve path behind [`Problem::solve_warm`] and
@@ -86,7 +112,18 @@ impl Problem {
             sense,
             vars: Vec::new(),
             cons: Vec::new(),
+            terms: SparseLines::empty(),
         }
+    }
+
+    /// Make room for `rows` more rows of `terms` terms in all, so that
+    /// writing them never moves the arena.
+    pub fn reserve_rows(&mut self, rows: usize, terms: usize) {
+        self.cons.reserve(rows);
+        self.terms.start.reserve(rows);
+        self.terms.run.reserve(rows);
+        self.terms.at.reserve(terms);
+        self.terms.val.reserve(terms);
     }
 
     /// Add a decision variable.
@@ -102,6 +139,7 @@ impl Problem {
         assert!(!lower.is_nan() && !upper.is_nan() && !objective.is_nan(),
             "NaN in variable '{name}'");
         assert!(lower <= upper, "variable '{name}': lower {lower} > upper {upper}");
+        assert!(self.vars.len() < u32::MAX as usize, "too many variables to index with u32");
         self.vars.push(Variable {
             name: name.to_owned(),
             lower,
@@ -159,12 +197,11 @@ impl Problem {
             merged.sort_by_key(|&(_, rank, _)| rank);
             dense = merged.into_iter().map(|(j, _, c)| (j, c)).collect();
         }
-        self.cons.push(Constraint {
-            terms: dense,
-            op,
-            rhs,
-        });
-        ConstraintId(self.cons.len() - 1)
+        self.add_row_with(name, op, rhs, |row| {
+            for (j, c) in dense {
+                row.push(VarId(j), c);
+            }
+        })
     }
 
     /// Like [`Problem::add_row`] but without duplicate-term merging — the
@@ -179,28 +216,53 @@ impl Problem {
         op: RowOp,
         rhs: f64,
     ) -> ConstraintId {
+        self.add_row_with(name, op, rhs, |row| {
+            for &(v, c) in terms {
+                row.push(v, c);
+            }
+        })
+    }
+
+    /// Add the row `Σ coeff·var (op) rhs` whose terms `write` pushes, in
+    /// order, straight into the problem's arena: a generated row is
+    /// written once, with no list of terms in between. Each variable at
+    /// most once, as for [`Problem::add_row_nodup`].
+    ///
+    /// # Panics
+    /// Panics on a NaN rhs, and when the arena outgrows `u32` indices.
+    pub fn add_row_with(
+        &mut self,
+        name: &str,
+        op: RowOp,
+        rhs: f64,
+        write: impl FnOnce(&mut RowTerms),
+    ) -> ConstraintId {
         assert!(!rhs.is_nan(), "NaN rhs in row '{name}'");
-        let dense: Vec<(usize, f64)> = terms
-            .iter()
-            .map(|&(VarId(j), c)| {
-                debug_assert!(j < self.vars.len(), "row '{name}' references unknown variable");
-                debug_assert!(!c.is_nan(), "NaN coefficient in row '{name}'");
-                (j, c)
-            })
-            .collect();
+        let first = self.terms.at.len();
+        let mut row = RowTerms {
+            at: std::mem::take(&mut self.terms.at),
+            val: std::mem::take(&mut self.terms.val),
+            n_vars: self.vars.len(),
+        };
+        write(&mut row);
+        (self.terms.at, self.terms.val) = (row.at, row.val);
+        // Whether the row's variables ascend by one; a row without terms
+        // is no run.
+        let listed = &self.terms.at[first..];
+        let run = !listed.is_empty() && listed.windows(2).all(|w| w[1] == w[0] + 1);
+        let end = u32::try_from(self.terms.at.len()).expect("row terms too many to index with u32");
+        // (A run lists each variable once by construction.)
         debug_assert!(
-            {
-                let mut seen: Vec<usize> = dense.iter().map(|&(j, _)| j).collect();
+            run || {
+                let mut seen = self.terms.at[first..].to_vec();
                 seen.sort_unstable();
                 seen.windows(2).all(|w| w[0] != w[1])
             },
-            "duplicate variable in add_row_nodup row '{name}'"
+            "duplicate variable in row '{name}'"
         );
-        self.cons.push(Constraint {
-            terms: dense,
-            op,
-            rhs,
-        });
+        self.terms.start.push(end);
+        self.terms.run.push(run);
+        self.cons.push(Constraint { op, rhs });
         ConstraintId(self.cons.len() - 1)
     }
 
@@ -279,8 +341,8 @@ impl Problem {
                 worst = worst.max(xi - var.upper);
             }
         }
-        for c in &self.cons {
-            let lhs: f64 = c.terms.iter().map(|&(j, a)| a * x[j]).sum();
+        for (i, c) in self.cons.iter().enumerate() {
+            let lhs: f64 = self.terms.line(i).map(|(j, a)| a * x[j]).sum();
             let viol = match c.op {
                 RowOp::Le => lhs - c.rhs,
                 RowOp::Ge => c.rhs - lhs,
@@ -333,7 +395,7 @@ mod tests {
         );
         // Merged correctly: each column once, coefficients summed, in
         // first-occurrence order.
-        let row = &p.cons[0].terms;
+        let row: Vec<(usize, f64)> = p.terms.line(0).collect();
         assert_eq!(row.len(), 1000);
         for (i, &(j, c)) in row.iter().enumerate() {
             assert_eq!(j, i);
@@ -363,7 +425,7 @@ mod tests {
             large.push((vars[19], 0.0));
         }
         p.add_row("large", &large, RowOp::Le, 1.0);
-        assert_eq!(p.cons[0].terms, p.cons[1].terms);
+        assert!(p.terms.line(0).eq(p.terms.line(1)));
     }
 
     #[test]

@@ -58,9 +58,10 @@ impl Prepared {
     /// # Panics
     /// Panics on NaN or when `coeffs` is not as long as the row.
     pub fn set_row_coeffs(&mut self, row: ConstraintId, coeffs: &[f64]) {
-        let terms = &mut self.problem.cons[row.0].terms;
-        assert_eq!(coeffs.len(), terms.len(), "set_row_coeffs: row length");
-        for ((_, a), &c) in terms.iter_mut().zip(coeffs) {
+        let terms = &mut self.problem.terms;
+        let at = terms.range(row.0);
+        assert_eq!(coeffs.len(), at.len(), "set_row_coeffs: row length");
+        for (a, &c) in terms.val[at].iter_mut().zip(coeffs) {
             assert!(!c.is_nan(), "NaN coefficient");
             *a = c;
         }
@@ -109,8 +110,11 @@ mod tests {
         assert_eq!(bits(&a.upper[..n]), bits(&b.upper[..n]), "upper");
     }
 
-    /// Field by field, bit by bit.
-    fn assert_same_form(a: &InternalForm, b: &InternalForm) {
+    /// Field by field, bit by bit — the row stores as the simplex reads
+    /// them ([`InternalForm::row_store`]), each form's against its
+    /// problem's arena (`pa`, `pb`).
+    fn assert_same_form(a: (&InternalForm, &Problem), b: (&InternalForm, &Problem)) {
+        let ((a, pa), (b, pb)) = (a, b);
         assert_current_fields_match(a, b);
         assert_eq!(bits(&a.cost), bits(&b.cost), "cost");
         assert_eq!(bits(&a.upper), bits(&b.upper), "upper");
@@ -120,13 +124,13 @@ mod tests {
         assert_eq!(bits(&a.rhs), bits(&b.rhs), "rhs");
         assert_eq!(a.ops, b.ops, "ops");
         assert_eq!(a.flipped, b.flipped, "flip pattern");
-        for (which, a, b) in [("cols", &a.cols, &b.cols), ("rows", &a.rows, &b.rows)] {
-            assert_eq!(a.start, b.start, "{which}.start");
-            assert_eq!(a.at, b.at, "{which}.at");
-            assert_eq!(bits(&a.val), bits(&b.val), "{which}.val");
-            assert_eq!(a.run, b.run, "{which}.run");
+        for (which, x, y) in [("cols", &a.cols, &b.cols), ("rows", a.row_store(pa), b.row_store(pb))] {
+            assert_eq!(x.start, y.start, "{which}.start");
+            assert_eq!(x.at, y.at, "{which}.at");
+            assert_eq!(bits(&x.val), bits(&y.val), "{which}.val");
+            assert_eq!(x.run, y.run, "{which}.run");
         }
-        assert_rows_transpose_cols(a);
+        assert_rows_transpose_cols(a, pa);
         assert_eq!(a.slack_col, b.slack_col);
         assert_eq!(a.art_col, b.art_col);
         assert_eq!((a.art_start, a.n_total), (b.art_start, b.n_total));
@@ -136,12 +140,12 @@ mod tests {
 
     /// The row-major copy is the structural block of `cols`, transposed:
     /// the same entries with the same bits, and nothing else.
-    fn assert_rows_transpose_cols(f: &InternalForm) {
+    fn assert_rows_transpose_cols(f: &InternalForm, problem: &Problem) {
         // Slack columns are numbered from the end of the structural ones.
         let n_struct = f.slack_col.iter().flatten().next().copied().unwrap_or(f.art_start);
         let mut by_col: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n_struct];
         for i in 0..f.m() {
-            for (j, a) in f.rows.line(i) {
+            for (j, a) in f.row_store(problem).line(i) {
                 by_col[j].push((i, a.to_bits()));
             }
         }
@@ -156,15 +160,16 @@ mod tests {
     /// that rebuild — one walk per row — against the build of separate
     /// passes it replaced.
     fn check(p: &Prepared) {
-        let fresh = InternalForm::build(&p.problem);
-        assert_same_form(&fresh, &InternalForm::build_multipass(&p.problem));
+        let q = &p.problem;
+        let fresh = InternalForm::build(q);
+        assert_same_form((&fresh, q), (&InternalForm::build_multipass(q), q));
         assert_current_fields_match(&p.form, &fresh);
         let moved = (0..fresh.m())
             .filter(|&i| p.form.flipped[i] != fresh.flipped[i])
             .count();
         assert_eq!(p.form.stale_rows, moved, "stale rows are the rows that changed sign");
         if moved == 0 {
-            assert_same_form(&p.form, &fresh);
+            assert_same_form((&p.form, q), (&fresh, q));
         }
     }
 
@@ -265,7 +270,7 @@ mod tests {
             Patch::Rhs(at, x) => p.set_rhs(rows[at % rows.len()], x),
             Patch::Row(at, values) => {
                 let row = rows[at % rows.len()];
-                let len = p.problem.cons[row.0].terms.len();
+                let len = p.problem.terms.range(row.0).len();
                 p.set_row_coeffs(row, &values[..len]);
             }
             Patch::Objective(at, x) => {
@@ -296,7 +301,7 @@ mod tests {
                 check(&p);
             }
             p.form.sync(&p.problem);
-            assert_same_form(&p.form, &InternalForm::build(&p.problem));
+            assert_same_form((&p.form, &p.problem), (&InternalForm::build(&p.problem), &p.problem));
         }
     }
 
@@ -354,7 +359,7 @@ mod tests {
                 apply(&mut p, &rows, patch);
             }
             p.form.sync(&p.problem);
-            let f = &p.form;
+            let (f, rows) = (&p.form, p.form.row_store(&p.problem));
             let mult = &mult[..f.m()];
             let costs: Vec<f64> = if phase_one {
                 (0..f.n_total).map(|j| if j >= f.art_start { 1.0 } else { 0.0 }).collect()
@@ -363,8 +368,8 @@ mod tests {
             };
 
             let (mut alpha, mut d) = (vec![f64::NAN; 3], vec![f64::NAN; 3]);
-            f.pivot_row(mult, &mut alpha);
-            f.reduced_costs(&costs, mult, &mut d);
+            f.pivot_row(rows, mult, &mut alpha);
+            f.reduced_costs(rows, &costs, mult, &mut d);
             prop_assert_eq!(alpha.len(), f.n_total);
             prop_assert_eq!(d.len(), f.n_total);
             for j in 0..f.n_total {
@@ -400,13 +405,17 @@ mod tests {
             }
             prop_assert_eq!(bits(&xb), bits(&walked), "rhs_at_bounds");
 
-            let mixed = (f.rows.run.clone(), f.cols.run.clone());
+            let mixed = (rows.run.clone(), f.cols.run.clone());
             let f = &mut p.form;
-            f.rows.run.fill(false);
+            if let Some(rows) = &mut f.rows {
+                rows.run.fill(false);
+            }
+            p.problem.terms.run.fill(false);
             f.cols.run.fill(false);
+            let rows = f.row_store(&p.problem);
             let (mut alpha_at, mut d_at, mut xb_at) = (Vec::new(), Vec::new(), Vec::new());
-            f.pivot_row(mult, &mut alpha_at);
-            f.reduced_costs(&costs, mult, &mut d_at);
+            f.pivot_row(rows, mult, &mut alpha_at);
+            f.reduced_costs(rows, &costs, mult, &mut d_at);
             f.rhs_at_bounds(&state, &upper, &mut xb_at);
             prop_assert_eq!(bits(&alpha), bits(&alpha_at), "pivot_row, runs {:?}", &mixed);
             prop_assert_eq!(bits(&d), bits(&d_at), "reduced_costs, runs {:?}", &mixed);
@@ -428,7 +437,7 @@ mod tests {
         p.add_row("pair", &[(x[2], 1.0), (x[3], 1.0)], RowOp::Le, 1.0);
         p.add_row("single", &[(x[1], 1.0)], RowOp::Le, 1.0);
         let f = InternalForm::build(&p);
-        assert_eq!(f.rows.run, [true, false, false, true, true]);
+        assert_eq!(f.row_store(&p).run, [true, false, false, true, true]);
         // x0: rows 0-2; x1: rows 0, 1, 4; x2: rows 0-3; x3: rows 0, 1, 3;
         // then the five slacks, one entry each.
         assert_eq!(f.cols.run, [true, false, true, false, true, true, true, true, true]);
@@ -452,8 +461,87 @@ mod tests {
         p.add_row("apart", &[(x, 1.0), (free2, 1.0)], RowOp::Eq, 1.0);
         let form = InternalForm::build(&p);
         assert_eq!(form.unshifted, [false, true, true, true, true]);
-        assert_eq!(form.rows.run, [true, false, false, true, false]);
-        assert_same_form(&form, &InternalForm::build_multipass(&p));
+        assert_eq!(form.row_store(&p).run, [true, false, false, true, false]);
+        assert_same_form((&form, &p), (&InternalForm::build_multipass(&p), &p));
+    }
+
+    /// A room-shaped model: one variable per node × segment on `[0, u]`,
+    /// `nodes` dense redline rows, a CRAC row and the power row — every
+    /// row `Le` over one run of columns — plus the `odd` rows, each
+    /// appended after them.
+    fn room_shaped(nodes: usize, odd: &[&str]) -> (Problem, Vec<ConstraintId>) {
+        let mut p = Problem::new(Sense::Maximize);
+        let segs: Vec<VarId> = (0..2 * nodes)
+            .map(|k| p.add_var(&format!("seg{k}"), 0.0, 0.5 + 0.25 * (k % 3) as f64, 1.0 + (k % 5) as f64))
+            .collect();
+        let dense = |i: usize| -> Vec<(VarId, f64)> {
+            segs.iter().enumerate().map(|(k, &v)| (v, 1e-3 * (1 + (i * 7 + k) % 11) as f64)).collect()
+        };
+        let mut rows: Vec<ConstraintId> = (0..nodes)
+            .map(|i| p.add_row_nodup(&format!("redline_node{i}"), &dense(i), RowOp::Le, 2.0 + i as f64))
+            .collect();
+        rows.push(p.add_row_nodup("redline_crac0", &dense(nodes), RowOp::Le, 3.0));
+        let power: Vec<(VarId, f64)> = segs.iter().map(|&v| (v, 1.0)).collect();
+        rows.push(p.add_row_nodup("power_budget", &power, RowOp::Le, 4.0));
+        for &kind in odd {
+            let row = match kind {
+                "negative zero" => p.add_row_nodup("negative zero", &dense(1), RowOp::Le, -0.0),
+                "gap" => {
+                    let gap = [(segs[0], 1.0), (segs[2], 2.0), (segs[5], -1.0)];
+                    p.add_row_nodup("gap", &gap, RowOp::Le, 1.0)
+                }
+                _ => {
+                    // A variable that does not start at 0: its rows walk.
+                    let lifted = p.add_var("lifted", 1.0, 3.0, 0.5);
+                    p.add_row_nodup("lifted", &[(segs[1], 1.0), (lifted, 1.0)], RowOp::Le, 5.0)
+                }
+            };
+            rows.push(row);
+        }
+        (p, rows)
+    }
+
+    /// The build's two paths against the build of separate passes: a
+    /// room-shaped model whose rows all need no rewriting (the form keeps
+    /// no row store: the problem's arena is it), and the same model with
+    /// a `-0.0` right-hand side, a row that is not a run and a mapped
+    /// variable (a store of its own, the copied rows in it as slices),
+    /// fresh and after patches that move right-hand sides across zero
+    /// and rewrite a dense row and the odd ones.
+    #[test]
+    fn copied_rows_and_walked_rows_build_the_separate_passes_form() {
+        let (plain, _) = room_shaped(6, &[]);
+        let form = InternalForm::build(&plain);
+        assert!(form.rows.is_none(), "every row copied: the arena is the row store");
+        assert!(form.unshifted.iter().all(|&u| u));
+        assert_same_form((&form, &plain), (&InternalForm::build_multipass(&plain), &plain));
+
+        let (odd, rows) = room_shaped(6, &["negative zero", "gap", "lifted"]);
+        let form = InternalForm::build(&odd);
+        assert!(form.rows.is_some(), "rows that walk: a store of its own");
+        assert_eq!(form.row_store(&odd).run[8..], [true, false, false]);
+        assert_eq!(form.shifted_rhs[8].to_bits(), (-0.0_f64).to_bits());
+        assert_eq!(form.shifted_rhs[10], 5.0 - 1.0);
+        assert_same_form((&form, &odd), (&InternalForm::build_multipass(&odd), &odd));
+
+        for (p, rows) in [room_shaped(6, &[]), (odd, rows)] {
+            let n = rows.len();
+            let mut kept = p.prepare();
+            check(&kept);
+            let dense_row: Vec<f64> = (0..12).map(|k| 0.02 * (k + 1) as f64).collect();
+            kept.set_row_coeffs(rows[2], &dense_row);
+            check(&kept);
+            kept.set_rhs(rows[0], -1.0);
+            kept.set_rhs(rows[n - 1], -0.0);
+            check(&kept);
+            let last = kept.problem.terms.range(rows[n - 1].0).len();
+            kept.set_row_coeffs(rows[n - 1], &vec![-0.5; last]);
+            kept.set_rhs(rows[0], 0.0);
+            check(&kept);
+            kept.form.sync(&kept.problem);
+            let q = &kept.problem;
+            assert_same_form((&kept.form, q), (&InternalForm::build_multipass(q), q));
+        }
     }
 
     fn budget_problem() -> (Problem, VarId, ConstraintId, ConstraintId) {
@@ -484,7 +572,7 @@ mod tests {
         p.set_rhs(cap, 6.0);
         assert_eq!(p.form.stale_rows, 0);
         assert_eq!(p.form.signature, before);
-        assert_same_form(&p.form, &InternalForm::build(&p.problem));
+        assert_same_form((&p.form, &p.problem), (&InternalForm::build(&p.problem), &p.problem));
         let sol = p.solve_warm(None).unwrap();
         assert!((sol.objective - 16.0).abs() < 1e-9); // x = 4, y = 2
     }
@@ -515,7 +603,7 @@ mod tests {
         assert_eq!(p.form.stale_rows, 1);
         let sol = p.solve_warm(None).unwrap();
         assert_eq!(p.form.stale_rows, 0);
-        assert_same_form(&p.form, &InternalForm::build(&p.problem));
+        assert_same_form((&p.form, &p.problem), (&InternalForm::build(&p.problem), &p.problem));
         assert!((sol.objective - 18.5).abs() < 1e-9); // x = 2.5, y = 5.5
     }
 
@@ -534,9 +622,8 @@ mod tests {
             kept.set_row_coeffs(gap, &coeffs);
             kept.set_var_objective(x, obj);
             fresh.cons[cap.0].rhs = rhs;
-            for ((_, a), c) in fresh.cons[gap.0].terms.iter_mut().zip(coeffs) {
-                *a = c;
-            }
+            let at = fresh.terms.range(gap.0);
+            fresh.terms.val[at].copy_from_slice(&coeffs);
             fresh.set_var_objective(x, obj);
             let mut a = kept.solve_warm(basis.as_ref()).unwrap();
             let b = fresh.solve_warm(basis.as_ref()).unwrap();

@@ -48,7 +48,7 @@
 //! and bound flips cost no pivot.
 
 use crate::basis::Basis;
-use crate::internal::{InternalForm, VarState};
+use crate::internal::{InternalForm, SparseLines, VarState};
 use crate::model::Problem;
 use crate::solution::{LpError, Solution};
 use std::cell::Cell;
@@ -313,6 +313,8 @@ impl PhaseClock {
 
 struct Rev<'a> {
     f: &'a InternalForm,
+    /// The structural block by row ([`InternalForm::row_store`]).
+    rows: &'a SparseLines,
     /// Working upper bounds (artificials frozen to 0 outside phase 1).
     upper: Vec<f64>,
     /// Basic column of each row.
@@ -336,6 +338,7 @@ impl<'a> Rev<'a> {
     /// and its etas are retired.
     fn new(
         f: &'a InternalForm,
+        problem: &'a Problem,
         upper: Vec<f64>,
         basic: Vec<usize>,
         state: Vec<VarState>,
@@ -347,6 +350,7 @@ impl<'a> Rev<'a> {
         ws.nz.reserve(f.m());
         Rev {
             f,
+            rows: f.row_store(problem),
             upper,
             basic,
             state,
@@ -444,7 +448,7 @@ impl<'a> Rev<'a> {
         let priced = self.multipliers(costs, &mut y);
         if priced.is_ok() {
             let since = self.clock.start();
-            self.f.reduced_costs(costs, &y, &mut self.ws.d);
+            self.f.reduced_costs(self.rows, costs, &y, &mut self.ws.d);
             self.clock.stop(phase, since);
         }
         self.ws.y = y;
@@ -692,7 +696,7 @@ impl<'a> Rev<'a> {
             beta[r] = rho.iter().map(|v| v * v).sum();
             self.price(costs, Phase::PivotRow)?;
             let since = self.clock.start();
-            self.f.pivot_row(&rho, &mut self.ws.alpha);
+            self.f.pivot_row(self.rows, &rho, &mut self.ws.alpha);
 
             // Entering column: bound-flipping dual ratio test (BFRT).
             // Each eligible candidate offers a dual step of
@@ -980,7 +984,7 @@ fn solve_impl(
     }
 
     // ---- Cold two-phase ----------------------------------------------------
-    let mut rev = cold_start(f, &stats.clock, ws)?;
+    let mut rev = cold_start(f, problem, &stats.clock, ws)?;
     let needs_phase1 = f.art_col.iter().any(Option::is_some);
     if needs_phase1 {
         let phase1_cost: Vec<f64> = (0..f.n_total)
@@ -1021,6 +1025,7 @@ fn solve_impl(
 /// artificials basic on `Ge`/`Eq` rows — an identity basis.
 fn cold_start<'a>(
     f: &'a InternalForm,
+    problem: &'a Problem,
     clock: &'a PhaseClock,
     ws: &'a mut Workspace,
 ) -> Result<Rev<'a>, LpError> {
@@ -1040,7 +1045,7 @@ fn cold_start<'a>(
         basic[i] = b;
         state[b] = VarState::Basic;
     }
-    let mut rev = Rev::new(f, f.upper.clone(), basic, state, clock, ws);
+    let mut rev = Rev::new(f, problem, f.upper.clone(), basic, state, clock, ws);
     rev.factorize()?;
     rev.compute_xb()?;
     Ok(rev)
@@ -1072,7 +1077,7 @@ fn try_warm(
             state[j] = VarState::Lower;
         }
     }
-    let mut rev = Rev::new(f, upper, basic, state, &stats.clock, ws);
+    let mut rev = Rev::new(f, problem, upper, basic, state, &stats.clock, ws);
     if rev.factorize().is_err() {
         // The perturbed coefficients made the old basis singular.
         return Ok(None);

@@ -141,7 +141,7 @@ mod tests {
         assert!((fleet.budget_kw - sum).abs() < 1e-12);
         for profile in &fleet.profiles {
             assert!(profile.p_min_kw < profile.p_max_kw);
-            assert!(!profile.segments.is_empty());
+            assert!(profile.max_price() > 0.0, "a zone with reward to buy");
         }
     }
 

@@ -16,6 +16,10 @@
 //! floor, no allocation is physically executable — base power cannot be
 //! shed — so the master hands every zone its floor and lets the zone
 //! solves' fallback ladder surface the infeasibility.
+//!
+//! A total that is not a finite number has nothing to bisect against
+//! and is answered by rule, with no iterations: NaN and `-∞` give every
+//! zone its floor, `+∞` every zone its ceiling.
 
 use crate::profile::ZoneProfile;
 
@@ -43,6 +47,16 @@ pub fn split_budget(total_kw: f64, profiles: &[ZoneProfile]) -> BudgetSplit {
     let n = profiles.len();
     if n == 0 {
         return BudgetSplit { budgets: Vec::new(), lambda: 0.0, iterations: 0, spent_kw: 0.0 };
+    }
+    if !total_kw.is_finite() {
+        let (lambda, budgets): (f64, Vec<f64>) = if total_kw == f64::INFINITY {
+            (0.0, profiles.iter().map(|p| p.p_max_kw).collect())
+        } else {
+            (f64::INFINITY, profiles.iter().map(|p| p.p_min_kw).collect())
+        };
+        let spent_kw = budgets.iter().sum();
+        thermaware_obs::counter_add("shard.bisection_iters", 0);
+        return BudgetSplit { budgets, lambda, iterations: 0, spent_kw };
     }
     let floor: f64 = profiles.iter().map(|p| p.p_min_kw).sum();
     let spend_at = |lambda: f64| -> f64 { profiles.iter().map(|p| p.est_total_at(lambda)).sum() };
@@ -106,7 +120,7 @@ mod tests {
     use super::*;
 
     fn profile(p_min: f64, p_max: f64, gain: f64, segments: Vec<(f64, f64)>) -> ZoneProfile {
-        ZoneProfile { p_min_kw: p_min, p_max_kw: p_max, gain, segments }
+        ZoneProfile::new(p_min, p_max, gain, segments)
     }
 
     #[test]
@@ -154,6 +168,39 @@ mod tests {
         let split = split_budget(5.0, &[a, b]);
         assert!((split.budgets[0] - 10.0).abs() < 1e-9);
         assert!((split.budgets[1] - 10.0).abs() < 1e-9);
+        assert_eq!(split.iterations, 0);
+    }
+
+    fn two_zones() -> [ZoneProfile; 2] {
+        [
+            profile(10.0, 60.0, 1.1, vec![(4.0, 10.0), (1.0, 20.0)]),
+            profile(20.0, 90.0, 1.5, vec![(6.0, 15.0), (0.5, 25.0)]),
+        ]
+    }
+
+    #[test]
+    fn a_nan_total_gives_the_floors_without_bisecting() {
+        let zones = two_zones();
+        let split = split_budget(f64::NAN, &zones);
+        assert_eq!(split.budgets, [10.0, 20.0]);
+        assert_eq!(split.iterations, 0);
+        assert_eq!(split.spent_kw, 30.0);
+    }
+
+    #[test]
+    fn an_infinite_total_gives_the_ceilings() {
+        let zones = two_zones();
+        let split = split_budget(f64::INFINITY, &zones);
+        assert_eq!(split.budgets, [60.0, 90.0]);
+        assert_eq!((split.lambda, split.iterations), (0.0, 0));
+        assert_eq!(split.spent_kw, 150.0);
+    }
+
+    #[test]
+    fn a_negative_infinite_total_gives_the_floors() {
+        let zones = two_zones();
+        let split = split_budget(f64::NEG_INFINITY, &zones);
+        assert_eq!(split.budgets, [10.0, 20.0]);
         assert_eq!(split.iterations, 0);
     }
 }

@@ -26,12 +26,17 @@ pub struct ZoneProfile {
     pub p_min_kw: f64,
     /// Zone total power ceiling (every core at P0), kW — Eq. 17's Pmax.
     pub p_max_kw: f64,
-    /// Estimated d(total power)/d(core power) ≥ 1 (cooling overhead).
-    pub gain: f64,
-    /// `(reward per core kW, core-kW capacity)` hull segments across all
-    /// nodes of the zone, sorted by decreasing slope; zero-slope tails
-    /// are dropped (spending into them buys no reward).
-    pub segments: Vec<(f64, f64)>,
+    /// Estimated d(total power)/d(core power) ≥ 1 (cooling overhead);
+    /// positive, which keeps the effective slopes in the slopes' order.
+    gain: f64,
+    /// Slopes (reward per core kW) of the hull segments across all nodes
+    /// of the zone, decreasing; zero-slope tails are dropped (spending
+    /// into them buys no reward).
+    slopes: Vec<f64>,
+    /// `reach[k]`: the core-kW capacity of the first `k` segments, summed
+    /// in segment order from `-0.0` as `Iterator::sum` sums (`reach[0]`
+    /// is that `-0.0`).
+    reach: Vec<f64>,
 }
 
 impl ZoneProfile {
@@ -61,7 +66,6 @@ impl ZoneProfile {
             }
             core_max += pts.last().map(|p| p.0).unwrap_or(0.0);
         }
-        segments.sort_by(|a, b| b.0.total_cmp(&a.0));
 
         let p_min_kw = dc.budget.p_min_kw;
         let p_max_kw = dc.budget.p_max_kw;
@@ -70,17 +74,41 @@ impl ZoneProfile {
         } else {
             1.0
         };
-        ZoneProfile { p_min_kw, p_max_kw, gain, segments }
+        ZoneProfile::new(p_min_kw, p_max_kw, gain, segments)
+    }
+
+    /// A profile of the given `(slope, core-kW capacity)` segments, which
+    /// it sorts by decreasing slope (stably: tied slopes keep their
+    /// order) and keeps as slopes and prefix capacities.
+    ///
+    /// # Panics
+    /// Panics on a NaN slope or capacity, or a `gain` that is not a
+    /// positive number: the price order needs all three.
+    pub(crate) fn new(p_min_kw: f64, p_max_kw: f64, gain: f64, mut segments: Vec<(f64, f64)>) -> ZoneProfile {
+        assert!(gain > 0.0, "gain {gain} is not positive");
+        assert!(
+            segments.iter().all(|(slope, len)| !slope.is_nan() && !len.is_nan()),
+            "NaN in a profile segment"
+        );
+        segments.sort_by(|a, b| b.0.total_cmp(&a.0));
+        let mut reach = Vec::with_capacity(segments.len() + 1);
+        reach.push(-0.0);
+        for (k, &(_, len)) in segments.iter().enumerate() {
+            reach.push(reach[k] + len);
+        }
+        let slopes = segments.iter().map(|&(slope, _)| slope).collect();
+        ZoneProfile { p_min_kw, p_max_kw, gain, slopes, reach }
     }
 
     /// Core power bought at marginal price `lambda` (reward per *total*
     /// kW): the capacity of every segment whose effective slope beats it.
+    /// Slopes decrease, and dividing by the positive `gain` keeps their
+    /// order, so those segments are a prefix and the capacity is read
+    /// off `reach` — the sum a filter over every segment would add up,
+    /// bit for bit (NaN `lambda` beats nothing: `-0.0`, the empty sum).
     pub fn core_at_price(&self, lambda: f64) -> f64 {
-        self.segments
-            .iter()
-            .filter(|(slope, _)| slope / self.gain > lambda)
-            .map(|(_, len)| len)
-            .sum()
+        let bought = self.slopes.partition_point(|slope| slope / self.gain > lambda);
+        self.reach[bought]
     }
 
     /// Estimated zone total power when buying at price `lambda`, clamped
@@ -91,13 +119,14 @@ impl ZoneProfile {
 
     /// The steepest effective slope (reward per total kW) on offer.
     pub fn max_price(&self) -> f64 {
-        self.segments.first().map(|(s, _)| s / self.gain).unwrap_or(0.0)
+        self.slopes.first().map(|s| s / self.gain).unwrap_or(0.0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use thermaware_datacenter::ScenarioParams;
 
     fn zone() -> DataCenter {
@@ -111,8 +140,8 @@ mod tests {
         assert!(p.p_min_kw > 0.0 && p.p_min_kw < p.p_max_kw);
         assert!(p.gain >= 1.0);
         // Slopes sorted decreasing = concavity of the merged curve.
-        for w in p.segments.windows(2) {
-            assert!(w[0].0 >= w[1].0 - 1e-12);
+        for w in p.slopes.windows(2) {
+            assert!(w[0] >= w[1] - 1e-12);
         }
     }
 
@@ -131,5 +160,55 @@ mod tests {
         }
         // Above the steepest slope nothing is bought.
         assert!((p.est_total_at(hi + 1.0) - p.p_min_kw).abs() < 1e-9);
+    }
+
+    /// What `core_at_price` summed before it read prefix sums: the
+    /// capacity of every segment whose effective slope beats `lambda`,
+    /// over the segments sorted as a profile sorts them.
+    fn filter_sum(segments: &[(f64, f64)], gain: f64, lambda: f64) -> f64 {
+        let mut sorted = segments.to_vec();
+        sorted.sort_by(|a, b| b.0.total_cmp(&a.0));
+        sorted.iter().filter(|(slope, _)| slope / gain > lambda).map(|(_, len)| len).sum()
+    }
+
+    /// Slopes drawn from a few values so that ties are common.
+    fn segment_lists() -> impl Strategy<Value = Vec<(f64, f64)>> {
+        prop::collection::vec((0u8..6, 0.001_f64..40.0), 0..24)
+            .prop_map(|s| s.into_iter().map(|(k, len)| (0.5 + 1.5 * f64::from(k), len)).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The prefix read is the filter-sum, bit for bit: at prices
+        /// between, below and above the slopes, exactly at a `slope /
+        /// gain`, at NaN, and on profiles without segments.
+        #[test]
+        fn prefix_capacity_equals_the_filter_sum(
+            segs in segment_lists(),
+            gain in 1.0_f64..3.0,
+            lambda in -1.0_f64..12.0,
+            pick in 0usize..24,
+        ) {
+            let p = ZoneProfile::new(10.0, 90.0, gain, segs.clone());
+            let mut prices = vec![lambda, f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY];
+            if let Some(&(slope, _)) = segs.get(pick % segs.len().max(1)) {
+                let at = slope / gain;
+                prices.extend([at, at.next_up(), at.next_down()]);
+            }
+            for lambda in prices {
+                let (fast, slow) = (p.core_at_price(lambda), filter_sum(&segs, gain, lambda));
+                prop_assert_eq!(fast.to_bits(), slow.to_bits(), "λ {}: {} vs {}", lambda, fast, slow);
+            }
+        }
+    }
+
+    #[test]
+    fn no_segments_buy_the_empty_sum() {
+        let p = ZoneProfile::new(10.0, 90.0, 1.0, Vec::new());
+        for lambda in [0.0, -1.0, f64::NAN] {
+            assert_eq!(p.core_at_price(lambda).to_bits(), (-0.0_f64).to_bits());
+            assert_eq!(filter_sum(&[], 1.0, lambda).to_bits(), (-0.0_f64).to_bits());
+        }
     }
 }
