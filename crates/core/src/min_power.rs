@@ -56,12 +56,16 @@ pub struct MinPowerSolution {
 ///
 /// Errors with [`SolveError::NoFeasibleOutlets`] when the floor is
 /// unattainable within the redlines at every searched outlet combination
-/// (it exceeds what even all-P0 operation could earn).
+/// (it exceeds what even all-P0 operation could earn), and with
+/// [`SolveError::InvalidInput`] when the floor is NaN.
 pub fn solve_min_power(
     dc: &DataCenter,
     reward_floor: f64,
     options: &MinPowerOptions,
 ) -> Result<MinPowerSolution, SolveError> {
+    if reward_floor.is_nan() {
+        return Err(SolveError::InvalidInput { what: "the reward floor is NaN".to_string() });
+    }
     let (_, node_curves) = arr_and_node_curves(dc, options.psi_percent);
 
     // Stage 1's segment variables under the swapped objective: each
@@ -162,6 +166,15 @@ mod tests {
         // With no reward requirement, everything can switch off: power
         // approaches the all-off bound.
         assert!(sol.total_power_kw <= dc.budget.p_min_kw * 1.05 + 1e-6);
+    }
+
+    #[test]
+    fn a_nan_floor_is_invalid_input() {
+        let dc = ScenarioParams::small_test().build(3).unwrap();
+        assert!(matches!(
+            solve_min_power(&dc, f64::NAN, &MinPowerOptions::default()),
+            Err(SolveError::InvalidInput { .. })
+        ));
     }
 
     #[test]

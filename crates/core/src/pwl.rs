@@ -101,6 +101,7 @@ impl PiecewiseLinear {
 
     /// Whether the curve is concave (segment slopes non-increasing, up to
     /// a tiny tolerance).
+    #[cfg(test)]
     pub fn is_concave(&self) -> bool {
         let slopes = self.slopes();
         slopes.windows(2).all(|w| w[1] <= w[0] + 1e-9)

@@ -12,7 +12,7 @@
 use crate::error::SolveError;
 use serde::{Deserialize, Serialize};
 use thermaware_datacenter::DataCenter;
-use thermaware_lp::{Problem, RowOp, Sense, VarId};
+use thermaware_lp::{ConstraintId, Problem, RowOp, Sense, Solution, VarId};
 
 /// The Stage-3 result: desired execution rates.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -101,7 +101,6 @@ pub fn solve_stage3_warm(
             dc.n_cores()
         )));
     }
-    let t = dc.n_task_types();
 
     // ---- Group cores by (node type, P-state) -----------------------------
     let mut group_index: Vec<Vec<Option<usize>>> = dc
@@ -130,59 +129,9 @@ pub fn solve_stage3_warm(
     }
 
     // ---- Grouped LP --------------------------------------------------------
-    let mut p = Problem::new(Sense::Maximize);
-    // vars[g][i]: total desired rate of type i across group g's cores
-    // (None when the type can't run there: off state, zero speed, or
-    // deadline-infeasible — Constraint 2 of Eq. 7 fixes those to 0).
-    let mut vars: Vec<Vec<Option<VarId>>> = Vec::with_capacity(groups.len());
-    for (g, &(nt, ps)) in groups.iter().enumerate() {
-        let mut row = Vec::with_capacity(t);
-        for i in 0..t {
-            let ecs = dc.workload.ecs.ecs(i, nt, ps);
-            let feasible = ecs > 0.0 && dc.workload.deadline_feasible(i, nt, ps);
-            row.push(feasible.then(|| {
-                p.add_var(
-                    &format!("tc_g{g}_t{i}"),
-                    0.0,
-                    f64::INFINITY,
-                    dc.workload.task_types[i].reward,
-                )
-            }));
-        }
-        vars.push(row);
-    }
-    // Constraint 1 (capacity), grouped: Σ_i TC(i,g)/ECS <= count(g).
-    for (g, &(nt, ps)) in groups.iter().enumerate() {
-        let terms: Vec<(VarId, f64)> = (0..t)
-            .filter_map(|i| {
-                vars[g][i].map(|v| (v, 1.0 / dc.workload.ecs.ecs(i, nt, ps)))
-            })
-            .collect();
-        if !terms.is_empty() {
-            p.add_row_nodup(
-                &format!("cap_g{g}"),
-                &terms,
-                RowOp::Le,
-                counts[g] as f64,
-            );
-        }
-    }
-    // Constraint 3 (arrivals): Σ_g TC(i,g) <= λ_i.
-    for i in 0..t {
-        let terms: Vec<(VarId, f64)> = (0..groups.len())
-            .filter_map(|g| vars[g][i].map(|v| (v, 1.0)))
-            .collect();
-        if !terms.is_empty() {
-            p.add_row_nodup(
-                &format!("arrival_t{i}"),
-                &terms,
-                RowOp::Le,
-                dc.workload.task_types[i].arrival_rate,
-            );
-        }
-    }
-
-    let mut sol = p
+    let rates = RateLp::build(dc, &groups, &counts);
+    let mut sol = rates
+        .lp
         .solve_warm(warm.map(|b| &b.inner))
         .map_err(|e| SolveError::Lp {
             stage: "stage3",
@@ -190,26 +139,105 @@ pub fn solve_stage3_warm(
         })?;
     let next_basis = sol.take_basis().map(|inner| Stage3Basis { inner });
 
-    let rate_per_core: Vec<Vec<f64>> = (0..groups.len())
-        .map(|g| {
-            (0..t)
-                .map(|i| match vars[g][i] {
-                    Some(v) => sol.value(v).max(0.0) / counts[g] as f64,
-                    None => 0.0,
-                })
-                .collect()
-        })
-        .collect();
-
     Ok((
         Stage3Solution {
             reward_rate: sol.objective,
-            rate_per_core,
+            rate_per_core: rate_per_core(&rates.vars, &sol, &counts),
             group_of_core,
             groups,
         },
         next_basis,
     ))
+}
+
+/// The grouped rate LP of Eq. 7 at fixed P-states, shared by Stage 3
+/// (cores grouped by node type and P-state) and the task-aware Stage 3
+/// (grouped by node and P-state), which adds its power rows on top.
+pub(crate) struct RateLp {
+    /// Maximize reward subject to grouped capacity and arrivals.
+    pub(crate) lp: Problem,
+    /// `vars[g][i]`: total desired rate of type `i` across group `g`'s
+    /// cores (`None` when the type can't run there: off state, zero
+    /// speed, or deadline-infeasible — Constraint 2 of Eq. 7 fixes those
+    /// to 0).
+    pub(crate) vars: Vec<Vec<Option<VarId>>>,
+    /// Each group's capacity row, `None` when no type can run there.
+    pub(crate) cap_rows: Vec<Option<ConstraintId>>,
+}
+
+impl RateLp {
+    /// Write the LP for `groups[g] = (node type, P-state)` holding
+    /// `counts[g]` cores: the rate variables group by group, then one
+    /// capacity row per group, then one arrival row per task type.
+    pub(crate) fn build(dc: &DataCenter, groups: &[(usize, usize)], counts: &[usize]) -> RateLp {
+        let t = dc.n_task_types();
+        let mut lp = Problem::new(Sense::Maximize);
+        let vars: Vec<Vec<Option<VarId>>> = groups
+            .iter()
+            .enumerate()
+            .map(|(g, &(nt, ps))| {
+                (0..t)
+                    .map(|i| {
+                        let ecs = dc.workload.ecs.ecs(i, nt, ps);
+                        let feasible = ecs > 0.0 && dc.workload.deadline_feasible(i, nt, ps);
+                        feasible.then(|| {
+                            lp.add_var(
+                                &format!("tc_g{g}_t{i}"),
+                                0.0,
+                                f64::INFINITY,
+                                dc.workload.task_types[i].reward,
+                            )
+                        })
+                    })
+                    .collect()
+            })
+            .collect();
+        // Constraint 1 (capacity), grouped: Σ_i TC(i,g)/ECS <= count(g).
+        let cap_rows = groups
+            .iter()
+            .enumerate()
+            .map(|(g, &(nt, ps))| {
+                let terms: Vec<(VarId, f64)> = (0..t)
+                    .filter_map(|i| vars[g][i].map(|v| (v, 1.0 / dc.workload.ecs.ecs(i, nt, ps))))
+                    .collect();
+                (!terms.is_empty())
+                    .then(|| lp.add_row_nodup(&format!("cap_g{g}"), &terms, RowOp::Le, counts[g] as f64))
+            })
+            .collect();
+        // Constraint 3 (arrivals): Σ_g TC(i,g) <= λ_i.
+        for i in 0..t {
+            let terms: Vec<(VarId, f64)> = vars
+                .iter()
+                .filter_map(|row| row[i].map(|v| (v, 1.0)))
+                .collect();
+            if !terms.is_empty() {
+                lp.add_row_nodup(
+                    &format!("arrival_t{i}"),
+                    &terms,
+                    RowOp::Le,
+                    dc.workload.task_types[i].arrival_rate,
+                );
+            }
+        }
+        RateLp { lp, vars, cap_rows }
+    }
+}
+
+/// Split each group's optimal rates (`vars` of a [`RateLp`]) evenly over
+/// its `counts[g]` cores: `Stage3Solution::rate_per_core`.
+pub(crate) fn rate_per_core(
+    vars: &[Vec<Option<VarId>>],
+    sol: &Solution,
+    counts: &[usize],
+) -> Vec<Vec<f64>> {
+    vars.iter()
+        .zip(counts)
+        .map(|(row, &count)| {
+            row.iter()
+                .map(|v| v.map_or(0.0, |v| sol.value(v).max(0.0) / count as f64))
+                .collect()
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -21,9 +21,8 @@
 
 use crate::error::SolveError;
 use crate::room::{self, NodeLoad, RoomLp};
-use crate::stage3::Stage3Solution;
+use crate::stage3::{rate_per_core, RateLp, Stage3Solution};
 use thermaware_datacenter::DataCenter;
-use thermaware_lp::{Problem, RowOp, Sense, VarId};
 
 /// Per-task-type power behaviour.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,24 +98,26 @@ pub fn solve_stage3_task_aware(
         node: usize,
         pstate: usize,
         count: usize,
-        first_core: usize,
     }
     let mut groups: Vec<Group> = Vec::new();
     for node in 0..nn {
-        let mut by_ps: std::collections::BTreeMap<usize, (usize, usize)> = Default::default();
+        let mut by_ps: std::collections::BTreeMap<usize, usize> = Default::default();
         for k in dc.cores_of_node(node) {
-            let e = by_ps.entry(pstates[k]).or_insert((0, k));
-            e.0 += 1;
+            *by_ps.entry(pstates[k]).or_insert(0) += 1;
         }
-        for (ps, (count, first_core)) in by_ps {
+        for (ps, count) in by_ps {
             groups.push(Group {
                 node,
                 pstate: ps,
                 count,
-                first_core,
             });
         }
     }
+    let keys: Vec<(usize, usize)> = groups
+        .iter()
+        .map(|g| (dc.node_type_of[g.node], g.pstate))
+        .collect();
+    let counts: Vec<usize> = groups.iter().map(|g| g.count).collect();
 
     // Static/dynamic split per group (from the node type's calibrated
     // ladder: static scales with voltage, dynamic is the remainder).
@@ -168,62 +169,8 @@ pub fn solve_stage3_task_aware(
         })
         .collect();
 
-    // ---- LP ----------------------------------------------------------------
-    let mut p = Problem::new(Sense::Maximize);
-    // vars[g][i]: total rate of type i over group g's cores.
-    let mut vars: Vec<Vec<Option<VarId>>> = Vec::with_capacity(groups.len());
-    for (gi, g) in groups.iter().enumerate() {
-        let nt_idx = dc.node_type_of[g.node];
-        let mut row = Vec::with_capacity(t);
-        for i in 0..t {
-            let ecs = dc.workload.ecs.ecs(i, nt_idx, g.pstate);
-            let ok = ecs > 0.0 && dc.workload.deadline_feasible(i, nt_idx, g.pstate);
-            row.push(ok.then(|| {
-                p.add_var(
-                    &format!("tc_g{gi}_t{i}"),
-                    0.0,
-                    f64::INFINITY,
-                    dc.workload.task_types[i].reward,
-                )
-            }));
-        }
-        vars.push(row);
-    }
-    // Capacity per group (row ids kept so the reclamation loop can read
-    // the duals).
-    let mut cap_rows: Vec<Option<thermaware_lp::ConstraintId>> = Vec::with_capacity(groups.len());
-    for (gi, g) in groups.iter().enumerate() {
-        let nt_idx = dc.node_type_of[g.node];
-        let terms: Vec<(VarId, f64)> = (0..t)
-            .filter_map(|i| {
-                vars[gi][i].map(|v| (v, 1.0 / dc.workload.ecs.ecs(i, nt_idx, g.pstate)))
-            })
-            .collect();
-        if !terms.is_empty() {
-            cap_rows.push(Some(p.add_row_nodup(
-                &format!("cap_g{gi}"),
-                &terms,
-                RowOp::Le,
-                g.count as f64,
-            )));
-        } else {
-            cap_rows.push(None);
-        }
-    }
-    // Arrivals.
-    for i in 0..t {
-        let terms: Vec<(VarId, f64)> = (0..groups.len())
-            .filter_map(|g| vars[g][i].map(|v| (v, 1.0)))
-            .collect();
-        if !terms.is_empty() {
-            p.add_row_nodup(
-                &format!("arr_t{i}"),
-                &terms,
-                RowOp::Le,
-                dc.workload.task_types[i].arrival_rate,
-            );
-        }
-    }
+    // ---- LP: Stage 3's rows, then the room's power rows -------------------
+    let RateLp { lp, vars, cap_rows } = RateLp::build(dc, &keys, &counts);
 
     // Node power as an affine function of the TC variables:
     //   P_j = base_j + Σ_{g∈j} [count·(static + dyn·idle)
@@ -262,7 +209,7 @@ pub fn solve_stage3_task_aware(
             }
         }
     }
-    let mut room = RoomLp::build(dc, p, layout, Some(dc.budget.p_const_kw));
+    let mut room = RoomLp::build(dc, lp, layout, Some(dc.budget.p_const_kw));
     room.set_outlets(crac_out_c);
     let sol = room.lp.solve_warm(None).map_err(|source| SolveError::Lp {
         stage: "task_power",
@@ -277,26 +224,12 @@ pub fn solve_stage3_task_aware(
                 group_of_core[k] = gi;
             }
         }
-        debug_assert!(g.first_core < dc.n_cores());
     }
-    let rate_per_core: Vec<Vec<f64>> = (0..groups.len())
-        .map(|gi| {
-            (0..t)
-                .map(|i| match vars[gi][i] {
-                    Some(v) => sol.value(v).max(0.0) / groups[gi].count as f64,
-                    None => 0.0,
-                })
-                .collect()
-        })
-        .collect();
     let stage3 = Stage3Solution {
         reward_rate: sol.objective,
-        rate_per_core,
+        rate_per_core: rate_per_core(&vars, &sol, &counts),
         group_of_core,
-        groups: groups
-            .iter()
-            .map(|g| (dc.node_type_of[g.node], g.pstate))
-            .collect(),
+        groups: keys,
     };
 
     // Exact power at the mix.

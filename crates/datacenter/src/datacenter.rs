@@ -196,6 +196,7 @@ impl DataCenter {
 
     /// Minimum node powers: every core off (nodes stay on — the paper's
     /// oversubscribed setting never powers nodes down).
+    #[cfg(test)]
     pub fn min_node_powers(&self) -> Vec<f64> {
         (0..self.n_nodes())
             .map(|j| self.node_type(j).min_power_kw())
@@ -203,6 +204,7 @@ impl DataCenter {
     }
 
     /// Maximum node powers: every core in P-state 0.
+    #[cfg(test)]
     pub fn max_node_powers(&self) -> Vec<f64> {
         (0..self.n_nodes())
             .map(|j| self.node_type(j).max_power_kw())

@@ -33,5 +33,5 @@ pub use budget::PowerBudget;
 pub use cli::Args;
 pub use crac_search::{optimize_crac_outlets, CracSearchOptions};
 pub use datacenter::DataCenter;
-pub use scenario::{validate_workload, InterferenceMethod, ScenarioError, ScenarioParams};
+pub use scenario::{validate_workload, ScenarioError, ScenarioParams};
 pub use snapshot::{atomic_write, ScenarioSnapshot};

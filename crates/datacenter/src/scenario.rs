@@ -171,18 +171,6 @@ pub fn validate_workload(workload: &Workload) -> Result<(), ScenarioError> {
     Ok(())
 }
 
-/// Which cross-interference generator to use (see
-/// `thermaware_thermal::interference`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum InterferenceMethod {
-    /// Iterative proportional fitting — milliseconds at 153 units; the
-    /// default for the Figure-6 replication.
-    Ipf,
-    /// The Appendix-B LP feasibility problem — exact, slower; used at
-    /// small scale and in cross-validation tests.
-    Lp,
-}
-
 /// Everything that defines a simulated data center except the seed.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ScenarioParams {
@@ -206,8 +194,6 @@ pub struct ScenarioParams {
     /// values above 1 buy N−1 failure margin (see the `crac_failure`
     /// experiment).
     pub crac_flow_margin: f64,
-    /// Cross-interference generator.
-    pub interference: InterferenceMethod,
 }
 
 impl ScenarioParams {
@@ -226,7 +212,6 @@ impl ScenarioParams {
             crac_redline_c: 40.0,
             crac_outlet_range: (10.0, 25.0),
             crac_flow_margin: 1.0,
-            interference: InterferenceMethod::Ipf,
         }
     }
 
@@ -357,17 +342,16 @@ impl ScenarioParams {
             .map(|_| rng.gen_range(0..node_types.len()))
             .collect();
 
-        // Flows and cross-interference.
+        // Flows and cross-interference, fitted by IPF: milliseconds at
+        // 153 units, where the Appendix-B LP (`generate_lp`) is exact but
+        // slow and is kept as the reference the IPF tests compare against.
         let node_flows: Vec<f64> = node_type_of
             .iter()
             .map(|&t| node_types[t].air_flow_m3s)
             .collect();
         let flows =
             interference::flows_with_margin(&layout, &node_flows, self.crac_flow_margin);
-        let ci = match self.interference {
-            InterferenceMethod::Ipf => interference::generate_ipf(&layout, &flows, &mut rng)?,
-            InterferenceMethod::Lp => interference::generate_lp(&layout, &flows, &mut rng)?,
-        };
+        let ci = interference::generate_ipf(&layout, &flows, &mut rng)?;
         let thermal = ThermalModel::new(
             &layout,
             &flows,
@@ -487,16 +471,6 @@ mod tests {
         let off = dc.off_pstates();
         let min = dc.node_powers_from_pstates(&off);
         assert!(close(&min, &dc.min_node_powers()));
-    }
-
-    #[test]
-    fn lp_interference_scenario_builds() {
-        let params = ScenarioParams {
-            interference: InterferenceMethod::Lp,
-            ..ScenarioParams::small_test()
-        };
-        let dc = params.build(5).expect("LP interference build");
-        assert_eq!(dc.n_nodes(), 10);
     }
 
     #[test]
@@ -636,6 +610,5 @@ mod tests {
         assert_eq!(back.n_nodes, 150);
         assert_eq!(back.static_share, 0.2);
         assert_eq!(back.workload.ecs.v_prop, 0.3);
-        assert_eq!(back.interference, InterferenceMethod::Ipf);
     }
 }

@@ -244,19 +244,13 @@ impl Matrix {
         })
     }
 
-    /// Multiply every entry by `s`, in place.
-    pub fn scale_in_place(&mut self, s: f64) {
-        for v in &mut self.data {
-            *v *= s;
-        }
-    }
-
     /// Maximum absolute entry (the max norm), 0 for an empty matrix.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
     }
 
     /// Infinity norm: maximum absolute row sum.
+    #[cfg(test)]
     pub fn norm_inf(&self) -> f64 {
         (0..self.rows)
             .map(|i| self.row(i).iter().map(|v| v.abs()).sum::<f64>())

@@ -31,6 +31,7 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 
 /// `y += alpha * x`, element-wise.
 #[inline]
+#[cfg(test)]
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     debug_assert_eq!(x.len(), y.len(), "axpy length mismatch");
     if alpha == 0.0 { // lint: allow(float-eq): exact-zero fast path; any nonzero alpha takes the full path
@@ -58,6 +59,7 @@ pub fn norm2(x: &[f64]) -> f64 {
 
 /// Infinity norm (maximum absolute entry), 0 for an empty slice.
 #[inline]
+#[cfg(test)]
 pub fn norm_inf(x: &[f64]) -> f64 {
     x.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
 }
@@ -73,6 +75,7 @@ pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
 
 /// Sum of a slice.
 #[inline]
+#[cfg(test)]
 pub fn sum(x: &[f64]) -> f64 {
     x.iter().sum()
 }

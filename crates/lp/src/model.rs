@@ -267,6 +267,7 @@ impl Problem {
     }
 
     /// Number of variables added so far.
+    #[cfg(test)]
     pub fn num_vars(&self) -> usize {
         self.vars.len()
     }

@@ -23,12 +23,6 @@
 //!   inlet temperatures at fixed CRAC outlet temperatures.
 //! * [`cop`](mod@crate::cop) — the HP Utility Data Center CoP curve (Eq. 8) and CRAC power
 //!   (Eqs. 2–3).
-//! * [`transient`] — a lumped-capacitance transient extension for
-//!   validating that redlines hold along temperature trajectories, not
-//!   just at steady state.
-//! * [`calibration`] — sensor-based least-squares recovery of the mixing
-//!   matrix, closing the "estimated using sensor measurements" loop the
-//!   paper delegates to \[29\].
 //!
 //! # Example
 //!
@@ -46,13 +40,11 @@
 //! assert!(state.max_node_inlet() > 18.0); // recirculation warms inlets
 //! ```
 
-pub mod calibration;
 pub mod chip;
 pub mod cop;
 pub mod interference;
 pub mod layout;
 pub mod model;
-pub mod transient;
 
 pub use chip::{ChipGrid, ChipModel, ChipParams};
 pub use cop::{cop, crac_power_kw, CracUnit};

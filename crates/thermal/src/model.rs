@@ -354,11 +354,6 @@ impl ThermalModel {
             t_out,
         })
     }
-
-    /// The heat-flow mixing matrix `A` (Eq. 5).
-    pub fn a_matrix(&self) -> &Matrix {
-        &self.a
-    }
 }
 
 #[cfg(test)]
