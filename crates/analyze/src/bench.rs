@@ -113,9 +113,6 @@ pub const SPECS: [BenchSpec; 4] = [
             Gate { path: &["deterministic", "diurnal_crest_over_trough"], dir: Dir::Pinned },
             Gate { path: &["deterministic", "drift_violations"], dir: Dir::Pinned },
             Gate { path: &["deterministic", "drift_replans"], dir: Dir::Pinned },
-            Gate { path: &["deterministic", "chip_hotspots"], dir: Dir::Pinned },
-            Gate { path: &["deterministic", "migrations"], dir: Dir::Pinned },
-            Gate { path: &["deterministic", "migrate_swaps"], dir: Dir::Pinned },
             Gate { path: &["deterministic", "multiobj_power_drop_frac"], dir: Dir::Pinned },
             Gate { path: &["deterministic", "multiobj_reward_drop_frac"], dir: Dir::Pinned },
         ],

@@ -1,8 +1,7 @@
-//! Scenario-engine benchmark: diurnal demand, chip-level thermal
-//! migration, and multi-objective cost, snapshotted to
-//! `results/BENCH_scenarios.json`.
+//! Scenario-engine benchmark: diurnal demand and multi-objective cost,
+//! snapshotted to `results/BENCH_scenarios.json`.
 //!
-//! Three measurements, all pure deterministic f64 arithmetic (seeded
+//! Two measurements, all pure deterministic f64 arithmetic (seeded
 //! simulation, no wall-clock dependence), so every gated metric is
 //! stable across machines and `thermaware-analyze bench --check` gates
 //! it at ±15% drift against the committed baseline:
@@ -13,18 +12,13 @@
 //!    curve then counts the drift-triggered full replans
 //!    (`Stage1Replan`) the scenario engine issues as demand walks away
 //!    from the planned multiplier.
-//! 2. **Migration drill** — a hot chip model (low DTM redline) plus a
-//!    scripted CRAC failure: the supervisor's chip rung must answer
-//!    every `ChipHotspot` with `Migrate` (work spread across the die at
-//!    zero reward cost) or a targeted throttle; the drill counts
-//!    hotspots, migrations, and total swaps.
-//! 3. **Multi-objective** — reward-only versus a priced objective on
+//! 2. **Multi-objective** — reward-only versus a priced objective on
 //!    the same floor: the priced plan must draw no more power and the
 //!    reward-only plan must stay the reward maximizer; the drill gates
 //!    the relative power and reward deltas.
 //!
-//! The supervised runs' full event logs are written to `--trace` (text,
-//! one section per drill) and uploaded as a CI artifact.
+//! The supervised run's full event log is written to `--trace` (text)
+//! and uploaded as a CI artifact.
 //!
 //! ```sh
 //! cargo run --release -p thermaware-bench -- scenario_bench    # write results/current/BENCH_scenarios.json
@@ -37,7 +31,6 @@ use thermaware_datacenter::{Args, ScenarioParams};
 use thermaware_runtime::{
     Action, EventKind, FaultScript, Supervisor, SupervisorConfig, Violation,
 };
-use thermaware_thermal::{ChipModel, ChipParams};
 use thermaware_workload::Curve;
 
 pub(super) const USAGE: &str = "scenario_bench [--nodes N] [--seed S] [--price P] [--out PATH] \
@@ -109,47 +102,7 @@ pub(super) fn run(args: &Args) -> Result<(), String> {
         report.outcome, report.log
     ));
 
-    // -- Part 2: chip-level migration drill --------------------------------
-    let cores_per_type: Vec<usize> =
-        dc.node_types.iter().map(|t| t.cores_per_node).collect();
-    let chip = ctx(
-        ChipModel::build(&cores_per_type, &ChipParams { t_dtm_c: 40.0, ..ChipParams::default() }),
-        "chip model",
-    )?;
-    let script = FaultScript::new().crac_failure(1.0, 0);
-    let cfg = SupervisorConfig { horizon_s: 10.0, ..SupervisorConfig::default() };
-    let report = Supervisor::new(&dc, cfg).with_chip(&chip).run(&plan, &script);
-    let count = |pred: &dyn Fn(&EventKind) -> bool| {
-        report.log.events().iter().filter(|e| pred(&e.kind)).count()
-    };
-    let chip_hotspots = count(&|k| {
-        matches!(k, EventKind::ViolationDetected(Violation::ChipHotspot { .. }))
-    });
-    let migrations = count(&|k| matches!(k, EventKind::ActionTaken(Action::Migrate { .. })));
-    let migrate_swaps: usize = report
-        .log
-        .events()
-        .iter()
-        .map(|e| match e.kind {
-            EventKind::ActionTaken(Action::Migrate { swaps }) => swaps,
-            _ => 0,
-        })
-        .sum();
-    assert!(
-        chip_hotspots > 0,
-        "a 40 degree DTM under a CRAC failure must trip the chip rung"
-    );
-    println!(
-        "migration: {chip_hotspots} hotspots, {migrations} migrations \
-         ({migrate_swaps} swaps) ({:?})",
-        report.outcome,
-    );
-    trace.push_str(&format!(
-        "== migration drill ({:?}) ==\n{}\n",
-        report.outcome, report.log
-    ));
-
-    // -- Part 3: multi-objective trade-off ---------------------------------
+    // -- Part 2: multi-objective trade-off ---------------------------------
     let weights = ObjectiveWeights { price_per_kwh: price, ..ObjectiveWeights::reward_only() };
     let priced = ctx(Solver::new(&dc).objective(weights).solve(), "priced solve")?;
     let (r0, r1) = (plan.reward_rate(), priced.reward_rate());
@@ -188,9 +141,6 @@ pub(super) fn run(args: &Args) -> Result<(), String> {
             "diurnal_crest_over_trough": crest_over_trough,
             "drift_violations": drift_violations as f64,
             "drift_replans": drift_replans as f64,
-            "chip_hotspots": chip_hotspots as f64,
-            "migrations": migrations as f64,
-            "migrate_swaps": migrate_swaps as f64,
             "multiobj_power_drop_frac": power_drop_frac,
             "multiobj_reward_drop_frac": reward_drop_frac,
         },

@@ -25,9 +25,6 @@
 //! * [`objective`](Solver::objective) — multi-objective weights blending
 //!   electricity price and carbon intensity into the Stage-1 objective,
 //!   with reward-only as the bit-identical default.
-//!
-//! Chip-level placement is the supervisor's migration rung
-//! (`thermaware_runtime::degrade::migrate_to_tspd`), not a solve step.
 
 use crate::baseline::{baseline_impl, BaselineSolution};
 use crate::error::SolveError;
@@ -214,6 +211,15 @@ mod tests {
         let a = Solver::new(&dc).solve().expect("builder");
         let b = three_stage_impl(&dc, &ThreeStageOptions::default()).expect("options");
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_pstate_past_the_off_state_is_invalid_input() {
+        let dc = ScenarioParams::small_test().build(5).unwrap();
+        let mut pstates = dc.off_pstates();
+        pstates[0] += 1;
+        let err = Solver::new(&dc).stage3_replan(&pstates, None).unwrap_err();
+        assert!(matches!(err, SolveError::InvalidInput { .. }), "{err:?}");
     }
 
     #[test]

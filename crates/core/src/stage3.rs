@@ -94,13 +94,8 @@ pub fn solve_stage3_warm(
     pstates: &[usize],
     warm: Option<&Stage3Basis>,
 ) -> Result<(Stage3Solution, Option<Stage3Basis>), SolveError> {
-    if pstates.len() != dc.n_cores() {
-        return Err(SolveError::invalid_input(format!(
-            "stage 3: {} P-states for {} cores",
-            pstates.len(),
-            dc.n_cores()
-        )));
-    }
+    dc.pstates_fit(pstates)
+        .map_err(|misfit| SolveError::invalid_input(format!("stage 3: {misfit}")))?;
 
     // ---- Group cores by (node type, P-state) -----------------------------
     let mut group_index: Vec<Vec<Option<usize>>> = dc

@@ -44,14 +44,19 @@ impl TaskPowerModel {
         }
     }
 
-    /// Validate against a workload size.
-    fn check(&self, n_task_types: usize) {
-        assert_eq!(self.factors.len(), n_task_types, "one factor per task type");
-        assert!(
-            self.factors.iter().all(|&f| (0.0..=2.0).contains(&f)),
+    /// Validate against a workload size: one factor per task type, each
+    /// in [0, 2], the idle factor in [0, 1] (NaN is in neither).
+    fn check(&self, n_task_types: usize) -> Result<(), SolveError> {
+        let what = if self.factors.len() != n_task_types {
+            "one factor per task type"
+        } else if !self.factors.iter().all(|&f| (0.0..=2.0).contains(&f)) {
             "factors outside [0, 2]"
-        );
-        assert!((0.0..=1.0).contains(&self.idle_factor), "idle factor outside [0, 1]");
+        } else if !(0.0..=1.0).contains(&self.idle_factor) {
+            "idle factor outside [0, 1]"
+        } else {
+            return Ok(());
+        };
+        Err(SolveError::invalid_input(format!("task power: {what}")))
     }
 }
 
@@ -87,9 +92,10 @@ pub fn solve_stage3_task_aware(
     crac_out_c: &[f64],
     model: &TaskPowerModel,
 ) -> Result<TaskAwareSolution, SolveError> {
-    assert_eq!(pstates.len(), dc.n_cores());
+    dc.pstates_fit(pstates)
+        .map_err(|misfit| SolveError::invalid_input(format!("task power: {misfit}")))?;
     let t = dc.n_task_types();
-    model.check(t);
+    model.check(t)?;
     let nn = dc.n_nodes();
 
     // ---- Group cores by (node, P-state): cores of one node share a type,
@@ -511,14 +517,45 @@ mod tests {
         }
     }
 
+    fn assert_invalid(got: Result<TaskAwareSolution, SolveError>, what: &str) {
+        match got {
+            Err(SolveError::InvalidInput { what: msg }) => assert!(msg.contains(what), "{msg}"),
+            other => panic!("expected invalid input ({what}), got {other:?}"),
+        }
+    }
+
     #[test]
-    #[should_panic(expected = "one factor per task type")]
-    fn wrong_factor_count_panics() {
+    fn wrong_factor_count_is_invalid_input() {
         let (dc, plan) = setup();
         let bad = TaskPowerModel {
             factors: vec![1.0; 3],
             idle_factor: 1.0,
         };
-        let _ = solve_stage3_task_aware(&dc, &plan.pstates, plan.crac_out_c(), &bad);
+        let got = solve_stage3_task_aware(&dc, &plan.pstates, plan.crac_out_c(), &bad);
+        assert_invalid(got, "one factor per task type");
+    }
+
+    #[test]
+    fn a_nan_factor_is_invalid_input() {
+        let (dc, plan) = setup();
+        let mut bad = TaskPowerModel::uniform(dc.n_task_types());
+        bad.factors[0] = f64::NAN;
+        let got = solve_stage3_task_aware(&dc, &plan.pstates, plan.crac_out_c(), &bad);
+        assert_invalid(got, "factors outside [0, 2]");
+        let nan_idle = TaskPowerModel {
+            idle_factor: f64::NAN,
+            ..TaskPowerModel::uniform(dc.n_task_types())
+        };
+        let got = solve_stage3_task_aware(&dc, &plan.pstates, plan.crac_out_c(), &nan_idle);
+        assert_invalid(got, "idle factor outside [0, 1]");
+    }
+
+    #[test]
+    fn a_short_pstate_vector_is_invalid_input() {
+        let (dc, plan) = setup();
+        let model = TaskPowerModel::uniform(dc.n_task_types());
+        let short = &plan.pstates[..plan.pstates.len() - 1];
+        let got = solve_stage3_task_aware(&dc, short, plan.crac_out_c(), &model);
+        assert_invalid(got, "do not fit");
     }
 }

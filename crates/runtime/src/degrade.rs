@@ -5,8 +5,8 @@
 //! fallback (`thermaware_shard`) and the service's circuit breaker
 //! (`thermaware_service`). Their rung *orders* differ and stay written
 //! out where they are; the *steps* they share live here — the greedy
-//! throttle step, the chip-level die scan and migration, the shed rule
-//! and the epoch backoff (DESIGN §6 "One copy of each step").
+//! throttle step, the shed rule and the epoch backoff (DESIGN §6 "One
+//! copy of each step").
 //!
 //! The throttle step is the paper's Stage-2 logic run in reverse:
 //! repeatedly deepen one node's shallowest core
@@ -18,7 +18,6 @@
 
 use crate::event::{Action, EventKind, EventLog};
 use thermaware_datacenter::DataCenter;
-use thermaware_thermal::{ChipGrid, ChipModel};
 
 /// Cap on an epoch backoff's wait: the supervisor's and every fleet
 /// zone's (the breaker's is its configured `max_cooldown_epochs`).
@@ -132,147 +131,11 @@ pub fn shed_lowest_reward(
     Some(task_type)
 }
 
-/// Node `j`'s die and its per-core powers under `pstates`, when the chip
-/// model has a grid for the node's type with the node's core count.
-fn die<'c>(
-    dc: &DataCenter,
-    chip: &'c ChipModel,
-    pstates: &[usize],
-    j: usize,
-) -> Option<(&'c ChipGrid, Vec<f64>)> {
-    let t = dc.node_type_of[j];
-    if t >= chip.n_types() {
-        return None;
-    }
-    let grid = chip.grid(t);
-    let cores = dc.cores_of_node(j);
-    if cores.len() != grid.n_cores() {
-        return None;
-    }
-    let table = &dc.node_type(j).core.pstates;
-    Some((grid, cores.map(|k| table.power_kw(pstates[k])).collect()))
-}
-
-/// The hottest live die, `(peak °C, node)`, the first node on ties:
-/// `inlets_c[j]` is node `j`'s die ambient. `None` when no live node has
-/// a die the chip model covers.
-pub(crate) fn hottest_die(
-    dc: &DataCenter,
-    chip: &ChipModel,
-    inlets_c: &[f64],
-    pstates: &[usize],
-    dead: &[bool],
-) -> Option<(f64, usize)> {
-    let mut hottest: Option<(f64, usize)> = None;
-    for (j, &inlet_c) in inlets_c.iter().enumerate() {
-        if dead[j] {
-            continue;
-        }
-        let Some((grid, powers)) = die(dc, chip, pstates, j) else {
-            continue;
-        };
-        let peak = grid.peak_c(inlet_c, &powers);
-        if hottest.is_none_or(|(p, _)| peak > p) {
-            hottest = Some((peak, j));
-        }
-    }
-    hottest
-}
-
-/// A chip-level migration plan and where it landed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MigrationPlan {
-    /// The permuted per-core P-states (global core order). Within every
-    /// node this is a permutation of the input — node power totals, and
-    /// therefore every room-level constraint, are unchanged.
-    pub pstates: Vec<usize>,
-    /// Pairwise core swaps applied.
-    pub swaps: usize,
-    /// Fleet-wide peak die temperature before, °C.
-    pub peak_before_c: f64,
-    /// Fleet-wide peak die temperature after, °C.
-    pub peak_after_c: f64,
-    /// Whether every die's peak ended at or under the chip model's DTM
-    /// threshold (false means migration alone cannot cool the hotspot —
-    /// the caller should fall back to throttling).
-    pub fits: bool,
-}
-
-/// Cool chip-level hotspots by migrating work between cores of the same
-/// node: greedy strictly-improving P-state swaps on each over-threshold
-/// die, up to `max_swaps` total. `inlets_c[j]` is node `j`'s inlet (die
-/// ambient) temperature; `dead[j]` masks out dead nodes. This is the
-/// degradation rung between throttle and shed: unlike both, it sheds
-/// **zero** reward — node power totals are invariant, so a Stage-3 warm
-/// replan after it reproduces the same rates.
-pub fn migrate_to_tspd(
-    dc: &DataCenter,
-    chip: &ChipModel,
-    inlets_c: &[f64],
-    pstates: &[usize],
-    max_swaps: usize,
-    dead: Option<&[bool]>,
-) -> MigrationPlan {
-    let mut pstates = pstates.to_vec();
-    let mut swaps = 0usize;
-    let mut peak_before = f64::NEG_INFINITY;
-    let mut peak_after = f64::NEG_INFINITY;
-    let mut fits = true;
-    for j in 0..dc.n_nodes() {
-        let Some((grid, mut powers)) = die(dc, chip, &pstates, j) else {
-            continue;
-        };
-        let first = dc.cores_of_node(j).start;
-        let ambient = inlets_c.get(j).copied().unwrap_or(0.0);
-        let mut peak = grid.peak_c(ambient, &powers);
-        peak_before = peak_before.max(peak);
-        if dead.is_some_and(|d| d[j]) {
-            peak_after = peak_after.max(peak);
-            continue;
-        }
-        // Greedy local search: take the swap that lowers this die's peak
-        // the most, repeat while any strictly-improving swap exists.
-        while peak > chip.t_dtm_c() && swaps < max_swaps {
-            let mut best: Option<(f64, usize, usize)> = None; // (peak, a, b)
-            for a in 0..powers.len() {
-                for b in (a + 1)..powers.len() {
-                    if powers[a] == powers[b] {
-                        continue;
-                    }
-                    powers.swap(a, b);
-                    let p = grid.peak_c(ambient, &powers);
-                    powers.swap(a, b);
-                    if p < peak - 1e-12 && best.is_none_or(|(bp, _, _)| p < bp) {
-                        best = Some((p, a, b));
-                    }
-                }
-            }
-            let Some((p, a, b)) = best else { break };
-            powers.swap(a, b);
-            pstates.swap(first + a, first + b);
-            peak = p;
-            swaps += 1;
-        }
-        peak_after = peak_after.max(peak);
-        if peak > chip.t_dtm_c() {
-            fits = false;
-        }
-    }
-    MigrationPlan {
-        pstates,
-        swaps,
-        peak_before_c: peak_before,
-        peak_after_c: peak_after,
-        fits,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use thermaware_core::Solver;
     use thermaware_datacenter::ScenarioParams;
-    use thermaware_thermal::ChipParams;
 
     fn solved_zone() -> (DataCenter, Vec<usize>, Vec<f64>) {
         let dc = ScenarioParams::small_test().build(3).expect("scenario builds");
@@ -353,117 +216,5 @@ mod tests {
         assert_eq!(plan.pstates, all_off);
         assert!(!plan.fits, "static draw cannot fit a zero budget");
         assert!(plan.it_kw + plan.cooling_kw > 0.0);
-    }
-
-    /// A chip model for every node type of `dc`, its DTM redline below
-    /// any die temperature, so migration runs to its local optimum.
-    fn cold_chip_for(dc: &DataCenter) -> ChipModel {
-        let cores: Vec<usize> = dc.node_types.iter().map(|t| t.cores_per_node).collect();
-        ChipModel::build(&cores, &ChipParams { t_dtm_c: 0.0, ..ChipParams::default() })
-            .expect("chip model builds")
-    }
-
-    #[test]
-    fn placement_preserves_node_pstate_multisets() {
-        let dc = ScenarioParams::small_test().build(11).expect("scenario builds");
-        let sol = Solver::new(&dc).solve().expect("solves");
-        let inlets = vec![25.0; dc.n_nodes()];
-        let placed = migrate_to_tspd(&dc, &cold_chip_for(&dc), &inlets, &sol.pstates, 10_000, None);
-        for node in 0..dc.n_nodes() {
-            let mut a: Vec<usize> = dc.cores_of_node(node).map(|k| sol.pstates[k]).collect();
-            let mut b: Vec<usize> = dc.cores_of_node(node).map(|k| placed.pstates[k]).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "node {node} multiset changed");
-        }
-    }
-
-    #[test]
-    fn placement_never_heats_a_die() {
-        let dc = ScenarioParams::small_test().build(12).expect("scenario builds");
-        let sol = Solver::new(&dc).solve().expect("solves");
-        let chip = cold_chip_for(&dc);
-        let inlets = vec![25.0; dc.n_nodes()];
-        let placed = migrate_to_tspd(&dc, &chip, &inlets, &sol.pstates, 10_000, None);
-        assert!(placed.peak_after_c <= placed.peak_before_c + 1e-9);
-        for node in 0..dc.n_nodes() {
-            let t = dc.node_type_of[node];
-            let grid = chip.grid(t);
-            let table = &dc.node_types[t].core.pstates;
-            let before: Vec<f64> = dc
-                .cores_of_node(node)
-                .map(|k| table.power_kw(sol.pstates[k]))
-                .collect();
-            let after: Vec<f64> = dc
-                .cores_of_node(node)
-                .map(|k| table.power_kw(placed.pstates[k]))
-                .collect();
-            assert!(
-                grid.peak_c(25.0, &after) <= grid.peak_c(25.0, &before) + 1e-9,
-                "node {node} got hotter"
-            );
-        }
-    }
-
-    /// Four max-power cores clustered in a die corner run hotter than any
-    /// spread placement; migration must cool the die to its local optimum
-    /// without moving a single watt between nodes.
-    #[test]
-    fn migration_cools_a_clustered_die_and_preserves_node_power() {
-        let (dc, _, _) = solved_zone();
-        let cores_per_type: Vec<usize> =
-            dc.node_types.iter().map(|t| t.cores_per_node).collect();
-        // t_dtm below ambient: the greedy search runs until no
-        // strictly-improving swap exists, i.e. to its local optimum.
-        let cold = ChipModel::build(
-            &cores_per_type,
-            &ChipParams { t_dtm_c: 0.0, ..ChipParams::default() },
-        )
-        .expect("chip model builds");
-
-        // All cores off except four shallow (max-power) cores packed into
-        // adjacent grid positions in node 0's corner.
-        let mut clustered = dc.off_pstates();
-        let node0: Vec<usize> = dc.cores_of_node(0).collect();
-        let (w, _) = cold.grid(dc.node_type_of[0]).shape();
-        for &local in &[0, 1, w, w + 1] {
-            clustered[node0[local]] = 0;
-        }
-        let inlets = vec![25.0; dc.n_nodes()];
-
-        let plan = migrate_to_tspd(&dc, &cold, &inlets, &clustered, 10_000, None);
-        assert!(plan.swaps > 0, "the clustered corner must be broken up");
-        assert!(
-            plan.peak_after_c < plan.peak_before_c - 0.1,
-            "peak {} -> {} must drop",
-            plan.peak_before_c,
-            plan.peak_after_c
-        );
-        // Node power totals are invariant (room constraints untouched) and
-        // every node's P-state multiset is preserved (pure permutation).
-        let before = dc.node_powers_from_pstates(&clustered);
-        let after = dc.node_powers_from_pstates(&plan.pstates);
-        for (b, a) in before.iter().zip(&after) {
-            assert!((b - a).abs() < 1e-12, "node power moved: {b} -> {a}");
-        }
-        for j in 0..dc.n_nodes() {
-            let mut x: Vec<usize> = dc.cores_of_node(j).map(|k| clustered[k]).collect();
-            let mut y: Vec<usize> = dc.cores_of_node(j).map(|k| plan.pstates[k]).collect();
-            x.sort_unstable();
-            y.sort_unstable();
-            assert_eq!(x, y, "node {j}: P-state multiset must be preserved");
-        }
-
-        // A DTM redline midway between the clustered and migrated peaks is
-        // reachable by migration alone: the rung reports fits = true.
-        let mid = 0.5 * (plan.peak_before_c + plan.peak_after_c);
-        let chip = ChipModel::build(
-            &cores_per_type,
-            &ChipParams { t_dtm_c: mid, ..ChipParams::default() },
-        )
-        .expect("chip model builds");
-        let plan2 = migrate_to_tspd(&dc, &chip, &inlets, &clustered, 10_000, None);
-        assert!(plan2.fits, "a reachable redline must be reported as fitting");
-        assert!(plan2.peak_after_c <= mid + 1e-9);
     }
 }

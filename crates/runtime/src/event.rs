@@ -25,12 +25,6 @@ pub enum Violation {
     /// The active plan no longer matches the floor (dead nodes still
     /// carrying desired rates, a surge since the last replan, …).
     StalePlan,
-    /// A die's chip-level peak temperature exceeded its TSPD limit
-    /// (requires a chip model attached to the supervisor).
-    ChipHotspot {
-        /// Hottest observed die temperature, °C.
-        observed_c: f64,
-    },
     /// Observed demand drifted from the multiplier the active plan was
     /// solved for by more than the configured threshold.
     DemandDrift {
@@ -64,13 +58,6 @@ pub enum Action {
         task_type: usize,
         /// Its per-task reward.
         reward: f64,
-    },
-    /// Chip-level task migration: P-states permuted between cores of the
-    /// same node to spread heat across the die. Node power totals (and
-    /// therefore every room-level constraint) are unchanged.
-    Migrate {
-        /// Pairwise core swaps applied.
-        swaps: usize,
     },
     /// A full three-stage re-solve at the drifted demand (new outlets,
     /// P-states, and rates) — the scenario engine's answer to sustained
@@ -185,9 +172,6 @@ impl EventLog {
                 EventKind::ViolationDetected(Violation::StalePlan) => {
                     "runtime.violation.stale_plan"
                 }
-                EventKind::ViolationDetected(Violation::ChipHotspot { .. }) => {
-                    "runtime.violation.chip_hotspot"
-                }
                 EventKind::ViolationDetected(Violation::DemandDrift { .. }) => {
                     "runtime.violation.demand_drift"
                 }
@@ -195,7 +179,6 @@ impl EventLog {
                 EventKind::ActionTaken(Action::OutletDrop { .. }) => "runtime.action.outlet_drop",
                 EventKind::ActionTaken(Action::Throttle { .. }) => "runtime.action.throttle",
                 EventKind::ActionTaken(Action::ShedTaskType { .. }) => "runtime.action.shed",
-                EventKind::ActionTaken(Action::Migrate { .. }) => "runtime.action.migrate",
                 EventKind::ActionTaken(Action::Stage1Replan) => "runtime.action.stage1_replan",
                 EventKind::ReplanFailed { .. } => "runtime.replan_failed",
                 EventKind::Backoff { .. } => "runtime.backoffs",
@@ -204,9 +187,6 @@ impl EventLog {
             thermaware_obs::counter_add(counter, 1);
             if let EventKind::ActionTaken(Action::Throttle { steps }) = &kind {
                 thermaware_obs::counter_add("runtime.throttle_steps", *steps as u64);
-            }
-            if let EventKind::ActionTaken(Action::Migrate { swaps }) = &kind {
-                thermaware_obs::counter_add("runtime.migrate_swaps", *swaps as u64);
             }
         }
         let evicted = self.insert_ordered(Event { at_s, kind });
@@ -322,9 +302,6 @@ impl fmt::Display for EventKind {
                     write!(f, "violation: power {total_kw:.1} kW over budget {budget_kw:.1} kW")
                 }
                 Violation::StalePlan => write!(f, "violation: plan is stale"),
-                Violation::ChipHotspot { observed_c } => {
-                    write!(f, "violation: chip hotspot at {observed_c:.2} °C over TSPD")
-                }
                 Violation::DemandDrift { multiplier, planned } => {
                     write!(
                         f,
@@ -342,9 +319,6 @@ impl fmt::Display for EventKind {
                 }
                 Action::ShedTaskType { task_type, reward } => {
                     write!(f, "action: shed task type {task_type} (reward {reward:.2})")
-                }
-                Action::Migrate { swaps } => {
-                    write!(f, "action: chip-level migration ({swaps} core swaps)")
                 }
                 Action::Stage1Replan => {
                     write!(f, "action: full three-stage replan at drifted demand")

@@ -41,9 +41,7 @@ pub mod fault;
 pub mod persist;
 pub mod supervisor;
 
-pub use degrade::{
-    cheapest_throttle_step, migrate_to_tspd, throttle_to_budget, MigrationPlan, ThrottlePlan,
-};
+pub use degrade::{cheapest_throttle_step, throttle_to_budget, ThrottlePlan};
 pub use event::{Action, Event, EventKind, EventLog, Violation};
 pub use fault::{Fault, FaultEvent, FaultScript};
 pub use persist::{

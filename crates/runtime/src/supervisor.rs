@@ -20,9 +20,7 @@
 //!    power cost; bounded by each unit's minimum outlet.
 //! 3. **Emergency P-state throttle** of the hottest nodes — sheds heat
 //!    and IT power; bounded by every core reaching its off state.
-//! 4. **Chip rung** (with a [`ChipModel`] attached) — migration within
-//!    a node, then a targeted throttle of the hottest die.
-//! 5. **Load shedding** of the lowest-reward task types — the last
+//! 4. **Load shedding** of the lowest-reward task types — the last
 //!    resort when replanning itself keeps failing; bounded by the number
 //!    of task types.
 //!
@@ -52,7 +50,7 @@ use thermaware_core::stage3::{solve_stage3_warm, Stage3Basis, Stage3Solution};
 use thermaware_core::{verify_assignment, Solver, ThreeStageSolution, VerificationReport};
 use thermaware_datacenter::DataCenter;
 use thermaware_scheduler::{EpochSim, SimulationResult};
-use thermaware_thermal::{ChipModel, ThermalState};
+use thermaware_thermal::ThermalState;
 use thermaware_workload::{Curve, TaskArrival};
 
 /// Absolute bound on ladder iterations within one response — a backstop
@@ -191,16 +189,11 @@ struct Health {
     power_over_kw: f64,
     /// Total power, kW.
     power_kw: f64,
-    /// Worst live die's peak temperature over the chip model's DTM
-    /// threshold, °C (`-inf` without a chip model — never a violation).
-    chip_over_c: f64,
 }
 
 impl Health {
     fn ok(&self, cfg: &SupervisorConfig) -> bool {
-        self.redline_c <= cfg.redline_tol_c
-            && self.power_over_kw <= cfg.power_tol_kw
-            && self.chip_over_c <= cfg.redline_tol_c
+        self.redline_c <= cfg.redline_tol_c && self.power_over_kw <= cfg.power_tol_kw
     }
 }
 
@@ -278,24 +271,13 @@ impl World {
 pub struct Supervisor<'a> {
     dc: &'a DataCenter,
     cfg: SupervisorConfig,
-    chip: Option<&'a ChipModel>,
 }
 
 impl<'a> Supervisor<'a> {
     /// A supervisor over `dc` with the given configuration.
     pub fn new(dc: &'a DataCenter, cfg: SupervisorConfig) -> Self {
         assert!(cfg.epoch_s > 0.0 && cfg.horizon_s > 0.0);
-        Supervisor { dc, cfg, chip: None }
-    }
-
-    /// Attach a chip-level thermal model: the supervisor then watches
-    /// each live die's peak temperature against the model's TSPD/DTM
-    /// threshold and gains a **migration rung** between throttle and
-    /// shed — P-state permutations within a node that spread heat across
-    /// the die at zero reward cost (node power totals are invariant).
-    pub fn with_chip(mut self, chip: &'a ChipModel) -> Self {
-        self.chip = Some(chip);
-        self
+        Supervisor { dc, cfg }
     }
 
     /// Run the plan against a fault script over the configured horizon.
@@ -334,7 +316,6 @@ impl<'a> Supervisor<'a> {
         let sim = EpochSim::new(dc, &world.pstates, &world.stage3);
         LiveRun {
             dc,
-            chip: self.chip,
             script: script.clone(),
             work_dc,
             n_epochs: cfg.n_epochs(),
@@ -433,16 +414,6 @@ impl<'a> Supervisor<'a> {
         state.redline_violation(self.dc.thermal.node_redline_c, self.dc.thermal.crac_redline_c)
     }
 
-    /// Per-node observed inlets (true inlet + sensor bias), °C — the die
-    /// ambients: the supervisor acts on what its sensors tell it, as for
-    /// room redlines.
-    fn observed_inlets(&self, world: &World, state: &ThermalState) -> Vec<f64> {
-        let nc = self.dc.n_crac();
-        (0..self.dc.n_nodes())
-            .map(|j| state.t_in[nc + j] + world.bias_c)
-            .collect()
-    }
-
     /// Observed health at the current world state.
     fn health(&self, world: &World) -> Health {
         let dc = self.dc;
@@ -452,28 +423,15 @@ impl<'a> Supervisor<'a> {
                 redline_c: f64::INFINITY,
                 power_over_kw: f64::INFINITY,
                 power_kw: f64::INFINITY,
-                chip_over_c: f64::NEG_INFINITY,
             };
         };
         let observed = (state.max_node_inlet() + world.bias_c - dc.thermal.node_redline_c)
             .max(state.max_crac_inlet() - dc.thermal.crac_redline_c);
         let power = powers.iter().sum::<f64>() + dc.thermal.total_crac_power_kw(&state);
-        // The hottest live die's peak over the DTM threshold (`-inf`
-        // without a chip model).
-        let chip_over_c = self
-            .chip
-            .and_then(|chip| {
-                let inlets = self.observed_inlets(world, &state);
-                let (peak, _) =
-                    degrade::hottest_die(dc, chip, &inlets, &world.pstates, &world.dead)?;
-                Some(peak - chip.t_dtm_c())
-            })
-            .unwrap_or(f64::NEG_INFINITY);
         Health {
             redline_c: observed,
             power_over_kw: power - dc.budget.p_const_kw,
             power_kw: power,
-            chip_over_c,
         }
     }
 
@@ -498,7 +456,6 @@ impl<'a> Supervisor<'a> {
         // hundreds of P-state steps.
         let mut seen_redline = false;
         let mut seen_power = false;
-        let mut seen_chip = false;
         let mut throttled = 0usize;
         let flush_throttle = |throttled: &mut usize, log: &mut EventLog| {
             if *throttled > 0 {
@@ -560,64 +517,6 @@ impl<'a> Supervisor<'a> {
                 return false;
             }
 
-            // Chip-level hotspot (requires a chip model): the room is
-            // fine but some die's peak exceeds its TSPD/DTM limit. Sits
-            // between throttle and shed in severity terms: migration
-            // first — spread the node's P-states across the die at
-            // **zero** reward cost (node powers invariant, so the room
-            // rungs above cannot regress) — then a targeted throttle of
-            // the hottest die's shallowest core as the fallback when no
-            // permutation is cool enough.
-            if h.chip_over_c > cfg.redline_tol_c {
-                if !seen_chip {
-                    seen_chip = true;
-                    let observed = self.chip.map_or(f64::NAN, |c| c.t_dtm_c()) + h.chip_over_c;
-                    log.record(
-                        now,
-                        EventKind::ViolationDetected(Violation::ChipHotspot {
-                            observed_c: observed,
-                        }),
-                    );
-                }
-                let state = self.steady_state(world, &self.node_powers(world));
-                if let (Some(chip), Some(state)) = (self.chip, state) {
-                    let inlets = self.observed_inlets(world, &state);
-                    let plan = degrade::migrate_to_tspd(
-                        dc,
-                        chip,
-                        &inlets,
-                        &world.pstates,
-                        cfg.throttle_steps,
-                        Some(&world.dead),
-                    );
-                    if plan.swaps > 0 {
-                        world.pstates = plan.pstates;
-                        world.stale = true;
-                        log.record(
-                            now,
-                            EventKind::ActionTaken(Action::Migrate { swaps: plan.swaps }),
-                        );
-                        h = self.health(world);
-                        continue;
-                    }
-                    // No swap helps: deepen the hottest over-DTM die's
-                    // shallowest core.
-                    let target =
-                        degrade::hottest_die(dc, chip, &inlets, &world.pstates, &world.dead)
-                            .filter(|&(peak, _)| peak > chip.t_dtm_c())
-                            .and_then(|(_, j)| dc.shallowest_core(&world.pstates, j));
-                    if let Some(k) = target {
-                        world.pstates[k] += 1;
-                        world.stale = true;
-                        throttled += 1;
-                        h = self.health(world);
-                        continue;
-                    }
-                }
-                flush_throttle(&mut throttled, log);
-                return false; // dies dark (or ambient over DTM) and still too hot
-            }
-
             flush_throttle(&mut throttled, log);
 
             // Rung 1: the plan is stale — replan rates on what survives.
@@ -647,7 +546,7 @@ impl<'a> Supervisor<'a> {
                             },
                         );
                         if attempts >= cfg.max_replan_attempts {
-                            // Rung 5: shed the lowest-reward live type and
+                            // Rung 4: shed the lowest-reward live type and
                             // retry on the smaller problem.
                             let live = work_dc
                                 .workload
@@ -801,11 +700,10 @@ impl<'a> Supervisor<'a> {
 ///
 /// Everything an epoch changes lives in one [`SupervisorState`], which is
 /// what the persist layer checksums and writes; the rest is borrowed
-/// (`dc`, `chip`), fixed for the run (`script`) or derived from the state
+/// (`dc`), fixed for the run (`script`) or derived from the state
 /// (`work_dc`, `n_epochs`).
 pub struct LiveRun<'a> {
     dc: &'a DataCenter,
-    chip: Option<&'a ChipModel>,
     script: FaultScript,
     work_dc: DataCenter,
     n_epochs: usize,
@@ -823,11 +721,7 @@ impl<'a> LiveRun<'a> {
         thermaware_obs::counter_add("runtime.epochs", 1);
         let st = &mut self.state;
         let cfg = st.cfg;
-        let sup = Supervisor {
-            dc: self.dc,
-            cfg,
-            chip: self.chip,
-        };
+        let sup = Supervisor { dc: self.dc, cfg };
         let e = st.epoch;
         let t0 = e as f64 * cfg.epoch_s;
         let t1 = (t0 + cfg.epoch_s).min(cfg.horizon_s);
@@ -952,7 +846,7 @@ impl<'a> LiveRun<'a> {
     pub fn conclude(self) -> SupervisorReport {
         let dc = self.dc;
         let SupervisorState { cfg, world, sim, log, acted, .. } = self.state;
-        let sup = Supervisor { dc, cfg, chip: self.chip };
+        let sup = Supervisor { dc, cfg };
         let powers = sup.node_powers(&world);
         let it_kw = powers.iter().sum::<f64>();
         let (final_violation_c, final_power_kw) = match sup.steady_state(&world, &powers) {
@@ -985,16 +879,6 @@ impl<'a> LiveRun<'a> {
             nodes_dead,
             shed_task_types: world.shed,
         }
-    }
-
-    /// Reattach a chip-level thermal model (see
-    /// [`Supervisor::with_chip`]) — needed after
-    /// [`from_state`](LiveRun::from_state), which cannot persist the
-    /// borrowed model. A resumed run only replays the original's
-    /// migration rungs if the same model is reattached before stepping.
-    pub fn with_chip(mut self, chip: &'a ChipModel) -> LiveRun<'a> {
-        self.chip = Some(chip);
-        self
     }
 
     /// Epochs fully executed so far.
@@ -1103,11 +987,8 @@ impl<'a> LiveRun<'a> {
             .map_err(|misfit| format!("supervisor state: {misfit}"))?;
         let mut work_dc = dc.clone();
         w.rescale_demand(dc, &mut work_dc);
-        // The chip model is borrowed, not persisted: reattach it after
-        // restore with [`LiveRun::with_chip`].
         Ok(LiveRun {
             dc,
-            chip: None,
             script: script.clone(),
             work_dc,
             n_epochs,

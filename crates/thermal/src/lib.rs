@@ -40,13 +40,11 @@
 //! assert!(state.max_node_inlet() > 18.0); // recirculation warms inlets
 //! ```
 
-pub mod chip;
 pub mod cop;
 pub mod interference;
 pub mod layout;
 pub mod model;
 
-pub use chip::{ChipGrid, ChipModel, ChipParams};
 pub use cop::{cop, crac_power_kw, CracUnit};
 pub use interference::CrossInterference;
 pub use layout::{Label, Layout, NodePlacement};

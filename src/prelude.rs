@@ -31,10 +31,6 @@ pub use thermaware_core::{
     ThreeStageOptions, ThreeStageSolution, VerificationReport,
 };
 
-// Chip-level thermal interference model for the supervisor's migration
-// rung (`Supervisor::with_chip`).
-pub use thermaware_thermal::{ChipModel, ChipParams};
-
 // The second-step dynamic scheduler.
 pub use thermaware_scheduler::{simulate, DispatchPolicy, EpochSim, SimulationResult};
 

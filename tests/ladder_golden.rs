@@ -9,16 +9,18 @@
 //!
 //! What each script reaches:
 //!
-//! * `room` (no chip model) — a positive sensor drift: outlet drop, then
-//!   the power-cap throttle (colder outlets cost cooling power); a node
-//!   death: the Stage-3 replan; a CRAC failure: outlet drop, then the
-//!   thermal throttle (violation shed per MHz).
-//! * `drift` (no chip model) — a demand surge curve: the Stage-1 drift
-//!   replan, up and back down, each followed by the Stage-3 replan.
-//! * `chip` (a chip model with a 115 °C DTM redline) — the healthy plan's
-//!   dies run hot: chip migration, then the targeted chip throttle; a
-//!   CRAC failure no throttle can answer: the ladder gives up and backs
-//!   off (1, then 2 epochs).
+//! * `room` — a positive sensor drift: outlet drop, then the power-cap
+//!   throttle (colder outlets cost cooling power); a node death: the
+//!   Stage-3 replan; a CRAC failure: outlet drop, then the thermal
+//!   throttle (violation shed per MHz).
+//! * `drift` — a demand surge curve: the Stage-1 drift replan, up and
+//!   back down, each followed by the Stage-3 replan.
+//! * `backoff` — a sensor drift no rung can answer: outlets to their
+//!   floor, every core throttled off, then the ladder gives up and backs
+//!   off (1, then 2 epochs) until the drift clears and the Stage-3
+//!   replan recovers. (Its pin was computed with the chip-level rung
+//!   still in the tree and holds without it; the only earlier script to
+//!   reach the backoff needed the die model.)
 //! * the fleet — a zone failing with no plan yet (all-off), a zone
 //!   failing on an unchanged budget (last-good), a zone failing after the
 //!   feed shrank (throttled), and a zone failing on every attempt until
@@ -51,7 +53,6 @@ use thermaware::shard::fleet::{Fleet, FleetParams};
 use thermaware::shard::pool::PoolConfig;
 use thermaware::shard::solver::{FleetConfig, FleetSolver};
 use thermaware::shard::FallbackKind;
-use thermaware::thermal::{ChipModel, ChipParams};
 use thermaware::workload::Curve;
 
 fn room() -> (DataCenter, ThreeStageSolution) {
@@ -72,7 +73,6 @@ fn kind(k: &EventKind) -> &'static str {
             Violation::Redline { .. } => "violation.redline",
             Violation::PowerCap { .. } => "violation.power_cap",
             Violation::StalePlan => "violation.stale_plan",
-            Violation::ChipHotspot { .. } => "violation.chip_hotspot",
             Violation::DemandDrift { .. } => "violation.demand_drift",
         },
         EventKind::ActionTaken(a) => match a {
@@ -80,7 +80,6 @@ fn kind(k: &EventKind) -> &'static str {
             Action::OutletDrop { .. } => "action.outlet_drop",
             Action::Throttle { .. } => "action.throttle",
             Action::ShedTaskType { .. } => "action.shed",
-            Action::Migrate { .. } => "action.migrate",
             Action::Stage1Replan => "action.stage1_replan",
         },
         EventKind::ReplanFailed { .. } => "replan_failed",
@@ -102,15 +101,9 @@ fn supervise(
     dc: &DataCenter,
     plan: &ThreeStageSolution,
     cfg: SupervisorConfig,
-    chip: Option<&ChipModel>,
     script: &FaultScript,
 ) -> ((usize, u32), Vec<(&'static str, usize)>) {
-    let sup = Supervisor::new(dc, cfg);
-    let sup = match chip {
-        Some(chip) => sup.with_chip(chip),
-        None => sup,
-    };
-    let mut live = sup.begin(plan, script);
+    let mut live = Supervisor::new(dc, cfg).begin(plan, script);
     while live.step() {}
     let (json, crc) = json_crc(live.state()).expect("encode");
     ((json.len(), crc), census(live.log()))
@@ -125,7 +118,7 @@ fn supervisor_room_rungs_are_pinned() {
         .sensor_drift(5.0, 0.0)
         .crac_failure(7.0, 0);
     let cfg = SupervisorConfig { horizon_s: 12.0, ..SupervisorConfig::default() };
-    let (pin, census) = supervise(&dc, &plan, cfg, None, &script);
+    let (pin, census) = supervise(&dc, &plan, cfg, &script);
     assert_eq!(
         census,
         [
@@ -151,7 +144,7 @@ fn supervisor_drift_rungs_are_pinned() {
         demand: Some(Curve::Surge { base: 1.0, surge: 1.6, start_s: 2.0, len_s: 4.0 }),
         ..SupervisorConfig::default()
     };
-    let (pin, census) = supervise(&dc, &plan, cfg, None, &script);
+    let (pin, census) = supervise(&dc, &plan, cfg, &script);
     assert_eq!(
         census,
         [
@@ -167,30 +160,25 @@ fn supervisor_drift_rungs_are_pinned() {
 }
 
 #[test]
-fn supervisor_chip_rungs_are_pinned() {
+fn supervisor_backoff_rungs_are_pinned() {
     let (dc, plan) = room();
-    let cores: Vec<usize> = dc.node_types.iter().map(|t| t.cores_per_node).collect();
-    let chip = ChipModel::build(&cores, &ChipParams { t_dtm_c: 115.0, ..ChipParams::default() })
-        .expect("chip model builds");
-    let script = FaultScript::new().crac_failure(1.0, 0).crac_recovery(5.0, 0);
+    let script = FaultScript::new().sensor_drift(1.0, 30.0).sensor_drift(6.0, 0.0);
     let cfg = SupervisorConfig { horizon_s: 10.0, ..SupervisorConfig::default() };
-    let (pin, census) = supervise(&dc, &plan, cfg, Some(&chip), &script);
+    let (pin, census) = supervise(&dc, &plan, cfg, &script);
     assert_eq!(
         census,
         [
-            ("action.migrate", 4),
             ("action.outlet_drop", 5),
-            ("action.replan", 2),
-            ("action.throttle", 2),
+            ("action.replan", 1),
+            ("action.throttle", 1),
             ("backoff", 2),
             ("fault", 2),
-            ("recovered", 2),
-            ("violation.chip_hotspot", 1),
+            ("recovered", 1),
             ("violation.redline", 2),
-            ("violation.stale_plan", 2),
+            ("violation.stale_plan", 1),
         ]
     );
-    assert_eq!(pin, CHIP_PIN);
+    assert_eq!(pin, BACKOFF_PIN);
 }
 
 #[test]
@@ -306,6 +294,6 @@ fn breaker_rungs_are_pinned() {
 
 const ROOM_PIN: (usize, u32) = (186_314, 0x0ec5_bfef);
 const DRIFT_PIN: (usize, u32) = (264_483, 0x07ad_37ec);
-const CHIP_PIN: (usize, u32) = (153_151, 0xdc29_1035);
+const BACKOFF_PIN: (usize, u32) = (154_198, 0xa406_1f82);
 const FLEET_PIN: (usize, u32) = (1_373, 0x25ed_e3d4);
 const BREAKER_PIN: (usize, u32) = (165_735, 0x9089_87ca);

@@ -356,13 +356,11 @@ fn golden_literals() -> Vec<(&'static str, String)> {
             r#"{"kind":"redline","observed_c":1.25}"#,
             r#"{"kind":"power_cap","total_kw":20.5,"budget_kw":19.4}"#,
             r#"{"kind":"stale_plan"}"#,
-            r#"{"kind":"chip_hotspot","observed_c":91}"#,
             r#"{"kind":"demand_drift","multiplier":1.5,"planned":1}"#,
             r#"{"kind":"gremlin"}"#,
             r#"{"kind":"redline"}"#,
             r#"null"#,
             r#"{"kind":"redline","observed_c":"inf"}"#,
-            r#"{"kind":"chip_hotspot","observed_c":"NaN"}"#,
             r#"{"kind":"redline","observed_c":"warm"}"#,
             r#"{"kind":"redline","observed_c":1e999}"#,
             r#"{"kind":"redline","observed_c":-1e999}"#,
@@ -375,7 +373,6 @@ fn golden_literals() -> Vec<(&'static str, String)> {
             r#"{"kind":"outlet_drop","by_c":2}"#,
             r#"{"kind":"throttle","steps":8}"#,
             r#"{"kind":"shed_task_type","task_type":4,"reward":1.5}"#,
-            r#"{"kind":"migrate","swaps":3}"#,
             r#"{"kind":"stage1_replan"}"#,
             r#"{"kind":"gremlin"}"#,
             r#"{"kind":"throttle"}"#,
@@ -578,6 +575,12 @@ fn hand_shapes() -> Vec<(&'static str, String)> {
         ],
     );
     add("ServiceRecord", &[r#"{"epoch":3,"state_crc":1,"rec":"commit"}"#]);
+    // Tags of the removed chip-level rung: unknown variants now.
+    add(
+        "Violation",
+        &[r#"{"kind":"chip_hotspot","observed_c":91}"#, r#"{"kind":"chip_hotspot","observed_c":"NaN"}"#],
+    );
+    add("Action", &[r#"{"kind":"migrate","swaps":3}"#]);
     let stats_last = STATS.replacen(r#""type":"stats","#, "", 1).replacen('}', r#"},"type":"stats""#, 1);
     add("Response", &[&stats_last]);
     add(
@@ -694,7 +697,9 @@ fn fleet_state() -> String {
 }
 
 /// `(type, accepted, refused, digest)`, as the tree reader (text →
-/// `Value` → typed value) computed them.
+/// `Value` → typed value) computed them. The `Violation` and `Action`
+/// rows were re-pinned when the chip-level variants were removed: their
+/// three literals moved to the hand shapes, where they are refused.
 const PINS: &[(&str, usize, usize, u32)] = &[
     ("Value", 1876, 2697, 0x5998ff95),
     ("String", 4, 5, 0x16832955),
@@ -708,8 +713,8 @@ const PINS: &[(&str, usize, usize, u32)] = &[
     ("Curve", 18, 27, 0xd6a3c9af),
     ("Fault", 10, 6, 0x9abc3a75),
     ("FaultEvent", 2, 0, 0x85bee0b2),
-    ("Violation", 14, 12, 0xdd638ca3),
-    ("Action", 12, 6, 0xeb35fb4f),
+    ("Violation", 10, 14, 0x3a0d9a15),
+    ("Action", 10, 7, 0x433a89dd),
     ("EventKind", 22, 8, 0x7e23d270),
     ("Event", 2, 0, 0xb9a4b0f2),
     ("EventLog", 8, 4, 0x362876a2),
