@@ -115,8 +115,7 @@ pub fn solve_min_power(
             .iter()
             .map(|&(x, y)| (x / count as f64, y / count as f64))
             .collect();
-        let cores: Vec<usize> = dc.cores_of_node(node).collect();
-        distribute_node_power(node_core[node], &per_core_hull, &cores, &mut core_power);
+        distribute_node_power(node_core[node], &per_core_hull, &mut core_power[dc.cores_of_node(node)]);
     }
 
     // Round powers *up* to P-states so the continuous reward estimate is

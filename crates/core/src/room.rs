@@ -22,7 +22,7 @@
 use crate::error::SolveError;
 use std::fmt::Write as _;
 use thermaware_datacenter::{optimize_crac_outlets, CracSearchOptions, DataCenter};
-use thermaware_lp::{ConstraintId, Prepared, Problem, RowOp, VarId};
+use thermaware_lp::{ConstraintId, Prepared, Problem, RowOp, Sense, VarId};
 use thermaware_thermal::{cop, RHO_CP};
 
 /// How one node's power reads off the caller's variables:
@@ -93,7 +93,7 @@ fn append_rows(
     problem.reserve_rows(n_rows, n_rows * per_row);
     let mut name = String::new();
     let mut thermal_rows = |prefix: &str, g: &thermaware_linalg::Matrix| {
-        let (mut rows, mut fixed) = (Vec::new(), Vec::new());
+        let (mut rows, mut fixed) = (Vec::with_capacity(g.rows()), Vec::with_capacity(g.rows()));
         for i in 0..g.rows() {
             let g = g.row(i);
             fixed.push(g.iter().zip(layout).map(|(g, load)| g * load.fixed_kw).sum());
@@ -118,7 +118,7 @@ fn append_rows(
     // Power row: Σ_j P_j + Σ_c w_c (Tin_c − out_c) <= Pconst. Its
     // coefficients `node_coeff_j · kW per unit` have `node_coeff_j >= 1`
     // at every candidate, so the terms it keeps are those of `g = 1`.
-    let mut power_terms = Vec::new();
+    let mut power_terms = Vec::with_capacity(if power_row { per_row } else { 0 });
     let power_row = power_row.then(|| {
         problem.add_row_with("power_budget", RowOp::Le, 0.0, |row| {
             for (node, load) in layout.iter().enumerate() {
@@ -157,9 +157,45 @@ impl<'a> RoomLp<'a> {
         let since = thermaware_obs::enabled().then(std::time::Instant::now);
         assert_eq!(layout.len(), dc.n_nodes(), "one NodeLoad per node");
         let rows = append_rows(dc, &mut problem, &layout, power_budget_kw.is_some());
+        Self::finish(dc, problem.prepare(), rows, &layout, power_budget_kw, since)
+    }
+
+    /// [`RoomLp::build`] in the storage of `lp`, the room LP of an
+    /// earlier build: `write` adds the caller's variables and
+    /// outlet-independent rows to the emptied problem of direction
+    /// `sense` and returns their layout, with anything else the caller
+    /// wants back. The LP is the one [`RoomLp::build`] makes of the same
+    /// problem, bit for bit ([`Prepared::rebuild`]).
+    pub(crate) fn build_in<T>(
+        dc: &'a DataCenter,
+        mut lp: Prepared,
+        sense: Sense,
+        power_budget_kw: Option<f64>,
+        write: impl FnOnce(&mut Problem) -> (Vec<NodeLoad>, T),
+    ) -> (Self, T) {
+        let since = thermaware_obs::enabled().then(std::time::Instant::now);
+        let (rows, layout, written) = lp.rebuild(sense, |problem| {
+            let (layout, written) = write(problem);
+            assert_eq!(layout.len(), dc.n_nodes(), "one NodeLoad per node");
+            let rows = append_rows(dc, problem, &layout, power_budget_kw.is_some());
+            (rows, layout, written)
+        });
+        (Self::finish(dc, lp, rows, &layout, power_budget_kw, since), written)
+    }
+
+    /// The room LP around the prepared `lp` its `rows` were appended to,
+    /// the build's time observed from `since`.
+    fn finish(
+        dc: &'a DataCenter,
+        lp: Prepared,
+        rows: RoomRows,
+        layout: &[NodeLoad],
+        power_budget_kw: Option<f64>,
+        since: Option<std::time::Instant>,
+    ) -> Self {
         let room = RoomLp {
             dc,
-            lp: problem.prepare(),
+            lp,
             budget_kw: power_budget_kw,
             fixed_kw: layout.iter().map(|load| load.fixed_kw).collect(),
             power_coeffs: Vec::with_capacity(rows.power_terms.len()),
@@ -255,7 +291,6 @@ pub(crate) fn recheck(
 mod tests {
     use super::*;
     use thermaware_datacenter::ScenarioParams;
-    use thermaware_lp::Sense;
 
     /// The rows as two closures per term wrote them — one rule for the
     /// terms a row `Σ_j g_j · P_j` keeps, the row's `g` handed in as a

@@ -37,8 +37,9 @@ use crate::objective::ObjectiveWeights;
 use crate::pwl::PiecewiseLinear;
 use crate::room::{self, NodeLoad, RoomLp};
 use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 use thermaware_datacenter::{CracSearchOptions, DataCenter};
-use thermaware_lp::{Basis, Problem, Sense, Solution, VarId};
+use thermaware_lp::{Basis, Prepared, Problem, Sense, Solution, VarId};
 
 /// Options for Stage 1.
 #[derive(Debug, Clone, Copy)]
@@ -109,6 +110,29 @@ pub fn solve_stage1_under_budget(
     budget_kw: f64,
     options: &Stage1Options,
 ) -> Result<Stage1Solution, SolveError> {
+    solve_stage1_in(dc, budget_kw, options, &mut SweepStorage::default())
+}
+
+/// The storage a Stage-1 sweep builds its room LP in — the problem, its
+/// internal form and the simplex workspace — kept by a caller that runs
+/// one sweep after another, so that each builds in the storage the last
+/// left ([`solve_stage1_in`]) instead of allocating its own. Empty when
+/// made; a sweep that panics drops what it held.
+#[derive(Default)]
+pub struct SweepStorage {
+    lp: Option<Prepared>,
+}
+
+/// [`solve_stage1_under_budget`] with the room LP built in `storage`,
+/// which keeps it for the next sweep. The plan is the one fresh storage
+/// gives, bit for bit and pivot for pivot, whatever zone the storage
+/// last held.
+pub fn solve_stage1_in(
+    dc: &DataCenter,
+    budget_kw: f64,
+    options: &Stage1Options,
+    storage: &mut SweepStorage,
+) -> Result<Stage1Solution, SolveError> {
     // Every comparison with NaN is false, so no search would refuse it;
     // the LP's right-hand side would.
     if budget_kw.is_nan() {
@@ -122,9 +146,11 @@ pub fn solve_stage1_under_budget(
         }
     }
 
-    let mut sweep = OutletSweep::new(dc, budget_kw, &node_curves, options);
-    let (crac_out_c, node_core_power_kw, objective) =
-        room::search_outlets(dc, options.search, "stage1", |outlets| sweep.evaluate(outlets))?;
+    let lp = storage.lp.take().unwrap_or_else(|| Problem::new(Sense::Maximize).prepare());
+    let mut sweep = OutletSweep::new(dc, budget_kw, &node_curves, options, lp);
+    let searched = room::search_outlets(dc, options.search, "stage1", |outlets| sweep.evaluate(outlets));
+    storage.lp = Some(sweep.room.lp);
+    let (crac_out_c, node_core_power_kw, objective) = searched?;
     thermaware_obs::gauge_set("core.stage1_objective", objective);
 
     // Distribute each node's power to its cores along the per-core hull.
@@ -132,12 +158,10 @@ pub fn solve_stage1_under_budget(
     for node in 0..dc.n_nodes() {
         let t = dc.node_type_of[node];
         let hull = &arr_curves[t].curve;
-        let cores: Vec<usize> = dc.cores_of_node(node).collect();
         distribute_node_power(
             node_core_power_kw[node],
             hull.points(),
-            &cores,
-            &mut core_power_kw,
+            &mut core_power_kw[dc.cores_of_node(node)],
         );
     }
 
@@ -168,26 +192,30 @@ struct OutletSweep<'a> {
 }
 
 impl<'a> OutletSweep<'a> {
+    /// The sweep's room LP, built in the storage of `lp`.
     fn new(
         dc: &'a DataCenter,
         budget_kw: f64,
         node_curves: &[PiecewiseLinear],
         options: &'a Stage1Options,
+        lp: Prepared,
     ) -> Self {
         let slopes: Vec<Vec<f64>> = node_curves.iter().map(|c| c.slopes()).collect();
-        let mut p = Problem::new(Sense::Maximize);
-        // The objective is the raw slope, which is what reward-only
-        // weights keep (bit-identical path); cost weights overwrite it
-        // per candidate.
-        let node_vars = add_segment_vars(&mut p, dc, node_curves, |slope| slope);
         // An infinite budget is no budget: a row `≤ +∞` binds nothing and
         // leaves the optimum no finite certificate.
         let budget_row = (budget_kw < f64::INFINITY).then_some(budget_kw);
+        let (room, node_vars) = RoomLp::build_in(dc, lp, Sense::Maximize, budget_row, |p| {
+            // The objective is the raw slope, which is what reward-only
+            // weights keep (bit-identical path); cost weights overwrite
+            // it per candidate.
+            let node_vars = add_segment_vars(p, dc, node_curves, |slope| slope);
+            (segment_layout(dc, &node_vars), node_vars)
+        });
         OutletSweep {
             dc,
             budget_kw,
             options,
-            room: RoomLp::build(dc, p, segment_layout(dc, &node_vars), budget_row),
+            room,
             slopes,
             node_vars,
             warm: None,
@@ -272,13 +300,15 @@ pub(crate) fn arr_and_node_curves(
 
 /// One variable per node × segment of the node's aggregate ARR curve,
 /// bounded by the segment's length (kW of core power) and priced at
-/// `objective(slope)`. Returns each node's variables.
+/// `objective(slope)`, each named `seg_n{node}_s{segment}` through one
+/// buffer. Returns each node's variables.
 pub(crate) fn add_segment_vars(
     p: &mut Problem,
     dc: &DataCenter,
     node_curves: &[PiecewiseLinear],
     objective: impl Fn(f64) -> f64,
 ) -> Vec<Vec<VarId>> {
+    let mut name = String::new();
     (0..dc.n_nodes())
         .map(|node| {
             let curve = &node_curves[dc.node_type_of[node]];
@@ -289,7 +319,9 @@ pub(crate) fn add_segment_vars(
                 .enumerate()
                 .map(|(s, &slope)| {
                     let len = pts[s + 1].0 - pts[s].0;
-                    p.add_var(&format!("seg_n{node}_s{s}"), 0.0, len, objective(slope))
+                    name.clear();
+                    let _ = write!(name, "seg_n{node}_s{s}");
+                    p.add_var(&name, 0.0, len, objective(slope))
                 })
                 .collect()
         })
@@ -323,13 +355,9 @@ pub(crate) fn segment_node_power(node_vars: &[Vec<VarId>], sol: &Solution) -> Ve
 /// most one core in between. Linearity of the hull segment makes this
 /// objective-neutral versus the equal split while leaving nearly every
 /// core exactly on a P-state power — which is what makes Stage 2's
-/// rounding nearly lossless.
-pub(crate) fn distribute_node_power(
-    total: f64,
-    hull: &[(f64, f64)],
-    cores: &[usize],
-    out: &mut [f64],
-) {
+/// rounding nearly lossless. `cores` is the node's cores' power, written
+/// core after core.
+pub(crate) fn distribute_node_power(total: f64, hull: &[(f64, f64)], cores: &mut [f64]) {
     let n = cores.len();
     if n == 0 {
         return;
@@ -339,9 +367,7 @@ pub(crate) fn distribute_node_power(
         return;
     };
     if per_core >= b_max - 1e-15 {
-        for &c in cores {
-            out[c] = b_max;
-        }
+        cores.fill(b_max);
         return;
     }
     // Containing segment.
@@ -354,7 +380,7 @@ pub(crate) fn distribute_node_power(
     debug_assert!(per_core >= lo - 1e-12 && per_core <= hi + 1e-12);
     // m cores at hi, then one remainder core, the rest at lo.
     let mut remaining = total;
-    for (assigned, &c) in cores.iter().enumerate() {
+    for (assigned, c) in cores.iter_mut().enumerate() {
         let left = n - assigned;
         // Greedy: give `hi` while the rest can still absorb at `lo`.
         let give = if remaining - hi >= lo * (left as f64 - 1.0) - 1e-12 {
@@ -363,8 +389,8 @@ pub(crate) fn distribute_node_power(
             // Remainder core: whatever keeps the rest exactly at lo.
             (remaining - lo * (left as f64 - 1.0)).clamp(0.0, hi)
         };
-        out[c] = give.min(remaining.max(0.0));
-        remaining -= out[c];
+        *c = give.min(remaining.max(0.0));
+        remaining -= *c;
     }
 }
 
@@ -491,11 +517,12 @@ mod tests {
                     objective,
                     ..Stage1Options::default()
                 };
-                let mut shared = OutletSweep::new(&dc, dc.budget.p_const_kw, &node_curves, &options);
+                let fresh_lp = || Problem::new(Sense::Maximize).prepare();
+                let mut shared = OutletSweep::new(&dc, dc.budget.p_const_kw, &node_curves, &options, fresh_lp());
                 let mut chain: Option<Basis> = None;
                 let (mut feasible, mut infeasible) = (0, 0);
                 for outlets in &candidates {
-                    let mut fresh = OutletSweep::new(&dc, dc.budget.p_const_kw, &node_curves, &options);
+                    let mut fresh = OutletSweep::new(&dc, dc.budget.p_const_kw, &node_curves, &options, fresh_lp());
                     fresh.warm = chain.take();
                     let alone = fresh.evaluate(outlets);
                     chain = fresh.warm.take();
@@ -630,9 +657,8 @@ mod tests {
         // Hull (0,0) -> (1,10) -> (2,15); 4 cores, total 6: per-core 1.5
         // in segment [1,2] -> two cores at 2, two at 1 (or one remainder).
         let hull = [(0.0, 0.0), (1.0, 10.0), (2.0, 15.0)];
-        let cores = [0, 1, 2, 3];
         let mut out = [0.0; 4];
-        distribute_node_power(6.0, &hull, &cores, &mut out);
+        distribute_node_power(6.0, &hull, &mut out);
         let sum: f64 = out.iter().sum();
         assert!((sum - 6.0).abs() < 1e-12, "{out:?}");
         for &p in &out {
@@ -646,12 +672,12 @@ mod tests {
 
         // Saturated: total = 4 * b_max.
         let mut out2 = [0.0; 4];
-        distribute_node_power(8.0, &hull, &cores, &mut out2);
+        distribute_node_power(8.0, &hull, &mut out2);
         assert!(out2.iter().all(|&p| (p - 2.0).abs() < 1e-12));
 
         // Zero.
         let mut out3 = [9.0; 4];
-        distribute_node_power(0.0, &hull, &cores, &mut out3);
+        distribute_node_power(0.0, &hull, &mut out3);
         assert!(out3.iter().all(|&p| p.abs() < 1e-12));
     }
 }

@@ -94,6 +94,13 @@ pub fn solve_stage3_task_aware(
 ) -> Result<TaskAwareSolution, SolveError> {
     dc.pstates_fit(pstates)
         .map_err(|misfit| SolveError::invalid_input(format!("task power: {misfit}")))?;
+    let outlets = crac_out_c.len();
+    if outlets != dc.n_crac() {
+        return Err(SolveError::invalid_input(format!(
+            "task power: {outlets} CRAC outlets for {} CRACs",
+            dc.n_crac()
+        )));
+    }
     let t = dc.n_task_types();
     model.check(t)?;
     let nn = dc.n_nodes();
@@ -557,5 +564,16 @@ mod tests {
         let short = &plan.pstates[..plan.pstates.len() - 1];
         let got = solve_stage3_task_aware(&dc, short, plan.crac_out_c(), &model);
         assert_invalid(got, "do not fit");
+    }
+
+    #[test]
+    fn an_outlet_vector_of_the_wrong_length_is_invalid_input() {
+        let (dc, plan) = setup();
+        let model = TaskPowerModel::uniform(dc.n_task_types());
+        let long = vec![plan.crac_out_c()[0]; dc.n_crac() + 1];
+        for outlets in [&[][..], &long[..]] {
+            let got = solve_stage3_task_aware(&dc, &plan.pstates, outlets, &model);
+            assert_invalid(got, "CRAC outlets for");
+        }
     }
 }

@@ -63,7 +63,7 @@ pub(crate) enum VarMap {
 /// or, when that is the problem's arena entry for entry, no copy of it;
 /// and `cols`, every column, row-sorted — entry for entry the values of
 /// the row store, plus those singletons.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct SparseLines {
     pub(crate) start: Vec<u32>,
     pub(crate) at: Vec<u32>,
@@ -80,21 +80,26 @@ impl SparseLines {
         SparseLines { start: vec![0], at: Vec::new(), val: Vec::new(), run: Vec::new() }
     }
 
-    /// Lines of the given lengths, every entry still to be written.
-    fn with_lengths(lengths: &[u32]) -> SparseLines {
-        let mut start = Vec::with_capacity(lengths.len() + 1);
+    /// No lines, in the buffers the last ones grew.
+    pub(crate) fn clear(&mut self) {
+        self.start.clear();
+        self.start.push(0);
+        self.at.clear();
+        self.val.clear();
+        self.run.clear();
+    }
+
+    /// Lines of the given lengths, every entry still to be written, in
+    /// the buffers the last ones grew.
+    fn set_lengths(&mut self, lengths: &[u32]) {
+        self.clear();
         let mut total = 0;
-        start.push(0);
         for &len in lengths {
             total += len;
-            start.push(total);
+            self.start.push(total);
         }
-        SparseLines {
-            start,
-            at: vec![0; total as usize],
-            val: vec![0.0; total as usize],
-            run: Vec::new(),
-        }
+        self.at.resize(total as usize, 0);
+        self.val.resize(total as usize, 0.0);
     }
 
     /// Set `run` from the indices, once every line is written.
@@ -171,7 +176,11 @@ impl SparseLines {
 /// [`InternalForm::sync`] runs when `stale_rows > 0`. A row patched back
 /// across zero is simply no longer stale.
 ///
+/// A form is built in the storage of the last one it held
+/// ([`InternalForm::rebuild`]): every field is written over, none read.
+///
 /// [`build`]: InternalForm::build
+#[derive(Default)]
 pub(crate) struct InternalForm {
     /// `-1` for maximization (internally always minimize), `+1` otherwise.
     pub sense_sign: f64,
@@ -216,6 +225,20 @@ pub(crate) struct InternalForm {
     /// Rows whose `shifted_rhs` sign disagrees with `flipped` (see the
     /// type docs). Zero after `build` and `sync`.
     pub stale_rows: usize,
+    /// What a build works in besides the fields above.
+    scratch: Scratch,
+}
+
+/// What [`InternalForm::rebuild`] works in, kept for the next rebuild:
+/// each is written before it is read.
+#[derive(Default)]
+struct Scratch {
+    /// Which variables, and which rows, a build copies.
+    copied_var: Vec<bool>,
+    copies: Vec<bool>,
+    columns: ColumnScratch,
+    /// The row store of an earlier build, while the form needs none.
+    spare_rows: SparseLines,
 }
 
 /// Row `i`'s right-hand side with the variable shifts folded in.
@@ -320,12 +343,27 @@ fn copied_activity(terms: &SparseLines, upper: &[f64], copies: &[bool], lo: &mut
 /// other.
 const COLUMN_BLOCK: usize = 64;
 
-/// The column store of a form: column `j` holds `in_col[j]` entries —
-/// the structural rows' (`rows`, by row over the `n_struct` structural
-/// columns), then each row's slack and artificial singleton. Each column
-/// receives its entries in ascending row order, so it is row-sorted with
-/// unique row indices; it is a run until an entry lands that does not
-/// follow the one before it by one row, and an empty one never was.
+/// What [`fill_columns`] reads besides the rows and works in, kept by a
+/// form from one build to the next: each is written before it is read.
+#[derive(Default)]
+struct ColumnScratch {
+    /// Entries of each column.
+    in_col: Vec<u32>,
+    /// The rows that span a block, and where each keeps its entry in the
+    /// block's first column.
+    listed: Vec<u32>,
+    from: Vec<usize>,
+    /// Next free slot of each column.
+    next: Vec<u32>,
+}
+
+/// Write the column store of a form into `cols`: column `j` holds
+/// `scratch.in_col[j]` entries — the structural rows' (`rows`, by row
+/// over the `n_struct` structural columns), then each row's slack and
+/// artificial singleton. Each column receives its entries in ascending
+/// row order, so it is row-sorted with unique row indices; it is a run
+/// until an entry lands that does not follow the one before it by one
+/// row, and an empty one never was.
 ///
 /// When every row is empty or one run over whole blocks of
 /// `COLUMN_BLOCK` columns (the last block may end at `n_struct`) — every
@@ -336,13 +374,15 @@ const COLUMN_BLOCK: usize = 64;
 /// row. Any other structure is scattered row by row into columns of the
 /// lengths `in_col` gives.
 fn fill_columns(
+    cols: &mut SparseLines,
     rows: &SparseLines,
-    in_col: &[u32],
     n_struct: usize,
     slack_col: &[Option<usize>],
     art_col: &[Option<usize>],
     ops: &[RowOp],
-) -> SparseLines {
+    scratch: &mut ColumnScratch,
+) {
+    let ColumnScratch { in_col, listed, from, next } = scratch;
     let nrows = ops.len();
     let slack_sign = |i: usize| if matches!(ops[i], RowOp::Le) { 1.0 } else { -1.0 };
     let window = |i: usize| {
@@ -357,10 +397,10 @@ fn fill_columns(
             })
     });
     if !whole_blocks {
-        let mut cols = SparseLines::with_lengths(in_col);
-        cols.run = in_col.iter().map(|&len| len > 0).collect();
-        // Next free slot of each column.
-        let mut next: Vec<u32> = cols.start[..in_col.len()].to_vec();
+        cols.set_lengths(in_col);
+        cols.run.extend(in_col.iter().map(|&len| len > 0));
+        next.clear();
+        next.extend_from_slice(&cols.start[..in_col.len()]);
         let mut place = |j: usize, i: usize, a: f64| {
             let slot = next[j] as usize;
             if slot > cols.start[j] as usize && cols.at[slot - 1] as usize + 1 != i {
@@ -382,20 +422,17 @@ fn fill_columns(
                 place(ac, i, 1.0);
             }
         }
-        return cols;
+        return;
     }
 
-    let mut cols = SparseLines::empty();
+    cols.clear();
     let total = in_col.iter().map(|&n| n as usize).sum();
     cols.start.reserve(in_col.len());
     cols.at.reserve(total);
     cols.val.reserve(total);
     cols.run.reserve(in_col.len());
-    let (mut listed, mut from) = (Vec::new(), Vec::new());
     for block in (0..n_struct).step_by(COLUMN_BLOCK) {
         let end = (block + COLUMN_BLOCK).min(n_struct);
-        // The rows that span the block, and where each keeps its entry
-        // in the block's first column.
         listed.clear();
         from.clear();
         for i in 0..nrows {
@@ -406,7 +443,7 @@ fn fill_columns(
         }
         let run = !listed.is_empty() && listed.windows(2).all(|w| w[0] + 1 == w[1]);
         for offset in 0..end - block {
-            cols.at.extend_from_slice(&listed);
+            cols.at.extend_from_slice(listed);
             cols.val.extend(from.iter().map(|&k| rows.val[k + offset]));
             cols.run.push(run);
             cols.start.push(cols.at.len() as u32);
@@ -424,88 +461,73 @@ fn fill_columns(
         cols.start.push(cols.at.len() as u32);
     }
     debug_assert_eq!(cols.at.len(), total);
-    cols
 }
 
-/// How the user variables land in internal columns.
-struct VarLayout {
-    sense_sign: f64,
-    maps: Vec<VarMap>,
-    /// Upper bound and phase-2 cost of every structural column.
-    upper: Vec<f64>,
-    cost: Vec<f64>,
-}
-
-impl VarLayout {
-    fn of(problem: &Problem) -> VarLayout {
-        let mut maps: Vec<VarMap> = Vec::with_capacity(problem.vars.len());
-        let mut upper: Vec<f64> = Vec::new();
-        let mut cost: Vec<f64> = Vec::new();
-        let sense_sign = match problem.sense {
-            Sense::Maximize => -1.0,
-            Sense::Minimize => 1.0,
-        };
-        for v in &problem.vars {
-            if v.lower.is_finite() {
-                maps.push(VarMap::Shift {
-                    col: upper.len(),
-                    lb: v.lower,
-                });
-                upper.push(v.upper - v.lower);
-                cost.push(sense_sign * v.objective);
-            } else if v.upper.is_finite() {
-                maps.push(VarMap::Mirror {
-                    col: upper.len(),
-                    ub: v.upper,
-                });
-                upper.push(f64::INFINITY);
-                cost.push(-sense_sign * v.objective);
-            } else {
-                maps.push(VarMap::Split {
-                    pos: upper.len(),
-                    neg: upper.len() + 1,
-                });
-                upper.push(f64::INFINITY);
-                upper.push(f64::INFINITY);
-                cost.push(sense_sign * v.objective);
-                cost.push(-sense_sign * v.objective);
-            }
+/// Lay the user variables out in internal columns: how each maps
+/// (`maps`), and the upper bound and phase-2 cost of every structural
+/// column, written over what the vectors held. Returns the sense sign.
+fn lay_out_vars(problem: &Problem, maps: &mut Vec<VarMap>, upper: &mut Vec<f64>, cost: &mut Vec<f64>) -> f64 {
+    maps.clear();
+    upper.clear();
+    cost.clear();
+    let sense_sign = match problem.sense {
+        Sense::Maximize => -1.0,
+        Sense::Minimize => 1.0,
+    };
+    for v in &problem.vars {
+        if v.lower.is_finite() {
+            maps.push(VarMap::Shift {
+                col: upper.len(),
+                lb: v.lower,
+            });
+            upper.push(v.upper - v.lower);
+            cost.push(sense_sign * v.objective);
+        } else if v.upper.is_finite() {
+            maps.push(VarMap::Mirror {
+                col: upper.len(),
+                ub: v.upper,
+            });
+            upper.push(f64::INFINITY);
+            cost.push(-sense_sign * v.objective);
+        } else {
+            maps.push(VarMap::Split {
+                pos: upper.len(),
+                neg: upper.len() + 1,
+            });
+            upper.push(f64::INFINITY);
+            upper.push(f64::INFINITY);
+            cost.push(sense_sign * v.objective);
+            cost.push(-sense_sign * v.objective);
         }
-        VarLayout { sense_sign, maps, upper, cost }
     }
+    sense_sign
 }
 
-/// The columns after the structural ones: slacks in row order, then
-/// artificials in row order.
-struct ExtraColumns {
-    slack_col: Vec<Option<usize>>,
-    art_col: Vec<Option<usize>>,
-    art_start: usize,
-    n_total: usize,
-}
-
-impl ExtraColumns {
-    /// For rows with the normalised operators `ops`, after `n_struct`
-    /// structural columns.
-    fn of(ops: &[RowOp], n_struct: usize) -> ExtraColumns {
-        let mut slack_col: Vec<Option<usize>> = vec![None; ops.len()];
-        let mut next = n_struct;
-        for (i, op) in ops.iter().enumerate() {
-            if matches!(op, RowOp::Le | RowOp::Ge) {
-                slack_col[i] = Some(next);
-                next += 1;
-            }
-        }
-        let art_start = next;
-        let mut art_col: Vec<Option<usize>> = vec![None; ops.len()];
-        for (i, op) in ops.iter().enumerate() {
-            if matches!(op, RowOp::Ge | RowOp::Eq) {
-                art_col[i] = Some(next);
-                next += 1;
-            }
-        }
-        ExtraColumns { slack_col, art_col, art_start, n_total: next }
+/// Lay out the columns after the `n_struct` structural ones for rows
+/// with the normalised operators `ops`: slacks in row order, then
+/// artificials in row order, written over what `slack_col` and
+/// `art_col` held. Returns the first artificial column and the total.
+fn lay_out_extra_columns(
+    ops: &[RowOp],
+    n_struct: usize,
+    slack_col: &mut Vec<Option<usize>>,
+    art_col: &mut Vec<Option<usize>>,
+) -> (usize, usize) {
+    slack_col.clear();
+    art_col.clear();
+    let mut next = n_struct;
+    for op in ops {
+        let slack = matches!(op, RowOp::Le | RowOp::Ge);
+        slack_col.push(slack.then_some(next));
+        next += usize::from(slack);
     }
+    let art_start = next;
+    for op in ops {
+        let art = matches!(op, RowOp::Ge | RowOp::Eq);
+        art_col.push(art.then_some(next));
+        next += usize::from(art);
+    }
+    (art_start, next)
 }
 
 impl InternalForm {
@@ -513,7 +535,16 @@ impl InternalForm {
         self.rhs.len()
     }
 
-    /// Build the internal form of `problem`.
+    /// Build the internal form of `problem`: [`InternalForm::rebuild`]
+    /// in new storage.
+    pub(crate) fn build(problem: &Problem) -> InternalForm {
+        let mut form = InternalForm::default();
+        form.rebuild(problem);
+        form
+    }
+
+    /// Make this the internal form of `problem`, in the storage the form
+    /// it held occupies.
     ///
     /// A row that needs no rewriting is *copied*: each of its variables
     /// sits in the column of its own index, bounded below at exactly 0
@@ -534,55 +565,83 @@ impl InternalForm {
     /// [`copied_activity`], in term order too. The column store is then
     /// written from the row store by [`fill_columns`]. The form is the one
     /// the separate walks laid out (`build_multipass`, compiled for tests
-    /// only, which the crate's property tests hold it to field by field).
-    pub(crate) fn build(problem: &Problem) -> InternalForm {
+    /// only, which the crate's property tests hold it to field by field,
+    /// built fresh and in storage a larger or a smaller model left).
+    pub(crate) fn rebuild(&mut self, problem: &Problem) {
         let nrows = problem.cons.len();
-        let VarLayout { sense_sign, maps, mut upper, mut cost } = VarLayout::of(problem);
+        let InternalForm {
+            sense_sign,
+            maps,
+            upper,
+            cost,
+            shifted_rhs: shifted,
+            unshifted: unshifted_rows,
+            act_lo,
+            act_hi,
+            rhs,
+            ops,
+            flipped,
+            cols,
+            rows: row_store,
+            slack_col,
+            art_col,
+            art_start,
+            n_total,
+            signature: form_signature,
+            stale_rows,
+            scratch: Scratch { copied_var, copies, columns, spare_rows },
+        } = self;
+        *sense_sign = lay_out_vars(problem, maps, upper, cost);
         let n_struct = upper.len();
         let terms = &problem.terms;
 
         // ---- Which rows are copied -------------------------------------
         let zero = 0.0_f64.to_bits();
-        let copied_var: Vec<bool> = maps
-            .iter()
-            .enumerate()
-            .map(|(uj, m)| matches!(*m, VarMap::Shift { col, lb } if col == uj && lb.abs().to_bits() == zero))
-            .collect();
+        copied_var.clear();
+        copied_var.extend(
+            maps.iter()
+                .enumerate()
+                .map(|(uj, m)| matches!(*m, VarMap::Shift { col, lb } if col == uj && lb.abs().to_bits() == zero)),
+        );
         let every_var_copied = copied_var.iter().all(|&c| c);
-        let copies: Vec<bool> = problem
-            .cons
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                let at = terms.range(i);
-                c.rhs >= 0.0
-                    && c.rhs.to_bits() != NEG_ZERO
-                    && (every_var_copied || terms.at[at.clone()].iter().all(|&j| copied_var[j as usize]))
-                    && terms.val[at].iter().fold(true, |finite, a| finite & a.is_finite())
-            })
-            .collect();
+        copies.clear();
+        copies.extend(problem.cons.iter().enumerate().map(|(i, c)| {
+            let at = terms.range(i);
+            c.rhs >= 0.0
+                && c.rhs.to_bits() != NEG_ZERO
+                && (every_var_copied || terms.at[at.clone()].iter().all(|&j| copied_var[j as usize]))
+                && terms.val[at].iter().fold(true, |finite, a| finite & a.is_finite())
+        }));
 
         // ---- Rows in internal coordinates --------------------------------
-        let mut shifted = Vec::with_capacity(nrows);
-        let mut unshifted_rows = Vec::with_capacity(nrows);
-        let (mut act_lo, mut act_hi) = (vec![0.0; nrows], vec![0.0; nrows]);
-        copied_activity(terms, &upper, &copies, &mut act_lo, &mut act_hi);
-        let mut rhs = Vec::with_capacity(nrows);
-        let mut ops = Vec::with_capacity(nrows);
-        let mut flipped = Vec::with_capacity(nrows);
+        shifted.clear();
+        unshifted_rows.clear();
+        for range in [&mut *act_lo, &mut *act_hi] {
+            range.clear();
+            range.resize(nrows, 0.0);
+        }
+        copied_activity(terms, upper, copies, act_lo, act_hi);
+        rhs.clear();
+        ops.clear();
+        flipped.clear();
         // A free variable's term is two entries: room for the terms is
-        // room for the entries unless the model has such.
-        let mut rows = (!copies.iter().all(|&c| c)).then(|| {
-            let mut rows = SparseLines {
-                start: Vec::with_capacity(nrows + 1),
-                at: Vec::with_capacity(terms.at.len()),
-                val: Vec::with_capacity(terms.at.len()),
-                run: Vec::with_capacity(nrows),
-            };
-            rows.start.push(0);
-            rows
-        });
-        let mut in_col = vec![0u32; n_struct];
+        // room for the entries unless the model has such. A form that
+        // needs no row store keeps the one it had for the next build.
+        let mut store = row_store.take().unwrap_or_else(|| std::mem::take(spare_rows));
+        let mut rows = if copies.iter().all(|&c| c) {
+            *spare_rows = store;
+            None
+        } else {
+            store.clear();
+            store.start.reserve(nrows + 1);
+            store.at.reserve(terms.at.len());
+            store.val.reserve(terms.at.len());
+            store.run.reserve(nrows);
+            Some(store)
+        };
+        let in_col = &mut columns.in_col;
+        in_col.clear();
+        in_col.resize(n_struct, 0);
         for (i, c) in problem.cons.iter().enumerate() {
             if copies[i] {
                 let at = terms.range(i);
@@ -668,7 +727,8 @@ impl InternalForm {
             ops.push(op);
             flipped.push(flip);
         }
-        let store = rows.as_ref().unwrap_or(terms);
+        *row_store = rows;
+        let store = row_store.as_ref().unwrap_or(terms);
         // Every index above and below is at most this: each row adds two
         // columns at most and two entries to the column store. (Indices
         // written so far were cut to 32 bits unchecked; none has been
@@ -678,36 +738,14 @@ impl InternalForm {
             "constraint matrix too large to index with u32"
         );
 
-        let ExtraColumns { slack_col, art_col, art_start, n_total } =
-            ExtraColumns::of(&ops, n_struct);
-        upper.resize(n_total, f64::INFINITY);
-        cost.resize(n_total, 0.0);
-        in_col.resize(n_total, 1);
-        let cols = fill_columns(store, &in_col, n_struct, &slack_col, &art_col, &ops);
+        (*art_start, *n_total) = lay_out_extra_columns(ops, n_struct, slack_col, art_col);
+        upper.resize(*n_total, f64::INFINITY);
+        cost.resize(*n_total, 0.0);
+        columns.in_col.resize(*n_total, 1);
+        fill_columns(cols, store, n_struct, slack_col, art_col, ops, columns);
 
-        let signature = signature(sense_sign, &maps, problem, &ops, &flipped);
-
-        InternalForm {
-            sense_sign,
-            maps,
-            upper,
-            cost,
-            shifted_rhs: shifted,
-            unshifted: unshifted_rows,
-            act_lo,
-            act_hi,
-            rhs,
-            ops,
-            flipped,
-            cols,
-            rows,
-            slack_col,
-            art_col,
-            art_start,
-            n_total,
-            signature,
-            stale_rows: 0,
-        }
+        *form_signature = signature(*sense_sign, maps, problem, ops, flipped);
+        *stale_rows = 0;
     }
 
     /// The structural block by row: the form's own store, or the
@@ -785,7 +823,7 @@ impl InternalForm {
     /// patches moved rows across zero. A no-op when none did.
     pub(crate) fn sync(&mut self, problem: &Problem) {
         if self.stale_rows > 0 {
-            *self = InternalForm::build(problem);
+            self.rebuild(problem);
         }
     }
 
@@ -909,10 +947,10 @@ impl InternalForm {
             .enumerate()
             .find_map(|(ui, vm)| match *vm {
                 VarMap::Shift { col, .. } | VarMap::Mirror { col, .. } if col == q => {
-                    Some(problem.vars[ui].name.clone())
+                    Some(problem.var_name(ui).to_owned())
                 }
                 VarMap::Split { pos, neg } if pos == q || neg == q => {
-                    Some(problem.vars[ui].name.clone())
+                    Some(problem.var_name(ui).to_owned())
                 }
                 _ => None,
             })
@@ -929,7 +967,8 @@ impl InternalForm {
     /// one-walk build is held to.
     pub(crate) fn build_multipass(problem: &Problem) -> InternalForm {
         let nrows = problem.cons.len();
-        let VarLayout { sense_sign, maps, mut upper, mut cost } = VarLayout::of(problem);
+        let (mut maps, mut upper, mut cost) = (Vec::new(), Vec::new(), Vec::new());
+        let sense_sign = lay_out_vars(problem, &mut maps, &mut upper, &mut cost);
         let n_struct = upper.len();
 
         let mut shifted = Vec::with_capacity(nrows);
@@ -989,8 +1028,8 @@ impl InternalForm {
         }
         rows.mark_runs();
 
-        let ExtraColumns { slack_col, art_col, art_start, n_total } =
-            ExtraColumns::of(&ops, n_struct);
+        let (mut slack_col, mut art_col) = (Vec::new(), Vec::new());
+        let (art_start, n_total) = lay_out_extra_columns(&ops, n_struct, &mut slack_col, &mut art_col);
         upper.resize(n_total, f64::INFINITY);
         cost.resize(n_total, 0.0);
 
@@ -999,7 +1038,8 @@ impl InternalForm {
             in_col[j as usize] += 1;
         }
         in_col[n_struct..].fill(1);
-        let mut cols = SparseLines::with_lengths(&in_col);
+        let mut cols = SparseLines::default();
+        cols.set_lengths(&in_col);
         let mut next: Vec<u32> = cols.start[..n_total].to_vec();
         let mut place = |j: usize, i: usize, a: f64| {
             let slot = next[j] as usize;
@@ -1042,6 +1082,7 @@ impl InternalForm {
             n_total,
             signature,
             stale_rows: 0,
+            scratch: Scratch::default(),
         }
     }
 }

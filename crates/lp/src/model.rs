@@ -33,7 +33,6 @@ pub struct ConstraintId(pub(crate) usize);
 
 #[derive(Debug, Clone)]
 pub(crate) struct Variable {
-    pub name: String,
     pub lower: f64,
     pub upper: f64,
     pub objective: f64,
@@ -57,6 +56,10 @@ pub(crate) struct Constraint {
 pub struct Problem {
     pub(crate) sense: Sense,
     pub(crate) vars: Vec<Variable>,
+    /// Every variable's name, one after the other: variable `j`'s ends
+    /// at `name_end[j]` and starts where variable `j - 1`'s ends.
+    names: String,
+    name_end: Vec<usize>,
     pub(crate) cons: Vec<Constraint>,
     /// Every row's terms in one arena, row after row: line `i` holds row
     /// `i`'s `(variable, coefficient)` pairs in the order the row lists
@@ -111,9 +114,22 @@ impl Problem {
         Problem {
             sense,
             vars: Vec::new(),
+            names: String::new(),
+            name_end: Vec::new(),
             cons: Vec::new(),
             terms: SparseLines::empty(),
         }
+    }
+
+    /// Empty the problem for a new model of the given direction, keeping
+    /// the buffers the last one grew.
+    pub(crate) fn clear(&mut self, sense: Sense) {
+        self.sense = sense;
+        self.vars.clear();
+        self.names.clear();
+        self.name_end.clear();
+        self.cons.clear();
+        self.terms.clear();
     }
 
     /// Make room for `rows` more rows of `terms` terms in all, so that
@@ -141,12 +157,19 @@ impl Problem {
         assert!(lower <= upper, "variable '{name}': lower {lower} > upper {upper}");
         assert!(self.vars.len() < u32::MAX as usize, "too many variables to index with u32");
         self.vars.push(Variable {
-            name: name.to_owned(),
             lower,
             upper,
             objective,
         });
+        self.names.push_str(name);
+        self.name_end.push(self.names.len());
         VarId(self.vars.len() - 1)
+    }
+
+    /// The name variable `j` was added under.
+    pub(crate) fn var_name(&self, j: usize) -> &str {
+        let start = if j == 0 { 0 } else { self.name_end[j - 1] };
+        &self.names[start..self.name_end[j]]
     }
 
     /// Add a constraint row `Σ coeff·var (op) rhs`.

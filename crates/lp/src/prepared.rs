@@ -11,10 +11,16 @@
 //! that), and [`Prepared::solve_warm`] runs the same solve function as
 //! [`Problem::solve_warm`], so a prepared problem gives the answers, pivot
 //! for pivot, of the same problem built afresh.
+//!
+//! A caller that builds one model after another — a replan's zone
+//! sweeps, each its own room LP — builds each in the storage of the last
+//! ([`Prepared::rebuild`]): the problem's variables and row arena, the
+//! form's stores and the solve's workspace keep their buffers, so a model
+//! no larger than the one before allocates nothing for itself.
 
 use crate::basis::Basis;
 use crate::internal::InternalForm;
-use crate::model::{solve_with, ConstraintId, Problem, VarId};
+use crate::model::{solve_with, ConstraintId, Problem, Sense, VarId};
 use crate::revised::Workspace;
 use crate::solution::{LpError, Solution};
 
@@ -41,6 +47,23 @@ impl Problem {
 }
 
 impl Prepared {
+    /// Make this a new model in the storage the last one occupies:
+    /// `write` gets the problem emptied — direction `sense`, no variables
+    /// and no rows — and adds the model to it, which is then prepared as
+    /// [`Problem::prepare`] would prepare it. What `write` returns is
+    /// handed back.
+    ///
+    /// The model is the one `write` would make of [`Problem::new`], and
+    /// its solves are that model's, pivot for pivot and bit for bit,
+    /// whatever model the storage held before. If `write` panics, the
+    /// prepared problem is left half written: drop it.
+    pub fn rebuild<R>(&mut self, sense: Sense, write: impl FnOnce(&mut Problem) -> R) -> R {
+        self.problem.clear(sense);
+        let written = write(&mut self.problem);
+        self.form.rebuild(&self.problem);
+        written
+    }
+
     /// Replace the right-hand side of a row.
     ///
     /// # Panics
@@ -230,6 +253,12 @@ mod tests {
 
     fn build(m: &Model) -> (Problem, Vec<ConstraintId>) {
         let mut p = Problem::new(Sense::Maximize);
+        let rows = write(&mut p, m);
+        (p, rows)
+    }
+
+    /// Add `m`'s variables and rows to `p`; returns the rows.
+    fn write(p: &mut Problem, m: &Model) -> Vec<ConstraintId> {
         let vars: Vec<VarId> = m
             .vars
             .iter()
@@ -244,8 +273,7 @@ mod tests {
                 p.add_var(&format!("x{j}"), lo, hi, obj)
             })
             .collect();
-        let rows = m
-            .rows
+        m.rows
             .iter()
             .enumerate()
             .map(|(i, (op, rhs, coeffs, layout))| {
@@ -261,8 +289,7 @@ mod tests {
                 let op = [RowOp::Le, RowOp::Ge, RowOp::Eq][usize::from(*op)];
                 p.add_row(&format!("r{i}"), &terms, op, *rhs)
             })
-            .collect();
-        (p, rows)
+            .collect()
     }
 
     fn apply(p: &mut Prepared, rows: &[ConstraintId], patch: Patch) {
@@ -302,6 +329,59 @@ mod tests {
             }
             p.form.sync(&p.problem);
             assert_same_form((&p.form, &p.problem), (&InternalForm::build(&p.problem), &p.problem));
+        }
+    }
+
+    /// A solve's outcome to the bit: objective, values, duals and the
+    /// pivot count, or the error.
+    fn outcome(result: &Result<Solution, LpError>) -> String {
+        match result {
+            Ok(sol) => format!(
+                "{} pivots, objective {:x}, values {:x?}, duals {:x?}",
+                sol.iterations,
+                sol.objective.to_bits(),
+                bits(&sol.values),
+                bits(&sol.duals)
+            ),
+            Err(err) => format!("{err:?}"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A model rebuilt in storage another model left — patched,
+        /// synced and solved, so that its form and workspace hold that
+        /// model's numbers — is the model prepared afresh: the problem,
+        /// the form field by field, and the solve bit for bit and pivot
+        /// for pivot. Each pair runs both ways, so one of the two
+        /// rebuilds is into the storage of the larger model and the other
+        /// into that of the smaller.
+        #[test]
+        fn a_rebuild_in_used_storage_equals_a_fresh_prepare(
+            a in model(),
+            b in model(),
+            seq in patches(),
+            sense in any::<bool>(),
+        ) {
+            let sense = if sense { Sense::Maximize } else { Sense::Minimize };
+            for (before, after) in [(&a, &b), (&b, &a)] {
+                let (first, rows) = build(before);
+                let mut kept = first.prepare();
+                for patch in seq.clone() {
+                    apply(&mut kept, &rows, patch);
+                }
+                let _ = kept.solve_warm(None);
+                let rows = kept.rebuild(sense, |p| write(p, after));
+                let mut problem = Problem::new(sense);
+                let fresh_rows = write(&mut problem, after);
+                let mut fresh = problem.prepare();
+                prop_assert_eq!(&rows, &fresh_rows);
+                prop_assert_eq!(format!("{:?}", kept.problem), format!("{:?}", fresh.problem));
+                assert_same_form((&kept.form, &kept.problem), (&fresh.form, &fresh.problem));
+                let (again, once) = (kept.solve_warm(None), fresh.solve_warm(None));
+                prop_assert_eq!(outcome(&again), outcome(&once));
+            }
         }
     }
 

@@ -26,14 +26,14 @@
 //! crash-resume.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::chaos::ChaosScript;
 use crate::fleet::Fleet;
 use crate::master::{self, BudgetSplit};
 use crate::pool::{self, Pool, PoolConfig, RunStats};
 use crate::state::{FallbackKind, FleetState, ZonePlan, ZoneSlot, STATE_VERSION};
-use thermaware_core::stage1::{solve_stage1_under_budget, Stage1Options};
+use thermaware_core::stage1::{solve_stage1_in, Stage1Options, SweepStorage};
 use thermaware_core::stage2::assign_pstates;
 use thermaware_core::stage3::{solve_stage3, solve_stage3_warm};
 use thermaware_core::stage3::Stage3Basis;
@@ -145,15 +145,34 @@ pub fn solve_zone(
     objective: &ObjectiveWeights,
     warm: Option<&Stage3Basis>,
 ) -> Result<(ZonePlan, Option<Stage3Basis>), SolveError> {
-    let stage1 = match solve_stage1_under_budget(
-        dc,
-        budget_kw,
-        &Stage1Options {
-            psi_percent,
-            objective: *objective,
-            ..Stage1Options::default()
-        },
-    ) {
+    solve_zone_in(dc, zone, budget_kw, psi_percent, objective, warm, &Mutex::default())
+}
+
+/// [`solve_zone`] with its Stage-1 sweep built in storage taken from
+/// `spares` (new storage when there is none), given back once Stage 1
+/// returns. The storage is the job's alone from take to give-back; a
+/// panic in between drops it.
+fn solve_zone_in(
+    dc: &DataCenter,
+    zone: usize,
+    budget_kw: f64,
+    psi_percent: f64,
+    objective: &ObjectiveWeights,
+    warm: Option<&Stage3Basis>,
+    spares: &Mutex<Vec<SweepStorage>>,
+) -> Result<(ZonePlan, Option<Stage3Basis>), SolveError> {
+    // No lock is held while a job panics, so a poisoned list is still
+    // whole: every push and pop leaves it valid.
+    let spare_list = || spares.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut storage = spare_list().pop().unwrap_or_default();
+    let options = Stage1Options {
+        psi_percent,
+        objective: *objective,
+        ..Stage1Options::default()
+    };
+    let stage1 = solve_stage1_in(dc, budget_kw, &options, &mut storage);
+    spare_list().push(storage);
+    let stage1 = match stage1 {
         Ok(s) => s,
         Err(err) => {
             // A (near-)floor allocation can be Stage-1 infeasible purely
@@ -285,10 +304,16 @@ impl FleetSolver {
         let bases: Vec<Option<Stage3Basis>> =
             active.iter().map(|&z| self.zones[z].basis.clone()).collect();
         let zone_of_item = active.clone();
+        // The Stage-1 storage of zones whose sweep is done, for the next
+        // zone's sweep to build in: at most one per worker busy at once.
+        // No worker keeps one of its own — workers outlive the replan —
+        // so the storage goes when the last job holding the list ends.
+        let spares: Arc<Mutex<Vec<SweepStorage>>> = Arc::default();
         let (results, stats) =
             pool::run_supervised(&self.pool, active.len(), &self.cfg.pool, move |i, attempt| {
                 let fleet = Arc::clone(&fleet);
                 let chaos = chaos.clone();
+                let spares = Arc::clone(&spares);
                 let z = zone_of_item[i];
                 let budget = budgets[z];
                 let warm = bases[i].clone();
@@ -296,7 +321,7 @@ impl FleetSolver {
                     if let Some(script) = &chaos {
                         script.apply(epoch, z, attempt)?;
                     }
-                    solve_zone(&fleet.zones[z], z, budget, psi, &objective, warm.as_ref())
+                    solve_zone_in(&fleet.zones[z], z, budget, psi, &objective, warm.as_ref(), &spares)
                         .map_err(|e| e.to_string())
                 })
             });
