@@ -45,21 +45,27 @@ pub type Entry = (&'static str, Option<&'static str>, &'static str);
 /// The panic-free surface: everything a caller can invoke to get a
 /// plan, plus the crash-recovery and supervision paths that must
 /// survive chaos drills without unwinding.
-pub const PANIC_ENTRIES: [Entry; 14] = [
+pub const PANIC_ENTRIES: [Entry; 20] = [
     ("core", Some("Solver"), "solve"),
     ("core", Some("Solver"), "solve_at"),
     ("core", Some("Solver"), "baseline"),
+    ("core", Some("Solver"), "stage3_replan"),
     ("core", None, "solve_stage1"),
     ("core", None, "solve_stage3"),
     ("core", None, "solve_stage3_warm"),
+    ("core", None, "solve_stage3_task_aware"),
+    ("core", None, "solve_min_power"),
+    ("core", None, "solve_exact"),
     ("shard", Some("FleetSolver"), "replan"),
     ("shard", None, "solve_zone"),
     ("shard", None, "solve_monolithic"),
     ("service", Some("ServiceEngine"), "step"),
+    ("service", Some("ServiceEngine"), "step_with"),
+    ("service", Some("ServiceEngine"), "wants_replan"),
     ("service", None, "resume_service"),
-    ("runtime", None, "resume"),
-    ("runtime", Some("Supervisor"), "run"),
-    ("runtime", Some("LiveRun"), "step"),
+    ("service", Some("Supervisor"), "run"),
+    ("service", Some("Supervisor"), "resume"),
+    ("service", Some("SupervisedRun"), "step"),
 ];
 
 /// The replay surface: entries whose re-execution must be bit-identical
@@ -67,9 +73,10 @@ pub const PANIC_ENTRIES: [Entry; 14] = [
 /// crates themselves are fully covered by the token `determinism` rule;
 /// these are the orchestration entries whose *helpers* could hide a
 /// clock read in a file the token rule does not scope.
-pub const TAINT_ENTRIES: [Entry; 6] = [
-    ("runtime", None, "resume"),
+pub const TAINT_ENTRIES: [Entry; 7] = [
     ("service", Some("ServiceEngine"), "step"),
+    ("service", Some("ServiceEngine"), "step_with"),
+    ("service", Some("ServiceEngine"), "wants_replan"),
     ("service", None, "resume_service"),
     ("shard", Some("FleetSolver"), "replan"),
     ("shard", None, "solve_zone"),
@@ -79,16 +86,15 @@ pub const TAINT_ENTRIES: [Entry; 6] = [
 /// Public solve/replan/resume entries that must stay instrumented
 /// (PR 3's span tree is what EXPERIMENTS.md traces are cut from; an
 /// uninstrumented entry rots silently until someone needs the trace).
-pub const OBS_ENTRIES: [Entry; 9] = [
+pub const OBS_ENTRIES: [Entry; 8] = [
     ("core", Some("Solver"), "solve"),
     ("core", Some("Solver"), "solve_at"),
     ("core", Some("Solver"), "baseline"),
     ("shard", Some("FleetSolver"), "replan"),
-    ("service", Some("ServiceEngine"), "step"),
+    ("service", Some("ServiceEngine"), "step_with"),
     ("service", None, "resume_service"),
-    ("runtime", None, "resume"),
-    ("runtime", Some("Supervisor"), "run"),
-    ("runtime", Some("LiveRun"), "step"),
+    ("service", Some("Supervisor"), "run"),
+    ("service", Some("SupervisedRun"), "step"),
 ];
 
 /// Run all three graph rules over one shared graph.

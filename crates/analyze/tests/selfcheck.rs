@@ -96,8 +96,8 @@ fn analyzer_actually_scanned_the_workspace() {
 
 #[test]
 fn resume_entries_reach_their_trail_code() {
-    // Each resume is a plain call chain through the trail protocol and
-    // its own trail's part, so `transitive-panic` and `determinism-taint`
+    // The resume is a plain call chain through the trail protocol and
+    // the service's part — the floor's checks and epoch included — so `transitive-panic` and `determinism-taint`
     // check everything recovery runs. A step the graph cannot follow (a
     // trait's default method called through a type, say) would drop the
     // code behind it out of both rules without a finding.
@@ -107,20 +107,7 @@ fn resume_entries_reach_their_trail_code() {
 
     let ws = Workspace::load(&workspace_root());
     let g = Graph::build(&ws);
-    let cases: [((&str, &str), &[Entry]); 2] = [
-        (
-            ("runtime", "resume"),
-            &[
-                ("runtime", Some("Trail"), "open"),
-                ("runtime", None, "read_envelope"),
-                ("runtime", None, "load_snapshot"),
-                ("runtime", Some("Trail"), "replay"),
-                ("runtime", None, "read_journal"),
-                ("runtime", Some("LiveRun"), "from_state"),
-                ("runtime", Some("LiveRun"), "step"),
-                ("runtime", Some("SupervisorState"), "verify"),
-            ],
-        ),
+    let cases: [((&str, &str), &[Entry]); 1] = [
         (
             ("service", "resume_service"),
             &[
@@ -133,7 +120,10 @@ fn resume_entries_reach_their_trail_code() {
                 ("service", Some("ServiceEngine"), "from_state"),
                 ("service", None, "plan_fits"),
                 ("service", Some("ServiceEngine"), "inputs_fit"),
-                ("service", Some("ServiceEngine"), "step"),
+                ("service", Some("ServiceEngine"), "step_with"),
+                ("runtime", Some("Floor"), "fits"),
+                ("runtime", Some("Floor"), "accepts"),
+                ("runtime", Some("Floor"), "epoch"),
             ],
         ),
     ];

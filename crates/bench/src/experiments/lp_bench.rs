@@ -8,7 +8,7 @@
 //!    previous point's optimal basis. Cold: `Stage1Options.warm_start`
 //!    off, every point solved from scratch.
 //! 2. **Stage-3 replans** — a deterministic fault ladder (node deaths
-//!    interleaved with throttle steps, the supervisor's rungs) re-solves
+//!    interleaved with throttle steps, the floor's rungs) re-solves
 //!    the rate LP after each event. Warm: each replan inherits the
 //!    pre-fault basis via [`solve_stage3_warm`]. Cold: fresh solves.
 //!

@@ -28,7 +28,8 @@ use super::{create_parent, ctx, set3, write_json};
 use thermaware_core::Solver;
 use thermaware_datacenter::{Args, ScenarioParams};
 use thermaware_obs::{HistogramSummary, JsonlRecorder, MetricsSnapshot, NoopRecorder};
-use thermaware_runtime::{FaultScript, Supervisor, SupervisorConfig};
+use thermaware_runtime::FaultScript;
+use thermaware_service::{Supervisor, SupervisorConfig};
 use thermaware_scheduler::simulate;
 use thermaware_workload::ArrivalTrace;
 

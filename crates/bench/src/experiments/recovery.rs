@@ -2,23 +2,25 @@
 //! costs with it.
 //!
 //! Part 1 sweeps the snapshot interval and measures wall-clock overhead
-//! of the write-ahead journal + snapshot protocol against the same run
-//! without any persistence (both durable-fsync and buffered modes).
+//! of the service store (write-ahead journal + snapshots) under a
+//! supervised run against the same run without any persistence (both
+//! durable-fsync and buffered modes).
 //!
-//! Part 2 is the kill-and-resume demonstration: the checkpointed run is
-//! killed at a chosen epoch, recovered from disk (torn tails truncated,
-//! CRCs verified, invariants checked), and run to completion — and the
-//! recovered report must match the uninterrupted run **exactly**: same
-//! reward, same outcome, same event log.
+//! Part 2 is the kill-and-resume demonstration: the stored run is
+//! killed at a chosen epoch, brought back through `resume_service` (torn
+//! tails truncated, CRCs verified, the journal replayed without
+//! re-solving), and run to completion — and the recovered report must
+//! match the uninterrupted run **exactly**: same reward, same outcome,
+//! same event log.
 
 use std::time::Instant;
 use super::{ctx, set3};
 use thermaware_core::Solver;
 use thermaware_datacenter::{Args, ScenarioParams};
-use thermaware_runtime::persist::run_checkpointed_until;
-use thermaware_runtime::{
-    resume, run_checkpointed, CheckpointConfig, FaultScript, Supervisor, SupervisorConfig,
-};
+use thermaware_runtime::FaultScript;
+use thermaware_service::store::{resume_service, StoreConfig};
+use thermaware_service::supervisor::SupervisedRun;
+use thermaware_service::{ServiceConfig, Supervisor, SupervisorConfig, SupervisorReport};
 
 pub(super) const USAGE: &str = "recovery [--nodes N] [--cracs N] [--seed S] [--horizon SECONDS] \
                      [--kill-epoch E] [--checkpoint-dir PATH] [--retain N]";
@@ -52,7 +54,8 @@ pub(super) fn run(args: &Args) -> Result<(), String> {
         seed,
         ..SupervisorConfig::default()
     };
-    let n_epochs = (horizon / cfg.epoch_s).ceil() as usize;
+    let sup = Supervisor::new(&dc, cfg);
+    let n_epochs = (horizon / ServiceConfig::default().epoch_s).ceil() as usize;
 
     println!(
         "## Checkpoint overhead — {n_nodes} nodes, {n_crac} CRACs, seed {seed}, \
@@ -60,7 +63,7 @@ pub(super) fn run(args: &Args) -> Result<(), String> {
     );
 
     let t0 = Instant::now();
-    let baseline = Supervisor::new(&dc, cfg).run(&plan, &script);
+    let baseline = sup.run(&plan, &script);
     let t_plain = t0.elapsed();
     println!(
         "no persistence: {:>8.1} ms  ({:?}, reward {:.1}/s)\n",
@@ -77,15 +80,16 @@ pub(super) fn run(args: &Args) -> Result<(), String> {
         for durable in [true, false] {
             let dir = std::path::PathBuf::from(&dir_base)
                 .join(format!("sweep-{interval}-{durable}"));
-            let ckpt = CheckpointConfig {
-                dir: dir.clone(),
+            let store = StoreConfig {
                 snapshot_interval: interval,
                 retain,
                 durable,
                 flush_every: 1,
+                ..StoreConfig::new(&dir)
             };
             let t = Instant::now();
-            let report = ctx(run_checkpointed(&dc, cfg, &plan, &script, &ckpt), "checkpointed run")?;
+            let run = ctx(sup.begin_stored(&plan, &script, store), "stored run")?;
+            let report = ctx(finish(run), "stored run")?;
             let dt = t.elapsed();
             assert_eq!(report.sim.reward_collected, baseline.sim.reward_collected);
             let snaps = std::fs::read_dir(&dir)
@@ -113,39 +117,30 @@ pub(super) fn run(args: &Args) -> Result<(), String> {
     let kill_epoch = kill_epoch.min(n_epochs.saturating_sub(1));
     println!("\n## Kill-and-resume — killed after epoch {kill_epoch}/{n_epochs}");
     let dir = std::path::PathBuf::from(&dir_base).join("kill");
-    let ckpt = CheckpointConfig {
-        dir: dir.clone(),
-        snapshot_interval: 8,
-        retain,
-        durable: true,
-        flush_every: 1,
-    };
-    let stopped = ctx(
-        run_checkpointed_until(&dc, cfg, &plan, &script, &ckpt, kill_epoch),
-        "checkpointed run",
-    )?;
-    assert!(stopped.is_none(), "kill epoch must be inside the horizon");
+    let store = StoreConfig { snapshot_interval: 8, retain, flush_every: 1, ..StoreConfig::new(&dir) };
+    let mut run = ctx(sup.begin_stored(&plan, &script, store), "stored run")?;
+    for _ in 0..kill_epoch {
+        ctx(run.step(), "stored run")?;
+    }
+    // The crash: nothing is flushed beyond what the write-ahead protocol
+    // already made durable.
+    drop(run);
 
     let t = Instant::now();
-    let rec = ctx(resume(&dir), "resume")?;
+    let (engine, info) = ctx(resume_service(&dir), "resume")?;
     let t_resume = t.elapsed();
+    let run = ctx(sup.attach(engine, &script), "resume")?;
     println!(
         "recovered from snapshot at epoch {} (+{} journal epochs replayed, \
          {} B torn tail truncated) in {:.1} ms; resumes at epoch {}",
-        rec.info.snapshot_epoch,
-        rec.info.replayed_epochs,
-        rec.info.truncated_bytes,
+        info.snapshot_epoch,
+        info.replayed_epochs,
+        info.truncated_bytes,
         t_resume.as_secs_f64() * 1e3,
-        rec.info.resume_epoch
-    );
-    println!(
-        "recovered assignment feasible: {} (redline {:+.2} °C, headroom {:+.1} kW)",
-        rec.info.feasible,
-        rec.info.worst_redline_violation_c,
-        rec.info.power_headroom_kw
+        run.epoch()
     );
 
-    let report = ctx(rec.finish(), "finish recovered run")?;
+    let report = ctx(finish(run), "finish recovered run")?;
     // Resume must be *bit-identical* to the uninterrupted run (DESIGN.md
     // §7) — compare the reward's bit pattern, which is stricter than
     // `==` (distinguishes -0.0, survives NaN) and states the contract.
@@ -166,4 +161,10 @@ pub(super) fn run(args: &Args) -> Result<(), String> {
         return Err("resumed run differs from the uninterrupted run".into());
     }
     Ok(())
+}
+
+/// Run to the horizon.
+fn finish(mut run: SupervisedRun) -> Result<SupervisorReport, thermaware_runtime::PersistError> {
+    while run.step()? {}
+    Ok(run.conclude())
 }

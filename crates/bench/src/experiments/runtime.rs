@@ -1,9 +1,10 @@
-//! Fault-recovery experiment: the runtime supervisor versus a stale plan.
+//! Fault-recovery experiment: the supervised floor versus a stale plan.
 //!
-//! A seeded floor runs the paper's three-stage plan; a CRAC unit fails
-//! mid-run (optionally followed by a node death and a demand surge).
-//! The *supervised* run detects the breach and climbs the degradation
-//! ladder (Stage-3 replan, outlet drops, emergency throttling); the
+//! A seeded floor runs the paper's three-stage plan on the service
+//! engine; a CRAC unit fails mid-run and demand surges at the halfway
+//! mark. The *supervised* run detects the breach and climbs the floor's
+//! ladder (outlet drops, emergency throttling), then replans the rates
+//! on what survives (Stage 3, as a verdict after the epoch); the
 //! *unsupervised* run keeps the stale plan and takes whatever the
 //! physics dishes out — nodes trip when their true inlet overshoots the
 //! redline by the trip margin, losing their in-flight work for good.
@@ -15,7 +16,8 @@
 use super::{ctx, set3};
 use thermaware_core::Solver;
 use thermaware_datacenter::{Args, ScenarioParams};
-use thermaware_runtime::{FaultScript, Supervisor, SupervisorConfig, SupervisorReport};
+use thermaware_runtime::FaultScript;
+use thermaware_service::{Supervisor, SupervisorConfig, SupervisorReport};
 
 pub(super) const USAGE: &str = "runtime [--nodes N] [--cracs N] [--seed S] [--margin F] [--trip F] \
                      [--horizon SECONDS] [--surge F] [--verbose 1]";

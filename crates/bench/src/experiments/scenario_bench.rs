@@ -10,8 +10,8 @@
 //!    at the trough and crest of a diurnal arrival curve; the crest plan
 //!    must collect strictly more reward. A supervised run under the same
 //!    curve then counts the drift-triggered full replans
-//!    (`Stage1Replan`) the scenario engine issues as demand walks away
-//!    from the planned multiplier.
+//!    (`Stage1Replan`) the service engine's demand EWMA asks for as
+//!    demand walks away from the rates the plan was built for.
 //! 2. **Multi-objective** — reward-only versus a priced objective on
 //!    the same floor: the priced plan must draw no more power and the
 //!    reward-only plan must stay the reward maximizer; the drill gates
@@ -28,9 +28,8 @@
 use super::{ctx, write_file, write_json};
 use thermaware_core::{ObjectiveWeights, Solver};
 use thermaware_datacenter::{Args, ScenarioParams};
-use thermaware_runtime::{
-    Action, EventKind, FaultScript, Supervisor, SupervisorConfig, Violation,
-};
+use thermaware_runtime::{Action, EventKind, FaultScript, Violation};
+use thermaware_service::{ServiceConfig, Supervisor, SupervisorConfig};
 use thermaware_workload::Curve;
 
 pub(super) const USAGE: &str = "scenario_bench [--nodes N] [--seed S] [--price P] [--out PATH] \
@@ -84,6 +83,7 @@ pub(super) fn run(args: &Args) -> Result<(), String> {
     });
     let drift_replans =
         count(&|k| matches!(k, EventKind::ActionTaken(Action::Stage1Replan)));
+    let epoch_s = ServiceConfig::default().epoch_s;
     assert!(
         drift_replans > 0,
         "a 3x diurnal swing must trigger at least one full replan"
@@ -94,7 +94,7 @@ pub(super) fn run(args: &Args) -> Result<(), String> {
          over {} epochs ({:?})",
         trough.reward_rate(),
         crest.reward_rate(),
-        cfg.horizon_s / cfg.epoch_s,
+        cfg.horizon_s / epoch_s,
         report.outcome,
     );
     trace.push_str(&format!(

@@ -2,7 +2,7 @@
 //!
 //! The stage solvers originally reported failures as `String`s, which
 //! forced callers that *respond* to failure — most importantly the
-//! runtime supervisor's replan/degradation ladder — to parse prose. The
+//! service's replan/degradation ladder — to parse prose. The
 //! [`SolveError`] enum keeps the failure cause machine-readable:
 //! infeasibility (degrade further and retry) is distinguishable from
 //! numerical pathology or caller bugs (stop retrying; escalate).

@@ -32,7 +32,7 @@ pub struct Stage3Solution {
 /// Opaque warm-start handle for Stage-3 re-solves.
 ///
 /// Wraps the LP engine's [`thermaware_lp::Basis`] so downstream crates
-/// (the runtime supervisor) can persist and replay it without taking a
+/// (the service daemon, a fleet zone) can keep and persist it without taking a
 /// direct dependency on the LP crate. The handle is only honoured when
 /// the rebuilt LP has the same structure (same groups, same rows); a
 /// structural change — e.g. a fault creating a new `(type, off)` group —
@@ -86,7 +86,7 @@ pub fn solve_stage3(dc: &DataCenter, pstates: &[usize]) -> Result<Stage3Solution
 /// [`solve_stage3`] with basis reuse: start from `warm` when compatible
 /// and hand back this solve's basis for the next re-solve.
 ///
-/// The supervisor's post-fault replans perturb only a few capacities, so
+/// Post-fault replans perturb only a few capacities, so
 /// the pre-fault basis is typically a handful of dual-simplex pivots from
 /// the new optimum instead of a full cold solve.
 pub fn solve_stage3_warm(

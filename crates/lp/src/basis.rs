@@ -13,7 +13,7 @@
 //! The handle is deliberately opaque (no public field access): its
 //! contents are meaningless outside the internal column layout of the
 //! problem that produced it. It is serializable so long-lived callers
-//! (the runtime supervisor's persisted world state) can carry it across
+//! (a fleet zone's persisted state) can carry it across
 //! checkpoint/restore without replanning cold after a resume.
 
 use crate::internal::{InternalForm, VarState};

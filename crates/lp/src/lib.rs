@@ -17,7 +17,7 @@
 //! on a structurally identical, perturbed problem resumes from the
 //! previous optimum — via the primal when still feasible, via a
 //! dual-simplex re-entry when an RHS change broke feasibility. The CRAC
-//! outlet grid sweep and the runtime supervisor's post-fault replans live
+//! outlet grid sweep and the post-fault Stage-3 replans live
 //! on this path.
 //!
 //! What it returns is checked by [`certify`], which proves optimality

@@ -1,12 +1,12 @@
 //! The degradation steps, one copy each.
 //!
-//! Three ladders give up reward safely under faults: the supervisor's
-//! response (`Supervisor::respond`), the fleet solver's degraded-zone
-//! fallback (`thermaware_shard`) and the service's circuit breaker
-//! (`thermaware_service`). Their rung *orders* differ and stay written
-//! out where they are; the *steps* they share live here — the greedy
-//! throttle step, the shed rule and the epoch backoff (DESIGN §6 "One
-//! copy of each step").
+//! Two ladders give up reward safely under faults: the service's — the
+//! floor's rungs ([`crate::floor`]), then the circuit breaker
+//! (`thermaware_service`) — and the fleet solver's degraded-zone fallback
+//! (`thermaware_shard`). Their rung *orders* differ and stay written out
+//! where they are; the *steps* they share live here — the greedy throttle
+//! step, the shed rule and the epoch backoff (DESIGN §6 "One copy of each
+//! step").
 //!
 //! The throttle step is the paper's Stage-2 logic run in reverse:
 //! repeatedly deepen one node's shallowest core
@@ -19,7 +19,7 @@
 use crate::event::{Action, EventKind, EventLog};
 use thermaware_datacenter::DataCenter;
 
-/// Cap on an epoch backoff's wait: the supervisor's and every fleet
+/// Cap on an epoch backoff's wait: the floor's and every fleet
 /// zone's (the breaker's is its configured `max_cooldown_epochs`).
 pub const MAX_BACKOFF_EPOCHS: u32 = 8;
 

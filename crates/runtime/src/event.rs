@@ -1,4 +1,4 @@
-//! The supervisor's structured event log: every fault, detection,
+//! The floor's and the service's structured event log: every fault, detection,
 //! response, and recovery as a typed, timestamped record.
 
 use crate::fault::Fault;
@@ -73,7 +73,7 @@ pub enum EventKind {
     #[serde(content = "fault")]
     FaultInjected(Fault),
     /// A node shut itself down: its true inlet exceeded the redline by
-    /// more than the trip margin (happens with or without a supervisor).
+    /// more than the trip margin (happens supervised or not).
     NodeTripped {
         /// Node index.
         node: usize,
@@ -83,10 +83,10 @@ pub enum EventKind {
     /// The room has no thermal steady state (every CRAC failed): all
     /// surviving nodes trip.
     NoSteadyState,
-    /// The supervisor detected a violation.
+    /// The floor detected a violation.
     #[serde(content = "violation")]
     ViolationDetected(Violation),
-    /// The supervisor took a degradation-ladder action.
+    /// A degradation-ladder action was taken.
     #[serde(content = "action")]
     ActionTaken(Action),
     /// A replan attempt failed.
@@ -96,7 +96,7 @@ pub enum EventKind {
         /// The solver error, rendered.
         error: String,
     },
-    /// The ladder could not restore health; the supervisor backs off and
+    /// The ladder could not restore health; the floor backs off and
     /// retries after the given number of epochs.
     Backoff {
         /// Epochs until the next response attempt.
@@ -155,7 +155,7 @@ impl EventLog {
     /// timestamp position (after existing entries with the same time, so
     /// same-instant causality is preserved).
     pub fn record(&mut self, at_s: f64, kind: EventKind) {
-        // The log is the supervisor's single chokepoint for detections,
+        // The log is the single chokepoint for detections,
         // ladder actions, trips, and recoveries — counting here gives the
         // obs layer a complete degradation-transition census for free.
         if thermaware_obs::enabled() {
@@ -239,12 +239,6 @@ impl EventLog {
     /// All events in time order.
     pub fn events(&self) -> &[Event] {
         &self.events
-    }
-
-    /// Entries from position `from` on — the "what happened since the
-    /// last journal record" view the persist layer writes ahead.
-    pub fn events_since(&self, from: usize) -> &[Event] {
-        &self.events[from.min(self.events.len())..]
     }
 
     /// Is every timestamp non-decreasing? (Always true by construction;

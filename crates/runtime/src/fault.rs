@@ -1,7 +1,11 @@
-//! Composable, seeded fault scripts injected into a supervised run.
+//! Composable, seeded fault scripts injected into a supervised run, and
+//! the seeded arrival stream the run's demand draws from.
 
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize, Source};
+use thermaware_datacenter::DataCenter;
+use thermaware_workload::TaskArrival;
 
 /// One kind of mid-run fault.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -24,7 +28,7 @@ pub enum Fault {
         /// Node index.
         node: usize,
     },
-    /// Inlet sensors drift by a common bias: the supervisor *observes*
+    /// Inlet sensors drift by a common bias: the floor *observes*
     /// node inlets shifted by `bias_c` °C (positive reads hot — phantom
     /// violations; negative reads cold — masked violations). The physics
     /// — and the thermal-trip rule — use the true temperatures.
@@ -107,11 +111,6 @@ impl FaultScript {
         &self.events
     }
 
-    /// Is the script empty?
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// A random script of `n_events` faults over `[0, horizon_s)` on a
     /// floor with `n_crac` CRAC units and `n_nodes` nodes. Every fault
     /// kind is drawn with equal probability; indices are always in range.
@@ -165,6 +164,36 @@ impl Deserialize for FaultScript {
         }
         Ok(script)
     }
+}
+
+/// Epoch `epoch`'s Poisson arrivals over `[t0, t1)` at `dc`'s rates
+/// times `surge`, in time order. The generator is re-seeded per epoch
+/// from `seed` (a golden-ratio increment decorrelates consecutive
+/// epochs), so a run resumed at any boundary draws exactly the arrivals
+/// an uninterrupted one would, without persisting RNG internals.
+/// Exponential interarrivals are memoryless: restarting each type's
+/// clock at the boundary is statistically one continuous process.
+pub fn epoch_arrivals(seed: u64, epoch: usize, dc: &DataCenter, surge: f64, t0: f64, t1: f64) -> Vec<TaskArrival> {
+    let mut rng =
+        StdRng::seed_from_u64(seed.wrapping_add(((epoch as u64) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+    let mut arrivals = Vec::new();
+    for t in &dc.workload.task_types {
+        let rate = t.arrival_rate * surge;
+        if rate <= 0.0 {
+            continue;
+        }
+        let mut clock = t0;
+        loop {
+            let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+            clock += -u.ln() / rate;
+            if clock >= t1 {
+                break;
+            }
+            arrivals.push(TaskArrival { time: clock, task_type: t.index, deadline: clock + t.deadline_slack });
+        }
+    }
+    arrivals.sort_by(|a, b| a.time.total_cmp(&b.time));
+    arrivals
 }
 
 #[cfg(test)]

@@ -1,53 +1,58 @@
-//! **thermaware-runtime** — a fault-tolerant runtime supervisor over the
-//! paper's two-step technique.
+//! **thermaware-runtime** — the physical floor under the paper's
+//! two-step technique, and the durable trail a running service writes.
 //!
 //! The paper (Section V) plans once at steady state and trusts the
 //! dynamic scheduler from then on. A real power-capped floor sees CRAC
 //! failures, node deaths, sensor drift, and demand surges mid-flight.
-//! This crate closes the loop: [`Supervisor`] advances the discrete-event
-//! simulation in epochs, injects faults from a seeded [`FaultScript`],
-//! detects violations (inlet redlines, the Eq.-18 power cap, stale
-//! plans), and responds through a staged degradation ladder — Stage-3
-//! replan on surviving cores, CRAC set-point drops, emergency P-state
-//! throttling, load shedding — with bounded retry/backoff and a typed
-//! [`EventLog`] of everything it saw and did.
+//! This crate holds what answers them without a solver:
 //!
-//! Every run terminates with a typed [`Outcome`]; no path through the
-//! supervisor panics (`clippy::unwrap_used` is denied crate-wide, and the
-//! solver paths it calls return [`thermaware_core::SolveError`]).
+//! * [`Floor`] — outlets, failed units, dead nodes and sensor bias; it
+//!   takes a seeded [`FaultScript`]'s faults at epoch boundaries, checks
+//!   the observed floor against the redline and the Eq.-18 power cap,
+//!   answers a breach with CRAC outlet drops and emergency throttling,
+//!   and trips nodes whose true inlet overshoots. What needs a solve (a
+//!   Stage-3 replan on the surviving cores) it asks for, and the service
+//!   engine (`thermaware-service`) applies as a journaled verdict.
+//! * [`degrade`] — the degradation steps the floor, the fleet fallback
+//!   and the service breaker share.
+//! * [`EventLog`] — a typed record of every fault, detection, action and
+//!   recovery.
+//! * [`persist`] — the write-ahead journal, snapshots and replay the
+//!   service store is built on.
+//!
+//! No path through the floor panics (`clippy::unwrap_used` is denied
+//! crate-wide).
 //!
 //! ```
 //! use thermaware_core::Solver;
 //! use thermaware_datacenter::ScenarioParams;
-//! use thermaware_runtime::{FaultScript, Supervisor, SupervisorConfig};
+//! use thermaware_runtime::{EventLog, Fault, Floor, DEFAULT_TRIP_MARGIN_C};
+//! use thermaware_scheduler::EpochSim;
 //!
 //! let dc = ScenarioParams { n_nodes: 8, n_crac: 2, ..ScenarioParams::small_test() }
 //!     .build(1)
 //!     .expect("scenario");
 //! let plan = Solver::new(&dc).solve().expect("plan");
+//! let mut floor = Floor::new(&dc, plan.crac_out_c(), true, DEFAULT_TRIP_MARGIN_C);
+//! let (mut pstates, mut sim, mut log) =
+//!     (plan.pstates.clone(), EpochSim::new(&dc, &plan.pstates, &plan.stage3), EventLog::default());
 //!
-//! // Kill a node 3 s in; surge demand 1.5x at 6 s.
-//! let script = FaultScript::new().node_death(3.0, 0).arrival_surge(6.0, 1.5);
-//! let cfg = SupervisorConfig { horizon_s: 12.0, ..SupervisorConfig::default() };
-//! let report = Supervisor::new(&dc, cfg).run(&plan, &script);
-//!
-//! println!("{:?}: reward {:.1}/s", report.outcome, report.sim.reward_rate);
-//! println!("{}", report.log);
+//! // Inlet sensors drift 3 °C hot at the boundary 1 s in: the floor
+//! // drops its outlets, then throttles the power the colder air costs,
+//! // and asks for the Stage-3 replan the throttled cores need.
+//! floor.epoch(&dc, &mut pstates, &mut sim, &[Fault::SensorDrift { bias_c: 3.0 }], 1.0, &mut log);
+//! assert!(floor.healthy && floor.wants_replan());
+//! println!("{log}");
 //! ```
 
 pub mod degrade;
 pub mod event;
 pub mod fault;
+pub mod floor;
 pub mod persist;
-pub mod supervisor;
 
 pub use degrade::{cheapest_throttle_step, throttle_to_budget, ThrottlePlan};
 pub use event::{Action, Event, EventKind, EventLog, Violation};
-pub use fault::{Fault, FaultEvent, FaultScript};
-pub use persist::{
-    resume, run_checkpointed, CheckpointConfig, PersistError, RecoveredRun, RecoveryInfo,
-    RunHeader,
-};
-pub use supervisor::{
-    LiveRun, Outcome, Supervisor, SupervisorConfig, SupervisorReport, SupervisorState,
-};
+pub use fault::{epoch_arrivals, Fault, FaultEvent, FaultScript};
+pub use floor::{Floor, DEFAULT_TRIP_MARGIN_C};
+pub use persist::PersistError;

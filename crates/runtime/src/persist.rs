@@ -1,32 +1,25 @@
 //! Durable checkpoint/restore: a write-ahead journal plus crash-consistent
-//! state snapshots, one protocol for the workspace's two trails — the
-//! supervisor's checkpoint directory (here) and the scheduling service's
-//! store (`thermaware-service`'s `store` module).
+//! state snapshots — the protocol under the scheduling service's store
+//! (`thermaware-service`'s `store` module, the one [`Trail`]).
 //!
 //! A trail directory holds a header file written once (the
-//! [`ScenarioSnapshot`] and whatever else rebuilds the run: `run.json`
-//! for the supervisor), `journal.jsonl` — a *begin* record before each
+//! [`ScenarioSnapshot`] and whatever else rebuilds the run), `journal.jsonl` — a *begin* record before each
 //! epoch executes, a *commit* record with the CRC of the post-epoch state
 //! after, every line CRC-framed so a torn tail is detectable — and
 //! `snap-<epoch>.json` state snapshots every `snapshot_interval` epochs,
 //! written with [`thermaware_datacenter::atomic_write`] and pruned to the
 //! newest `retain`.
 //!
-//! A [`Trail`] names what differs between the two trails; a
-//! [`TrailWriter`] makes every write, and [`Trail::open`] then
-//! [`Trail::replay`] are the one resume, each trail building its running
-//! object in between. Because every epoch is deterministic given the state at its
-//! boundary, recovery is *replay*, not rollback: [`resume`] loads the
-//! newest uncorrupted snapshot, truncates any torn journal tail,
-//! re-executes the committed epochs after it — checking each commit's
-//! state CRC — and hands back a [`RecoveredRun`] that continues
-//! bit-for-bit like a run that was never interrupted. Recovered state
-//! that claims to be healthy is also verified against the power-cap and
-//! redline invariants ([`thermaware_core::verify_assignment`]).
+//! A [`Trail`] names the trail's file types and which records replay
+//! executes; a [`TrailWriter`] makes every write, and [`Trail::open`]
+//! then [`Trail::replay`] are the resume, the trail building its running
+//! object in between. Because every epoch is deterministic given the
+//! state at its boundary, recovery is *replay*, not rollback: the resume
+//! loads the newest uncorrupted snapshot, truncates any torn journal
+//! tail, re-executes the journaled epochs after it — checking each
+//! commit's state CRC — and continues bit-for-bit like a run that was
+//! never interrupted.
 
-use crate::event::Event;
-use crate::fault::FaultEvent;
-use crate::supervisor::{LiveRun, Supervisor, SupervisorConfig, SupervisorReport, SupervisorState};
 use serde::{Deserialize, Kind, Serialize, Sink, Source};
 use serde_json::Writer;
 use std::fmt;
@@ -34,7 +27,6 @@ use std::fs::{self, OpenOptions};
 use std::io::{self, Write};
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
-use thermaware_core::ThreeStageSolution;
 use thermaware_datacenter::{atomic_write, DataCenter, ScenarioSnapshot};
 
 const JOURNAL_FILE: &str = "journal.jsonl";
@@ -47,7 +39,7 @@ const SNAP_SUFFIX: &str = ".json";
 pub use serde_json::{crc32, crc32_combine};
 
 /// Encode `value` and checksum the bytes: the `(json, crc)` pair every
-/// commit record and snapshot is made of, for both trails.
+/// commit record and snapshot is made of.
 ///
 /// A member that keeps its encoded text (the scheduler's plan tables)
 /// splices it into the writer with its CRC, so only the spans in between
@@ -135,12 +127,6 @@ pub enum PersistError {
         /// What did not fit.
         reason: String,
     },
-    /// A recovered state that believes itself healthy fails the physical
-    /// power-cap/redline invariants.
-    InvariantViolation {
-        /// The violated invariant.
-        reason: String,
-    },
 }
 
 impl fmt::Display for PersistError {
@@ -159,9 +145,6 @@ impl fmt::Display for PersistError {
                 write!(f, "no usable checkpoint in {}", dir.display())
             }
             PersistError::State { reason } => write!(f, "recovered state mismatch: {reason}"),
-            PersistError::InvariantViolation { reason } => {
-                write!(f, "recovered state violates invariants: {reason}")
-            }
         }
     }
 }
@@ -181,42 +164,22 @@ impl From<io::Error> for PersistError {
     }
 }
 
-/// Checkpointing policy for a supervised run.
+/// A trail's durability policy (the store's, in the writer's terms).
 #[derive(Debug, Clone)]
-pub struct CheckpointConfig {
-    /// Checkpoint directory (created if missing).
+pub struct TrailConfig {
+    /// Trail directory (created if missing).
     pub dir: PathBuf,
-    /// Take a full snapshot every this many epochs (the journal records
-    /// every epoch regardless). Clamped to ≥ 1.
-    pub snapshot_interval: usize,
-    /// Snapshot generations to retain (older ones are pruned). Clamped
-    /// to ≥ 1.
-    pub retain: usize,
-    /// `fsync` journal appends and snapshots. Turn off only to measure
-    /// the pure serialization overhead — without it a crash can lose
-    /// acknowledged epochs.
+    /// `fsync` journal appends and snapshot writes. Without it a power
+    /// loss can lose acknowledged epochs (a process kill cannot).
     pub durable: bool,
-    /// `fsync` the journal only every this many appends (clamped to
-    /// ≥ 1; 1 = every append, the strict write-ahead discipline).
-    /// Batching trades the *power-loss* durability window for an
-    /// order-of-magnitude append-latency win under high-frequency
-    /// checkpointing; a process crash (SIGKILL) loses nothing either
-    /// way, because written-but-unsynced pages survive in the OS cache.
+    /// Journal appends per fsync barrier (clamped to ≥ 1); a writer that
+    /// acknowledges work forces the barrier first ([`TrailWriter::sync`]).
     pub flush_every: usize,
-}
-
-impl CheckpointConfig {
-    /// Defaults: snapshot every 8 epochs, keep 3 generations, durable,
-    /// fsync every append.
-    pub fn new(dir: impl Into<PathBuf>) -> CheckpointConfig {
-        CheckpointConfig {
-            dir: dir.into(),
-            snapshot_interval: 8,
-            retain: 3,
-            durable: true,
-            flush_every: 1,
-        }
-    }
+    /// Epochs between full snapshots (clamped to ≥ 1); the journal
+    /// records every epoch regardless.
+    pub snapshot_interval: usize,
+    /// Snapshot generations retained (clamped to ≥ 1).
+    pub retain: usize,
 }
 
 // ---- The framed journal ----------------------------------------------------
@@ -354,8 +317,8 @@ fn member<T: Serialize + ?Sized>(envelope: &mut Writer, key: &str, value: &T) {
     value.serialize(envelope);
 }
 
-/// Read an envelope file's text in one pass: its (gated) version, and
-/// the text of the first member under each of `keys` — checked as JSON
+/// Read an envelope file's text in one pass: gate its version, and
+/// return the text of the first member under each of `keys` — checked as JSON
 /// but not read, so that nothing is decoded before the version is
 /// judged. The whole text is checked before anything is judged.
 fn read_envelope<'t, const N: usize>(
@@ -363,7 +326,7 @@ fn read_envelope<'t, const N: usize>(
     text: &'t str,
     supported: u64,
     keys: [&str; N],
-) -> Result<(u64, [Option<&'t str>; N]), PersistError> {
+) -> Result<[Option<&'t str>; N], PersistError> {
     let mut version = None;
     let mut members = [None; N];
     let mut src = Source::new(text);
@@ -392,7 +355,7 @@ fn read_envelope<'t, const N: usize>(
     if version > supported {
         return Err(PersistError::UnsupportedVersion { path: path.to_path_buf(), version, supported });
     }
-    Ok((version, members))
+    Ok(members)
 }
 
 /// An envelope member read as `T`, if it is there and is one.
@@ -428,22 +391,16 @@ fn snapshot_paths(dir: &Path) -> Result<Vec<(usize, PathBuf)>, PersistError> {
 /// envelope's and the state's own — agreeing. Anything else is an error.
 fn load_snapshot<T: Trail>(path: &Path, file_epoch: usize) -> Result<T::State, PersistError> {
     let text = fs::read_to_string(path)?;
-    let (version, [epoch, state_crc, state]) =
-        read_envelope(path, &text, T::VERSION, ["epoch", "state_crc", "state"])?;
+    let [epoch, state_crc, state] = read_envelope(path, &text, T::VERSION, ["epoch", "state_crc", "state"])?;
     let epoch: usize =
         read_member(epoch).ok_or_else(|| corrupt(path, "missing or non-integral 'epoch'"))?;
     // The state is a string member: unescaped once, here, and the file's
     // text is gone before the state is read out of it.
     let state_json: String = read_member(state).ok_or_else(|| corrupt(path, "missing 'state'"))?;
-    if version >= T::CRC_SINCE {
-        let want: u32 = read_member(state_crc).ok_or_else(|| corrupt(path, "missing 'state_crc'"))?;
-        let got = crc32(state_json.as_bytes());
-        if got != want {
-            return Err(corrupt(
-                path,
-                format!("state CRC mismatch: stored {want:08x}, computed {got:08x}"),
-            ));
-        }
+    let want: u32 = read_member(state_crc).ok_or_else(|| corrupt(path, "missing 'state_crc'"))?;
+    let got = crc32(state_json.as_bytes());
+    if got != want {
+        return Err(corrupt(path, format!("state CRC mismatch: stored {want:08x}, computed {got:08x}")));
     }
     drop(text);
     let state: T::State = serde_json::from_str(&state_json).map_err(|e| corrupt(path, e))?;
@@ -476,12 +433,6 @@ pub trait Trail: Sized {
     const HEADER_FILE: &'static str;
     /// The format version written; a newer file is refused.
     const VERSION: u64;
-    /// First version whose snapshots carry `state_crc`.
-    const CRC_SINCE: u64;
-    /// obs counter of snapshots written.
-    const SNAPSHOT_COUNTER: &'static str;
-    /// obs histogram of a snapshot's write, µs.
-    const SNAPSHOT_WRITE_US: &'static str;
 
     /// The scenario the header rebuilds the data center from.
     fn scenario(header: &Self::Header) -> &ScenarioSnapshot;
@@ -510,7 +461,7 @@ pub trait Trail: Sized {
             }
             Err(e) => return Err(e.into()),
         };
-        let (_, [header]) = read_envelope(&path, &text, Self::VERSION, ["header"])?;
+        let [header] = read_envelope(&path, &text, Self::VERSION, ["header"])?;
         let header = header.ok_or_else(|| corrupt(&path, serde::Error::missing_field("header")))?;
         let header: Self::Header = serde_json::from_str(header).map_err(|e| corrupt(&path, e))?;
         drop(text);
@@ -593,7 +544,8 @@ type Opened<T> = (<T as Trail>::Header, DataCenter, Option<<T as Trail>::State>,
 pub struct TrailRecovery {
     /// The trail directory.
     pub dir: PathBuf,
-    /// Epoch of the generation replay started from (0: none usable).
+    /// Epoch of the generation replay started from (0: none usable,
+    /// the header's plan booted).
     pub snapshot_epoch: usize,
     /// Newer generations skipped: damaged, or not usable.
     pub snapshots_skipped: usize,
@@ -602,13 +554,13 @@ pub struct TrailRecovery {
     /// Bytes of torn/corrupt journal tail truncated away.
     pub truncated_bytes: u64,
     /// The journal ended on an epoch replayed with no commit after it
-    /// (the one in flight when the process died).
+    /// (the one in flight when the process died — replayed exactly once).
     pub tail_begin: bool,
 }
 
 /// Every write of one trail directory.
 pub struct TrailWriter<T: Trail> {
-    cfg: CheckpointConfig,
+    cfg: TrailConfig,
     journal: JournalWriter,
     trail: PhantomData<T>,
 }
@@ -617,7 +569,7 @@ impl<T: Trail> TrailWriter<T> {
     /// Initialize a fresh trail directory: create it, remove the
     /// snapshots of any earlier run in it (recovery must not mix
     /// generations), write the header and start an empty journal.
-    pub fn create(cfg: CheckpointConfig, header: &T::Header) -> Result<Self, PersistError> {
+    pub fn create(cfg: TrailConfig, header: &T::Header) -> Result<Self, PersistError> {
         fs::create_dir_all(&cfg.dir)?;
         for (_, path) in snapshot_paths(&cfg.dir)? {
             fs::remove_file(path)?;
@@ -634,7 +586,7 @@ impl<T: Trail> TrailWriter<T> {
 
     /// Reattach to a trail directory after a resume: the journal is
     /// opened for append, the header left untouched.
-    pub fn reopen(cfg: CheckpointConfig) -> Result<Self, PersistError> {
+    pub fn reopen(cfg: TrailConfig) -> Result<Self, PersistError> {
         let journal = JournalWriter::open_append(&cfg.dir.join(JOURNAL_FILE), cfg.durable, cfg.flush_every)?;
         Ok(TrailWriter { cfg, journal, trail: PhantomData })
     }
@@ -672,8 +624,8 @@ impl<T: Trail> TrailWriter<T> {
         let start = thermaware_obs::enabled().then(std::time::Instant::now);
         atomic_write(&self.cfg.dir.join(name), json.as_bytes(), self.cfg.durable)?;
         if let Some(t) = start {
-            thermaware_obs::counter_add(T::SNAPSHOT_COUNTER, 1);
-            thermaware_obs::observe(T::SNAPSHOT_WRITE_US, t.elapsed().as_micros() as f64);
+            thermaware_obs::counter_add("service.snapshots", 1);
+            thermaware_obs::observe("service.snapshot_write_us", t.elapsed().as_micros() as f64);
         }
         let snaps = snapshot_paths(&self.cfg.dir)?;
         for (_, path) in &snaps[..snaps.len().saturating_sub(self.cfg.retain.max(1))] {
@@ -681,241 +633,6 @@ impl<T: Trail> TrailWriter<T> {
         }
         Ok(())
     }
-}
-
-// ---- The supervisor's trail ------------------------------------------------
-
-/// The immutable description of a checkpointed run, written once to
-/// `run.json`: everything needed to rebuild the data center and re-attach
-/// recovered state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RunHeader {
-    /// The full scenario (floor, coefficients, workload, budget).
-    pub scenario: ScenarioSnapshot,
-    /// Supervisor configuration, arrival seed included.
-    pub cfg: SupervisorConfig,
-    /// The initial three-stage plan.
-    pub plan: ThreeStageSolution,
-    /// The fault script driving the run.
-    pub script: crate::fault::FaultScript,
-}
-
-/// One write-ahead journal record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(tag = "rec", rename_all = "snake_case")]
-enum JournalRecord {
-    /// Appended (and fsynced) *before* epoch `epoch` executes.
-    Begin {
-        epoch: usize,
-        faults: Vec<FaultEvent>,
-    },
-    /// Appended after epoch `epoch` executed: the CRC-32 of the
-    /// post-epoch [`SupervisorState`] JSON and the events the epoch
-    /// appended to the log.
-    Commit {
-        epoch: usize,
-        state_crc: u32,
-        events: Vec<Event>,
-    },
-}
-
-/// The supervisor's checkpoint directory as a [`Trail`]: a commit
-/// re-executes its epoch (a begin without one is the epoch in flight at
-/// the crash, re-run live), a generation that does not fit the room
-/// refuses the resume, none is [`PersistError::NoCheckpoint`], and the
-/// replayed state is checked against the physical model — all of it in
-/// [`resume`].
-struct Checkpoints;
-
-impl Trail for Checkpoints {
-    type Header = RunHeader;
-    type State = SupervisorState;
-    type Record = JournalRecord;
-    const HEADER_FILE: &'static str = "run.json";
-    /// Version 1 snapshots (no `state_crc` field) are still readable.
-    const VERSION: u64 = 2;
-    const CRC_SINCE: u64 = 2;
-    const SNAPSHOT_COUNTER: &'static str = "persist.snapshots";
-    const SNAPSHOT_WRITE_US: &'static str = "persist.snapshot_write_us";
-
-    fn scenario(header: &RunHeader) -> &ScenarioSnapshot {
-        &header.scenario
-    }
-
-    fn epoch(state: &SupervisorState) -> usize {
-        state.epoch
-    }
-
-    fn steps(record: &JournalRecord) -> Option<usize> {
-        Self::commits(record).map(|(epoch, _)| epoch)
-    }
-
-    fn commits(record: &JournalRecord) -> Option<(usize, u32)> {
-        match record {
-            JournalRecord::Begin { .. } => None,
-            JournalRecord::Commit { epoch, state_crc, .. } => Some((*epoch, *state_crc)),
-        }
-    }
-}
-
-/// Execute one epoch under write-ahead journaling: *begin* record →
-/// [`LiveRun::step`] → *commit* record → snapshot when the interval (or
-/// the horizon) is reached. The commit's CRC keeps no text; a snapshot
-/// epoch encodes the state again with its text, as the service does.
-fn checkpointed_epoch(trail: &mut TrailWriter<Checkpoints>, live: &mut LiveRun<'_>) -> Result<(), PersistError> {
-    let epoch = live.epoch();
-    trail.append(&JournalRecord::Begin { epoch, faults: live.due_faults() })?;
-    let log_before = live.log().events().len();
-    live.step();
-    let state_crc = json_crc_only(live.state());
-    let events = live.log().events_since(log_before).to_vec();
-    trail.append(&JournalRecord::Commit { epoch, state_crc, events })?;
-    if trail.snapshot_due(live.epoch()) || live.is_done() {
-        let (json, crc) = json_crc(live.state())?;
-        trail.snapshot(live.epoch(), &json, crc)?;
-    }
-    Ok(())
-}
-
-/// Run a supervised plan to completion under durable checkpointing.
-/// Equivalent to [`Supervisor::run`] plus a recoverable trail in
-/// `ckpt.dir`.
-pub fn run_checkpointed(
-    dc: &DataCenter,
-    cfg: SupervisorConfig,
-    plan: &ThreeStageSolution,
-    script: &crate::fault::FaultScript,
-    ckpt: &CheckpointConfig,
-) -> Result<SupervisorReport, PersistError> {
-    run_checkpointed_until(dc, cfg, plan, script, ckpt, usize::MAX)
-        .map(|r| r.unwrap_or_else(|| unreachable!("usize::MAX epochs always completes")))
-}
-
-/// Like [`run_checkpointed`], but stop (as if the process died) after at
-/// most `stop_after` epochs. Returns `Ok(None)` when stopped early —
-/// nothing is flushed beyond what the write-ahead protocol already made
-/// durable, which is exactly what a crash leaves behind.
-pub fn run_checkpointed_until(
-    dc: &DataCenter,
-    cfg: SupervisorConfig,
-    plan: &ThreeStageSolution,
-    script: &crate::fault::FaultScript,
-    ckpt: &CheckpointConfig,
-    stop_after: usize,
-) -> Result<Option<SupervisorReport>, PersistError> {
-    let sup = Supervisor::new(dc, cfg);
-    let mut live = sup.begin(plan, script);
-    let header =
-        RunHeader { scenario: ScenarioSnapshot::capture(dc), cfg, plan: plan.clone(), script: script.clone() };
-    let mut trail = TrailWriter::create(ckpt.clone(), &header)?;
-    // Epoch-0 snapshot: the directory is recoverable from the first
-    // instant, before any epoch has run.
-    let (json, crc) = json_crc(live.state())?;
-    trail.snapshot(live.epoch(), &json, crc)?;
-    for _ in 0..stop_after {
-        if live.is_done() {
-            return Ok(Some(live.conclude()));
-        }
-        checkpointed_epoch(&mut trail, &mut live)?;
-    }
-    Ok(live.is_done().then(|| live.conclude()))
-}
-
-/// What [`resume`] found and did.
-#[derive(Debug, Clone)]
-pub struct RecoveryInfo {
-    /// Epoch of the snapshot recovery started from.
-    pub snapshot_epoch: usize,
-    /// Corrupt snapshot generations that had to be skipped.
-    pub snapshots_skipped: usize,
-    /// Committed epochs re-executed from the journal.
-    pub replayed_epochs: usize,
-    /// Bytes of torn/corrupt journal tail truncated away.
-    pub truncated_bytes: u64,
-    /// Epoch the run resumes at.
-    pub resume_epoch: usize,
-    /// Did the recovered assignment satisfy the physical power-cap and
-    /// redline invariants? (Checked strictly — i.e. an error instead of
-    /// `false` — only when the state believes itself healthy.)
-    pub feasible: bool,
-    /// Worst redline violation of the recovered assignment, °C (≤ 0 is
-    /// safe).
-    pub worst_redline_violation_c: f64,
-    /// Power headroom of the recovered assignment, kW (≥ 0 is safe).
-    pub power_headroom_kw: f64,
-}
-
-/// A run brought back from disk: the rebuilt data center, the original
-/// header, and the replayed state. Call [`RecoveredRun::live`] to
-/// continue it.
-#[derive(Debug)]
-pub struct RecoveredRun {
-    /// The data center, rebuilt from the scenario snapshot.
-    pub dc: DataCenter,
-    /// The immutable run description (`run.json`).
-    pub header: RunHeader,
-    /// Execution state at the recovered epoch boundary.
-    pub state: SupervisorState,
-    /// What recovery found and did.
-    pub info: RecoveryInfo,
-}
-
-impl RecoveredRun {
-    /// Reattach the recovered state to the data center as a [`LiveRun`].
-    pub fn live(&self) -> Result<LiveRun<'_>, PersistError> {
-        LiveRun::from_state(&self.dc, &self.header.script, self.state.clone())
-            .map_err(|reason| PersistError::State { reason })
-    }
-
-    /// Run the recovered state to completion without further
-    /// checkpointing and return the report.
-    pub fn finish(&self) -> Result<SupervisorReport, PersistError> {
-        let mut live = self.live()?;
-        while live.step() {}
-        Ok(live.conclude())
-    }
-}
-
-/// Recover a checkpointed run from `dir` (DESIGN.md §7 "Recovery
-/// algorithm"): [`Trail::open`], the live run at the newest generation,
-/// [`Trail::replay`] re-executing each committed epoch, then the physical
-/// invariant check. A corrupted scenario, a diverging replay or a state
-/// that claims health but fails the physical invariants is a typed
-/// error, never a later panic.
-pub fn resume(dir: &Path) -> Result<RecoveredRun, PersistError> {
-    let (header, dc, generation, mut recovery) = Checkpoints::open(dir, |_, _| true)?;
-    let Some(state) = generation else {
-        return Err(PersistError::NoCheckpoint { dir: recovery.dir });
-    };
-    let mut live = LiveRun::from_state(&dc, &header.script, state).map_err(|reason| PersistError::State {
-        reason: format!("snapshot at epoch {}: {reason}", recovery.snapshot_epoch),
-    })?;
-    Checkpoints::replay(&mut recovery, &mut live, LiveRun::state, |live, _| {
-        live.step();
-        Ok(())
-    })?;
-    let report = live.state().verify(&dc);
-    let feasible = report.is_feasible();
-    if !feasible && live.state().believes_healthy() {
-        return Err(PersistError::InvariantViolation {
-            reason: format!(
-                "state claims health but verification found redline {:+.3} °C, headroom {:+.3} kW",
-                report.worst_redline_violation_c, report.power_headroom_kw
-            ),
-        });
-    }
-    let info = RecoveryInfo {
-        snapshot_epoch: recovery.snapshot_epoch,
-        snapshots_skipped: recovery.snapshots_skipped,
-        replayed_epochs: recovery.replayed_epochs,
-        truncated_bytes: recovery.truncated_bytes,
-        resume_epoch: live.epoch(),
-        feasible,
-        worst_redline_violation_c: report.worst_redline_violation_c,
-        power_headroom_kw: report.power_headroom_kw,
-    };
-    let state = live.into_state();
-    Ok(RecoveredRun { dc, header, state, info })
 }
 
 #[cfg(test)]
@@ -1028,53 +745,80 @@ mod tests {
         }
     }
 
+    /// A journal record of the shape a trail writes: a tagged begin and
+    /// commit.
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    #[serde(tag = "rec", rename_all = "snake_case")]
+    enum Record {
+        Begin { epoch: usize },
+        Commit { epoch: usize, state_crc: u32 },
+    }
+
+    /// A trail over [`Record`]s, to reach the generic reads.
+    struct Probe;
+
+    impl Trail for Probe {
+        type Header = ScenarioSnapshot;
+        type State = Vec<usize>;
+        type Record = Record;
+        const HEADER_FILE: &'static str = "probe.json";
+        const VERSION: u64 = 2;
+
+        fn scenario(header: &ScenarioSnapshot) -> &ScenarioSnapshot {
+            header
+        }
+
+        fn epoch(state: &Vec<usize>) -> usize {
+            state.len()
+        }
+
+        fn steps(record: &Record) -> Option<usize> {
+            match record {
+                Record::Begin { epoch } => Some(*epoch),
+                Record::Commit { .. } => None,
+            }
+        }
+
+        fn commits(record: &Record) -> Option<(usize, u32)> {
+            match record {
+                Record::Begin { .. } => None,
+                Record::Commit { epoch, state_crc } => Some((*epoch, *state_crc)),
+            }
+        }
+    }
+
     #[test]
     fn journal_line_round_trips_and_rejects_flips() {
-        let rec = JournalRecord::Begin {
-            epoch: 3,
-            faults: Vec::new(),
-        };
+        let rec = Record::Begin { epoch: 3 };
         let json = serde_json::to_string(&rec).expect("json");
         let mut line = frame_journal_line(&json);
         assert_eq!(line.pop(), Some('\n'));
-        let parsed: JournalRecord = parse_framed_line(line.as_bytes()).expect("parse");
+        let parsed: Record = parse_framed_line(line.as_bytes()).expect("parse");
         assert_eq!(parsed, rec);
         // Flip one payload byte: the CRC must catch it.
         let mut bad = line.into_bytes();
         let last = bad.len() - 2;
         bad[last] ^= 0x01;
-        assert!(parse_framed_line::<JournalRecord>(&bad).is_none());
+        assert!(parse_framed_line::<Record>(&bad).is_none());
     }
 
-    /// Golden bytes of the two journal records (a private type; the
-    /// public ones are pinned in the root `tests/encoding_golden.rs`).
+    /// Golden bytes of two framed journal records: the CRC-32 of the
+    /// payload in eight hex digits, a space, the payload, a newline.
     #[test]
     fn journal_record_bytes_are_pinned() {
-        use crate::event::EventKind;
-        use crate::fault::Fault;
         let cases = [
-            (
-                JournalRecord::Begin {
-                    epoch: 3,
-                    faults: vec![FaultEvent { at_s: 3.5, fault: Fault::NodeDeath { node: 1 } }],
-                },
-                r#"{"rec":"begin","epoch":3,"faults":[{"at_s":3.5,"fault":{"kind":"node_death","node":1}}]}"#,
-            ),
-            (
-                JournalRecord::Commit {
-                    epoch: 3,
-                    state_crc: 0xffff_ffff,
-                    events: vec![Event { at_s: 4.0, kind: EventKind::NoSteadyState }],
-                },
-                r#"{"rec":"commit","epoch":3,"state_crc":4294967295,"events":[{"at_s":4,"kind":{"kind":"no_steady_state"}}]}"#,
-            ),
+            (Record::Begin { epoch: 3 }, "{\"rec\":\"begin\",\"epoch\":3}"),
+            (Record::Commit { epoch: 3, state_crc: 0xffff_ffff }, "{\"rec\":\"commit\",\"epoch\":3,\"state_crc\":4294967295}"),
         ];
         for (rec, literal) in cases {
-            assert_eq!(serde_json::to_string(&rec).expect("encode"), literal);
-            assert_eq!(serde_json::from_str::<JournalRecord>(literal).expect("decode"), rec);
+            let json = serde_json::to_string(&rec).expect("encode");
+            assert_eq!(json, literal);
+            assert_eq!(frame_journal_line(&json), format!("{:08x} {literal}\n", crc32(literal.as_bytes())));
+            assert_eq!(serde_json::from_str::<Record>(literal).expect("decode"), rec);
         }
+        assert_eq!(frame_journal_line("{}"), "a3a6bf43 {}\n");
         for bad in [r#"{"rec":"gremlin"}"#, r#"{"rec":"commit","epoch":3}"#, r#"{"epoch":3}"#, "[]"] {
-            assert!(serde_json::from_str::<JournalRecord>(bad).is_err(), "accepted {bad}");
+            assert!(serde_json::from_str::<Record>(bad).is_err(), "accepted {bad}");
         }
     }
 
@@ -1086,9 +830,7 @@ mod tests {
         fs::create_dir_all(&dir).expect("mkdir");
         let strict_path = dir.join("strict.jsonl");
         let batched_path = dir.join("batched.jsonl");
-        let recs: Vec<JournalRecord> = (0..10)
-            .map(|i| JournalRecord::Begin { epoch: i, faults: Vec::new() })
-            .collect();
+        let recs: Vec<Record> = (0..10).map(|epoch| Record::Begin { epoch }).collect();
         let mut strict = JournalWriter::create(&strict_path, true, 1).expect("create");
         let mut batched = JournalWriter::create(&batched_path, true, 4).expect("create");
         for rec in &recs {
@@ -1101,7 +843,7 @@ mod tests {
         let a = fs::read(&strict_path).expect("read");
         let b = fs::read(&batched_path).expect("read");
         assert_eq!(a, b);
-        let (parsed, truncated) = read_journal::<JournalRecord>(&batched_path).expect("read journal");
+        let (parsed, truncated) = read_journal::<Record>(&batched_path).expect("read journal");
         assert_eq!(parsed, recs);
         assert_eq!(truncated, 0);
         let _ = fs::remove_file(&strict_path);
@@ -1115,7 +857,7 @@ mod tests {
         let path = dir.join("snap-00000001.json");
         fs::write(&path, br#"{"version":99,"epoch":1,"state_crc":0,"state":"{}"}"#)
             .expect("write");
-        match load_snapshot::<Checkpoints>(&path, 1) {
+        match load_snapshot::<Probe>(&path, 1) {
             Err(PersistError::UnsupportedVersion { version, supported, .. }) => {
                 assert_eq!((version, supported), (99, 2))
             }

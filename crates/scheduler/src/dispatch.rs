@@ -1176,7 +1176,7 @@ mod tests {
     }
 
     /// A core index past the room's names no core: `kill_cores` skips it
-    /// and kills the ones in range, as `Supervisor::kill_node` skips a
+    /// and kills the ones in range, as the floor's `kill_node` skips a
     /// node past the room's.
     #[test]
     fn killing_a_core_past_the_room_is_skipped() {

@@ -197,7 +197,7 @@ pub struct Admitted {
 /// An **interruptible** simulation: the caller feeds arrivals in time
 /// order and may pause between any two to mutate the scheduler — replace
 /// the plan ([`EpochSim::replan`]), kill cores ([`EpochSim::kill_cores`])
-/// — which is exactly what the runtime supervisor's epoch loop needs.
+/// — which is exactly what the service engine's epoch loop needs.
 /// [`simulate`] is a single uninterrupted run of the same machinery.
 ///
 /// The simulation is its own checkpoint form: the persist layers write
@@ -356,8 +356,8 @@ impl EpochSim {
     }
 
     /// Does this state fit `dc`? The check for a simulation read from
-    /// disk, made once where it enters (`LiveRun::from_state`, the
-    /// service engine's `from_state`): scheduler tables sized for `dc`'s
+    /// disk, made once where it enters (the service engine's
+    /// `from_state`): scheduler tables sized for `dc`'s
     /// task types and cores, one counter per type, every in-flight task on
     /// a core and of a type that exist.
     pub fn fits(&self, dc: &DataCenter) -> Result<(), String> {

@@ -1,17 +1,20 @@
 //! `thermaware-loadgen` — drive load (and chaos) at a running
-//! `thermaware-serve`, or verify an earlier run's id ledger against a
-//! resumed daemon (`--verify-against`).
+//! `thermaware-serve`, verify an earlier run's id ledger against a
+//! resumed daemon (`--verify-against`), or send it one request
+//! (`--request`).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use thermaware_datacenter::Args;
-use thermaware_service::loadgen::{run, verify, LoadReport, LoadgenConfig};
+use thermaware_service::loadgen::{request, run, verify, LoadReport, LoadgenConfig};
+use thermaware_service::proto::{Request, Response};
 use thermaware_workload::Curve;
 
 const USAGE: &str = "thermaware-loadgen: load generator for thermaware-serve
 
 usage: thermaware-loadgen --socket PATH [options]
        thermaware-loadgen --socket PATH --verify-against REPORT.json [--verify-window N]
+       thermaware-loadgen --socket PATH --request JSON
 
 load:
   --schedule SPEC        constant:RATE | diurnal:BASE:PEAK:PERIOD |
@@ -35,7 +38,12 @@ output:
 verify:
   --verify-against PATH  earlier run's report: every acked id in the
                          window must answer duplicate=true
-  --verify-window N      most-recent acked ids to check     [5000]";
+  --verify-window N      most-recent acked ids to check     [5000]
+
+probe:
+  --request JSON         send this one request line (e.g.
+                         {\"type\":\"fault\",\"fault\":{\"kind\":\"node_death\",\"node\":0}}),
+                         print the answer; fails on an error answer";
 
 fn main() -> ExitCode {
     let args = Args::parse(std::env::args().skip(1), USAGE);
@@ -44,6 +52,25 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
 
+    if let Some(line) = args.get_opt_str("request") {
+        let answer = serde_json::from_str::<Request>(&line)
+            .map_err(|e| format!("bad --request: {e}"))
+            .and_then(|r| request(&socket, &r).map_err(|e| format!("request failed: {e}")))
+            .and_then(|response| match response {
+                Response::Error { message } => Err(format!("the daemon refused: {message}")),
+                response => serde_json::to_string(&response).map_err(|e| e.to_string()),
+            });
+        return match answer {
+            Ok(json) => {
+                println!("{json}");
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("{e}");
+                ExitCode::FAILURE
+            }
+        };
+    }
     if let Some(report_path) = args.get_opt_str("verify-against") {
         let raw = match std::fs::read_to_string(&report_path) {
             Ok(r) => r,

@@ -1,8 +1,10 @@
 //! `thermaware-serve` — the scheduling daemon.
 //!
 //! Creates a fresh service directory (solving the initial three-stage
-//! plan) or resumes an existing one (journal replay, no re-solving),
-//! then serves admissions over a Unix socket until shutdown.
+//! plan; the service stands on a supervised floor at the plan's CRAC
+//! outlets) or resumes an existing one (journal replay, no re-solving),
+//! then serves admissions and floor faults over a Unix socket until
+//! shutdown.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -14,6 +16,7 @@ use thermaware_service::breaker::BreakerConfig;
 use thermaware_service::daemon::{run_daemon, DaemonConfig};
 use thermaware_service::engine::{ServiceConfig, ServiceEngine};
 use thermaware_service::store::{resume_service, ServiceStore, StoreConfig};
+use thermaware_runtime::{Floor, DEFAULT_TRIP_MARGIN_C};
 
 const USAGE: &str = "thermaware-serve: the scheduling-as-a-service daemon
 
@@ -155,7 +158,8 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let engine = ServiceEngine::new(dc, service_cfg, &plan.pstates, &plan.stage3);
+        let floor = Floor::new(&dc, plan.crac_out_c(), true, DEFAULT_TRIP_MARGIN_C);
+        let engine = ServiceEngine::new(dc, service_cfg, &plan.pstates, &plan.stage3).with_floor(floor);
         let store = match ServiceStore::create(store_cfg, &engine) {
             Ok(s) => s,
             Err(e) => {

@@ -4,9 +4,11 @@
 //! Everything nondeterministic happens here and is reified before it
 //! touches the engine: a solve's outcome (finished / timed out /
 //! failed) becomes a [`ReplanVerdict`] journaled in the epoch's Begin
-//! record, and the batches drained from the queue are journaled in the
-//! same record — so the engine step that follows is replayable from
-//! the journal alone.
+//! record, and the batches and floor faults drained from their queues
+//! are journaled in the same record — so the engine step that follows
+//! is replayable from the journal alone. A fault is checked at the
+//! socket against the floor ([`Floor::accepts`]) and acknowledged, like
+//! a batch, only once its Begin record is fsynced.
 //!
 //! ## Overload behavior, outermost layer first
 //!
@@ -29,7 +31,7 @@
 
 use crate::breaker::BreakerState;
 use crate::engine::{ReplanVerdict, ServiceEngine};
-use crate::proto::{Batch, RejectReason, Request, Response, StatsReport, MAX_LINE_BYTES};
+use crate::proto::{Batch, FloorStats, RejectReason, Request, Response, StatsReport, MAX_LINE_BYTES};
 use crate::store::ServiceStore;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -42,6 +44,7 @@ use thermaware_core::stage3::Stage3Basis;
 use thermaware_core::Solver;
 use thermaware_datacenter::DataCenter;
 use thermaware_runtime::persist::json_crc_only;
+use thermaware_runtime::{Fault, Floor};
 
 /// Wall-clock knobs for the live shell (deterministic policy lives in
 /// [`crate::engine::ServiceConfig`]).
@@ -99,6 +102,12 @@ struct Pending {
     reply: mpsc::Sender<Response>,
 }
 
+/// A fault awaiting the epoch loop.
+struct PendingFault {
+    fault: Fault,
+    reply: mpsc::Sender<Response>,
+}
+
 /// State shared between connection threads and the epoch loop.
 struct Shared {
     stop: AtomicBool,
@@ -108,6 +117,9 @@ struct Shared {
     /// Static admission limits (safe to check off-thread).
     max_batch_tasks: usize,
     n_task_types: usize,
+    /// The floor as the daemon started on it: what a fault may name
+    /// (`None`: the service has no floor to fault).
+    floor: Option<Floor>,
 }
 
 /// A replan job for the solver thread.
@@ -149,8 +161,10 @@ pub fn run_daemon(
         stats: Mutex::new(stats_of(&engine)),
         max_batch_tasks: engine.config().max_batch_tasks,
         n_task_types: engine.dc().n_task_types(),
+        floor: engine.state().floor.clone(),
     });
     let (queue_tx, queue_rx) = mpsc::sync_channel::<Pending>(cfg.queue_capacity.max(1));
+    let (fault_tx, fault_rx) = mpsc::sync_channel::<PendingFault>(cfg.queue_capacity.max(1));
     let (job_tx, job_rx) = mpsc::sync_channel::<SolveJob>(1);
     let (done_tx, done_rx) = mpsc::channel::<SolveDone>();
 
@@ -198,6 +212,7 @@ pub fn run_daemon(
         // ---- Listener + connection threads --------------------------------
         let accept_shared = Arc::clone(&shared);
         let accept_tx = queue_tx.clone();
+        let accept_faults = fault_tx.clone();
         let read_timeout = Duration::from_millis(cfg.read_timeout_ms.max(1));
         scope.spawn(move || {
             loop {
@@ -208,8 +223,9 @@ pub fn run_daemon(
                     Ok((stream, _)) => {
                         let conn_shared = Arc::clone(&accept_shared);
                         let conn_tx = accept_tx.clone();
+                        let conn_faults = accept_faults.clone();
                         scope.spawn(move || {
-                            serve_connection(stream, read_timeout, &conn_shared, &conn_tx);
+                            serve_connection(stream, read_timeout, &conn_shared, &conn_tx, &conn_faults);
                         });
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => {
@@ -220,6 +236,7 @@ pub fn run_daemon(
             }
         });
         drop(queue_tx); // epoch loop's rx must see disconnect at shutdown
+        drop(fault_tx);
 
         // ---- Epoch loop (this thread) -------------------------------------
         let epoch_wall = Duration::from_millis(cfg.epoch_wall_ms.max(1));
@@ -246,6 +263,7 @@ pub fn run_daemon(
                 }
                 pending.push(p);
             }
+            let faults: Vec<PendingFault> = fault_rx.try_iter().collect();
 
             // Reify the solve outcome for this epoch.
             let mut verdict = ReplanVerdict::NotAttempted;
@@ -274,11 +292,15 @@ pub fn run_daemon(
             // barrier is the exactly-once guarantee.
             let epoch = engine.state().epoch;
             let batches: Vec<Batch> = pending.iter().map(|p| p.batch.clone()).collect();
-            if let Err(e) = store.append_begin(epoch, &batches, &verdict) {
+            let fault_list: Vec<Fault> = faults.iter().map(|p| p.fault).collect();
+            if let Err(e) = store.append_begin_with(epoch, &batches, &fault_list, &verdict) {
                 loop_result = Err(std::io::Error::other(e.to_string()));
                 break;
             }
-            let step = engine.step(&batches, &verdict);
+            let step = engine.step_with(&batches, &fault_list, &verdict);
+            for p in &faults {
+                let _ = p.reply.send(Response::FaultAccepted { epoch });
+            }
             for (p, outcome) in pending.iter().zip(step.batches.iter()) {
                 let _ = p.reply.send(Response::Accepted {
                     id: outcome.id,
@@ -382,6 +404,7 @@ fn serve_connection(
     read_timeout: Duration,
     shared: &Shared,
     queue: &mpsc::SyncSender<Pending>,
+    faults: &mpsc::SyncSender<PendingFault>,
 ) {
     let _ = stream.set_read_timeout(Some(read_timeout));
     let mut writer = match stream.try_clone() {
@@ -469,6 +492,7 @@ fn serve_connection(
             Request::Submit { batch, budget_ms } => {
                 handle_submit(&mut writer, shared, queue, batch, budget_ms)
             }
+            Request::Fault { fault } => handle_fault(&mut writer, shared, faults, fault),
         };
         if !keep_going {
             return;
@@ -545,6 +569,32 @@ fn handle_submit(
     }
 }
 
+/// Check a fault against the floor, enqueue it, and wait for the epoch
+/// loop's ack. Returns `false` when the connection should close.
+fn handle_fault(
+    writer: &mut UnixStream,
+    shared: &Shared,
+    faults: &mpsc::SyncSender<PendingFault>,
+    fault: Fault,
+) -> bool {
+    let refused = match &shared.floor {
+        None => Some("this service stands on no floor".to_string()),
+        Some(floor) => floor.accepts(&fault).err(),
+    };
+    if let Some(message) = refused {
+        thermaware_obs::counter_add("service.refused_faults", 1);
+        return respond(writer, &Response::Error { message: format!("fault refused: {message}") }).is_ok();
+    }
+    let (reply, reply_rx) = mpsc::channel();
+    let response = match faults.try_send(PendingFault { fault, reply }) {
+        Ok(()) => reply_rx.recv().unwrap_or(Response::ShuttingDown),
+        Err(mpsc::TrySendError::Full(_)) => Response::Error { message: "fault queue full".to_string() },
+        Err(mpsc::TrySendError::Disconnected(_)) => Response::ShuttingDown,
+    };
+    let keep = response != Response::ShuttingDown;
+    respond(writer, &response).is_ok() && keep
+}
+
 fn respond(writer: &mut UnixStream, response: &Response) -> std::io::Result<()> {
     let mut json = serde_json::to_string(response)
         .map_err(|e| std::io::Error::other(e.to_string()))?;
@@ -585,6 +635,12 @@ fn stats_of(engine: &ServiceEngine) -> StatsReport {
         shed_types: state.shed.len(),
         backlog_s: engine.backlog_s(),
         log_dropped: state.log.dropped(),
+        floor: state.floor.as_ref().map(|floor| FloorStats {
+            failed_cracs: floor.failed.iter().filter(|&&f| f).count(),
+            dead_nodes: floor.dead.iter().filter(|&&d| d).count(),
+            bias_c: floor.bias_c,
+            healthy: floor.healthy,
+        }),
     }
 }
 

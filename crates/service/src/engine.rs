@@ -9,6 +9,15 @@
 //! re-executes the exact same computation without ever re-solving.
 //! This is why a resume is bit-identical regardless of how long the
 //! original solves took.
+//!
+//! An engine may stand on a physical [`Floor`] (outlets, failed CRACs,
+//! dead nodes, sensor bias): then [`ServiceEngine::step_with`] also
+//! takes the epoch's faults, journaled beside the batches, and the
+//! floor's rungs and trips run inside the step. The step still never
+//! solves: a rung or a node death marks the plan stale,
+//! [`ServiceEngine::wants_replan`] asks for the solve, and its answer
+//! comes back as a verdict like any other. An engine without a floor
+//! leaves the floor out of its state, header and records altogether.
 
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use crate::proto::Batch;
@@ -17,7 +26,7 @@ use std::collections::{BTreeSet, VecDeque};
 use thermaware_core::stage3::Stage3Solution;
 use thermaware_datacenter::DataCenter;
 use thermaware_runtime::degrade::shed_lowest_reward;
-use thermaware_runtime::{Action, EventKind, EventLog};
+use thermaware_runtime::{Action, EventKind, EventLog, Fault, Floor, Violation};
 use thermaware_scheduler::{DispatchDecision, EpochSim};
 
 /// Service tuning. Everything here is deterministic policy; wall-clock
@@ -104,6 +113,18 @@ pub enum ReplanVerdict {
         /// Rendered solver error.
         error: String,
     },
+    /// A full three-stage solve at the drifted demand finished: new
+    /// P-states, CRAC outlets and rates. Only an engine on a [`Floor`]
+    /// takes one (the supervisor's drift re-solve; the daemon never
+    /// sends one).
+    FullPlan {
+        /// Per-core P-states of the new plan.
+        pstates: Vec<usize>,
+        /// CRAC outlet set-points of the new plan, °C.
+        outlets: Vec<f64>,
+        /// Its Stage-3 rates.
+        stage3: Stage3Solution,
+    },
 }
 
 /// The full serializable engine state — the unit the store snapshots
@@ -139,6 +160,10 @@ pub struct ServiceState {
     pub totals: ServiceTotals,
     /// Typed event history (ring-bounded).
     pub log: EventLog,
+    /// The physical floor, when the engine stands on one (absent from
+    /// the JSON when it does not).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub floor: Option<Floor>,
 }
 
 impl ServiceState {
@@ -146,10 +171,17 @@ impl ServiceState {
     /// made where it enters ([`ServiceEngine::from_state`]; the store's
     /// resume skips a snapshot generation that fails it): a plan for this
     /// room, one demand rate per task type, shed types that exist, and
-    /// the simulation's own [`EpochSim::fits`].
+    /// the simulation's own [`EpochSim::fits`], a replan epoch no later
+    /// than the state's own, and a [`Floor::fits`] floor.
     pub(crate) fn fits(&self, dc: &DataCenter) -> Result<(), String> {
         let t = dc.n_task_types();
         plan_fits(dc, &self.pstates, &self.stage3)?;
+        if self.last_replan_epoch > self.epoch {
+            return Err(format!("last replan at epoch {} past the state's epoch {}", self.last_replan_epoch, self.epoch));
+        }
+        if let Some(floor) = &self.floor {
+            floor.fits(dc)?;
+        }
         if self.ewma.len() != t || self.planned_rates.len() != t {
             return Err(format!("demand rates are not {t} task types long"));
         }
@@ -236,8 +268,15 @@ impl ServiceEngine {
             last_replan_epoch: 0,
             totals: ServiceTotals::default(),
             log: EventLog::with_capacity(cfg.log_capacity),
+            floor: None,
         };
         ServiceEngine { dc, cfg, state, recent_set: BTreeSet::new() }
+    }
+
+    /// Stand the engine on `floor` (built for its data center).
+    pub fn with_floor(mut self, floor: Floor) -> ServiceEngine {
+        self.state.floor = Some(floor);
+        self
     }
 
     /// Reattach an engine to a (restored) data center and state — once
@@ -280,22 +319,36 @@ impl ServiceEngine {
     }
 
     /// Is the active plan stale enough (or a probe pending) that the
-    /// daemon should spawn a solve? Deterministic: state-only.
+    /// daemon should spawn a solve? Deterministic: state-only. A floor
+    /// whose ladder is backing off holds every replan back; one whose
+    /// rungs or deaths staled the rates wants one now, past the gap.
     pub fn wants_replan(&self) -> bool {
         if !self.state.breaker.allows_solve() {
             return false;
+        }
+        if let Some(floor) = &self.state.floor {
+            if floor.supervise && !floor.healthy {
+                return false;
+            }
+            if floor.wants_replan() {
+                return true;
+            }
         }
         // A half-open breaker always wants its probe — the cooldown
         // already rate-limited it, the replan gap must not.
         if self.state.breaker.state == BreakerState::HalfOpen {
             return true;
         }
-        if self.state.epoch < self.state.last_replan_epoch + self.cfg.min_replan_gap_epochs.max(1)
-        {
+        let gap = self.cfg.min_replan_gap_epochs.max(1);
+        if self.state.epoch < self.state.last_replan_epoch.saturating_add(gap) {
             return false;
         }
-        // Demand drift: any type's offered EWMA strayed beyond the
-        // threshold from what the plan was built for.
+        self.demand_drifted()
+    }
+
+    /// Demand drift: has any type's offered EWMA strayed beyond
+    /// `drift_threshold` from the rate the plan was built for?
+    pub fn demand_drifted(&self) -> bool {
         self.state
             .ewma
             .iter()
@@ -308,8 +361,9 @@ impl ServiceEngine {
 
     /// The inputs a solver thread needs: a data-center clone whose
     /// workload demand is the current EWMA (shed types zeroed) plus the
-    /// fixed P-states. Called by the daemon at spawn time; the result
-    /// of the solve comes back as a journaled [`ReplanVerdict`].
+    /// fixed P-states (a floor's dead nodes' cores off). Called by the
+    /// daemon at spawn time; the result of the solve comes back as a
+    /// journaled [`ReplanVerdict`].
     pub fn solve_request(&self) -> (DataCenter, Vec<usize>) {
         let mut dc = self.dc.clone();
         for (i, t) in dc.workload.task_types.iter_mut().enumerate() {
@@ -322,13 +376,14 @@ impl ServiceEngine {
         (dc, self.state.pstates.clone())
     }
 
-    /// Can [`step`](Self::step) take these inputs? It indexes by task
-    /// type, loops once per task and replays an `Ok` verdict's plan into
-    /// the scheduler unchecked: the daemon admits only batches that pass
-    /// `Batch::types_within` and `Batch::tasks_within` and journals only
-    /// plans it solved, so this is the check for inputs read back from a
-    /// journal.
-    pub(crate) fn inputs_fit(&self, batches: &[Batch], verdict: &ReplanVerdict) -> Result<(), String> {
+    /// Can [`step_with`](Self::step_with) take these inputs? It indexes
+    /// by task type, loops once per task, applies faults to the floor and
+    /// replays a verdict's plan into the scheduler unchecked: the daemon
+    /// admits only batches that pass `Batch::types_within` and
+    /// `Batch::tasks_within` and faults the floor [`Floor::accepts`], and
+    /// journals only plans it solved, so this is the check for inputs
+    /// read back from a journal.
+    pub(crate) fn inputs_fit(&self, batches: &[Batch], faults: &[Fault], verdict: &ReplanVerdict) -> Result<(), String> {
         if !batches.iter().all(|b| b.types_within(self.dc.n_task_types())) {
             return Err("a batch names an unknown task type".to_string());
         }
@@ -336,21 +391,50 @@ impl ServiceEngine {
         if !batches.iter().all(|b| b.tasks_within(max)) {
             return Err(format!("a batch holds more than the {max} tasks one may"));
         }
+        if !faults.is_empty() {
+            let floor = self.state.floor.as_ref().ok_or("faults for an engine with no floor")?;
+            faults.iter().try_for_each(|f| floor.accepts(f))?;
+        }
         match verdict {
             ReplanVerdict::Ok { stage3 } => stage3.fits(&self.dc),
+            ReplanVerdict::FullPlan { pstates, outlets, stage3 } => {
+                if self.state.floor.is_none() {
+                    return Err("a full plan for an engine with no floor".to_string());
+                }
+                if outlets.len() != self.dc.n_crac() || !outlets.iter().all(|x| x.is_finite()) {
+                    return Err("a full plan's outlets do not fit the room".to_string());
+                }
+                plan_fits(&self.dc, pstates, stage3)
+            }
             _ => Ok(()),
         }
     }
 
-    /// Execute one epoch: dispatch `batches` (in order), update demand
-    /// EWMAs, apply the journaled `verdict` to the breaker and the
-    /// plan, settle finished tasks, and advance the clock.
+    /// Execute one epoch with no fault: [`step_with`](Self::step_with).
     pub fn step(&mut self, batches: &[Batch], verdict: &ReplanVerdict) -> EpochReport {
+        self.step_with(batches, &[], verdict)
+    }
+
+    /// Execute one epoch: apply `faults` to the floor at the epoch's
+    /// start and run its rungs and trips (an engine with no floor has
+    /// none to fault), dispatch `batches` (in order), update demand
+    /// EWMAs, apply the journaled `verdict` to the breaker and the plan,
+    /// settle finished tasks, and advance the clock.
+    pub fn step_with(&mut self, batches: &[Batch], faults: &[Fault], verdict: &ReplanVerdict) -> EpochReport {
         let _span = thermaware_obs::span("service.step");
         let ServiceEngine { dc, cfg, state, recent_set } = self;
         let t0 = state.now_s;
         let epoch_s = cfg.epoch_s.max(1e-9);
         let mut report = EpochReport::default();
+
+        // ---- The floor ----------------------------------------------------
+        if let Some(floor) = &mut state.floor {
+            if floor.epoch(dc, &mut state.pstates, &mut state.sim, faults, t0, &mut state.log) {
+                // Throttled cores run slower from now on: the scheduler
+                // takes the new speeds under the rates it has.
+                state.sim.replan(dc, &state.pstates, &state.stage3, t0);
+            }
+        }
 
         // ---- Admission ----------------------------------------------------
         let mut counts = vec![0usize; dc.n_task_types()];
@@ -429,13 +513,32 @@ impl ServiceEngine {
         }
         match verdict {
             ReplanVerdict::NotAttempted => {}
-            ReplanVerdict::Ok { stage3 } => {
-                state.sim.replan(dc, &state.pstates, stage3, t1);
-                state.stage3 = stage3.clone();
+            ReplanVerdict::Ok { stage3: new } | ReplanVerdict::FullPlan { stage3: new, .. } => {
+                if let (ReplanVerdict::FullPlan { pstates, outlets, .. }, Some(floor)) = (verdict, &mut state.floor) {
+                    let base: f64 = dc.workload.task_types.iter().map(|t| t.arrival_rate).sum();
+                    let level = |rates: &[f64]| rates.iter().sum::<f64>() / base.max(1e-9);
+                    state.log.record(
+                        t1,
+                        EventKind::ViolationDetected(Violation::DemandDrift {
+                            multiplier: level(&state.ewma),
+                            planned: level(&state.planned_rates),
+                        }),
+                    );
+                    floor.replanned(t1, &mut state.log);
+                    state.pstates.clone_from(pstates);
+                    floor.adopt(dc, outlets, &mut state.pstates, t1, &mut state.log);
+                    state.log.record(t1, EventKind::ActionTaken(Action::Stage1Replan));
+                } else {
+                    state.log.record(t1, EventKind::ActionTaken(Action::Replan));
+                    if let Some(floor) = &mut state.floor {
+                        floor.replanned(t1, &mut state.log);
+                    }
+                }
+                state.sim.replan(dc, &state.pstates, new, t1);
+                state.stage3 = new.clone();
                 state.planned_rates = state.ewma.clone();
                 state.totals.replans = state.totals.replans.saturating_add(1);
                 report.replanned = true;
-                state.log.record(t1, EventKind::ActionTaken(Action::Replan));
                 if state.breaker.on_success(&cfg.breaker) {
                     report.breaker_closed = true;
                     unshed_all(&mut state.shed, &mut state.log, t1);
@@ -483,6 +586,11 @@ impl ServiceEngine {
     /// Per-type outcome stats accumulated by the simulation so far.
     pub fn per_type(&self) -> &[thermaware_scheduler::TypeStats] {
         self.state.sim.per_type()
+    }
+
+    /// Give up the engine for its data center and state.
+    pub fn into_parts(self) -> (DataCenter, ServiceState) {
+        (self.dc, self.state)
     }
 }
 

@@ -382,6 +382,12 @@ fn record_response(tally: &mut WorkerTally, id: u64, response: &Response, took: 
     }
 }
 
+/// Send one request and return the daemon's answer (a drill's probe:
+/// a `fault`, a `stats`).
+pub fn request(socket: &std::path::Path, request: &Request) -> std::io::Result<Response> {
+    Client::connect(socket)?.round_trip(request)
+}
+
 /// Replay an earlier run's id ledger against a (resumed) daemon.
 ///
 /// Every acked id inside `window` (the most recent ones — the daemon's

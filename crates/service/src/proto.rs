@@ -10,6 +10,8 @@
 //! ← {"type":"accepted","id":"00000000000000a1","epoch":17,"duplicate":false}
 //! → {"type":"submit","id":"00000000000000a2","tasks":[[0,64]]}
 //! ← {"type":"rejected","id":"00000000000000a2","reason":"queue_full","retry_after_ms":120}
+//! → {"type":"fault","fault":{"kind":"crac_failure","unit":0}}
+//! ← {"type":"fault_accepted","epoch":18}
 //! ```
 //!
 //! Any line that does not parse — oversize, torn, wrong types — gets a
@@ -17,6 +19,7 @@
 //! can be arbitrarily hostile without wedging the daemon.
 
 use serde::{Deserialize, Serialize, Sink, Source};
+use thermaware_runtime::Fault;
 
 /// Longest request or response line the daemon will read, bytes. A
 /// line that exceeds this is answered with an `error` response and
@@ -77,6 +80,13 @@ pub enum Request {
     Ping,
     /// Ask the daemon to checkpoint and exit cleanly.
     Shutdown,
+    /// A fault on the service's physical floor (a CRAC failing or coming
+    /// back, a node dying, a sensor drifting), journaled with the next
+    /// epoch and taken at its start.
+    Fault {
+        /// What happens.
+        fault: Fault,
+    },
 }
 
 /// Why a submit was refused.
@@ -133,6 +143,22 @@ pub struct StatsReport {
     pub backlog_s: f64,
     /// Event-log entries evicted by the ring bound.
     pub log_dropped: u64,
+    /// The physical floor, when the service stands on one.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub floor: Option<FloorStats>,
+}
+
+/// The physical floor in a stats report.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct FloorStats {
+    /// CRAC units failed.
+    pub failed_cracs: usize,
+    /// Nodes dead (faults and thermal trips).
+    pub dead_nodes: usize,
+    /// Observed-minus-true inlet sensor bias, °C.
+    pub bias_c: f64,
+    /// The last assessment found the floor inside every constraint.
+    pub healthy: bool,
 }
 
 /// A daemon response.
@@ -168,6 +194,12 @@ pub enum Response {
     Pong,
     /// The daemon acknowledges the shutdown request.
     ShuttingDown,
+    /// The fault is journaled durably and was taken at the start of
+    /// epoch `epoch`.
+    FaultAccepted {
+        /// Epoch the fault entered.
+        epoch: usize,
+    },
     /// The request line could not be served (parse error, oversize).
     Error {
         /// What was wrong.
@@ -196,6 +228,11 @@ impl Serialize for Request {
             Request::Stats => sink.string("stats"),
             Request::Ping => sink.string("ping"),
             Request::Shutdown => sink.string("shutdown"),
+            Request::Fault { fault } => {
+                sink.string("fault");
+                sink.key("fault");
+                fault.serialize(sink);
+            }
         }
         sink.end_object();
     }
@@ -221,6 +258,14 @@ impl Deserialize for Request {
             "stats" => Request::Stats,
             "ping" => Request::Ping,
             "shutdown" => Request::Shutdown,
+            "fault" => {
+                let mut fault = None;
+                src.object(|src, key| match key {
+                    "fault" => src.first(&mut fault, Fault::deserialize),
+                    _ => src.skip(),
+                })?;
+                return Ok(Request::Fault { fault: fault.ok_or_else(|| serde::Error::missing_field("fault"))? });
+            }
             other => return Err(serde::Error::custom(format!("Request: unknown type '{other}'"))),
         };
         src.skip()?;
@@ -246,6 +291,8 @@ mod tests {
             Request::Stats,
             Request::Ping,
             Request::Shutdown,
+            Request::Fault { fault: Fault::CracFailure { unit: 1 } },
+            Request::Fault { fault: Fault::SensorDrift { bias_c: -2.5 } },
         ];
         for r in reqs {
             let json = serde_json::to_string(&r).expect("encode");
@@ -266,6 +313,11 @@ mod tests {
             Response::Stats(StatsReport { epoch: 9, reward: 12.5, ..StatsReport::default() }),
             Response::Pong,
             Response::ShuttingDown,
+            Response::FaultAccepted { epoch: 3 },
+            Response::Stats(StatsReport {
+                floor: Some(FloorStats { failed_cracs: 1, dead_nodes: 2, bias_c: 0.5, healthy: true }),
+                ..StatsReport::default()
+            }),
             Response::Error { message: "line too long".to_string() },
         ];
         for r in resps {

@@ -1,7 +1,7 @@
 //! The service's durable layer: a write-ahead journal of (batches,
-//! verdict) epoch inputs plus periodic full-state snapshots — the
-//! service's [`Trail`] in the runtime's persist module, which writes and
-//! resumes both trails with one copy of the protocol.
+//! faults, verdict) epoch inputs plus periodic full-state snapshots — the
+//! [`Trail`] of the runtime's persist module. The daemon and the
+//! supervisor (`crate::supervisor`) both write it; one resume reads it.
 //!
 //! # Exactly-once admission across SIGKILL
 //!
@@ -35,9 +35,8 @@ use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use thermaware_core::stage3::Stage3Solution;
 use thermaware_datacenter::ScenarioSnapshot;
-use thermaware_runtime::persist::{
-    json_crc, CheckpointConfig, PersistError, Trail, TrailWriter,
-};
+use thermaware_runtime::{Fault, Floor};
+use thermaware_runtime::persist::{json_crc, PersistError, Trail, TrailConfig, TrailRecovery, TrailWriter};
 
 /// On-disk format version for the service store.
 pub const SERVICE_FORMAT_VERSION: u64 = 1;
@@ -53,6 +52,10 @@ pub struct ServiceHeader {
     pub pstates: Vec<usize>,
     /// Initial Stage-3 plan.
     pub stage3: Stage3Solution,
+    /// The floor at epoch 0 — its CRAC outlets, and whether it is
+    /// supervised — when the engine stands on one.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub floor: Option<Floor>,
 }
 
 /// One write-ahead record.
@@ -68,6 +71,10 @@ pub enum ServiceRecord {
         batches: Vec<Batch>,
         /// The replan verdict the live shell reified for this epoch.
         verdict: ReplanVerdict,
+        /// Faults the floor takes at the epoch's start (absent when
+        /// none).
+        #[serde(default, skip_serializing_if = "Vec::is_empty")]
+        faults: Vec<Fault>,
     },
     /// Appended after the step: the CRC-32 of the post-step state JSON,
     /// for replay divergence detection. Batched-fsync; loss is benign.
@@ -130,6 +137,7 @@ impl ServiceStore {
             cfg: engine.config().clone(),
             pstates: engine.state().pstates.clone(),
             stage3: engine.state().stage3.clone(),
+            floor: engine.state().floor.clone(),
         };
         let mut store = ServiceStore { trail: TrailWriter::create(trail_config(cfg), &header)? };
         store.snapshot(engine)?;
@@ -151,10 +159,23 @@ impl ServiceStore {
         batches: &[Batch],
         verdict: &ReplanVerdict,
     ) -> Result<(), PersistError> {
+        self.append_begin_with(epoch, batches, &[], verdict)
+    }
+
+    /// [`append_begin`](Self::append_begin) for an epoch that also takes
+    /// `faults`.
+    pub fn append_begin_with(
+        &mut self,
+        epoch: usize,
+        batches: &[Batch],
+        faults: &[Fault],
+        verdict: &ReplanVerdict,
+    ) -> Result<(), PersistError> {
         self.trail.append(&ServiceRecord::Begin {
             epoch,
             batches: batches.to_vec(),
             verdict: verdict.clone(),
+            faults: faults.to_vec(),
         })?;
         self.trail.sync()
     }
@@ -185,23 +206,9 @@ impl ServiceStore {
 }
 
 /// The store's policy in the trail writer's terms: the same five values.
-fn trail_config(cfg: StoreConfig) -> CheckpointConfig {
+fn trail_config(cfg: StoreConfig) -> TrailConfig {
     let StoreConfig { dir, durable, flush_every, snapshot_interval, retain } = cfg;
-    CheckpointConfig { dir, snapshot_interval, retain, durable, flush_every }
-}
-
-/// What [`resume_service`] reconstructed, for logging/assertions.
-#[derive(Debug, Clone)]
-pub struct ServiceRecoveryInfo {
-    /// Epoch of the snapshot replay started from (0 = header bootstrap).
-    pub snapshot_epoch: usize,
-    /// Journaled epochs re-executed on top of the snapshot.
-    pub replayed_epochs: usize,
-    /// The journal ended on a Begin without its Commit (the epoch that
-    /// was in flight when the process died — replayed exactly once).
-    pub tail_begin: bool,
-    /// Bytes of torn/corrupt journal tail truncated away.
-    pub truncated_bytes: u64,
+    TrailConfig { dir, durable, flush_every, snapshot_interval, retain }
 }
 
 /// Rebuild a [`ServiceEngine`] from a store directory: restore the
@@ -210,7 +217,7 @@ pub struct ServiceRecoveryInfo {
 /// deterministically (verdicts come from the journal — **no solve is
 /// ever re-run**), verify commit CRCs, and truncate any torn tail. A
 /// snapshot in a newer format refuses the resume.
-pub fn resume_service(dir: &Path) -> Result<(ServiceEngine, ServiceRecoveryInfo), PersistError> {
+pub fn resume_service(dir: &Path) -> Result<(ServiceEngine, TrailRecovery), PersistError> {
     let _span = thermaware_obs::span("service.resume");
     let (header, dc, generation, mut recovery) = Store::open(dir, |dc, state| state.fits(dc).is_ok())?;
     let mut engine = match generation {
@@ -218,26 +225,25 @@ pub fn resume_service(dir: &Path) -> Result<(ServiceEngine, ServiceRecoveryInfo)
             ServiceEngine::from_state(dc, header.cfg, state).map_err(|reason| PersistError::State { reason })?
         }
         None => {
-            plan_fits(&dc, &header.pstates, &header.stage3)
-                .map_err(|reason| PersistError::Corrupt { path: dir.join(Store::HEADER_FILE), reason })?;
-            ServiceEngine::new(dc, header.cfg, &header.pstates, &header.stage3)
+            let header_fits = plan_fits(&dc, &header.pstates, &header.stage3)
+                .and_then(|()| header.floor.as_ref().map_or(Ok(()), |floor| floor.fits(&dc)));
+            header_fits.map_err(|reason| PersistError::Corrupt { path: dir.join(Store::HEADER_FILE), reason })?;
+            let engine = ServiceEngine::new(dc, header.cfg, &header.pstates, &header.stage3);
+            match header.floor {
+                Some(floor) => engine.with_floor(floor),
+                None => engine,
+            }
         }
     };
     Store::replay(&mut recovery, &mut engine, ServiceEngine::state, |engine, record| {
-        if let ServiceRecord::Begin { batches, verdict, .. } = record {
+        if let ServiceRecord::Begin { batches, faults, verdict, .. } = record {
             // The record is well framed, not therefore well formed.
-            engine.inputs_fit(batches, verdict)?;
-            engine.step(batches, verdict);
+            engine.inputs_fit(batches, faults, verdict)?;
+            engine.step_with(batches, faults, verdict);
         }
         Ok(())
     })?;
-    let info = ServiceRecoveryInfo {
-        snapshot_epoch: recovery.snapshot_epoch,
-        replayed_epochs: recovery.replayed_epochs,
-        tail_begin: recovery.tail_begin,
-        truncated_bytes: recovery.truncated_bytes,
-    };
-    Ok((engine, info))
+    Ok((engine, recovery))
 }
 
 /// The service store as a [`Trail`]: a begin holds the epoch's whole
@@ -254,9 +260,6 @@ impl Trail for Store {
     type Record = ServiceRecord;
     const HEADER_FILE: &'static str = "service.json";
     const VERSION: u64 = SERVICE_FORMAT_VERSION;
-    const CRC_SINCE: u64 = 1;
-    const SNAPSHOT_COUNTER: &'static str = "service.snapshots";
-    const SNAPSHOT_WRITE_US: &'static str = "service.snapshot_write_us";
 
     fn scenario(header: &ServiceHeader) -> &ScenarioSnapshot {
         &header.scenario

@@ -15,7 +15,7 @@ mod e2e {
     use thermaware_service::loadgen::{self, LoadgenConfig};
     use thermaware_workload::Curve;
     use thermaware_service::proto::{RejectReason, Request, Response};
-    use thermaware_service::store::{ServiceStore, StoreConfig};
+    use thermaware_service::store::{resume_service, ServiceStore, StoreConfig};
 
     fn tmp_dir(name: &str) -> std::path::PathBuf {
         let dir =
@@ -183,5 +183,82 @@ mod e2e {
         ));
         server.join().expect("thread").expect("clean exit");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Faults over the socket: one the floor has is journaled and
+    /// acknowledged with its epoch, and the stats show it; one naming a
+    /// node or CRAC the floor lacks, or with a non-finite bias, is
+    /// refused with an error frame and the connection stays usable; a
+    /// service with no floor refuses every fault. The resumed store still
+    /// holds the accepted one.
+    #[test]
+    fn faults_are_journaled_or_refused_at_the_socket() {
+        use thermaware_runtime::{Fault, Floor, DEFAULT_TRIP_MARGIN_C};
+        for floored in [true, false] {
+            let dir = tmp_dir(&format!("faults-{floored}"));
+            std::fs::create_dir_all(&dir).expect("mkdir");
+            let socket = dir.join("serve.sock");
+            let dc = ScenarioParams::small_test().build(2).expect("scenario");
+            let plan = Solver::new(&dc).solve().expect("plan");
+            let floor = Floor::new(&dc, plan.crac_out_c(), true, DEFAULT_TRIP_MARGIN_C);
+            let mut engine = ServiceEngine::new(dc, ServiceConfig::default(), &plan.pstates, &plan.stage3);
+            if floored {
+                engine = engine.with_floor(floor);
+            }
+            let store_cfg = StoreConfig { durable: false, ..StoreConfig::new(dir.join("state")) };
+            let store = ServiceStore::create(store_cfg, &engine).expect("store");
+            let daemon_cfg = DaemonConfig {
+                epoch_wall_ms: 10,
+                read_timeout_ms: 1_000,
+                max_epochs: Some(2_000),
+                ..DaemonConfig::new(&socket)
+            };
+            let server = std::thread::spawn(move || run_daemon(&daemon_cfg, engine, store, None));
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while !socket.exists() && std::time::Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+
+            let hostile = [
+                Fault::NodeDeath { node: 10_000 },
+                Fault::CracFailure { unit: 7 },
+                Fault::SensorDrift { bias_c: f64::NAN },
+            ];
+            for fault in hostile {
+                match roundtrip(&socket, &Request::Fault { fault }) {
+                    Response::Error { message } => assert!(message.contains("fault refused"), "{message}"),
+                    other => panic!("{fault:?} answered {other:?}"),
+                }
+            }
+            let dead = roundtrip(&socket, &Request::Fault { fault: Fault::NodeDeath { node: 1 } });
+            // The stats are published after the ack: wait for the epoch
+            // the fault entered to have run.
+            let entered = match dead {
+                Response::FaultAccepted { epoch } => epoch,
+                _ => 0,
+            };
+            let stats = loop {
+                let Response::Stats(stats) = roundtrip(&socket, &Request::Stats) else {
+                    panic!("stats request must answer with a report");
+                };
+                if stats.epoch > entered {
+                    break stats;
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            };
+            assert!(matches!(roundtrip(&socket, &Request::Shutdown), Response::ShuttingDown));
+            server.join().expect("thread").expect("clean exit");
+
+            let (resumed, _) = resume_service(&dir.join("state")).expect("resume");
+            if floored {
+                assert!(matches!(dead, Response::FaultAccepted { .. }), "{dead:?}");
+                assert!(stats.floor.as_ref().is_some_and(|f| f.dead_nodes >= 1), "{stats:?}");
+                assert!(resumed.state().floor.as_ref().is_some_and(|f| f.dead[1]), "the resumed floor lost the fault");
+            } else {
+                assert!(matches!(dead, Response::Error { .. }), "{dead:?}");
+                assert!(stats.floor.is_none() && resumed.state().floor.is_none());
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

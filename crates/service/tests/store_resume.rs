@@ -10,6 +10,7 @@ use thermaware_service::engine::{ReplanVerdict, ServiceConfig, ServiceEngine, Se
 use thermaware_service::proto::Batch;
 use thermaware_runtime::persist::PersistError;
 use thermaware_service::store::{resume_service, state_json_crc, ServiceStore, StoreConfig};
+use thermaware_runtime::{Fault, Floor, DEFAULT_TRIP_MARGIN_C};
 
 fn engine(seed: u64) -> ServiceEngine {
     let dc = ScenarioParams::small_test().build(seed).expect("scenario");
@@ -440,4 +441,75 @@ fn a_journal_gap_is_corrupt() {
         other => panic!("expected Corrupt, got {other}"),
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `last_replan_epoch` comes from disk: one past the state's own epoch
+/// (`u64::MAX` here, which `wants_replan` adds the replan gap to) is
+/// refused where the state enters, by name, and the resume skips that
+/// generation for the one before it.
+#[test]
+fn a_replan_epoch_past_the_state_is_refused() {
+    let dir = tmp_dir("replan-epoch");
+    let mut live = engine(7);
+    let cfg = StoreConfig { durable: false, snapshot_interval: 2, ..StoreConfig::new(&dir) };
+    let mut store = ServiceStore::create(cfg, &live).expect("create");
+    drive(&mut live, &mut store, 2);
+    drop(store);
+
+    let json = serde_json::to_string(live.state()).expect("encode");
+    let key = r#""last_replan_epoch":0"#;
+    assert!(json.contains(key), "a run with no verdict yet");
+    let hostile = json.replacen(key, r#""last_replan_epoch":18446744073709551615"#, 1);
+    let state: ServiceState = serde_json::from_str(&hostile).expect("a well-formed state");
+    match ServiceEngine::from_state(live.dc().clone(), ServiceConfig::default(), state.clone()) {
+        Err(reason) => assert!(reason.contains("last replan"), "{reason}"),
+        Ok(_) => panic!("a replan epoch past the state's accepted"),
+    }
+    let (text, crc) = state_json_crc(&state).expect("encode");
+    let envelope = format!(
+        r#"{{"version":1,"epoch":2,"state_crc":{crc},"state":{}}}"#,
+        serde_json::to_string(&text).expect("quote")
+    );
+    std::fs::write(dir.join("snap-00000002.json"), envelope).expect("plant");
+    let (resumed, info) = resume_service(&dir).expect("resume");
+    assert_eq!((info.snapshots_skipped, info.snapshot_epoch, resumed.state().epoch), (1, 0, 2));
+    // The gap is added saturating: the widest one asks for nothing.
+    let wide = ServiceConfig { min_replan_gap_epochs: usize::MAX, ..ServiceConfig::default() };
+    let engine = ServiceEngine::from_state(live.dc().clone(), wide, live.state().clone()).expect("fits");
+    assert!(!engine.wants_replan());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A fault record is bytes from outside too: a journaled fault naming a
+/// CRAC or node the floor does not have, carrying a non-finite bias or
+/// factor, or sent to an engine with no floor is refused at replay as a
+/// corrupt record naming the epoch — the socket refuses the same.
+#[test]
+fn a_journaled_fault_that_misfits_the_floor_is_corrupt() {
+    let cases = [
+        ("unit", Fault::CracFailure { unit: 9 }, true),
+        ("node", Fault::NodeDeath { node: 999 }, true),
+        ("bias", Fault::SensorDrift { bias_c: f64::NAN }, true),
+        ("factor", Fault::ArrivalSurge { factor: f64::INFINITY }, true),
+        ("floorless", Fault::NodeDeath { node: 0 }, false),
+    ];
+    for (name, fault, floored) in cases {
+        let dir = tmp_dir(&format!("fault-{name}"));
+        let mut live = engine(7);
+        if floored {
+            let outlets = vec![18.0; live.dc().n_crac()];
+            let floor = Floor::new(live.dc(), &outlets, true, DEFAULT_TRIP_MARGIN_C);
+            live = live.with_floor(floor);
+        }
+        let cfg = StoreConfig { durable: false, ..StoreConfig::new(&dir) };
+        let mut store = ServiceStore::create(cfg, &live).expect("create");
+        drive(&mut live, &mut store, 2);
+        store.append_begin_with(2, &[], &[fault], &ReplanVerdict::NotAttempted).expect("begin");
+        drop(store);
+        match refusal(&dir) {
+            PersistError::Corrupt { reason, .. } => assert!(reason.contains("epoch 2"), "{name}: {reason}"),
+            other => panic!("{name}: expected Corrupt, got {other}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

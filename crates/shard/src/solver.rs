@@ -1,8 +1,8 @@
 //! The fleet solver: zone solves on the supervised pool, coordinated by
 //! the budget-bisection master, with a degraded-zone fallback ladder.
 //!
-//! [`FleetSolver::replan`] is the fleet-scale analogue of the runtime
-//! supervisor's replan rung. Each epoch it (1) splits the fleet budget
+//! [`FleetSolver::replan`] is the fleet-scale analogue of the service's
+//! replan after a fault. Each epoch it (1) splits the fleet budget
 //! across zones by price bisection over the concave zone profiles,
 //! (2) dispatches every zone's Stage-1→3 solve to the worker pool —
 //! each under `catch_unwind`, a per-attempt deadline, bounded
@@ -20,7 +20,7 @@
 //!
 //! A zone that failed `k` consecutive epochs is not re-dispatched for
 //! `min(2^(k−1), 8)` epochs (it rides its fallback plan meanwhile) —
-//! the supervisor's backoff step (`degrade::back_off`), at fleet scale.
+//! the floor's backoff step (`degrade::back_off`), at fleet scale.
 //! Warm-started Stage-3 bases persist across replans and, through
 //! [`FleetSolver::to_state`]/[`FleetSolver::from_state`], across
 //! crash-resume.

@@ -3,7 +3,7 @@
 //!
 //! A [`Curve`] maps seconds-from-start to a non-negative level. The
 //! level's meaning is the caller's: the load generator reads it as an
-//! aggregate batches/s rate, the runtime supervisor as a dimensionless
+//! aggregate batches/s rate, the supervisor as a dimensionless
 //! arrival-rate multiplier, and the `Solver` scenario surface as either
 //! a demand multiplier or a price/carbon intensity. The three shapes
 //! (constant, sinusoidal diurnal, step surge) are the ones

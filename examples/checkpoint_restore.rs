@@ -1,15 +1,17 @@
-//! **Durable checkpoint/restore**: a supervised run is journaled and
-//! snapshotted to disk, "crashes" partway through the horizon, and is
-//! recovered — torn journal tails truncated, CRCs verified, physical
-//! invariants re-checked — then finishes bit-for-bit identically to a
-//! run that was never interrupted.
+//! **Durable checkpoint/restore**: a supervised run writes an ordinary
+//! service store (each epoch's arrivals, faults and replan verdict
+//! journaled before it runs, snapshots every eight epochs), "crashes"
+//! partway through the horizon, and is recovered through
+//! `resume_service` — torn journal tails truncated, CRCs verified, the
+//! journal replayed without re-solving — then finishes bit-for-bit
+//! identically to a run that was never interrupted.
 //!
 //! ```sh
 //! cargo run --release --example checkpoint_restore
 //! ```
 
 use thermaware::prelude::*;
-use thermaware::runtime::persist::run_checkpointed_until;
+use thermaware::service::store::StoreConfig;
 
 fn main() {
     let params = ScenarioParams {
@@ -41,33 +43,29 @@ fn main() {
         baseline.log.events().len()
     );
 
-    // The same run under write-ahead journaling, killed after epoch 17
-    // (right after the CRAC failure hit and the ladder responded).
+    // The same run writing a service store, killed after epoch 17
+    // (after the CRAC failure hit and the ladder responded).
     let dir = std::env::temp_dir().join("thermaware-checkpoint-restore");
     let _ = std::fs::remove_dir_all(&dir);
-    let ckpt = CheckpointConfig {
-        snapshot_interval: 8,
-        ..CheckpointConfig::new(&dir)
-    };
-    let stopped =
-        run_checkpointed_until(&dc, cfg, &plan, &script, &ckpt, 17).expect("checkpointed run");
-    assert!(stopped.is_none(), "killed mid-horizon");
-    println!("\n\"crash\" after epoch 17; checkpoint dir: {}", dir.display());
+    let store = || StoreConfig { snapshot_interval: 8, ..StoreConfig::new(&dir) };
+    let sup = Supervisor::new(&dc, cfg);
+    let mut run = sup.begin_stored(&plan, &script, store()).expect("stored run");
+    for _ in 0..17 {
+        run.step().expect("epoch");
+    }
+    drop(run);
+    println!("\n\"crash\" after epoch 17; store: {}", dir.display());
 
     // Recovery: newest valid snapshot + deterministic journal replay.
-    let rec = resume(&dir).expect("resume");
+    let (mut run, info) = sup.resume(store(), &script).expect("resume");
     println!(
-        "recovered: snapshot at epoch {}, {} journal epochs replayed, resumes at {} \
-         (feasible: {}, redline {:+.2} °C, headroom {:+.1} kW)",
-        rec.info.snapshot_epoch,
-        rec.info.replayed_epochs,
-        rec.info.resume_epoch,
-        rec.info.feasible,
-        rec.info.worst_redline_violation_c,
-        rec.info.power_headroom_kw
+        "recovered: snapshot at epoch {}, {} journal epochs replayed, resumes at {}",
+        info.snapshot_epoch,
+        info.replayed_epochs,
+        run.epoch(),
     );
-
-    let report = rec.finish().expect("finish recovered run");
+    while run.step().expect("epoch") {}
+    let report = run.conclude();
     println!(
         "resumed run:   {:?}, reward {:.1}/s, {} events",
         report.outcome,

@@ -1,8 +1,8 @@
-//! The **runtime supervisor** riding out a mid-run CRAC failure: the
-//! same plan and the same fault script are run twice, once supervised
-//! (staged degradation ladder: replan, outlet drops, thermal-aware
-//! throttling, shedding) and once with the stale plan, and the typed
-//! event log of the supervised run is printed.
+//! The **supervised floor** riding out a mid-run CRAC failure: the same
+//! plan and the same fault script are run twice on the service engine,
+//! once supervised (the floor's ladder: outlet drops and thermal-aware
+//! throttling, then a Stage-3 replan on what survives) and once with the
+//! stale plan, and the typed event log of the supervised run is printed.
 //!
 //! ```sh
 //! cargo run --release --example fault_recovery

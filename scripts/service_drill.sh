@@ -6,11 +6,13 @@
 #    the circuit breaker exercises its open/half-open ladder.
 # 2. Drive a surge (>= 100k task arrivals) through `thermaware-loadgen`
 #    with client chaos, writing the id ledger to a report.
+#    Mid-load, fault the daemon's floor (a node dies) over the socket.
 # 3. `kill -9` the daemon mid-load.
 # 4. Restart it on the same directory (journal replay, no re-solving)
 #    and run `--verify-against` the report: every acked batch must
 #    answer duplicate=true — nothing admitted is lost, nothing is
-#    admitted twice.
+#    admitted twice. The resumed daemon's floor must still hold the
+#    dead node: the fault was journaled with its epoch before its ack.
 # 5. Assert the breaker transitions actually appear in the obs trace.
 #
 # Usage: scripts/service_drill.sh [WORKDIR]
@@ -61,7 +63,16 @@ FIRST_PID=$SERVER_PID
   --seed 7 --report "$REPORT" &
 LOADGEN_PID=$!
 
-sleep 4
+sleep 1
+echo "-- fault the floor: node 0 dies --"
+"$BIN/thermaware-loadgen" --socket "$SOCK" \
+  --request '{"type":"fault","fault":{"kind":"node_death","node":0}}' | grep -q '"type":"fault_accepted"' \
+  || { echo "FAIL: the daemon did not accept the fault"; exit 1; }
+"$BIN/thermaware-loadgen" --socket "$SOCK" \
+  --request '{"type":"fault","fault":{"kind":"node_death","node":4096}}' 2>/dev/null \
+  && { echo "FAIL: the daemon accepted a fault naming a node it does not have"; exit 1; }
+
+sleep 3
 echo "-- kill -9 the daemon mid-surge --"
 kill -9 "$FIRST_PID"
 wait "$FIRST_PID" 2>/dev/null || true
@@ -83,6 +94,10 @@ SECOND_PID=$SERVER_PID
 "$BIN/thermaware-loadgen" --socket "$SOCK" --verify-against "$REPORT" \
   || { echo "FAIL: verify lost admitted work; daemon stderr:"; cat "$WORK/trace2.jsonl.stderr"; kill -9 "$SECOND_PID"; exit 1; }
 
+STATS=$("$BIN/thermaware-loadgen" --socket "$SOCK" --request '{"type":"stats"}')
+echo "$STATS" | grep -q '"dead_nodes":[1-9]' \
+  || { echo "FAIL: the resumed daemon lost the fault; stats: $STATS"; kill -9 "$SECOND_PID"; exit 1; }
+
 kill -9 "$SECOND_PID" 2>/dev/null || true
 wait "$SECOND_PID" 2>/dev/null || true
 
@@ -94,4 +109,4 @@ for span in service.breaker_to_open service.breaker_to_half_open; do
     || { echo "FAIL: $span never appeared in the obs trace"; exit 1; }
 done
 
-echo "PASS: $SENT arrivals surged, daemon SIGKILLed and resumed, no acked batch lost, breaker ladder visible"
+echo "PASS: $SENT arrivals surged, daemon SIGKILLed and resumed, no acked batch lost, floor fault kept, breaker ladder visible"

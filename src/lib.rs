@@ -71,8 +71,8 @@ pub use thermaware_obs as obs;
 pub use thermaware_lp as lp;
 /// P-state tables and CMOS power models.
 pub use thermaware_power as power;
-/// The fault-tolerant runtime supervisor: fault injection, staged
-/// degradation, typed event logs.
+/// The physical floor (fault injection, outlet drops, throttling, trips),
+/// typed event logs, and the durable trail.
 pub use thermaware_runtime as runtime;
 /// The second-step dynamic scheduler and its event-driven simulator.
 pub use thermaware_scheduler as scheduler;

@@ -34,16 +34,15 @@ pub use thermaware_core::{
 // The second-step dynamic scheduler.
 pub use thermaware_scheduler::{simulate, DispatchPolicy, EpochSim, SimulationResult};
 
-// The runtime supervisor and its durability layer.
-pub use thermaware_runtime::{
-    resume, run_checkpointed, CheckpointConfig, FaultScript, Outcome, PersistError, Supervisor,
-    SupervisorConfig, SupervisorReport,
-};
+// Faults, the physical floor, and the durability layer's error.
+pub use thermaware_runtime::{FaultScript, Floor, PersistError};
 
-// Scheduling-as-a-service: the deterministic engine and durable store
-// (the daemon shell and loadgen stay behind `thermaware::service`).
+// Scheduling-as-a-service: the deterministic engine, its durable store,
+// and the supervisor that drives it through a fault script (the daemon
+// shell and loadgen stay behind `thermaware::service`).
 pub use thermaware_service::{
-    resume_service, ReplanVerdict, ServiceConfig, ServiceEngine, ServiceStore,
+    resume_service, Outcome, ReplanVerdict, ServiceConfig, ServiceEngine, ServiceStore, Supervisor,
+    SupervisorConfig, SupervisorReport,
 };
 
 // Zone-decomposed fleet solving on the supervised worker pool.

@@ -12,12 +12,10 @@ use thermaware::core::{SolveError, Solver};
 use thermaware::datacenter::ScenarioParams;
 use thermaware::lp::LpError;
 use thermaware::runtime::event::DEFAULT_LOG_CAPACITY;
-use thermaware::runtime::{
-    Action, Event, EventKind, EventLog, Fault, FaultEvent, SupervisorConfig, Violation,
-};
+use thermaware::runtime::{Action, Event, EventKind, EventLog, Fault, FaultEvent, Floor, Violation};
 use thermaware::scheduler::{DispatchDecision, DynamicScheduler};
 use thermaware::service::engine::ServiceState;
-use thermaware::service::proto::{RejectReason, StatsReport};
+use thermaware::service::proto::{FloorStats, RejectReason, StatsReport};
 use thermaware::service::store::{state_json_crc, ServiceRecord};
 use thermaware::service::{Batch, ReplanVerdict, Request, Response, ServiceConfig, ServiceEngine};
 use thermaware::workload::Curve;
@@ -182,7 +180,7 @@ fn non_finite_measurements() {
 }
 
 #[test]
-fn event_log_and_supervisor_config() {
+fn event_log_and_floor() {
     let mut log = EventLog::default();
     log.record(1.0, EventKind::NoSteadyState);
     let events = r#"[{"at_s":1,"kind":{"kind":"no_steady_state"}}]"#;
@@ -199,30 +197,56 @@ fn event_log_and_supervisor_config() {
         r#"{"at_s":0.5,"kind":{"kind":"backoff","epochs":1}}"#
     );
 
-    let head = r#"{"epoch_s":1,"horizon_s":30,"max_replan_attempts":3,"outlet_drop_c":2,"throttle_steps":8,"trip_margin_c":3,"redline_tol_c":0.000001,"power_tol_kw":0.000001,"supervise":true,"seed":"ffffffffffffffff""#;
-    let cfg = SupervisorConfig { seed: u64::MAX, ..SupervisorConfig::default() };
-    pin!(cfg, format!(r#"{head},"demand":null,"drift_threshold":0.25,"psi_percent":50}}"#));
+    // The floor: its state, a begin record carrying faults, the drift
+    // re-solve's verdict, and the socket's fault request, ack and stats.
+    let floor = Floor {
+        outlets: vec![18.5, 20.0],
+        failed: vec![false, true],
+        dead: vec![true],
+        bias_c: -1.5,
+        supervise: true,
+        trip_margin_c: 3.0,
+        stale: true,
+        healthy: true,
+        settled: false,
+        meltdown: false,
+        acted: true,
+        margin_c: f64::NEG_INFINITY,
+        backoff_skip: 0,
+        backoff_next: u32::MAX,
+    };
     pin!(
-        SupervisorConfig {
-            demand: Some(Curve::Constant { rate: 1.5 }),
-            drift_threshold: 0.1,
-            psi_percent: 25.0,
-            ..cfg
+        floor,
+        r#"{"outlets":[18.5,20],"failed":[false,true],"dead":[true],"bias_c":-1.5,"supervise":true,"trip_margin_c":3,"stale":true,"healthy":true,"settled":false,"meltdown":false,"acted":true,"margin_c":"-inf","backoff_skip":0,"backoff_next":4294967295}"#
+    );
+    rejects!(Floor, r#"{"outlets":[18.5]}"#, "[]");
+    pin!(
+        ServiceRecord::Begin {
+            epoch: 3,
+            batches: Vec::new(),
+            verdict: ReplanVerdict::NotAttempted,
+            faults: vec![Fault::CracFailure { unit: 1 }, Fault::SensorDrift { bias_c: 2.5 }],
         },
-        format!(
-            r#"{head},"demand":{{"kind":"constant","rate":1.5}},"drift_threshold":0.1,"psi_percent":25}}"#
-        )
+        r#"{"rec":"begin","epoch":3,"batches":[],"verdict":{"kind":"not_attempted"},"faults":[{"kind":"crac_failure","unit":1},{"kind":"sensor_drift","bias_c":2.5}]}"#
     );
-    // Written before the scenario engine existed: the three scenario
-    // fields are absent and default to the static supervisor.
-    let legacy: SupervisorConfig = serde_json::from_str(&format!("{head}}}")).expect("legacy cfg");
-    assert_eq!(legacy, cfg);
-    rejects!(
-        SupervisorConfig,
-        r#"{"seed":"ffffffffffffffff"}"#,
-        head.replace("ffffffffffffffff", "not hex") + "}",
-        head.replace(r#""ffffffffffffffff""#, "7") + "}",
+    pin!(
+        ReplanVerdict::FullPlan { pstates: vec![0, 3], outlets: vec![17.5], stage3: stage3() },
+        format!(r#"{{"kind":"full_plan","pstates":[0,3],"outlets":[17.5],"stage3":{STAGE3}}}"#)
     );
+    rejects!(ReplanVerdict, r#"{"kind":"full_plan","pstates":[0],"outlets":[17.5]}"#);
+    pin!(
+        Request::Fault { fault: Fault::NodeDeath { node: 4 } },
+        r#"{"type":"fault","fault":{"kind":"node_death","node":4}}"#
+    );
+    rejects!(Request, r#"{"type":"fault"}"#, r#"{"type":"fault","fault":{"kind":"meteor"}}"#);
+    pin!(Response::FaultAccepted { epoch: 17 }, r#"{"type":"fault_accepted","epoch":17}"#);
+    let stats = StatsReport {
+        floor: Some(FloorStats { failed_cracs: 1, dead_nodes: 2, bias_c: 0.5, healthy: false }),
+        ..StatsReport::default()
+    };
+    let text = serde_json::to_string(&Response::Stats(stats.clone())).expect("encode");
+    assert!(text.ends_with(r#","log_dropped":0,"floor":{"failed_cracs":1,"dead_nodes":2,"bias_c":0.5,"healthy":false}}}"#), "{text}");
+    pin!(Response::Stats(stats), text);
 }
 
 fn stage3() -> Stage3Solution {
@@ -258,6 +282,7 @@ fn service_journal_records() {
             epoch: 3,
             batches: vec![Batch { id: 0xa1, tasks: vec![(1, 4)] }],
             verdict: ReplanVerdict::TimedOut,
+            faults: Vec::new(),
         },
         r#"{"rec":"begin","epoch":3,"batches":[{"id":"00000000000000a1","tasks":[[1,4]]}],"verdict":{"kind":"timed_out"}}"#
     );
@@ -406,6 +431,7 @@ fn pretty_printing() {
             Batch { id: 7, tasks: Vec::new() },
         ],
         verdict: ReplanVerdict::Failed { error: "tab\there".into() },
+        faults: Vec::new(),
     };
     let pretty = serde_json::to_string_pretty(&record).expect("encode");
     assert_eq!(

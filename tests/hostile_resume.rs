@@ -1,7 +1,8 @@
 //! Hostile bytes through the whole resume, not only the readers
 //! (`reader_golden` holds those): the newest snapshot and the journal of
-//! a 40-node service store, and of a supervisor checkpoint directory, are
-//! mutated at every `k`-th byte — one bit flipped, the byte deleted, the
+//! a 40-node service store, and of a supervised run's store (the engine
+//! on its floor, fault records in its journal), are mutated at every
+//! `k`-th byte — one bit flipped, the byte deleted, the
 //! file cut short there — and each mutant directory is resumed. Every
 //! input must end in a typed `PersistError` or in a state whose CRC is
 //! the one the journal committed for its epoch; none may panic.
@@ -18,9 +19,11 @@ use std::path::{Path, PathBuf};
 use thermaware::core::Solver;
 use thermaware::datacenter::ScenarioParams;
 use thermaware::runtime::persist::{frame_journal_line, json_crc_only, PersistError};
-use thermaware::runtime::resume;
+use thermaware::runtime::FaultScript;
 use thermaware::service::store::{resume_service, StoreConfig};
-use thermaware::service::{Batch, ReplanVerdict, ServiceConfig, ServiceEngine, ServiceStore};
+use thermaware::service::{
+    Batch, ReplanVerdict, ServiceConfig, ServiceEngine, ServiceStore, Supervisor, SupervisorConfig,
+};
 
 type Value = serde_json::Value;
 
@@ -224,15 +227,28 @@ fn a_damaged_service_store_resumes_to_a_committed_state_or_refuses() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// The checkpoint `parent_fixtures` resumes: a meltdown (the room's only
-/// CRAC fails), `"inf"` observations, snapshot 4 and two epochs after it.
+/// A supervised run's store on the two-node, one-CRAC room: snapshot
+/// every 4, killed after 6 — `snap-00000004` plus two journaled epochs,
+/// the first of which carries the failure of the room's only CRAC (the
+/// meltdown path: the whole ladder, `"inf"` observations, every node
+/// tripped and its in-flight work lost).
 #[test]
 fn a_damaged_supervisor_checkpoint_resumes_to_a_committed_state_or_refuses() {
-    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/supervisor_ckpt");
+    let dc = ScenarioParams { n_nodes: 2, n_crac: 1, ..ScenarioParams::small_test() }.build(1).expect("scenario");
+    let plan = Solver::new(&dc).solve().expect("plan");
     let dir = tmp_dir("supervisor");
-    copy_dir(&fixture, &dir);
+    let cfg = SupervisorConfig { horizon_s: 8.0, seed: 3, ..SupervisorConfig::default() };
+    let sup = Supervisor::new(&dc, cfg);
+    let store = StoreConfig { durable: false, snapshot_interval: 4, retain: 1, ..StoreConfig::new(&dir) };
+    let mut run = sup.begin_stored(&plan, &FaultScript::new().crac_failure(4.0, 0), store).expect("create");
+    for _ in 0..6 {
+        run.step().expect("epoch");
+    }
+    drop(run);
+    let journal = fs::read_to_string(dir.join(JOURNAL)).expect("journal");
+    assert!(journal.contains(r#""faults":[{"kind":"crac_failure","unit":0}]"#), "the fault is journaled");
     let verdicts = hostile_bytes_through(&dir, "supervisor", 96, &|dir| {
-        resume(dir).map(|run| (run.info.resume_epoch, json_crc_only(&run.state)))
+        resume_service(dir).map(|(engine, _)| (engine.state().epoch, json_crc_only(engine.state())))
     });
     assert!(verdicts.resumed > 0 && verdicts.refused > 0, "{verdicts:?}");
     let _ = fs::remove_dir_all(&dir);

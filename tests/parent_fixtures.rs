@@ -1,10 +1,10 @@
-//! Directories written by an **earlier commit** keep resuming: a service
-//! store and a supervisor checkpoint directory, committed under
-//! `tests/fixtures/` as that commit left them, are copied to a temp dir,
-//! resumed, and the resumed state's `(json.len(), crc)` held to what the
-//! writing commit computed. The round-trip suites write and read with the
-//! same build, so a changed key, number form or field order passes them;
-//! this is the test that reads bytes this build did not write.
+//! Directories written by an **earlier commit** keep resuming: two
+//! service stores, committed under `tests/fixtures/` as that commit left
+//! them, are copied to a temp dir, resumed, and the resumed state's
+//! `(json.len(), crc)` held to what the writing commit computed. The
+//! round-trip suites write and read with the same build, so a changed
+//! key, number form or field order passes them; this is the test that
+//! reads bytes this build did not write.
 //!
 //! Both fixtures are on one room (2 nodes, 1 CRAC: 64 cores, eight task
 //! types — small enough to commit, and its plan admits work):
@@ -13,31 +13,36 @@
 //!   a `Failed` verdict at epoch 3, the snapshot at 8, then epochs 8–10
 //!   journaled after it — epoch 9 carries an `Ok` verdict (a replan
 //!   replayed into the scheduler's plan tables), epoch 10 is a `Begin`
-//!   without its `Commit` (the process died mid-epoch).
-//! * `supervisor_ckpt/` — half-second epochs, snapshot every 4, killed
-//!   after 6: `snap-00000004` plus two journaled epochs, the first of which
-//!   injects the failure of the room's only CRAC (the meltdown path:
-//!   the whole ladder, `"inf"` observations, every node tripped and its
-//!   in-flight work lost).
+//!   without its `Commit` (the process died mid-epoch). It predates the
+//!   engine's floor, so it also holds that a store with none resumes and
+//!   rewrites to the bytes it had.
+//! * `supervised_store/` — the engine on a supervised floor, `retain: 1`,
+//!   snapshot every 4: inlet sensors drift 3 °C hot at epoch 1 (two
+//!   outlet drops, a throttle for the power the colder air costs, then
+//!   the Stage-3 replan the floor asks for, an `Ok` verdict at epoch 2),
+//!   so the snapshot at 4 holds a floor that has acted. Replayed after
+//!   it: node 1 dies at epoch 5, epoch 6 takes the replan that death
+//!   asks for and the failure of the room's only CRAC (the meltdown
+//!   path: `"inf"` observations, every node tripped and its in-flight
+//!   work lost), and epoch 7 is a `Begin` without its `Commit`.
 //!
-//! Neither replay solves an LP — the service's verdicts are journaled and
-//! a meltdown never reaches the replan rung — so the pins follow the
-//! encoding and the epoch logic only, not the LP kernels' bits.
+//! Neither replay solves an LP — verdicts are journaled — so the pins
+//! follow the encoding and the epoch logic only, not the LP kernels'
+//! bits.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use thermaware::core::stage3::Stage3Solution;
-use thermaware::core::{Solver, ThreeStageSolution};
+use thermaware::core::Solver;
 use thermaware::datacenter::{DataCenter, ScenarioParams};
-use thermaware::runtime::persist::{json_crc, run_checkpointed_until};
-use thermaware::runtime::{resume, CheckpointConfig, FaultScript, RunHeader, SupervisorConfig};
+use thermaware::runtime::{Fault, Floor, DEFAULT_TRIP_MARGIN_C};
 use thermaware::service::store::{state_json_crc, ServiceHeader, ServiceRecord, StoreConfig};
 use thermaware::service::{
     resume_service, Batch, ReplanVerdict, ServiceConfig, ServiceEngine, ServiceStore,
 };
 
 const SERVICE_STORE: &str = "service_store";
-const SUPERVISOR_CKPT: &str = "supervisor_ckpt";
+const SUPERVISED_STORE: &str = "supervised_store";
 
 fn fixtures() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
@@ -71,21 +76,25 @@ fn parent_written_service_store_resumes() {
 }
 
 #[test]
-fn parent_written_supervisor_checkpoint_resumes() {
-    let dir = scratch_copy(SUPERVISOR_CKPT);
-    let rec = resume(&dir).expect("resume");
-    assert_eq!((rec.info.snapshot_epoch, rec.info.replayed_epochs), (4, 2));
-    assert_eq!((rec.info.resume_epoch, rec.info.truncated_bytes), (6, 0));
-    let (json, crc) = json_crc(&rec.state).expect("encode");
+fn parent_written_supervised_store_resumes() {
+    let dir = scratch_copy(SUPERVISED_STORE);
+    let (engine, info) = resume_service(&dir).expect("resume");
+    assert_eq!((info.snapshot_epoch, info.replayed_epochs), (4, 4));
+    assert!(info.tail_begin, "epoch 7 was begun and never committed");
+    let state = engine.state();
+    let floor = state.floor.as_ref().expect("the floor came back");
+    assert_eq!((state.epoch, state.totals.replans), (8, 2));
+    assert!(floor.meltdown && floor.failed[0] && floor.dead.iter().all(|&d| d));
+    let (json, crc) = state_json_crc(state).expect("encode");
     assert!(json.contains("\"inf\""), "the meltdown's observations are in the log");
-    assert_eq!((json.len(), crc), SUPERVISOR_PIN);
+    assert_eq!((json.len(), crc), SUPERVISED_PIN);
     let _ = fs::remove_dir_all(&dir);
 }
 
 /// `(json.len(), crc)` of the resumed states, as `write_fixtures` printed
 /// them at the writing commit.
 const SERVICE_PIN: (usize, u32) = (30_776, 0x27b5_4936);
-const SUPERVISOR_PIN: (usize, u32) = (40_054, 0x10c7_4acf);
+const SUPERVISED_PIN: (usize, u32) = (16_758, 0xa91e_a9f9);
 
 fn room() -> DataCenter {
     ScenarioParams { n_nodes: 2, n_crac: 1, ..ScenarioParams::small_test() }
@@ -106,29 +115,26 @@ fn epoch_batch(dc: &DataCenter, epoch: usize) -> Batch {
 }
 
 /// The write direction: this build, fed the plans the committed headers
-/// hold and the epoch-9 replan the committed journal holds, writes the
-/// six fixture files byte for byte. No LP is solved, so an LP re-pin
-/// cannot move it; a change to what either trail writes does.
+/// hold and the verdicts the committed journals hold, writes the six
+/// fixture files byte for byte. No LP is solved, so an LP re-pin cannot
+/// move it; a change to what the store writes, or to the floor's epochs,
+/// does.
 #[test]
 fn this_build_writes_the_fixture_bytes() {
-    let run: RunHeader = serde_json::from_str(&header(&fixtures().join(SUPERVISOR_CKPT).join("run.json")))
-        .expect("run header");
-    let service: ServiceHeader =
-        serde_json::from_str(&header(&fixtures().join(SERVICE_STORE).join("service.json")))
-            .expect("service header");
-    let journal = fs::read_to_string(fixtures().join(SERVICE_STORE).join("journal.jsonl")).expect("journal");
-    let replan = journal
-        .lines()
-        .find_map(|line| match serde_json::from_str(line.get(9..)?).ok()? {
-            ServiceRecord::Begin { epoch: 9, verdict: ReplanVerdict::Ok { stage3 }, .. } => Some(stage3),
-            _ => None,
-        })
-        .expect("the journal's epoch-9 Ok verdict");
+    let header_of = |name: &str| -> ServiceHeader {
+        serde_json::from_str(&header(&fixtures().join(name).join("service.json"))).expect("service header")
+    };
+    let (service, supervised) = (header_of(SERVICE_STORE), header_of(SUPERVISED_STORE));
+    let outlets = &supervised.floor.as_ref().expect("the supervised header's floor").outlets;
     let root = std::env::temp_dir().join(format!("thermaware-fixture-write-{}", std::process::id()));
     let _ = fs::remove_dir_all(&root);
-    let plans = Plans { supervisor: &run.plan, pstates: &service.pstates, stage3: &service.stage3 };
-    write_trails(&root, &plans, |_| replan);
-    for name in [SERVICE_STORE, SUPERVISOR_CKPT] {
+    let journaled = |name: &str| {
+        let verdicts = journal_verdicts(&fixtures().join(name));
+        move |epoch: usize, _: &ServiceEngine| verdicts[epoch].clone()
+    };
+    write_service_store(&root, &service.pstates, &service.stage3, journaled(SERVICE_STORE));
+    write_supervised_store(&root, &supervised.pstates, &supervised.stage3, outlets, journaled(SUPERVISED_STORE));
+    for name in [SERVICE_STORE, SUPERVISED_STORE] {
         let mut committed = file_names(&fixtures().join(name));
         assert_eq!(file_names(&root.join(name)), committed, "{name}: the files written");
         for file in committed.drain(..) {
@@ -138,6 +144,19 @@ fn this_build_writes_the_fixture_bytes() {
         }
     }
     let _ = fs::remove_dir_all(&root);
+}
+
+/// Every Begin record's verdict in a store's journal, by epoch.
+fn journal_verdicts(dir: &Path) -> Vec<ReplanVerdict> {
+    let journal = fs::read_to_string(dir.join("journal.jsonl")).expect("journal");
+    let mut verdicts = Vec::new();
+    for line in journal.lines() {
+        if let Ok(ServiceRecord::Begin { epoch, verdict, .. }) = serde_json::from_str(&line[9..]) {
+            verdicts.resize(epoch + 1, ReplanVerdict::NotAttempted);
+            verdicts[epoch] = verdict;
+        }
+    }
+    verdicts
 }
 
 /// The text of the `header` member of a `{version, header}` file.
@@ -156,36 +175,62 @@ fn file_names(dir: &Path) -> Vec<String> {
     names
 }
 
-/// What the two trails start from: the supervisor's three-stage plan and
-/// the service's P-states and Stage-3 rates.
-struct Plans<'a> {
-    supervisor: &'a ThreeStageSolution,
-    pstates: &'a [usize],
-    stage3: &'a Stage3Solution,
+/// Write `service_store/` under `root` from the plan's P-states and
+/// Stage-3 rates, each epoch's verdict from `verdict` (given the epoch and
+/// the engine at it): no floor, one batch an epoch.
+fn write_service_store(
+    root: &Path,
+    pstates: &[usize],
+    stage3: &Stage3Solution,
+    verdict: impl FnMut(usize, &ServiceEngine) -> ReplanVerdict,
+) {
+    let engine = ServiceEngine::new(room(), ServiceConfig::default(), pstates, stage3);
+    write_store(&root.join(SERVICE_STORE), engine, 8, 10, |_| Vec::new(), verdict);
 }
 
-/// Write both fixture directories under `root`: the service store (its
-/// epoch-9 replan from `replan`, given the engine at that epoch) and the
-/// supervisor checkpoint killed after six epochs.
-fn write_trails(root: &Path, plans: &Plans<'_>, replan: impl FnOnce(&ServiceEngine) -> Stage3Solution) {
+/// Write `supervised_store/` under `root`: the engine on a supervised
+/// floor at `outlets`, a sensor drift at epoch 1, node 1's death at
+/// epoch 5 and the CRAC's failure at epoch 6.
+fn write_supervised_store(
+    root: &Path,
+    pstates: &[usize],
+    stage3: &Stage3Solution,
+    outlets: &[f64],
+    verdict: impl FnMut(usize, &ServiceEngine) -> ReplanVerdict,
+) {
     let dc = room();
-    let mut replan = Some(replan);
+    let floor = Floor::new(&dc, outlets, true, DEFAULT_TRIP_MARGIN_C);
+    let engine = ServiceEngine::new(dc, ServiceConfig::default(), pstates, stage3).with_floor(floor);
+    let faults = |epoch| match epoch {
+        1 => vec![Fault::SensorDrift { bias_c: 3.0 }],
+        5 => vec![Fault::NodeDeath { node: 1 }],
+        6 => vec![Fault::CracFailure { unit: 0 }],
+        _ => Vec::new(),
+    };
+    write_store(&root.join(SUPERVISED_STORE), engine, 4, 7, faults, verdict);
+}
 
-    let dir = root.join(SERVICE_STORE);
-    let _ = fs::remove_dir_all(&dir);
-    let mut engine = ServiceEngine::new(dc.clone(), ServiceConfig::default(), plans.pstates, plans.stage3);
-    let cfg = StoreConfig { durable: false, snapshot_interval: 8, retain: 1, ..StoreConfig::new(&dir) };
+/// Run `engine` through epochs `0..=last` into a fresh store in `dir`
+/// (snapshot every `interval`, one generation kept), journaling each
+/// epoch's batch, faults and verdict; epoch `last` is begun and never
+/// committed.
+fn write_store(
+    dir: &Path,
+    mut engine: ServiceEngine,
+    interval: usize,
+    last: usize,
+    faults: impl Fn(usize) -> Vec<Fault>,
+    mut verdict: impl FnMut(usize, &ServiceEngine) -> ReplanVerdict,
+) {
+    let _ = fs::remove_dir_all(dir);
+    let cfg = StoreConfig { durable: false, snapshot_interval: interval, retain: 1, ..StoreConfig::new(dir) };
     let mut store = ServiceStore::create(cfg, &engine).expect("create");
-    for epoch in 0..11 {
-        let batches = [epoch_batch(&dc, epoch)];
-        let verdict = match epoch {
-            3 => ReplanVerdict::Failed { error: "scripted solver outage".into() },
-            9 => ReplanVerdict::Ok { stage3: replan.take().expect("one replan")(&engine) },
-            _ => ReplanVerdict::NotAttempted,
-        };
-        store.append_begin(epoch, &batches, &verdict).expect("begin");
-        engine.step(&batches, &verdict);
-        if epoch == 10 {
+    for epoch in 0..=last {
+        let batches = [epoch_batch(engine.dc(), epoch)];
+        let (faults, verdict) = (faults(epoch), verdict(epoch, &engine));
+        store.append_begin_with(epoch, &batches, &faults, &verdict).expect("begin");
+        engine.step_with(&batches, &faults, &verdict);
+        if epoch == last {
             break; // died between the ack and the commit
         }
         let (_, crc) = state_json_crc(engine.state()).expect("crc");
@@ -195,39 +240,40 @@ fn write_trails(root: &Path, plans: &Plans<'_>, replan: impl FnOnce(&ServiceEngi
         }
     }
     store.sync().expect("sync");
-
-    let dir = root.join(SUPERVISOR_CKPT);
-    let _ = fs::remove_dir_all(&dir);
-    let cfg = SupervisorConfig { epoch_s: 0.5, horizon_s: 8.0, seed: 3, ..SupervisorConfig::default() };
-    let script = FaultScript::new().crac_failure(2.0, 0);
-    let ckpt = CheckpointConfig {
-        snapshot_interval: 4,
-        retain: 1,
-        durable: false,
-        ..CheckpointConfig::new(&dir)
-    };
-    let stopped = run_checkpointed_until(&dc, cfg, plans.supervisor, &script, &ckpt, 6).expect("run");
-    assert!(stopped.is_none(), "killed mid-horizon");
 }
 
 /// How the fixtures were made. Not part of the suite: a fixture is the
 /// bytes of the commit that wrote it, so this runs by hand, before a
-/// change to anything the encoder sees, and prints the two pins.
+/// change to anything the encoder sees, and prints the pin.
 #[test]
 #[ignore = "rewrites tests/fixtures; run at the commit whose bytes are to be kept"]
 fn write_fixtures() {
     let dc = room();
     let plan = Solver::new(&dc).solve().expect("plan");
-    let plans = Plans { supervisor: &plan, pstates: &plan.pstates, stage3: &plan.stage3 };
-    write_trails(&fixtures(), &plans, |engine| {
-        let (dc, pstates) = engine.solve_request();
-        Solver::new(&dc).stage3_replan(&pstates, None).expect("replan").0
-    });
+    let scripted = |epoch: usize, engine: &ServiceEngine| match epoch {
+        3 => ReplanVerdict::Failed { error: "scripted solver outage".into() },
+        9 => solved(engine),
+        _ => ReplanVerdict::NotAttempted,
+    };
+    write_service_store(&fixtures(), &plan.pstates, &plan.stage3, scripted);
+    let asked = |_: usize, engine: &ServiceEngine| {
+        if engine.wants_replan() {
+            solved(engine)
+        } else {
+            ReplanVerdict::NotAttempted
+        }
+    };
+    write_supervised_store(&fixtures(), &plan.pstates, &plan.stage3, plan.crac_out_c(), asked);
 
-    let (engine, _) = resume_service(&fixtures().join(SERVICE_STORE)).expect("resume");
-    let (json, crc) = state_json_crc(engine.state()).expect("crc");
-    println!("const SERVICE_PIN: (usize, u32) = ({}, {crc:#010x});", json.len());
-    let rec = resume(&fixtures().join(SUPERVISOR_CKPT)).expect("resume");
-    let (json, crc) = json_crc(&rec.state).expect("crc");
-    println!("const SUPERVISOR_PIN: (usize, u32) = ({}, {crc:#010x});", json.len());
+    for (name, pin) in [(SERVICE_STORE, "SERVICE_PIN"), (SUPERVISED_STORE, "SUPERVISED_PIN")] {
+        let (engine, _) = resume_service(&fixtures().join(name)).expect("resume");
+        let (json, crc) = state_json_crc(engine.state()).expect("crc");
+        println!("const {pin}: (usize, u32) = ({}, {crc:#010x});", json.len());
+    }
+}
+
+/// The Stage-3 replan the engine asks for, solved now.
+fn solved(engine: &ServiceEngine) -> ReplanVerdict {
+    let (dc, pstates) = engine.solve_request();
+    ReplanVerdict::Ok { stage3: Solver::new(&dc).stage3_replan(&pstates, None).expect("replan").0 }
 }
