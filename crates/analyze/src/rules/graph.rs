@@ -45,7 +45,7 @@ pub type Entry = (&'static str, Option<&'static str>, &'static str);
 /// The panic-free surface: everything a caller can invoke to get a
 /// plan, plus the crash-recovery and supervision paths that must
 /// survive chaos drills without unwinding.
-pub const PANIC_ENTRIES: [Entry; 20] = [
+pub const PANIC_ENTRIES: [Entry; 19] = [
     ("core", Some("Solver"), "solve"),
     ("core", Some("Solver"), "solve_at"),
     ("core", Some("Solver"), "baseline"),
@@ -53,7 +53,6 @@ pub const PANIC_ENTRIES: [Entry; 20] = [
     ("core", None, "solve_stage1"),
     ("core", None, "solve_stage3"),
     ("core", None, "solve_stage3_warm"),
-    ("core", None, "solve_stage3_task_aware"),
     ("core", None, "solve_min_power"),
     ("core", None, "solve_exact"),
     ("shard", Some("FleetSolver"), "replan"),

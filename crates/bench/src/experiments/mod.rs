@@ -35,7 +35,6 @@ mod sweep_static;
 mod sweep_vprop;
 mod table1;
 mod table2;
-mod task_power;
 
 /// Every experiment: `(name, usage, toy_flags, run)`. The usage line
 /// names the flags `run` reads (anything else is refused before it is
@@ -55,7 +54,6 @@ pub const EXPERIMENTS: &[(&str, &str, &str, fn(&Args) -> Result<(), String>)] = 
     ("sweep_budget", sweep_budget::USAGE, "--runs 2 --nodes 10 --cracs 1", sweep_budget::run),
     ("sweep_hetero", sweep_hetero::USAGE, "--runs 2 --nodes 10 --cracs 1", sweep_hetero::run),
     ("min_power", min_power::USAGE, "--nodes 10", min_power::run),
-    ("task_power", task_power::USAGE, "--runs 2 --nodes 10", task_power::run),
     ("ablation_rounding", ablation_rounding::USAGE, "--runs 2 --nodes 10 --cracs 1", ablation_rounding::run),
     ("ablation_thermal", ablation_thermal::USAGE, "--runs 2 --nodes 10 --cracs 1", ablation_thermal::run),
     ("ablation_dispatch", ablation_dispatch::USAGE, "--runs 2 --nodes 10 --horizon 5", ablation_dispatch::run),

@@ -1,6 +1,7 @@
-//! The experiment table behind `thermaware-exp`: it and the documents
-//! name the same experiments, every entry runs to `Ok` at its toy flags,
-//! and every entry refuses a flag its usage line does not name.
+//! The experiment table behind `thermaware-exp`: it, the documents and
+//! the committed outputs name the same experiments, every entry runs to
+//! `Ok` at its toy flags, and every entry refuses a flag its usage line
+//! does not name.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -64,6 +65,36 @@ fn the_table_and_the_documents_name_the_same_experiments() {
     }
     let undocumented: Vec<_> = table.difference(&documented).collect();
     assert!(undocumented.is_empty(), "in EXPERIMENTS but in no document: {undocumented:?}");
+}
+
+/// `results/all_experiments.txt` is the output of the loop EXPERIMENTS.md
+/// regenerates it with: the file's `=== name ===` headers and the loop's
+/// names (between `for name in` and `; do`) are one list, in one order,
+/// of the table's experiments — a row that goes takes its block and its
+/// loop entry with it.
+#[test]
+fn the_committed_outputs_are_the_regenerate_loops_experiments() {
+    let table: BTreeSet<&str> = EXPERIMENTS.iter().map(|e| e.0).collect();
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let read = |file: &str| {
+        std::fs::read_to_string(root.join(file)).unwrap_or_else(|e| panic!("{file}: {e}"))
+    };
+
+    let outputs = read("results/all_experiments.txt");
+    let headers: Vec<&str> = outputs
+        .lines()
+        .filter_map(|line| line.strip_prefix("=== ")?.strip_suffix(" ==="))
+        .collect();
+    let doc = read("EXPERIMENTS.md");
+    let loop_head = "for name in ";
+    let start = doc.find(loop_head).expect("EXPERIMENTS.md has the regenerate loop") + loop_head.len();
+    let end = start + doc[start..].find("; do").expect("the loop's `; do`");
+    let looped: Vec<&str> = doc[start..end].split_whitespace().filter(|w| *w != "\\").collect();
+
+    for name in headers.iter().chain(&looped) {
+        assert!(table.contains(name), "`{name}` is not in EXPERIMENTS");
+    }
+    assert_eq!(headers, looped, "results/all_experiments.txt and the EXPERIMENTS.md loop differ");
 }
 
 /// One after another, not in parallel: `shard_bench` holds a wall-clock

@@ -26,7 +26,6 @@ mod stage_name {
         "baseline",
         "minlp",
         "min_power",
-        "task_power",
         "crac_search",
     ];
 

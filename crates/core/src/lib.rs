@@ -26,16 +26,15 @@
 //! running at P-state 0, everything else off. [`minlp`] brute-forces the
 //! exact problem on tiny instances to bound the heuristic's optimality
 //! gap in tests. [`min_power`] solves the Section-VIII dual problem
-//! (minimize power subject to a reward-rate floor) and [`task_power`] the
-//! Section-III.C extension (task-type-dependent core power in Stage 3).
-//! [`verify`] checks any final assignment against the *exact* (clamped,
-//! nonlinear) power and thermal models.
+//! (minimize power subject to a reward-rate floor). [`verify`] checks any
+//! final assignment against the *exact* (clamped, nonlinear) power and
+//! thermal models.
 //!
-//! Stage 1, the baseline and those two extensions are LPs over the same
-//! fixed-outlet redline rows and power row under different variables and
-//! objectives; the private `room` module writes the rows, the per-outlet
-//! patch, the outlet search and the exact re-check once for all four
-//! (DESIGN.md, "The room LP").
+//! Stage 1, the baseline and min-power are LPs over the same fixed-outlet
+//! redline rows and power row under different variables and objectives;
+//! the private `room` module writes the rows, the per-outlet patch, the
+//! outlet search and the exact re-check once for all three (DESIGN.md,
+//! "The room LP").
 
 pub mod arr;
 pub mod baseline;
@@ -50,7 +49,6 @@ pub mod solver;
 pub mod stage1;
 pub mod stage2;
 pub mod stage3;
-pub mod task_power;
 pub mod three_stage;
 pub mod verify;
 

@@ -2,13 +2,13 @@
 //!
 //! With the CRAC outlets fixed, inlet temperatures are affine in node
 //! power (Eq. 6) and CRAC power is linear in them (Eq. 3), so Stage 1, the
-//! Eq. 21 baseline, the Section VIII power-minimising dual and the
-//! task-aware Stage 3 are LPs over *the same* redline rows and power row;
-//! they differ in their variables and objectives. A caller describes its
-//! variables as a [`NodeLoad`] per node — which variables carry the node's
-//! power and how many kW each unit of them is — and this module owns the
-//! rest: the rows ([`RoomLp::build`]), what a choice of outlets does to
-//! them ([`RoomLp::set_outlets`]), the outlet search around them
+//! Eq. 21 baseline and the Section VIII power-minimising dual are LPs over
+//! *the same* redline rows and power row; they differ in their variables
+//! and objectives. A caller describes its variables as a [`NodeLoad`] per
+//! node — which variables carry the node's power and how many kW each
+//! unit of them is — and this module owns the rest: the rows
+//! ([`RoomLp::build`]), what a choice of outlets does to them
+//! ([`RoomLp::set_outlets`]), the outlet search around them
 //! ([`search_outlets`]) and the re-check of a solution against the exact,
 //! Eq. 3-clamped model ([`recheck`]).
 //!
@@ -21,7 +21,7 @@
 
 use crate::error::SolveError;
 use std::fmt::Write as _;
-use thermaware_datacenter::{optimize_crac_outlets, CracSearchOptions, DataCenter};
+use thermaware_datacenter::{optimize_crac_outlets, CracSearchOptions, DataCenter, FINE_STEP_C};
 use thermaware_lp::{ConstraintId, Prepared, Problem, RowOp, Sense, VarId};
 use thermaware_thermal::{cop, RHO_CP};
 
@@ -252,12 +252,22 @@ impl<'a> RoomLp<'a> {
 /// The paper's coarse-to-fine outlet search over `evaluate`, which solves
 /// one candidate and returns its plan and score (`None` when infeasible);
 /// then `evaluate` once more at the winner, for its plan.
+///
+/// A coarse step that is not a number of at least [`FINE_STEP_C`] is
+/// [`SolveError::InvalidInput`]: zero or less has no grid, and a tiny one
+/// a grid of billions of points per CRAC.
 pub(crate) fn search_outlets<T>(
     dc: &DataCenter,
     search: CracSearchOptions,
     stage: &'static str,
     mut evaluate: impl FnMut(&[f64]) -> Option<(T, f64)>,
 ) -> Result<(Vec<f64>, T, f64), SolveError> {
+    let step = search.coarse_step_c;
+    if !(step.is_finite() && step >= FINE_STEP_C) {
+        return Err(SolveError::invalid_input(format!(
+            "{stage}: coarse outlet step {step} °C is not a number of at least {FINE_STEP_C} °C"
+        )));
+    }
     let (outlets, _) = optimize_crac_outlets(&dc.cracs, search, |outlets| {
         evaluate(outlets).map(|(_, score)| score)
     })

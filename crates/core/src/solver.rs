@@ -223,6 +223,19 @@ mod tests {
     }
 
     #[test]
+    fn a_short_pstate_vector_is_invalid_input() {
+        let dc = ScenarioParams::small_test().build(5).unwrap();
+        let short = dc.off_pstates()[1..].to_vec();
+        let mut long = dc.off_pstates();
+        long.push(0);
+        for pstates in [short, long] {
+            let err = Solver::new(&dc).stage3_replan(&pstates, None).unwrap_err();
+            let n = pstates.len();
+            assert!(matches!(err, SolveError::InvalidInput { .. }), "{n} P-states: {err:?}");
+        }
+    }
+
+    #[test]
     fn empty_best_of_is_invalid_input() {
         let dc = ScenarioParams::small_test().build(5).unwrap();
         let err = Solver::new(&dc).psi_best_of(Vec::new()).solve().unwrap_err();

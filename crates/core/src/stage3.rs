@@ -12,7 +12,7 @@
 use crate::error::SolveError;
 use serde::{Deserialize, Serialize};
 use thermaware_datacenter::DataCenter;
-use thermaware_lp::{ConstraintId, Problem, RowOp, Sense, Solution, VarId};
+use thermaware_lp::{Problem, RowOp, Sense, Solution, VarId};
 
 /// The Stage-3 result: desired execution rates.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -124,9 +124,8 @@ pub fn solve_stage3_warm(
     }
 
     // ---- Grouped LP --------------------------------------------------------
-    let rates = RateLp::build(dc, &groups, &counts);
-    let mut sol = rates
-        .lp
+    let (lp, vars) = rate_lp(dc, &groups, &counts);
+    let mut sol = lp
         .solve_warm(warm.map(|b| &b.inner))
         .map_err(|e| SolveError::Lp {
             stage: "stage3",
@@ -137,7 +136,7 @@ pub fn solve_stage3_warm(
     Ok((
         Stage3Solution {
             reward_rate: sol.objective,
-            rate_per_core: rate_per_core(&rates.vars, &sol, &counts),
+            rate_per_core: rate_per_core(&vars, &sol, &counts),
             group_of_core,
             groups,
         },
@@ -145,82 +144,70 @@ pub fn solve_stage3_warm(
     ))
 }
 
-/// The grouped rate LP of Eq. 7 at fixed P-states, shared by Stage 3
-/// (cores grouped by node type and P-state) and the task-aware Stage 3
-/// (grouped by node and P-state), which adds its power rows on top.
-pub(crate) struct RateLp {
-    /// Maximize reward subject to grouped capacity and arrivals.
-    pub(crate) lp: Problem,
-    /// `vars[g][i]`: total desired rate of type `i` across group `g`'s
-    /// cores (`None` when the type can't run there: off state, zero
-    /// speed, or deadline-infeasible — Constraint 2 of Eq. 7 fixes those
-    /// to 0).
-    pub(crate) vars: Vec<Vec<Option<VarId>>>,
-    /// Each group's capacity row, `None` when no type can run there.
-    pub(crate) cap_rows: Vec<Option<ConstraintId>>,
-}
-
-impl RateLp {
-    /// Write the LP for `groups[g] = (node type, P-state)` holding
-    /// `counts[g]` cores: the rate variables group by group, then one
-    /// capacity row per group, then one arrival row per task type.
-    pub(crate) fn build(dc: &DataCenter, groups: &[(usize, usize)], counts: &[usize]) -> RateLp {
-        let t = dc.n_task_types();
-        let mut lp = Problem::new(Sense::Maximize);
-        let vars: Vec<Vec<Option<VarId>>> = groups
-            .iter()
-            .enumerate()
-            .map(|(g, &(nt, ps))| {
-                (0..t)
-                    .map(|i| {
-                        let ecs = dc.workload.ecs.ecs(i, nt, ps);
-                        let feasible = ecs > 0.0 && dc.workload.deadline_feasible(i, nt, ps);
-                        feasible.then(|| {
-                            lp.add_var(
-                                &format!("tc_g{g}_t{i}"),
-                                0.0,
-                                f64::INFINITY,
-                                dc.workload.task_types[i].reward,
-                            )
-                        })
+/// The grouped rate LP of Eq. 7 at fixed P-states for `groups[g] = (node
+/// type, P-state)` holding `counts[g]` cores: maximize reward over the
+/// rate variables group by group, then one capacity row per group, then
+/// one arrival row per task type. `vars[g][i]` is the total desired rate
+/// of type `i` across group `g`'s cores (`None` when the type can't run
+/// there: off state, zero speed, or deadline-infeasible — Constraint 2 of
+/// Eq. 7 fixes those to 0).
+fn rate_lp(
+    dc: &DataCenter,
+    groups: &[(usize, usize)],
+    counts: &[usize],
+) -> (Problem, Vec<Vec<Option<VarId>>>) {
+    let t = dc.n_task_types();
+    let mut lp = Problem::new(Sense::Maximize);
+    let vars: Vec<Vec<Option<VarId>>> = groups
+        .iter()
+        .enumerate()
+        .map(|(g, &(nt, ps))| {
+            (0..t)
+                .map(|i| {
+                    let ecs = dc.workload.ecs.ecs(i, nt, ps);
+                    let feasible = ecs > 0.0 && dc.workload.deadline_feasible(i, nt, ps);
+                    feasible.then(|| {
+                        lp.add_var(
+                            &format!("tc_g{g}_t{i}"),
+                            0.0,
+                            f64::INFINITY,
+                            dc.workload.task_types[i].reward,
+                        )
                     })
-                    .collect()
-            })
+                })
+                .collect()
+        })
+        .collect();
+    // Constraint 1 (capacity), grouped: Σ_i TC(i,g)/ECS <= count(g).
+    for (g, &(nt, ps)) in groups.iter().enumerate() {
+        let terms: Vec<(VarId, f64)> = (0..t)
+            .filter_map(|i| vars[g][i].map(|v| (v, 1.0 / dc.workload.ecs.ecs(i, nt, ps))))
             .collect();
-        // Constraint 1 (capacity), grouped: Σ_i TC(i,g)/ECS <= count(g).
-        let cap_rows = groups
-            .iter()
-            .enumerate()
-            .map(|(g, &(nt, ps))| {
-                let terms: Vec<(VarId, f64)> = (0..t)
-                    .filter_map(|i| vars[g][i].map(|v| (v, 1.0 / dc.workload.ecs.ecs(i, nt, ps))))
-                    .collect();
-                (!terms.is_empty())
-                    .then(|| lp.add_row_nodup(&format!("cap_g{g}"), &terms, RowOp::Le, counts[g] as f64))
-            })
-            .collect();
-        // Constraint 3 (arrivals): Σ_g TC(i,g) <= λ_i.
-        for i in 0..t {
-            let terms: Vec<(VarId, f64)> = vars
-                .iter()
-                .filter_map(|row| row[i].map(|v| (v, 1.0)))
-                .collect();
-            if !terms.is_empty() {
-                lp.add_row_nodup(
-                    &format!("arrival_t{i}"),
-                    &terms,
-                    RowOp::Le,
-                    dc.workload.task_types[i].arrival_rate,
-                );
-            }
+        if !terms.is_empty() {
+            lp.add_row_nodup(&format!("cap_g{g}"), &terms, RowOp::Le, counts[g] as f64);
         }
-        RateLp { lp, vars, cap_rows }
     }
+    // Constraint 3 (arrivals): Σ_g TC(i,g) <= λ_i.
+    for i in 0..t {
+        let terms: Vec<(VarId, f64)> = vars
+            .iter()
+            .filter_map(|row| row[i].map(|v| (v, 1.0)))
+            .collect();
+        if !terms.is_empty() {
+            lp.add_row_nodup(
+                &format!("arrival_t{i}"),
+                &terms,
+                RowOp::Le,
+                dc.workload.task_types[i].arrival_rate,
+            );
+        }
+    }
+    (lp, vars)
 }
 
-/// Split each group's optimal rates (`vars` of a [`RateLp`]) evenly over
+/// Split each group's optimal rates (`vars` of [`rate_lp`]) evenly over
 /// its `counts[g]` cores: `Stage3Solution::rate_per_core`.
-pub(crate) fn rate_per_core(
+fn rate_per_core(
     vars: &[Vec<Option<VarId>>],
     sol: &Solution,
     counts: &[usize],

@@ -1,44 +1,10 @@
-//! CRAC-outlet search strategy tests: the cheaper coordinate-descent
-//! refinement must land near the exhaustive grid on real Stage-1
-//! problems (the paper notes full enumeration grows exponentially with
-//! the number of CRAC units, so the fallback has to be trustworthy).
+//! CRAC-outlet search options as the solvers see them: a wider
+//! refinement or a finer coarse grid never loses reward, and a coarse
+//! step the search cannot walk is refused before it searches.
 
-use thermaware_core::Solver;
+use thermaware_core::min_power::{solve_min_power, MinPowerOptions};
+use thermaware_core::{SolveError, Solver};
 use thermaware_datacenter::{CracSearchOptions, ScenarioParams};
-
-#[test]
-fn coordinate_descent_close_to_exhaustive() {
-    let dc = ScenarioParams {
-        n_nodes: 12,
-        n_crac: 2,
-        ..ScenarioParams::paper(0.2, 0.3)
-    }
-    .build(3)
-    .unwrap();
-    let exhaustive = Solver::new(&dc)
-        .crac_grid(CracSearchOptions {
-            exhaustive_refine: true,
-            ..CracSearchOptions::default()
-        })
-        .solve()
-        .unwrap();
-    let descent = Solver::new(&dc)
-        .crac_grid(CracSearchOptions {
-            exhaustive_refine: false,
-            ..CracSearchOptions::default()
-        })
-        .solve()
-        .unwrap();
-    assert!(
-        descent.reward_rate() >= 0.95 * exhaustive.reward_rate(),
-        "descent {} vs exhaustive {}",
-        descent.reward_rate(),
-        exhaustive.reward_rate()
-    );
-    // Local search can tie but never beat the enumeration beyond noise
-    // (the enumeration covers its whole candidate set).
-    assert!(descent.reward_rate() <= exhaustive.reward_rate() * 1.02);
-}
 
 #[test]
 fn wider_refinement_never_hurts() {
@@ -67,7 +33,6 @@ fn finer_coarse_grid_never_hurts() {
         .crac_grid(CracSearchOptions {
             coarse_step_c: 15.0,
             refine_radius: 0,
-            ..CracSearchOptions::default()
         })
         .solve()
         .unwrap();
@@ -75,9 +40,34 @@ fn finer_coarse_grid_never_hurts() {
         .crac_grid(CracSearchOptions {
             coarse_step_c: 2.0,
             refine_radius: 0,
-            ..CracSearchOptions::default()
         })
         .solve()
         .unwrap();
     assert!(fine.reward_rate() >= coarse.reward_rate() - 1e-9);
+}
+
+#[test]
+fn a_coarse_step_below_the_fine_step_is_invalid_input() {
+    let dc = ScenarioParams::small_test().build(5).unwrap();
+    for coarse_step_c in [0.0, -5.0, f64::NAN, 0.5] {
+        let search = CracSearchOptions {
+            coarse_step_c,
+            ..CracSearchOptions::default()
+        };
+        let solver = Solver::new(&dc).crac_grid(search);
+        let min_power = MinPowerOptions {
+            search,
+            ..MinPowerOptions::default()
+        };
+        for (what, got) in [
+            ("solve", solver.solve().map(|_| ())),
+            ("baseline", solver.baseline().map(|_| ())),
+            ("min_power", solve_min_power(&dc, 1.0, &min_power).map(|_| ())),
+        ] {
+            assert!(
+                matches!(got, Err(SolveError::InvalidInput { .. })),
+                "{what} at a {coarse_step_c} °C step: {got:?}"
+            );
+        }
+    }
 }

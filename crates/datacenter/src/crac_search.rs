@@ -10,28 +10,25 @@
 
 use thermaware_thermal::CracUnit;
 
+/// Final granularity of the search in °C: the ~1 °C the paper gives
+/// CRAC outlet temperatures.
+pub const FINE_STEP_C: f64 = 1.0;
+
 /// Options for the coarse-to-fine search.
 #[derive(Debug, Clone, Copy)]
 pub struct CracSearchOptions {
     /// Coarse-pass step in °C (paper-style multi-step search starts wide).
     pub coarse_step_c: f64,
-    /// Final granularity in °C (1 °C per the paper).
-    pub fine_step_c: f64,
-    /// Radius (in fine steps) of the refinement window around the coarse
-    /// optimum.
+    /// Radius (in [`FINE_STEP_C`] steps) of the refinement window around
+    /// the coarse optimum.
     pub refine_radius: usize,
-    /// When true, refine with full grid enumeration; when false, use
-    /// per-CRAC coordinate descent (cheaper for > 3 CRAC units).
-    pub exhaustive_refine: bool,
 }
 
 impl Default for CracSearchOptions {
     fn default() -> Self {
         CracSearchOptions {
             coarse_step_c: 5.0,
-            fine_step_c: 1.0,
             refine_radius: 2,
-            exhaustive_refine: true,
         }
     }
 }
@@ -43,10 +40,12 @@ impl Default for CracSearchOptions {
 /// its score, or `None` when every combination was infeasible.
 ///
 /// The search enumerates a coarse grid over each unit's admissible range,
-/// then refines around the winner at `fine_step_c`; with
-/// `exhaustive_refine` unset, refinement is coordinate descent, matching
-/// the paper's remark that full enumeration grows exponentially in the
-/// number of CRAC units.
+/// then the full grid at [`FINE_STEP_C`] within `refine_radius` steps of
+/// the winner.
+///
+/// # Panics
+/// Panics on an empty `cracs` or a `coarse_step_c` that is not a positive
+/// number; the solvers refuse such a step before they search.
 pub fn optimize_crac_outlets<F>(
     cracs: &[CracUnit],
     options: CracSearchOptions,
@@ -56,10 +55,10 @@ where
     F: FnMut(&[f64]) -> Option<f64>,
 {
     let _span = thermaware_obs::span("crac_search");
-    // Candidate accounting goes through a wrapper so both passes (and
-    // both refinement strategies) are counted uniformly: `evaluated` is
-    // every combination handed to the caller's scorer, `pruned` the
-    // subset the scorer rejected as infeasible.
+    // Candidate accounting goes through a wrapper so both passes are
+    // counted uniformly: `evaluated` is every combination handed to the
+    // caller's scorer, `pruned` the subset the scorer rejected as
+    // infeasible.
     let mut evaluated: u64 = 0;
     let mut pruned: u64 = 0;
     let result = search_impl(cracs, options, &mut |combo: &[f64]| {
@@ -75,7 +74,6 @@ where
         thermaware_obs::counter_add("crac.pruned", pruned);
         thermaware_obs::observe("crac.candidates_per_search", evaluated as f64);
         thermaware_obs::gauge_set("crac.coarse_step_c", options.coarse_step_c);
-        thermaware_obs::gauge_set("crac.fine_step_c", options.fine_step_c);
         if result.is_none() {
             thermaware_obs::counter_add("crac.search_exhausted", 1);
         }
@@ -92,7 +90,7 @@ where
     F: FnMut(&[f64]) -> Option<f64>,
 {
     assert!(!cracs.is_empty());
-    assert!(options.coarse_step_c > 0.0 && options.fine_step_c > 0.0);
+    assert!(options.coarse_step_c > 0.0);
 
     // ---- Coarse pass: full grid ------------------------------------------
     let coarse_span = thermaware_obs::span("crac_search.coarse");
@@ -109,62 +107,31 @@ where
         }
     });
     drop(coarse_span);
-    let (mut current, mut current_score) = best?;
+    let (current, current_score) = best?;
 
-    // ---- Refinement ------------------------------------------------------
+    // ---- Refinement: full grid at the fine step --------------------------
     let _refine_span = thermaware_obs::span("crac_search.refine");
-    let radius = options.refine_radius as f64 * options.fine_step_c;
-    if options.exhaustive_refine {
-        let fine_axes: Vec<Vec<f64>> = cracs
-            .iter()
-            .zip(&current)
-            .map(|(c, &center)| {
-                axis(
-                    (center - radius).max(c.min_outlet_c),
-                    (center + radius).min(c.max_outlet_c),
-                    options.fine_step_c,
-                )
-            })
-            .collect();
-        let mut best_fine = (current.clone(), current_score);
-        enumerate(&fine_axes, &mut |combo| {
-            if let Some(s) = score(combo) {
-                if s > best_fine.1 {
-                    best_fine = (combo.to_vec(), s);
-                }
-            }
-        });
-        return Some(best_fine);
-    }
-
-    // Coordinate descent at fine granularity: sweep each CRAC's axis while
-    // holding the others, repeat until a full sweep makes no progress.
-    for _ in 0..8 {
-        thermaware_obs::counter_add("crac.descent_sweeps", 1);
-        let mut improved = false;
-        for i in 0..cracs.len() {
-            let lo = (current[i] - radius).max(cracs[i].min_outlet_c);
-            let hi = (current[i] + radius).min(cracs[i].max_outlet_c);
-            for t in axis(lo, hi, options.fine_step_c) {
-                if t == current[i] {
-                    continue;
-                }
-                let mut candidate = current.clone();
-                candidate[i] = t;
-                if let Some(s) = score(&candidate) {
-                    if s > current_score + 1e-12 {
-                        current = candidate;
-                        current_score = s;
-                        improved = true;
-                    }
-                }
+    let radius = options.refine_radius as f64 * FINE_STEP_C;
+    let fine_axes: Vec<Vec<f64>> = cracs
+        .iter()
+        .zip(&current)
+        .map(|(c, &center)| {
+            axis(
+                (center - radius).max(c.min_outlet_c),
+                (center + radius).min(c.max_outlet_c),
+                FINE_STEP_C,
+            )
+        })
+        .collect();
+    let mut best_fine = (current, current_score);
+    enumerate(&fine_axes, &mut |combo| {
+        if let Some(s) = score(combo) {
+            if s > best_fine.1 {
+                best_fine = (combo.to_vec(), s);
             }
         }
-        if !improved {
-            break;
-        }
-    }
-    Some((current, current_score))
+    });
+    Some(best_fine)
 }
 
 /// Inclusive axis from `lo` to `hi` with the given step (always includes
@@ -230,22 +197,6 @@ mod tests {
         assert!((best[0] - 17.0).abs() < 1.01, "{best:?}");
         assert!((best[1] - 12.0).abs() < 1.01);
         assert!(score > -2.5);
-    }
-
-    #[test]
-    fn coordinate_descent_agrees_on_separable_objective() {
-        let cracs = [unit(10.0, 25.0), unit(10.0, 25.0), unit(10.0, 25.0)];
-        let opts = CracSearchOptions {
-            exhaustive_refine: false,
-            ..CracSearchOptions::default()
-        };
-        let (best, _) = optimize_crac_outlets(&cracs, opts, |t| {
-            Some(-(t[0] - 14.0).powi(2) - (t[1] - 21.0).powi(2) - (t[2] - 11.0).powi(2))
-        })
-        .unwrap();
-        assert!((best[0] - 14.0).abs() < 1.01);
-        assert!((best[1] - 21.0).abs() < 1.01);
-        assert!((best[2] - 11.0).abs() < 1.01);
     }
 
     #[test]

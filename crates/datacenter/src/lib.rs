@@ -31,7 +31,7 @@ mod snapshot;
 
 pub use budget::PowerBudget;
 pub use cli::Args;
-pub use crac_search::{optimize_crac_outlets, CracSearchOptions};
+pub use crac_search::{optimize_crac_outlets, CracSearchOptions, FINE_STEP_C};
 pub use datacenter::DataCenter;
 pub use scenario::{validate_workload, ScenarioError, ScenarioParams};
 pub use snapshot::{atomic_write, ScenarioSnapshot};

@@ -16,9 +16,7 @@ fn coarse_only_search_still_finds_the_region() {
     }];
     let opts = CracSearchOptions {
         coarse_step_c: 7.5,
-        fine_step_c: 7.5,
         refine_radius: 0,
-        exhaustive_refine: true,
     };
     let (best, _) =
         optimize_crac_outlets(&cracs, opts, |t| Some(-(t[0] - 18.0).powi(2))).unwrap();

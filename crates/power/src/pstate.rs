@@ -91,12 +91,6 @@ impl PStateTable {
         }
     }
 
-    /// Supply voltage of active P-state `k`.
-    pub fn voltage(&self, k: usize) -> f64 {
-        assert!(k < self.n_active(), "no voltage for P-state {k}");
-        self.voltages[k]
-    }
-
     /// The *highest-index* (deepest, cheapest) P-state whose power is still
     /// `>= target_kw` — the Stage-2 rounding primitive (Section V.B.3,
     /// step 1). Returns the off state when even it satisfies the target

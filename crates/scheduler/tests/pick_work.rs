@@ -34,7 +34,6 @@ fn an_arrival_costs_a_handful_of_visits() {
         .crac_grid(CracSearchOptions {
             coarse_step_c: 7.5,
             refine_radius: 0,
-            ..CracSearchOptions::default()
         })
         .solve()
         .expect("plan");

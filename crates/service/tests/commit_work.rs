@@ -53,7 +53,6 @@ fn a_commit_prints_what_changed_since_the_last() {
         .crac_grid(CracSearchOptions {
             coarse_step_c: 7.5,
             refine_radius: 0,
-            ..CracSearchOptions::default()
         })
         .solve()
         .expect("plan");
