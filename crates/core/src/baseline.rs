@@ -15,9 +15,10 @@
 //! DESIGN.md).
 
 use crate::error::SolveError;
-use crate::room::{self, NodeLoad, RoomLp};
+use crate::room::{self, Linearised, NodeLoad, RoomLp};
 use thermaware_datacenter::{CracSearchOptions, DataCenter};
 use thermaware_lp::{Problem, RowOp, Sense, VarId};
+use thermaware_thermal::ThermalState;
 
 /// The baseline's assignment.
 #[derive(Debug, Clone)]
@@ -44,27 +45,27 @@ pub(crate) fn baseline_impl(
 ) -> Result<BaselineSolution, SolveError> {
     let _span = thermaware_obs::span("baseline");
     let (mut room, vars) = frac_lp(dc);
-    let (crac_out_c, frac_cont, reward_rate_continuous) =
+    let (mut lin, mut state) = (Linearised::default(), ThermalState::default());
+    // The last solved candidate's fractions: after the search, the
+    // winner's.
+    let mut frac: Vec<Vec<f64>> = vars.iter().map(|row| vec![0.0; row.len()]).collect();
+    let (crac_out_c, reward_rate_continuous) =
         room::search_outlets(dc, search, "baseline", |outlets| {
-            room.set_outlets(outlets);
+            room.set_outlets(outlets, &mut lin);
             let sol = room.lp.solve_warm(None).ok()?;
-            let frac: Vec<Vec<f64>> = vars
-                .iter()
-                .map(|row| {
-                    row.iter()
-                        .map(|var| var.map_or(0.0, |v| sol.value(v).max(0.0)))
-                        .collect()
-                })
-                .collect();
+            for (row, fracs) in vars.iter().zip(&mut frac) {
+                for (var, f) in row.iter().zip(fracs.iter_mut()) {
+                    *f = var.map_or(0.0, |v| sol.value(v).max(0.0));
+                }
+            }
             let node_powers = baseline_node_powers(dc, &frac);
-            room::recheck(dc, outlets, &node_powers, dc.budget.p_const_kw)?;
-            Some((frac, sol.objective))
+            room::recheck(dc, outlets, &node_powers, dc.budget.p_const_kw, &mut state)?;
+            Some(sol.objective)
         })?;
 
     // Eq. 22 integerization: per node, shrink all fractions by a common
     // factor so cores-in-use is an integer.
     let t = dc.n_task_types();
-    let mut frac = frac_cont;
     let mut cores_on = vec![0.0; dc.n_nodes()];
     for j in 0..dc.n_nodes() {
         let cores = dc.node_type(j).cores_per_node as f64;

@@ -12,7 +12,7 @@
 //! with Stage 3 that the discrete plan still clears the floor.
 
 use crate::error::SolveError;
-use crate::room::{self, RoomLp};
+use crate::room::{self, Linearised, RoomLp};
 use crate::stage1::{
     add_segment_vars, arr_and_node_curves, distribute_node_power, segment_layout,
     segment_node_power,
@@ -20,6 +20,7 @@ use crate::stage1::{
 use crate::stage3::solve_stage3;
 use thermaware_datacenter::{CracSearchOptions, DataCenter};
 use thermaware_lp::{Problem, RowOp, Sense, VarId};
+use thermaware_thermal::ThermalState;
 
 /// Options for the power-minimization solve.
 #[derive(Debug, Clone, Copy)]
@@ -88,21 +89,25 @@ pub fn solve_min_power(
     // Redlines only: the power budget is what this problem minimizes.
     let mut room = RoomLp::build(dc, p, segment_layout(dc, &node_vars), None);
 
-    let (crac_out_c, node_core, _) =
+    let (mut lin, mut state) = (Linearised::default(), ThermalState::default());
+    // The last solved candidate's core power per node: after the search,
+    // the winner's.
+    let (mut node_core, mut node_powers) = (Vec::new(), Vec::new());
+    let (crac_out_c, _) =
         room::search_outlets(dc, options.search, "min_power", |outlets| {
-            let linearised = room.set_outlets(outlets);
-            for (vars, &c) in node_vars.iter().zip(&linearised.node_coeff) {
+            room.set_outlets(outlets, &mut lin);
+            for (vars, &c) in node_vars.iter().zip(&lin.node_coeff) {
                 for &v in vars {
                     room.lp.set_var_objective(v, c);
                 }
             }
             let sol = room.lp.solve_warm(None).ok()?;
-            let node_core = segment_node_power(&node_vars, &sol);
+            segment_node_power(&node_vars, sol, &mut node_core);
+            dc.node_powers_in(&node_core, &mut node_powers);
             // No budget to break here, only redlines. The search maximizes;
             // score the negative of the exact power.
-            let exact_power_kw =
-                room::recheck(dc, outlets, &dc.node_powers(&node_core), f64::INFINITY)?;
-            Some((node_core, -exact_power_kw))
+            let exact_power_kw = room::recheck(dc, outlets, &node_powers, f64::INFINITY, &mut state)?;
+            Some(-exact_power_kw)
         })?;
 
     // Distribute node power to cores (same mixing as Stage 1).

@@ -18,12 +18,19 @@
 //! coefficients (through `CoP(out_c)`). The model is therefore built once
 //! per search and patched per candidate, which `thermaware_lp::Prepared`
 //! holds to be bit for bit the model a build per candidate would make.
+//!
+//! What a candidate computes — the linearisation, the solve, the plan and
+//! the exact re-check's steady state — is written into storage the search
+//! keeps ([`Linearised`], the prepared problem's solution, the caller's
+//! buffers), so a candidate allocates nothing once the first has grown
+//! it; the search scores candidates and leaves the plan to the caller's
+//! buffers, from which the winner's is copied out once.
 
 use crate::error::SolveError;
 use std::fmt::Write as _;
 use thermaware_datacenter::{optimize_crac_outlets, CracSearchOptions, DataCenter, FINE_STEP_C};
 use thermaware_lp::{ConstraintId, Prepared, Problem, RowOp, Sense, VarId};
-use thermaware_thermal::{cop, RHO_CP};
+use thermaware_thermal::{cop, ThermalCoefficients, ThermalState, RHO_CP};
 
 /// How one node's power reads off the caller's variables:
 /// `P_j = fixed_kw + Σ kw_per_unit · var`.
@@ -34,7 +41,10 @@ pub(crate) struct NodeLoad {
     pub(crate) fixed_kw: f64,
 }
 
-/// What a choice of outlets makes of the power model (Eq. 3 linearised).
+/// What a choice of outlets makes of the power model (Eq. 3 linearised),
+/// written by [`RoomLp::set_outlets`] into the storage it has. The
+/// default is empty storage.
+#[derive(Default)]
 pub(crate) struct Linearised {
     /// Total-power sensitivity to each node's power: the node itself plus
     /// the cooling it induces, `1 + Σ_c w_c·g_crac[(c, j)]` with
@@ -43,6 +53,10 @@ pub(crate) struct Linearised {
     /// Total power with every variable at zero: the nodes' fixed draw at
     /// `node_coeff` plus the outlet-dependent CRAC term.
     pub(crate) fixed_power_kw: f64,
+    /// The inlet temperatures' base vectors at the outlets.
+    coeff: ThermalCoefficients,
+    /// `w_c` of each CRAC.
+    w: Vec<f64>,
 }
 
 /// A caller's LP with the room's rows appended, prepared for patching.
@@ -207,17 +221,20 @@ impl<'a> RoomLp<'a> {
         room
     }
 
-    /// Patch every right-hand side and the power row for `outlets`.
-    pub(crate) fn set_outlets(&mut self, outlets: &[f64]) -> Linearised {
+    /// Patch every right-hand side and the power row for `outlets`, with
+    /// what the outlets make of the power model written into `lin`.
+    pub(crate) fn set_outlets(&mut self, outlets: &[f64], lin: &mut Linearised) {
         let dc = self.dc;
         let nn = dc.n_nodes();
-        let coeff = dc.thermal.coefficients(outlets);
-        let w: Vec<f64> = (0..dc.n_crac())
-            .map(|c| RHO_CP * dc.cracs[c].flow_m3s / cop::cop(outlets[c]))
-            .collect();
-        let node_coeff: Vec<f64> = (0..nn)
-            .map(|j| 1.0 + (0..dc.n_crac()).map(|c| w[c] * coeff.g_crac[(c, j)]).sum::<f64>())
-            .collect();
+        let Linearised { node_coeff, fixed_power_kw: fixed, coeff, w } = lin;
+        dc.thermal.coefficients_in(outlets, coeff);
+        w.clear();
+        w.extend((0..dc.n_crac()).map(|c| RHO_CP * dc.cracs[c].flow_m3s / cop::cop(outlets[c])));
+        let g_crac = dc.thermal.g_crac();
+        node_coeff.clear();
+        node_coeff.extend(
+            (0..nn).map(|j| 1.0 + (0..dc.n_crac()).map(|c| w[c] * g_crac[(c, j)]).sum::<f64>()),
+        );
 
         // The fixed node powers shift every row's rhs.
         let rows = &self.rows;
@@ -242,38 +259,35 @@ impl<'a> RoomLp<'a> {
             self.lp.set_row_coeffs(row, &self.power_coeffs);
             self.lp.set_rhs(row, budget_kw - fixed_power_kw);
         }
-        Linearised {
-            node_coeff,
-            fixed_power_kw,
-        }
+        *fixed = fixed_power_kw;
     }
 }
 
 /// The paper's coarse-to-fine outlet search over `evaluate`, which solves
-/// one candidate and returns its plan and score (`None` when infeasible);
-/// then `evaluate` once more at the winner, for its plan.
+/// one candidate, keeps its plan where the caller reads it, and returns
+/// its score (`None` when infeasible); then `evaluate` once more at the
+/// winner, so that the plan left behind is the winner's. Returns the
+/// winning outlets and score.
 ///
 /// A coarse step that is not a number of at least [`FINE_STEP_C`] is
 /// [`SolveError::InvalidInput`]: zero or less has no grid, and a tiny one
 /// a grid of billions of points per CRAC.
-pub(crate) fn search_outlets<T>(
+pub(crate) fn search_outlets(
     dc: &DataCenter,
     search: CracSearchOptions,
     stage: &'static str,
-    mut evaluate: impl FnMut(&[f64]) -> Option<(T, f64)>,
-) -> Result<(Vec<f64>, T, f64), SolveError> {
+    mut evaluate: impl FnMut(&[f64]) -> Option<f64>,
+) -> Result<(Vec<f64>, f64), SolveError> {
     let step = search.coarse_step_c;
     if !(step.is_finite() && step >= FINE_STEP_C) {
         return Err(SolveError::invalid_input(format!(
             "{stage}: coarse outlet step {step} °C is not a number of at least {FINE_STEP_C} °C"
         )));
     }
-    let (outlets, _) = optimize_crac_outlets(&dc.cracs, search, |outlets| {
-        evaluate(outlets).map(|(_, score)| score)
-    })
-    .ok_or(SolveError::NoFeasibleOutlets { stage })?;
-    let (plan, score) = evaluate(&outlets).ok_or(SolveError::OutletRecheckFailed { stage })?;
-    Ok((outlets, plan, score))
+    let (outlets, _) = optimize_crac_outlets(&dc.cracs, search, &mut evaluate)
+        .ok_or(SolveError::NoFeasibleOutlets { stage })?;
+    let score = evaluate(&outlets).ok_or(SolveError::OutletRecheckFailed { stage })?;
+    Ok((outlets, score))
 }
 
 /// Is `total_kw` inside `budget_kw`, to the tolerance an LP solution at
@@ -285,16 +299,18 @@ pub(crate) fn within_budget(total_kw: f64, budget_kw: f64) -> bool {
 /// Exact re-check of an LP solution: the LP's CRAC power is unclamped and
 /// the true (Eq. 3) power can only be larger. Returns the exact total
 /// power (IT + cooling, kW) of `node_powers_kw` at `outlets`, or `None`
-/// when it breaks `budget_kw` or a redline for real.
+/// when it breaks `budget_kw` or a redline for real. The steady state it
+/// is read off is written into `state`.
 pub(crate) fn recheck(
     dc: &DataCenter,
     outlets: &[f64],
     node_powers_kw: &[f64],
     budget_kw: f64,
+    state: &mut ThermalState,
 ) -> Option<f64> {
-    let (it, cooling, state) = dc.total_power_kw(outlets, node_powers_kw);
+    let (it, cooling) = dc.total_power_kw_in(outlets, node_powers_kw, state);
     let total = it + cooling;
-    (within_budget(total, budget_kw) && dc.redlines_ok(&state)).then_some(total)
+    (within_budget(total, budget_kw) && dc.redlines_ok(state)).then_some(total)
 }
 
 #[cfg(test)]
@@ -376,7 +392,10 @@ mod tests {
         let (mut plain, mut closures) = (p.clone(), p);
         let rows = append_rows(&dc, &mut plain, &layout, true);
         let (power_terms, fixed) = append_rows_through_closures(&dc, &mut closures, &layout);
-        assert_eq!(plain.num_rows(), dc.n_nodes() + dc.n_crac() + 1);
+        // One row per node and per CRAC and the power row, as the closures
+        // wrote them (the `{:?}` equality below holds the problems equal).
+        let counts = (rows.node_rows.len(), rows.crac_rows.len(), rows.power_row.is_some());
+        assert_eq!(counts, (dc.n_nodes(), dc.n_crac(), true));
         // `{:?}` of an f64 round-trips its bits.
         assert_eq!(format!("{plain:?}"), format!("{closures:?}"));
         assert_eq!(format!("{:?}", rows.power_terms), format!("{power_terms:?}"));
@@ -390,12 +409,15 @@ mod tests {
         let dc = ScenarioParams::small_test().build(1).unwrap();
         let outlets = [17.0];
         let node_powers = dc.node_powers(&vec![0.0; dc.n_nodes()]);
-        let total = recheck(&dc, &outlets, &node_powers, f64::INFINITY).expect("idle room is cool");
+        let recheck = |powers: &[f64], budget_kw| {
+            recheck(&dc, &outlets, powers, budget_kw, &mut ThermalState::default())
+        };
+        let total = recheck(&node_powers, f64::INFINITY).expect("idle room is cool");
         assert!(total > 1.0, "relative term dominates: {total} kW");
-        assert_eq!(recheck(&dc, &outlets, &node_powers, total / (1.0 + 2e-7)), None);
-        assert_eq!(recheck(&dc, &outlets, &node_powers, total / (1.0 + 0.5e-7)), Some(total));
+        assert_eq!(recheck(&node_powers, total / (1.0 + 2e-7)), None);
+        assert_eq!(recheck(&node_powers, total / (1.0 + 0.5e-7)), Some(total));
         // A redline broken for real is refused whatever the budget.
         let hot = dc.node_powers(&vec![1e3; dc.n_nodes()]);
-        assert_eq!(recheck(&dc, &outlets, &hot, f64::INFINITY), None);
+        assert_eq!(recheck(&hot, f64::INFINITY), None);
     }
 }

@@ -28,18 +28,22 @@
 //! the outlets, so the model is built once per search and each candidate
 //! patches the right-hand sides and the power row. The rows, the patch
 //! and the exact re-check are `crate::room`'s, shared with the baseline
-//! and the two extensions; what is Stage 1's own is the segment variables,
-//! their pricing and the warm basis chained across candidates.
+//! and the min-power dual; what is Stage 1's own is the segment
+//! variables, their pricing and the warm basis chained across candidates.
+//! A candidate works in storage the sweep keeps — and a
+//! [`SweepStorage`] carries from one sweep to the next — so none
+//! allocates once the first has grown it.
 
 use crate::arr::ArrCurve;
 use crate::error::SolveError;
 use crate::objective::ObjectiveWeights;
 use crate::pwl::PiecewiseLinear;
-use crate::room::{self, NodeLoad, RoomLp};
+use crate::room::{self, Linearised, NodeLoad, RoomLp};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use thermaware_datacenter::{CracSearchOptions, DataCenter};
 use thermaware_lp::{Basis, Prepared, Problem, Sense, Solution, VarId};
+use thermaware_thermal::ThermalState;
 
 /// Options for Stage 1.
 #[derive(Debug, Clone, Copy)]
@@ -113,14 +117,41 @@ pub fn solve_stage1_under_budget(
     solve_stage1_in(dc, budget_kw, options, &mut SweepStorage::default())
 }
 
-/// The storage a Stage-1 sweep builds its room LP in — the problem, its
-/// internal form and the simplex workspace — kept by a caller that runs
-/// one sweep after another, so that each builds in the storage the last
-/// left ([`solve_stage1_in`]) instead of allocating its own. Empty when
-/// made; a sweep that panics drops what it held.
+/// The storage a Stage-1 sweep works in — the room LP's problem, its
+/// internal form, the simplex workspace and solution, and what each
+/// candidate writes besides — kept by a caller that runs one sweep after
+/// another, so that each builds and solves in the storage the last left
+/// ([`solve_stage1_in`]) instead of allocating its own. Empty when made;
+/// a sweep that panics drops what it held.
 #[derive(Default)]
 pub struct SweepStorage {
     lp: Option<Prepared>,
+    candidate: CandidateStorage,
+}
+
+/// What a Stage-1 candidate writes besides the LP's solution, in storage
+/// kept from one candidate to the next.
+#[derive(Default)]
+struct CandidateStorage {
+    lin: Linearised,
+    /// The last solved candidate's core power per node: after the
+    /// search, the winner's.
+    node_core_power: Vec<f64>,
+    /// Base plus core power per node, for the re-check.
+    node_powers: Vec<f64>,
+    /// The re-check's steady state.
+    state: ThermalState,
+    /// The last feasible candidate's optimal basis while `chained`; its
+    /// storage either way.
+    warm: Option<Basis>,
+    chained: bool,
+}
+
+impl CandidateStorage {
+    /// The basis the next candidate starts from, if any.
+    fn chain(&self) -> Option<&Basis> {
+        self.warm.as_ref().filter(|_| self.chained)
+    }
 }
 
 /// [`solve_stage1_under_budget`] with the room LP built in `storage`,
@@ -147,10 +178,13 @@ pub fn solve_stage1_in(
     }
 
     let lp = storage.lp.take().unwrap_or_else(|| Problem::new(Sense::Maximize).prepare());
-    let mut sweep = OutletSweep::new(dc, budget_kw, &node_curves, options, lp);
+    let kept = std::mem::take(&mut storage.candidate);
+    let mut sweep = OutletSweep::new(dc, budget_kw, &node_curves, options, lp, kept);
     let searched = room::search_outlets(dc, options.search, "stage1", |outlets| sweep.evaluate(outlets));
     storage.lp = Some(sweep.room.lp);
-    let (crac_out_c, node_core_power_kw, objective) = searched?;
+    storage.candidate = sweep.kept;
+    let (crac_out_c, objective) = searched?;
+    let node_core_power_kw = storage.candidate.node_core_power.clone();
     thermaware_obs::gauge_set("core.stage1_objective", objective);
 
     // Distribute each node's power to its cores along the per-core hull.
@@ -187,18 +221,20 @@ struct OutletSweep<'a> {
     slopes: Vec<Vec<f64>>,
     /// Segment variables of every node.
     node_vars: Vec<Vec<VarId>>,
-    /// The last feasible candidate's optimal basis.
-    warm: Option<Basis>,
+    /// What the candidates write besides the solution.
+    kept: CandidateStorage,
 }
 
 impl<'a> OutletSweep<'a> {
-    /// The sweep's room LP, built in the storage of `lp`.
+    /// The sweep's room LP, built in the storage of `lp`; its candidates
+    /// work in `kept`, starting with no basis to chain from.
     fn new(
         dc: &'a DataCenter,
         budget_kw: f64,
         node_curves: &[PiecewiseLinear],
         options: &'a Stage1Options,
         lp: Prepared,
+        kept: CandidateStorage,
     ) -> Self {
         let slopes: Vec<Vec<f64>> = node_curves.iter().map(|c| c.slopes()).collect();
         // An infinite budget is no budget: a row `≤ +∞` binds nothing and
@@ -218,13 +254,14 @@ impl<'a> OutletSweep<'a> {
             room,
             slopes,
             node_vars,
-            warm: None,
+            kept: CandidateStorage { chained: false, ..kept },
         }
     }
 
-    /// Solve the LP at `outlets`. Returns per-node core power and the
-    /// objective, or `None` when infeasible (including when the exact
-    /// clamped power model rejects the linearized solution).
+    /// Solve the LP at `outlets`, its per-node core power written into
+    /// `kept.node_core_power`. Returns the objective, or `None` when
+    /// infeasible (including when the exact clamped power model rejects
+    /// the linearized solution).
     ///
     /// With reward-only `objective` weights this is the historical LP,
     /// unchanged coefficient for coefficient. With cost weights each
@@ -240,9 +277,11 @@ impl<'a> OutletSweep<'a> {
     /// candidate's optimal basis and, on success, replaces it with its
     /// own. Infeasible outlets leave the last good basis in place for the
     /// next grid point.
-    fn evaluate(&mut self, outlets: &[f64]) -> Option<(Vec<f64>, f64)> {
+    fn evaluate(&mut self, outlets: &[f64]) -> Option<f64> {
         let dc = self.dc;
-        let linearised = self.room.set_outlets(outlets);
+        let kept = &mut self.kept;
+        self.room.set_outlets(outlets, &mut kept.lin);
+        let linearised = &kept.lin;
         let objective = &self.options.objective;
         let reward_only = objective.is_reward_only();
         let cost_rate = objective.cost_rate_per_kws();
@@ -259,23 +298,27 @@ impl<'a> OutletSweep<'a> {
         }
 
         if !self.options.warm_start {
-            self.warm = None;
+            kept.chained = false;
         }
-        let mut sol = self.room.lp.solve_warm(self.warm.as_ref()).ok()?;
-        self.warm = sol.take_basis();
+        let sol = self.room.lp.solve_warm(kept.chain()).ok()?;
+        // The chain's basis, copied into the storage it has.
+        match (&mut kept.warm, sol.basis()) {
+            (Some(warm), Some(basis)) => warm.clone_from(basis),
+            (warm, basis) => *warm = basis.cloned(),
+        }
+        kept.chained = kept.warm.is_some();
 
-        let node_core_power = segment_node_power(&self.node_vars, &sol);
-        let node_powers = dc.node_powers(&node_core_power);
-        room::recheck(dc, outlets, &node_powers, self.budget_kw)?;
+        segment_node_power(&self.node_vars, sol, &mut kept.node_core_power);
+        dc.node_powers_in(&kept.node_core_power, &mut kept.node_powers);
+        room::recheck(dc, outlets, &kept.node_powers, self.budget_kw, &mut kept.state)?;
         // The variables only carry the *marginal* cost; fold in the cost of
         // the fixed draw (node bases + outlet-dependent CRAC floor) so the
         // outlet search compares candidates by the full net objective.
-        let objective_value = if reward_only {
+        Some(if reward_only {
             sol.objective
         } else {
-            sol.objective - cost_rate * linearised.fixed_power_kw
-        };
-        Some((node_core_power, objective_value))
+            sol.objective - cost_rate * kept.lin.fixed_power_kw
+        })
     }
 }
 
@@ -341,12 +384,11 @@ pub(crate) fn segment_layout(dc: &DataCenter, node_vars: &[Vec<VarId>]) -> Vec<N
         .collect()
 }
 
-/// Per-node core power of a solution over hull-segment variables.
-pub(crate) fn segment_node_power(node_vars: &[Vec<VarId>], sol: &Solution) -> Vec<f64> {
-    node_vars
-        .iter()
-        .map(|vars| vars.iter().map(|&v| sol.value(v).max(0.0)).sum())
-        .collect()
+/// Per-node core power of a solution over hull-segment variables,
+/// written into `power`.
+pub(crate) fn segment_node_power(node_vars: &[Vec<VarId>], sol: &Solution, power: &mut Vec<f64>) {
+    power.clear();
+    power.extend(node_vars.iter().map(|vars| vars.iter().map(|&v| sol.value(v).max(0.0)).sum::<f64>()));
 }
 
 /// Split a node's total core power across its cores using adjacent hull
@@ -518,16 +560,25 @@ mod tests {
                     ..Stage1Options::default()
                 };
                 let fresh_lp = || Problem::new(Sense::Maximize).prepare();
-                let mut shared = OutletSweep::new(&dc, dc.budget.p_const_kw, &node_curves, &options, fresh_lp());
+                let budget_kw = dc.budget.p_const_kw;
+                let sweep = |lp| {
+                    OutletSweep::new(&dc, budget_kw, &node_curves, &options, lp, CandidateStorage::default())
+                };
+                let mut shared = sweep(fresh_lp());
                 let mut chain: Option<Basis> = None;
                 let (mut feasible, mut infeasible) = (0, 0);
+                // Each candidate's objective and plan.
+                let evaluate = |sweep: &mut OutletSweep, outlets| {
+                    sweep.evaluate(outlets).map(|objective| (sweep.kept.node_core_power.clone(), objective))
+                };
                 for outlets in &candidates {
-                    let mut fresh = OutletSweep::new(&dc, dc.budget.p_const_kw, &node_curves, &options, fresh_lp());
-                    fresh.warm = chain.take();
-                    let alone = fresh.evaluate(outlets);
-                    chain = fresh.warm.take();
-                    let carried = shared.evaluate(outlets);
-                    assert_eq!(shared.warm, chain, "same basis handed on at {outlets:?}");
+                    let mut fresh = sweep(fresh_lp());
+                    fresh.kept.chained = chain.is_some();
+                    fresh.kept.warm = chain.take();
+                    let alone = evaluate(&mut fresh, outlets);
+                    chain = fresh.kept.chain().cloned();
+                    let carried = evaluate(&mut shared, outlets);
+                    assert_eq!(shared.kept.chain(), chain.as_ref(), "same basis handed on at {outlets:?}");
                     match (&carried, &alone) {
                         (Some((pa, oa)), Some((pb, ob))) => {
                             feasible += 1;
@@ -610,7 +661,7 @@ mod tests {
         let mut p = Problem::new(Sense::Maximize);
         let node_vars = add_segment_vars(&mut p, dc, &node_curves, |slope| slope);
         let mut room = RoomLp::build(dc, p, segment_layout(dc, &node_vars), Some(budget_kw));
-        room.set_outlets(outlets);
+        room.set_outlets(outlets, &mut Linearised::default());
         room.lp.solve_warm(None).ok().map(|sol| sol.objective)
     }
 

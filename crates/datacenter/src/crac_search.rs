@@ -98,16 +98,21 @@ where
         .iter()
         .map(|c| axis(c.min_outlet_c, c.max_outlet_c, options.coarse_step_c))
         .collect();
-    let mut best: Option<(Vec<f64>, f64)> = None;
+    // The best combination so far is copied into one buffer, so a new
+    // best allocates nothing.
+    let mut current = Vec::with_capacity(cracs.len());
+    let mut best: Option<f64> = None;
     enumerate(&coarse_axes, &mut |combo| {
         if let Some(s) = score(combo) {
-            if best.as_ref().is_none_or(|(_, b)| s > *b) {
-                best = Some((combo.to_vec(), s));
+            if best.is_none_or(|b| s > b) {
+                best = Some(s);
+                current.clear();
+                current.extend_from_slice(combo);
             }
         }
     });
     drop(coarse_span);
-    let (current, current_score) = best?;
+    let current_score = best?;
 
     // ---- Refinement: full grid at the fine step --------------------------
     let _refine_span = thermaware_obs::span("crac_search.refine");
@@ -127,7 +132,9 @@ where
     enumerate(&fine_axes, &mut |combo| {
         if let Some(s) = score(combo) {
             if s > best_fine.1 {
-                best_fine = (combo.to_vec(), s);
+                best_fine.0.clear();
+                best_fine.0.extend_from_slice(combo);
+                best_fine.1 = s;
             }
         }
     });

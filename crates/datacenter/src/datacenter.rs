@@ -171,12 +171,22 @@ impl DataCenter {
     /// Node powers (kW, Eq. 1) for per-node *core* power totals: base plus
     /// the given total core draw of each node.
     pub fn node_powers(&self, core_power_per_node: &[f64]) -> Vec<f64> {
+        let mut powers = Vec::new();
+        self.node_powers_in(core_power_per_node, &mut powers);
+        powers
+    }
+
+    /// [`DataCenter::node_powers`] written into `powers`, in the storage
+    /// it has.
+    pub fn node_powers_in(&self, core_power_per_node: &[f64], powers: &mut Vec<f64>) {
         assert_eq!(core_power_per_node.len(), self.n_nodes());
-        core_power_per_node
-            .iter()
-            .enumerate()
-            .map(|(j, &p)| self.node_type(j).base_power_kw + p)
-            .collect()
+        powers.clear();
+        powers.extend(
+            core_power_per_node
+                .iter()
+                .enumerate()
+                .map(|(j, &p)| self.node_type(j).base_power_kw + p),
+        );
     }
 
     /// Node powers for a full per-core P-state assignment (global core
@@ -219,14 +229,56 @@ impl DataCenter {
         crac_out_c: &[f64],
         node_powers_kw: &[f64],
     ) -> (f64, f64, ThermalState) {
-        let state = self.thermal.steady_state(crac_out_c, node_powers_kw);
-        let it: f64 = node_powers_kw.iter().sum();
-        let cooling = self.thermal.total_crac_power_kw(&state);
+        let mut state = ThermalState::default();
+        let (it, cooling) = self.total_power_kw_in(crac_out_c, node_powers_kw, &mut state);
         (it, cooling, state)
+    }
+
+    /// [`DataCenter::total_power_kw`] with the thermal state written into
+    /// `state`, in the storage it has: `(it_kw, cooling_kw)`.
+    pub fn total_power_kw_in(
+        &self,
+        crac_out_c: &[f64],
+        node_powers_kw: &[f64],
+        state: &mut ThermalState,
+    ) -> (f64, f64) {
+        self.thermal.steady_state_in(crac_out_c, node_powers_kw, state);
+        let it: f64 = node_powers_kw.iter().sum();
+        let cooling = self.thermal.total_crac_power_kw(state);
+        (it, cooling)
     }
 
     /// Convenience: does this state respect both redlines (Eq. 6)?
     pub fn redlines_ok(&self, state: &ThermalState) -> bool {
         state.redline_violation(self.thermal.node_redline_c, self.thermal.crac_redline_c) <= 1e-9
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::ScenarioParams;
+    use thermaware_thermal::ThermalState;
+
+    /// Total power and node powers written into storage a larger room's
+    /// calls left are what the allocating forms return, bit for bit:
+    /// both powers, and the state's every temperature.
+    #[test]
+    fn in_place_total_power_in_used_storage_equals_the_fresh_one() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let (mut powers, mut state) = (Vec::new(), ThermalState::default());
+        for (n_nodes, n_crac, seed) in [(30, 3, 2), (12, 2, 5), (10, 1, 1)] {
+            let params = ScenarioParams { n_nodes, n_crac, ..ScenarioParams::small_test() };
+            let dc = params.build(seed).unwrap();
+            let core: Vec<f64> = (0..n_nodes).map(|j| 0.01 * (j % 4) as f64).collect();
+            let outlets: Vec<f64> = (0..n_crac).map(|c| 14.0 + 3.0 * c as f64).collect();
+            dc.node_powers_in(&core, &mut powers);
+            assert_eq!(bits(&powers), bits(&dc.node_powers(&core)), "{n_nodes} nodes");
+            let (it, cooling) = dc.total_power_kw_in(&outlets, &powers, &mut state);
+            let (it_fresh, cooling_fresh, fresh) = dc.total_power_kw(&outlets, &powers);
+            assert_eq!((it.to_bits(), cooling.to_bits()), (it_fresh.to_bits(), cooling_fresh.to_bits()));
+            assert_eq!(state.n_crac, fresh.n_crac);
+            assert_eq!(bits(&state.t_in), bits(&fresh.t_in), "{n_nodes} nodes");
+            assert_eq!(bits(&state.t_out), bits(&fresh.t_out), "{n_nodes} nodes");
+        }
     }
 }

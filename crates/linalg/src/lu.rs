@@ -643,11 +643,6 @@ impl Lu {
         lists
     }
 
-    /// Give the matrix storage back (holding the packed factors), for a
-    /// caller that factors matrix after matrix of one size.
-    pub fn into_matrix(self) -> Matrix {
-        self.lu
-    }
 }
 
 impl CompressedLu {
@@ -959,6 +954,24 @@ impl CompressedLu {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The matrix `compressed_solves_equal_dense_solves_with_negative_zero_factors`
+    /// (`tests/proptest_lu.rs`) solves with: its packed factors hold a
+    /// `-0.0` multiplier in `L` and a `-0.0` entry of `A` carried into
+    /// `U`.
+    #[test]
+    fn negative_zero_factors_are_packed_as_such() {
+        let a = Matrix::from_rows(&[
+            &[-2.0, -0.0, 1.0, -0.0],
+            &[0.0, -4.0, -0.0, 2.0],
+            &[1.0, 0.0, -3.0, -0.0],
+            &[0.0, 2.0, 0.0, -5.0],
+        ]);
+        let packed = Lu::factor(a).unwrap().lu;
+        let neg_zero = |i: usize, j: usize| packed[(i, j)].to_bits() == (-0.0_f64).to_bits();
+        assert!(neg_zero(1, 0), "a -0.0 multiplier in L: {packed:?}");
+        assert!(neg_zero(0, 1), "a -0.0 entry in U: {packed:?}");
+    }
 
     /// The elimination that walks every column, as `Lu::factor` ran it
     /// before a single-entry column became a step of its own: the oracle

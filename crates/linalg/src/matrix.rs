@@ -48,6 +48,7 @@ impl Matrix {
 
     /// Build a matrix from a flat row-major buffer. Panics if the buffer
     /// length is not `rows * cols`.
+    #[cfg(test)]
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
         assert_eq!(data.len(), rows * cols, "buffer length mismatch");
         Matrix { rows, cols, data }
@@ -136,12 +137,20 @@ impl Matrix {
     ///
     /// Panics if `x.len() != self.cols()`.
     pub fn mat_vec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.cols, "mat_vec dimension mismatch");
         let mut y = vec![0.0; self.rows];
+        self.mat_vec_in(x, &mut y);
+        y
+    }
+
+    /// [`Matrix::mat_vec`] written into `y`, one entry per row.
+    ///
+    /// Panics if `x.len() != self.cols()` or `y.len() != self.rows()`.
+    pub fn mat_vec_in(&self, x: &[f64], y: &mut [f64]) {
+        assert_eq!(x.len(), self.cols, "mat_vec dimension mismatch");
+        assert_eq!(y.len(), self.rows, "mat_vec output length mismatch");
         for (i, yi) in y.iter_mut().enumerate() {
             *yi = crate::vec_ops::dot(self.row(i), x);
         }
-        y
     }
 
     /// Transposed matrix-vector product `y = A^T x`.
@@ -245,6 +254,7 @@ impl Matrix {
     }
 
     /// Maximum absolute entry (the max norm), 0 for an empty matrix.
+    #[cfg(test)]
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
     }

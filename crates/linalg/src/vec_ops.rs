@@ -66,6 +66,7 @@ pub fn norm_inf(x: &[f64]) -> f64 {
 
 /// Maximum absolute difference between two equal-length slices.
 #[inline]
+#[cfg(test)]
 pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     a.iter()

@@ -24,7 +24,10 @@ const ST_UPPER: u8 = 1;
 const ST_BASIC: u8 = 2;
 
 /// Opaque warm-start snapshot of a simplex basis. See the module docs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// `clone_from` copies into the storage the target has, so a caller
+/// that chains solves keeps one basis and allocates nothing for it.
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Basis {
     /// Structural signature of the internal form that produced this basis
     /// (48-bit, survives JSON round trips exactly).
@@ -35,61 +38,85 @@ pub struct Basis {
     state: Vec<u8>,
 }
 
-impl Basis {
-    /// Snapshot a finished solve's basis.
-    pub(crate) fn capture(sig: u64, basic: &[usize], states: &[VarState]) -> Basis {
-        Basis {
-            sig,
-            basic: basic.to_vec(),
-            state: states
-                .iter()
-                .map(|s| match s {
-                    VarState::Lower => ST_LOWER,
-                    VarState::Upper => ST_UPPER,
-                    VarState::Basic => ST_BASIC,
-                })
-                .collect(),
-        }
+impl Clone for Basis {
+    fn clone(&self) -> Self {
+        Basis { sig: self.sig, basic: self.basic.clone(), state: self.state.clone() }
     }
 
-    /// Validate against an internal form and expand into engine state.
+    fn clone_from(&mut self, source: &Self) {
+        self.sig = source.sig;
+        self.basic.clone_from(&source.basic);
+        self.state.clone_from(&source.state);
+    }
+}
+
+impl Basis {
+    /// Snapshot a finished solve's basis into `into`, in the storage the
+    /// basis there has.
+    pub(crate) fn capture(into: &mut Option<Basis>, sig: u64, basic: &[usize], states: &[VarState]) {
+        let b = into.get_or_insert_with(|| Basis { sig, basic: Vec::new(), state: Vec::new() });
+        b.sig = sig;
+        b.basic.clear();
+        b.basic.extend_from_slice(basic);
+        b.state.clear();
+        b.state.extend(states.iter().map(|s| match s {
+            VarState::Lower => ST_LOWER,
+            VarState::Upper => ST_UPPER,
+            VarState::Basic => ST_BASIC,
+        }));
+    }
+
+    /// Validate against an internal form and expand into engine state,
+    /// written into `basic` and `states` in the storage they have.
     ///
-    /// Returns `None` when the basis does not belong to this structure:
+    /// Returns `false` when the basis does not belong to this structure:
     /// signature mismatch, dimension mismatch, or inconsistent
-    /// basic/nonbasic bookkeeping. Callers treat `None` as "solve cold".
-    pub(crate) fn restore(&self, f: &InternalForm) -> Option<(Vec<usize>, Vec<VarState>)> {
+    /// basic/nonbasic bookkeeping. Callers treat `false` as "solve cold"
+    /// (and `basic`, `states` as garbage).
+    pub(crate) fn restore(
+        &self,
+        f: &InternalForm,
+        basic: &mut Vec<usize>,
+        states: &mut Vec<VarState>,
+    ) -> bool {
         if self.sig != f.signature
             || self.basic.len() != f.m()
             || self.state.len() != f.n_total
         {
-            return None;
+            return false;
         }
-        let mut states = Vec::with_capacity(f.n_total);
+        states.clear();
         for &code in &self.state {
             states.push(match code {
                 ST_LOWER => VarState::Lower,
                 ST_UPPER => VarState::Upper,
                 ST_BASIC => VarState::Basic,
-                _ => return None,
+                _ => return false,
             });
         }
-        let mut seen = vec![false; f.n_total];
+        // Every basic column is in range, marked basic and listed once:
+        // each one listed is unmarked as it is met, so a repeat finds its
+        // mark gone.
         for &j in &self.basic {
-            if j >= f.n_total || seen[j] || states[j] != VarState::Basic {
-                return None;
+            if j >= f.n_total || states[j] != VarState::Basic {
+                return false;
             }
-            seen[j] = true;
+            states[j] = VarState::Lower;
         }
         // Every column marked basic must actually be in the basis.
-        if states.iter().filter(|&&s| s == VarState::Basic).count() != self.basic.len() {
-            return None;
+        if states.contains(&VarState::Basic) {
+            return false;
+        }
+        for &j in &self.basic {
+            states[j] = VarState::Basic;
         }
         // A column can only rest at a finite bound.
         for (j, s) in states.iter().enumerate() {
             if *s == VarState::Upper && !f.upper[j].is_finite() {
-                return None;
+                return false;
             }
         }
-        Some((self.basic.clone(), states))
+        basic.clone_from(&self.basic);
+        true
     }
 }

@@ -91,18 +91,19 @@ impl RowTerms {
 
 /// The one solve path behind [`Problem::solve_warm`] and
 /// [`crate::Prepared::solve_warm`]: the revised simplex on `form` (built
-/// on the spot when the caller keeps none). A debug build certifies
-/// every optimum it returns.
+/// on the spot when the caller keeps none), its optimum written into
+/// `out`. A debug build certifies every optimum it returns.
 pub(crate) fn solve_with(
     problem: &Problem,
     form: Option<&mut InternalForm>,
     ws: &mut revised::Workspace,
     warm: Option<&Basis>,
-) -> Result<Solution, LpError> {
-    let result = revised::solve(problem, form, ws, warm);
+    out: &mut Solution,
+) -> Result<(), LpError> {
+    let result = revised::solve(problem, form, ws, warm, out);
     #[cfg(debug_assertions)]
-    if let Ok(sol) = &result {
-        let certified = crate::certify(problem, sol);
+    if result.is_ok() {
+        let certified = crate::certify(problem, out);
         assert!(certified.is_ok(), "the solve returned a refuted optimum: {certified:?}");
     }
     result
@@ -295,11 +296,6 @@ impl Problem {
         self.vars.len()
     }
 
-    /// Number of constraint rows added so far.
-    pub fn num_rows(&self) -> usize {
-        self.cons.len()
-    }
-
     /// Change a variable's objective coefficient in place (used when the
     /// same constraint structure is re-solved with a different objective).
     pub fn set_var_objective(&mut self, v: VarId, objective: f64) {
@@ -336,7 +332,9 @@ impl Problem {
     /// The returned [`Solution`] carries a fresh basis — chain it through
     /// repeated re-solves via [`Solution::take_basis`].
     pub fn solve_warm(&self, warm: Option<&Basis>) -> Result<Solution, LpError> {
-        solve_with(self, None, &mut revised::Workspace::default(), warm)
+        let mut sol = Solution::empty();
+        solve_with(self, None, &mut revised::Workspace::default(), warm, &mut sol)?;
+        Ok(sol)
     }
 
     /// Evaluate the objective at a given point (no feasibility check).
@@ -349,10 +347,9 @@ impl Problem {
             .sum()
     }
 
-    /// Maximum constraint violation of a point (0 when feasible).
-    ///
-    /// Checks rows and variable bounds; useful for verifying solutions in
-    /// tests and for the assignment-solution verifier in `thermaware-core`.
+    /// Maximum constraint violation of a point (0 when feasible): rows
+    /// and variable bounds.
+    #[cfg(test)]
     pub fn max_violation(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.vars.len());
         let mut worst = 0.0_f64;

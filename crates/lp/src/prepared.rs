@@ -12,11 +12,17 @@
 //! [`Problem::solve_warm`], so a prepared problem gives the answers, pivot
 //! for pivot, of the same problem built afresh.
 //!
+//! A solve works in storage the prepared problem keeps — the simplex
+//! workspace and the [`Solution`] it writes its optimum into, which
+//! [`Prepared::solve_warm`] lends out until the next call — so once an
+//! earlier solve has grown the buffers, a solve allocates nothing.
+//!
 //! A caller that builds one model after another — a replan's zone
 //! sweeps, each its own room LP — builds each in the storage of the last
 //! ([`Prepared::rebuild`]): the problem's variables and row arena, the
-//! form's stores and the solve's workspace keep their buffers, so a model
-//! no larger than the one before allocates nothing for itself.
+//! form's stores, the solve's workspace and its solution keep their
+//! buffers, so a model no larger than the one before allocates nothing
+//! for itself.
 
 use crate::basis::Basis;
 use crate::internal::InternalForm;
@@ -30,6 +36,9 @@ pub struct Prepared {
     form: InternalForm,
     /// What the last solve worked in, for the next one to work in.
     ws: Workspace,
+    /// Where the last solve wrote its optimum, for the next one to write
+    /// in.
+    solution: Solution,
 }
 
 impl Problem {
@@ -42,6 +51,7 @@ impl Problem {
             problem: self,
             form,
             ws: Workspace::default(),
+            solution: Solution::empty(),
         }
     }
 }
@@ -100,11 +110,14 @@ impl Prepared {
         self.form.patch_cost(&self.problem, v.0);
     }
 
-    /// [`Problem::solve_warm`] on the kept form. A solve is the one place
-    /// that may have to re-normalise the form (a patch moved a row's
-    /// right-hand side across zero), hence `&mut self`.
-    pub fn solve_warm(&mut self, warm: Option<&Basis>) -> Result<Solution, LpError> {
-        solve_with(&self.problem, Some(&mut self.form), &mut self.ws, warm)
+    /// [`Problem::solve_warm`] on the kept form, its optimum written into
+    /// the solution this problem keeps and lent out until the next solve:
+    /// the same `Solution`, bit for bit, basis included. A solve is the
+    /// one place that may have to re-normalise the form (a patch moved a
+    /// row's right-hand side across zero), hence `&mut self`.
+    pub fn solve_warm(&mut self, warm: Option<&Basis>) -> Result<&Solution, LpError> {
+        solve_with(&self.problem, Some(&mut self.form), &mut self.ws, warm, &mut self.solution)?;
+        Ok(&self.solution)
     }
 }
 
@@ -332,17 +345,21 @@ mod tests {
         }
     }
 
-    /// A solve's outcome to the bit: objective, values, duals and the
-    /// pivot count, or the error.
-    fn outcome(result: &Result<Solution, LpError>) -> String {
+    /// A solve's outcome to the bit: objective, values, duals, the pivot
+    /// count and the basis, or the error.
+    fn outcome<S: std::borrow::Borrow<Solution>>(result: &Result<S, LpError>) -> String {
         match result {
-            Ok(sol) => format!(
-                "{} pivots, objective {:x}, values {:x?}, duals {:x?}",
-                sol.iterations,
-                sol.objective.to_bits(),
-                bits(&sol.values),
-                bits(&sol.duals)
-            ),
+            Ok(sol) => {
+                let sol = sol.borrow();
+                format!(
+                    "{} pivots, objective {:x}, values {:x?}, duals {:x?}, basis {:?}",
+                    sol.iterations,
+                    sol.objective.to_bits(),
+                    bits(&sol.values),
+                    bits(&sol.duals),
+                    sol.basis
+                )
+            }
             Err(err) => format!("{err:?}"),
         }
     }
@@ -382,6 +399,90 @@ mod tests {
                 let (again, once) = (kept.solve_warm(None), fresh.solve_warm(None));
                 prop_assert_eq!(outcome(&again), outcome(&once));
             }
+        }
+
+        /// A chain of warm solves through one prepared problem whose kept
+        /// storage — workspace and solution — last held another model
+        /// (the pair runs both ways, so once a larger one) and an
+        /// `Infeasible` verdict from phase 1 returns, candidate by
+        /// candidate, what `Problem::solve_warm` of the same problem from
+        /// the same basis returns: objective, values, duals, pivots and
+        /// basis to the bit, or the same error. Every third candidate is
+        /// infeasible; a failed candidate leaves the chain's basis as it
+        /// was, and the next solve from it agrees too.
+        #[test]
+        fn solves_in_used_storage_equal_fresh_solves(
+            a in model(),
+            b in model(),
+            seq in patches(),
+            sense in any::<bool>(),
+        ) {
+            let sense = if sense { Sense::Maximize } else { Sense::Minimize };
+            for (before, after) in [(&a, &b), (&b, &a)] {
+                let mut kept = Problem::new(sense).prepare();
+                kept.rebuild(sense, |p| write_gated(p, before, true));
+                let _ = kept.solve_warm(None);
+                kept.rebuild(sense, |p| write_gated(p, before, false));
+                let verdict = kept.solve_warm(None).map(drop);
+                prop_assert!(matches!(verdict, Err(LpError::Infeasible { .. })), "{:?}", verdict);
+
+                let (rows, gate) = kept.rebuild(sense, |p| write_gated(p, after, true));
+                let mut fresh = Problem::new(sense);
+                write_gated(&mut fresh, after, true);
+                let mut chain: Option<Basis> = None;
+                for (k, patch) in seq.iter().enumerate() {
+                    let (lo, hi) = if k % 3 == 1 { (1.0, -1.0) } else { (-1.0, 1.0) };
+                    for (row, rhs) in gate.into_iter().zip([lo, hi]) {
+                        kept.set_rhs(row, rhs);
+                        fresh.cons[row.0].rhs = rhs;
+                    }
+                    apply(&mut kept, &rows, patch.clone());
+                    apply_to_problem(&mut fresh, &rows, patch.clone());
+                    let held = chain.clone();
+                    let once = fresh.solve_warm(chain.as_ref());
+                    let again = kept.solve_warm(chain.as_ref());
+                    prop_assert_eq!(outcome(&again), outcome(&once), "candidate {}", k);
+                    match again {
+                        Ok(sol) => chain.clone_from(&sol.basis),
+                        Err(_) => prop_assert_eq!(&chain, &held, "a failed candidate keeps the basis"),
+                    }
+                    if k % 3 == 1 {
+                        prop_assert!(matches!(once, Err(LpError::Infeasible { .. })), "{:?}", once.map(drop));
+                    }
+                }
+            }
+        }
+    }
+
+    /// `m`'s model with a free variable `z` and the rows `z >= -1` and
+    /// `z <= 1` appended — open: each row is within `z`'s reach, so a
+    /// solve that closes them (`z >= 1`, `z <= -1`) is refused by phase
+    /// 1, not by the scan before it. Returns `m`'s rows and the two.
+    fn write_gated(p: &mut Problem, m: &Model, open: bool) -> (Vec<ConstraintId>, [ConstraintId; 2]) {
+        let rows = write(p, m);
+        let z = p.add_var("z", f64::NEG_INFINITY, f64::INFINITY, 0.0);
+        let (lo, hi) = if open { (-1.0, 1.0) } else { (1.0, -1.0) };
+        let gate = [
+            p.add_row("z_lo", &[(z, 1.0)], RowOp::Ge, lo),
+            p.add_row("z_hi", &[(z, 1.0)], RowOp::Le, hi),
+        ];
+        (rows, gate)
+    }
+
+    /// [`apply`] to a problem that keeps no form.
+    fn apply_to_problem(p: &mut Problem, rows: &[ConstraintId], patch: Patch) {
+        match patch {
+            Patch::Rhs(at, x) => p.cons[rows[at % rows.len()].0].rhs = x,
+            Patch::Row(at, values) => {
+                let at = p.terms.range(rows[at % rows.len()].0);
+                let len = at.len();
+                p.terms.val[at].copy_from_slice(&values[..len]);
+            }
+            Patch::Objective(at, x) => {
+                let n = p.num_vars();
+                p.set_var_objective(VarId(at % n), x)
+            }
+            Patch::Sync => {}
         }
     }
 
@@ -681,10 +782,10 @@ mod tests {
         let mut p = p.prepare();
         p.set_rhs(gap, -3.0);
         assert_eq!(p.form.stale_rows, 1);
-        let sol = p.solve_warm(None).unwrap();
+        let objective = p.solve_warm(None).unwrap().objective;
         assert_eq!(p.form.stale_rows, 0);
         assert_same_form((&p.form, &p.problem), (&InternalForm::build(&p.problem), &p.problem));
-        assert!((sol.objective - 18.5).abs() < 1e-9); // x = 2.5, y = 5.5
+        assert!((objective - 18.5).abs() < 1e-9); // x = 2.5, y = 5.5
     }
 
     #[test]
@@ -705,13 +806,13 @@ mod tests {
             let at = fresh.terms.range(gap.0);
             fresh.terms.val[at].copy_from_slice(&coeffs);
             fresh.set_var_objective(x, obj);
-            let mut a = kept.solve_warm(basis.as_ref()).unwrap();
+            let a = kept.solve_warm(basis.as_ref()).unwrap();
             let b = fresh.solve_warm(basis.as_ref()).unwrap();
             assert_eq!(a.iterations, b.iterations);
             assert_eq!(a.objective.to_bits(), b.objective.to_bits());
             assert_eq!(bits(&a.values), bits(&b.values));
             assert_eq!(bits(&a.duals), bits(&b.duals));
-            basis = a.take_basis();
+            basis = a.basis().cloned();
         }
     }
 }

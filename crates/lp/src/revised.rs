@@ -199,16 +199,19 @@ fn long_step(
     (None, flipped)
 }
 
-/// What a solve works in besides its basis, kept by a [`crate::Prepared`]
-/// from one solve to the next so that none but the first allocates it:
-/// the factors (a refactorisation builds the basis matrix and lists its
-/// factors in the storage of those it replaces — the last solve's, at a
-/// solve's start, whether or not that basis could be factored), the eta
-/// file and the buffers of etas dropped from it, and the per-iteration
-/// vectors: multipliers `y`, reduced costs `d` and pivot row `alpha`
-/// (one entry per column), the dual's `rho` and ratio-test candidates,
-/// the rows where BTRAN's vector is not `+0.0`. Every one is overwritten
-/// before it is read.
+/// Everything a solve works in, kept by a [`crate::Prepared`] from one
+/// solve to the next so that a solve allocates nothing once an earlier
+/// one grew the buffers: the factors (a refactorisation builds the basis
+/// matrix and lists its factors in the storage of those it replaces —
+/// the last solve's, at a solve's start, whether or not that basis could
+/// be factored), the eta file and the buffers of etas dropped from it,
+/// the basis itself (basic columns, bound states, basic values, working
+/// upper bounds), and the vectors a solve fills: multipliers `y`,
+/// reduced costs `d` and pivot row `alpha` (one entry per column), the
+/// phase-1 costs, the dual's `rho`, steepest-edge weights and
+/// ratio-test candidates, the rows where BTRAN's vector is not `+0.0`,
+/// and the row of each basic column that extraction reads values by.
+/// Every one is overwritten before it is read.
 #[derive(Default)]
 pub(crate) struct Workspace {
     lu: CompressedLu,
@@ -218,12 +221,32 @@ pub(crate) struct Workspace {
     /// Buffers for entering columns: those of retired etas and of
     /// columns that did not become one.
     spare: Vec<Vec<f64>>,
+    /// The basis, lent to the solve's [`Rev`] while it runs.
+    basis: BasisBuffers,
     y: Vec<f64>,
     d: Vec<f64>,
     alpha: Vec<f64>,
+    phase1_cost: Vec<f64>,
     rho: Vec<f64>,
     cands: Vec<Reverse<Cand>>,
     nz: Vec<u32>,
+}
+
+/// A solve's basis and what is read off it, one entry per row or per
+/// column: the part of [`Workspace`] a [`Rev`] holds as its own.
+#[derive(Default)]
+struct BasisBuffers {
+    /// Working upper bounds (artificials frozen to 0 outside phase 1).
+    upper: Vec<f64>,
+    /// Basic column of each row.
+    basic: Vec<usize>,
+    state: Vec<VarState>,
+    /// Values of the basic variables, one per row.
+    xb: Vec<f64>,
+    /// The dual's steepest-edge weights, one per row.
+    beta: Vec<f64>,
+    /// Row of each basic column (extraction).
+    pos: Vec<usize>,
 }
 
 impl Workspace {
@@ -315,33 +338,34 @@ struct Rev<'a> {
     f: &'a InternalForm,
     /// The structural block by row ([`InternalForm::row_store`]).
     rows: &'a SparseLines,
-    /// Working upper bounds (artificials frozen to 0 outside phase 1).
-    upper: Vec<f64>,
-    /// Basic column of each row.
-    basic: Vec<usize>,
-    state: Vec<VarState>,
-    /// Values of the basic variables, one per row.
-    xb: Vec<f64>,
+    /// The basis, taken from the workspace and handed back on drop.
+    b: BasisBuffers,
     iterations: usize,
     degen_run: usize,
     degen_total: usize,
     bland: bool,
     factorizations: usize,
     clock: &'a PhaseClock,
-    /// Factors, etas and per-iteration vectors: a pivot allocates nothing.
+    /// Factors, etas and per-iteration vectors: a solve allocates nothing.
     ws: &'a mut Workspace,
 }
 
+impl Drop for Rev<'_> {
+    /// Hand the basis buffers back to the workspace, whichever way the
+    /// solve ended.
+    fn drop(&mut self) {
+        self.ws.basis = std::mem::take(&mut self.b);
+    }
+}
+
 impl<'a> Rev<'a> {
-    /// A solver state at the given basis, nothing factorized yet: the
-    /// workspace's factors are some other basis's until `factorize` ran,
-    /// and its etas are retired.
+    /// A solver state holding the workspace's basis buffers, which the
+    /// caller fills, nothing factorized yet: the workspace's factors are
+    /// some other basis's until `factorize` ran, and its etas are
+    /// retired.
     fn new(
         f: &'a InternalForm,
         problem: &'a Problem,
-        upper: Vec<f64>,
-        basic: Vec<usize>,
-        state: Vec<VarState>,
         clock: &'a PhaseClock,
         ws: &'a mut Workspace,
     ) -> Self {
@@ -351,10 +375,7 @@ impl<'a> Rev<'a> {
         Rev {
             f,
             rows: f.row_store(problem),
-            upper,
-            basic,
-            state,
-            xb: Vec::new(),
+            b: std::mem::take(&mut ws.basis),
             iterations: 0,
             degen_run: 0,
             degen_total: 0,
@@ -374,7 +395,7 @@ impl<'a> Rev<'a> {
     fn factorize(&mut self) -> Result<(), LpError> {
         let since = self.clock.start();
         let cols = &self.f.cols;
-        let columns = self.basic.iter().map(|&j| cols.line(j));
+        let columns = self.b.basic.iter().map(|&j| cols.line(j));
         let done = self.ws.lu.factor_columns(self.f.m(), columns);
         self.clock.stop(Phase::Factorize, since);
         done.map_err(|_| LpError::Internal {
@@ -430,9 +451,9 @@ impl<'a> Rev<'a> {
     /// Simplex multipliers `y = B^{-T} c_B` for the given costs.
     fn multipliers(&mut self, costs: &[f64], y: &mut Vec<f64>) -> Result<(), LpError> {
         y.clear();
-        y.reserve(self.basic.len());
+        y.reserve(self.b.basic.len());
         self.ws.nz.clear();
-        for (i, &j) in self.basic.iter().enumerate() {
+        for (i, &j) in self.b.basic.iter().enumerate() {
             y.push(costs[j]);
             if costs[j].to_bits() != 0 {
                 self.ws.nz.push(i as u32);
@@ -458,10 +479,10 @@ impl<'a> Rev<'a> {
     /// Recompute `xb = B^{-1} (b - Σ_{j at upper} u_j a_j)` from scratch.
     fn compute_xb(&mut self) -> Result<(), LpError> {
         let since = self.clock.start();
-        let mut rhs = std::mem::take(&mut self.xb);
-        self.f.rhs_at_bounds(&self.state, &self.upper, &mut rhs);
+        let mut rhs = std::mem::take(&mut self.b.xb);
+        self.f.rhs_at_bounds(&self.b.state, &self.b.upper, &mut rhs);
         let done = self.ftran_untimed(&mut rhs);
-        self.xb = rhs;
+        self.b.xb = rhs;
         self.clock.stop(Phase::ComputeXb, since);
         done
     }
@@ -484,14 +505,14 @@ impl<'a> Rev<'a> {
         let mut best: Option<(usize, f64)> = None;
         let mut best_gain = tol;
         for j in 0..self.f.n_total {
-            let dir = match self.state[j] {
+            let dir = match self.b.state[j] {
                 VarState::Basic => continue,
                 VarState::Lower => 1.0,
                 VarState::Upper => -1.0,
             };
             // Fixed columns (u == 0) cannot move; artificials are fixed
             // this way outside phase 1.
-            if self.upper[j] <= 0.0 {
+            if self.b.upper[j] <= 0.0 {
                 continue;
             }
             let gain = -dir * self.ws.d[j];
@@ -521,13 +542,13 @@ impl<'a> Rev<'a> {
 
         // Ratio test: distance t >= 0 until a basic hits a bound or x_q
         // flips to its own opposite bound.
-        let mut t_best = self.upper[q];
+        let mut t_best = self.b.upper[q];
         let mut leave: Option<(usize, VarState)> = None;
         for i in 0..self.m() {
             let alpha = dir * w[i];
-            let k = self.basic[i];
+            let k = self.b.basic[i];
             if alpha > PIVOT_EPS {
-                let t_i = (self.xb[i].max(0.0)) / alpha;
+                let t_i = (self.b.xb[i].max(0.0)) / alpha;
                 if t_i < t_best - 1e-12
                     || (t_i < t_best + 1e-12
                         && leave.is_some_and(|(r, _)| w[r].abs() < w[i].abs()))
@@ -536,9 +557,9 @@ impl<'a> Rev<'a> {
                     leave = Some((i, VarState::Lower));
                 }
             } else if alpha < -PIVOT_EPS {
-                let uk = self.upper[k];
+                let uk = self.b.upper[k];
                 if uk.is_finite() {
-                    let t_i = ((uk - self.xb[i]).max(0.0)) / (-alpha);
+                    let t_i = ((uk - self.b.xb[i]).max(0.0)) / (-alpha);
                     if t_i < t_best - 1e-12
                         || (t_i < t_best + 1e-12
                             && leave.is_some_and(|(r, _)| w[r].abs() < w[i].abs()))
@@ -580,14 +601,14 @@ impl<'a> Rev<'a> {
         }
 
         if t_best != 0.0 { // lint: allow(float-eq): degenerate step detection wants exact zero, not a tolerance
-            for (xbi, &wi) in self.xb.iter_mut().zip(&w) {
+            for (xbi, &wi) in self.b.xb.iter_mut().zip(&w) {
                 *xbi -= dir * t_best * wi;
             }
         }
 
         match leave {
             None => {
-                self.state[q] = match self.state[q] {
+                self.b.state[q] = match self.b.state[q] {
                     VarState::Lower => VarState::Upper,
                     VarState::Upper => VarState::Lower,
                     VarState::Basic => {
@@ -599,16 +620,16 @@ impl<'a> Rev<'a> {
                 self.ws.spare.push(w);
             }
             Some((r, hit)) => {
-                let k = self.basic[r];
+                let k = self.b.basic[r];
                 let x_q_new = if dir > 0.0 {
                     t_best
                 } else {
-                    self.upper[q] - t_best
+                    self.b.upper[q] - t_best
                 };
-                self.xb[r] = x_q_new;
-                self.basic[r] = q;
-                self.state[q] = VarState::Basic;
-                self.state[k] = if self.upper[k] <= 0.0 { VarState::Lower } else { hit };
+                self.b.xb[r] = x_q_new;
+                self.b.basic[r] = q;
+                self.b.state[q] = VarState::Basic;
+                self.b.state[k] = if self.b.upper[k] <= 0.0 { VarState::Lower } else { hit };
                 self.ws.etas.push(Eta { r, w });
                 if self.ws.etas.len() >= ETA_LIMIT {
                     self.factorize()?;
@@ -651,7 +672,9 @@ impl<'a> Rev<'a> {
         // beta_r is corrected to its exact value each time a row is
         // selected (rho is computed anyway), so the approximation cannot
         // drift unboundedly.
-        let mut beta = vec![1.0_f64; self.m()];
+        let m = self.m();
+        self.b.beta.clear();
+        self.b.beta.resize(m, 1.0);
         loop {
             if self.iterations > cap {
                 return Err(LpError::IterationLimit { limit: cap });
@@ -661,18 +684,18 @@ impl<'a> Rev<'a> {
             let mut leave: Option<(usize, bool)> = None; // (row, leaves to upper)
             let mut best_score = 0.0_f64;
             for i in 0..self.m() {
-                let k = self.basic[i];
-                let mut viol = -self.xb[i];
+                let k = self.b.basic[i];
+                let mut viol = -self.b.xb[i];
                 let mut up = false;
-                if self.upper[k].is_finite() {
-                    let above = self.xb[i] - self.upper[k];
+                if self.b.upper[k].is_finite() {
+                    let above = self.b.xb[i] - self.b.upper[k];
                     if above > viol {
                         viol = above;
                         up = true;
                     }
                 }
                 if viol > FEAS_TOL {
-                    let score = viol * viol / beta[i];
+                    let score = viol * viol / self.b.beta[i];
                     if score > best_score {
                         best_score = score;
                         leave = Some((i, up));
@@ -693,7 +716,7 @@ impl<'a> Rev<'a> {
             self.ws.nz.clear();
             self.ws.nz.push(r as u32);
             self.btran(&mut rho)?;
-            beta[r] = rho.iter().map(|v| v * v).sum();
+            self.b.beta[r] = rho.iter().map(|v| v * v).sum();
             self.price(costs, Phase::PivotRow)?;
             let since = self.clock.start();
             self.f.pivot_row(self.rows, &rho, &mut self.ws.alpha);
@@ -714,8 +737,8 @@ impl<'a> Rev<'a> {
             let mut cands = std::mem::take(&mut self.ws.cands);
             cands.clear();
             for j in 0..self.f.n_total {
-                let st = self.state[j];
-                if st == VarState::Basic || self.upper[j] <= 0.0 {
+                let st = self.b.state[j];
+                if st == VarState::Basic || self.b.upper[j] <= 0.0 {
                     continue;
                 }
                 let alpha = self.ws.alpha[j];
@@ -748,11 +771,11 @@ impl<'a> Rev<'a> {
             // The walk below takes a few of the candidates, in `Cand`
             // order: a heap on their buffer hands them over one by one.
             let mut cands = BinaryHeap::from(cands);
-            let k = self.basic[r];
-            let target = if to_upper { self.upper[k] } else { 0.0 };
-            let slope = (self.xb[r] - target).abs();
+            let k = self.b.basic[r];
+            let target = if to_upper { self.b.upper[k] } else { 0.0 };
+            let slope = (self.b.xb[r] - target).abs();
             let next = || cands.pop().map(|Reverse(c)| c);
-            let (entering, flipped) = long_step(next, &self.upper, &mut self.state, slope);
+            let (entering, flipped) = long_step(next, &self.b.upper, &mut self.b.state, slope);
             self.ws.cands = cands.into_vec();
             self.clock.stop(Phase::PivotRow, since);
             let Some(q) = entering else {
@@ -761,6 +784,7 @@ impl<'a> Rev<'a> {
                 // basis is useless. Let the cold path produce the
                 // certificate. (Any flips applied above die with the
                 // discarded warm attempt.)
+                self.ws.rho = rho;
                 return Err(LpError::Internal {
                     what: "dual step found no entering column".to_string(),
                 });
@@ -780,9 +804,10 @@ impl<'a> Rev<'a> {
                     self.compute_xb()?;
                     continue;
                 }
-                return Err(LpError::Internal {
-                    what: format!("tiny dual pivot {:.3e} after refactorization", w[r]),
-                });
+                let what = format!("tiny dual pivot {:.3e} after refactorization", w[r]);
+                self.ws.spare.push(w);
+                self.ws.rho = rho;
+                return Err(LpError::Internal { what });
             }
 
             // Forrest–Goldfarb weight update for the pivot B' = B E:
@@ -792,8 +817,9 @@ impl<'a> Rev<'a> {
             // positive under floating-point cancellation.
             let mut tau = rho;
             self.ftran(&mut tau)?;
+            let beta = &mut self.b.beta;
             let beta_r = beta[r];
-            for i in 0..self.m() {
+            for i in 0..m {
                 if i != r {
                     let t = w[i] / w[r];
                     beta[i] = (beta[i] - 2.0 * t * tau[i] + t * t * beta_r).max(1e-10);
@@ -802,25 +828,25 @@ impl<'a> Rev<'a> {
             beta[r] = (beta_r / (w[r] * w[r])).max(1e-10);
             self.ws.rho = tau;
 
-            let delta = (self.xb[r] - target) / w[r];
+            let delta = (self.b.xb[r] - target) / w[r];
             for i in 0..self.m() {
                 if i != r {
-                    self.xb[i] -= delta * w[i];
+                    self.b.xb[i] -= delta * w[i];
                 }
             }
-            let x_q_old = match self.state[q] {
+            let x_q_old = match self.b.state[q] {
                 VarState::Lower => 0.0,
-                VarState::Upper => self.upper[q],
+                VarState::Upper => self.b.upper[q],
                 VarState::Basic => {
                     return Err(LpError::Internal {
                         what: "dual entering column was basic".to_string(),
                     })
                 }
             };
-            self.xb[r] = x_q_old + delta;
-            self.basic[r] = q;
-            self.state[q] = VarState::Basic;
-            self.state[k] = if to_upper && self.upper[k] > 0.0 {
+            self.b.xb[r] = x_q_old + delta;
+            self.b.basic[r] = q;
+            self.b.state[q] = VarState::Basic;
+            self.b.state[k] = if to_upper && self.b.upper[k] > 0.0 {
                 VarState::Upper
             } else {
                 VarState::Lower
@@ -834,58 +860,56 @@ impl<'a> Rev<'a> {
         }
     }
 
-    /// Value of internal column `j` (needs `pos[j]` = row of basic cols).
-    fn value_of(&self, pos: &[usize], j: usize) -> f64 {
-        match self.state[j] {
+    /// Value of internal column `j` (a basic one's read through `b.pos`,
+    /// which `extract` fills).
+    fn value_of(&self, j: usize) -> f64 {
+        match self.b.state[j] {
             VarState::Lower => 0.0,
-            VarState::Upper => self.upper[j],
-            VarState::Basic => self.xb[pos[j]],
+            VarState::Upper => self.b.upper[j],
+            VarState::Basic => self.b.xb[self.b.pos[j]],
         }
     }
 
-    /// Recover user-space values, duals, and the basis handle.
-    fn extract(&mut self, problem: &Problem) -> Result<Solution, LpError> {
+    /// Write user-space values, duals and the basis handle into `out`,
+    /// in the storage it has.
+    fn extract(&mut self, problem: &Problem, out: &mut Solution) -> Result<(), LpError> {
         let f = self.f;
-        let mut pos = vec![usize::MAX; f.n_total];
-        for (i, &j) in self.basic.iter().enumerate() {
-            if j >= f.n_total || self.state[j] != VarState::Basic {
+        let pos = &mut self.b.pos;
+        pos.clear();
+        pos.resize(f.n_total, usize::MAX);
+        for (i, &j) in self.b.basic.iter().enumerate() {
+            if j >= f.n_total || self.b.state[j] != VarState::Basic {
                 return Err(LpError::Internal {
                     what: "basis bookkeeping corrupt at extraction".to_string(),
                 });
             }
             pos[j] = i;
         }
-        let values: Vec<f64> = f
-            .maps
-            .iter()
-            .map(|m| match *m {
-                crate::internal::VarMap::Shift { col, lb } => lb + self.value_of(&pos, col),
-                crate::internal::VarMap::Mirror { col, ub } => ub - self.value_of(&pos, col),
-                crate::internal::VarMap::Split { pos: p, neg } => {
-                    self.value_of(&pos, p) - self.value_of(&pos, neg)
-                }
-            })
-            .collect();
+        out.values.clear();
+        out.values.extend(f.maps.iter().map(|m| match *m {
+            crate::internal::VarMap::Shift { col, lb } => lb + self.value_of(col),
+            crate::internal::VarMap::Mirror { col, ub } => ub - self.value_of(col),
+            crate::internal::VarMap::Split { pos: p, neg } => self.value_of(p) - self.value_of(neg),
+        }));
 
         // Row duals: y solves B^T y = c_B, and the user-space dual undoes
         // the sense and any rhs-normalization flip.
-        let mut y = Vec::new();
-        self.multipliers(&f.cost, &mut y)?;
-        let duals: Vec<f64> = (0..f.m())
-            .map(|i| {
+        let mut y = std::mem::take(&mut self.ws.y);
+        let priced = self.multipliers(&f.cost, &mut y);
+        out.duals.clear();
+        if priced.is_ok() {
+            out.duals.extend((0..f.m()).map(|i| {
                 let flip = if f.flipped[i] { -1.0 } else { 1.0 };
                 f.sense_sign * flip * y[i]
-            })
-            .collect();
+            }));
+        }
+        self.ws.y = y;
+        priced?;
 
-        let objective = problem.objective_value(&values);
-        Ok(Solution {
-            objective,
-            values,
-            duals,
-            iterations: self.iterations,
-            basis: Some(Basis::capture(f.signature, &self.basic, &self.state)),
-        })
+        out.objective = problem.objective_value(&out.values);
+        out.iterations = self.iterations;
+        Basis::capture(&mut out.basis, f.signature, &self.b.basic, &self.b.state);
+        Ok(())
     }
 }
 
@@ -898,16 +922,18 @@ struct SolveStats {
 }
 
 /// Solve `problem` with the revised simplex, optionally warm-starting
-/// from `warm`. `form` is the problem's internal form when the caller
-/// keeps one ([`crate::Prepared`]); `None` builds it here, inside the
-/// timed section. `ws` is the caller's to keep or drop. Observability is
-/// one batched recorder visit per solve.
+/// from `warm`, and write the optimum into `out` (left in an unspecified
+/// state on an error). `form` is the problem's internal form when the
+/// caller keeps one ([`crate::Prepared`]); `None` builds it here, inside
+/// the timed section. `ws` is the caller's to keep or drop. Observability
+/// is one batched recorder visit per solve.
 pub(crate) fn solve(
     problem: &Problem,
     form: Option<&mut InternalForm>,
     ws: &mut Workspace,
     warm: Option<&Basis>,
-) -> Result<Solution, LpError> {
+    out: &mut Solution,
+) -> Result<(), LpError> {
     let mut stats = SolveStats {
         warm: WarmStats::default(),
         degen: 0,
@@ -915,10 +941,10 @@ pub(crate) fn solve(
         clock: PhaseClock::new(thermaware_obs::enabled()),
     };
     if !stats.clock.on {
-        return solve_impl(problem, form, ws, warm, &mut stats);
+        return solve_impl(problem, form, ws, warm, out, &mut stats);
     }
     let start = Instant::now();
-    let result = solve_impl(problem, form, ws, warm, &mut stats);
+    let result = solve_impl(problem, form, ws, warm, out, &mut stats);
     // Fractional, so that the phases — disjoint stretches of this
     // interval — can never sum to more than it.
     let elapsed_us = start.elapsed().as_nanos() as f64 / 1e3;
@@ -939,9 +965,9 @@ pub(crate) fn solve(
             r.observe("lp.warm_dual_iters", stats.warm.dual_iters as f64);
         }
         match &result {
-            Ok(sol) => {
-                r.counter_add("lp.pivots", sol.iterations as u64);
-                r.observe("lp.iterations", sol.iterations as f64);
+            Ok(()) => {
+                r.counter_add("lp.pivots", out.iterations as u64);
+                r.observe("lp.iterations", out.iterations as f64);
             }
             Err(LpError::Infeasible { .. }) => r.counter_add("lp.infeasible", 1),
             Err(LpError::Unbounded { .. }) => r.counter_add("lp.unbounded", 1),
@@ -957,8 +983,9 @@ fn solve_impl(
     form: Option<&mut InternalForm>,
     ws: &mut Workspace,
     warm: Option<&Basis>,
+    out: &mut Solution,
     stats: &mut SolveStats,
-) -> Result<Solution, LpError> {
+) -> Result<(), LpError> {
     let mut built = None;
     let f = match form {
         Some(f) => f,
@@ -978,8 +1005,8 @@ fn solve_impl(
 
     // ---- Warm path --------------------------------------------------------
     if let Some(basis) = warm {
-        if let Some(sol) = try_warm(problem, f, basis, tol2, cap, stats, ws)? {
-            return Ok(sol);
+        if try_warm(problem, f, basis, tol2, cap, stats, ws, out)? {
+            return Ok(());
         }
     }
 
@@ -987,26 +1014,28 @@ fn solve_impl(
     let mut rev = cold_start(f, problem, &stats.clock, ws)?;
     let needs_phase1 = f.art_col.iter().any(Option::is_some);
     if needs_phase1 {
-        let phase1_cost: Vec<f64> = (0..f.n_total)
-            .map(|j| if j >= f.art_start { 1.0 } else { 0.0 })
-            .collect();
-        if rev.run_primal(&phase1_cost, FEAS_TOL * 1e-2, cap)?.is_some() {
+        let mut phase1_cost = std::mem::take(&mut rev.ws.phase1_cost);
+        phase1_cost.clear();
+        phase1_cost.extend((0..f.n_total).map(|j| if j >= f.art_start { 1.0 } else { 0.0 }));
+        let phase1 = rev.run_primal(&phase1_cost, FEAS_TOL * 1e-2, cap);
+        rev.ws.phase1_cost = phase1_cost;
+        if phase1?.is_some() {
             // Phase 1 is bounded below by 0; "unbounded" is numerical
             // breakdown.
             return Err(LpError::IterationLimit { limit: cap });
         }
         let residual: f64 = (0..f.m())
-            .filter(|&i| rev.basic[i] >= f.art_start)
-            .map(|i| rev.xb[i].max(0.0))
+            .filter(|&i| rev.b.basic[i] >= f.art_start)
+            .map(|i| rev.b.xb[i].max(0.0))
             .sum();
         if residual > FEAS_TOL {
             return Err(LpError::Infeasible { residual });
         }
         // Freeze artificials at zero for phase 2.
         for j in f.art_start..f.n_total {
-            rev.upper[j] = 0.0;
-            if rev.state[j] == VarState::Upper {
-                rev.state[j] = VarState::Lower;
+            rev.b.upper[j] = 0.0;
+            if rev.b.state[j] == VarState::Upper {
+                rev.b.state[j] = VarState::Lower;
             }
         }
     }
@@ -1018,7 +1047,7 @@ fn solve_impl(
     }
     stats.degen = rev.degen_total;
     stats.refactorizations = rev.factorizations.saturating_sub(1);
-    rev.extract(problem)
+    rev.extract(problem, out)
 }
 
 /// Build the phase-1 starting point: slacks basic on `Le` rows,
@@ -1030,10 +1059,15 @@ fn cold_start<'a>(
     ws: &'a mut Workspace,
 ) -> Result<Rev<'a>, LpError> {
     let m = f.m();
-    let mut basic = vec![usize::MAX; m];
-    let mut state = vec![VarState::Lower; f.n_total];
+    let mut rev = Rev::new(f, problem, clock, ws);
+    let b = &mut rev.b;
+    b.upper.clone_from(&f.upper);
+    b.basic.clear();
+    b.basic.resize(m, usize::MAX);
+    b.state.clear();
+    b.state.resize(f.n_total, VarState::Lower);
     for i in 0..m {
-        let b = match (f.ops[i], f.slack_col[i], f.art_col[i]) {
+        let col = match (f.ops[i], f.slack_col[i], f.art_col[i]) {
             (crate::model::RowOp::Le, Some(s), _) => s,
             (_, _, Some(a)) => a,
             _ => {
@@ -1042,20 +1076,20 @@ fn cold_start<'a>(
                 })
             }
         };
-        basic[i] = b;
-        state[b] = VarState::Basic;
+        b.basic[i] = col;
+        b.state[col] = VarState::Basic;
     }
-    let mut rev = Rev::new(f, problem, f.upper.clone(), basic, state, clock, ws);
     rev.factorize()?;
     rev.compute_xb()?;
     Ok(rev)
 }
 
-/// Attempt the warm path. `Ok(Some(..))` is a finished solve; `Ok(None)`
-/// means "fall back to cold" (structure mismatch, singular basis, dual
-/// infeasible, or the dual loop gave up). Genuine verdicts about the
-/// *problem* (unbounded phase 2 from a feasible warm basis) are returned
-/// as errors, not swallowed.
+/// Attempt the warm path. `Ok(true)` is a finished solve, written into
+/// `out`; `Ok(false)` means "fall back to cold" (structure mismatch,
+/// singular basis, dual infeasible, or the dual loop gave up). Genuine
+/// verdicts about the *problem* (unbounded phase 2 from a feasible warm
+/// basis) are returned as errors, not swallowed.
+#[allow(clippy::too_many_arguments)]
 fn try_warm(
     problem: &Problem,
     f: &InternalForm,
@@ -1064,35 +1098,37 @@ fn try_warm(
     cap: usize,
     stats: &mut SolveStats,
     ws: &mut Workspace,
-) -> Result<Option<Solution>, LpError> {
-    let Some((basic, mut state)) = basis.restore(f) else {
-        return Ok(None);
-    };
+    out: &mut Solution,
+) -> Result<bool, LpError> {
+    let mut rev = Rev::new(f, problem, &stats.clock, ws);
+    let b = &mut rev.b;
+    if !basis.restore(f, &mut b.basic, &mut b.state) {
+        return Ok(false);
+    }
     // Artificials are frozen outside phase 1; a restored basis may carry
     // them basic (degenerate rows) but never resting at a bound above 0.
-    let mut upper = f.upper.clone();
+    b.upper.clone_from(&f.upper);
     for j in f.art_start..f.n_total {
-        upper[j] = 0.0;
-        if state[j] == VarState::Upper {
-            state[j] = VarState::Lower;
+        b.upper[j] = 0.0;
+        if b.state[j] == VarState::Upper {
+            b.state[j] = VarState::Lower;
         }
     }
-    let mut rev = Rev::new(f, problem, upper, basic, state, &stats.clock, ws);
     if rev.factorize().is_err() {
         // The perturbed coefficients made the old basis singular.
-        return Ok(None);
+        return Ok(false);
     }
     if rev.compute_xb().is_err() {
-        return Ok(None);
+        return Ok(false);
     }
 
     // Primal-feasible at the old basis? Then phase 2 continues directly.
     let mut infeas = 0.0_f64;
     for i in 0..f.m() {
-        let k = rev.basic[i];
-        infeas = infeas.max(-rev.xb[i]);
-        if rev.upper[k].is_finite() {
-            infeas = infeas.max(rev.xb[i] - rev.upper[k]);
+        let k = rev.b.basic[i];
+        infeas = infeas.max(-rev.b.xb[i]);
+        if rev.b.upper[k].is_finite() {
+            infeas = infeas.max(rev.b.xb[i] - rev.b.upper[k]);
         }
     }
     if infeas > FEAS_TOL {
@@ -1108,40 +1144,40 @@ fn try_warm(
         // flipping them moves the iterate a full bound-length for no
         // gain and the clamped dual ratio test absorbs them at zero cost.
         if rev.price(&f.cost, Phase::Pricing).is_err() {
-            return Ok(None);
+            return Ok(false);
         }
         let flip_tol = 1e6 * tol2;
         let mut flipped = false;
         for j in 0..f.n_total {
             let d = rev.ws.d[j];
-            match rev.state[j] {
+            match rev.b.state[j] {
                 VarState::Basic => {}
                 // Fixed columns (u == 0) cannot leave their bound, so any
                 // reduced-cost sign is dual-feasible for them.
-                _ if rev.upper[j] <= 0.0 => {}
+                _ if rev.b.upper[j] <= 0.0 => {}
                 // (Unboxed Lower columns stay put: the dual ratio test
                 // pulls them into the basis at a clamped zero ratio.)
-                VarState::Lower if d < -flip_tol && rev.upper[j].is_finite() => {
-                    rev.state[j] = VarState::Upper;
+                VarState::Lower if d < -flip_tol && rev.b.upper[j].is_finite() => {
+                    rev.b.state[j] = VarState::Upper;
                     flipped = true;
                 }
                 VarState::Upper if d > flip_tol => {
                     // The internal form's lower bound is 0: always finite.
-                    rev.state[j] = VarState::Lower;
+                    rev.b.state[j] = VarState::Lower;
                     flipped = true;
                 }
                 _ => {}
             }
         }
         if flipped && rev.compute_xb().is_err() {
-            return Ok(None);
+            return Ok(false);
         }
         match rev.run_dual(&f.cost, cap) {
             Ok(()) => {
                 stats.warm.dual_reentry = true;
                 stats.warm.dual_iters = rev.iterations;
             }
-            Err(_) => return Ok(None),
+            Err(_) => return Ok(false),
         }
     }
 
@@ -1150,7 +1186,7 @@ fn try_warm(
         Ok(None) => {
             stats.degen = rev.degen_total;
             stats.refactorizations = rev.factorizations.saturating_sub(1);
-            rev.extract(problem).map(Some)
+            rev.extract(problem, out).map(|()| true)
         }
         Ok(Some(q)) => Err(LpError::Unbounded {
             var: f.unbounded_var_name(problem, q),
@@ -1160,7 +1196,7 @@ fn try_warm(
         Err(LpError::IterationLimit { .. }) | Err(LpError::Internal { .. }) => {
             stats.warm.warm_start = false;
             stats.warm.dual_reentry = false;
-            Ok(None)
+            Ok(false)
         }
         Err(e) => Err(e),
     }
@@ -1320,7 +1356,7 @@ mod tests {
     #[test]
     fn matches_dense_on_basic_problem() {
         let p = sample();
-        let s = solve(&p, None, &mut Workspace::default(), None).unwrap();
+        let s = p.solve_warm(None).unwrap();
         assert!((s.objective - 10.0).abs() < 1e-9);
         assert!((s.values[0] - 2.0).abs() < 1e-9);
         assert!((s.values[1] - 2.0).abs() < 1e-9);
@@ -1330,8 +1366,8 @@ mod tests {
     #[test]
     fn warm_restart_costs_no_pivots_when_unperturbed() {
         let p = sample();
-        let cold = solve(&p, None, &mut Workspace::default(), None).unwrap();
-        let warm = solve(&p, None, &mut Workspace::default(), cold.basis.as_ref()).unwrap();
+        let cold = p.solve_warm(None).unwrap();
+        let warm = p.solve_warm(cold.basis.as_ref()).unwrap();
         assert_eq!(warm.iterations, 0, "unchanged problem should re-verify, not re-pivot");
         assert!((warm.objective - cold.objective).abs() < 1e-9);
     }
@@ -1339,12 +1375,12 @@ mod tests {
     #[test]
     fn warm_restart_after_cost_change_stays_correct() {
         let mut p = sample();
-        let cold = solve(&p, None, &mut Workspace::default(), None).unwrap();
+        let cold = p.solve_warm(None).unwrap();
         // Flip the preference toward y.
         p.set_var_objective(crate::model::VarId(0), 1.0);
         p.set_var_objective(crate::model::VarId(1), 5.0);
-        let warm = solve(&p, None, &mut Workspace::default(), cold.basis.as_ref()).unwrap();
-        let fresh = solve(&p, None, &mut Workspace::default(), None).unwrap();
+        let warm = p.solve_warm(cold.basis.as_ref()).unwrap();
+        let fresh = p.solve_warm(None).unwrap();
         assert!((warm.objective - fresh.objective).abs() < 1e-9);
         assert!(p.max_violation(&warm.values) < 1e-9);
     }
@@ -1355,11 +1391,11 @@ mod tests {
         let x = p.add_var("x", 0.0, 10.0, 3.0);
         let y = p.add_var("y", 0.0, 10.0, 2.0);
         let r = p.add_row("cap", &[(x, 1.0), (y, 1.0)], RowOp::Le, 8.0);
-        let cold = solve(&p, None, &mut Workspace::default(), None).unwrap();
+        let cold = p.solve_warm(None).unwrap();
         // Fault-style tightening: the binding row loses half its budget.
         p.cons[r.0].rhs = 4.0;
-        let warm = solve(&p, None, &mut Workspace::default(), cold.basis.as_ref()).unwrap();
-        let fresh = solve(&p, None, &mut Workspace::default(), None).unwrap();
+        let warm = p.solve_warm(cold.basis.as_ref()).unwrap();
+        let fresh = p.solve_warm(None).unwrap();
         assert!((warm.objective - fresh.objective).abs() < 1e-9);
         assert!(p.max_violation(&warm.values) < 1e-9);
     }
@@ -1367,13 +1403,13 @@ mod tests {
     #[test]
     fn mismatched_basis_falls_back_to_cold() {
         let p = sample();
-        let cold = solve(&p, None, &mut Workspace::default(), None).unwrap();
+        let cold = p.solve_warm(None).unwrap();
         // A structurally different problem: extra row.
         let mut p2 = sample();
         let x = crate::model::VarId(0);
         p2.add_row("extra", &[(x, 1.0)], RowOp::Le, 1.5);
-        let s = solve(&p2, None, &mut Workspace::default(), cold.basis.as_ref()).unwrap();
-        let fresh = solve(&p2, None, &mut Workspace::default(), None).unwrap();
+        let s = p2.solve_warm(cold.basis.as_ref()).unwrap();
+        let fresh = p2.solve_warm(None).unwrap();
         assert!((s.objective - fresh.objective).abs() < 1e-9);
     }
 
@@ -1382,12 +1418,12 @@ mod tests {
         let mut p = Problem::new(Sense::Maximize);
         let x = p.add_var("x", 0.0, 1.0, 1.0);
         p.add_row("force", &[(x, 1.0)], RowOp::Ge, 3.0);
-        assert!(matches!(solve(&p, None, &mut Workspace::default(), None), Err(LpError::Infeasible { .. })));
+        assert!(matches!(p.solve_warm(None), Err(LpError::Infeasible { .. })));
 
         let mut q = Problem::new(Sense::Maximize);
         let _g = q.add_var("growth", 0.0, f64::INFINITY, 1.0);
         assert!(matches!(
-            solve(&q, None, &mut Workspace::default(), None),
+            q.solve_warm(None),
             Err(LpError::Unbounded { var }) if var == "growth"
         ));
     }
@@ -1423,7 +1459,7 @@ mod tests {
                 1.0,
             );
         }
-        let s = solve(&p, None, &mut Workspace::default(), None).unwrap();
+        let s = p.solve_warm(None).unwrap();
         for (k, &v) in vars.iter().enumerate() {
             assert!((s.value(v) - (k as f64 + 1.0)).abs() < 1e-7, "x{k}");
         }

@@ -26,6 +26,11 @@ pub struct Solution {
 }
 
 impl Solution {
+    /// No solution yet: the storage a solve writes its optimum into.
+    pub(crate) fn empty() -> Solution {
+        Solution { objective: 0.0, values: Vec::new(), duals: Vec::new(), iterations: 0, basis: None }
+    }
+
     /// Value of a variable by handle.
     pub fn value(&self, v: crate::VarId) -> f64 {
         self.values[v.0]

@@ -65,7 +65,9 @@ fn huge_coefficient_spread_is_survivable() {
     p.add_row("r1", &[(x, 1e6), (y, 1.0)], RowOp::Le, 2e6);
     p.add_row("r2", &[(x, 1.0), (y, 1e-6)], RowOp::Le, 2.0);
     let sol = p.solve().unwrap();
-    assert!(p.max_violation(&sol.values) < 1e-4);
+    let (x, y) = (sol.value(x), sol.value(y));
+    let worst = [1e6 * x + y - 2e6, x + 1e-6 * y - 2.0, -x, -y].into_iter().fold(0.0, f64::max);
+    assert!(worst < 1e-4, "a row or bound missed by {worst}");
 }
 
 #[test]
@@ -114,7 +116,9 @@ fn zero_objective_feasibility_equivalence() {
     let y = p.add_var("y", 0.0, 4.0, 0.0);
     p.add_row("r", &[(x, 1.0), (y, 2.0)], RowOp::Ge, 3.0);
     let a = p.solve().unwrap();
-    assert!(p.max_violation(&a.values) < 1e-7);
+    let (x, y) = (a.value(x), a.value(y));
+    let worst = [3.0 - (x + 2.0 * y), -x, -y, x - 4.0, y - 4.0].into_iter().fold(0.0, f64::max);
+    assert!(worst < 1e-7, "a row or bound missed by {worst}");
     certify(&p, &a).unwrap();
 }
 

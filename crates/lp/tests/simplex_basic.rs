@@ -19,7 +19,9 @@ fn textbook_maximization() {
     assert!(close(sol.objective, 36.0), "obj = {}", sol.objective);
     assert!(close(sol.value(x), 2.0));
     assert!(close(sol.value(y), 6.0));
-    assert!(close(p.max_violation(&sol.values), 0.0));
+    let (x, y) = (sol.value(x), sol.value(y));
+    let worst = [x - 4.0, 2.0 * y - 12.0, 3.0 * x + 2.0 * y - 18.0, -x, -y].into_iter().fold(0.0, f64::max);
+    assert!(close(worst, 0.0), "a row or bound missed by {worst}");
 }
 
 #[test]
@@ -180,7 +182,9 @@ fn zero_objective_solve_finds_a_point() {
     p.add_row("r1", &[(x, 1.0), (y, 1.0)], RowOp::Eq, 7.0);
     p.add_row("r2", &[(x, 1.0), (y, -1.0)], RowOp::Ge, 1.0);
     let sol = p.solve().unwrap();
-    assert!(p.max_violation(&sol.values) < 1e-7);
+    let (x, y) = (sol.value(x), sol.value(y));
+    let worst = [(x + y - 7.0).abs(), 1.0 - (x - y), -x, -y, x - 10.0, y - 10.0].into_iter().fold(0.0, f64::max);
+    assert!(worst < 1e-7, "a row or bound missed by {worst}");
     certify(&p, &sol).unwrap();
 }
 
@@ -282,5 +286,12 @@ fn transportation_problem() {
     let sol = p.solve().unwrap();
     // Optimal: x00=5, x02=5, x11=15, x12=5 -> 20+45+45+40 = 150.
     assert!(close(sol.objective, 150.0), "obj = {}", sol.objective);
-    assert!(p.max_violation(&sol.values) < 1e-7);
+    let v = |i: usize, j: usize| sol.value(x[i][j].unwrap());
+    for (i, &s) in supplies.iter().enumerate() {
+        assert!((0..3).map(|j| v(i, j)).sum::<f64>() <= s + 1e-7, "supply {i}");
+    }
+    for (j, &d) in demands.iter().enumerate() {
+        assert!((0..2).map(|i| v(i, j)).sum::<f64>() >= d - 1e-7, "demand {j}");
+    }
+    assert!(sol.values.iter().all(|&x| x >= -1e-7));
 }

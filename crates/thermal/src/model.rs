@@ -22,14 +22,20 @@
 //! `G_n = A_nn·M·D` and `G_c = A_cn·M·D` (`M = (I − A_nn)⁻¹`) do **not**
 //! depend on `c`, so the Stage-1 CRAC-temperature search recomputes only
 //! the `base` vectors per candidate — the expensive inverse is paid once.
+//!
+//! A search asks for the base vectors and a steady state once per
+//! candidate, so each has a form that writes into storage the caller
+//! keeps ([`ThermalModel::coefficients_in`], [`ThermalModel::steady_state_in`]);
+//! the allocating forms are those with fresh storage.
 
 use crate::interference::CrossInterference;
 use crate::layout::Layout;
 use crate::{cop, RHO_CP};
 use thermaware_linalg::{Lu, Matrix};
 
-/// Steady-state temperatures of every unit.
-#[derive(Debug, Clone)]
+/// Steady-state temperatures of every unit. The default is empty
+/// storage for [`ThermalModel::steady_state_in`] to write into.
+#[derive(Debug, Clone, Default)]
 pub struct ThermalState {
     /// Number of CRAC units (prefix of each vector).
     pub n_crac: usize,
@@ -60,20 +66,20 @@ impl ThermalState {
     }
 }
 
-/// Affine inlet-temperature coefficients at fixed CRAC outlets.
-///
-/// The base vectors depend on the outlets and are owned; the two
-/// sensitivity matrices do not, and are borrowed from the model.
-#[derive(Debug, Clone)]
-pub struct ThermalCoefficients<'a> {
+/// The outlet-dependent part of the affine inlet temperatures at fixed
+/// CRAC outlets: `Tin = base + G · P`, with the sensitivities `G` the
+/// model's own ([`ThermalModel::g_node`], [`ThermalModel::g_crac`]),
+/// the same at every outlet setting. The default is empty storage for
+/// [`ThermalModel::coefficients_in`] to write into.
+#[derive(Debug, Clone, Default)]
+pub struct ThermalCoefficients {
     /// `Tin_node_i = base_node[i] + Σ_j g_node[(i, j)] · P_j`.
     pub base_node: Vec<f64>,
-    /// Node-inlet sensitivity to node powers (`n_nodes × n_nodes`).
-    pub g_node: &'a Matrix,
     /// `Tin_crac_i = base_crac[i] + Σ_j g_crac[(i, j)] · P_j`.
     pub base_crac: Vec<f64>,
-    /// CRAC-inlet sensitivity to node powers (`n_crac × n_nodes`).
-    pub g_crac: &'a Matrix,
+    /// Node outlets at zero node power, `M · A_nc · c`: what the base
+    /// vectors are summed from.
+    zero_power_out: Vec<f64>,
 }
 
 /// The assembled steady-state thermal model of one data center.
@@ -212,13 +218,29 @@ impl ThermalModel {
     /// Steady-state temperatures for assigned CRAC outlets (°C) and node
     /// powers (kW, *total* node power including base).
     pub fn steady_state(&self, crac_out_c: &[f64], node_power_kw: &[f64]) -> ThermalState {
+        let mut state = ThermalState::default();
+        self.steady_state_in(crac_out_c, node_power_kw, &mut state);
+        state
+    }
+
+    /// [`ThermalModel::steady_state`] written into `state`, in the
+    /// storage it has.
+    pub fn steady_state_in(&self, crac_out_c: &[f64], node_power_kw: &[f64], state: &mut ThermalState) {
         assert_eq!(crac_out_c.len(), self.n_crac);
         assert_eq!(node_power_kw.len(), self.n_nodes);
         let nc = self.n_crac;
         let nn = self.n_nodes;
+        state.n_crac = nc;
+        let (t_in, t_out) = (&mut state.t_in, &mut state.t_out);
+        t_in.clear();
+        t_in.resize(nc + nn, 0.0);
+        t_out.clear();
+        t_out.extend_from_slice(crac_out_c);
+        t_out.resize(nc + nn, 0.0);
 
-        // rhs = A_nc * c + D * P.
-        let mut rhs = vec![0.0; nn];
+        // rhs = A_nc * c + D * P, held in the node part of `t_in` until
+        // the inlets overwrite it.
+        let rhs = &mut t_in[nc..];
         for (i, r) in rhs.iter_mut().enumerate() {
             let mut acc = 0.0;
             for (j, &c) in crac_out_c.iter().enumerate() {
@@ -227,53 +249,52 @@ impl ThermalModel {
             acc += node_power_kw[i] / (RHO_CP * self.flows[nc + i]);
             *r = acc;
         }
-        let t_out_nodes = self.m_inv.mat_vec(&rhs);
-
-        let mut t_out = Vec::with_capacity(nc + nn);
-        t_out.extend_from_slice(crac_out_c);
-        t_out.extend_from_slice(&t_out_nodes);
-        let t_in = self.a.mat_vec(&t_out);
-        ThermalState {
-            n_crac: nc,
-            t_in,
-            t_out,
-        }
+        self.m_inv.mat_vec_in(rhs, &mut t_out[nc..]);
+        self.a.mat_vec_in(t_out, t_in);
     }
 
     /// Affine inlet coefficients at fixed CRAC outlets (see module docs).
     /// The sensitivity matrices are precomputed; only the base vectors are
     /// built here, so this is cheap enough for the CRAC temperature search.
-    pub fn coefficients(&self, crac_out_c: &[f64]) -> ThermalCoefficients<'_> {
+    pub fn coefficients(&self, crac_out_c: &[f64]) -> ThermalCoefficients {
+        let mut coeff = ThermalCoefficients::default();
+        self.coefficients_in(crac_out_c, &mut coeff);
+        coeff
+    }
+
+    /// [`ThermalModel::coefficients`] written into `coeff`, in the
+    /// storage it has.
+    pub fn coefficients_in(&self, crac_out_c: &[f64], coeff: &mut ThermalCoefficients) {
         assert_eq!(crac_out_c.len(), self.n_crac);
         let nc = self.n_crac;
         let nn = self.n_nodes;
+        let ThermalCoefficients { base_node, base_crac, zero_power_out: t0 } = coeff;
 
         // t0 = M * (A_nc * c): node outlets with zero node power.
-        let mut anc_c = vec![0.0; nn];
+        let anc_c = base_node;
+        anc_c.clear();
+        anc_c.resize(nn, 0.0);
         for (i, v) in anc_c.iter_mut().enumerate() {
             for (j, &c) in crac_out_c.iter().enumerate() {
                 *v += self.a[(nc + i, j)] * c;
             }
         }
-        let t0 = self.m_inv.mat_vec(&anc_c);
+        t0.clear();
+        t0.resize(nn, 0.0);
+        self.m_inv.mat_vec_in(anc_c, t0);
 
         // base_node_i = (A_nc c)_i + (A_nn t0)_i ; base_crac_i = (A_cc c)_i
         // + (A_cn t0)_i.
-        let mut base_node = anc_c;
-        add_block_times(&self.a, nc, nc, &t0, &mut base_node);
-        let mut base_crac = vec![0.0; nc];
+        let base_node = anc_c;
+        add_block_times(&self.a, nc, nc, t0, base_node);
+        base_crac.clear();
+        base_crac.resize(nc, 0.0);
         for (i, b) in base_crac.iter_mut().enumerate() {
             for (j, &c) in crac_out_c.iter().enumerate() {
                 *b += self.a[(i, j)] * c;
             }
         }
-        add_block_times(&self.a, 0, nc, &t0, &mut base_crac);
-        ThermalCoefficients {
-            base_node,
-            g_node: &self.g_node,
-            base_crac,
-            g_crac: &self.g_crac,
-        }
+        add_block_times(&self.a, 0, nc, t0, base_crac);
     }
 
     /// Total CRAC power (Eqs. 2–3) at a steady state, given the assigned
@@ -424,6 +445,32 @@ mod tests {
         }
     }
 
+    /// The in-place forms, writing into storage a larger room's calls
+    /// left, give what the allocating forms give, bit for bit.
+    #[test]
+    fn in_place_forms_in_used_storage_equal_fresh_ones() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let (mut coeff, mut state) = (ThermalCoefficients::default(), ThermalState::default());
+        for (n_crac, n_nodes, seed) in [(3, 24, 2), (2, 20, 5), (1, 7, 9)] {
+            let layout = Layout::hot_cold_aisle(n_crac, n_nodes);
+            let flows = uniform_flows(&layout, 0.07, None);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let ci = generate_ipf(&layout, &flows, &mut rng).unwrap();
+            let model = ThermalModel::new(&layout, &flows, &ci, 25.0, 40.0).unwrap();
+            let outlets: Vec<f64> = (0..n_crac).map(|c| 13.0 + 2.5 * c as f64).collect();
+            let powers: Vec<f64> = (0..n_nodes).map(|j| 0.2 + 0.05 * (j % 5) as f64).collect();
+            model.coefficients_in(&outlets, &mut coeff);
+            let fresh = model.coefficients(&outlets);
+            assert_eq!(bits(&coeff.base_node), bits(&fresh.base_node), "{n_crac} x {n_nodes}");
+            assert_eq!(bits(&coeff.base_crac), bits(&fresh.base_crac), "{n_crac} x {n_nodes}");
+            model.steady_state_in(&outlets, &powers, &mut state);
+            let fresh = model.steady_state(&outlets, &powers);
+            assert_eq!(state.n_crac, fresh.n_crac);
+            assert_eq!(bits(&state.t_in), bits(&fresh.t_in), "{n_crac} x {n_nodes}");
+            assert_eq!(bits(&state.t_out), bits(&fresh.t_out), "{n_crac} x {n_nodes}");
+        }
+    }
+
     #[test]
     fn zero_power_means_uniform_cold() {
         // With no node power, every temperature equals the (uniform) CRAC
@@ -487,7 +534,7 @@ mod tests {
         let state = model.steady_state(&crac_out, &powers);
         for i in 0..20 {
             let affine = coeff.base_node[i]
-                + (0..20).map(|j| coeff.g_node[(i, j)] * powers[j]).sum::<f64>();
+                + (0..20).map(|j| model.g_node()[(i, j)] * powers[j]).sum::<f64>();
             assert!(
                 (affine - state.t_in[2 + i]).abs() < 1e-9,
                 "node {i}: affine {affine} vs exact {}",
@@ -496,7 +543,7 @@ mod tests {
         }
         for i in 0..2 {
             let affine = coeff.base_crac[i]
-                + (0..20).map(|j| coeff.g_crac[(i, j)] * powers[j]).sum::<f64>();
+                + (0..20).map(|j| model.g_crac()[(i, j)] * powers[j]).sum::<f64>();
             assert!((affine - state.t_in[i]).abs() < 1e-9);
         }
     }
@@ -521,15 +568,14 @@ mod tests {
     fn sensitivities_are_nonnegative() {
         // More power anywhere can never cool any inlet.
         let (_, _, model) = small_model();
-        let c = model.coefficients(&[18.0, 18.0]);
         for i in 0..20 {
             for j in 0..20 {
-                assert!(c.g_node[(i, j)] >= -1e-12);
+                assert!(model.g_node()[(i, j)] >= -1e-12);
             }
         }
         for i in 0..2 {
             for j in 0..20 {
-                assert!(c.g_crac[(i, j)] >= -1e-12);
+                assert!(model.g_crac()[(i, j)] >= -1e-12);
             }
         }
     }

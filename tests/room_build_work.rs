@@ -11,32 +11,53 @@
 //! before the arena, when every term was also in a per-row `Vec` (16
 //! bytes) and in the form's row store (12); 1,984,240 (2,030,752) with
 //! it; 1,937,569 (1,984,081) once variable names shared one string and
-//! each node's cores were written in place. A second dense copy of the terms (~0.55 MB) or the per-row lists
-//! back (~0.74 MB) breaks the bound. A debug build allocates a little
-//! more (the certificate every solve is checked against), hence its own
-//! bound.
+//! each node's cores were written in place; 1,710,963 (1,757,475) once
+//! a candidate allocated nothing after the first. A second dense copy of
+//! the terms (~0.55 MB) or the per-row lists back (~0.74 MB) breaks the
+//! bound. A debug build allocates a little more (the certificate every
+//! solve is checked against), hence its own bound.
 //!
-//! A second sweep through the same `SweepStorage` builds its room LP in
-//! the storage the first left: the problem's arena, the form's column
-//! store and the simplex workspace allocate nothing. What it does
-//! allocate is its ten candidates' own — each solve's result and working
-//! vectors, the thermal coefficients and the exact re-check's steady
-//! state, ~29.5 kB a candidate — and the plan. Measured: 337,952 bytes
-//! against the first sweep's 1,937,569 in release (384,464 against
-//! 1,984,081 in debug). Losing the reuse of any one of the three stores
-//! costs 0.36 MB or more and breaks the bound of a quarter.
+//! A second sweep through the same `SweepStorage` builds its room LP and
+//! works its candidates in the storage the first left: the problem's
+//! arena, the form's column store, the simplex workspace and solution,
+//! the thermal coefficients, the node powers and the re-check's steady
+//! state allocate nothing. What it does allocate is its own set-up — the
+//! ARR curves, the variables' layout, the rows' ids — and the plan.
+//! Measured: 72,868 bytes against the first sweep's 1,710,963 in release
+//! (119,380 against 1,757,475 in debug); 337,952 (384,464) before, when
+//! each of its ten candidates allocated ~29.5 kB of its own. Losing the
+//! reuse of the problem's arena, the form's column store or the simplex
+//! workspace costs 0.36 MB or more and breaks the bound of a tenth.
+//!
+//! Nor does a second sweep allocate more the more candidates it solves:
+//! over the zone's 10–25 °C outlet range the default grid solves ten
+//! candidates, a 15 °C coarse-only grid four, and a second sweep of each
+//! allocated 72,868 and 72,804 bytes in release (the 64 are the longer
+//! grid axes). A buffer a candidate stops reusing costs at least one
+//! vector per node (1.2 kB) a candidate and breaks the bound; in debug
+//! each solve's certificate allocates its working vectors (~5.2 kB a
+//! candidate here), which the debug bound allows.
 //!
 //! A counting global allocator is installed, which is why these tests
 //! have a file (a process) to themselves; they take turns with it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Mutex, PoisonError};
-use thermaware::core::stage1::{solve_stage1, solve_stage1_in, Stage1Options, SweepStorage};
-use thermaware::datacenter::{DataCenter, ScenarioParams};
+use std::sync::{Arc, Mutex, PoisonError};
+use thermaware::core::stage1::{
+    solve_stage1, solve_stage1_in, Stage1Options, Stage1Solution, SweepStorage,
+};
+use thermaware::datacenter::{CracSearchOptions, DataCenter, ScenarioParams};
+use thermaware::obs::{self, MemoryRecorder};
 
 /// About 1.25 times what the sweep allocates (see the module docs).
-const SWEEP_BYTES: u64 = if cfg!(debug_assertions) { 2_550_000 } else { 2_490_000 };
+const SWEEP_BYTES: u64 = if cfg!(debug_assertions) { 2_200_000 } else { 2_140_000 };
+
+/// What a second sweep may allocate beyond a second sweep of fewer
+/// candidates: the longer grid axes, and in debug each further
+/// candidate's certificate (see the module docs).
+const AXES_BYTES: u64 = 256;
+const CERTIFICATE_BYTES: u64 = if cfg!(debug_assertions) { 6_000 } else { 0 };
 
 static BYTES: AtomicU64 = AtomicU64::new(0);
 
@@ -106,25 +127,64 @@ fn a_zone_sweep_allocates_its_model_once() {
 }
 
 /// Two sweeps of the zone through one [`SweepStorage`], as a replan's
-/// worker runs one zone after another: the second builds its room LP in
-/// the storage the first left, so it allocates under a quarter of what
-/// the first did. Both plans are the plan, bit for bit.
+/// worker runs one zone after another: the second builds its room LP and
+/// solves its candidates in the storage the first left, so it allocates
+/// under a tenth of what the first did. Both plans are the plan, bit for
+/// bit.
 #[test]
 fn a_second_sweep_builds_in_the_first_ones_storage() {
     let _counting = COUNTING.lock().unwrap_or_else(PoisonError::into_inner);
     let dc = zone();
-    let options = Stage1Options::default();
+    let (first, second, plan, again) = two_sweeps(&dc, &Stage1Options::default());
+    assert_eq!(plan, again, "the same plan from used storage");
+    assert!(
+        second * 10 < first,
+        "the second sweep allocated {second} bytes, the first {first}: a tenth is the gate"
+    );
+}
+
+/// A second sweep of the default grid's ten candidates allocates what a
+/// second sweep of a 15 °C coarse-only grid's four does, plus the longer
+/// axes (and in debug the further candidates' certificates): a candidate
+/// allocates nothing.
+#[test]
+fn a_second_sweeps_bytes_do_not_grow_with_its_candidates() {
+    let _counting = COUNTING.lock().unwrap_or_else(PoisonError::into_inner);
+    let dc = zone();
+    let coarse_only = Stage1Options {
+        search: CracSearchOptions { coarse_step_c: 15.0, refine_radius: 0 },
+        ..Stage1Options::default()
+    };
+    let (many, few) = (candidates(&dc, &Stage1Options::default()), candidates(&dc, &coarse_only));
+    assert_eq!((many, few), (10, 4), "the grids' candidates, the winner's re-solve included");
+    let (_, more, ..) = two_sweeps(&dc, &Stage1Options::default());
+    let (_, fewer, ..) = two_sweeps(&dc, &coarse_only);
+    let bound = fewer + AXES_BYTES + (many - few) * CERTIFICATE_BYTES;
+    assert!(
+        more <= bound,
+        "a second sweep of {many} candidates allocated {more} bytes, of {few} {fewer}: the gate is {bound}"
+    );
+}
+
+/// The bytes each of two sweeps through one [`SweepStorage`] allocated,
+/// and their plans.
+fn two_sweeps(dc: &DataCenter, options: &Stage1Options) -> (u64, u64, Stage1Solution, Stage1Solution) {
     let mut storage = SweepStorage::default();
     let mut sweep = || {
         let before = BYTES.load(Relaxed);
-        let plan = solve_stage1_in(&dc, dc.budget.p_const_kw, &options, &mut storage);
+        let plan = solve_stage1_in(dc, dc.budget.p_const_kw, options, &mut storage);
         (BYTES.load(Relaxed) - before, plan.expect("the zone is plannable"))
     };
     let (first, plan) = sweep();
     let (second, again) = sweep();
-    assert_eq!(plan, again, "the same plan from used storage");
-    assert!(
-        second * 4 < first,
-        "the second sweep allocated {second} bytes, the first {first}: a quarter is the gate"
-    );
+    (first, second, plan, again)
+}
+
+/// The candidates a sweep solves, the winner's re-solve included, off
+/// the LP engine's counter (an uncounted run: the recorder allocates).
+fn candidates(dc: &DataCenter, options: &Stage1Options) -> u64 {
+    let recorder = Arc::new(MemoryRecorder::new());
+    let _installed = obs::install(recorder.clone());
+    solve_stage1(dc, options).expect("the zone is plannable");
+    recorder.snapshot().counter("lp.solves")
 }
