@@ -12,6 +12,15 @@
 //! the call graph, `BTreeMap`/`BTreeSet`, or — for timing only — an
 //! obs-gated block.
 //!
+//! A branch on the CPU's features (`is_x86_feature_detected!` and its
+//! siblings for other architectures) is nondeterminism of another kind:
+//! the same input takes another path on another machine, so a journal
+//! written on one box may replay differently on the next. It is sound
+//! only where both paths give the same bits and a test holds them to
+//! it — `thermaware_linalg::kernel`, whose proptest compares each
+//! dispatched kernel with its plain loop — and is a finding anywhere
+//! else on the replay path.
+//!
 //! **Obs-gated timing blocks are exempt**: `Instant::now` behind a
 //! `thermaware_obs::enabled()` check (within the preceding ten lines)
 //! only measures, never feeds the computation, and is how the
@@ -43,6 +52,10 @@ const SERVICE_REPLAY_FILES: [&str; 4] =
 /// wall-clock code by design.
 const SHARD_REPLAY_FILES: [&str; 5] =
     ["/fleet.rs", "/profile.rs", "/master.rs", "/solver.rs", "/state.rs"];
+
+/// The one file on the replay path that may branch on the CPU's
+/// features (see the module docs).
+const CPU_DISPATCH_FILE: &str = "crates/linalg/src/kernel.rs";
 
 /// How many lines above a timing call an `obs::enabled()` gate may sit.
 const GATE_WINDOW: usize = 10;
@@ -88,6 +101,15 @@ fn check_file(file: &SourceFile, out: &mut Vec<Finding>) {
                 "HashMap/HashSet — RandomState iteration order varies per process; use BTreeMap/BTreeSet",
                 false,
             ),
+            t if t.starts_with("is_")
+                && t.ends_with("_feature_detected")
+                && !file.path.ends_with(CPU_DISPATCH_FILE) =>
+            {
+                (
+                    "CPU-feature branch — another machine takes another path; dispatch only in thermaware_linalg::kernel, whose paths a proptest holds to the same bits",
+                    false,
+                )
+            }
             _ => continue,
         };
         if file.in_test_region(tok.start) {
@@ -118,4 +140,26 @@ fn obs_gated(file: &SourceFile, line: usize) -> bool {
         let t = file.line_text(l);
         t.contains("obs::enabled()") || t.contains("enabled().then")
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn findings(path: &str, crate_name: &str, text: &str) -> Vec<Finding> {
+        let mut out = Vec::new();
+        check_file(&SourceFile::new(path.to_string(), crate_name.to_string(), text.to_string()), &mut out);
+        out
+    }
+
+    #[test]
+    fn a_cpu_feature_branch_is_a_finding_outside_the_kernel_module() {
+        let src = "fn f() -> bool {\n    std::is_x86_feature_detected!(\"avx2\") || is_aarch64_feature_detected!(\"neon\")\n}\n";
+        let flagged = findings("crates/lp/src/revised.rs", "lp", src);
+        assert_eq!(flagged.iter().map(|f| f.line).collect::<Vec<_>>(), [2, 2]);
+        assert!(findings("crates/linalg/src/kernel.rs", "linalg", src).is_empty());
+        // A test of another module may probe the CPU.
+        let in_test = "#[cfg(test)]\nmod tests {\n    fn t() -> bool { is_x86_feature_detected!(\"avx2\") }\n}\n";
+        assert!(findings("crates/lp/src/revised.rs", "lp", in_test).is_empty());
+    }
 }

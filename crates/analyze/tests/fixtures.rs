@@ -42,6 +42,7 @@ fn every_rule_flags_its_seeded_lines_exactly() {
         ("transitive-panic", "crates/core/src/picker.rs", 7), // …and the graph rule sees it from the entry
         ("layering", "crates/lp/Cargo.toml", 5),  // dag: lp -> core inverted edge
         ("layering", "crates/lp/Cargo.toml", 6),  // unused-dep: linalg never referenced
+        ("determinism", "crates/lp/src/dispatch.rs", 4), // is_x86_feature_detected! outside linalg::kernel
         ("determinism", lib, 8),                  // Instant::now, ungated
         ("determinism", lib, 12),                 // HashMap in return type
         ("determinism", lib, 13),                 // HashMap::new

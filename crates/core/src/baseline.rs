@@ -15,7 +15,7 @@
 //! DESIGN.md).
 
 use crate::error::SolveError;
-use crate::room::{self, Linearised, NodeLoad, RoomLp};
+use crate::room::{self, Layout, Linearised, RoomLp};
 use thermaware_datacenter::{CracSearchOptions, DataCenter};
 use thermaware_lp::{Problem, RowOp, Sense, VarId};
 use thermaware_thermal::ThermalState;
@@ -175,16 +175,12 @@ fn frac_lp(dc: &DataCenter) -> (RoomLp<'_>, Vec<Vec<Option<VarId>>>) {
 
     // Constraints 4 (redlines) and 3 (power budget, linearized exactly
     // like Stage 1's) are the room's.
-    let layout = (0..nn)
-        .map(|j| {
-            let nt = dc.node_type(j);
-            let pw = nt.core.pstates.power_kw(0) * nt.cores_per_node as f64;
-            NodeLoad {
-                vars: vars[j].iter().flatten().map(|&v| (v, pw)).collect(),
-                fixed_kw: nt.base_power_kw,
-            }
-        })
-        .collect();
+    let mut layout = Layout::default();
+    for j in 0..nn {
+        let nt = dc.node_type(j);
+        let pw = nt.core.pstates.power_kw(0) * nt.cores_per_node as f64;
+        layout.push_node(nt.base_power_kw, vars[j].iter().flatten().map(|&v| (v, pw)));
+    }
     (RoomLp::build(dc, p, layout, Some(dc.budget.p_const_kw)), vars)
 }
 

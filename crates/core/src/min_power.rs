@@ -12,11 +12,8 @@
 //! with Stage 3 that the discrete plan still clears the floor.
 
 use crate::error::SolveError;
-use crate::room::{self, Linearised, RoomLp};
-use crate::stage1::{
-    add_segment_vars, arr_and_node_curves, distribute_node_power, segment_layout,
-    segment_node_power,
-};
+use crate::room::{self, Layout, Linearised, RoomLp};
+use crate::stage1::{add_segment_vars, arr_and_node_curves, distribute_node_power, segment_node_power};
 use crate::stage3::solve_stage3;
 use thermaware_datacenter::{CracSearchOptions, DataCenter};
 use thermaware_lp::{Problem, RowOp, Sense, VarId};
@@ -74,11 +71,12 @@ pub fn solve_min_power(
     // (set per candidate), and earns its slope towards the floor.
     let nn = dc.n_nodes();
     let mut p = Problem::new(Sense::Minimize);
-    let node_vars = add_segment_vars(&mut p, dc, &node_curves, |_| 0.0);
-    let reward_terms: Vec<(VarId, f64)> = node_vars
-        .iter()
+    let mut layout = Layout::default();
+    add_segment_vars(&mut p, dc, &node_curves, |_| 0.0, &mut layout);
+    let reward_terms: Vec<(VarId, f64)> = layout
+        .nodes()
         .enumerate()
-        .flat_map(|(node, vars)| vars.iter().copied().zip(node_curves[dc.node_type_of[node]].slopes()))
+        .flat_map(|(node, vars)| vars.iter().map(|&(v, _)| v).zip(node_curves[dc.node_type_of[node]].slopes()))
         .collect();
     // Reward floor. NOTE: a minimization objective would happily leave a
     // later (cheaper-reward) segment filled while an earlier one is not;
@@ -87,7 +85,7 @@ pub fn solve_min_power(
     // first earns at least as much reward per watt).
     p.add_row_nodup("reward_floor", &reward_terms, RowOp::Ge, reward_floor);
     // Redlines only: the power budget is what this problem minimizes.
-    let mut room = RoomLp::build(dc, p, segment_layout(dc, &node_vars), None);
+    let mut room = RoomLp::build(dc, p, layout, None);
 
     let (mut lin, mut state) = (Linearised::default(), ThermalState::default());
     // The last solved candidate's core power per node: after the search,
@@ -96,13 +94,13 @@ pub fn solve_min_power(
     let (crac_out_c, _) =
         room::search_outlets(dc, options.search, "min_power", |outlets| {
             room.set_outlets(outlets, &mut lin);
-            for (vars, &c) in node_vars.iter().zip(&lin.node_coeff) {
-                for &v in vars {
+            for (vars, &c) in room.layout.nodes().zip(&lin.node_coeff) {
+                for &(v, _) in vars {
                     room.lp.set_var_objective(v, c);
                 }
             }
             let sol = room.lp.solve_warm(None).ok()?;
-            segment_node_power(&node_vars, sol, &mut node_core);
+            segment_node_power(&room.layout, sol, &mut node_core);
             dc.node_powers_in(&node_core, &mut node_powers);
             // No budget to break here, only redlines. The search maximizes;
             // score the negative of the exact power.

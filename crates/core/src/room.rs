@@ -4,8 +4,8 @@
 //! power (Eq. 6) and CRAC power is linear in them (Eq. 3), so Stage 1, the
 //! Eq. 21 baseline and the Section VIII power-minimising dual are LPs over
 //! *the same* redline rows and power row; they differ in their variables
-//! and objectives. A caller describes its variables as a [`NodeLoad`] per
-//! node — which variables carry the node's power and how many kW each
+//! and objectives. A caller describes its variables as a [`Layout`] — per
+//! node, which variables carry the node's power and how many kW each
 //! unit of them is — and this module owns the rest: the rows
 //! ([`RoomLp::build`]), what a choice of outlets does to them
 //! ([`RoomLp::set_outlets`]), the outlet search around them
@@ -32,13 +32,59 @@ use thermaware_datacenter::{optimize_crac_outlets, CracSearchOptions, DataCenter
 use thermaware_lp::{ConstraintId, Prepared, Problem, RowOp, Sense, VarId};
 use thermaware_thermal::{cop, ThermalCoefficients, ThermalState, RHO_CP};
 
-/// How one node's power reads off the caller's variables:
-/// `P_j = fixed_kw + Σ kw_per_unit · var`.
-pub(crate) struct NodeLoad {
-    /// The variables that carry the node's power, with kW per unit of each.
-    pub(crate) vars: Vec<(VarId, f64)>,
-    /// The node's power with every variable at zero, kW.
-    pub(crate) fixed_kw: f64,
+/// How each node's power reads off the caller's variables, node after
+/// node: `P_j = fixed_kw[j] + Σ kw_per_unit · var` over node `j`'s
+/// terms. Every node's terms share one buffer, so a layout is three
+/// vectors whatever the number of nodes, and one written over an
+/// earlier one ([`Layout::clear`]) allocates nothing once grown.
+#[derive(Default)]
+pub(crate) struct Layout {
+    /// `(variable, kW per unit)` of every node, node after node.
+    terms: Vec<(VarId, f64)>,
+    /// Where each node's terms end in `terms`; each node's start where
+    /// the one before ends, the first at 0.
+    end: Vec<usize>,
+    /// Each node's power with every variable at zero, kW.
+    fixed_kw: Vec<f64>,
+}
+
+impl Layout {
+    /// No nodes, in the buffers the last ones grew.
+    pub(crate) fn clear(&mut self) {
+        self.terms.clear();
+        self.end.clear();
+        self.fixed_kw.clear();
+    }
+
+    /// Room for `nodes` more nodes of `terms` more terms in all, so that
+    /// a layout of known size is three exact allocations.
+    pub(crate) fn reserve(&mut self, nodes: usize, terms: usize) {
+        self.terms.reserve_exact(terms);
+        self.end.reserve_exact(nodes);
+        self.fixed_kw.reserve_exact(nodes);
+    }
+
+    /// Append the next node: `fixed_kw` plus `vars`.
+    pub(crate) fn push_node(&mut self, fixed_kw: f64, vars: impl IntoIterator<Item = (VarId, f64)>) {
+        self.terms.extend(vars);
+        self.end.push(self.terms.len());
+        self.fixed_kw.push(fixed_kw);
+    }
+
+    /// How many nodes.
+    pub(crate) fn len(&self) -> usize {
+        self.fixed_kw.len()
+    }
+
+    /// Each node's terms, the variables that carry its power with kW per
+    /// unit of each, node after node. Of known length, so that a vector
+    /// collected from it is allocated once.
+    pub(crate) fn nodes(&self) -> impl ExactSizeIterator<Item = &[(VarId, f64)]> {
+        (0..self.end.len()).map(|j| {
+            let start = if j == 0 { 0 } else { self.end[j - 1] };
+            &self.terms[start..self.end[j]]
+        })
+    }
 }
 
 /// What a choice of outlets makes of the power model (Eq. 3 linearised),
@@ -64,10 +110,11 @@ pub(crate) struct RoomLp<'a> {
     dc: &'a DataCenter,
     /// The prepared problem; the caller patches its objective and solves.
     pub(crate) lp: Prepared,
+    /// The caller's variables, node by node.
+    pub(crate) layout: Layout,
     rows: RoomRows,
     /// The total power the `power_budget` row holds the room to, kW.
     budget_kw: Option<f64>,
-    fixed_kw: Vec<f64>,
     power_coeffs: Vec<f64>,
 }
 
@@ -98,24 +145,24 @@ fn kept(c: f64) -> bool {
 fn append_rows(
     dc: &DataCenter,
     problem: &mut Problem,
-    layout: &[NodeLoad],
+    layout: &Layout,
     power_row: bool,
 ) -> RoomRows {
     let (g_node, g_crac) = (dc.thermal.g_node(), dc.thermal.g_crac());
     let n_rows = g_node.rows() + g_crac.rows() + usize::from(power_row);
-    let per_row: usize = layout.iter().map(|load| load.vars.len()).sum();
+    let per_row = layout.terms.len();
     problem.reserve_rows(n_rows, n_rows * per_row);
     let mut name = String::new();
     let mut thermal_rows = |prefix: &str, g: &thermaware_linalg::Matrix| {
         let (mut rows, mut fixed) = (Vec::with_capacity(g.rows()), Vec::with_capacity(g.rows()));
         for i in 0..g.rows() {
             let g = g.row(i);
-            fixed.push(g.iter().zip(layout).map(|(g, load)| g * load.fixed_kw).sum());
+            fixed.push(g.iter().zip(&layout.fixed_kw).map(|(g, fixed_kw)| g * fixed_kw).sum());
             name.clear();
             let _ = write!(name, "{prefix}{i}");
             rows.push(problem.add_row_with(&name, RowOp::Le, 0.0, |row| {
-                for (g, load) in g.iter().zip(layout) {
-                    for &(v, kw_per_unit) in &load.vars {
+                for (g, vars) in g.iter().zip(layout.nodes()) {
+                    for &(v, kw_per_unit) in vars {
                         let c = g * kw_per_unit;
                         if kept(c) {
                             row.push(v, c);
@@ -135,8 +182,8 @@ fn append_rows(
     let mut power_terms = Vec::with_capacity(if power_row { per_row } else { 0 });
     let power_row = power_row.then(|| {
         problem.add_row_with("power_budget", RowOp::Le, 0.0, |row| {
-            for (node, load) in layout.iter().enumerate() {
-                for &(v, kw_per_unit) in &load.vars {
+            for (node, vars) in layout.nodes().enumerate() {
+                for &(v, kw_per_unit) in vars {
                     let c = 1.0 * kw_per_unit;
                     if kept(c) {
                         row.push(v, c);
@@ -165,36 +212,39 @@ impl<'a> RoomLp<'a> {
     pub(crate) fn build(
         dc: &'a DataCenter,
         mut problem: Problem,
-        layout: Vec<NodeLoad>,
+        layout: Layout,
         power_budget_kw: Option<f64>,
     ) -> Self {
         let since = thermaware_obs::enabled().then(std::time::Instant::now);
-        assert_eq!(layout.len(), dc.n_nodes(), "one NodeLoad per node");
+        assert_eq!(layout.len(), dc.n_nodes(), "one node of the layout per node");
         let rows = append_rows(dc, &mut problem, &layout, power_budget_kw.is_some());
-        Self::finish(dc, problem.prepare(), rows, &layout, power_budget_kw, since)
+        Self::finish(dc, problem.prepare(), layout, rows, power_budget_kw, since)
     }
 
-    /// [`RoomLp::build`] in the storage of `lp`, the room LP of an
-    /// earlier build: `write` adds the caller's variables and
-    /// outlet-independent rows to the emptied problem of direction
-    /// `sense` and returns their layout, with anything else the caller
-    /// wants back. The LP is the one [`RoomLp::build`] makes of the same
-    /// problem, bit for bit ([`Prepared::rebuild`]).
+    /// [`RoomLp::build`] in the storage of `lp` and `layout`, the room LP
+    /// of an earlier build and its layout: `write` adds the caller's
+    /// variables and outlet-independent rows to the emptied problem of
+    /// direction `sense`, lays them out in the emptied `layout`, and
+    /// returns anything else the caller wants back. The LP is the one
+    /// [`RoomLp::build`] makes of the same problem, bit for bit
+    /// ([`Prepared::rebuild`]).
     pub(crate) fn build_in<T>(
         dc: &'a DataCenter,
         mut lp: Prepared,
+        mut layout: Layout,
         sense: Sense,
         power_budget_kw: Option<f64>,
-        write: impl FnOnce(&mut Problem) -> (Vec<NodeLoad>, T),
+        write: impl FnOnce(&mut Problem, &mut Layout) -> T,
     ) -> (Self, T) {
         let since = thermaware_obs::enabled().then(std::time::Instant::now);
-        let (rows, layout, written) = lp.rebuild(sense, |problem| {
-            let (layout, written) = write(problem);
-            assert_eq!(layout.len(), dc.n_nodes(), "one NodeLoad per node");
+        layout.clear();
+        let (rows, written) = lp.rebuild(sense, |problem| {
+            let written = write(problem, &mut layout);
+            assert_eq!(layout.len(), dc.n_nodes(), "one node of the layout per node");
             let rows = append_rows(dc, problem, &layout, power_budget_kw.is_some());
-            (rows, layout, written)
+            (rows, written)
         });
-        (Self::finish(dc, lp, rows, &layout, power_budget_kw, since), written)
+        (Self::finish(dc, lp, layout, rows, power_budget_kw, since), written)
     }
 
     /// The room LP around the prepared `lp` its `rows` were appended to,
@@ -202,16 +252,16 @@ impl<'a> RoomLp<'a> {
     fn finish(
         dc: &'a DataCenter,
         lp: Prepared,
+        layout: Layout,
         rows: RoomRows,
-        layout: &[NodeLoad],
         power_budget_kw: Option<f64>,
         since: Option<std::time::Instant>,
     ) -> Self {
         let room = RoomLp {
             dc,
             lp,
+            layout,
             budget_kw: power_budget_kw,
-            fixed_kw: layout.iter().map(|load| load.fixed_kw).collect(),
             power_coeffs: Vec::with_capacity(rows.power_terms.len()),
             rows,
         };
@@ -248,7 +298,7 @@ impl<'a> RoomLp<'a> {
         }
 
         // Power row, with Tin_c affine in node powers.
-        let fixed_power_kw: f64 = (0..nn).map(|j| node_coeff[j] * self.fixed_kw[j]).sum::<f64>()
+        let fixed_power_kw: f64 = (0..nn).map(|j| node_coeff[j] * self.layout.fixed_kw[j]).sum::<f64>()
             + (0..dc.n_crac())
                 .map(|c| w[c] * (coeff.base_crac[c] - outlets[c]))
                 .sum::<f64>();
@@ -324,15 +374,15 @@ mod tests {
     fn append_rows_through_closures(
         dc: &DataCenter,
         problem: &mut Problem,
-        layout: &[NodeLoad],
+        layout: &Layout,
     ) -> (Vec<(usize, f64)>, Vec<f64>) {
         let nn = dc.n_nodes();
-        let fixed_kw: Vec<f64> = layout.iter().map(|load| load.fixed_kw).collect();
+        let fixed_kw = &layout.fixed_kw;
         let visit_terms = |g: &dyn Fn(usize) -> f64,
                            visit: &mut dyn FnMut(usize, VarId, f64, f64)| {
-            for (node, load) in layout.iter().enumerate() {
+            for (node, vars) in layout.nodes().enumerate() {
                 let g = g(node);
-                for &(v, kw_per_unit) in &load.vars {
+                for &(v, kw_per_unit) in vars {
                     let c = g * kw_per_unit;
                     if c.abs() >= 1e-14 {
                         visit(node, v, kw_per_unit, c);
@@ -374,21 +424,20 @@ mod tests {
         .build(5)
         .unwrap();
         let mut p = Problem::new(Sense::Maximize);
-        let layout: Vec<NodeLoad> = (0..dc.n_nodes())
-            .map(|node| {
-                let vars = match node {
-                    3 => Vec::new(),
-                    _ => (0..2)
-                        .map(|s| {
-                            let v = p.add_var(&format!("n{node}s{s}"), 0.0, 1.0, 1.0);
-                            let kw = if (node, s) == (7, 1) { 1e-15 } else { 0.25 + 0.5 * s as f64 };
-                            (v, kw)
-                        })
-                        .collect(),
-                };
-                NodeLoad { vars, fixed_kw: 0.1 * node as f64 }
-            })
-            .collect();
+        let mut layout = Layout::default();
+        for node in 0..dc.n_nodes() {
+            let vars: Vec<(VarId, f64)> = match node {
+                3 => Vec::new(),
+                _ => (0..2)
+                    .map(|s| {
+                        let v = p.add_var(&format!("n{node}s{s}"), 0.0, 1.0, 1.0);
+                        let kw = if (node, s) == (7, 1) { 1e-15 } else { 0.25 + 0.5 * s as f64 };
+                        (v, kw)
+                    })
+                    .collect(),
+            };
+            layout.push_node(0.1 * node as f64, vars);
+        }
         let (mut plain, mut closures) = (p.clone(), p);
         let rows = append_rows(&dc, &mut plain, &layout, true);
         let (power_terms, fixed) = append_rows_through_closures(&dc, &mut closures, &layout);

@@ -38,11 +38,11 @@ use crate::arr::ArrCurve;
 use crate::error::SolveError;
 use crate::objective::ObjectiveWeights;
 use crate::pwl::PiecewiseLinear;
-use crate::room::{self, Linearised, NodeLoad, RoomLp};
+use crate::room::{self, Layout, Linearised, RoomLp};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use thermaware_datacenter::{CracSearchOptions, DataCenter};
-use thermaware_lp::{Basis, Prepared, Problem, Sense, Solution, VarId};
+use thermaware_lp::{Basis, Prepared, Problem, Sense, Solution};
 use thermaware_thermal::ThermalState;
 
 /// Options for Stage 1.
@@ -126,6 +126,8 @@ pub fn solve_stage1_under_budget(
 #[derive(Default)]
 pub struct SweepStorage {
     lp: Option<Prepared>,
+    /// The segment variables of the last sweep's room LP, node by node.
+    layout: Layout,
     candidate: CandidateStorage,
 }
 
@@ -178,10 +180,12 @@ pub fn solve_stage1_in(
     }
 
     let lp = storage.lp.take().unwrap_or_else(|| Problem::new(Sense::Maximize).prepare());
+    let layout = std::mem::take(&mut storage.layout);
     let kept = std::mem::take(&mut storage.candidate);
-    let mut sweep = OutletSweep::new(dc, budget_kw, &node_curves, options, lp, kept);
+    let mut sweep = OutletSweep::new(dc, budget_kw, &node_curves, options, lp, layout, kept);
     let searched = room::search_outlets(dc, options.search, "stage1", |outlets| sweep.evaluate(outlets));
     storage.lp = Some(sweep.room.lp);
+    storage.layout = sweep.room.layout;
     storage.candidate = sweep.kept;
     let (crac_out_c, objective) = searched?;
     let node_core_power_kw = storage.candidate.node_core_power.clone();
@@ -210,7 +214,8 @@ pub fn solve_stage1_in(
 
 /// Stage 1's use of the room LP over one outlet search: one variable per
 /// node × hull segment, each a kW of that node's core power, priced at the
-/// segment's slope; the last feasible candidate's basis carried forward.
+/// segment's slope (the room's layout lists them node by node); the last
+/// feasible candidate's basis carried forward.
 struct OutletSweep<'a> {
     dc: &'a DataCenter,
     /// Total power the room is held to, kW.
@@ -219,33 +224,32 @@ struct OutletSweep<'a> {
     room: RoomLp<'a>,
     /// Segment slopes of every node type's aggregate ARR curve.
     slopes: Vec<Vec<f64>>,
-    /// Segment variables of every node.
-    node_vars: Vec<Vec<VarId>>,
     /// What the candidates write besides the solution.
     kept: CandidateStorage,
 }
 
 impl<'a> OutletSweep<'a> {
-    /// The sweep's room LP, built in the storage of `lp`; its candidates
-    /// work in `kept`, starting with no basis to chain from.
+    /// The sweep's room LP, built in the storage of `lp` and `layout`;
+    /// its candidates work in `kept`, starting with no basis to chain
+    /// from.
     fn new(
         dc: &'a DataCenter,
         budget_kw: f64,
         node_curves: &[PiecewiseLinear],
         options: &'a Stage1Options,
         lp: Prepared,
+        layout: Layout,
         kept: CandidateStorage,
     ) -> Self {
         let slopes: Vec<Vec<f64>> = node_curves.iter().map(|c| c.slopes()).collect();
         // An infinite budget is no budget: a row `≤ +∞` binds nothing and
         // leaves the optimum no finite certificate.
         let budget_row = (budget_kw < f64::INFINITY).then_some(budget_kw);
-        let (room, node_vars) = RoomLp::build_in(dc, lp, Sense::Maximize, budget_row, |p| {
+        let (room, ()) = RoomLp::build_in(dc, lp, layout, Sense::Maximize, budget_row, |p, layout| {
             // The objective is the raw slope, which is what reward-only
             // weights keep (bit-identical path); cost weights overwrite
             // it per candidate.
-            let node_vars = add_segment_vars(p, dc, node_curves, |slope| slope);
-            (segment_layout(dc, &node_vars), node_vars)
+            add_segment_vars(p, dc, node_curves, |slope| slope, layout);
         });
         OutletSweep {
             dc,
@@ -253,7 +257,6 @@ impl<'a> OutletSweep<'a> {
             options,
             room,
             slopes,
-            node_vars,
             kept: CandidateStorage { chained: false, ..kept },
         }
     }
@@ -287,9 +290,9 @@ impl<'a> OutletSweep<'a> {
         let cost_rate = objective.cost_rate_per_kws();
 
         if !reward_only {
-            for (node, vars) in self.node_vars.iter().enumerate() {
+            for (node, vars) in self.room.layout.nodes().enumerate() {
                 let slopes = &self.slopes[dc.node_type_of[node]];
-                for (&v, &slope) in vars.iter().zip(slopes) {
+                for (&(v, _), &slope) in vars.iter().zip(slopes) {
                     let obj =
                         objective.reward_weight * slope - cost_rate * linearised.node_coeff[node];
                     self.room.lp.set_var_objective(v, obj);
@@ -308,7 +311,7 @@ impl<'a> OutletSweep<'a> {
         }
         kept.chained = kept.warm.is_some();
 
-        segment_node_power(&self.node_vars, sol, &mut kept.node_core_power);
+        segment_node_power(&self.room.layout, sol, &mut kept.node_core_power);
         dc.node_powers_in(&kept.node_core_power, &mut kept.node_powers);
         room::recheck(dc, outlets, &kept.node_powers, self.budget_kw, &mut kept.state)?;
         // The variables only carry the *marginal* cost; fold in the cost of
@@ -344,51 +347,37 @@ pub(crate) fn arr_and_node_curves(
 /// One variable per node × segment of the node's aggregate ARR curve,
 /// bounded by the segment's length (kW of core power) and priced at
 /// `objective(slope)`, each named `seg_n{node}_s{segment}` through one
-/// buffer. Returns each node's variables.
+/// buffer, appended to `layout` node by node: each is a kW of its node's
+/// core power, on top of the node's base power.
 pub(crate) fn add_segment_vars(
     p: &mut Problem,
     dc: &DataCenter,
     node_curves: &[PiecewiseLinear],
     objective: impl Fn(f64) -> f64,
-) -> Vec<Vec<VarId>> {
+    layout: &mut Layout,
+) {
     let mut name = String::new();
-    (0..dc.n_nodes())
-        .map(|node| {
-            let curve = &node_curves[dc.node_type_of[node]];
-            let pts = curve.points();
-            curve
-                .slopes()
-                .iter()
-                .enumerate()
-                .map(|(s, &slope)| {
-                    let len = pts[s + 1].0 - pts[s].0;
-                    name.clear();
-                    let _ = write!(name, "seg_n{node}_s{s}");
-                    p.add_var(&name, 0.0, len, objective(slope))
-                })
-                .collect()
-        })
-        .collect()
+    let slopes: Vec<Vec<f64>> = node_curves.iter().map(|c| c.slopes()).collect();
+    let terms = dc.node_type_of.iter().map(|&t| slopes[t].len()).sum();
+    layout.reserve(dc.n_nodes(), terms);
+    for node in 0..dc.n_nodes() {
+        let t = dc.node_type_of[node];
+        let pts = node_curves[t].points();
+        let vars = slopes[t].iter().enumerate().map(|(s, &slope)| {
+            let len = pts[s + 1].0 - pts[s].0;
+            name.clear();
+            let _ = write!(name, "seg_n{node}_s{s}");
+            (p.add_var(&name, 0.0, len, objective(slope)), 1.0)
+        });
+        layout.push_node(dc.node_type(node).base_power_kw, vars);
+    }
 }
 
-/// The room-LP layout of hull-segment variables: each is a kW of its
-/// node's core power, on top of the node's base power.
-pub(crate) fn segment_layout(dc: &DataCenter, node_vars: &[Vec<VarId>]) -> Vec<NodeLoad> {
-    node_vars
-        .iter()
-        .enumerate()
-        .map(|(node, vars)| NodeLoad {
-            vars: vars.iter().map(|&v| (v, 1.0)).collect(),
-            fixed_kw: dc.node_type(node).base_power_kw,
-        })
-        .collect()
-}
-
-/// Per-node core power of a solution over hull-segment variables,
-/// written into `power`.
-pub(crate) fn segment_node_power(node_vars: &[Vec<VarId>], sol: &Solution, power: &mut Vec<f64>) {
+/// Per-node core power of a solution over hull-segment variables laid
+/// out in `layout`, written into `power`.
+pub(crate) fn segment_node_power(layout: &Layout, sol: &Solution, power: &mut Vec<f64>) {
     power.clear();
-    power.extend(node_vars.iter().map(|vars| vars.iter().map(|&v| sol.value(v).max(0.0)).sum::<f64>()));
+    power.extend(layout.nodes().map(|vars| vars.iter().map(|&(v, _)| sol.value(v).max(0.0)).sum::<f64>()));
 }
 
 /// Split a node's total core power across its cores using adjacent hull
@@ -562,7 +551,8 @@ mod tests {
                 let fresh_lp = || Problem::new(Sense::Maximize).prepare();
                 let budget_kw = dc.budget.p_const_kw;
                 let sweep = |lp| {
-                    OutletSweep::new(&dc, budget_kw, &node_curves, &options, lp, CandidateStorage::default())
+                    let (layout, kept) = (Layout::default(), CandidateStorage::default());
+                    OutletSweep::new(&dc, budget_kw, &node_curves, &options, lp, layout, kept)
                 };
                 let mut shared = sweep(fresh_lp());
                 let mut chain: Option<Basis> = None;
@@ -659,8 +649,9 @@ mod tests {
     fn fixed_outlet_value(dc: &DataCenter, outlets: &[f64], budget_kw: f64) -> Option<f64> {
         let (_, node_curves) = arr_and_node_curves(dc, 50.0);
         let mut p = Problem::new(Sense::Maximize);
-        let node_vars = add_segment_vars(&mut p, dc, &node_curves, |slope| slope);
-        let mut room = RoomLp::build(dc, p, segment_layout(dc, &node_vars), Some(budget_kw));
+        let mut layout = Layout::default();
+        add_segment_vars(&mut p, dc, &node_curves, |slope| slope, &mut layout);
+        let mut room = RoomLp::build(dc, p, layout, Some(budget_kw));
         room.set_outlets(outlets, &mut Linearised::default());
         room.lp.solve_warm(None).ok().map(|sol| sol.objective)
     }

@@ -17,6 +17,11 @@
 //! the elimination spends no walk on a column that is a single entry:
 //! the same factors, bit for bit, as if it had.
 //!
+//! The simplex's `y += a·x` / `y −= a·x` slice loops go through
+//! [`kernel`], which runs them at the CPU's vector width (AVX2 when the
+//! CPU has it, found at run time) with each element's bits what the
+//! plain loop gives: the one module of the workspace with `unsafe` in it.
+//!
 //! # Example
 //!
 //! ```
@@ -32,6 +37,7 @@
 
 pub mod approx;
 mod error;
+pub mod kernel;
 mod lu;
 mod matrix;
 pub mod vec_ops;

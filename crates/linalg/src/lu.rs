@@ -1,4 +1,4 @@
-use crate::{LinalgError, Matrix};
+use crate::{kernel, LinalgError, Matrix};
 
 /// LU factorization with partial (row) pivoting: `P A = L U`.
 ///
@@ -213,9 +213,7 @@ impl Lu {
                 finite &= m.is_finite();
                 // Row update on the contiguous tail of row i.
                 let (rk, ri) = lu.two_rows_mut(k, i);
-                for j in k + 1..n {
-                    ri[j] -= m * rk[j];
-                }
+                kernel::sub_scaled(&mut ri[k + 1..n], m, &rk[k + 1..n]);
             }
             if updated {
                 for (held, &v) in track.held[k + 1..].iter_mut().zip(&lu.row(k)[k + 1..]) {

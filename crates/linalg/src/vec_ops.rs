@@ -29,19 +29,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     acc[0] + acc[1] + acc[2] + acc[3] + tail
 }
 
-/// `y += alpha * x`, element-wise.
-#[inline]
-#[cfg(test)]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len(), "axpy length mismatch");
-    if alpha == 0.0 { // lint: allow(float-eq): exact-zero fast path; any nonzero alpha takes the full path
-        return;
-    }
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
 /// Scale a slice in place: `x *= alpha`.
 #[inline]
 pub fn scale(alpha: f64, x: &mut [f64]) {
@@ -94,17 +81,6 @@ mod tests {
             let expected: f64 = (0..n).map(|i| (i * i * 2) as f64).sum();
             assert_eq!(dot(&a, &b), expected, "n = {n}");
         }
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let x = [1.0, 2.0, 3.0];
-        let mut y = [10.0, 20.0, 30.0];
-        axpy(2.0, &x, &mut y);
-        assert_eq!(y, [12.0, 24.0, 36.0]);
-        // alpha = 0 must leave y untouched (and skip the loop).
-        axpy(0.0, &x, &mut y);
-        assert_eq!(y, [12.0, 24.0, 36.0]);
     }
 
     #[test]

@@ -27,6 +27,7 @@
 //! [`Basis`]: crate::Basis
 
 use crate::model::{Problem, RowOp, Sense};
+use thermaware_linalg::kernel;
 
 /// The bits of `-0.0`, the one right-hand side that subtracting a zero
 /// can change.
@@ -139,25 +140,39 @@ impl SparseLines {
         }
     }
 
-    /// `apply(&mut x[at], mult · val)` over line `k`, entry after entry in
-    /// stored order — `apply` adds the product or subtracts it. A run is
-    /// a slice loop against its window of `x`, any other line an indexed
-    /// walk: one multiply, then one `apply`, per entry on either branch.
+    /// `x[at] += mult · val` (`Add`) or `x[at] −= mult · val` (`Sub`)
+    /// over line `k`, entry after entry in stored order. A run is the
+    /// slice kernel against its window of `x`, any other line an indexed
+    /// walk: one multiply, then one add or subtract, per entry on either
+    /// branch.
     #[inline]
-    fn scatter(&self, k: usize, mult: f64, x: &mut [f64], apply: impl Fn(&mut f64, f64)) {
+    fn scatter(&self, k: usize, mult: f64, x: &mut [f64], op: Scatter) {
         let at = self.range(k);
         let val = &self.val[at.clone()];
         if self.run[k] {
             let first = self.at[at.start] as usize;
-            for (x, &a) in x[first..first + val.len()].iter_mut().zip(val) {
-                apply(x, mult * a);
+            let window = &mut x[first..first + val.len()];
+            match op {
+                Scatter::Add => kernel::add_scaled(window, mult, val),
+                Scatter::Sub => kernel::sub_scaled(window, mult, val),
             }
         } else {
             for (&j, &a) in self.at[at].iter().zip(val) {
-                apply(&mut x[j as usize], mult * a);
+                let p = mult * a;
+                match op {
+                    Scatter::Add => x[j as usize] += p,
+                    Scatter::Sub => x[j as usize] -= p,
+                }
             }
         }
     }
+}
+
+/// Whether [`SparseLines::scatter`] adds its products or subtracts them.
+#[derive(Clone, Copy)]
+enum Scatter {
+    Add,
+    Sub,
 }
 
 /// The rewritten problem the engine solves.
@@ -853,7 +868,7 @@ impl InternalForm {
             if r == 0.0 { // lint: allow(float-eq): a row is skipped only when every product in it is an exact zero
                 continue;
             }
-            rows.scatter(i, r, alpha, |x, p| *x += p);
+            rows.scatter(i, r, alpha, Scatter::Add);
             for (j, one) in self.singletons(i) {
                 alpha[j] += r * one;
             }
@@ -879,7 +894,7 @@ impl InternalForm {
             if yi == 0.0 { // lint: allow(float-eq): a row is skipped only when every product in it is an exact zero
                 continue;
             }
-            rows.scatter(i, yi, d, |x, p| *x -= p);
+            rows.scatter(i, yi, d, Scatter::Sub);
             for (j, one) in self.singletons(i) {
                 d[j] -= yi * one;
             }
@@ -907,7 +922,7 @@ impl InternalForm {
         rhs.clone_from(&self.rhs);
         for (j, (&st, &u)) in state.iter().zip(upper).enumerate() {
             if st == VarState::Upper && u != 0.0 { // lint: allow(float-eq): skip columns pinned at a zero bound; exact zeros only
-                self.cols.scatter(j, u, rhs, |x, p| *x -= p);
+                self.cols.scatter(j, u, rhs, Scatter::Sub);
             }
         }
     }

@@ -12,7 +12,10 @@
 //! (`thermaware-linalg`), pivots append product-form eta updates with
 //! periodic refactorization, and bounded variables are handled implicitly
 //! (nonbasic columns rest at either bound, so box constraints never become
-//! rows). Its defining feature is **warm-starting**: [`Solution::basis`]
+//! rows). Its `y ± a·x` slice loops — the pivot row, the reduced costs,
+//! the basic values, the eta chain — run through
+//! `thermaware_linalg::kernel`, AVX2-wide where the CPU has it and the
+//! same bits either way. Its defining feature is **warm-starting**: [`Solution::basis`]
 //! hands back an opaque [`Basis`]; passing it into [`Problem::solve_warm`]
 //! on a structurally identical, perturbed problem resumes from the
 //! previous optimum — via the primal when still feasible, via a

@@ -21,7 +21,10 @@
 //! columns are one run, which in the room LP is every row. None of them
 //! reorders a sum — the results are the dense loops' bit for bit, which
 //! is what keeps every pivot sequence, and with it every plan, what it
-//! was (DESIGN §10).
+//! was (DESIGN §10). Those slice loops, the eta chain and both `xb`
+//! updates are `y ± a·x` over independent elements, and run through
+//! [`thermaware_linalg::kernel`] at the CPU's vector width, each
+//! element's bits what the plain loop gives.
 //!
 //! Each pivot appends one eta vector (O(m) storage, O(m) application);
 //! after [`ETA_LIMIT`] etas — or on a dangerously small pivot — the basis
@@ -55,7 +58,7 @@ use std::cell::Cell;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::time::Instant;
-use thermaware_linalg::CompressedLu;
+use thermaware_linalg::{kernel, CompressedLu};
 
 /// Entries smaller than this are unusable as ratio-test pivots.
 const PIVOT_EPS: f64 = 1e-9;
@@ -81,17 +84,13 @@ struct Eta {
 
 impl Eta {
     /// `v := E^{-1} v`: `v[r] /= w[r]`, then every other entry loses
-    /// `w[i]` times that — below `r` and above it, no test per element.
+    /// that times `w[i]` — below `r` and above it, no test per element.
     fn apply(&self, v: &mut [f64]) {
         let (v_lo, v_hi) = v.split_at_mut(self.r);
         let (w_lo, w_hi) = self.w.split_at(self.r);
         let xr = v_hi[0] / w_hi[0];
-        for (vi, &wi) in v_lo.iter_mut().zip(w_lo) {
-            *vi -= wi * xr;
-        }
-        for (vi, &wi) in v_hi[1..].iter_mut().zip(&w_hi[1..]) {
-            *vi -= wi * xr;
-        }
+        kernel::sub_scaled(v_lo, xr, w_lo);
+        kernel::sub_scaled(&mut v_hi[1..], xr, &w_hi[1..]);
         v_hi[0] = xr;
     }
 
@@ -601,9 +600,7 @@ impl<'a> Rev<'a> {
         }
 
         if t_best != 0.0 { // lint: allow(float-eq): degenerate step detection wants exact zero, not a tolerance
-            for (xbi, &wi) in self.b.xb.iter_mut().zip(&w) {
-                *xbi -= dir * t_best * wi;
-            }
+            kernel::sub_scaled(&mut self.b.xb, dir * t_best, &w);
         }
 
         match leave {
@@ -828,12 +825,12 @@ impl<'a> Rev<'a> {
             beta[r] = (beta_r / (w[r] * w[r])).max(1e-10);
             self.ws.rho = tau;
 
+            // Every row but `r` moves by `delta` times its entry of `w`:
+            // below `r` and above it, as `Eta::apply` splits its loop.
             let delta = (self.b.xb[r] - target) / w[r];
-            for i in 0..self.m() {
-                if i != r {
-                    self.b.xb[i] -= delta * w[i];
-                }
-            }
+            let (xb_lo, xb_hi) = self.b.xb.split_at_mut(r);
+            kernel::sub_scaled(xb_lo, delta, &w[..r]);
+            kernel::sub_scaled(&mut xb_hi[1..], delta, &w[r + 1..]);
             let x_q_old = match self.b.state[q] {
                 VarState::Lower => 0.0,
                 VarState::Upper => self.b.upper[q],

@@ -1,6 +1,6 @@
-//! The bytes one Stage-1 sweep of a fleet zone allocates, counted: a gate
-//! on work, not on seconds, so it reads the same on a machine of any
-//! speed.
+//! The bytes one Stage-1 sweep of a fleet zone allocates, and how many
+//! times, counted: a gate on work, not on seconds, so it reads the same
+//! on a machine of any speed.
 //!
 //! The zone is `FleetParams::small`'s — 152 nodes, one CRAC — at seed 1,
 //! and the sweep is `solve_stage1`: one `RoomLp::build` of the
@@ -12,7 +12,9 @@
 //! bytes) and in the form's row store (12); 1,984,240 (2,030,752) with
 //! it; 1,937,569 (1,984,081) once variable names shared one string and
 //! each node's cores were written in place; 1,710,963 (1,757,475) once
-//! a candidate allocated nothing after the first. A second dense copy of
+//! a candidate allocated nothing after the first; 1,698,883 (1,745,395)
+//! once every node's variables were laid out in one buffer instead of
+//! two vectors per node. A second dense copy of
 //! the terms (~0.55 MB) or the per-row lists back (~0.74 MB) breaks the
 //! bound. A debug build allocates a little more (the certificate every
 //! solve is checked against), hence its own bound.
@@ -21,18 +23,23 @@
 //! works its candidates in the storage the first left: the problem's
 //! arena, the form's column store, the simplex workspace and solution,
 //! the thermal coefficients, the node powers and the re-check's steady
-//! state allocate nothing. What it does allocate is its own set-up — the
-//! ARR curves, the variables' layout, the rows' ids — and the plan.
-//! Measured: 72,868 bytes against the first sweep's 1,710,963 in release
-//! (119,380 against 1,757,475 in debug); 337,952 (384,464) before, when
-//! each of its ten candidates allocated ~29.5 kB of its own. Losing the
-//! reuse of the problem's arena, the form's column store or the simplex
-//! workspace costs 0.36 MB or more and breaks the bound of a tenth.
+//! state allocate nothing, and neither does the variables' layout (one
+//! buffer of every node's variables, kept in the storage). What it does
+//! allocate is its own set-up — the ARR curves, the rows' ids — and the
+//! plan. Measured: 53,492 bytes in 70 allocations against the first
+//! sweep's 1,698,883 in release (100,004 in 97 against 1,745,395 in
+//! debug); 72,868 bytes in 526 allocations (119,380 in 553) before, when
+//! the layout and the segment variables were two vectors per node;
+//! 337,952 (384,464) bytes before that, when each of its ten candidates
+//! allocated ~29.5 kB of its own. Losing the reuse of the problem's
+//! arena, the form's column store or the simplex workspace costs 0.36 MB
+//! or more and breaks the bound of a tenth; a vector per node again
+//! breaks the bound on the count.
 //!
 //! Nor does a second sweep allocate more the more candidates it solves:
 //! over the zone's 10–25 °C outlet range the default grid solves ten
 //! candidates, a 15 °C coarse-only grid four, and a second sweep of each
-//! allocated 72,868 and 72,804 bytes in release (the 64 are the longer
+//! allocated 53,492 and 53,428 bytes in release (the 64 are the longer
 //! grid axes). A buffer a candidate stops reusing costs at least one
 //! vector per node (1.2 kB) a candidate and breaks the bound; in debug
 //! each solve's certificate allocates its working vectors (~5.2 kB a
@@ -59,27 +66,45 @@ const SWEEP_BYTES: u64 = if cfg!(debug_assertions) { 2_200_000 } else { 2_140_00
 const AXES_BYTES: u64 = 256;
 const CERTIFICATE_BYTES: u64 = if cfg!(debug_assertions) { 6_000 } else { 0 };
 
+/// About 1.25 times the allocations a second sweep makes (see the
+/// module docs); one per node would be 152 more.
+const SECOND_SWEEP_CALLS: u64 = if cfg!(debug_assertions) { 125 } else { 90 };
+
 static BYTES: AtomicU64 = AtomicU64::new(0);
+static CALLS: AtomicU64 = AtomicU64::new(0);
+
+/// What a sweep allocated: bytes asked for, and calls to `alloc`,
+/// `alloc_zeroed` and `realloc`.
+struct Allocated {
+    bytes: u64,
+    calls: u64,
+}
 
 /// Held by each test while it counts: the tests of this file share the
 /// counter.
 static COUNTING: Mutex<()> = Mutex::new(());
 
-/// Counts the bytes every allocation asks for; frees are not netted out.
+/// Counts the bytes every allocation asks for, and the calls; frees are
+/// not netted out.
 struct Counting;
 
+// A global allocator is an unsafe trait: the one `unsafe` of the
+// workspace outside `thermaware_linalg::kernel`.
+#[allow(unsafe_code)]
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // which upholds the `GlobalAlloc` contract; the bookkeeping touches only
-// an atomic and never allocates.
+// atomics and never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         BYTES.fetch_add(layout.size() as u64, Relaxed);
+        CALLS.fetch_add(1, Relaxed);
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         BYTES.fetch_add(layout.size() as u64, Relaxed);
+        CALLS.fetch_add(1, Relaxed);
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -91,6 +116,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         BYTES.fetch_add(new_size as u64, Relaxed);
+        CALLS.fetch_add(1, Relaxed);
         // SAFETY: caller guarantees `ptr`/`layout` match and `new_size`
         // is valid for the alignment; forwarded as is.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -137,9 +163,25 @@ fn a_second_sweep_builds_in_the_first_ones_storage() {
     let dc = zone();
     let (first, second, plan, again) = two_sweeps(&dc, &Stage1Options::default());
     assert_eq!(plan, again, "the same plan from used storage");
+    let (first, second) = (first.bytes, second.bytes);
     assert!(
         second * 10 < first,
         "the second sweep allocated {second} bytes, the first {first}: a tenth is the gate"
+    );
+}
+
+/// A second sweep allocates a few dozen times, whatever the number of
+/// nodes: no vector per node (see the module docs).
+#[test]
+fn a_second_sweep_allocates_no_vector_per_node() {
+    let _counting = COUNTING.lock().unwrap_or_else(PoisonError::into_inner);
+    let dc = zone();
+    let (_, second, ..) = two_sweeps(&dc, &Stage1Options::default());
+    assert!(
+        second.calls < SECOND_SWEEP_CALLS,
+        "the second sweep allocated {} times, the gate is {SECOND_SWEEP_CALLS} ({} nodes)",
+        second.calls,
+        dc.n_nodes()
     );
 }
 
@@ -159,6 +201,7 @@ fn a_second_sweeps_bytes_do_not_grow_with_its_candidates() {
     assert_eq!((many, few), (10, 4), "the grids' candidates, the winner's re-solve included");
     let (_, more, ..) = two_sweeps(&dc, &Stage1Options::default());
     let (_, fewer, ..) = two_sweeps(&dc, &coarse_only);
+    let (more, fewer) = (more.bytes, fewer.bytes);
     let bound = fewer + AXES_BYTES + (many - few) * CERTIFICATE_BYTES;
     assert!(
         more <= bound,
@@ -166,14 +209,18 @@ fn a_second_sweeps_bytes_do_not_grow_with_its_candidates() {
     );
 }
 
-/// The bytes each of two sweeps through one [`SweepStorage`] allocated,
-/// and their plans.
-fn two_sweeps(dc: &DataCenter, options: &Stage1Options) -> (u64, u64, Stage1Solution, Stage1Solution) {
+/// What each of two sweeps through one [`SweepStorage`] allocated, and
+/// their plans.
+fn two_sweeps(
+    dc: &DataCenter,
+    options: &Stage1Options,
+) -> (Allocated, Allocated, Stage1Solution, Stage1Solution) {
     let mut storage = SweepStorage::default();
     let mut sweep = || {
-        let before = BYTES.load(Relaxed);
+        let (bytes, calls) = (BYTES.load(Relaxed), CALLS.load(Relaxed));
         let plan = solve_stage1_in(dc, dc.budget.p_const_kw, options, &mut storage);
-        (BYTES.load(Relaxed) - before, plan.expect("the zone is plannable"))
+        let allocated = Allocated { bytes: BYTES.load(Relaxed) - bytes, calls: CALLS.load(Relaxed) - calls };
+        (allocated, plan.expect("the zone is plannable"))
     };
     let (first, plan) = sweep();
     let (second, again) = sweep();
