@@ -12,6 +12,7 @@
 //! with Stage 3 that the discrete plan still clears the floor.
 
 use crate::error::SolveError;
+use crate::pwl::PiecewiseLinear;
 use crate::room::{self, Layout, Linearised, RoomLp};
 use crate::stage1::{add_segment_vars, arr_and_node_curves, distribute_node_power, segment_node_power};
 use crate::stage3::solve_stage3;
@@ -72,11 +73,12 @@ pub fn solve_min_power(
     let nn = dc.n_nodes();
     let mut p = Problem::new(Sense::Minimize);
     let mut layout = Layout::default();
-    add_segment_vars(&mut p, dc, &node_curves, |_| 0.0, &mut layout);
+    let slopes: Vec<Vec<f64>> = node_curves.iter().map(PiecewiseLinear::slopes).collect();
+    add_segment_vars(&mut p, dc, &node_curves, &slopes, |_| 0.0, &mut layout);
     let reward_terms: Vec<(VarId, f64)> = layout
         .nodes()
         .enumerate()
-        .flat_map(|(node, vars)| vars.iter().map(|&(v, _)| v).zip(node_curves[dc.node_type_of[node]].slopes()))
+        .flat_map(|(node, vars)| vars.iter().map(|&(v, _)| v).zip(slopes[dc.node_type_of[node]].iter().copied()))
         .collect();
     // Reward floor. NOTE: a minimization objective would happily leave a
     // later (cheaper-reward) segment filled while an earlier one is not;

@@ -241,7 +241,7 @@ impl<'a> OutletSweep<'a> {
         layout: Layout,
         kept: CandidateStorage,
     ) -> Self {
-        let slopes: Vec<Vec<f64>> = node_curves.iter().map(|c| c.slopes()).collect();
+        let slopes: Vec<Vec<f64>> = node_curves.iter().map(PiecewiseLinear::slopes).collect();
         // An infinite budget is no budget: a row `≤ +∞` binds nothing and
         // leaves the optimum no finite certificate.
         let budget_row = (budget_kw < f64::INFINITY).then_some(budget_kw);
@@ -249,7 +249,7 @@ impl<'a> OutletSweep<'a> {
             // The objective is the raw slope, which is what reward-only
             // weights keep (bit-identical path); cost weights overwrite
             // it per candidate.
-            add_segment_vars(p, dc, node_curves, |slope| slope, layout);
+            add_segment_vars(p, dc, node_curves, &slopes, |slope| slope, layout);
         });
         OutletSweep {
             dc,
@@ -346,18 +346,19 @@ pub(crate) fn arr_and_node_curves(
 
 /// One variable per node × segment of the node's aggregate ARR curve,
 /// bounded by the segment's length (kW of core power) and priced at
-/// `objective(slope)`, each named `seg_n{node}_s{segment}` through one
+/// `objective(slope)` (`slopes[t]` are node type `t`'s curve's
+/// [`slopes`](PiecewiseLinear::slopes)), each named `seg_n{node}_s{segment}` through one
 /// buffer, appended to `layout` node by node: each is a kW of its node's
 /// core power, on top of the node's base power.
 pub(crate) fn add_segment_vars(
     p: &mut Problem,
     dc: &DataCenter,
     node_curves: &[PiecewiseLinear],
+    slopes: &[Vec<f64>],
     objective: impl Fn(f64) -> f64,
     layout: &mut Layout,
 ) {
     let mut name = String::new();
-    let slopes: Vec<Vec<f64>> = node_curves.iter().map(|c| c.slopes()).collect();
     let terms = dc.node_type_of.iter().map(|&t| slopes[t].len()).sum();
     layout.reserve(dc.n_nodes(), terms);
     for node in 0..dc.n_nodes() {
@@ -650,7 +651,8 @@ mod tests {
         let (_, node_curves) = arr_and_node_curves(dc, 50.0);
         let mut p = Problem::new(Sense::Maximize);
         let mut layout = Layout::default();
-        add_segment_vars(&mut p, dc, &node_curves, |slope| slope, &mut layout);
+        let slopes: Vec<Vec<f64>> = node_curves.iter().map(PiecewiseLinear::slopes).collect();
+        add_segment_vars(&mut p, dc, &node_curves, &slopes, |slope| slope, &mut layout);
         let mut room = RoomLp::build(dc, p, layout, Some(budget_kw));
         room.set_outlets(outlets, &mut Linearised::default());
         room.lp.solve_warm(None).ok().map(|sol| sol.objective)

@@ -414,35 +414,43 @@ impl Class {
 impl DispatchOrder {
     /// Classes in order of their first member among `candidates` (which
     /// are ascending); every member list is allocated once, at its size.
+    ///
+    /// Cores of one cell (`cell_of(k)`, below `cells`) must share `tc`
+    /// and `service` for every task type: a class is looked up once per
+    /// cell and task type, at the cell's first candidate, and its other
+    /// candidates join it unread. With a cell per core this is a lookup
+    /// per candidate, for tables that come with no cells.
     fn build(
         candidates: &[Vec<usize>],
         tc: &[Vec<f64>],
         service: &[Vec<f64>],
         count: &[EncodedBlocks<u64>],
+        cell_of: impl Fn(usize) -> usize,
+        cells: usize,
     ) -> DispatchOrder {
         let mut classes = Vec::with_capacity(candidates.len());
+        let mut class_of_cell: Vec<Option<usize>> = vec![None; cells];
         for (i, cores) in candidates.iter().enumerate() {
-            let class_of = |of_type: &[Class], k: usize| {
-                of_type
-                    .iter()
-                    .position(|c| c.holds(tc[i][k], service[i][k]))
-            };
+            class_of_cell.fill(None);
             let mut of_type: Vec<Class> = Vec::new();
             let mut sizes: Vec<usize> = Vec::new();
             for &k in cores {
-                match class_of(&of_type, k) {
-                    Some(c) => sizes[c] += 1,
-                    None => {
-                        of_type.push(Class::new(tc[i][k], service[i][k]));
-                        sizes.push(1);
-                    }
-                }
+                let cell = &mut class_of_cell[cell_of(k)];
+                let c = *cell.get_or_insert_with(|| {
+                    let (tc, service) = (tc[i][k], service[i][k]);
+                    of_type.iter().position(|c| c.holds(tc, service)).unwrap_or_else(|| {
+                        of_type.push(Class::new(tc, service));
+                        sizes.push(0);
+                        of_type.len() - 1
+                    })
+                });
+                sizes[c] += 1;
             }
             for (class, &size) in of_type.iter_mut().zip(&sizes) {
                 class.members.reserve_exact(size);
             }
             for &k in cores {
-                let c = class_of(&of_type, k).expect("the first pass gave every candidate a class");
+                let c = class_of_cell[cell_of(k)].expect("the first pass gave every candidate's cell a class");
                 of_type[c].members.push(k);
             }
             for class in &mut of_type {
@@ -494,18 +502,18 @@ impl DynamicScheduler {
     ) -> Self {
         let t = dc.n_task_types();
         let n = dc.n_cores();
-        let (tc, candidates, runnable, service) = plan_tables(dc, pstates, stage3);
+        let plan = plan_tables(dc, pstates, stage3);
         let count = zero_counts(t, n);
         DynamicScheduler {
             policy,
-            order: DispatchOrder::build(&candidates, &tc, &service, &count),
-            tc: Encoded::new(tc),
-            candidates: Encoded::new(candidates),
-            runnable: Encoded::new(runnable),
+            order: plan.order(&count),
+            tc: Encoded::new(plan.tc),
+            candidates: Encoded::new(plan.candidates),
+            runnable: Encoded::new(plan.runnable),
             count,
             ewma_rate: Encoded::new(vec![vec![(0.0, 0.0); n]; t]),
             busy_until: vec![0.0; n].into(),
-            service: Encoded::new(ServiceTimes(service)),
+            service: Encoded::new(ServiceTimes(plan.service)),
             busy_time: vec![0.0; n].into(),
             alive: vec![true; n].into(),
             plan_start: 0.0,
@@ -525,24 +533,29 @@ impl DynamicScheduler {
     ) {
         let t = dc.n_task_types();
         let n = dc.n_cores();
-        let (tc, candidates, runnable, service) = plan_tables(dc, pstates, stage3);
-        self.tc = Encoded::new(tc);
-        self.candidates = Encoded::new(candidates);
-        self.runnable = Encoded::new(runnable);
-        self.service = Encoded::new(ServiceTimes(service));
+        let plan = plan_tables(dc, pstates, stage3);
         if self.count.len() == t && self.count.iter().all(|row| row.len() == n) {
             // The same room: the rows keep their blocks' buffers.
             self.count.iter_mut().for_each(|row| row.fill(0));
         } else {
             self.count = zero_counts(t, n);
         }
+        self.order = plan.order(&self.count);
+        self.tc = Encoded::new(plan.tc);
+        self.candidates = Encoded::new(plan.candidates);
+        self.runnable = Encoded::new(plan.runnable);
+        self.service = Encoded::new(ServiceTimes(plan.service));
         self.ewma_rate = Encoded::new(vec![vec![(0.0, now); n]; t]);
         self.plan_start = now;
-        self.rebuild_order();
     }
 
+    /// The order of tables read from disk, which come with no cells.
+    /// Cold: it runs at the first dispatch after a read, and inlined it
+    /// would double the size of `pick`, which every arrival runs.
+    #[cold]
     fn rebuild_order(&mut self) {
-        self.order = DispatchOrder::build(&self.candidates, &self.tc, &self.service, &self.count);
+        let n = self.busy_until.len();
+        self.order = DispatchOrder::build(&self.candidates, &self.tc, &self.service, &self.count, |k| k, n);
     }
 
     /// Mark cores as dead: they are never dispatched to again. An index
@@ -857,14 +870,32 @@ impl DynamicScheduler {
         // "Active" = can run anything at all (active P-state), so the
         // metric is comparable across policies including plan-oblivious
         // ones that ignore the Stage-3 rates.
+        let is_active = |k: usize| (0..self.service.len()).any(|i| self.service[i][k].is_finite());
+        let mut active = 0usize;
+        // Work admitted near the horizon runs past it; clamp each core's
+        // busy time to the horizon so utilization stays in [0, 1].
+        let busy: f64 = (0..self.busy_until.len())
+            .filter(|&k| is_active(k))
+            .inspect(|_| active += 1)
+            .map(|k| self.busy_time[k].min(horizon))
+            .sum();
+        if active == 0 || horizon <= 0.0 {
+            return 0.0;
+        }
+        busy / (active as f64 * horizon)
+    }
+
+    /// [`Self::mean_active_utilization`] as it was first written, over a
+    /// collected list of the active cores: what it must give, bit for
+    /// bit.
+    #[cfg(test)]
+    pub(crate) fn mean_active_utilization_collected(&self, horizon: f64) -> f64 {
         let active: Vec<usize> = (0..self.busy_until.len())
             .filter(|&k| (0..self.service.len()).any(|i| self.service[i][k].is_finite()))
             .collect();
         if active.is_empty() || horizon <= 0.0 {
             return 0.0;
         }
-        // Work admitted near the horizon runs past it; clamp each core's
-        // busy time to the horizon so utilization stays in [0, 1].
         active
             .iter()
             .map(|&k| self.busy_time[k].min(horizon))
@@ -983,33 +1014,98 @@ fn zero_counts(t: usize, n: usize) -> Vec<EncodedBlocks<u64>> {
     (0..t).map(|_| vec![0; n].into()).collect()
 }
 
-/// The per-plan lookup tables: desired rates, candidate/runnable sets,
-/// and service times (shared by construction and mid-flight replans).
-#[allow(clippy::type_complexity)]
-fn plan_tables(
-    dc: &DataCenter,
-    pstates: &[usize],
-    stage3: &Stage3Solution,
-) -> (Vec<Vec<f64>>, Vec<Vec<usize>>, Vec<Vec<usize>>, Vec<Vec<f64>>) {
+/// The per-plan lookup tables (shared by construction and mid-flight
+/// replans): desired rates, candidate/runnable sets and service times,
+/// plus each core's **cell**, which is the pair of its Stage-3 group and
+/// its `(node type, P-state)`. Every core of a cell has the same rate and
+/// service time for each task type, bit for bit.
+struct PlanTables {
+    tc: Vec<Vec<f64>>,
+    candidates: Vec<Vec<usize>>,
+    runnable: Vec<Vec<usize>>,
+    service: Vec<Vec<f64>>,
+    /// `cell_of[k]`, below `cells`.
+    cell_of: Vec<usize>,
+    cells: usize,
+}
+
+/// The tables of a plan, written row by row from what they depend on:
+/// service times from the `(node type, P-state)` of each core, with
+/// `ecs.etc` read once per task type and key, and rates from the core's
+/// Stage-3 group. Each core is keyed on its own P-state, so P-states
+/// that disagree with the groups (cores throttled after the plan) still
+/// get the per-core values.
+fn plan_tables(dc: &DataCenter, pstates: &[usize], stage3: &Stage3Solution) -> PlanTables {
     let t = dc.n_task_types();
     let n = dc.n_cores();
-    let mut tc = vec![vec![0.0; n]; t];
+    let ecs = &dc.workload.ecs;
+    // Node type `j`'s P-states are keys `first_key[j]..first_key[j + 1]`.
+    let mut first_key = Vec::with_capacity(ecs.n_node_types() + 1);
+    first_key.push(0);
+    for j in 0..ecs.n_node_types() {
+        first_key.push(first_key[j] + ecs.n_pstates(j));
+    }
+    let keys = first_key[ecs.n_node_types()];
+    // Each core's key; its group joins it once the rows are written.
+    let mut cell_of = vec![0; n];
+    for node in 0..dc.n_nodes() {
+        let j = dc.node_type_of[node];
+        for k in dc.cores_of_node(node) {
+            debug_assert!(pstates[k] < ecs.n_pstates(j));
+            cell_of[k] = first_key[j] + pstates[k];
+        }
+    }
+    let mut etc = vec![0.0; keys];
+    let mut rates = vec![0.0; stage3.rate_per_core.len()];
+    let mut tc = Vec::with_capacity(t);
     let mut candidates = Vec::with_capacity(t);
     let mut runnable = Vec::with_capacity(t);
-    let mut service = vec![vec![f64::INFINITY; n]; t];
+    let mut service = Vec::with_capacity(t);
     for i in 0..t {
-        for k in 0..n {
-            let etc = dc.workload.ecs.etc(i, dc.core_type(k), pstates[k]);
-            service[i][k] = etc;
-            let rate = stage3.tc(i, k);
-            if rate > 0.0 && etc.is_finite() {
-                tc[i][k] = rate;
+        for j in 0..ecs.n_node_types() {
+            for p in 0..ecs.n_pstates(j) {
+                etc[first_key[j] + p] = ecs.etc(i, j, p);
             }
         }
-        runnable.push(cores_where(n, |k| service[i][k].is_finite()));
-        candidates.push(cores_where(n, |k| tc[i][k] > 0.0));
+        for (rate, group) in rates.iter_mut().zip(&stage3.rate_per_core) {
+            *rate = group[i];
+        }
+        let times: Vec<f64> = cell_of.iter().map(|&key| etc[key]).collect();
+        let desired: Vec<f64> = (0..n)
+            .map(|k| {
+                let rate = rates[stage3.group_of_core[k]];
+                if rate > 0.0 && times[k].is_finite() {
+                    rate
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        runnable.push(cores_where(n, |k| times[k].is_finite()));
+        candidates.push(cores_where(n, |k| desired[k] > 0.0));
+        tc.push(desired);
+        service.push(times);
     }
-    (tc, candidates, runnable, service)
+    for (cell, &group) in cell_of.iter_mut().zip(&stage3.group_of_core) {
+        *cell += group * keys;
+    }
+    PlanTables {
+        tc,
+        candidates,
+        runnable,
+        service,
+        cell_of,
+        cells: stage3.rate_per_core.len() * keys,
+    }
+}
+
+impl PlanTables {
+    /// The dispatch order of these tables at `count`, a class looked up
+    /// per cell.
+    fn order(&self, count: &[EncodedBlocks<u64>]) -> DispatchOrder {
+        let cell_of = |k: usize| self.cell_of[k];
+        DispatchOrder::build(&self.candidates, &self.tc, &self.service, count, cell_of, self.cells)
+    }
 }
 
 /// The cores of `0..n` that `member` holds for, ascending, in a vector
@@ -1071,24 +1167,70 @@ mod tests {
         core
     }
 
-    /// The index invariant: every class holds what a fresh build from the
-    /// tables gives — its members, and its levels with their counts and
-    /// bits — and every word's bound is at most the backlog of each live
-    /// member set in it.
-    fn assert_order_is_fresh(sched: &DynamicScheduler) {
-        let fresh =
-            DispatchOrder::build(&sched.candidates, &sched.tc, &sched.service, &sched.count);
+    /// The tables as the scheduler first wrote them, one core at a time
+    /// with `ecs.etc` and `Stage3Solution::tc` asked for each (task type,
+    /// core): what [`plan_tables`] must give.
+    #[allow(clippy::type_complexity)]
+    fn plan_tables_per_core(
+        dc: &DataCenter,
+        pstates: &[usize],
+        stage3: &Stage3Solution,
+    ) -> (Vec<Vec<f64>>, Vec<Vec<usize>>, Vec<Vec<usize>>, Vec<Vec<f64>>) {
+        let t = dc.n_task_types();
+        let n = dc.n_cores();
+        let mut tc = vec![vec![0.0; n]; t];
+        let mut candidates = Vec::with_capacity(t);
+        let mut runnable = Vec::with_capacity(t);
+        let mut service = vec![vec![f64::INFINITY; n]; t];
+        for i in 0..t {
+            for k in 0..n {
+                let etc = dc.workload.ecs.etc(i, dc.core_type(k), pstates[k]);
+                service[i][k] = etc;
+                let rate = stage3.tc(i, k);
+                if rate > 0.0 && etc.is_finite() {
+                    tc[i][k] = rate;
+                }
+            }
+            runnable.push(cores_where(n, |k| service[i][k].is_finite()));
+            candidates.push(cores_where(n, |k| tc[i][k] > 0.0));
+        }
+        (tc, candidates, runnable, service)
+    }
+
+    /// Two tables of rows, equal bit for bit.
+    fn assert_same_bits<R: Deref<Target = [f64]>>(a: &[R], b: &[R], name: &str) {
+        let bits = |rows: &[R]| rows.iter().map(|row| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>()).collect::<Vec<_>>();
+        assert!(bits(a) == bits(b), "`{name}` differs");
+    }
+
+    /// Two orders with the same classes, in the same order, each with the
+    /// same `tc` and `service` bits, members, and levels with their
+    /// counts and bits.
+    fn assert_same_order(live: &DispatchOrder, fresh: &DispatchOrder) {
         let sizes = |order: &DispatchOrder| order.classes.iter().map(Vec::len).collect::<Vec<_>>();
-        assert_eq!(sizes(&sched.order), sizes(&fresh));
+        assert_eq!(sizes(live), sizes(fresh));
         let levels = |class: &Class| {
             let shape = class.levels.iter().map(|l| (l.count, l.len, l.bits.clone()));
             shape.collect::<Vec<_>>()
         };
-        let pairs = sched.order.classes.iter().flatten().zip(fresh.classes.iter().flatten());
+        let pairs = live.classes.iter().flatten().zip(fresh.classes.iter().flatten());
         for (live, fresh) in pairs {
             assert!(live.holds(fresh.tc, fresh.service));
             assert_eq!(live.members, fresh.members);
             assert_eq!(levels(live), levels(fresh));
+        }
+    }
+
+    /// The index invariant: every class holds what a fresh build from the
+    /// tables gives, a class looked up per core — its members, and its
+    /// levels with their counts and bits — and every word's bound is at
+    /// most the backlog of each live member set in it.
+    fn assert_order_is_fresh(sched: &DynamicScheduler) {
+        let n = sched.busy_until.len();
+        let fresh =
+            DispatchOrder::build(&sched.candidates, &sched.tc, &sched.service, &sched.count, |k| k, n);
+        assert_same_order(&sched.order, &fresh);
+        for live in sched.order.classes.iter().flatten() {
             for level in &live.levels {
                 for (r, &k) in live.members.iter().enumerate() {
                     let (w, set) = (r / 64, level.bits[r / 64] >> (r % 64) & 1 == 1);
@@ -1277,6 +1419,59 @@ mod tests {
                 assert_order_is_fresh(resumed);
                 prop_assert_eq!(resumed, &live);
             }
+        }
+
+        /// The tables written per cell are the tables written per core,
+        /// bit for bit, for random P-states (off states among them) under
+        /// a Stage-3 plan solved at them, or under the room's own plan,
+        /// whose groups they then disagree with, as after a throttle. The
+        /// order built a class per cell is the order built a class per
+        /// core, and a replan of a scheduler that has dispatched work
+        /// holds what a fresh one does.
+        #[test]
+        fn the_tables_per_cell_are_the_tables_per_core(
+            room in 0usize..3,
+            pstate_seed in 0u64..1_000_000,
+            agree in any::<bool>(),
+        ) {
+            let (dc, planned, plan) = &rooms()[room];
+            let mut rng = StdRng::seed_from_u64(pstate_seed);
+            let pstates: Vec<usize> = (0..dc.n_cores())
+                .map(|k| rng.gen_range(0..dc.workload.ecs.n_pstates(dc.core_type(k))))
+                .collect();
+            prop_assert_eq!(dc.pstates_fit(&pstates), Ok(()));
+            let solved;
+            let stage3 = if agree {
+                solved = thermaware_core::stage3::solve_stage3(dc, &pstates).expect("stage 3");
+                &solved
+            } else {
+                plan
+            };
+
+            let tables = plan_tables(dc, &pstates, stage3);
+            let (tc, candidates, runnable, service) = plan_tables_per_core(dc, &pstates, stage3);
+            assert_same_bits(&tables.tc, &tc, "tc");
+            assert_same_bits(&tables.service, &service, "service");
+            prop_assert_eq!(&tables.candidates, &candidates);
+            prop_assert_eq!(&tables.runnable, &runnable);
+            let count = zero_counts(dc.n_task_types(), dc.n_cores());
+            let per_core = DispatchOrder::build(&candidates, &tc, &service, &count, |k| k, dc.n_cores());
+            assert_same_order(&tables.order(&count), &per_core);
+
+            let mut used = DynamicScheduler::new(dc, planned, plan);
+            let trace = ArrivalTrace::generate(&dc.workload, 2.0, &mut rng);
+            for a in &trace.arrivals {
+                dispatch_checked(&mut used, a.task_type, a.time, a.deadline, None);
+            }
+            used.apply_plan(dc, &pstates, stage3, trace.horizon_s);
+            let fresh = DynamicScheduler::new(dc, &pstates, stage3);
+            assert_same_bits(&used.tc, &fresh.tc, "tc");
+            assert_same_bits(&used.service, &fresh.service, "service");
+            prop_assert_eq!(&used.candidates, &fresh.candidates);
+            prop_assert_eq!(&used.runnable, &fresh.runnable);
+            prop_assert_eq!(&used.count, &fresh.count);
+            assert_same_order(&used.order, &fresh.order);
+            assert_order_is_fresh(&used);
         }
     }
 }

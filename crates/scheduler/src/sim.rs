@@ -49,6 +49,10 @@ pub struct SimulationResult {
 }
 
 /// Latency summary over admitted tasks, seconds.
+///
+/// `p95` and `max` are the values a sort of the samples reads, bit for
+/// bit. `mean` is their sum in admission order over their count, so it
+/// can differ in the last places from a sum taken in sorted order.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LatencyStats {
     /// Mean.
@@ -60,6 +64,24 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
+    /// The summary of `samples`, given in admission order and left in
+    /// any order: the mean summed as given, the nearest-rank p95 by
+    /// selection and the maximum by one pass, both in `total_cmp`'s
+    /// order, so no sort is needed.
+    fn summarize(samples: &mut [f64]) -> LatencyStats {
+        let Some(&first) = samples.first() else {
+            return LatencyStats::default();
+        };
+        let n = samples.len();
+        let mean = samples.iter().sum::<f64>() / n as f64;
+        let max = samples.iter().fold(first, |max, &s| if s.total_cmp(&max).is_gt() { s } else { max });
+        let (_, &mut p95, _) = samples.select_nth_unstable_by(nearest_rank_95(n), f64::total_cmp);
+        LatencyStats { mean, p95, max }
+    }
+
+    /// The summary as a sort reads it: what [`Self::summarize`] must
+    /// give, the mean up to rounding.
+    #[cfg(test)]
     fn from_samples(samples: &mut [f64]) -> LatencyStats {
         if samples.is_empty() {
             return LatencyStats::default();
@@ -68,10 +90,16 @@ impl LatencyStats {
         let n = samples.len();
         LatencyStats {
             mean: samples.iter().sum::<f64>() / n as f64,
-            p95: samples[((n as f64 * 0.95).ceil() as usize).clamp(1, n) - 1],
+            p95: samples[nearest_rank_95(n)],
             max: samples[n - 1],
         }
     }
+}
+
+/// The index of the nearest-rank 95th percentile among `n ≥ 1` sorted
+/// samples.
+fn nearest_rank_95(n: usize) -> usize {
+    ((n as f64 * 0.95).ceil() as usize).clamp(1, n) - 1
 }
 
 impl SimulationResult {
@@ -150,7 +178,11 @@ fn simulate_inner<R: Rng>(
         .map(|(cv, _)| (1.0 + cv * cv).ln().sqrt())
         .unwrap_or(0.0);
     let _span = thermaware_obs::span("sim");
-    let mut sim = EpochSim::with_policy(dc, pstates, stage3, policy);
+    let mut sim = {
+        let _span = thermaware_obs::span("sched.build");
+        // Every arrival may be admitted: the in-flight list is sized once.
+        EpochSim::sized(dc, pstates, stage3, policy, trace.arrivals.len())
+    };
 
     for a in &trace.arrivals {
         // Realized service: estimate x lognormal factor (Box-Muller on the
@@ -172,6 +204,7 @@ fn simulate_inner<R: Rng>(
             "admitted task missed deadline without service noise"
         );
     }
+    let _span = thermaware_obs::span("sched.summary");
     sim.finish(dc, trace.horizon_s)
 }
 
@@ -229,10 +262,21 @@ impl EpochSim {
         stage3: &Stage3Solution,
         policy: DispatchPolicy,
     ) -> Self {
+        Self::sized(dc, pstates, stage3, policy, 0)
+    }
+
+    /// [`EpochSim::with_policy`] with room for `in_flight` admitted tasks.
+    fn sized(
+        dc: &DataCenter,
+        pstates: &[usize],
+        stage3: &Stage3Solution,
+        policy: DispatchPolicy,
+        in_flight: usize,
+    ) -> Self {
         EpochSim {
             scheduler: DynamicScheduler::with_policy(dc, pstates, stage3, policy),
             per_type: vec![TypeStats::default(); dc.n_task_types()],
-            admitted: EncodedVec::default(),
+            admitted: Vec::with_capacity(in_flight).into(),
         }
     }
 
@@ -375,18 +419,17 @@ impl EpochSim {
         Ok(())
     }
 
-    /// Close the books over `[0, horizon_s]` and summarize.
+    /// Close the books over `[0, horizon_s]` and summarize: the waits,
+    /// then the responses, of tasks not lost, in one buffer.
     pub fn finish(self, dc: &DataCenter, horizon_s: f64) -> SimulationResult {
         let mut per_type = self.per_type;
-        let mut waits: Vec<f64> = Vec::with_capacity(self.admitted.len());
-        let mut responses: Vec<f64> = Vec::with_capacity(self.admitted.len());
+        let mut samples: Vec<f64> = Vec::with_capacity(self.admitted.len());
         for a in self.admitted.iter() {
             if a.lost {
                 per_type[a.task_type].lost += 1;
                 continue;
             }
-            waits.push(a.start - a.arrival);
-            responses.push(a.finish - a.arrival);
+            samples.push(a.start - a.arrival);
             if a.finish > a.deadline + 1e-9 {
                 // Late: the admission estimate was optimistic. No reward.
                 per_type[a.task_type].late += 1;
@@ -400,6 +443,10 @@ impl EpochSim {
                 per_type[a.task_type].reward += dc.workload.task_types[a.task_type].reward;
             }
         }
+        let wait = LatencyStats::summarize(&mut samples);
+        samples.clear();
+        samples.extend(self.admitted.iter().filter(|a| !a.lost).map(|a| a.finish - a.arrival));
+        let response = LatencyStats::summarize(&mut samples);
 
         let reward_collected: f64 = per_type.iter().map(|t| t.reward).sum();
         if thermaware_obs::enabled() {
@@ -415,8 +462,8 @@ impl EpochSim {
             horizon_s,
             per_type,
             mean_utilization: self.scheduler.mean_active_utilization(horizon_s),
-            wait: LatencyStats::from_samples(&mut waits),
-            response: LatencyStats::from_samples(&mut responses),
+            wait,
+            response,
         }
     }
 }
@@ -424,10 +471,11 @@ impl EpochSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use thermaware_core::Solver;
-    use thermaware_datacenter::ScenarioParams;
+    use thermaware_datacenter::{CracSearchOptions, ScenarioParams};
 
     fn setup(seed: u64) -> (DataCenter, Vec<usize>, Stage3Solution) {
         let dc = ScenarioParams::small_test().build(seed).unwrap();
@@ -584,6 +632,102 @@ mod tests {
         assert_eq!(a.reward_collected, b.reward_collected);
         assert_eq!(a.per_type, b.per_type);
         assert_eq!(a.mean_utilization, b.mean_utilization);
+    }
+
+    /// [`EpochSim::finish`] as it was first written: the accounting,
+    /// each latency summary read off a sort, and the utilization over a
+    /// collected list of active cores. What `finish` must give, the
+    /// latency means up to rounding.
+    fn finish_by_sort(sim: EpochSim, dc: &DataCenter, horizon_s: f64) -> SimulationResult {
+        let mut per_type = sim.per_type;
+        let mut waits: Vec<f64> = Vec::new();
+        let mut responses: Vec<f64> = Vec::new();
+        for a in sim.admitted.iter() {
+            if a.lost {
+                per_type[a.task_type].lost += 1;
+                continue;
+            }
+            waits.push(a.start - a.arrival);
+            responses.push(a.finish - a.arrival);
+            if a.finish > a.deadline + 1e-9 {
+                per_type[a.task_type].late += 1;
+                continue;
+            }
+            if a.finish <= horizon_s {
+                per_type[a.task_type].completed += 1;
+                per_type[a.task_type].reward += dc.workload.task_types[a.task_type].reward;
+            }
+        }
+        let reward_collected: f64 = per_type.iter().map(|t| t.reward).sum();
+        SimulationResult {
+            reward_collected,
+            reward_rate: reward_collected / horizon_s,
+            horizon_s,
+            per_type,
+            mean_utilization: sim.scheduler.mean_active_utilization_collected(horizon_s),
+            wait: LatencyStats::from_samples(&mut waits),
+            response: LatencyStats::from_samples(&mut responses),
+        }
+    }
+
+    /// `p95` and `max` are the sort's bits, `mean` is within 1e-12 of it.
+    fn assert_summary_is_the_sorts(selected: LatencyStats, sorted: LatencyStats) {
+        assert_eq!(selected.p95.to_bits(), sorted.p95.to_bits(), "p95");
+        assert_eq!(selected.max.to_bits(), sorted.max.to_bits(), "max");
+        let gap = (selected.mean - sorted.mean).abs();
+        assert!(gap <= 1e-12 * sorted.mean.abs(), "mean {} vs {}", selected.mean, sorted.mean);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The summary by selection is the summary a sort reads, at
+        /// lengths on both sides of where `ceil(0.95·n)` steps, over
+        /// samples with duplicates and runs of `+0.0`.
+        #[test]
+        fn the_summary_by_selection_is_the_sorts(
+            n in prop::sample::select(vec![1usize, 2, 19, 20, 21, 40]),
+            values in prop::collection::vec(
+                prop_oneof![Just(0.0f64), Just(0.25), Just(1.5), 0.0f64..10.0],
+                40,
+            ),
+        ) {
+            let mut samples = values[..n].to_vec();
+            let selected = LatencyStats::summarize(&mut samples.clone());
+            let sorted = LatencyStats::from_samples(&mut samples);
+            assert_summary_is_the_sorts(selected, sorted);
+        }
+    }
+
+    /// `simulate` on the seed-1 and seed-2 Fig. 6 rooms (150 nodes, 3
+    /// CRACs, planned over a coarse outlet grid) closes the books as an
+    /// `EpochSim` run of the same stream finished through the sort does.
+    #[test]
+    fn simulate_summarizes_as_the_sort_does_on_fig6_rooms() {
+        for seed in 1..=2 {
+            let dc = ScenarioParams {
+                n_nodes: 150,
+                n_crac: 3,
+                crac_flow_margin: 1.5,
+                ..ScenarioParams::paper(0.2, 0.3)
+            }
+            .build(seed)
+            .unwrap();
+            let search = CracSearchOptions { coarse_step_c: 7.5, refine_radius: 0 };
+            let plan = Solver::new(&dc).crac_grid(search).solve().unwrap();
+            let trace = ArrivalTrace::generate(&dc.workload, 2.0, &mut StdRng::seed_from_u64(seed));
+            let result = simulate(&dc, &plan.pstates, &plan.stage3, &trace);
+            let mut sim = EpochSim::new(&dc, &plan.pstates, &plan.stage3);
+            for a in &trace.arrivals {
+                sim.dispatch(a.task_type, a.time, a.deadline);
+            }
+            let oracle = finish_by_sort(sim, &dc, trace.horizon_s);
+            assert_eq!(result.per_type, oracle.per_type);
+            assert_eq!(result.reward_collected.to_bits(), oracle.reward_collected.to_bits());
+            assert_eq!(result.mean_utilization.to_bits(), oracle.mean_utilization.to_bits());
+            assert_summary_is_the_sorts(result.wait, oracle.wait);
+            assert_summary_is_the_sorts(result.response, oracle.response);
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! The bytes one Stage-1 sweep of a fleet zone allocates, and how many
-//! times, counted: a gate on work, not on seconds, so it reads the same
-//! on a machine of any speed.
+//! What the program's hot set-ups allocate, in bytes and in calls,
+//! counted: a gate on work, not on seconds, so it reads the same on a
+//! machine of any speed. Two are gated: one Stage-1 sweep of a fleet
+//! zone, and one batch simulation of the second step.
 //!
 //! The zone is `FleetParams::small`'s — 152 nodes, one CRAC — at seed 1,
 //! and the sweep is `solve_stage1`: one `RoomLp::build` of the
@@ -14,7 +15,8 @@
 //! each node's cores were written in place; 1,710,963 (1,757,475) once
 //! a candidate allocated nothing after the first; 1,698,883 (1,745,395)
 //! once every node's variables were laid out in one buffer instead of
-//! two vectors per node. A second dense copy of
+//! two vectors per node; 1,698,803 (1,745,315) once the segment slopes
+//! were computed once per sweep instead of twice. A second dense copy of
 //! the terms (~0.55 MB) or the per-row lists back (~0.74 MB) breaks the
 //! bound. A debug build allocates a little more (the certificate every
 //! solve is checked against), hence its own bound.
@@ -25,29 +27,46 @@
 //! the thermal coefficients, the node powers and the re-check's steady
 //! state allocate nothing, and neither does the variables' layout (one
 //! buffer of every node's variables, kept in the storage). What it does
-//! allocate is its own set-up — the ARR curves, the rows' ids — and the
-//! plan. Measured: 53,492 bytes in 70 allocations against the first
-//! sweep's 1,698,883 in release (100,004 in 97 against 1,745,395 in
-//! debug); 72,868 bytes in 526 allocations (119,380 in 553) before, when
-//! the layout and the segment variables were two vectors per node;
-//! 337,952 (384,464) bytes before that, when each of its ten candidates
-//! allocated ~29.5 kB of its own. Losing the reuse of the problem's
-//! arena, the form's column store or the simplex workspace costs 0.36 MB
-//! or more and breaks the bound of a tenth; a vector per node again
-//! breaks the bound on the count.
+//! allocate is its own set-up — the ARR curves and their slopes, the
+//! rows' ids — and the plan. Measured: 53,412 bytes in 67 allocations
+//! against the first sweep's 1,698,803 in release (99,924 in 94 against
+//! 1,745,315 in debug); 53,492 in 70 (100,004 in 97) when the sweep and
+//! its segment variables each computed the slopes; 72,868 bytes in 526
+//! allocations (119,380 in 553) before that, when the layout and the
+//! segment variables were two vectors per node; 337,952 (384,464) bytes
+//! before that, when each of its ten candidates allocated ~29.5 kB of
+//! its own. Losing the reuse of the problem's arena, the form's column
+//! store or the simplex workspace costs 0.36 MB or more and breaks the
+//! bound of a tenth; a vector per node again breaks the bound on the
+//! count.
 //!
 //! Nor does a second sweep allocate more the more candidates it solves:
 //! over the zone's 10–25 °C outlet range the default grid solves ten
 //! candidates, a 15 °C coarse-only grid four, and a second sweep of each
-//! allocated 53,492 and 53,428 bytes in release (the 64 are the longer
+//! allocated 53,412 and 53,348 bytes in release (the 64 are the longer
 //! grid axes). A buffer a candidate stops reusing costs at least one
 //! vector per node (1.2 kB) a candidate and breaks the bound; in debug
 //! each solve's certificate allocates its working vectors (~5.2 kB a
 //! candidate here), which the debug bound allows.
 //!
+//! The batch simulation is `simulate` of a 10-s Poisson stream (seed 1,
+//! 38,133 arrivals, 30,449 admitted) on the seed-1 Fig. 6 room, 150
+//! nodes and 4,800 cores, planned over a coarse outlet grid. It
+//! allocates the plan's per-core tables (~2.1 MB for 8 task types), an
+//! in-flight list sized once from the arrivals (56 bytes an arrival) and
+//! one buffer for the latency summaries (8 bytes an admitted task), and
+//! `EpochSim::finish` of the same stream allocates only that buffer.
+//! Measured: 4,514,360 bytes in 236 calls, the summary 243,592 bytes, in
+//! release and in debug alike. An in-flight list left to grow by
+//! doubling (~3.7 MB of copies) breaks the bound on the batch; a summary
+//! that sorts (a scratch buffer as long as the samples per sort) breaks
+//! the bound on the summary.
+//!
 //! A counting global allocator is installed, which is why these tests
 //! have a file (a process) to themselves; they take turns with it.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -55,7 +74,10 @@ use thermaware::core::stage1::{
     solve_stage1, solve_stage1_in, Stage1Options, Stage1Solution, SweepStorage,
 };
 use thermaware::datacenter::{CracSearchOptions, DataCenter, ScenarioParams};
+use thermaware::core::Solver;
 use thermaware::obs::{self, MemoryRecorder};
+use thermaware::scheduler::{simulate, EpochSim};
+use thermaware::workload::ArrivalTrace;
 
 /// About 1.25 times what the sweep allocates (see the module docs).
 const SWEEP_BYTES: u64 = if cfg!(debug_assertions) { 2_200_000 } else { 2_140_000 };
@@ -68,7 +90,14 @@ const CERTIFICATE_BYTES: u64 = if cfg!(debug_assertions) { 6_000 } else { 0 };
 
 /// About 1.25 times the allocations a second sweep makes (see the
 /// module docs); one per node would be 152 more.
-const SECOND_SWEEP_CALLS: u64 = if cfg!(debug_assertions) { 125 } else { 90 };
+const SECOND_SWEEP_CALLS: u64 = if cfg!(debug_assertions) { 118 } else { 84 };
+
+/// About 1.15 times what a batch simulation allocates, and in how many
+/// calls, and what its summary alone allocates (see the module docs);
+/// release and debug builds read the same.
+const BATCH_BYTES: u64 = 5_192_000;
+const BATCH_CALLS: u64 = 272;
+const SUMMARY_BYTES: u64 = 280_200;
 
 static BYTES: AtomicU64 = AtomicU64::new(0);
 static CALLS: AtomicU64 = AtomicU64::new(0);
@@ -206,6 +235,53 @@ fn a_second_sweeps_bytes_do_not_grow_with_its_candidates() {
     assert!(
         more <= bound,
         "a second sweep of {many} candidates allocated {more} bytes, of {few} {fewer}: the gate is {bound}"
+    );
+}
+
+/// `simulate` of a 10-s stream on a planned Fig. 6 room allocates its
+/// plan's tables, an in-flight list sized once from the arrivals and one
+/// summary buffer, and `EpochSim::finish` of the same stream only that
+/// buffer (see the module docs).
+#[test]
+fn a_batch_simulation_allocates_for_its_arrivals_once() {
+    let _counting = COUNTING.lock().unwrap_or_else(PoisonError::into_inner);
+    let dc = ScenarioParams {
+        n_nodes: 150,
+        n_crac: 3,
+        crac_flow_margin: 1.5,
+        ..ScenarioParams::paper(0.2, 0.3)
+    }
+    .build(1)
+    .expect("the paper's scenario builds");
+    let search = CracSearchOptions { coarse_step_c: 7.5, refine_radius: 0 };
+    let plan = Solver::new(&dc).crac_grid(search).solve().expect("the room is plannable");
+    let trace = ArrivalTrace::generate(&dc.workload, 10.0, &mut StdRng::seed_from_u64(1));
+    let counted = |run: &mut dyn FnMut()| {
+        let (bytes, calls) = (BYTES.load(Relaxed), CALLS.load(Relaxed));
+        run();
+        Allocated { bytes: BYTES.load(Relaxed) - bytes, calls: CALLS.load(Relaxed) - calls }
+    };
+    let batch = counted(&mut || drop(simulate(&dc, &plan.pstates, &plan.stage3, &trace)));
+    let mut sim = EpochSim::new(&dc, &plan.pstates, &plan.stage3);
+    for a in &trace.arrivals {
+        sim.dispatch(a.task_type, a.time, a.deadline);
+    }
+    let mut sim = Some(sim);
+    let summary = counted(&mut || {
+        let sim = sim.take().expect("finished once");
+        drop(sim.finish(&dc, trace.horizon_s));
+    });
+    let arrivals = trace.arrivals.len();
+    assert!(
+        batch.bytes < BATCH_BYTES && batch.calls < BATCH_CALLS,
+        "simulate of {arrivals} arrivals allocated {} bytes in {} calls, the gate is {BATCH_BYTES} in {BATCH_CALLS}",
+        batch.bytes,
+        batch.calls
+    );
+    assert!(
+        summary.bytes < SUMMARY_BYTES,
+        "finish allocated {} bytes, the gate is {SUMMARY_BYTES}",
+        summary.bytes
     );
 }
 
