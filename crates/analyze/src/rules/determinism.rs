@@ -21,6 +21,15 @@
 //! dispatched kernel with its plain loop — and is a finding anywhere
 //! else on the replay path.
 //!
+//! One more site lies outside what this rule scans (it reads no
+//! `vendor/` file): the vendored codec's `serde_json::crc`, which folds
+//! a CRC-32 and joins two with carry-less multiplies where the CPU has
+//! PCLMULQDQ and through its tables otherwise. A CRC is a function of
+//! the bytes alone, so both paths give the same checksum; the module's
+//! tests call the kernel directly and hold it to the tables and to the
+//! per-bit loop (`cargo test --release -p serde_json`), which is what
+//! makes the branch sound.
+//!
 //! **Obs-gated timing blocks are exempt**: `Instant::now` behind a
 //! `thermaware_obs::enabled()` check (within the preceding ten lines)
 //! only measures, never feeds the computation, and is how the

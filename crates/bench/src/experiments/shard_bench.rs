@@ -16,8 +16,15 @@
 //! 3. **Speedup** — ratio of minimum wall times, monolithic over
 //!    pooled. Wall time is machine-dependent, so this is *not*
 //!    drift-gated; instead it has a machine-relative acceptance floor of
-//!    `0.7 × threads_used`, where `threads_used = min(cores, 8)` — i.e.
-//!    ≥ 0.7× linear scaling on up to eight cores.
+//!    `0.7 × min(threads_used, capacity)`, where `threads_used =
+//!    min(cores, 8)` and `capacity` is how much `threads_used` threads of
+//!    a fixed spin kernel out-run one (ratio of minimums) — i.e. ≥ 0.7×
+//!    the scaling the box gives right now, on up to eight cores. The
+//!    monolithic solve, the pooled one and the spin kernel take turns
+//!    repetition by repetition, so outside load meets all three alike: a
+//!    quiet box reads a capacity of ~`threads_used` and keeps the floor
+//!    at `0.7 × threads_used`, and a loaded one lowers it by what the
+//!    load takes from every thread.
 //!
 //! ```sh
 //! cargo run --release -p thermaware-bench -- shard_bench    # write results/current/BENCH_shard.json
@@ -40,10 +47,37 @@ pub(super) const USAGE: &str = "shard_bench [--zones N] [--nodes N] [--seed S] [
                      [--reps N] [--out PATH]";
 
 /// Machine-relative speedup floor: the pooled solve must reach this
-/// fraction of linear scaling over `threads_used` cores. An absolute
-/// property, so it stays here; relative drift of the deterministic
-/// counters is judged by `thermaware-analyze bench --check`.
+/// fraction of the scaling the spin kernel reaches over `threads_used`
+/// cores. An absolute property, so it stays here; relative drift of the
+/// deterministic counters is judged by `thermaware-analyze bench --check`.
 const LINEAR_FRACTION: f64 = 0.7;
+
+/// Rounds of the spin kernel per capacity measurement: tens of
+/// milliseconds of one core, so that starting a thread is noise beside it.
+const SPIN_ROUNDS: u64 = 40_000_000;
+
+/// `rounds` dependent xorshift steps: work that touches no memory, so
+/// threads running it share nothing but the cores.
+fn spin(rounds: u64) -> u64 {
+    let mut x = std::hint::black_box(0x9E37_79B9_7F4A_7C15u64);
+    for _ in 0..rounds {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+    }
+    std::hint::black_box(x)
+}
+
+/// Wall time of [`SPIN_ROUNDS`] spin rounds split across `threads`.
+fn spin_split(threads: usize) -> Duration {
+    let t0 = Instant::now();
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| spin(SPIN_ROUNDS / threads as u64));
+        }
+    });
+    t0.elapsed()
+}
 
 fn cfg(threads: usize) -> FleetConfig {
     FleetConfig {
@@ -82,8 +116,14 @@ pub(super) fn run(args: &Args) -> Result<(), String> {
     );
 
     // -- Part 1: agreement + speedup (ratio of minimums) -------------------
+    // One repetition of each side and of the capacity probe in turn.
     let mut mono_best = Duration::MAX;
     let mut mono_reward = 0.0;
+    let mut pooled_best = Duration::MAX;
+    let mut pooled_reward = 0.0;
+    let mut pooled_degraded = usize::MAX;
+    let mut bisection_iters = 0u32;
+    let (mut one_spin_best, mut split_spin_best) = (Duration::MAX, Duration::MAX);
     for _ in 0..reps {
         let t0 = Instant::now();
         let mono = ctx(
@@ -92,12 +132,10 @@ pub(super) fn run(args: &Args) -> Result<(), String> {
         )?;
         mono_best = mono_best.min(t0.elapsed());
         mono_reward = mono.reward;
-    }
-    let mut pooled_best = Duration::MAX;
-    let mut pooled_reward = 0.0;
-    let mut pooled_degraded = usize::MAX;
-    let mut bisection_iters = 0u32;
-    for _ in 0..reps {
+
+        one_spin_best = one_spin_best.min(spin_split(1));
+        split_spin_best = split_spin_best.min(spin_split(threads_used));
+
         let mut solver = FleetSolver::new(Arc::clone(&fleet), cfg(threads_used));
         let t0 = Instant::now();
         let plan = solver.replan(None);
@@ -113,10 +151,11 @@ pub(super) fn run(args: &Args) -> Result<(), String> {
     );
     assert_eq!(pooled_degraded, 0, "healthy fleet must not degrade");
     let speedup = mono_best.as_secs_f64() / pooled_best.as_secs_f64().max(1e-9);
-    let floor = LINEAR_FRACTION * threads_used as f64;
+    let capacity = one_spin_best.as_secs_f64() / split_spin_best.as_secs_f64().max(1e-9);
+    let floor = LINEAR_FRACTION * capacity.min(threads_used as f64);
     println!(
         "speedup: mono {:.3}s vs pooled {:.3}s = {speedup:.2}x \
-         (floor {floor:.2}x = {LINEAR_FRACTION} x {threads_used} threads)",
+         (floor {floor:.2}x = {LINEAR_FRACTION} x min({threads_used} threads, capacity {capacity:.2}x))",
         mono_best.as_secs_f64(),
         pooled_best.as_secs_f64(),
     );
@@ -185,6 +224,7 @@ pub(super) fn run(args: &Args) -> Result<(), String> {
             "mono_s": mono_best.as_secs_f64(),
             "pooled_s": pooled_best.as_secs_f64(),
             "ratio_of_minimums": speedup,
+            "capacity": capacity,
             "linear_floor": floor,
         },
     });
@@ -192,7 +232,7 @@ pub(super) fn run(args: &Args) -> Result<(), String> {
     if speedup < floor {
         return Err(format!(
             "FAIL: pooled speedup {speedup:.2}x below the {floor:.2}x floor \
-             ({LINEAR_FRACTION} x {threads_used} threads)"
+             ({LINEAR_FRACTION} x min({threads_used} threads, capacity {capacity:.2}x))"
         ));
     }
 

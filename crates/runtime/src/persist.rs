@@ -666,12 +666,15 @@ mod tests {
     }
 
     proptest! {
-        /// Every length around the 8-byte step, at every alignment of
-        /// the slice's start.
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every length across the tables' 8-byte step and the
+        /// carry-less fold's 16-byte block, 32-byte threshold and 64-byte
+        /// four-lane step (twice over), at every alignment of a block.
         #[test]
-        fn crc32_agrees_with_the_bitwise_definition(buf in prop::collection::vec(0u8..=255, 8 + 67)) {
-            for offset in 0..8 {
-                for len in 0..=67 {
+        fn crc32_agrees_with_the_bitwise_definition(buf in prop::collection::vec(0u8..=255, 16 + 144)) {
+            for offset in 0..16 {
+                for len in 0..=144 {
                     let slice = &buf[offset..offset + len];
                     prop_assert_eq!(crc32(slice), crc32_bitwise(slice), "offset {} len {}", offset, len);
                 }
@@ -693,8 +696,9 @@ mod tests {
         }
     }
 
-    /// Lengths on both sides of the slice-by-8 step, and of nothing.
-    const EDGE_LENGTHS: [usize; 7] = [0, 1, 7, 8, 9, 63, 65];
+    /// Lengths on both sides of the slice-by-8 step, of the carry-less
+    /// fold's block, threshold and four-lane step, and of nothing.
+    const EDGE_LENGTHS: [usize; 13] = [0, 1, 7, 8, 9, 15, 16, 31, 32, 33, 63, 64, 65];
 
     proptest! {
         /// The concatenation rule at arbitrary splits, and at every split

@@ -116,7 +116,8 @@ pub enum DispatchDecision {
 /// before anything indexes it.
 ///
 /// The five tables only a plan writes (`ewma_rate` also the windowed
-/// rule's `commit`) are [`Encoded`]: between replans they are most of the
+/// rule's `commit`, and held as its shape until that first writes it:
+/// [`EwmaRates`]) are [`Encoded`]: between replans they are most of the
 /// state's bytes and none of what an epoch changes, so each keeps the
 /// text it was last written as. The four per-core tables an epoch does
 /// write (`count`, `busy_until`, `busy_time`, `alive`) are
@@ -138,7 +139,7 @@ pub struct DynamicScheduler {
     count: Vec<EncodedBlocks<u64>>,
     /// Exponentially-decayed rate estimate per (type, core) and its last
     /// update instant — only maintained under `AtcTcWindowed`.
-    ewma_rate: Encoded<Vec<Vec<(f64, f64)>>>,
+    ewma_rate: EwmaRates,
     /// Time each core becomes free.
     busy_until: EncodedBlocks<f64>,
     /// Service time of each task type on each core (`1/ECS` at the
@@ -511,7 +512,7 @@ impl DynamicScheduler {
             candidates: Encoded::new(plan.candidates),
             runnable: Encoded::new(plan.runnable),
             count,
-            ewma_rate: Encoded::new(vec![vec![(0.0, 0.0); n]; t]),
+            ewma_rate: EwmaRates::uniform(t, n, 0.0),
             busy_until: vec![0.0; n].into(),
             service: Encoded::new(ServiceTimes(plan.service)),
             busy_time: vec![0.0; n].into(),
@@ -545,7 +546,7 @@ impl DynamicScheduler {
         self.candidates = Encoded::new(plan.candidates);
         self.runnable = Encoded::new(plan.runnable);
         self.service = Encoded::new(ServiceTimes(plan.service));
-        self.ewma_rate = Encoded::new(vec![vec![(0.0, now); n]; t]);
+        self.ewma_rate = EwmaRates::uniform(t, n, now);
         self.plan_start = now;
     }
 
@@ -669,9 +670,9 @@ impl DynamicScheduler {
         if let DispatchPolicy::AtcTcWindowed { tau_s } = self.policy {
             // Decay the estimate to `now`, then add this assignment's
             // impulse (1 task smeared over tau).
-            let (rate, last) = self.ewma_rate[task_type][k];
+            let (rate, last) = self.ewma_rate.get(task_type, k);
             let decayed = rate * (-(now - last) / tau_s).exp();
-            self.ewma_rate.to_mut()[task_type][k] = (decayed + 1.0 / tau_s, now);
+            self.ewma_rate.set(task_type, k, (decayed + 1.0 / tau_s, now));
         }
         DispatchDecision::Assigned {
             core: k,
@@ -804,7 +805,7 @@ impl DynamicScheduler {
             if !self.alive[k] {
                 continue;
             }
-            let (rate, last) = self.ewma_rate[task_type][k];
+            let (rate, last) = self.ewma_rate.get(task_type, k);
             let atc = rate * (-(now - last) / tau_s).exp();
             let ratio = atc / self.tc[task_type][k];
             if ratio > 1.0 {
@@ -933,7 +934,7 @@ impl DynamicScheduler {
             ("tc of a candidate", rated),
             ("runnable", core_sets(&self.runnable, t, n)),
             ("count", table(&self.count, t, n)),
-            ("ewma_rate", table(&self.ewma_rate, t, n)),
+            ("ewma_rate", self.ewma_rate.fits(t, n)),
             ("busy_until", self.busy_until.len() == n),
             ("service", table(&self.service, t, n)),
             ("busy_time", self.busy_time.len() == n),
@@ -1005,6 +1006,109 @@ impl Deserialize for ServiceTimes {
         })?;
         table.shrink_to_fit();
         Ok(ServiceTimes(table))
+    }
+}
+
+/// The windowed rule's rate estimate per (type, core) and its last update
+/// instant: `rates[type][core] = (rate, last)`.
+///
+/// A build or a replan sets every entry to `(0, plan_start)`, and only
+/// the `AtcTcWindowed` rule's `commit` writes one, so until then the table
+/// is held as its shape and that instant (`Uniform`): it prints the bytes
+/// of the whole table, and equals a whole table with the same entries.
+/// The first write builds the table (`Table`); a table read from disk is
+/// kept as it was read.
+#[derive(Debug, Clone)]
+enum EwmaRates {
+    Uniform(Encoded<UniformRates>),
+    Table(Encoded<Vec<Vec<(f64, f64)>>>),
+}
+
+/// `types × cores` entries of `(0, since)`.
+#[derive(Debug, Clone, PartialEq)]
+struct UniformRates {
+    types: usize,
+    cores: usize,
+    since: f64,
+}
+
+impl EwmaRates {
+    fn uniform(types: usize, cores: usize, since: f64) -> Self {
+        EwmaRates::Uniform(Encoded::new(UniformRates { types, cores, since }))
+    }
+
+    /// The entry of `task_type` on core `k`, both in range.
+    fn get(&self, task_type: usize, k: usize) -> (f64, f64) {
+        match self {
+            EwmaRates::Uniform(uniform) => (0.0, uniform.since),
+            EwmaRates::Table(table) => table[task_type][k],
+        }
+    }
+
+    /// Writes the entry of `task_type` on core `k`, both in range.
+    fn set(&mut self, task_type: usize, k: usize, entry: (f64, f64)) {
+        if let EwmaRates::Uniform(uniform) = self {
+            let UniformRates { types, cores, since } = **uniform;
+            *self = EwmaRates::Table(Encoded::new(vec![vec![(0.0, since); cores]; types]));
+        }
+        if let EwmaRates::Table(table) = self {
+            table.to_mut()[task_type][k] = entry;
+        }
+    }
+
+    /// `t` rows of `n` entries each.
+    fn fits(&self, t: usize, n: usize) -> bool {
+        match self {
+            EwmaRates::Uniform(uniform) => (uniform.types, uniform.cores) == (t, n),
+            EwmaRates::Table(table) => table.len() == t && table.iter().all(|row| row.len() == n),
+        }
+    }
+}
+
+impl PartialEq for EwmaRates {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (EwmaRates::Uniform(a), EwmaRates::Uniform(b)) => **a == **b,
+            (EwmaRates::Table(a), EwmaRates::Table(b)) => **a == **b,
+            (EwmaRates::Uniform(uniform), EwmaRates::Table(table))
+            | (EwmaRates::Table(table), EwmaRates::Uniform(uniform)) => {
+                let entry = (0.0, uniform.since);
+                table.len() == uniform.types
+                    && table.iter().all(|row| {
+                        // lint: allow(float-eq): the equality a whole table has, `==` entry by entry
+                        row.len() == uniform.cores && row.iter().all(|&e| e == entry)
+                    })
+            }
+        }
+    }
+}
+
+impl Serialize for EwmaRates {
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        match self {
+            EwmaRates::Uniform(uniform) => uniform.serialize(sink),
+            EwmaRates::Table(table) => table.serialize(sink),
+        }
+    }
+}
+
+impl Deserialize for EwmaRates {
+    fn deserialize(src: &mut Source<'_>) -> Result<Self, serde::Error> {
+        Encoded::deserialize(src).map(EwmaRates::Table)
+    }
+}
+
+impl Serialize for UniformRates {
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        sink.begin_array();
+        for _ in 0..self.types {
+            sink.begin_array();
+            for _ in 0..self.cores {
+                (0.0, self.since).serialize(sink);
+            }
+            sink.end_array();
+        }
+        sink.end_array();
     }
 }
 
@@ -1128,6 +1232,31 @@ mod tests {
     use thermaware_workload::ArrivalTrace;
 
     type Room = (DataCenter, Vec<usize>, Stage3Solution);
+
+    /// A rate table held as its shape equals, prints and reads back as
+    /// the whole table it stands for, until a write makes it that table.
+    #[test]
+    fn a_uniform_rate_table_is_the_table_it_stands_for() {
+        let uniform = EwmaRates::uniform(2, 3, 1.5);
+        let whole = EwmaRates::Table(Encoded::new(vec![vec![(0.0, 1.5); 3]; 2]));
+        assert_eq!(uniform, whole);
+        assert_eq!(whole, uniform);
+        let text = serde_json::to_string(&uniform).unwrap();
+        assert_eq!(text, "[[[0,1.5],[0,1.5],[0,1.5]],[[0,1.5],[0,1.5],[0,1.5]]]");
+        assert_eq!(serde_json::to_string(&whole).unwrap(), text);
+        let read: EwmaRates = serde_json::from_str(&text).unwrap();
+        assert!(matches!(read, EwmaRates::Table(_)) && read == uniform);
+        assert!(uniform.fits(2, 3) && !uniform.fits(3, 2) && !uniform.fits(2, 4));
+        assert_ne!(uniform, EwmaRates::uniform(2, 3, 0.0));
+        assert_ne!(uniform, EwmaRates::uniform(3, 2, 1.5));
+        assert_ne!(uniform, EwmaRates::Table(Encoded::new(vec![vec![(0.0, 1.5); 3]; 3])));
+
+        let mut written = uniform.clone();
+        written.set(1, 2, (0.5, 2.0));
+        assert!(matches!(written, EwmaRates::Table(_)) && written != uniform);
+        assert_eq!((written.get(1, 2), written.get(0, 0)), ((0.5, 2.0), (0.0, 1.5)));
+        assert!(written.fits(2, 3));
+    }
 
     /// Planned rooms shared by every case: planning is the expensive part.
     fn rooms() -> &'static [Room] {
