@@ -18,7 +18,7 @@
 //!   changed, which is exactly what a reviewer must see and bless.
 //!
 //! Only scale-free metrics are gated (ratios, rates, seeded counts);
-//! wall-clock milliseconds (`overhead_pct`, `mono_s`, `pooled_s`) vary
+//! wall-clock milliseconds (`overhead_pct`, `one_thread_s`, `pooled_s`) vary
 //! with CI hardware and stay ungated — the bench experiments keep their
 //! own absolute floors (e.g. `lp_bench`'s `MIN_SPEEDUP`) which encode
 //! machine-independent claims.

@@ -18,7 +18,7 @@
 //! - **Method calls** (`.m(…)`): receiver types are unknown, so the
 //!   call links to *every* workspace method named `m` — a deliberate
 //!   over-approximation (class-hierarchy style), tempered by a stoplist
-//!   of ubiquitous std method names ([`METHOD_STOPLIST`]) that would
+//!   of ubiquitous std method names (`METHOD_STOPLIST`) that would
 //!   otherwise wire the graph into a near-clique through `clone`/`len`/
 //!   `get`. Workspace methods that shadow a stoplisted name are the one
 //!   documented blind spot.

@@ -63,7 +63,7 @@ pub struct Call {
     /// 1-based source line of the call.
     pub line: usize,
     /// True when the call happens inside the argument parentheses of a
-    /// [`PANIC_GUARDS`] call (`catch_unwind(…)` / `spawn(…)`).
+    /// `PANIC_GUARDS` call (`catch_unwind(…)` / `spawn(…)`).
     pub guarded: bool,
 }
 

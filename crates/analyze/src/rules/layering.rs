@@ -21,7 +21,7 @@
 //!
 //! Crates not in the table (fixtures, future additions) get the
 //! unused-dep and facade checks but no DAG constraint — adding the new
-//! crate to [`ALLOWED`] is part of introducing it.
+//! crate to `ALLOWED` is part of introducing it.
 
 use super::Finding;
 use crate::workspace::Workspace;

@@ -96,8 +96,9 @@ fn analyzer_actually_scanned_the_workspace() {
 
 #[test]
 fn resume_entries_reach_their_trail_code() {
-    // The resume is a plain call chain through the trail protocol and
-    // the service's part — the floor's checks and epoch included — so `transitive-panic` and `determinism-taint`
+    // The resume is a plain call chain through the store's own code, the
+    // persist module's file format and the engine — the floor's checks
+    // and epoch included — so `transitive-panic` and `determinism-taint`
     // check everything recovery runs. A step the graph cannot follow (a
     // trait's default method called through a type, say) would drop the
     // code behind it out of both rules without a finding.
@@ -111,11 +112,13 @@ fn resume_entries_reach_their_trail_code() {
         (
             ("service", "resume_service"),
             &[
-                ("runtime", Some("Trail"), "open"),
+                ("runtime", None, "read_header"),
                 ("runtime", None, "read_envelope"),
+                ("runtime", None, "snapshot_paths"),
                 ("runtime", None, "load_snapshot"),
-                ("runtime", Some("Trail"), "replay"),
+                ("service", None, "replay_journal"),
                 ("runtime", None, "read_journal"),
+                ("runtime", None, "json_crc_only"),
                 ("service", Some("ServiceState"), "fits"),
                 ("service", Some("ServiceEngine"), "from_state"),
                 ("service", None, "plan_fits"),

@@ -7,8 +7,8 @@
 //! temperatures are fixed, exactly as the paper observes in Section V.B.2.
 //! This crate provides the LP solver those problems run on.
 //!
-//! The engine is a **sparse revised simplex** ([`revised`]) on an
-//! internal problem form ([`internal`]): the basis matrix is LU-factorized
+//! The engine is a **sparse revised simplex** (`revised`) on an
+//! internal problem form (`internal`): the basis matrix is LU-factorized
 //! (`thermaware-linalg`), pivots append product-form eta updates with
 //! periodic refactorization, and bounded variables are handled implicitly
 //! (nonbasic columns rest at either bound, so box constraints never become

@@ -112,16 +112,16 @@ pub enum DispatchDecision {
 ///
 /// This struct is its own checkpoint form — the persist layers write it
 /// as it stands, fields in declaration order — so state read back from
-/// disk is checked against the room with [`DynamicScheduler::fits`]
+/// disk is checked against the room with `DynamicScheduler::fits`
 /// before anything indexes it.
 ///
 /// The five tables only a plan writes (`ewma_rate` also the windowed
 /// rule's `commit`, and held as its shape until that first writes it:
-/// [`EwmaRates`]) are [`Encoded`]: between replans they are most of the
+/// `EwmaRates`) are `Encoded`: between replans they are most of the
 /// state's bytes and none of what an epoch changes, so each keeps the
 /// text it was last written as. The four per-core tables an epoch does
 /// write (`count`, `busy_until`, `busy_time`, `alive`) are
-/// [`EncodedBlocks`]: each keeps the text of every block of cores no
+/// `EncodedBlocks`: each keeps the text of every block of cores no
 /// write has touched since the last encode.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DynamicScheduler {

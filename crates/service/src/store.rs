@@ -1,7 +1,8 @@
 //! The service's durable layer: a write-ahead journal of (batches,
-//! faults, verdict) epoch inputs plus periodic full-state snapshots — the
-//! [`Trail`] of the runtime's persist module. The daemon and the
-//! supervisor (`crate::supervisor`) both write it; one resume reads it.
+//! faults, verdict) epoch inputs plus periodic full-state snapshots, in
+//! the file format of the runtime's persist module. The daemon and the
+//! supervisor (`crate::supervisor`) both write it; one resume,
+//! [`resume_service`], reads it.
 //!
 //! # Exactly-once admission across SIGKILL
 //!
@@ -35,11 +36,17 @@ use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use thermaware_core::stage3::Stage3Solution;
 use thermaware_datacenter::ScenarioSnapshot;
+use thermaware_runtime::persist::{
+    create_trail, json_crc, json_crc_only, load_snapshot, read_header, read_journal, snapshot_paths,
+    write_snapshot, JournalWriter, PersistError, TrailRecovery,
+};
 use thermaware_runtime::{Fault, Floor};
-use thermaware_runtime::persist::{json_crc, PersistError, Trail, TrailConfig, TrailRecovery, TrailWriter};
 
 /// On-disk format version for the service store.
 pub const SERVICE_FORMAT_VERSION: u64 = 1;
+
+const HEADER_FILE: &str = "service.json";
+const JOURNAL_FILE: &str = "journal.jsonl";
 
 /// The immutable run description written once at store creation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -91,14 +98,17 @@ pub enum ServiceRecord {
 pub struct StoreConfig {
     /// Store directory (created if missing).
     pub dir: PathBuf,
-    /// fsync journal appends and snapshot writes. Tests may disable.
+    /// fsync journal appends and snapshot writes. Without it a power
+    /// loss can lose acknowledged epochs (a process kill cannot). Tests
+    /// may disable.
     pub durable: bool,
-    /// Commit-record appends per fsync barrier (Begin records always
-    /// sync — they gate acks).
+    /// Commit-record appends per fsync barrier (clamped to ≥ 1; Begin
+    /// records always sync — they gate acks).
     pub flush_every: usize,
-    /// Epochs between full snapshots.
+    /// Epochs between full snapshots (clamped to ≥ 1); the journal
+    /// records every epoch regardless.
     pub snapshot_interval: usize,
-    /// Snapshot generations retained.
+    /// Snapshot generations retained (clamped to ≥ 1).
     pub retain: usize,
 }
 
@@ -122,10 +132,10 @@ pub fn state_json_crc(state: &ServiceState) -> Result<(String, u32), PersistErro
     json_crc(state)
 }
 
-/// Writes the journal and snapshots for one service run (each method a
-/// call on the one [`TrailWriter`]).
+/// Writes the journal and snapshots for one service run.
 pub struct ServiceStore {
-    trail: TrailWriter<Store>,
+    cfg: StoreConfig,
+    journal: JournalWriter,
 }
 
 impl ServiceStore {
@@ -139,7 +149,9 @@ impl ServiceStore {
             stage3: engine.state().stage3.clone(),
             floor: engine.state().floor.clone(),
         };
-        let mut store = ServiceStore { trail: TrailWriter::create(trail_config(cfg), &header)? };
+        create_trail(&cfg.dir, HEADER_FILE, SERVICE_FORMAT_VERSION, &header, cfg.durable)?;
+        let journal = JournalWriter::create(&cfg.dir.join(JOURNAL_FILE), cfg.durable, cfg.flush_every)?;
+        let mut store = ServiceStore { cfg, journal };
         store.snapshot(engine)?;
         Ok(store)
     }
@@ -147,7 +159,8 @@ impl ServiceStore {
     /// Reattach to an existing store directory (after
     /// [`resume_service`]): journal opened for append, header untouched.
     pub fn reopen(cfg: StoreConfig) -> Result<ServiceStore, PersistError> {
-        Ok(ServiceStore { trail: TrailWriter::reopen(trail_config(cfg))? })
+        let journal = JournalWriter::open_append(&cfg.dir.join(JOURNAL_FILE), cfg.durable, cfg.flush_every)?;
+        Ok(ServiceStore { cfg, journal })
     }
 
     /// Journal the epoch's inputs and **fsync before returning** — the
@@ -171,29 +184,29 @@ impl ServiceStore {
         faults: &[Fault],
         verdict: &ReplanVerdict,
     ) -> Result<(), PersistError> {
-        self.trail.append(&ServiceRecord::Begin {
+        self.journal.append(&ServiceRecord::Begin {
             epoch,
             batches: batches.to_vec(),
             verdict: verdict.clone(),
             faults: faults.to_vec(),
         })?;
-        self.trail.sync()
+        self.journal.sync()
     }
 
     /// Journal the post-step state CRC (batched fsync — losing a commit
     /// record costs replay verification, never admitted work).
     pub fn append_commit(&mut self, epoch: usize, state_crc: u32) -> Result<(), PersistError> {
-        self.trail.append(&ServiceRecord::Commit { epoch, state_crc })
+        self.journal.append(&ServiceRecord::Commit { epoch, state_crc })
     }
 
     /// Force the journal's fsync barrier now.
     pub fn sync(&mut self) -> Result<(), PersistError> {
-        self.trail.sync()
+        self.journal.sync()
     }
 
     /// Should the daemon snapshot after `epoch` executed?
     pub fn snapshot_due(&self, epoch: usize) -> bool {
-        self.trail.snapshot_due(epoch)
+        epoch.is_multiple_of(self.cfg.snapshot_interval.max(1))
     }
 
     /// Write a full snapshot of the engine state and prune old
@@ -201,14 +214,10 @@ impl ServiceStore {
     /// describes state the journal cannot reproduce.
     pub fn snapshot(&mut self, engine: &ServiceEngine) -> Result<(), PersistError> {
         let (json, crc) = state_json_crc(engine.state())?;
-        self.trail.snapshot(engine.state().epoch, &json, crc)
+        self.journal.sync()?;
+        let cfg = &self.cfg;
+        write_snapshot(&cfg.dir, SERVICE_FORMAT_VERSION, engine.state().epoch, &json, crc, cfg.durable, cfg.retain)
     }
-}
-
-/// The store's policy in the trail writer's terms: the same five values.
-fn trail_config(cfg: StoreConfig) -> TrailConfig {
-    let StoreConfig { dir, durable, flush_every, snapshot_interval, retain } = cfg;
-    TrailConfig { dir, durable, flush_every, snapshot_interval, retain }
 }
 
 /// Rebuild a [`ServiceEngine`] from a store directory: restore the
@@ -219,67 +228,87 @@ fn trail_config(cfg: StoreConfig) -> TrailConfig {
 /// snapshot in a newer format refuses the resume.
 pub fn resume_service(dir: &Path) -> Result<(ServiceEngine, TrailRecovery), PersistError> {
     let _span = thermaware_obs::span("service.resume");
-    let (header, dc, generation, mut recovery) = Store::open(dir, |dc, state| state.fits(dc).is_ok())?;
-    let mut engine = match generation {
-        Some(state) => {
-            ServiceEngine::from_state(dc, header.cfg, state).map_err(|reason| PersistError::State { reason })?
+    let corrupt = |reason: String| PersistError::Corrupt { path: dir.join(HEADER_FILE), reason };
+    let ServiceHeader { scenario, cfg, pstates, stage3, floor } =
+        read_header(dir, HEADER_FILE, SERVICE_FORMAT_VERSION)?;
+    let dc = scenario.restore().map_err(|e| corrupt(format!("scenario does not restore: {e}")))?;
+    // The newest generation that passes its file checks and fits the
+    // room; damaged or misfitting ones are skipped, one in a newer format
+    // refuses the resume.
+    let mut recovery = TrailRecovery { dir: dir.to_path_buf(), ..TrailRecovery::default() };
+    let mut generation = None;
+    for (epoch, path) in snapshot_paths(dir)?.iter().rev() {
+        match load_snapshot(path, *epoch, SERVICE_FORMAT_VERSION, |state: &ServiceState| state.epoch) {
+            Ok(state) if state.fits(&dc).is_ok() => {
+                recovery.snapshot_epoch = *epoch;
+                generation = Some(state);
+                break;
+            }
+            Err(e @ PersistError::UnsupportedVersion { .. }) => return Err(e),
+            _ => recovery.snapshots_skipped += 1,
         }
+    }
+    let mut engine = match generation {
+        Some(state) => ServiceEngine::from_state(dc, cfg, state).map_err(|reason| PersistError::State { reason })?,
         None => {
-            let header_fits = plan_fits(&dc, &header.pstates, &header.stage3)
-                .and_then(|()| header.floor.as_ref().map_or(Ok(()), |floor| floor.fits(&dc)));
-            header_fits.map_err(|reason| PersistError::Corrupt { path: dir.join(Store::HEADER_FILE), reason })?;
-            let engine = ServiceEngine::new(dc, header.cfg, &header.pstates, &header.stage3);
-            match header.floor {
+            let header_fits = plan_fits(&dc, &pstates, &stage3)
+                .and_then(|()| floor.as_ref().map_or(Ok(()), |floor| floor.fits(&dc)));
+            header_fits.map_err(corrupt)?;
+            let engine = ServiceEngine::new(dc, cfg, &pstates, &stage3);
+            match floor {
                 Some(floor) => engine.with_floor(floor),
                 None => engine,
             }
         }
     };
-    Store::replay(&mut recovery, &mut engine, ServiceEngine::state, |engine, record| {
-        if let ServiceRecord::Begin { batches, faults, verdict, .. } = record {
-            // The record is well framed, not therefore well formed.
-            engine.inputs_fit(batches, faults, verdict)?;
-            engine.step_with(batches, faults, verdict);
-        }
-        Ok(())
-    })?;
+    replay_journal(&mut engine, &mut recovery)?;
     Ok((engine, recovery))
 }
 
-/// The service store as a [`Trail`]: a begin holds the epoch's whole
-/// input, so it re-executes the epoch, commit or no commit — once its
-/// input is checked against the room. A generation whose tables are not
-/// for the header's room is skipped for an older one, and with none
-/// usable the engine boots from the header's plan at epoch 0 — all of it
-/// in [`resume_service`].
-struct Store;
-
-impl Trail for Store {
-    type Header = ServiceHeader;
-    type State = ServiceState;
-    type Record = ServiceRecord;
-    const HEADER_FILE: &'static str = "service.json";
-    const VERSION: u64 = SERVICE_FORMAT_VERSION;
-
-    fn scenario(header: &ServiceHeader) -> &ScenarioSnapshot {
-        &header.scenario
-    }
-
-    fn epoch(state: &ServiceState) -> usize {
-        state.epoch
-    }
-
-    fn steps(record: &ServiceRecord) -> Option<usize> {
+/// Replay the journal on `engine`, standing at the generation's epoch,
+/// after truncating the torn tail off its valid prefix. A record behind
+/// the state is inside the generation and skipped; one ahead of it is a
+/// journal gap. A begin holds its epoch's whole input, so it re-executes
+/// the epoch, commit or no commit — once the input is checked against
+/// the room; a commit must find the state at the CRC it journaled.
+fn replay_journal(engine: &mut ServiceEngine, recovery: &mut TrailRecovery) -> Result<(), PersistError> {
+    let path = recovery.dir.join(JOURNAL_FILE);
+    let corrupt = |reason: String| PersistError::Corrupt { path: path.clone(), reason };
+    let (records, truncated) = read_journal::<ServiceRecord>(&path)?;
+    recovery.truncated_bytes = truncated;
+    for record in &records {
+        // The state epoch a record applies at: a begin before its epoch
+        // runs, a commit after.
+        let (epoch, at) = match record {
+            ServiceRecord::Begin { epoch, .. } => (*epoch, *epoch),
+            ServiceRecord::Commit { epoch, .. } => (*epoch, epoch + 1),
+        };
+        let now = engine.state().epoch;
+        if at < now {
+            continue;
+        }
+        if at > now {
+            return Err(corrupt(format!("journal gap: record for epoch {epoch} but state is at {now}")));
+        }
         match record {
-            ServiceRecord::Begin { epoch, .. } => Some(*epoch),
-            ServiceRecord::Commit { .. } => None,
+            ServiceRecord::Begin { batches, faults, verdict, .. } => {
+                // The record is well framed, not therefore well formed.
+                let fits = engine.inputs_fit(batches, faults, verdict);
+                fits.map_err(|misfit| corrupt(format!("record for epoch {epoch}: {misfit}")))?;
+                engine.step_with(batches, faults, verdict);
+                recovery.replayed_epochs += 1;
+                recovery.tail_begin = true;
+            }
+            ServiceRecord::Commit { state_crc, .. } => {
+                let crc = json_crc_only(engine.state());
+                if crc != *state_crc {
+                    return Err(corrupt(format!(
+                        "replay divergence at epoch {epoch}: state CRC {crc:08x} != journaled {state_crc:08x}"
+                    )));
+                }
+                recovery.tail_begin = false;
+            }
         }
     }
-
-    fn commits(record: &ServiceRecord) -> Option<(usize, u32)> {
-        match record {
-            ServiceRecord::Begin { .. } => None,
-            ServiceRecord::Commit { epoch, state_crc } => Some((*epoch, *state_crc)),
-        }
-    }
+    Ok(())
 }
