@@ -9,11 +9,12 @@
 //! was printed from; debug builds and tests print again at every splice
 //! and compare.
 //!
-//! [`EncodedVec`] does the same per element for a list that gains
-//! elements at the end and loses them anywhere: the in-flight tasks, of
-//! which an epoch admits some and settles others while most are written
-//! again unchanged. [`EncodedBlocks`] does it per block of [`BLOCK`]
-//! elements for a per-core table of which an epoch writes a few cores.
+//! [`EncodedVec`] does the same for a list that gains elements at the end
+//! and loses them anywhere, keeping every element's text in one run: the
+//! in-flight tasks, of which an epoch admits some and settles others
+//! while most are written again unchanged. [`EncodedBlocks`] does it per
+//! block of [`BLOCK`] elements for a per-core table of which an epoch
+//! writes a few cores.
 
 use serde::{Deserialize, Serialize, Sink, Source};
 use serde_json::{crc32, Writer};
@@ -113,17 +114,17 @@ impl<T: Deserialize> Deserialize for Encoded<T> {
     }
 }
 
-/// A list and, for a prefix of its elements, the compact JSON text of
-/// each and that text's CRC-32.
+/// A list and, for a prefix of its elements, their compact JSON texts as
+/// one run `e1,e2,…`.
 ///
-/// The texts sit end to end in one side buffer, so the list owns one
-/// allocation for them, not one per element. An encode prints the
-/// elements pushed since the last one into it and hands every element's
-/// text to the sink; nothing is printed while nothing encodes, so a
-/// simulation that is never written pays nothing per push. [`retain`]
-/// compacts texts and elements in the same pass, and [`update`] drops
-/// the text of the first element it changes and of every one after it,
-/// so no text outlives the value it was printed from.
+/// The run is one buffer, so the list owns one allocation for its text,
+/// not one per element, and a sink takes it as one splice checksummed by
+/// one pass. An encode prints the elements pushed since the last one onto
+/// its end; nothing is printed while nothing encodes, so a simulation
+/// that is never written pays nothing per push. [`retain`] compacts the
+/// run and the elements in the same pass, and [`update`] cuts the run
+/// before the first element it changes, so no text outlives the value it
+/// was printed from.
 ///
 /// As with [`Encoded`], the text is a function of the elements: the list
 /// serializes as a plain array (never the text), reads back with no
@@ -137,19 +138,13 @@ pub(crate) struct EncodedVec<T> {
     kept: Mutex<Kept>,
 }
 
-/// The texts of `items[..spans.len()]`, end to end.
+/// The texts of `items[..ends.len()]`, comma-separated.
 #[derive(Clone, Default)]
 struct Kept {
     text: String,
-    spans: Vec<Span>,
-}
-
-/// Where an element's text ends in [`Kept::text`] (it starts where the
-/// one before ends) and its CRC-32.
-#[derive(Clone, Copy)]
-struct Span {
-    end: usize,
-    crc: u32,
+    /// Where each element's text ends in `text`. The first starts at 0,
+    /// every other one byte (its comma) after the one before ends.
+    ends: Vec<usize>,
 }
 
 impl Kept {
@@ -169,26 +164,35 @@ impl Kept {
         if fresh.is_empty() {
             return;
         }
-        let (start, first) = (self.text.len(), self.spans.len());
-        let mut out = Writer::compact_onto(std::mem::take(&mut self.text));
+        let start = self.text.len();
+        let mut text = std::mem::take(&mut self.text);
+        // Room for the fresh elements at the kept ones' mean length and a
+        // comma each, and an eighth of the run to spare: the run grows
+        // once by what it takes, where doubling and then cutting back to
+        // an eighth over allocated it twice.
+        if let Some(mean) = start.checked_div(self.ends.len()) {
+            let more = fresh.len() * (mean + 1);
+            if text.capacity() - start < more {
+                text.reserve_exact(more + (start + more) / 8);
+            }
+        }
+        if !self.ends.is_empty() {
+            text.push(',');
+        }
+        let mut out = Writer::elements_onto(text);
         for item in fresh {
             item.serialize(&mut out);
-            self.spans.push(Span { end: out.written(), crc: 0 });
+            self.ends.push(out.written());
         }
         self.text = out.finish();
         note_kept(self.text.len() - start);
-        let mut from = start;
-        for span in &mut self.spans[first..] {
-            span.crc = crc32(&self.text.as_bytes()[from..span.end]);
-            from = span.end;
-        }
     }
 
     /// Keeps the text of the first `n` elements only.
     fn truncate(&mut self, n: usize) {
-        if n < self.spans.len() {
-            self.spans.truncate(n);
-            self.text.truncate(self.spans.last().map_or(0, |span| span.end));
+        if n < self.ends.len() {
+            self.ends.truncate(n);
+            self.text.truncate(self.ends.last().map_or(0, |&end| end));
         }
     }
 }
@@ -202,33 +206,37 @@ impl<T> EncodedVec<T> {
     /// Keeps the elements `keep` accepts, in order, and their texts.
     pub(crate) fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
         let mut kept = Kept::lock(&self.kept);
-        if kept.spans.is_empty() {
+        if kept.ends.is_empty() {
             self.items.retain(keep);
             return;
         }
         let mut bytes = std::mem::take(&mut kept.text).into_bytes();
-        let kept = &mut *kept;
-        let spans = &mut kept.spans;
-        // Element `i`'s text starts at `from`; the texts kept so far end at
-        // `to`, and their spans fill `spans[..filled]`.
+        let ends = &mut kept.ends;
+        // Element `i`'s text starts at `from`; the run kept so far ends at
+        // `to`, and its ends fill `ends[..filled]`. The run never catches
+        // up with the element being read: `to < from` once one is kept.
         let (mut i, mut from, mut to, mut filled) = (0, 0, 0, 0);
         self.items.retain(|item| {
             let stays = keep(item);
-            if let Some(&Span { end, crc }) = spans.get(i) {
+            if let Some(&end) = ends.get(i) {
                 if stays {
+                    if filled > 0 {
+                        bytes[to] = b',';
+                        to += 1;
+                    }
                     if from != to {
                         bytes.copy_within(from..end, to);
                     }
                     to += end - from;
-                    spans[filled] = Span { end: to, crc };
+                    ends[filled] = to;
                     filled += 1;
                 }
-                from = end;
+                from = end + 1;
             }
             i += 1;
             stays
         });
-        spans.truncate(filled);
+        ends.truncate(filled);
         bytes.truncate(to);
         kept.text = String::from_utf8(bytes).expect("whole texts of whole values, moved whole");
     }
@@ -292,13 +300,11 @@ impl<T: fmt::Debug> fmt::Debug for EncodedVec<T> {
 impl<T: Serialize> Serialize for EncodedVec<T> {
     fn serialize<S: Sink>(&self, sink: &mut S) {
         let mut kept = Kept::lock(&self.kept);
-        let printed = kept.spans.len();
+        let printed = kept.ends.len();
         kept.print(&self.items[printed..]);
         sink.begin_array();
-        let mut from = 0;
-        for (item, span) in self.items.iter().zip(&kept.spans) {
-            splice_or_serialize(item, &kept.text[from..span.end], span.crc, sink);
-            from = span.end;
+        if !self.items.is_empty() {
+            splice_or_serialize(&Run(&self.items), &kept.text, crc32(kept.text.as_bytes()), sink);
         }
         sink.end_array();
     }
@@ -466,5 +472,87 @@ impl<T: Serialize> Serialize for EncodedBlocks<T> {
 impl<T: Deserialize> Deserialize for EncodedBlocks<T> {
     fn deserialize(src: &mut Source<'_>) -> Result<Self, serde::Error> {
         Vec::<T>::deserialize(src).map(EncodedBlocks::from)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Elements whose texts have escapes and non-ASCII bytes in them.
+    fn list(n: usize) -> EncodedVec<(usize, String)> {
+        (0..n).map(|i| (i, format!("é{i}\"→"))).collect::<Vec<_>>().into()
+    }
+
+    /// Encodes `v` and holds it to the plain array of its elements; the
+    /// run then holds every element's text, comma-separated, and where
+    /// each one ends.
+    fn check(v: &EncodedVec<(usize, String)>) {
+        let text = serde_json::to_string(v).expect("encode");
+        let plain = serde_json::to_string(&v.items).expect("encode");
+        assert_eq!(text, plain);
+        let kept = Kept::lock(&v.kept);
+        assert_eq!(kept.text, plain[1..plain.len() - 1]);
+        assert_eq!(kept.ends.len(), v.len());
+        let mut start = 0;
+        for (item, &end) in v.items.iter().zip(&kept.ends) {
+            assert_eq!(kept.text[start..end], serde_json::to_string(item).expect("encode"));
+            start = end + 1;
+        }
+    }
+
+    /// `retain` dropping the first element, the last, all, none, every
+    /// other one and all but one, from a run that holds every element's
+    /// text and from one that holds only some (pushed since the encode):
+    /// the run it leaves is the one a fresh print gives.
+    #[test]
+    fn retain_keeps_the_separators_of_the_run() {
+        /// Whether element `i` of `n` goes.
+        type Drop = fn(usize, usize) -> bool;
+        let drops: [(&str, Drop); 6] = [
+            ("first", |i, _| i == 0),
+            ("last", |i, n| i == n - 1),
+            ("all", |_, _| true),
+            ("none", |_, _| false),
+            ("every other", |i, _| i % 2 == 0),
+            ("all but one", |i, n| i != n / 2),
+        ];
+        for (name, dropped) in drops {
+            for (n, unprinted) in [(1, 0), (2, 0), (7, 0), (7, 3), (7, 7)] {
+                let mut v = list(n - unprinted);
+                check(&v);
+                (n - unprinted..n).for_each(|i| v.push((i, format!("é{i}\"→"))));
+                v.retain(|&(i, _)| !dropped(i, n));
+                let kept = Kept::lock(&v.kept).ends.len();
+                assert_eq!(kept, v.iter().filter(|&&(i, _)| i < n - unprinted).count(), "{name}");
+                check(&v);
+                v.push((n, "after".to_string()));
+                check(&v);
+            }
+        }
+    }
+
+    /// An `update` that changes an element in the middle cuts the run
+    /// there, its comma included; a settle before the next encode and
+    /// the encode itself mend the run from the cut.
+    #[test]
+    fn an_update_cuts_the_run_and_the_next_encode_mends_it() {
+        for at in [0, 1, 4, 7] {
+            let mut v = list(8);
+            check(&v);
+            v.update(|item| {
+                let changed = item.0 == at;
+                if changed {
+                    item.1.push('!');
+                }
+                changed
+            });
+            let text = Kept::lock(&v.kept).text.clone();
+            assert!(!text.ends_with(','), "{text}");
+            assert_eq!(Kept::lock(&v.kept).ends.len(), at);
+            v.retain(|&(i, _)| i != 2 && i != 6);
+            v.push((8, String::new()));
+            check(&v);
+        }
     }
 }

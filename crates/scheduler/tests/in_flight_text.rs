@@ -1,20 +1,22 @@
-//! The in-flight list keeps each task's encoded text from the first
-//! encode that prints it until `settle` drops the task or `kill_cores`
-//! marks it lost. Debug builds print every kept text again at every
-//! splice; this suite holds the same in release: whatever mix of
-//! dispatches, settles, kills, replans, clones and round trips came
-//! before, `json_crc` of the simulation is the plain encode of its tree
-//! (which splices nothing) and that text's checksum.
+//! The in-flight list keeps each task's encoded text, in one run of all
+//! of them, from the first encode that prints it until `settle` drops
+//! the task or `kill_cores` marks it lost. Debug builds print every kept
+//! text again at every splice; this suite holds the same in release:
+//! whatever mix of dispatches, settles, kills, replans, clones and round
+//! trips came before, `json_crc` and `json_crc_only` of the simulation
+//! are the plain encode of its tree (which splices nothing) and that
+//! text's checksum, and the list reaches the sink as one splice at most.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
+use serde::{Serialize, Sink};
+use serde_json::Writer;
 use std::sync::OnceLock;
 use thermaware_core::stage3::Stage3Solution;
 use thermaware_core::Solver;
 use thermaware_datacenter::{DataCenter, ScenarioParams};
-use thermaware_runtime::persist::{crc32, crc32_combine, json_crc};
+use thermaware_runtime::persist::{crc32, crc32_combine, json_crc, json_crc_only};
 use thermaware_scheduler::EpochSim;
 use thermaware_workload::{ArrivalTrace, TaskArrival};
 
@@ -41,14 +43,96 @@ fn room() -> &'static Room {
     })
 }
 
+/// A compact writer that counts the splices it takes inside the
+/// in-flight list: an array that is the value of an `admitted` key.
+#[derive(Default)]
+struct InFlightSplices {
+    out: Option<Writer>,
+    /// For every open container, whether it is the in-flight list.
+    open: Vec<bool>,
+    /// The last key written, until its value comes.
+    key: Option<String>,
+    in_flight: usize,
+}
+
+impl InFlightSplices {
+    fn out(&mut self) -> &mut Writer {
+        self.key = None;
+        self.out.get_or_insert_with(Writer::compact)
+    }
+
+    fn open(&mut self) {
+        let in_flight = self.key.as_deref() == Some("admitted");
+        self.open.push(in_flight);
+    }
+}
+
+impl Sink for InFlightSplices {
+    fn null(&mut self) {
+        self.out().null();
+    }
+
+    fn bool(&mut self, b: bool) {
+        self.out().bool(b);
+    }
+
+    fn number(&mut self, x: f64) {
+        self.out().number(x);
+    }
+
+    fn string(&mut self, s: &str) {
+        self.out().string(s);
+    }
+
+    fn begin_array(&mut self) {
+        self.open();
+        self.out().begin_array();
+    }
+
+    fn end_array(&mut self) {
+        self.open.pop();
+        self.out().end_array();
+    }
+
+    fn begin_object(&mut self) {
+        self.open();
+        self.out().begin_object();
+    }
+
+    fn key(&mut self, key: &str) {
+        self.out().key(key);
+        self.key = Some(key.to_string());
+    }
+
+    fn end_object(&mut self) {
+        self.open.pop();
+        self.out().end_object();
+    }
+
+    fn splice(&mut self, text: &str, crc: u32) -> bool {
+        self.in_flight += usize::from(self.open.last() == Some(&true));
+        self.out().splice(text, crc)
+    }
+}
+
 /// `json_crc` against the un-spliced encode, alone and as a member with
-/// neighbours on both sides. The kept route runs first, so it is the one
-/// that prints the tasks admitted since the last encode.
+/// neighbours on both sides, and `json_crc_only` (the daemon's commit
+/// route) against the same CRC. The kept route runs first, so it is the
+/// one that prints the tasks admitted since the last encode. A sink that
+/// takes splices gets a non-empty in-flight list as one splice, whatever
+/// its length, and an empty one as none: a list spliced task by task
+/// fails here by name.
 fn check<T: Serialize>(x: &T) -> Result<(String, u32), TestCaseError> {
     let (json, crc) = json_crc(x).expect("encode");
     let plain = serde_json::to_string(&x.to_value()).expect("encode");
     prop_assert!(json == plain, "spliced and plain bytes differ");
     prop_assert_eq!(crc, crc32(plain.as_bytes()));
+    prop_assert_eq!(json_crc_only(x), crc);
+    let mut counted = InFlightSplices::default();
+    x.serialize(&mut counted);
+    let splices = usize::from(!plain.contains(r#""admitted":[]"#));
+    prop_assert!(counted.in_flight == splices, "{} splices of the in-flight list in one encode", counted.in_flight);
+    prop_assert!(counted.out.map(Writer::finish).as_deref() == Some(plain.as_str()), "counted bytes differ");
     let (framed, framed_crc) = json_crc(&(1.5, x, "tail")).expect("encode");
     prop_assert_eq!(framed.clone(), format!("[1.5,{plain},\"tail\"]"));
     prop_assert_eq!(framed_crc, crc32(framed.as_bytes()));
